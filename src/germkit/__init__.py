@@ -15,7 +15,6 @@ from .cedga import (
     SubDga,
     TorsionComponent,
     bar_star,
-    ce_complex,
     pd_type_check,
     subdga_from_characters,
     verify_subdga,
@@ -23,7 +22,6 @@ from .cedga import (
 )
 from .decomp import (
     Decomposition,
-    betti_numbers,
     hermitian,
     kernel_containment_check,
     split_complex,
@@ -53,7 +51,6 @@ from .liealg import (
     derived_subalgebra,
     infer_grading_basis_aligned,
     is_solvable,
-    jacobi_check,
     lower_central_series,
     verify_natural_grading,
 )

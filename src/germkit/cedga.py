@@ -106,7 +106,7 @@ class Dga:
                     if spot is None or spot[0] != p + 1:
                         raise PreconditionError(
                             f"differential leaves the span: d({self.monomial_label(mono)}) "
-                            f"has a component on {self._raw_label(target)} "
+                            f"has a component on {self.monomial_label(target)} "
                             "outside the complex"
                         )
                     matrix[spot[1]][col] = coeff
@@ -121,7 +121,7 @@ class Dga:
                     if value:
                         raise PreconditionError(
                             "d o d != 0: degree "
-                            f"{p} entry (row {self._raw_label(self.monomials[p + 2][r])}, "
+                            f"{p} entry (row {self.monomial_label(self.monomials[p + 2][r])}, "
                             f"column {self.monomial_label(self.monomials[p][c])}) "
                             f"= {value}; the structure constants violate the "
                             "Jacobi identity"
@@ -159,9 +159,6 @@ class Dga:
         return out
 
     def monomial_label(self, mono: Monomial) -> str:
-        return self._raw_label(mono)
-
-    def _raw_label(self, mono: Monomial) -> str:
         if not mono:
             return "1"
         return "∧".join(self.algebra.labels[i] for i in mono)
@@ -199,7 +196,7 @@ class Dga:
                 spot = self.position.get(target)
                 if spot is None or spot[0] != p + q:
                     raise PreconditionError(
-                        f"wedge leaves the span: {self._raw_label(target)} "
+                        f"wedge leaves the span: {self.monomial_label(target)} "
                         "is not in the complex"
                     )
                 out[spot[1]] = out[spot[1]] + scalar(sign) * cu * cv
@@ -251,11 +248,6 @@ class Cochain:
 
     def __str__(self) -> str:
         return self.dga.cochain_label(self.degree, list(self.coeffs))
-
-
-def ce_complex(algebra: LieAlgebra) -> Dga:
-    """The full exterior cochain complex of an algebra."""
-    return Dga(algebra)
 
 
 def pd_type_check(dga: Dga) -> str | None:

@@ -32,6 +32,7 @@ from .linalg import Matrix, Vector
 from .scalars import ONE, Scalar, ZERO
 
 Strategy = str  # "metric" | "pivot"
+STRATEGIES = ("metric", "pivot")
 
 
 def hermitian(u: Vector, v: Vector) -> Scalar:
@@ -110,28 +111,17 @@ class Decomposition:
         """d d* + d* d in degree p (metric strategy only)."""
         if self.dstar is None:
             raise ValueError("laplacian is defined for the metric strategy")
-        dims = self.dga.dims()
-        n = len(dims) - 1
-        dim_p = dims[p]
-        up = _mul(
-            self.dstar[p + 1] if p + 1 <= n else [],
-            self.dga.d[p],
-            dim_p,
-            dims[p + 1] if p + 1 <= n else 0,
-            dim_p,
-        )
-        down = _mul(
-            self.dga.d[p - 1] if p >= 1 else [],
-            self.dstar[p],
-            dim_p,
-            dims[p - 1] if p >= 1 else 0,
-            dim_p,
-        )
-        return linalg.mat_add(up, down)
+        return _laplacian(self.dga, self.dstar, p)
 
 
-def betti_numbers(dec: Decomposition) -> list[int]:
-    return dec.betti()
+def _laplacian(dga: Dga, dstar: list[Matrix], p: int) -> Matrix:
+    dims = dga.dims()
+    top = len(dims) - 1
+    above = dims[p + 1] if p < top else 0
+    below = dims[p - 1] if p >= 1 else 0
+    up = _mul(dstar[p + 1] if p < top else [], dga.d[p], dims[p], above, dims[p])
+    down = _mul(dga.d[p - 1] if p >= 1 else [], dstar[p], dims[p], below, dims[p])
+    return linalg.mat_add(up, down)
 
 
 def split_complex(
@@ -140,7 +130,7 @@ def split_complex(
     grading: Grading | None = None,
 ) -> Decomposition:
     """Build the per-degree splitting; see the module docstring."""
-    if strategy not in ("metric", "pivot"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     dims = dga.dims()
     n = len(dims) - 1
@@ -169,22 +159,7 @@ def split_complex(
         )
         if strategy == "metric":
             assert dstar is not None
-            up = _mul(
-                dstar[p + 1] if p + 1 <= n else [],
-                dga.d[p],
-                dim_p,
-                dims[p + 1] if p + 1 <= n else 0,
-                dim_p,
-            )
-            down = _mul(
-                dga.d[p - 1] if p >= 1 else [],
-                dstar[p],
-                dim_p,
-                dims[p - 1] if p >= 1 else 0,
-                dim_p,
-            )
-            laplacian = linalg.mat_add(up, down)
-            harmonic = linalg.kernel_basis(laplacian, dim_p)
+            harmonic = linalg.kernel_basis(_laplacian(dga, dstar, p), dim_p)
             complement = (
                 linalg.image_basis(dstar[p + 1], dims[p + 1]) if p + 1 <= n else []
             )

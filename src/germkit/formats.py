@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .cedga import CharacterData, Dga, Monomial, SubDga, TorsionComponent
-from .decomp import Decomposition, split_complex
+from .decomp import STRATEGIES, Decomposition, split_complex
 from .errors import ParseError
 from .kuranishi import (
     KuranishiSeries,
@@ -111,6 +111,21 @@ def _parse_subspace(
         for k, entry in enumerate(entries)
     ]
     return Subspace.from_vectors(len(labels), vectors)
+
+
+def _parse_grading(entries: Any, labels: tuple[str, ...], where: str) -> Grading:
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: expected a list of layers")
+    return Grading(
+        tuple(
+            _parse_subspace(layer, labels, f"{where}[{k}]")
+            for k, layer in enumerate(entries)
+        )
+    )
+
+
+def matrix_strings(rows) -> list[list[str]]:
+    return [[str(c) for c in row] for row in rows]
 
 
 def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
@@ -223,16 +238,11 @@ def parse_algebra_dict(data: dict, source: str = "<input>") -> ParsedAlgebra:
 
     algebra = LieAlgebra(labels, brackets)  # runs the Jacobi check
 
-    grading = None
-    if "grading" in data:
-        if not isinstance(data["grading"], list):
-            raise ParseError(f"{source}: grading: expected a list of layers")
-        layers = [
-            _parse_subspace(layer, labels, f"{source}: grading[{k}]")
-            for k, layer in enumerate(data["grading"])
-        ]
-        grading = Grading(tuple(layers))
-
+    grading = (
+        _parse_grading(data["grading"], labels, f"{source}: grading")
+        if "grading" in data
+        else None
+    )
     nilradical = (
         _parse_subspace(data["nilradical"], labels, f"{source}: nilradical")
         if "nilradical" in data
@@ -295,14 +305,11 @@ def algebra_to_dict(
         ],
     }
     if grading is not None:
-        data["grading"] = [
-            [[str(c) for c in row] for row in layer.rows]
-            for layer in grading.layers
-        ]
+        data["grading"] = [matrix_strings(layer.rows) for layer in grading.layers]
     if nilradical is not None:
-        data["nilradical"] = [[str(c) for c in row] for row in nilradical.rows]
+        data["nilradical"] = matrix_strings(nilradical.rows)
     if complement is not None:
-        data["complement"] = [[str(c) for c in row] for row in complement.rows]
+        data["complement"] = matrix_strings(complement.rows)
     if characters is not None:
         data["characters"] = characters_to_dict(characters)
     return data
@@ -416,14 +423,8 @@ def germ_to_dict(
                 }
             )
         phi_out.append({"degree": r, "terms": terms})
-    harmonic1 = [
-        [str(c) for c in row] for row in series.decomposition.harmonic_basis(1)
-    ]
-    harmonic2 = (
-        [[str(c) for c in row] for row in series.decomposition.harmonic_basis(2)]
-        if len(series.decomposition.splits) > 2
-        else []
-    )
+    dec = series.decomposition
+    harmonic2 = dec.harmonic_basis(2) if len(dec.splits) > 2 else []
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "germ",
@@ -444,8 +445,8 @@ def germ_to_dict(
             }
             for i, (h, a) in enumerate(series.zeta_info)
         ],
-        "harmonic_one_forms": harmonic1,
-        "harmonic_two_forms": harmonic2,
+        "harmonic_one_forms": matrix_strings(dec.harmonic_basis(1)),
+        "harmonic_two_forms": matrix_strings(harmonic2),
         "phi": phi_out,
         "obstructions": {
             "coordinates": list(system.coordinates),
@@ -478,13 +479,33 @@ class GermData:
     terminated: bool
 
 
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _field(data: Any, key: str, kind: type, where: str) -> Any:
+    """``data[key]``, which must be present and of ``kind``."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: expected an object")
+    value = data.get(key)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{where}: {key}: missing or not {_KINDS[kind]}")
+    return value
+
+
 def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     if data.get("kind") != "germ":
         raise ParseError(f"{source}: not a germ file (kind != 'germ')")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"{source}: unsupported schema_version")
-    base = parse_algebra_dict(data["base_algebra"], f"{source}: base_algebra")
-    target = parse_algebra_dict(data["target_algebra"], f"{source}: target_algebra")
+    strategy = data.get("strategy", "metric")
+    if strategy not in STRATEGIES:
+        raise ParseError(f"{source}: strategy: expected one of {STRATEGIES}")
+    base = parse_algebra_dict(
+        _field(data, "base_algebra", dict, source), f"{source}: base_algebra"
+    )
+    target = parse_algebra_dict(
+        _field(data, "target_algebra", dict, source), f"{source}: target_algebra"
+    )
     full = Dga(base.algebra)
     if data.get("subdga_monomials") is not None:
         sub = parse_subdga_spec(
@@ -496,44 +517,62 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         complex_ = full
     grading = None
     if data.get("grading") is not None:
-        layers = [
-            _parse_subspace(layer, base.algebra.labels, f"{source}: grading[{k}]")
-            for k, layer in enumerate(data["grading"])
-        ]
-        grading = Grading(tuple(layers))
-    strategy = data.get("strategy", "metric")
+        grading = _parse_grading(
+            data["grading"], base.algebra.labels, f"{source}: grading"
+        )
     dec = split_complex(complex_, strategy=strategy, grading=grading)
     tdgla = TensorDgla(complex_, target.algebra)
-    variables = tuple(data.get("variables", []))
-    ta = target.algebra.dim
+    variables = tuple(_field(data, "variables", list, source))
+    if not all(isinstance(name, str) for name in variables):
+        raise ParseError(f"{source}: variables: expected a list of names")
+    labels = target.algebra.labels
+    dim1 = complex_.dim_at(1)
     slices: dict[int, dict] = {}
-    for block in data.get("phi", []):
-        r = int(block["degree"])
+    for b, block in enumerate(_field(data, "phi", list, source)):
+        where = f"{source}: phi[{b}]"
+        r = _field(block, "degree", int, where)
         terms = {}
-        for term in block.get("terms", []):
-            exps = tuple(int(e) for e in term["exponents"])
+        for t, term in enumerate(_field(block, "terms", list, where)):
+            tw = f"{where}.terms[{t}]"
+            exps = tuple(_field(term, "exponents", list, tw))
+            if len(exps) != len(variables) or not all(
+                type(e) is int and e >= 0 for e in exps
+            ):
+                raise ParseError(
+                    f"{tw}: exponents: expected {len(variables)} "
+                    "nonnegative integers, one per variable"
+                )
             vec: dict[int, Scalar] = {}
-            for entry in term.get("entries", []):
-                mono_idx = int(entry["monomial_index"])
-                label = entry["target"]
-                if label not in target.algebra.labels:
+            for k, entry in enumerate(_field(term, "entries", list, tw)):
+                ew = f"{tw}.entries[{k}]"
+                mono_idx = _field(entry, "monomial_index", int, ew)
+                if not 0 <= mono_idx < dim1:
                     raise ParseError(
-                        f"{source}: phi: unknown target label {label!r}"
+                        f"{ew}: monomial_index: {mono_idx} is not a degree-1 "
+                        f"monomial (0..{dim1 - 1})"
                     )
-                a = target.algebra.labels.index(label)
-                value = _coerce_scalar(entry["value"], f"{source}: phi entry")
+                label = _field(entry, "target", str, ew)
+                if label not in labels:
+                    raise ParseError(f"{ew}: target: unknown label {label!r}")
+                value = _coerce_scalar(entry.get("value"), f"{ew}: value")
                 if value:
-                    vec[mono_idx * ta + a] = value
+                    vec[tdgla.flat(mono_idx, labels.index(label))] = value
             if vec:
                 terms[exps] = vec
         if terms:
             slices[r] = terms
     phi = PolyCochain(variables, 1, slices)
-    obstructions = data.get("obstructions", {})
-    polys = tuple(
-        MultiPoly.from_records(variables, records)
-        for records in obstructions.get("polynomials", [])
-    )
+    obstructions = _field(data, "obstructions", dict, source)
+    where = f"{source}: obstructions"
+    polys = []
+    for k, records in enumerate(_field(obstructions, "polynomials", list, where)):
+        try:
+            polys.append(MultiPoly.from_records(variables, records))
+        except (ParseError, TypeError, ValueError) as exc:
+            raise ParseError(f"{where}.polynomials[{k}]: {exc}") from None
+    coordinates = tuple(_field(obstructions, "coordinates", list, where))
+    if len(coordinates) != len(polys):
+        raise ParseError(f"{where}: coordinates: need one label per polynomial")
     return GermData(
         base=base,
         target=target,
@@ -542,8 +581,8 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         tdgla=tdgla,
         variables=variables,
         phi=phi,
-        polynomials=polys,
-        coordinates=tuple(obstructions.get("coordinates", [])),
+        polynomials=tuple(polys),
+        coordinates=coordinates,
         terminated=bool(data.get("terminated", False)),
     )
 

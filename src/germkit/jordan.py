@@ -116,13 +116,6 @@ def poly_derivative(a: Poly) -> Poly:
     return poly_normalize([scalar(k) * a[k] for k in range(1, len(a))])
 
 
-def poly_eval_scalar(a: Poly, x: Scalar) -> Scalar:
-    acc = ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def poly_eval_matrix(a: Poly, m: Matrix) -> Matrix:
     n = len(m)
     acc = linalg.zeros(n, n)

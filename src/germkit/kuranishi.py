@@ -61,14 +61,10 @@ def vec_scale(v: SparseVec, factor: Scalar) -> SparseVec:
     return {i: factor * c for i, c in v.items()}
 
 
-def vec_is_zero(v: SparseVec) -> bool:
-    return not v
-
-
 class TensorDgla:
     """L^p = C^p tensor a with flat indexing (monomial, basis) -> int."""
 
-    __slots__ = ("dga", "target", "_bracket_table", "_wedge11", "_d_cols")
+    __slots__ = ("dga", "target", "_bracket_table", "_wedge11")
 
     def __init__(self, dga: Dga, target: LieAlgebra):
         self.dga = dga
@@ -96,14 +92,6 @@ class TensorDgla:
                 row.append((sign, spot[1]))
             table.append(row)
         self._wedge11 = table
-        self._d_cols: list[list[list[tuple[int, Scalar]]]] = []
-        for p, matrix in enumerate(dga.d):
-            cols = []
-            for j in range(dga.dim_at(p)):
-                cols.append(
-                    [(i, matrix[i][j]) for i in range(len(matrix)) if matrix[i][j]]
-                )
-            self._d_cols.append(cols)
 
     # -- indexing -----------------------------------------------------------
 
@@ -183,20 +171,6 @@ class TensorDgla:
                     vec_add_into(out, {base + k: c}, coeff)
         return out
 
-    def apply_d(self, p: int, u: SparseVec) -> SparseVec:
-        ta = self.target.dim
-        out: SparseVec = {}
-        for iu, cu in u.items():
-            mu, au = divmod(iu, ta)
-            for i, val in self._d_cols[p][mu]:
-                spot = i * ta + au
-                total = out.get(spot, ZERO) + cu * val
-                if total:
-                    out[spot] = total
-                else:
-                    out.pop(spot, None)
-        return out
-
     def apply_matrix(self, matrix_cols: list[list[tuple[int, Scalar]]], u: SparseVec) -> SparseVec:
         """Apply (matrix tensor id) given sparse columns of the matrix."""
         ta = self.target.dim
@@ -220,9 +194,17 @@ def sparse_columns(matrix: Matrix, ncols: int) -> list[list[tuple[int, Scalar]]]
     ]
 
 
+def delta_cols(dec: Decomposition, p: int) -> list[list[tuple[int, Scalar]]]:
+    """Sparse columns of delta: C^p -> C^(p-1); none above the top degree."""
+    if p >= len(dec.delta):
+        return []
+    return sparse_columns(dec.delta[p], dec.dga.dim_at(p))
+
+
 def mc_residual(tdgla: TensorDgla, omega: SparseVec) -> SparseVec:
     """d(omega) + (1/2)[omega, omega] for a degree-one element."""
-    out = tdgla.apply_d(1, omega)
+    dga = tdgla.dga
+    out = tdgla.apply_matrix(sparse_columns(dga.d[1], dga.dim_at(1)), omega)
     vec_add_into(out, tdgla.bracket11(omega, omega), HALF)
     return out
 
@@ -235,6 +217,23 @@ Slice = dict[ExponentVector, SparseVec]
 
 def _clean_slice(terms: Slice) -> Slice:
     return {e: v for e, v in terms.items() if v}
+
+
+def slice_add_into(
+    dst: Slice, exps: ExponentVector, v: SparseVec, factor: Scalar = ONE
+) -> None:
+    """dst[exps] += factor * v, dropping the term when it cancels.
+
+    An empty slot takes ``v`` itself when the factor is one, so pass a
+    vector nobody else will mutate.
+    """
+    acc = dst.get(exps)
+    if acc is None:
+        dst[exps] = v if factor == ONE else vec_scale(v, factor)
+        return
+    vec_add_into(acc, v, factor)
+    if not acc:
+        del dst[exps]
 
 
 @dataclass
@@ -263,21 +262,15 @@ class PolyCochain:
     def is_zero(self) -> bool:
         return not self.cleaned().slices
 
-    def term_count(self) -> int:
-        return sum(len(s) for s in self.slices.values())
-
     def add(self, other: "PolyCochain") -> "PolyCochain":
         assert self.variables == other.variables and self.degree == other.degree
-        out: dict[int, Slice] = {r: dict(s) for r, s in self.slices.items()}
+        out: dict[int, Slice] = {
+            r: {e: dict(v) for e, v in s.items()} for r, s in self.slices.items()
+        }
         for r, terms in other.slices.items():
             dst = out.setdefault(r, {})
             for e, v in terms.items():
-                acc = dict(dst.get(e, {}))
-                vec_add_into(acc, v)
-                if acc:
-                    dst[e] = acc
-                else:
-                    dst.pop(e, None)
+                slice_add_into(dst, e, dict(v))
         return PolyCochain(self.variables, self.degree, out).cleaned()
 
     def scale(self, factor: Scalar) -> "PolyCochain":
@@ -334,14 +327,7 @@ def bracket_slices(tdgla: TensorDgla, a: Slice, b: Slice) -> Slice:
             w = tdgla.bracket11(va, vb)
             if not w:
                 continue
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            dst = out.get(exps)
-            if dst is None:
-                out[exps] = w
-            else:
-                vec_add_into(dst, w)
-                if not dst:
-                    del out[exps]
+            slice_add_into(out, tuple(x + y for x, y in zip(ea, eb)), w)
     return out
 
 
@@ -355,13 +341,7 @@ def bracket_poly(tdgla: TensorDgla, a: PolyCochain, b: PolyCochain) -> PolyCocha
                 continue
             dst = out.setdefault(ra + rb, {})
             for e, v in piece.items():
-                acc = dst.get(e)
-                if acc is None:
-                    dst[e] = v
-                else:
-                    vec_add_into(acc, v)
-                    if not acc:
-                        del dst[e]
+                slice_add_into(dst, e, v)
     return PolyCochain(a.variables, 2, out).cleaned()
 
 
@@ -387,12 +367,6 @@ class KuranishiSeries:
 
     def phi1(self) -> PolyCochain:
         return PolyCochain(self.variables, 1, {1: dict(self.slices.get(1, {}))})
-
-    def eval_phi(self, point: list[Scalar]) -> SparseVec:
-        return self.phi().eval(point)
-
-    def num_variables(self) -> int:
-        return len(self.variables)
 
 
 def kuranishi_series(
@@ -430,9 +404,7 @@ def kuranishi_series(
     if phi1:
         slices[1] = phi1
 
-    delta2_cols = sparse_columns(dec.delta[2], dec.dga.dim_at(2)) if len(
-        dec.delta
-    ) > 2 else []
+    delta2_cols = delta_cols(dec, 2)
 
     rho = 1
     terminated = m == 0  # an empty series is trivially finite
@@ -447,13 +419,7 @@ def kuranishi_series(
                 piece = bracket_slices(tdgla, left, right)
                 factor = ONE if 2 * s == r else scalar(2)
                 for e, v in piece.items():
-                    dst = bracket_sum.get(e)
-                    if dst is None:
-                        bracket_sum[e] = vec_scale(v, factor)
-                    else:
-                        vec_add_into(dst, v, factor)
-                        if not dst:
-                            del bracket_sum[e]
+                    slice_add_into(bracket_sum, e, v, factor)
             phi_r: Slice = {}
             for e, v in bracket_sum.items():
                 w = tdgla.apply_matrix(delta2_cols, v)
@@ -597,16 +563,12 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
         raise PreconditionError("gauge identities require a terminated series")
     dec = series.decomposition
     tdgla = series.tdgla
-    delta1_cols = sparse_columns(dec.delta[1], dec.dga.dim_at(1))
+    delta1_cols = delta_cols(dec, 1)
     phi = series.phi()
     gauge = phi.apply(lambda v: tdgla.apply_matrix(delta1_cols, v), 0)
     if not gauge.is_zero():
         return "delta(phi) is not identically zero"
-    delta2_cols = (
-        sparse_columns(dec.delta[2], dec.dga.dim_at(2))
-        if len(dec.delta) > 2
-        else []
-    )
+    delta2_cols = delta_cols(dec, 2)
     square = bracket_poly(tdgla, phi, phi)
     corrected = square.apply(
         lambda v: tdgla.apply_matrix(delta2_cols, v), 1
@@ -653,11 +615,9 @@ def mc_spot_check(
 ) -> SpotCheckResult:
     """Evaluate the system and the flatness residual at an exact point."""
     values = [poly.eval(point) for poly in system.polynomials]
-    omega = series.eval_phi(point)
+    omega = series.phi().eval(point)
     residual = mc_residual(series.tdgla, omega)
-    dec = series.decomposition
-    delta1_cols = sparse_columns(dec.delta[1], dec.dga.dim_at(1))
-    gauge = series.tdgla.apply_matrix(delta1_cols, omega)
+    gauge = series.tdgla.apply_matrix(delta_cols(series.decomposition, 1), omega)
     return SpotCheckResult(values, residual, gauge)
 
 

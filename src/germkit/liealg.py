@@ -62,17 +62,6 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
-    def structure_constant(self, i: int, j: int, k: int) -> Scalar:
-        if i == j:
-            return ZERO
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for kk, c in self._brackets.get((i, j), ()):
-            if kk == k:
-                return c if sign == 1 else -c
-        return ZERO
-
     def bracket_basis(self, i: int, j: int) -> dict[int, Scalar]:
         """[X_i, X_j] as a sparse vector."""
         if i == j:
@@ -160,11 +149,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, labels={self.labels})"
 
 
-def jacobi_check(algebra: LieAlgebra) -> tuple[int, int, int, Vector] | None:
-    """Module-level alias; None means pass."""
-    return algebra.jacobi_counterexample()
-
-
 # -- subspaces ----------------------------------------------------------------
 
 
@@ -216,9 +200,6 @@ class Subspace:
 
     def intersection_dim(self, other: "Subspace") -> int:
         return self.dim + other.dim - self.add(other).dim
-
-    def basis_vectors(self) -> list[Vector]:
-        return [list(r) for r in self.rows]
 
 
 def span_of_brackets(

@@ -14,9 +14,8 @@ from conftest import GRADED_NILPOTENT, UNIMODULAR, non_unimodular2
 
 import germkit.linalg as la
 from germkit import fixtures
-from germkit.cedga import ce_complex, pd_type_check, subdga_from_characters
+from germkit.cedga import Dga, pd_type_check, subdga_from_characters
 from germkit.decomp import (
-    betti_numbers,
     hermitian,
     kernel_containment_check,
     split_complex,
@@ -51,7 +50,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 def _graded_metric(algebra):
     grading = infer_grading_basis_aligned(algebra)
     assert grading is not None
-    return split_complex(ce_complex(algebra), "metric", grading), grading
+    return split_complex(Dga(algebra), "metric", grading), grading
 
 
 # -- criterion 1: the cubic cone -----------------------------------------------
@@ -167,7 +166,7 @@ def test_criterion_3_nilshadow():
 def test_criterion_4_hodge_machinery():
     ok = True
     for name, algebra in UNIMODULAR.items():
-        dga = ce_complex(algebra)
+        dga = Dga(algebra)
         dec = split_complex(dga)
         for p in range(len(dec.splits)):
             split = dec.splits[p]
@@ -185,11 +184,9 @@ def test_criterion_4_hodge_machinery():
                     lhs = hermitian(d_alpha, beta)
                     rhs = hermitian(alpha, la.mat_vec(dec.dstar[p + 1], beta))
                     ok = ok and lhs == rhs
-        betti = betti_numbers(dec)
+        betti = dec.betti()
         ok = ok and betti == betti[::-1]  # duality on unimodular inputs
-    ok = ok and betti_numbers(
-        split_complex(ce_complex(fixtures.heisenberg3()))
-    ) == [1, 2, 2, 1]
+    ok = ok and split_complex(Dga(fixtures.heisenberg3())).betti() == [1, 2, 2, 1]
     report(
         4,
         ok,
@@ -249,7 +246,7 @@ def test_criterion_6_cocycle_weight_bound():
     for name, algebra in GRADED_NILPOTENT.items():
         grading = infer_grading_basis_aligned(algebra)
         ok = ok and grading is not None
-        ok = ok and kernel_containment_check(ce_complex(algebra), grading) is None
+        ok = ok and kernel_containment_check(Dga(algebra), grading) is None
     report(
         6,
         ok,
@@ -263,7 +260,7 @@ def test_criterion_6_cocycle_weight_bound():
 
 def test_criterion_7_linear_embedding():
     shadow = nilshadow(fixtures.solvable_heisenberg_input())
-    dga = ce_complex(shadow)
+    dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
     target = fixtures.sl2()
     dim1 = sub.complex().dim_at(1) * target.dim
@@ -285,13 +282,13 @@ def test_criterion_8_pd_gate():
     ok = True
     for name, algebra in UNIMODULAR.items():
         ok = ok and algebra.is_unimodular()
-        ok = ok and pd_type_check(ce_complex(algebra)) is None
+        ok = ok and pd_type_check(Dga(algebra)) is None
     bad = non_unimodular2()
     ok = ok and not bad.is_unimodular()
-    ok = ok and pd_type_check(ce_complex(bad)) is not None
+    ok = ok and pd_type_check(Dga(bad)) is not None
     # character selections with zero total exponent sum are closed under
     # complements and keep duality type
-    dga = ce_complex(fixtures.q_plus_heisenberg3())
+    dga = Dga(fixtures.q_plus_heisenberg3())
     chars = fixtures.solvable_heisenberg_characters()
     total = [sum(v[c] for v in chars.exponents) for c in range(chars.rank)]
     ok = ok and all(t == 0 for t in total)

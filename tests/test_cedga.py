@@ -13,7 +13,6 @@ from germkit.cedga import (
     SubDga,
     TorsionComponent,
     bar_star,
-    ce_complex,
     pd_type_check,
     subdga_from_characters,
     verify_subdga,
@@ -26,7 +25,7 @@ from germkit.scalars import ONE, ZERO, scalar
 
 
 def test_h3_differential():
-    dga = ce_complex(fixtures.heisenberg3())
+    dga = Dga(fixtures.heisenberg3())
     # dx = dy = 0, dz = -x^y
     assert [dga.d[1][r][0] for r in range(3)] == [ZERO, ZERO, ZERO]
     assert [dga.d[1][r][1] for r in range(3)] == [ZERO, ZERO, ZERO]
@@ -35,7 +34,7 @@ def test_h3_differential():
 
 
 def test_filiform_differential():
-    dga = ce_complex(fixtures.filiform4())
+    dga = Dga(fixtures.filiform4())
     # de3 = -e1^e2, de4 = -e1^e3
     col3 = [dga.d[1][r][2] for r in range(6)]
     col4 = [dga.d[1][r][3] for r in range(6)]
@@ -45,25 +44,25 @@ def test_filiform_differential():
 
 
 def test_abelian_differential_is_zero():
-    dga = ce_complex(fixtures.abelian(4))
+    dga = Dga(fixtures.abelian(4))
     assert all(la.is_zero_matrix(m) for m in dga.d)
 
 
 @pytest.mark.parametrize("name", sorted(UNIMODULAR))
 def test_engine_matches_multilinear_oracle(name):
     algebra = UNIMODULAR[name]
-    dga = ce_complex(algebra)
+    dga = Dga(algebra)
     for p in range(algebra.dim):
         assert la.mat_eq(dga.d[p], oracle_d_matrix(algebra, p)), (name, p)
 
 
 def test_dims_are_binomials():
-    dga = ce_complex(fixtures.heisenberg5())
+    dga = Dga(fixtures.heisenberg5())
     assert dga.dims() == [1, 5, 10, 10, 5, 1]
 
 
 def test_wedge_examples():
-    dga = ce_complex(fixtures.heisenberg3())
+    dga = Dga(fixtures.heisenberg3())
     x = Cochain.from_monomial(dga, (0,))
     y = Cochain.from_monomial(dga, (1,))
     z = Cochain.from_monomial(dga, (2,))
@@ -76,7 +75,7 @@ def test_wedge_examples():
 
 def test_graded_commutativity_and_leibniz_on_all_monomial_pairs():
     for algebra in (fixtures.heisenberg3(), fixtures.filiform4()):
-        dga = ce_complex(algebra)
+        dga = Dga(algebra)
         monos = [m for level in dga.monomials for m in level]
         for left in monos:
             for right in monos:
@@ -119,25 +118,25 @@ def test_jacobi_iff_d_squared_zero():
             validate=False,
         )
         if algebra.jacobi_counterexample() is None:
-            ce_complex(algebra)  # must build: d o d == 0 is checked inside
+            Dga(algebra)  # must build: d o d == 0 is checked inside
             seen_pass += 1
         else:
             with pytest.raises(PreconditionError):
-                ce_complex(algebra)
+                Dga(algebra)
             seen_fail += 1
     assert seen_pass > 0 and seen_fail > 0
 
 
 def test_pd_type_full_complexes():
     for name, algebra in UNIMODULAR.items():
-        assert pd_type_check(ce_complex(algebra)) is None, name
-    violation = pd_type_check(ce_complex(non_unimodular2()))
+        assert pd_type_check(Dga(algebra)) is None, name
+    violation = pd_type_check(Dga(non_unimodular2()))
     assert violation is not None and "top - 1" in violation
 
 
 def test_bar_star_defining_property():
     for algebra in (fixtures.heisenberg3(), fixtures.q_plus_heisenberg3()):
-        dga = ce_complex(algebra)
+        dga = Dga(algebra)
         n = algebra.dim
         volume = [ONE]
         for p in range(n + 1):
@@ -153,7 +152,7 @@ def test_bar_star_defining_property():
 
 
 def test_subdga_selection_from_characters():
-    dga = ce_complex(fixtures.q_plus_heisenberg3())
+    dga = Dga(fixtures.q_plus_heisenberg3())
     chars = fixtures.solvable_heisenberg_characters()
     sub = subdga_from_characters(dga, chars)
     got = [tuple(i + 1 for i in m) for level in sub.selected for m in level]
@@ -172,14 +171,14 @@ def test_subdga_selection_from_characters():
 
 
 def test_all_zero_exponents_select_everything():
-    dga = ce_complex(fixtures.heisenberg3())
+    dga = Dga(fixtures.heisenberg3())
     chars = CharacterData(rank=1, exponents=((0,), (0,), (0,)))
     sub = subdga_from_characters(dga, chars)
     assert sub.degree_counts() == [1, 3, 3, 1]
 
 
 def test_two_generator_zero_sum_selection():
-    dga = ce_complex(fixtures.abelian(2))
+    dga = Dga(fixtures.abelian(2))
     chars = CharacterData(rank=1, exponents=((1,), (-1,)))
     sub = subdga_from_characters(dga, chars)
     got = [tuple(i + 1 for i in m) for level in sub.selected for m in level]
@@ -187,7 +186,7 @@ def test_two_generator_zero_sum_selection():
 
 
 def test_torsion_components():
-    dga = ce_complex(fixtures.abelian(3))
+    dga = Dga(fixtures.abelian(3))
     chars = CharacterData(
         rank=0,
         exponents=((), (), ()),
@@ -200,7 +199,7 @@ def test_torsion_components():
 
 def test_incompatible_characters_are_rejected():
     # weight data that is not additive along the bracket: dz escapes
-    dga = ce_complex(fixtures.heisenberg3())
+    dga = Dga(fixtures.heisenberg3())
     chars = CharacterData(rank=1, exponents=((1,), (2,), (0,)))
     with pytest.raises(PreconditionError):
         subdga_from_characters(dga, chars)
@@ -209,7 +208,7 @@ def test_incompatible_characters_are_rejected():
 def test_unimodular_duality_of_selections():
     # when the exponents of all generators sum to zero, selections are
     # closed under complements
-    dga = ce_complex(fixtures.q_plus_heisenberg3())
+    dga = Dga(fixtures.q_plus_heisenberg3())
     chars = fixtures.solvable_heisenberg_characters()
     total = [sum(v[c] for v in chars.exponents) for c in range(chars.rank)]
     assert all(t == 0 for t in total)
@@ -222,7 +221,7 @@ def test_unimodular_duality_of_selections():
 
 
 def test_verify_subdga_violations():
-    dga = ce_complex(fixtures.heisenberg3())
+    dga = Dga(fixtures.heisenberg3())
     # closed: 1, x, y in degrees 0..1 and x^y in degree 2
     good = SubDga(dga, (((),), ((0,), (1,)), ((0, 1),), ()))
     assert verify_subdga(good) is None

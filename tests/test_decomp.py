@@ -4,9 +4,8 @@ from conftest import GRADED_NILPOTENT, UNIMODULAR, oracle_betti
 
 import germkit.linalg as la
 from germkit import fixtures
-from germkit.cedga import ce_complex
+from germkit.cedga import Dga
 from germkit.decomp import (
-    betti_numbers,
     degree2_weight_table,
     hermitian,
     kernel_containment_check,
@@ -24,13 +23,13 @@ from germkit.scalars import ONE, ZERO, scalar
 
 
 def _metric(algebra, grading=None):
-    return split_complex(ce_complex(algebra), "metric", grading)
+    return split_complex(Dga(algebra), "metric", grading)
 
 
 def test_h3_harmonic_spaces_and_delta():
     h3 = fixtures.heisenberg3()
     dec = _metric(h3, infer_grading_basis_aligned(h3))
-    assert betti_numbers(dec) == [1, 2, 2, 1]
+    assert dec.betti() == [1, 2, 2, 1]
     assert dec.harmonic_basis(1) == [
         [ONE, ZERO, ZERO],
         [ZERO, ONE, ZERO],
@@ -47,7 +46,7 @@ def test_h3_harmonic_spaces_and_delta():
 
 def test_abelian_split_is_trivial():
     dec = _metric(fixtures.abelian(3))
-    assert betti_numbers(dec) == [1, 3, 3, 1]
+    assert dec.betti() == [1, 3, 3, 1]
     for matrix in dec.delta:
         assert la.is_zero_matrix(matrix)
     for p, split in enumerate(dec.splits):
@@ -58,24 +57,24 @@ def test_abelian_split_is_trivial():
 @pytest.mark.parametrize("strategy", ["metric", "pivot"])
 def test_betti_matches_independent_oracle(name, strategy):
     algebra = UNIMODULAR[name]
-    dec = split_complex(ce_complex(algebra), strategy)
-    assert betti_numbers(dec) == oracle_betti(algebra)
+    dec = split_complex(Dga(algebra), strategy)
+    assert dec.betti() == oracle_betti(algebra)
 
 
 def test_kunneth_betti_of_q_plus_h3():
-    assert betti_numbers(_metric(fixtures.q_plus_heisenberg3())) == [1, 3, 4, 3, 1]
+    assert _metric(fixtures.q_plus_heisenberg3()).betti() == [1, 3, 4, 3, 1]
 
 
 @pytest.mark.parametrize("name", sorted(UNIMODULAR))
 def test_poincare_duality_on_unimodular_fixtures(name):
-    betti = betti_numbers(_metric(UNIMODULAR[name]))
+    betti = _metric(UNIMODULAR[name]).betti()
     assert betti == betti[::-1]
 
 
 @pytest.mark.parametrize("name", sorted(UNIMODULAR))
 def test_adjointness_on_every_basis_pair(name):
     algebra = UNIMODULAR[name]
-    dga = ce_complex(algebra)
+    dga = Dga(algebra)
     dec = split_complex(dga)
     n = algebra.dim
     for p in range(n):
@@ -93,7 +92,7 @@ def test_adjointness_on_every_basis_pair(name):
 @pytest.mark.parametrize("strategy", ["metric", "pivot"])
 def test_three_way_dimensions(name, strategy):
     algebra = UNIMODULAR[name]
-    dga = ce_complex(algebra)
+    dga = Dga(algebra)
     dec = split_complex(dga, strategy)
     for p, split in enumerate(dec.splits):
         assert (
@@ -104,7 +103,7 @@ def test_three_way_dimensions(name, strategy):
 
 def test_metric_harmonics_are_two_sided_kernels():
     for name, algebra in UNIMODULAR.items():
-        dga = ce_complex(algebra)
+        dga = Dga(algebra)
         dec = split_complex(dga)
         for p in range(len(dec.splits)):
             lap = dec.laplacian(p)
@@ -124,7 +123,7 @@ def test_metric_harmonics_are_two_sided_kernels():
 def test_delta_respects_weights_in_degree_two():
     for name, algebra in GRADED_NILPOTENT.items():
         grading = infer_grading_basis_aligned(algebra)
-        dga = ce_complex(algebra)
+        dga = Dga(algebra)
         dec = split_complex(dga, "metric", grading)
         weights = dec.weights
         assert weights is not None
@@ -141,7 +140,7 @@ def test_delta_respects_weights_in_degree_two():
 def test_kernel_containment_on_graded_fixtures():
     for name, algebra in GRADED_NILPOTENT.items():
         grading = infer_grading_basis_aligned(algebra)
-        dga = ce_complex(algebra)
+        dga = Dga(algebra)
         assert kernel_containment_check(dga, grading) is None, name
 
 
@@ -149,7 +148,7 @@ def test_h3_degree2_weights():
     h3 = fixtures.heisenberg3()
     grading = infer_grading_basis_aligned(h3)
     weights = basis_aligned_weights(grading)
-    dga = ce_complex(h3)
+    dga = Dga(h3)
     table = degree2_weight_table(dga, weights)
     assert {k: [dga.monomial_label(m) for m in v] for k, v in table.items()} == {
         2: ["X∧Y"],
@@ -167,7 +166,7 @@ def test_non_weight_homogeneous_grading_is_rejected():
         )
     )
     with pytest.raises(PreconditionError, match="weight-homogeneous"):
-        split_complex(ce_complex(h3), "metric", fake)
+        split_complex(Dga(h3), "metric", fake)
 
 
 def test_non_aligned_grading_is_rejected():
@@ -180,12 +179,12 @@ def test_non_aligned_grading_is_rejected():
         )
     )
     with pytest.raises(PreconditionError, match="basis vectors"):
-        split_complex(ce_complex(h3), "metric", grading)
+        split_complex(Dga(h3), "metric", grading)
 
 
 def test_strategies_agree_on_betti_but_may_differ_elsewhere():
     for algebra in GRADED_NILPOTENT.values():
-        dga = ce_complex(algebra)
+        dga = Dga(algebra)
         metric = split_complex(dga, "metric")
         pivot = split_complex(dga, "pivot")
-        assert betti_numbers(metric) == betti_numbers(pivot)
+        assert metric.betti() == pivot.betti()

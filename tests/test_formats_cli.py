@@ -229,6 +229,36 @@ def test_germ_file_reconstruction(tmp_path, capsys):
     assert residual
 
 
+def _first_phi_term(germ):
+    return germ["phi"][0]["terms"][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (lambda g: g.pop("base_algebra"), "base_algebra"),
+        (lambda g: _first_phi_term(g)["entries"][0].update(monomial_index=99), "monomial_index"),
+        (lambda g: _first_phi_term(g).update(exponents=[1]), "exponents"),
+        (lambda g: g.update(strategy="foo"), "strategy"),
+        (lambda g: g["obstructions"]["polynomials"][0][0].update(exponents=[2]), "polynomials[0]"),
+    ],
+    ids=["no-base-algebra", "monomial-index-99", "short-exponents", "strategy-foo", "short-record"],
+)
+def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "h3.json"), "--target", "sl2",
+        "--json", str(germ_path),
+    )
+    assert code == 0
+    germ = json.loads(germ_path.read_text())
+    corrupt(germ)
+    germ_path.write_text(json.dumps(germ))
+    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and field in err
+
+
 def test_pipeline_command_and_determinism(capsys):
     path = str(FIXTURES / "solv_heisenberg.json")
     code, out1, _ = run(capsys, "pipeline", path, "--target", "sl2", "--json")

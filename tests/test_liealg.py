@@ -12,7 +12,6 @@ from germkit.liealg import (
     derived_subalgebra,
     infer_grading_basis_aligned,
     is_solvable,
-    jacobi_check,
     lower_central_series,
     span_of_brackets,
     verify_natural_grading,
@@ -21,7 +20,7 @@ from germkit.scalars import scalar
 
 
 def test_jacobi_pass_on_heisenberg():
-    assert jacobi_check(fixtures.heisenberg3()) is None
+    assert fixtures.heisenberg3().jacobi_counterexample() is None
 
 
 def test_jacobi_counterexample_is_reported():
@@ -30,7 +29,7 @@ def test_jacobi_counterexample_is_reported():
         {(0, 1): {2: scalar(1)}, (0, 2): {0: scalar(1)}},
         validate=False,
     )
-    witness = jacobi_check(bad)
+    witness = bad.jacobi_counterexample()
     assert witness is not None
     i, j, k, total = witness
     assert (i, j, k) == (0, 1, 2)
@@ -42,7 +41,7 @@ def test_jacobi_counterexample_is_reported():
 
 def test_any_2dim_bracket_satisfies_jacobi():
     algebra = LieAlgebra(("T", "X"), {(0, 1): {0: scalar(5), 1: scalar(-3)}})
-    assert jacobi_check(algebra) is None
+    assert algebra.jacobi_counterexample() is None
 
 
 def test_lower_central_series_examples():
@@ -192,7 +191,7 @@ def test_corrupting_a_structure_constant_is_never_silently_wrong(name):
         entry[k] = entry.get(k, scalar(0)) + scalar(1)
         table[(i, j)] = entry
         mutated = LieAlgebra(algebra.labels, table, validate=False)
-        if jacobi_check(mutated) is not None:
+        if mutated.jacobi_counterexample() is not None:
             detected += 1
             continue
         if lower_central_series(mutated).chain != baseline_chain:

@@ -340,10 +340,7 @@ def cmd_decompose(args) -> dict:
             f"exact={len(split.exact)} complement={len(split.complement)}"
         )
         if split.harmonic:
-            text.append(
-                f"  harmonic basis: "
-                + "; ".join(dga.cochain_label(p, list(r)) for r in split.harmonic)
-            )
+            text.append("  harmonic basis: " + "; ".join(harmonic[str(p)]))
     if grading is not None and dec.weights is not None:
         table = degree2_weight_table(dga, dec.weights)
         rows = {

@@ -224,12 +224,13 @@ def slice_add_into(
 ) -> None:
     """dst[exps] += factor * v, dropping the term when it cancels.
 
-    An empty slot takes ``v`` itself when the factor is one, so pass a
-    vector nobody else will mutate.
+    An empty slot takes ``v`` itself when the factor is the ONE constant
+    (an identity test: this runs once per bracket pair), so pass a vector
+    nobody else will mutate.
     """
     acc = dst.get(exps)
     if acc is None:
-        dst[exps] = v if factor == ONE else vec_scale(v, factor)
+        dst[exps] = v if factor is ONE else vec_scale(v, factor)
         return
     vec_add_into(acc, v, factor)
     if not acc:

@@ -500,12 +500,10 @@ def cmd_kuranishi(args) -> dict:
     target = resolve_target(args.target)
     base = algebra_to_dict(parsed.algebra, parsed.name)
     full = Dga(parsed.algebra)
-    sub = None
     if args.subdga is not None:
         spec = parse_subdga_spec(load_json_file(args.subdga), full, args.subdga)
-        sub = _subdga(spec, full)
         grading_how = "none (sub-DGA run)"
-        germ, summary = _subdga_germ(args, base, sub, target)
+        germ, summary = _subdga_germ(args, base, _subdga(spec, full), target)
     else:
         grading, grading_how = obtain_grading(parsed.grading, parsed.algebra)
         germ, summary = _run_germ(args, base, full, target, grading)
@@ -535,7 +533,7 @@ def cmd_kuranishi(args) -> dict:
                 text.append(f"  {label}: {pretty} = 0")
     if summary["degree_bound"] is not None:
         text.append("degree bound: " + _bound_verdict(summary))
-    if sub is not None:
+    if args.subdga is not None:
         text.append(
             f"inclusion residual agreement on {EMBEDDING_SAMPLES} samples: pass"
         )

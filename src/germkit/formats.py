@@ -520,7 +520,6 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         grading = _parse_grading(
             data["grading"], base.algebra.labels, f"{source}: grading"
         )
-    dec = split_complex(complex_, strategy=strategy, grading=grading)
     tdgla = TensorDgla(complex_, target.algebra)
     variables = tuple(_field(data, "variables", list, source))
     if not all(isinstance(name, str) for name in variables):
@@ -577,7 +576,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         base=base,
         target=target,
         complex=complex_,
-        decomposition=dec,
+        decomposition=split_complex(complex_, strategy=strategy, grading=grading),
         tdgla=tdgla,
         variables=variables,
         phi=phi,

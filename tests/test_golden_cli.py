@@ -30,7 +30,7 @@ ALGEBRAS = sorted(
     p.stem for p in FIXTURES.glob("*.json") if p != CHARACTERS
 )
 
-# command id -> argv after the fixture path
+# case id -> [subcommand, options...]; the fixture path follows the subcommand
 COMMANDS = {
     "check": ["check"],
     "nilshadow": ["nilshadow"],

@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from germkit import fixtures
 from germkit.cedga import Dga
-from germkit.decomp import split_complex
+from germkit.decomp import GERM_TOP, split_complex
 from germkit.kuranishi import kuranishi_series, obstruction_system, verify_degree_bound
 from germkit.liealg import infer_grading_basis_aligned
 
@@ -42,7 +42,7 @@ def main() -> None:
     for base_name, base in BASES.items():
         grading = infer_grading_basis_aligned(base)
         assert grading is not None
-        dec = split_complex(Dga(base), "metric", grading)
+        dec = split_complex(Dga(base), "metric", grading, top=GERM_TOP)
         nu = grading.depth
         for target_name, target in TARGETS.items():
             start = time.time()

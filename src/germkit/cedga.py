@@ -20,6 +20,7 @@ diagonalizable actions enter the pipeline.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -141,6 +142,15 @@ class Dga:
     def dims(self) -> list[int]:
         return [len(level) for level in self.monomials]
 
+    def betti(self) -> list[int]:
+        """b_p = dim_p - rank d_p - rank d_(p-1), in every degree."""
+        dims = self.dims()
+        ranks = [linalg.rank(d_p, dims[p]) for p, d_p in enumerate(self.d)]
+        return [
+            dims[p] - ranks[p] - (ranks[p - 1] if p else 0)
+            for p in range(len(dims))
+        ]
+
     def _diff_monomial(self, mono: Monomial) -> dict[Monomial, Scalar]:
         """d(x_mono) in the ambient free exterior algebra."""
         out: dict[Monomial, Scalar] = {}
@@ -256,7 +266,21 @@ def pd_type_check(dga: Dga) -> str | None:
     Conditions: degree 0 is spanned by the unit, the top nonzero degree is
     one-dimensional, every intermediate wedge pairing into the top degree is
     nondegenerate, and d vanishes on degree 0 and on degree top-1.
+
+    The full exterior complex meets all but the last by construction, and
+    d(x_1..^x_i..x_n) is +-tr(ad e_i) times the volume, so there the check
+    is unimodularity.  Sub-DGAs take the general check.
     """
+    n = dga.algebra.dim
+    if dga.dims() == [math.comb(n, p) for p in range(n + 1)]:
+        if dga.algebra.is_unimodular():
+            return None
+        return f"d does not vanish on degree {n - 1} (top - 1)"
+    return _pd_type_by_pairing(dga)
+
+
+def _pd_type_by_pairing(dga: Dga) -> str | None:
+    """pd_type_check's conditions, each checked on the complex itself."""
     if dga.monomials[0] != ((),):
         return "degree 0 is not spanned by the unit"
     top = dga.top_degree

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: check, nilshadow, decompose, subdga, kuranishi, mc-check,
-pipeline.  Exit codes: 0 success, 1 mathematical precondition failure,
-2 parse error, 3 internal invariant violation.  ``--json`` switches any
+pipeline.  Exit codes: 0 success (also when the reader of stdout closes it
+early), 1 mathematical precondition failure, 2 parse error or an unwritable
+output path, 3 internal invariant violation.  ``--json`` switches any
 subcommand to its machine-readable mirror (optionally into a file); the
 text and JSON forms are rendered from the same report object.
 """
@@ -10,6 +11,7 @@ text and JSON forms are rendered from the same report object.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import fixtures
@@ -22,6 +24,7 @@ from .cedga import (
     verify_subdga,
 )
 from .decomp import (
+    GERM_TOP,
     STRATEGIES,
     degree2_weight_table,
     kernel_containment_check,
@@ -87,7 +90,17 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    emit(report, args)
+    try:
+        emit(report, args)
+    except BrokenPipeError:
+        # The reader stopped early (``| head``); it has what it wanted.
+        # Point stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except OSError as exc:
+        where = "stdout" if args.json in (None, "-") else args.json
+        print(f"cannot write {where}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -103,6 +116,7 @@ def emit(report: dict, args) -> None:
     else:
         for line in report["text"]:
             print(line)
+    sys.stdout.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,12 +378,18 @@ def cmd_decompose(args) -> dict:
     return report
 
 
+def _load_selection(path: str, dga: Dga) -> SubDga | CharacterData:
+    """A selection file: explicit monomials, character data, or a bare
+    character object."""
+    spec = load_json_file(path)
+    if "characters" not in spec and "monomials" not in spec:
+        spec = {"characters": spec}
+    return parse_subdga_spec(spec, dga, path)
+
+
 def _selection_from_args(args, parsed: ParsedAlgebra, dga: Dga):
     if args.characters is not None:
-        spec = load_json_file(args.characters)
-        if "characters" not in spec and "monomials" not in spec:
-            spec = {"characters": spec}
-        return parse_subdga_spec(spec, dga, args.characters)
+        return _load_selection(args.characters, dga)
     if parsed.characters is not None:
         return parsed.characters
     raise ParseError(
@@ -426,7 +446,15 @@ def _run_germ(
     subdga_monomials: list[list[int]] | None = None,
 ) -> tuple[dict, dict]:
     """Split, solve and check the series; returns (germ file, summary)."""
-    dec = split_complex(complex_, strategy=args.strategy, grading=grading)
+    dec = split_complex(
+        complex_, strategy=args.strategy, grading=grading, top=GERM_TOP
+    )
+    betti = complex_.betti()
+    if dec.betti() != betti[: len(dec.splits)]:
+        raise InternalCheckError(
+            f"split gives betti {dec.betti()} in degrees <= {GERM_TOP}, "
+            f"ranks of d give {betti}"
+        )
     series = kuranishi_series(dec, target[1], args.cap)
     system = obstruction_system(series)
     if series.terminated:
@@ -454,7 +482,7 @@ def _run_germ(
     )
     summary = {
         "variables": len(series.variables),
-        "betti": dec.betti(),
+        "betti": betti,
         "terminated": series.terminated,
         "last_nonzero_degree": series.last_nonzero,
         "cap": series.cap,
@@ -501,7 +529,7 @@ def cmd_kuranishi(args) -> dict:
     base = algebra_to_dict(parsed.algebra, parsed.name)
     full = Dga(parsed.algebra)
     if args.subdga is not None:
-        spec = parse_subdga_spec(load_json_file(args.subdga), full, args.subdga)
+        spec = _load_selection(args.subdga, full)
         grading_how = "none (sub-DGA run)"
         germ, summary = _subdga_germ(args, base, _subdga(spec, full), target)
     else:

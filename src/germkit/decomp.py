@@ -18,6 +18,11 @@ complement onto the exact part, after projecting), the only operator the
 deformation recursion consumes.  When a coordinate-aligned grading is
 supplied, the differential must preserve weights; the construction then
 produces weight-homogeneous bases automatically and verifies that it did.
+
+The splitting of degree p reads d only on degrees p - 1 and p, so a split
+truncated at ``top`` gives the same data in degrees 0..top as the full one.
+The germ needs H^1, H^2 and delta on degree 2 (Goldman-Millson), which is
+why the germ path splits only up to GERM_TOP.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ from .scalars import ONE, Scalar, ZERO
 
 Strategy = str  # "metric" | "pivot"
 STRATEGIES = ("metric", "pivot")
+
+# Highest degree the germ path splits: the series and its obstructions read
+# only H^1, H^2 and delta on degrees 1 and 2.
+GERM_TOP = 2
 
 
 def hermitian(u: Vector, v: Vector) -> Scalar:
@@ -67,7 +76,7 @@ class DegreeSplit:
 
 
 class Decomposition:
-    """Splitting of every degree plus the homotopy operator delta."""
+    """Splitting of degrees 0..top plus the homotopy operator delta there."""
 
     __slots__ = ("dga", "strategy", "grading", "weights", "splits", "delta", "dstar")
 
@@ -128,12 +137,18 @@ def split_complex(
     dga: Dga,
     strategy: Strategy = "metric",
     grading: Grading | None = None,
+    top: int | None = None,
 ) -> Decomposition:
-    """Build the per-degree splitting; see the module docstring."""
+    """Split degrees 0..top (every degree when None); see the module docstring.
+
+    A truncated split forms d* only up to degree top + 1 and delta only up
+    to degree top.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     dims = dga.dims()
     n = len(dims) - 1
+    last = n if top is None else min(top, n)
 
     weights = None
     if grading is not None:
@@ -143,16 +158,16 @@ def split_complex(
                 "grading layers must be spanned by input basis vectors to "
                 "drive the weight machinery"
             )
-        _check_weight_homogeneous_differential(dga, weights)
+        _check_weight_homogeneous_differential(dga, weights, last)
 
     dstar: list[Matrix] | None = None
     if strategy == "metric":
         dstar = [linalg.zeros(0, dims[0])]
-        for p in range(1, n + 1):
+        for p in range(1, min(last + 1, n) + 1):
             dstar.append(linalg.conj_transpose(dga.d[p - 1], dims[p - 1]))
 
     splits: list[DegreeSplit] = []
-    for p in range(n + 1):
+    for p in range(last + 1):
         dim_p = dims[p]
         exact = (
             linalg.image_basis(dga.d[p - 1], dims[p - 1]) if p >= 1 else []
@@ -227,9 +242,8 @@ def _assemble_split(
 def _build_delta(
     dga: Dga, splits: list[DegreeSplit], dims: list[int]
 ) -> list[Matrix]:
-    n = len(dims) - 1
     delta: list[Matrix] = [linalg.zeros(0, dims[0])]
-    for p in range(1, n + 1):
+    for p in range(1, len(splits)):
         comp = splits[p - 1].complement
         if not comp or dims[p] == 0:
             delta.append(linalg.zeros(dims[p - 1], dims[p]))
@@ -248,9 +262,16 @@ def _build_delta(
     return delta
 
 
-def _check_weight_homogeneous_differential(dga: Dga, weights: list[int]) -> None:
+def _check_weight_homogeneous_differential(
+    dga: Dga, weights: list[int], last: int
+) -> None:
+    """Check d on degrees 0..last, the part a split of degrees <= last reads.
+
+    On a full complex d is the derivation extending its degree-one values,
+    so a violation anywhere already shows in degree one.
+    """
     dims = dga.dims()
-    for p in range(len(dims) - 1):
+    for p in range(min(last + 1, len(dims) - 1)):
         for col, mono in enumerate(dga.monomials[p]):
             w = monomial_weight(weights, mono)
             for row in range(dims[p + 1]):
@@ -274,9 +295,10 @@ def _vector_weights(dga: Dga, weights: list[int], p: int, v: Vector) -> set[int]
 
 
 def _verify_decomposition(dec: Decomposition, dims: list[int]) -> None:
+    """Exact checks on every degree the decomposition splits."""
     dga = dec.dga
-    n = len(dims) - 1
-    for p in range(1, n + 1):
+    last = len(dec.splits) - 1
+    for p in range(1, last + 1):
         d_delta = _mul(dga.d[p - 1], dec.delta[p], dims[p], dims[p - 1], dims[p])
         if not linalg.mat_eq(d_delta, dec.splits[p].proj_exact):
             raise InternalCheckError(f"d o delta != beta in degree {p}")
@@ -291,7 +313,7 @@ def _verify_decomposition(dec: Decomposition, dims: list[int]) -> None:
                 raise InternalCheckError(
                     f"delta does not vanish off the exact part in degree {p}"
                 )
-    for p in range(n):
+    for p in range(last):
         hd = _mul(
             dec.splits[p + 1].proj_harmonic,
             dga.d[p],
@@ -302,8 +324,7 @@ def _verify_decomposition(dec: Decomposition, dims: list[int]) -> None:
         if not linalg.is_zero_matrix(hd):
             raise InternalCheckError(f"H o d != 0 in degree {p}")
     if dec.weights is not None:
-        for p in range(n + 1):
-            split = dec.splits[p]
+        for p, split in enumerate(dec.splits):
             for row in split.harmonic + split.exact + split.complement:
                 if len(_vector_weights(dga, dec.weights, p, list(row))) > 1:
                     raise InternalCheckError(

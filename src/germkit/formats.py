@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .cedga import CharacterData, Dga, Monomial, SubDga, TorsionComponent
-from .decomp import STRATEGIES, Decomposition, split_complex
+from .decomp import GERM_TOP, STRATEGIES, Decomposition, split_complex
 from .errors import ParseError
 from .kuranishi import (
     KuranishiSeries,
@@ -576,7 +576,9 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         base=base,
         target=target,
         complex=complex_,
-        decomposition=split_complex(complex_, strategy=strategy, grading=grading),
+        decomposition=split_complex(
+            complex_, strategy=strategy, grading=grading, top=GERM_TOP
+        ),
         tdgla=tdgla,
         variables=variables,
         phi=phi,

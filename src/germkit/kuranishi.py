@@ -346,6 +346,22 @@ def bracket_poly(tdgla: TensorDgla, a: PolyCochain, b: PolyCochain) -> PolyCocha
     return PolyCochain(a.variables, 2, out).cleaned()
 
 
+def square_slice(tdgla: TensorDgla, slices: dict[int, Slice], r: int) -> Slice:
+    """[phi, phi]_r = sum over s + t = r of [phi_s, phi_t] (the bracket of
+    degree-one elements is symmetric, so each unordered pair counts twice)."""
+    out: Slice = {}
+    for s in range(1, r // 2 + 1):
+        left = slices.get(s)
+        right = slices.get(r - s)
+        if not left or not right:
+            continue
+        piece = bracket_slices(tdgla, left, right)
+        factor = ONE if 2 * s == r else scalar(2)
+        for e, v in piece.items():
+            slice_add_into(out, e, v, factor)
+    return out
+
+
 # -- the deformation series ----------------------------------------------------
 
 
@@ -362,6 +378,10 @@ class KuranishiSeries:
     cap: int
     terminated: bool
     last_nonzero: int
+    # [phi, phi]_r for each degree r the recursion reached; the obstruction
+    # system takes these over (and empties the field) instead of
+    # bracketing phi again.
+    bracket_sums: dict[int, Slice] = field(default_factory=dict)
 
     def phi(self) -> PolyCochain:
         return PolyCochain(self.variables, 1, {r: s for r, s in self.slices.items()})
@@ -409,18 +429,10 @@ def kuranishi_series(
 
     rho = 1
     terminated = m == 0  # an empty series is trivially finite
+    bracket_sums: dict[int, Slice] = {}
     if not terminated:
         for r in range(2, cap + 1):
-            bracket_sum: Slice = {}
-            for s in range(1, r // 2 + 1):
-                left = slices.get(s)
-                right = slices.get(r - s)
-                if not left or not right:
-                    continue
-                piece = bracket_slices(tdgla, left, right)
-                factor = ONE if 2 * s == r else scalar(2)
-                for e, v in piece.items():
-                    slice_add_into(bracket_sum, e, v, factor)
+            bracket_sum = bracket_sums[r] = square_slice(tdgla, slices, r)
             phi_r: Slice = {}
             for e, v in bracket_sum.items():
                 w = tdgla.apply_matrix(delta2_cols, v)
@@ -443,6 +455,7 @@ def kuranishi_series(
         cap=cap,
         terminated=terminated,
         last_nonzero=rho if m else 0,
+        bracket_sums=bracket_sums,
     )
 
 
@@ -481,44 +494,34 @@ class ObstructionSystem:
 
 
 def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
-    """Harmonic coordinates of [phi, phi] as exact polynomials."""
+    """Harmonic coordinates of [phi, phi] as exact polynomials.
+
+    [phi, phi] is the series' own bracket sums, plus the degrees above the
+    last one the recursion reached (a capped series), bracketed here.  The
+    series' sums are dropped afterwards: nothing else reads them.
+    """
     dec = series.decomposition
     tdgla = series.tdgla
     ta = tdgla.target.dim
-    dim2 = dec.dga.dim_at(2)
     coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
     b2 = len(coords)
 
-    phi = series.phi()
-    square = bracket_poly(tdgla, phi, phi)
+    square = series.bracket_sums
+    series.bracket_sums = {}
+    for r in range(2, 2 * max(series.slices, default=0) + 1):
+        if r not in square:
+            square[r] = square_slice(tdgla, series.slices, r)
 
+    # (harmonic_coords(2) tensor id) sends a degree-2 vector straight to the
+    # obstruction coordinates h * ta + a; each exponent vector occurs once.
+    coord_cols = sparse_columns(coords, dec.dga.dim_at(2))
     polys: list[dict[ExponentVector, Scalar]] = [
         {} for _ in range(b2 * ta)
     ]
-    for terms in square.slices.values():
+    for terms in square.values():
         for exps, vec in terms.items():
-            for a in range(ta):
-                dense = [ZERO] * dim2
-                present = False
-                for idx, c in vec.items():
-                    mono, ai = divmod(idx, ta)
-                    if ai == a:
-                        dense[mono] = c
-                        present = True
-                if not present:
-                    continue
-                for h in range(b2):
-                    acc = ZERO
-                    for j, c in enumerate(coords[h]):
-                        if c and dense[j]:
-                            acc = acc + c * dense[j]
-                    if acc:
-                        spot = polys[h * ta + a]
-                        total = spot.get(exps, ZERO) + acc
-                        if total:
-                            spot[exps] = total
-                        else:
-                            spot.pop(exps, None)
+            for k, value in tdgla.apply_matrix(coord_cols, vec).items():
+                polys[k][exps] = value
 
     labels = tuple(
         f"h2[{h}]⊗{tdgla.target.labels[a]}"

@@ -148,6 +148,43 @@ def non_unimodular2() -> LieAlgebra:
     return LieAlgebra(("T", "X"), {(0, 1): {1: scalar(1)}})
 
 
+def heisenberg(k: int) -> LieAlgebra:
+    """h(2k+1): [x_{2i}, x_{2i+1}] = z for i < k, z the last basis vector."""
+    labels = [f"x{i}" for i in range(2 * k)] + ["z"]
+    return LieAlgebra(
+        labels, {(2 * i, 2 * i + 1): {2 * k: scalar(1)} for i in range(k)}
+    )
+
+
+def filiform(n: int) -> LieAlgebra:
+    """L_n: [e1, e_i] = e_{i+1} for i = 2..n-1."""
+    labels = [f"e{i}" for i in range(1, n + 1)]
+    return LieAlgebra(labels, {(0, i): {i + 1: scalar(1)} for i in range(1, n - 1)})
+
+
+GENERATED = {
+    **{f"h{2 * k + 1}": heisenberg(k) for k in range(1, 4)},
+    **{f"L{n}": filiform(n) for n in range(3, 8)},
+}
+
+
+def algebra_fixture_files() -> dict[str, LieAlgebra]:
+    """The algebra files under fixtures/, by file stem."""
+    import pathlib
+
+    from germkit.formats import load_algebra_file
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    return {
+        path.stem: load_algebra_file(str(path)).algebra
+        for path in sorted(root.glob("*.json"))
+        if path.stem != "diag_weight_characters"
+    }
+
+
+FIXTURE_ALGEBRAS = algebra_fixture_files()
+
+
 @pytest.fixture(scope="session")
 def fixture_dir(tmp_path_factory):
     import pathlib

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import UNIMODULAR, non_unimodular2, oracle_d_matrix
+from conftest import (
+    FIXTURE_ALGEBRAS,
+    GENERATED,
+    UNIMODULAR,
+    non_unimodular2,
+    oracle_betti,
+    oracle_d_matrix,
+)
 
 import germkit.linalg as la
 from germkit import fixtures
@@ -14,6 +21,7 @@ from germkit.cedga import (
     TorsionComponent,
     bar_star,
     pd_type_check,
+    _pd_type_by_pairing,
     subdga_from_characters,
     verify_subdga,
     wedge_monomials,
@@ -130,8 +138,35 @@ def test_jacobi_iff_d_squared_zero():
 def test_pd_type_full_complexes():
     for name, algebra in UNIMODULAR.items():
         assert pd_type_check(Dga(algebra)) is None, name
-    violation = pd_type_check(Dga(non_unimodular2()))
-    assert violation is not None and "top - 1" in violation
+    for algebra in (non_unimodular2(), _book3()):
+        violation = pd_type_check(Dga(algebra))
+        assert violation == f"d does not vanish on degree {algebra.dim - 1} (top - 1)"
+
+
+def _book3() -> LieAlgebra:
+    """[T, X] = X, [T, Y] = 2 Y: solvable and not unimodular."""
+    return LieAlgebra(("T", "X", "Y"), {(0, 1): {1: ONE}, (0, 2): {2: scalar(2)}})
+
+
+PD_CASES = {
+    **{f"fixture:{name}": a for name, a in FIXTURE_ALGEBRAS.items()},
+    **{f"generated:{name}": a for name, a in GENERATED.items()},
+    "non_unimodular2": non_unimodular2(),
+    "book3": _book3(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PD_CASES))
+def test_pd_shortcut_matches_the_pairing_check(name):
+    """On a full complex the unimodularity shortcut gives the general verdict."""
+    dga = Dga(PD_CASES[name])
+    assert pd_type_check(dga) == _pd_type_by_pairing(dga)
+
+
+@pytest.mark.parametrize("name", sorted(PD_CASES))
+def test_betti_from_ranks_matches_oracle(name):
+    algebra = PD_CASES[name]
+    assert Dga(algebra).betti() == oracle_betti(algebra)
 
 
 def test_bar_star_defining_property():

@@ -1,11 +1,18 @@
 import pytest
 
-from conftest import GRADED_NILPOTENT, UNIMODULAR, oracle_betti
+from conftest import (
+    FIXTURE_ALGEBRAS,
+    GENERATED,
+    GRADED_NILPOTENT,
+    UNIMODULAR,
+    oracle_betti,
+)
 
 import germkit.linalg as la
 from germkit import fixtures
 from germkit.cedga import Dga
 from germkit.decomp import (
+    GERM_TOP,
     degree2_weight_table,
     hermitian,
     kernel_containment_check,
@@ -188,3 +195,29 @@ def test_strategies_agree_on_betti_but_may_differ_elsewhere():
         metric = split_complex(dga, "metric")
         pivot = split_complex(dga, "pivot")
         assert metric.betti() == pivot.betti()
+
+
+TRUNCATION_CASES = [
+    (f"fixture:{name}", algebra) for name, algebra in FIXTURE_ALGEBRAS.items()
+] + [(f"generated:{name}", algebra) for name, algebra in GENERATED.items()]
+
+
+@pytest.mark.parametrize("strategy", ["metric", "pivot"])
+@pytest.mark.parametrize(
+    "algebra", [a for _, a in TRUNCATION_CASES], ids=[n for n, _ in TRUNCATION_CASES]
+)
+def test_truncated_split_agrees_with_full_split(algebra, strategy):
+    dga = Dga(algebra)
+    grading = infer_grading_basis_aligned(algebra)
+    full = split_complex(dga, strategy, grading)
+    cut = split_complex(dga, strategy, grading, top=GERM_TOP)
+    low = min(GERM_TOP, algebra.dim)
+    assert len(cut.splits) == low + 1 and len(cut.delta) == low + 1
+    for p in range(low + 1):
+        assert cut.harmonic_basis(p) == full.harmonic_basis(p), p
+        assert cut.harmonic_coords(p) == full.harmonic_coords(p), p
+        assert cut.proj_exact(p) == full.proj_exact(p), p
+    for p in range(1, low + 1):
+        assert cut.delta[p] == full.delta[p], p
+    assert cut.betti() == full.betti()[: low + 1]
+    assert dga.betti() == full.betti()

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -177,6 +180,49 @@ def test_subdga_command(capsys):
     )
     assert code == 0
     assert "8 monomials" in out and "duality-type check: pass" in out
+
+
+def test_bare_character_object_selects_under_subdga_and_kuranishi(tmp_path, capsys):
+    wrapped = FIXTURES / "diag_weight_characters.json"
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(json.loads(wrapped.read_text())["characters"]))
+    base = str(FIXTURES / "q_plus_h3.json")
+    code, out, _ = run(capsys, "subdga", base, "--characters", str(bare))
+    assert code == 0 and "8 monomials" in out
+    outputs = []
+    for selection in (wrapped, bare):
+        code, out, err = run(
+            capsys, "kuranishi", base, "--target", "sl2", "--subdga", str(selection)
+        )
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_closed_stdout_is_a_quiet_success():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "germkit", "decompose", str(FIXTURES / "h5.json")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader leaves before the first line is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == ""
+
+
+def test_unwritable_json_path_is_reported(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(
+        capsys, "check", str(FIXTURES / "h3.json"), "--json", str(target)
+    )
+    assert code == 2 and out == ""
+    assert str(target) in err and "Traceback" not in err
 
 
 def test_kuranishi_json_and_mc_check(tmp_path, capsys):

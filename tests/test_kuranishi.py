@@ -1,14 +1,15 @@
 import pytest
 
-from conftest import GRADED_NILPOTENT
+from conftest import FIXTURE_ALGEBRAS, GRADED_NILPOTENT
 
 from germkit import fixtures
 from germkit.cedga import Dga, subdga_from_characters
-from germkit.decomp import monomial_weight, split_complex
+from germkit.decomp import GERM_TOP, monomial_weight, split_complex
 from germkit.errors import PreconditionError
 from germkit.kuranishi import (
     KuranishiSeries,
     TensorDgla,
+    bracket_poly,
     bracket_slices,
     gauge_identity_check,
     kuranishi_series,
@@ -412,3 +413,46 @@ def test_selection_with_empty_middle_degree():
         system = obstruction_system(series)
         assert series.terminated and not series.variables
         assert system.is_smooth
+
+
+def _reference_obstructions(series):
+    """Harmonic coordinates of a fresh bracket_poly(phi, phi): one dense dot
+    product per term, harmonic 2-form and target index."""
+    dec = series.decomposition
+    ta = series.tdgla.target.dim
+    coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
+    phi = series.phi()
+    square = bracket_poly(series.tdgla, phi, phi)
+    polys = [{} for _ in range(len(coords) * ta)]
+    for terms in square.slices.values():
+        for exps, vec in terms.items():
+            for a in range(ta):
+                dense = [ZERO] * dec.dga.dim_at(2)
+                for idx, c in vec.items():
+                    mono, ai = divmod(idx, ta)
+                    if ai == a:
+                        dense[mono] = c
+                for h, row in enumerate(coords):
+                    acc = ZERO
+                    for x, y in zip(row, dense):
+                        acc = acc + x * y
+                    if acc:
+                        polys[h * ta + a][exps] = acc
+    return [MultiPoly(series.variables, terms) for terms in polys]
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+@pytest.mark.parametrize("target", ["sl2", "gl2"])
+@pytest.mark.parametrize("name", sorted(FIXTURE_ALGEBRAS))
+def test_capped_obstructions_match_a_fresh_bracket(name, target, cap):
+    """A capped series leaves [phi, phi] above the cap to the obstruction
+    system; its result must still be the projection of the whole bracket."""
+    dec = split_complex(Dga(FIXTURE_ALGEBRAS[name]), "metric", top=GERM_TOP)
+    series = kuranishi_series(dec, fixtures.BUILTIN_ALGEBRAS[target](), cap)
+    reference = [p.terms for p in _reference_obstructions(series)]
+    system = obstruction_system(series)
+    assert system.cap == cap
+    assert [p.terms for p in system.polynomials] == reference
+    # The series' bracket sums are used up; a second call brackets afresh.
+    assert not series.bracket_sums
+    assert [p.terms for p in obstruction_system(series).polynomials] == reference

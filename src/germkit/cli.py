@@ -3,9 +3,10 @@
 Subcommands: check, nilshadow, decompose, subdga, kuranishi, mc-check,
 pipeline.  Exit codes: 0 success (also when the reader of stdout closes it
 early), 1 mathematical precondition failure, 2 parse error or an unwritable
-output path, 3 internal invariant violation.  ``--json`` switches any
-subcommand to its machine-readable mirror (optionally into a file); the
-text and JSON forms are rendered from the same report object.
+output path, 3 internal invariant violation or any other engine error
+(one line on stderr, no traceback).  ``--json`` switches any subcommand to
+its machine-readable mirror (optionally into a file); the text and JSON
+forms are rendered from the same report object.
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # Last resort: any other failure is an engine bug, reported in one
+        # line that names the subcommand, not as a traceback.
+        print(
+            f"internal error in {args.command}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 3
     try:
         emit(report, args)
     except BrokenPipeError:
@@ -127,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
             "nilshadows, splittings, and deformation germs."
         ),
     )
-    sub = parser.add_subparsers()
+    sub = parser.add_subparsers(dest="command")
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument(

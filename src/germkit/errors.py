@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
 Exit-code mapping used by the CLI: ParseError -> 2, PreconditionError -> 1,
-InternalCheckError -> 3.
+InternalCheckError -> 3, and any other exception from a subcommand -> 3.
 """
 
 

@@ -112,11 +112,14 @@ def rref(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Matrix, list[int
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
+        support = [(j, y) for j, y in enumerate(m[r]) if y]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i != r and f:
+                for j, y in support:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -190,7 +193,9 @@ def in_row_space(rref_rows: Matrix, pivots: list[int], v: Sequence[Scalar]) -> b
     """Membership test against a subspace already in rref form."""
     residual = list(v)
     for row, pc in zip(rref_rows, pivots):
-        if residual[pc]:
-            f = residual[pc]
-            residual = [x - f * y for x, y in zip(residual, row)]
+        f = residual[pc]
+        if f:
+            for j, y in enumerate(row):
+                if y:
+                    residual[j] = residual[j] - f * y
     return all(not x for x in residual)

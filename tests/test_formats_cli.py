@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from germkit import fixtures
+from germkit import cli, fixtures
 from germkit.cli import main
 from germkit.errors import ParseError
 from germkit.formats import (
@@ -251,6 +251,28 @@ def test_kuranishi_json_and_mc_check(tmp_path, capsys):
     assert code == 0
     assert "obstruction values vanish: False" in out
     assert "residual" in out
+
+
+def test_mc_check_rejects_a_decimal_point_value(tmp_path, capsys):
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "h3.json"), "--target", "sl2",
+        "--json", str(germ_path),
+    )
+    assert code == 0
+    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1.5")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: point.t1: ")
+
+
+def test_unexpected_exception_is_exit_3_without_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code, out, err = run(capsys, "check", str(FIXTURES / "h3.json"), "--json")
+    assert code == 3 and out == ""
+    assert err == "internal error in check: KeyError: 'boom'\n"
 
 
 def test_germ_file_reconstruction(tmp_path, capsys):

@@ -204,10 +204,12 @@ def resolve_target(spec: str) -> tuple[dict, LieAlgebra]:
         algebra = fixtures.sl2()
         return algebra_to_dict(algebra, "sl2"), algebra
     if spec.startswith("gl:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"bad target spec {spec!r}; use gl:N") from None
+        digits = spec[3:]
+        # ASCII digits only: int() would also take signs, spaces, "_" and
+        # non-ASCII digits ("gl:1_0" is gl(10)).
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"bad target spec {spec!r}; use gl:N with N in ASCII digits")
+        n = int(digits)
         if n < 1:
             raise ParseError("gl:N needs N >= 1")
         algebra = fixtures.gl(n)

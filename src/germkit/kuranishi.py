@@ -19,6 +19,12 @@ coordinates of (harmonic 2-forms) tensor a: finitely many polynomials with
 no constant or linear part whose zero set presents the flat germ at the
 origin on the harmonic slice.
 
+Every degree-one bracket goes through one integer kernel,
+``bracket_slices``: it groups each slice by L^1 index, packs exponent
+vectors into ints (one add multiplies two monomials), holds numerators over
+a shared denominator and builds Scalars only for the result.
+``TensorDgla.bracket11`` is that kernel on a single term each.
+
 Termination bookkeeping: if phi_j = 0 for rho < j <= 2*rho then every later
 degree vanishes too (each bracket pair has a factor of degree > rho), so the
 series is certified finite as soon as the trailing window of zeros reaches
@@ -28,8 +34,11 @@ system is only valid modulo higher degree.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from sys import byteorder
 
 from .cedga import Dga, SubDga, wedge_monomials
 from .decomp import Decomposition
@@ -37,7 +46,7 @@ from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
 from .linalg import Matrix
 from .multipoly import ExponentVector, MultiPoly
-from .scalars import ONE, Scalar, ZERO, scalar
+from .scalars import ONE, Scalar, ZERO, from_ints, scalar
 
 SparseVec = dict[int, Scalar]
 
@@ -64,7 +73,7 @@ def vec_scale(v: SparseVec, factor: Scalar) -> SparseVec:
 class TensorDgla:
     """L^p = C^p tensor a with flat indexing (monomial, basis) -> int."""
 
-    __slots__ = ("dga", "target", "_bracket_table", "_wedge11")
+    __slots__ = ("dga", "target", "_bracket_table", "_wedge11", "_int_bracket")
 
     def __init__(self, dga: Dga, target: LieAlgebra):
         self.dga = dga
@@ -92,6 +101,19 @@ class TensorDgla:
                 row.append((sign, spot[1]))
             table.append(row)
         self._wedge11 = table
+        # The bracket table over one denominator Dc for bracket_slices:
+        # [(real part, 0), (imaginary part, 1)], part[s * ta + t] listing
+        # (k, numerator), a part left out when it is zero throughout.
+        cols = [col for row in self._bracket_table for col in row]
+        dc = lcm(*(c._d for col in cols for c in col.values()))
+        parts = (
+            [[(k, c._a * (dc // c._d)) for k, c in col.items() if c._a] for col in cols],
+            [[(k, c._b * (dc // c._d)) for k, c in col.items() if c._b] for col in cols],
+        )
+        self._int_bracket = (
+            [(part, turns) for turns, part in enumerate(parts) if any(part)],
+            dc,
+        )
 
     # -- indexing -----------------------------------------------------------
 
@@ -120,29 +142,8 @@ class TensorDgla:
     # -- operations -----------------------------------------------------------
 
     def bracket11(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        """[u, v] for degree-one u, v (the hot path of the recursion)."""
-        ta = self.target.dim
-        out: SparseVec = {}
-        for iu, cu in u.items():
-            mu, au = divmod(iu, ta)
-            wrow = self._wedge11[mu]
-            brow = self._bracket_table[au]
-            for iv, cv in v.items():
-                mv, av = divmod(iv, ta)
-                merged = wrow[mv]
-                if merged is None:
-                    continue
-                sign, target_idx = merged
-                coeff = cu * cv if sign == 1 else -(cu * cv)
-                base = target_idx * ta
-                for k, c in brow[av].items():
-                    spot = base + k
-                    total = out.get(spot, ZERO) + coeff * c
-                    if total:
-                        out[spot] = total
-                    else:
-                        out.pop(spot, None)
-        return out
+        """[u, v] for degree-one u, v: ``bracket_slices`` on one term each."""
+        return bracket_slices(self, {(): u}, {(): v}).get((), {})
 
     def bracket(self, p: int, u: SparseVec, q: int, v: SparseVec) -> SparseVec:
         """[u, v] for arbitrary degrees (general path, used by checks)."""
@@ -225,8 +226,8 @@ def slice_add_into(
     """dst[exps] += factor * v, dropping the term when it cancels.
 
     An empty slot takes ``v`` itself when the factor is the ONE constant
-    (an identity test: this runs once per bracket pair), so pass a vector
-    nobody else will mutate.
+    (an identity test: this runs once per term of every bracket), so pass
+    a vector nobody else will mutate.
     """
     acc = dst.get(exps)
     if acc is None:
@@ -251,9 +252,9 @@ class PolyCochain:
 
     def cleaned(self) -> "PolyCochain":
         slices = {
-            r: _clean_slice(terms)
+            r: kept
             for r, terms in self.slices.items()
-            if _clean_slice(terms)
+            if (kept := _clean_slice(terms))
         }
         return PolyCochain(self.variables, self.degree, slices)
 
@@ -320,15 +321,115 @@ class PolyCochain:
         )
 
 
-def bracket_slices(tdgla: TensorDgla, a: Slice, b: Slice) -> Slice:
-    """Pointwise bracket of two homogeneous degree-one slices."""
-    out: Slice = {}
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            w = tdgla.bracket11(va, vb)
-            if not w:
+def _int_slice(terms: Slice, code: str, step: int):
+    """A slice as index-major integer parts over one denominator D.
+
+    Returns ([(real part, 0), (imaginary part, 1)], D), a part mapping each
+    L^1 index i to its (packed exponent * step, numerator) pairs and left
+    out when empty.  An exponent vector is packed as the bytes of an array
+    of type ``code``, one field a variable, so one int add multiplies two
+    monomials.
+    """
+    den = lcm(*(c._d for vec in terms.values() for c in vec.values()))
+    re: dict[int, list[tuple[int, int]]] = {}
+    im: dict[int, list[tuple[int, int]]] = {}
+    for exps, vec in terms.items():
+        packed = int.from_bytes(array(code, exps), byteorder) * step
+        for i, c in vec.items():
+            scale = den // c._d
+            if c._a:
+                re.setdefault(i, []).append((packed, c._a * scale))
+            if c._b:
+                im.setdefault(i, []).append((packed, c._b * scale))
+    return [(part, turns) for turns, part in enumerate((re, im)) if part], den
+
+
+def _accumulate(
+    acc: dict[int, int],
+    sign: int,
+    left: dict[int, list[tuple[int, int]]],
+    right: dict[int, list[tuple[int, int]]],
+    consts: list[list[tuple[int, int]]],
+    wedge: list[list[tuple[int, int] | None]],
+    ta: int,
+) -> None:
+    """Add sign * [left, right] to acc, keyed by packed exponent * step +
+    L^2 index, with ``consts`` as the bracket table.
+
+    The wedge sign, the target monomial and the structure constants are
+    resolved once per index pair and folded into the right-hand terms; each
+    term pair then costs one int add, one multiply and one dict update.
+    """
+    get = acc.get
+    for iu, terms_u in left.items():
+        mu, au = divmod(iu, ta)
+        wrow = wedge[mu]
+        cbase = au * ta
+        for iv, terms_v in right.items():
+            mv, av = divmod(iv, ta)
+            merged = wrow[mv]
+            row = consts[cbase + av]
+            if merged is None or not row:
                 continue
-            slice_add_into(out, tuple(x + y for x, y in zip(ea, eb)), w)
+            wsign, target = merged
+            base = target * ta
+            factor = sign * wsign
+            right_terms = [
+                (eb + base + k, xb * factor * x) for k, x in row for eb, xb in terms_v
+            ]
+            for ea, xa in terms_u:
+                for eb, xb in right_terms:
+                    key = ea + eb
+                    acc[key] = get(key, 0) + xa * xb
+
+
+def bracket_slices(tdgla: TensorDgla, a: Slice, b: Slice) -> Slice:
+    """Pointwise bracket of two homogeneous degree-one slices.
+
+    The kernel of every degree-one bracket: integer numerators over the
+    shared denominator Da * Db * Dc, keyed by packed exponent and L^2 index.
+    Q(i) data splits into real and imaginary numerators, combined by
+    bilinearity (each factor of i turns the product a quarter: re, im, -re,
+    -im); rational data has no imaginary parts and runs one pass.
+    """
+    if not a or not b:
+        return {}
+    # The smallest unsigned array type that holds the output's total
+    # degree, hence every exponent of the output.
+    bits = (max(map(sum, a)) + max(map(sum, b))).bit_length()
+    code = next(c for c in "BHIQ" if bits <= 8 * array(c).itemsize)
+    nbytes = len(next(iter(a))) * array(code).itemsize
+    step = tdgla.dim(2) or 1
+    ta = tdgla.target.dim
+    parts_a, da = _int_slice(a, code, step)
+    parts_b, db = _int_slice(b, code, step)
+    parts_c, dc = tdgla._int_bracket
+    acc: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for left, ia in parts_a:
+        for right, ib in parts_b:
+            for consts, ic in parts_c:
+                turns = ia + ib + ic
+                sign = -1 if turns & 2 else 1
+                _accumulate(acc[turns & 1], sign, left, right, consts, tdgla._wedge11, ta)
+    re, im = acc
+    # Give every purely imaginary entry a zero real part, so one walk over
+    # re reaches every output entry.
+    for key in im.keys() - re.keys():
+        re[key] = 0
+    den = da * db * dc
+    out: Slice = {}
+    # Output vectors by packed exponent: each one is unpacked once.
+    rows: dict[int, SparseVec] = {}
+    for key, x in re.items():
+        y = im.get(key, 0)
+        if not (x or y):
+            continue
+        packed, spot = divmod(key, step)
+        vec = rows.get(packed)
+        if vec is None:
+            exps = tuple(array(code, packed.to_bytes(nbytes, byteorder)))
+            vec = rows[packed] = out[exps] = {}
+        vec[spot] = from_ints(x, y, den)
     return out
 
 

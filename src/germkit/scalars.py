@@ -26,7 +26,9 @@ class Scalar:
     """An element of Q(i), immutable and hashable.
 
     ``Scalar(re, im)`` takes ints or ``Fraction``s.  Internally the value is
-    ``(_a + _b*i) / _d`` in lowest terms with ``_d > 0``.
+    ``(_a + _b*i) / _d`` in lowest terms with ``_d > 0``; the integer bracket
+    kernel in ``kuranishi`` reads these three ints and returns its results
+    through ``from_ints``.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -137,7 +139,7 @@ class Scalar:
         b = a1 * b2 + b1 * a2
         if d1 == 1 and d2 == 1:
             return _make(a, b, 1)
-        return _reduced(a, b, d1 * d2)
+        return from_ints(a, b, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -159,7 +161,7 @@ class Scalar:
                 return _make(-n, 0, -d)
             return _make(n, 0, d)
         # x / y = (a1 + b1 i) d2 (a2 - b2 i) / (d1 (a2^2 + b2^2))
-        return _reduced(
+        return from_ints(
             d2 * (a1 * a2 + b1 * b2),
             d2 * (b1 * a2 - a1 * b2),
             d1 * (a2 * a2 + b2 * b2),
@@ -213,8 +215,9 @@ def _make(a: int, b: int, d: int) -> Scalar:
     return x
 
 
-def _reduced(a: int, b: int, d: int) -> Scalar:
-    """A Scalar from ints with ``d > 0``, divided through by their gcd."""
+def from_ints(a: int, b: int, d: int) -> Scalar:
+    """The Scalar ``(a + b*i) / d`` for ints with ``d > 0``, brought to lowest
+    terms by one gcd."""
     g = gcd(a, b, d)
     if g == 1:
         return _make(a, b, d)
@@ -234,7 +237,7 @@ def _add(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> Scalar:
             return _make(t, 0, s * d2)
         return _make(t // g2, 0, s * (d2 // g2))
     u = d2 // g
-    return _reduced(a1 * u + a2 * s, b1 * u + b2 * s, s * d2)
+    return from_ints(a1 * u + a2 * s, b1 * u + b2 * s, s * d2)
 
 
 def _coerce(value) -> "Scalar | None":

@@ -380,6 +380,17 @@ def test_gl_target_spec(capsys):
     assert "variables: 8" in out
 
 
+@pytest.mark.parametrize(
+    "spec", ["gl:1_0", "gl:+2", "gl:-2", "gl: 2", "gl:2 ", "gl:\u0662", "gl:", "gl:2.0", "gl:0"]
+)
+def test_gl_target_spec_is_strict(capsys, spec):
+    with pytest.raises(ParseError):
+        cli.resolve_target(spec)
+    code, out, err = run(capsys, "kuranishi", str(FIXTURES / "h3.json"), "--target", spec)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
 def test_fixture_files_match_builders():
     import germkit.formats as formats
 

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_ALGEBRAS, GRADED_NILPOTENT
 
 from germkit import fixtures
-from germkit.cedga import Dga, subdga_from_characters
+from germkit.cedga import Dga, subdga_from_characters, wedge_monomials
 from germkit.decomp import GERM_TOP, monomial_weight, split_complex
 from germkit.errors import PreconditionError
 from germkit.kuranishi import (
@@ -19,12 +21,14 @@ from germkit.kuranishi import (
     obstruction_system,
     random_rational_samples,
     sparse_columns,
+    square_slice,
     vec_add_into,
     verify_degree_bound,
 )
+from germkit.liealg import LieAlgebra, Subspace
 from germkit.multipoly import MultiPoly
-from germkit.nilshadow import nilshadow
-from germkit.scalars import ONE, ZERO, scalar
+from germkit.nilshadow import SolvableInput, nilshadow
+from germkit.scalars import I, ONE, Scalar, ZERO, scalar
 
 
 def _setup(base, target, grading=True, cap=None):
@@ -456,3 +460,171 @@ def test_capped_obstructions_match_a_fresh_bracket(name, target, cap):
     # The series' bracket sums are used up; a second call brackets afresh.
     assert not series.bracket_sums
     assert [p.terms for p in obstruction_system(series).polynomials] == reference
+
+
+# -- the degree-one bracket kernel against a plain Scalar reference --------------
+
+
+def _reference_bracket(dga, target, a, b):
+    """[a, b] of two degree-one slices, term by term in Scalar arithmetic.
+
+    Built from ``wedge_monomials`` and ``LieAlgebra.bracket_basis`` only, so
+    it shares nothing with the kernel's tables.
+    """
+    ta = target.dim
+    out = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            for iu, cu in va.items():
+                mu, au = divmod(iu, ta)
+                for iv, cv in vb.items():
+                    mv, av = divmod(iv, ta)
+                    merged = wedge_monomials(dga.monomials[1][mu], dga.monomials[1][mv])
+                    if merged is None:
+                        continue
+                    sign, mono = merged
+                    degree, spot = dga.position[mono]
+                    assert degree == 2
+                    vec = out.setdefault(exps, {})
+                    for k, c in target.bracket_basis(au, av).items():
+                        key = spot * ta + k
+                        vec[key] = vec.get(key, ZERO) + scalar(sign) * cu * cv * c
+    cleaned = {e: {k: c for k, c in v.items() if c} for e, v in out.items()}
+    return {e: v for e, v in cleaned.items() if v}
+
+
+def _reference_square(dga, target, slices, r):
+    """[phi, phi]_r as the sum over ordered pairs s + t = r."""
+    out = {}
+    for s in range(1, r):
+        piece = _reference_bracket(dga, target, slices.get(s, {}), slices.get(r - s, {}))
+        for e, v in piece.items():
+            vec_add_into(out.setdefault(e, {}), v)
+    return {e: v for e, v in out.items() if v}
+
+
+def _sl2_scaled(h, e):
+    """sl2 on the basis (h*H, e*E, F): its structure constants carry h and e."""
+    return LieAlgebra(
+        ["H'", "E'", "F"],
+        {(0, 1): {1: 2 * h}, (0, 2): {2: -2 * h}, (1, 2): {0: e / h}},
+    )
+
+
+KERNEL_TARGETS = {
+    "sl2": fixtures.sl2(),
+    "gl2": fixtures.gl(2),
+    # [H', E] = 2i E, [H', F] = -2i F, [E, F] = -i H': an imaginary table.
+    "sl2_i": _sl2_scaled(I, ONE),
+    # E' = E/3: a table with denominator 3.
+    "sl2_third": _sl2_scaled(ONE, scalar("1/3")),
+}
+KERNEL_DGA = Dga(fixtures.heisenberg5())
+
+_parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_coefs = st.one_of(
+    st.builds(Scalar, _parts),
+    st.builds(Scalar, _parts, _parts),
+    st.sampled_from([ONE, -ONE, I, -I]),
+)
+
+
+@st.composite
+def _slice_pair(draw):
+    """Two homogeneous degree-one slices in 0-4 variables, either may be empty."""
+    nvars = draw(st.integers(0, 4))
+    dim1 = KERNEL_DGA.dim_at(1) * 3
+
+    def one_slice():
+        degree = draw(st.integers(1, 3)) if nvars else 0
+        # An exponent vector of total degree `degree`, as the variable of
+        # each of its factors.
+        exps = st.lists(st.integers(0, max(nvars - 1, 0)), min_size=degree, max_size=degree)
+        # Zero coefficients are dropped, which now and then empties a vector.
+        vecs = st.dictionaries(st.integers(0, dim1 - 1), _coefs, min_size=1, max_size=4).map(
+            lambda v: {i: c for i, c in v.items() if c}
+        )
+        counts = exps.map(lambda picks: tuple(picks.count(k) for k in range(nvars)))
+        if draw(st.integers(1, 6)) == 6:  # hypothesis favours the low end
+            return {}
+        return draw(st.dictionaries(counts, vecs, min_size=1, max_size=4))
+
+    return one_slice(), one_slice()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_TARGETS)), _slice_pair())
+def test_bracket_kernel_matches_scalar_reference(name, pair):
+    target = KERNEL_TARGETS[name]
+    tdgla = TensorDgla(KERNEL_DGA, target)
+    a, b = pair
+    assert bracket_slices(tdgla, a, b) == _reference_bracket(KERNEL_DGA, target, a, b)
+    for u, v in zip(a.values(), b.values()):
+        assert tdgla.bracket11(u, v) == _reference_bracket(
+            KERNEL_DGA, target, {(): u}, {(): v}
+        ).get((), {})
+    # Cancellation: with u at t1 and t2 and v at t2 and (-v) at t1, the
+    # t1*t2 coefficient is [u, v] - [u, v] = 0 and must not appear at all.
+    for u in list(a.values())[:1]:
+        for v in list(b.values())[:1]:
+            left = {(1, 0): u, (0, 1): u}
+            right = {(0, 1): v, (1, 0): {i: -c for i, c in v.items()}}
+            got = bracket_slices(tdgla, left, right)
+            assert (1, 1) not in got
+            assert got == _reference_bracket(KERNEL_DGA, target, left, right)
+
+
+def _filiform6():
+    """L6 with non-unit constants: [e1, e_i] = c_i e_{i+1}."""
+    coefs = ["2/3", "-3", "1/2", "5/4"]
+    return LieAlgebra(
+        [f"e{i}" for i in range(1, 7)],
+        {(0, i): {i + 1: scalar(c)} for i, c in zip(range(1, 5), coefs)},
+    )
+
+
+def _solvable_heisenberg5_nilshadow():
+    """The nilshadow of T x| h5, T acting by +-w_i on X_i, Y_i, w = (1, 2)."""
+    labels = ["T", "X1", "X2", "Y1", "Y2", "Z"]
+    algebra = LieAlgebra(
+        labels,
+        {
+            (0, 1): {1: scalar(1)},
+            (0, 2): {2: scalar(2)},
+            (0, 3): {3: scalar(-1)},
+            (0, 4): {4: scalar(-2)},
+            (1, 3): {5: scalar("3/2")},
+            (2, 4): {5: scalar("-2/3")},
+        },
+    )
+    basis = [algebra.basis_vector(i) for i in range(6)]
+    return nilshadow(
+        SolvableInput(
+            algebra=algebra,
+            nilradical=Subspace.from_vectors(6, basis[1:]),
+            complement=Subspace.from_vectors(6, basis[:1]),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "base, target",
+    [
+        (_filiform6, lambda: fixtures.gl(2)),
+        (_solvable_heisenberg5_nilshadow, lambda: fixtures.gl(3)),
+    ],
+    ids=["L6-gl2", "Th5-gl3"],
+)
+def test_square_slice_matches_scalar_reference_over_a_series(base, target):
+    from germkit.liealg import infer_grading_basis_aligned
+
+    algebra, lie_target = base(), target()
+    grading = infer_grading_basis_aligned(algebra)
+    dec = split_complex(Dga(algebra), "metric", grading, top=GERM_TOP)
+    series = kuranishi_series(dec, lie_target)
+    assert series.terminated and series.last_nonzero >= 2
+    dga = series.tdgla.dga
+    for r in range(2, 2 * series.last_nonzero + 1):
+        expected = _reference_square(dga, lie_target, series.slices, r)
+        assert square_slice(series.tdgla, series.slices, r) == expected, r

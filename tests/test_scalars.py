@@ -8,7 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from germkit.errors import ParseError
-from germkit.scalars import I, ONE, Scalar, ZERO, format_scalar, parse_scalar, scalar
+from germkit.scalars import (
+    I,
+    ONE,
+    Scalar,
+    ZERO,
+    format_scalar,
+    from_ints,
+    parse_scalar,
+    scalar,
+)
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 scalars_st = st.builds(Scalar, fractions_st, fractions_st)
@@ -194,6 +203,9 @@ def test_parts_round_trip(re, im):
     assert x.is_rational() == (im == 0)
     assert x.is_zero() == (not x) == (re == 0 and im == 0)
     assert pickle.loads(pickle.dumps(x)) == x
+    d = 6 * re.denominator * im.denominator  # over a common, unreduced denominator
+    a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    _assert_canonical(from_ints(a, b, d), (re, im))
 
 
 @given(oracle_scalars_st, st.integers(1, 10**6))

@@ -129,12 +129,13 @@ def matrix_strings(rows) -> list[list[str]]:
 
 
 def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
+    """Character data; every number must be a JSON integer (not a bool, and
+    not a float or string that ``int`` would truncate or coerce)."""
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object")
-    try:
-        rank = int(data["rank"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(f"{where}.rank: missing or not an integer") from None
+    rank = data.get("rank")
+    if type(rank) is not int:
+        raise ParseError(f"{where}.rank: missing or not an integer")
     raw_exps = data.get("exponents")
     if not isinstance(raw_exps, list) or len(raw_exps) != dim:
         raise ParseError(
@@ -146,26 +147,27 @@ def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
             raise ParseError(
                 f"{where}.exponents[{k}]: expected a list of {rank} integers"
             )
-        try:
-            exponents.append(tuple(int(x) for x in vec))
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}.exponents[{k}]: not integers") from None
+        if not all(type(x) is int for x in vec):
+            raise ParseError(f"{where}.exponents[{k}]: not integers")
+        exponents.append(tuple(vec))
+    raw_torsion = data.get("torsion", [])
+    if not isinstance(raw_torsion, list):
+        raise ParseError(f"{where}.torsion: expected a list")
     torsion = []
-    for k, comp in enumerate(data.get("torsion", [])):
-        try:
-            modulus = int(comp["modulus"])
-            residues = tuple(int(x) for x in comp["residues"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(
-                f"{where}.torsion[{k}]: need modulus and residues"
-            ) from None
+    for k, comp in enumerate(raw_torsion):
+        tw = f"{where}.torsion[{k}]"
+        if not isinstance(comp, dict) or not {"modulus", "residues"} <= comp.keys():
+            raise ParseError(f"{tw}: need modulus and residues")
+        modulus, residues = comp["modulus"], comp["residues"]
+        if type(modulus) is not int:
+            raise ParseError(f"{tw}.modulus: not an integer")
+        if not isinstance(residues, list) or not all(type(x) is int for x in residues):
+            raise ParseError(f"{tw}.residues: expected a list of integers")
         if len(residues) != dim:
-            raise ParseError(
-                f"{where}.torsion[{k}].residues: need {dim} entries"
-            )
+            raise ParseError(f"{tw}.residues: need {dim} entries")
         if modulus < 2:
-            raise ParseError(f"{where}.torsion[{k}].modulus: must be >= 2")
-        torsion.append(TorsionComponent(modulus, residues))
+            raise ParseError(f"{tw}.modulus: must be >= 2")
+        torsion.append(TorsionComponent(modulus, tuple(residues)))
     return CharacterData(rank=rank, exponents=tuple(exponents), torsion=tuple(torsion))
 
 

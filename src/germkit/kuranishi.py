@@ -20,10 +20,13 @@ no constant or linear part whose zero set presents the flat germ at the
 origin on the harmonic slice.
 
 Every degree-one bracket goes through one integer kernel,
-``bracket_slices``: it groups each slice by L^1 index, packs exponent
-vectors into ints (one add multiplies two monomials), holds numerators over
-a shared denominator and builds Scalars only for the result.
-``TensorDgla.bracket11`` is that kernel on a single term each.
+``bracket_slices``: it takes a list of pairs, each with an integer factor,
+groups each slice by L^1 index, packs exponent vectors into ints (one add
+multiplies two monomials) and sums every pair in integer maps over one
+shared denominator.  Scalars are built once per output entry.
+``square_slice`` ([phi, phi]_r) is one kernel call over the pairs
+s + t = r, and ``TensorDgla.bracket11`` is a one-pair call on a single
+term each.
 
 Termination bookkeeping: if phi_j = 0 for rho < j <= 2*rho then every later
 degree vanishes too (each bracket pair has a factor of degree > rho), so the
@@ -62,12 +65,6 @@ def vec_add_into(dst: SparseVec, src: SparseVec, factor: Scalar = ONE) -> None:
             dst[idx] = total
         else:
             dst.pop(idx, None)
-
-
-def vec_scale(v: SparseVec, factor: Scalar) -> SparseVec:
-    if not factor:
-        return {}
-    return {i: factor * c for i, c in v.items()}
 
 
 class TensorDgla:
@@ -143,7 +140,7 @@ class TensorDgla:
 
     def bracket11(self, u: SparseVec, v: SparseVec) -> SparseVec:
         """[u, v] for degree-one u, v: ``bracket_slices`` on one term each."""
-        return bracket_slices(self, {(): u}, {(): v}).get((), {})
+        return bracket_slices(self, [(1, {(): u}, {(): v})]).get((), {})
 
     def bracket(self, p: int, u: SparseVec, q: int, v: SparseVec) -> SparseVec:
         """[u, v] for arbitrary degrees (general path, used by checks)."""
@@ -216,28 +213,6 @@ def mc_residual(tdgla: TensorDgla, omega: SparseVec) -> SparseVec:
 Slice = dict[ExponentVector, SparseVec]
 
 
-def _clean_slice(terms: Slice) -> Slice:
-    return {e: v for e, v in terms.items() if v}
-
-
-def slice_add_into(
-    dst: Slice, exps: ExponentVector, v: SparseVec, factor: Scalar = ONE
-) -> None:
-    """dst[exps] += factor * v, dropping the term when it cancels.
-
-    An empty slot takes ``v`` itself when the factor is the ONE constant
-    (an identity test: this runs once per term of every bracket), so pass
-    a vector nobody else will mutate.
-    """
-    acc = dst.get(exps)
-    if acc is None:
-        dst[exps] = v if factor is ONE else vec_scale(v, factor)
-        return
-    vec_add_into(acc, v, factor)
-    if not acc:
-        del dst[exps]
-
-
 @dataclass
 class PolyCochain:
     """Cochain-valued polynomial in the deformation parameters.
@@ -249,53 +224,6 @@ class PolyCochain:
     variables: tuple[str, ...]
     degree: int
     slices: dict[int, Slice] = field(default_factory=dict)
-
-    def cleaned(self) -> "PolyCochain":
-        slices = {
-            r: kept
-            for r, terms in self.slices.items()
-            if (kept := _clean_slice(terms))
-        }
-        return PolyCochain(self.variables, self.degree, slices)
-
-    def slice(self, r: int) -> Slice:
-        return self.slices.get(r, {})
-
-    def is_zero(self) -> bool:
-        return not self.cleaned().slices
-
-    def add(self, other: "PolyCochain") -> "PolyCochain":
-        assert self.variables == other.variables and self.degree == other.degree
-        out: dict[int, Slice] = {
-            r: {e: dict(v) for e, v in s.items()} for r, s in self.slices.items()
-        }
-        for r, terms in other.slices.items():
-            dst = out.setdefault(r, {})
-            for e, v in terms.items():
-                slice_add_into(dst, e, dict(v))
-        return PolyCochain(self.variables, self.degree, out).cleaned()
-
-    def scale(self, factor: Scalar) -> "PolyCochain":
-        return PolyCochain(
-            self.variables,
-            self.degree,
-            {
-                r: {e: vec_scale(v, factor) for e, v in terms.items()}
-                for r, terms in self.slices.items()
-            },
-        ).cleaned()
-
-    def apply(self, fn, new_degree: int) -> "PolyCochain":
-        out: dict[int, Slice] = {}
-        for r, terms in self.slices.items():
-            dst: Slice = {}
-            for e, v in terms.items():
-                w = fn(v)
-                if w:
-                    dst[e] = w
-            if dst:
-                out[r] = dst
-        return PolyCochain(self.variables, new_degree, out)
 
     def eval(self, point: list[Scalar]) -> SparseVec:
         if len(point) != len(self.variables):
@@ -312,13 +240,6 @@ class PolyCochain:
                         factor = factor * value**e
                 vec_add_into(out, vec, factor)
         return out
-
-    def equals(self, other: "PolyCochain") -> bool:
-        return (
-            self.variables == other.variables
-            and self.degree == other.degree
-            and self.cleaned().slices == other.cleaned().slices
-        )
 
 
 def _int_slice(terms: Slice, code: str, step: int):
@@ -383,40 +304,49 @@ def _accumulate(
                     acc[key] = get(key, 0) + xa * xb
 
 
-def bracket_slices(tdgla: TensorDgla, a: Slice, b: Slice) -> Slice:
-    """Pointwise bracket of two homogeneous degree-one slices.
+def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> Slice:
+    """Sum of factor * [a, b] over the (factor, a, b) in ``pairs``: int
+    factors, homogeneous degree-one slices in one set of variables.
 
-    The kernel of every degree-one bracket: integer numerators over the
-    shared denominator Da * Db * Dc, keyed by packed exponent and L^2 index.
-    Q(i) data splits into real and imaginary numerators, combined by
-    bilinearity (each factor of i turns the product a quarter: re, im, -re,
-    -im); rational data has no imaginary parts and runs one pass.
+    The kernel of every degree-one bracket.  Each pair's numerators are
+    brought onto one denominator L * Dc, with L the lcm of Da * Db over the
+    pairs, by scaling that pair's sign by L / (Da * Db).  All pairs are
+    summed in the same integer maps, keyed by packed exponent and L^2
+    index, and Scalars are built once per output entry.  Q(i) data splits
+    into real and imaginary numerators, combined by bilinearity (each factor
+    of i turns the product a quarter: re, im, -re, -im); rational data has
+    no imaginary parts and runs one pass.
     """
-    if not a or not b:
+    pairs = [(f, a, b) for f, a, b in pairs if f and a and b]
+    if not pairs:
         return {}
     # The smallest unsigned array type that holds the output's total
     # degree, hence every exponent of the output.
-    bits = (max(map(sum, a)) + max(map(sum, b))).bit_length()
+    bits = max(max(map(sum, a)) + max(map(sum, b)) for _, a, b in pairs).bit_length()
     code = next(c for c in "BHIQ" if bits <= 8 * array(c).itemsize)
-    nbytes = len(next(iter(a))) * array(code).itemsize
+    nbytes = len(next(iter(pairs[0][1]))) * array(code).itemsize
     step = tdgla.dim(2) or 1
     ta = tdgla.target.dim
-    parts_a, da = _int_slice(a, code, step)
-    parts_b, db = _int_slice(b, code, step)
+    ints = [
+        (f, _int_slice(a, code, step), _int_slice(b, code, step)) for f, a, b in pairs
+    ]
+    den = lcm(*(da * db for _, (_, da), (_, db) in ints))
     parts_c, dc = tdgla._int_bracket
     acc: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for left, ia in parts_a:
-        for right, ib in parts_b:
-            for consts, ic in parts_c:
-                turns = ia + ib + ic
-                sign = -1 if turns & 2 else 1
-                _accumulate(acc[turns & 1], sign, left, right, consts, tdgla._wedge11, ta)
+    for factor, (parts_a, da), (parts_b, db) in ints:
+        factor *= den // (da * db)
+        for left, ia in parts_a:
+            for right, ib in parts_b:
+                for consts, ic in parts_c:
+                    turns = ia + ib + ic
+                    sign = -factor if turns & 2 else factor
+                    _accumulate(acc[turns & 1], sign, left, right, consts, tdgla._wedge11, ta)
     re, im = acc
     # Give every purely imaginary entry a zero real part, so one walk over
     # re reaches every output entry.
     for key in im.keys() - re.keys():
         re[key] = 0
-    den = da * db * dc
+    den *= dc
     out: Slice = {}
     # Output vectors by packed exponent: each one is unpacked once.
     rows: dict[int, SparseVec] = {}
@@ -433,34 +363,17 @@ def bracket_slices(tdgla: TensorDgla, a: Slice, b: Slice) -> Slice:
     return out
 
 
-def bracket_poly(tdgla: TensorDgla, a: PolyCochain, b: PolyCochain) -> PolyCochain:
-    assert a.degree == 1 and b.degree == 1
-    out: dict[int, Slice] = {}
-    for ra, sa in a.slices.items():
-        for rb, sb in b.slices.items():
-            piece = bracket_slices(tdgla, sa, sb)
-            if not piece:
-                continue
-            dst = out.setdefault(ra + rb, {})
-            for e, v in piece.items():
-                slice_add_into(dst, e, v)
-    return PolyCochain(a.variables, 2, out).cleaned()
-
-
 def square_slice(tdgla: TensorDgla, slices: dict[int, Slice], r: int) -> Slice:
-    """[phi, phi]_r = sum over s + t = r of [phi_s, phi_t] (the bracket of
-    degree-one elements is symmetric, so each unordered pair counts twice)."""
-    out: Slice = {}
-    for s in range(1, r // 2 + 1):
-        left = slices.get(s)
-        right = slices.get(r - s)
-        if not left or not right:
-            continue
-        piece = bracket_slices(tdgla, left, right)
-        factor = ONE if 2 * s == r else scalar(2)
-        for e, v in piece.items():
-            slice_add_into(out, e, v, factor)
-    return out
+    """[phi, phi]_r = sum over s + t = r of [phi_s, phi_t], in one kernel
+    call (the bracket of degree-one elements is symmetric, so each unordered
+    pair counts twice)."""
+    return bracket_slices(
+        tdgla,
+        [
+            (1 if 2 * s == r else 2, slices.get(s, {}), slices.get(r - s, {}))
+            for s in range(1, r // 2 + 1)
+        ],
+    )
 
 
 # -- the deformation series ----------------------------------------------------
@@ -486,9 +399,6 @@ class KuranishiSeries:
 
     def phi(self) -> PolyCochain:
         return PolyCochain(self.variables, 1, {r: s for r, s in self.slices.items()})
-
-    def phi1(self) -> PolyCochain:
-        return PolyCochain(self.variables, 1, {1: dict(self.slices.get(1, {}))})
 
 
 def kuranishi_series(
@@ -526,7 +436,8 @@ def kuranishi_series(
     if phi1:
         slices[1] = phi1
 
-    delta2_cols = delta_cols(dec, 2)
+    # phi_r = -(1/2) delta [phi, phi]_r, with -1/2 folded into the columns.
+    delta2_cols = [[(i, -HALF * c) for i, c in col] for col in delta_cols(dec, 2)]
 
     rho = 1
     terminated = m == 0  # an empty series is trivially finite
@@ -538,7 +449,7 @@ def kuranishi_series(
             for e, v in bracket_sum.items():
                 w = tdgla.apply_matrix(delta2_cols, v)
                 if w:
-                    phi_r[e] = vec_scale(w, -HALF)
+                    phi_r[e] = w
             if phi_r:
                 slices[r] = phi_r
                 rho = r
@@ -662,25 +573,29 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
 
     First, delta kills the whole series coefficientwise.  Second, the
     series inverts the normal-form map:  phi + (1/2) delta [phi, phi]
-    equals the linear part phi_1.
+    equals the linear part phi_1, that is phi_r + (1/2) delta [phi, phi]_r
+    = 0 for every r >= 2.  [phi, phi] is bracketed afresh here, over every
+    ordered pair s + t = r, independent of the series' own bracket sums.
     """
     if not series.terminated:
         raise PreconditionError("gauge identities require a terminated series")
     dec = series.decomposition
     tdgla = series.tdgla
+    slices = series.slices
     delta1_cols = delta_cols(dec, 1)
-    phi = series.phi()
-    gauge = phi.apply(lambda v: tdgla.apply_matrix(delta1_cols, v), 0)
-    if not gauge.is_zero():
-        return "delta(phi) is not identically zero"
-    delta2_cols = delta_cols(dec, 2)
-    square = bracket_poly(tdgla, phi, phi)
-    corrected = square.apply(
-        lambda v: tdgla.apply_matrix(delta2_cols, v), 1
-    ).scale(HALF)
-    lhs = phi.add(corrected)
-    if not lhs.equals(series.phi1()):
-        return "phi + (1/2) delta[phi, phi] differs from the linear part"
+    for terms in slices.values():
+        if any(tdgla.apply_matrix(delta1_cols, v) for v in terms.values()):
+            return "delta(phi) is not identically zero"
+    half_delta2 = [[(i, HALF * c) for i, c in col] for col in delta_cols(dec, 2)]
+    for r in range(2, 2 * max(slices, default=0) + 1):
+        square = bracket_slices(
+            tdgla, [(1, slices.get(s, {}), slices.get(r - s, {})) for s in range(1, r)]
+        )
+        lhs = {e: dict(v) for e, v in slices.get(r, {}).items()}
+        for e, v in square.items():
+            vec_add_into(lhs.setdefault(e, {}), tdgla.apply_matrix(half_delta2, v))
+        if any(lhs.values()):
+            return "phi + (1/2) delta[phi, phi] differs from the linear part"
     return None
 
 

@@ -210,12 +210,22 @@ class MultiPoly:
         cls, variables: Sequence[str], records: Iterable[dict]
     ) -> "MultiPoly":
         terms: dict[ExponentVector, Scalar] = {}
+        n = len(variables)
         for rec in records:
             try:
-                exps = tuple(int(e) for e in rec["exponents"])
+                exps = rec["exponents"]
                 coeff = scalar(rec["coefficient"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad polynomial record {rec!r}: {exc}") from None
+            # JSON integers only: int() would truncate 1.5 and read true as 1.
+            if not isinstance(exps, list) or len(exps) != n or not all(
+                type(e) is int and e >= 0 for e in exps
+            ):
+                raise ParseError(
+                    f"bad polynomial record {rec!r}: exponents: expected {n} "
+                    "nonnegative integers, one per variable"
+                )
+            exps = tuple(exps)
             if exps in terms:
                 raise ParseError(f"duplicate exponent vector {exps}")
             if coeff:

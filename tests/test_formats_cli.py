@@ -182,6 +182,31 @@ def test_subdga_command(capsys):
     assert "8 monomials" in out and "duality-type check: pass" in out
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("torsion", 5, "characters.torsion"),
+        # int() would truncate these to the exponents [1] and [-1].
+        ("exponents", [[0], [1.9], [-1.9], [0]], "characters.exponents[1]"),
+        ("exponents", [[0], ["1"], [-1], [0]], "characters.exponents[1]"),
+        ("exponents", [[0], [1], [-1], [False]], "characters.exponents[3]"),
+        ("rank", True, "characters.rank"),
+        ("torsion", [{"modulus": 2.5, "residues": [0, 1, 1, 0]}], "characters.torsion[0].modulus"),
+    ],
+    ids=["torsion-int", "float-exponents", "string-exponent", "bool-exponent", "bool-rank", "float-modulus"],
+)
+def test_non_integer_character_data_is_a_parse_error(tmp_path, capsys, key, value, field):
+    characters = json.loads((FIXTURES / "solv_heisenberg.json").read_text())["characters"]
+    characters[key] = value
+    path = tmp_path / "characters.json"
+    path.write_text(json.dumps(characters))
+    code, out, err = run(
+        capsys, "subdga", str(FIXTURES / "solv_heisenberg.json"), "--characters", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and f"{field}:" in err
+
+
 def test_bare_character_object_selects_under_subdga_and_kuranishi(tmp_path, capsys):
     wrapped = FIXTURES / "diag_weight_characters.json"
     bare = tmp_path / "bare.json"
@@ -309,8 +334,14 @@ def _first_phi_term(germ):
         (lambda g: _first_phi_term(g).update(exponents=[1]), "exponents"),
         (lambda g: g.update(strategy="foo"), "strategy"),
         (lambda g: g["obstructions"]["polynomials"][0][0].update(exponents=[2]), "polynomials[0]"),
+        # int() would read these as [0, 1, 1, 1, 0, 0], the record's true exponents.
+        (lambda g: g["obstructions"]["polynomials"][0][0].update(exponents=[0, 1.5, 1.5, 1.5, 0, 0]), "polynomials[0]"),
+        (lambda g: g["obstructions"]["polynomials"][0][0].update(exponents=[0, True, 1, 1, 0, 0]), "polynomials[0]"),
     ],
-    ids=["no-base-algebra", "monomial-index-99", "short-exponents", "strategy-foo", "short-record"],
+    ids=[
+        "no-base-algebra", "monomial-index-99", "short-exponents", "strategy-foo", "short-record",
+        "float-record-exponents", "bool-record-exponent",
+    ],
 )
 def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):
     germ_path = tmp_path / "germ.json"

@@ -11,7 +11,6 @@ from germkit.errors import PreconditionError
 from germkit.kuranishi import (
     KuranishiSeries,
     TensorDgla,
-    bracket_poly,
     bracket_slices,
     gauge_identity_check,
     kuranishi_series,
@@ -143,7 +142,7 @@ def test_recursion_identity():
             for s_deg in range(1, r):
                 left = series.slices.get(s_deg, {})
                 right = series.slices.get(r - s_deg, {})
-                piece = bracket_slices(series.tdgla, left, right)
+                piece = bracket_slices(series.tdgla, [(1, left, right)])
                 for e, v in piece.items():
                     dst = acc.setdefault(e, {})
                     vec_add_into(dst, v)
@@ -177,28 +176,49 @@ def test_graded_weight_confinement():
         # bracket of slices lands in the matching degree-2 weight space
         for r1, t1 in series.slices.items():
             for r2, t2 in series.slices.items():
-                piece = bracket_slices(series.tdgla, t1, t2)
+                piece = bracket_slices(series.tdgla, [(1, t1, t2)])
                 for vec in piece.values():
                     for idx in vec:
                         mono = dga.monomials[2][idx // ta]
                         assert monomial_weight(weights, mono) == r1 + r2, name
 
 
-def test_gauge_identities_and_mutation():
-    series = _setup("h3", "sl2")
-    assert gauge_identity_check(series) is None
-    corrupted = KuranishiSeries(
+def _with_slices(series, slices):
+    """``series`` with its phi replaced by ``slices``."""
+    return KuranishiSeries(
         tdgla=series.tdgla,
         decomposition=series.decomposition,
         variables=series.variables,
         zeta=series.zeta,
         zeta_info=series.zeta_info,
-        slices={r: s for r, s in series.slices.items() if r != 2},
+        slices=slices,
         cap=series.cap,
         terminated=series.terminated,
-        last_nonzero=1,
+        last_nonzero=max(slices, default=0),
     )
-    assert gauge_identity_check(corrupted) is not None
+
+
+def test_gauge_identities_and_mutation():
+    differs = "phi + (1/2) delta[phi, phi] differs from the linear part"
+    series = _setup("h3", "sl2")
+    assert gauge_identity_check(series) is None
+    dropped = {r: s for r, s in series.slices.items() if r != 2}
+    assert gauge_identity_check(_with_slices(series, dropped)) == differs
+    # A deep series: each mutation keeps delta(phi) = 0 (it scales or drops
+    # a whole coefficient vector of an image of delta), so only the second
+    # identity can catch it.
+    deep = _setup(_filiform6(), fixtures.gl(2))
+    last = deep.last_nonzero
+    assert deep.terminated and last >= 4
+    assert gauge_identity_check(deep) is None
+    exps = next(iter(deep.slices[3]))
+    scaled = dict(deep.slices)
+    scaled[3] = dict(scaled[3])
+    scaled[3][exps] = {i: c * scalar(2) for i, c in scaled[3][exps].items()}
+    assert gauge_identity_check(_with_slices(deep, scaled)) == differs
+    trimmed = dict(deep.slices)
+    trimmed[last] = dict(list(trimmed[last].items())[1:])
+    assert gauge_identity_check(_with_slices(deep, trimmed)) == differs
 
 
 def test_gauge_check_requires_termination():
@@ -420,15 +440,18 @@ def test_selection_with_empty_middle_degree():
 
 
 def _reference_obstructions(series):
-    """Harmonic coordinates of a fresh bracket_poly(phi, phi): one dense dot
+    """Harmonic coordinates of a fresh Scalar [phi, phi]: one dense dot
     product per term, harmonic 2-form and target index."""
     dec = series.decomposition
     ta = series.tdgla.target.dim
     coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
-    phi = series.phi()
-    square = bracket_poly(series.tdgla, phi, phi)
+    dga, target = series.tdgla.dga, series.tdgla.target
+    square = [
+        _reference_square(dga, target, series.slices, r)
+        for r in range(2, 2 * max(series.slices, default=0) + 1)
+    ]
     polys = [{} for _ in range(len(coords) * ta)]
-    for terms in square.slices.values():
+    for terms in square:
         for exps, vec in terms.items():
             for a in range(ta):
                 dense = [ZERO] * dec.dga.dim_at(2)
@@ -494,14 +517,20 @@ def _reference_bracket(dga, target, a, b):
     return {e: v for e, v in cleaned.items() if v}
 
 
+def _reference_sum(dga, target, pairs):
+    """Sum of factor * [a, b] over (factor, a, b), in Scalar arithmetic."""
+    out = {}
+    for factor, a, b in pairs:
+        for e, v in _reference_bracket(dga, target, a, b).items():
+            vec_add_into(out.setdefault(e, {}), v, scalar(factor))
+    return {e: v for e, v in out.items() if v}
+
+
 def _reference_square(dga, target, slices, r):
     """[phi, phi]_r as the sum over ordered pairs s + t = r."""
-    out = {}
-    for s in range(1, r):
-        piece = _reference_bracket(dga, target, slices.get(s, {}), slices.get(r - s, {}))
-        for e, v in piece.items():
-            vec_add_into(out.setdefault(e, {}), v)
-    return {e: v for e, v in out.items() if v}
+    return _reference_sum(
+        dga, target, [(1, slices.get(s, {}), slices.get(r - s, {})) for s in range(1, r)]
+    )
 
 
 def _sl2_scaled(h, e):
@@ -531,8 +560,9 @@ _coefs = st.one_of(
 
 
 @st.composite
-def _slice_pair(draw):
-    """Two homogeneous degree-one slices in 0-4 variables, either may be empty."""
+def _bracket_pairs(draw):
+    """One to three (factor, a, b): factors in {1, 2, -1}, a and b homogeneous
+    degree-one slices in one set of 0-4 variables, any of them maybe empty."""
     nvars = draw(st.integers(0, 4))
     dim1 = KERNEL_DGA.dim_at(1) * 3
 
@@ -550,16 +580,17 @@ def _slice_pair(draw):
             return {}
         return draw(st.dictionaries(counts, vecs, min_size=1, max_size=4))
 
-    return one_slice(), one_slice()
+    count = draw(st.integers(1, 3))
+    return [(draw(st.sampled_from([1, 2, -1])), one_slice(), one_slice()) for _ in range(count)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(KERNEL_TARGETS)), _slice_pair())
-def test_bracket_kernel_matches_scalar_reference(name, pair):
+@given(st.sampled_from(sorted(KERNEL_TARGETS)), _bracket_pairs())
+def test_bracket_kernel_matches_scalar_reference(name, pairs):
     target = KERNEL_TARGETS[name]
     tdgla = TensorDgla(KERNEL_DGA, target)
-    a, b = pair
-    assert bracket_slices(tdgla, a, b) == _reference_bracket(KERNEL_DGA, target, a, b)
+    assert bracket_slices(tdgla, pairs) == _reference_sum(KERNEL_DGA, target, pairs)
+    _, a, b = pairs[0]
     for u, v in zip(a.values(), b.values()):
         assert tdgla.bracket11(u, v) == _reference_bracket(
             KERNEL_DGA, target, {(): u}, {(): v}
@@ -570,7 +601,7 @@ def test_bracket_kernel_matches_scalar_reference(name, pair):
         for v in list(b.values())[:1]:
             left = {(1, 0): u, (0, 1): u}
             right = {(0, 1): v, (1, 0): {i: -c for i, c in v.items()}}
-            got = bracket_slices(tdgla, left, right)
+            got = bracket_slices(tdgla, [(1, left, right)])
             assert (1, 1) not in got
             assert got == _reference_bracket(KERNEL_DGA, target, left, right)
 

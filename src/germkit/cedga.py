@@ -10,6 +10,12 @@ and extends as an odd derivation; equivalently (d w)(X, Y) = -w([X, Y]) in
 degree one.  This sign convention is fixed globally: frozen expected values
 throughout the test suite are computed under it.
 
+The differential is held as sparse columns: d_p is one list of (row, value)
+pairs per degree-p monomial, the form TensorDgla.apply_matrix reads.  The
+d o d check and the Betti ranks work on these columns; dense rows of d_p
+(``Dga.d``) are built per degree when first read, which the split does only
+in the degrees it needs.
+
 A monomial sub-DGA is a per-degree selection of monomials that contains the
 unit and is closed under both d and wedge.  Character data (exponent vectors
 on a finitely generated abelian group, with optional torsion) selects the
@@ -21,12 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import PreconditionError
 from .liealg import LieAlgebra
-from .linalg import Matrix, Vector
+from .linalg import Matrix, SparseColumns, Vector
 from .scalars import ONE, Scalar, ZERO, scalar
 
 Monomial = tuple[int, ...]
@@ -57,10 +64,11 @@ class Dga:
     Covers both the full exterior complex of an algebra and any monomial
     sub-DGA of it (same generator differentials, restricted basis).
     Construction fails if the differential leaves the chosen span or if
-    d composed with itself is nonzero.
+    d composed with itself is nonzero; the error names the first nonzero
+    entry of d_(p+1) d_p in row-major order, in the lowest failing degree.
     """
 
-    __slots__ = ("algebra", "monomials", "position", "d", "_gen_diff")
+    __slots__ = ("algebra", "monomials", "position", "columns", "d", "_gen_diff")
 
     def __init__(
         self,
@@ -97,11 +105,11 @@ class Dga:
                 acc = self._gen_diff[k]
                 acc[(i, j)] = acc.get((i, j), ZERO) - c
 
-        self.d: list[Matrix] = []
-        for p in range(n + 1):
-            rows = len(self.monomials[p + 1]) if p + 1 <= n else 0
-            matrix = linalg.zeros(rows, len(self.monomials[p]))
-            for col, mono in enumerate(self.monomials[p]):
+        self.columns: list[SparseColumns] = []
+        for p, level in enumerate(self.monomials):
+            columns = []
+            for mono in level:
+                column = []
                 for target, coeff in self._diff_monomial(mono).items():
                     spot = self.position.get(target)
                     if spot is None or spot[0] != p + 1:
@@ -110,23 +118,29 @@ class Dga:
                             f"has a component on {self.monomial_label(target)} "
                             "outside the complex"
                         )
-                    matrix[spot[1]][col] = coeff
-            self.d.append(matrix)
+                    column.append((spot[1], coeff))
+                column.sort()
+                columns.append(column)
+            self.columns.append(columns)
+        self.d = DenseDifferential(self)
 
-        for p in range(n):
-            if not self.d[p + 1]:
-                continue
-            square = linalg.mat_mul(self.d[p + 1], self.d[p])
-            for r, row in enumerate(square):
-                for c, value in enumerate(row):
-                    if value:
-                        raise PreconditionError(
-                            "d o d != 0: degree "
-                            f"{p} entry (row {self.monomial_label(self.monomials[p + 2][r])}, "
-                            f"column {self.monomial_label(self.monomials[p][c])}) "
-                            f"= {value}; the structure constants violate the "
-                            "Jacobi identity"
-                        )
+        for p in range(n - 1):
+            failures = []
+            for c, column in enumerate(self.columns[p]):
+                square: dict[int, Scalar] = {}
+                for mid, x in column:
+                    for r, y in self.columns[p + 1][mid]:
+                        square[r] = square.get(r, ZERO) + x * y
+                failures.extend((r, c, value) for r, value in square.items() if value)
+            if failures:
+                r, c, value = min(failures, key=lambda f: f[:2])
+                raise PreconditionError(
+                    "d o d != 0: degree "
+                    f"{p} entry (row {self.monomial_label(self.monomials[p + 2][r])}, "
+                    f"column {self.monomial_label(self.monomials[p][c])}) "
+                    f"= {value}; the structure constants violate the "
+                    "Jacobi identity"
+                )
 
     # -- structure ---------------------------------------------------------
 
@@ -145,7 +159,7 @@ class Dga:
     def betti(self) -> list[int]:
         """b_p = dim_p - rank d_p - rank d_(p-1), in every degree."""
         dims = self.dims()
-        ranks = [linalg.rank(d_p, dims[p]) for p, d_p in enumerate(self.d)]
+        ranks = [linalg.sparse_rank(columns) for columns in self.columns]
         return [
             dims[p] - ranks[p] - (ranks[p - 1] if p else 0)
             for p in range(len(dims))
@@ -213,7 +227,32 @@ class Dga:
         return out
 
     def apply_d(self, p: int, u: Vector) -> Vector:
-        return linalg.mat_vec(self.d[p], u)
+        out = [ZERO] * self.dim_at(p + 1)
+        for x, column in zip(u, self.columns[p]):
+            if x:
+                for r, value in column:
+                    out[r] = out[r] + x * value
+        return out
+
+
+class DenseDifferential(Sequence):
+    """Read-only dense rows of each d_p, built from the columns on first read."""
+
+    def __init__(self, dga: Dga):
+        self._dga, self._built = dga, {}
+
+    def __len__(self) -> int:
+        return len(self._dga.columns)
+
+    def __getitem__(self, p: int) -> Matrix:
+        p = range(len(self))[p]
+        if p not in self._built:
+            dga = self._dga
+            self._built[p] = matrix = linalg.zeros(dga.dim_at(p + 1), dga.dim_at(p))
+            for col, column in enumerate(dga.columns[p]):
+                for row, value in column:
+                    matrix[row][col] = value
+        return self._built[p]
 
 
 @dataclass(frozen=True)
@@ -288,9 +327,9 @@ def _pd_type_by_pairing(dga: Dga) -> str | None:
         return "no positive top degree"
     if dga.dim_at(top) != 1:
         return f"top degree {top} has dimension {dga.dim_at(top)}, not 1"
-    if not linalg.is_zero_matrix(dga.d[0]):
+    if any(dga.columns[0]):
         return "d does not vanish on degree 0"
-    if not linalg.is_zero_matrix(dga.d[top - 1]):
+    if any(dga.columns[top - 1]):
         return f"d does not vanish on degree {top - 1} (top - 1)"
     top_mono = dga.monomials[top][0]
     for i in range(1, top):

@@ -270,22 +270,20 @@ def _check_weight_homogeneous_differential(
     On a full complex d is the derivation extending its degree-one values,
     so a violation anywhere already shows in degree one.
     """
-    dims = dga.dims()
-    for p in range(min(last + 1, len(dims) - 1)):
-        for col, mono in enumerate(dga.monomials[p]):
+    for p in range(min(last + 1, len(dga.columns) - 1)):
+        for mono, column in zip(dga.monomials[p], dga.columns[p]):
             w = monomial_weight(weights, mono)
-            for row in range(dims[p + 1]):
-                if dga.d[p][row][col]:
-                    target = dga.monomials[p + 1][row]
-                    tw = monomial_weight(weights, target)
-                    if tw != w:
-                        raise PreconditionError(
-                            "differential is not weight-homogeneous: "
-                            f"d({dga.monomial_label(mono)}) of weight {w} has a "
-                            f"component on {dga.monomial_label(target)} of "
-                            f"weight {tw}; the grading does not send each "
-                            "dual layer into the matching degree-2 weight space"
-                        )
+            for row, _ in column:
+                target = dga.monomials[p + 1][row]
+                tw = monomial_weight(weights, target)
+                if tw != w:
+                    raise PreconditionError(
+                        "differential is not weight-homogeneous: "
+                        f"d({dga.monomial_label(mono)}) of weight {w} has a "
+                        f"component on {dga.monomial_label(target)} of "
+                        f"weight {tw}; the grading does not send each "
+                        "dual layer into the matching degree-2 weight space"
+                    )
 
 
 def _vector_weights(dga: Dga, weights: list[int], p: int, v: Vector) -> set[int]:

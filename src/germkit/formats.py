@@ -29,7 +29,56 @@ SCHEMA_VERSION = 1
 
 
 def render_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False)``
+    and a newline, byte for byte.
+
+    ``indent`` sends the stdlib to its pure-Python encoder.  Here each
+    container whose values are all leaves is one call of the C encoder,
+    with the newline and indentation in its item separator; only the levels
+    above the leaves are walked in Python.  A dict with a key that is not a
+    str takes the stdlib call.
+    """
+    chunks: list[str] = []
+    try:
+        _render(data, 0, {}, chunks)
+    except TypeError:
+        return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _render(value: Any, level: int, encoders: dict, chunks: list[str]) -> None:
+    """Append ``value`` as json.dumps writes it at indentation ``level``."""
+    if level not in encoders:
+        encoders[level] = json.JSONEncoder(
+            sort_keys=True, ensure_ascii=False, separators=(",\n" + "  " * (level + 1), ": ")
+        )
+    encoder = encoders[level]
+    if isinstance(value, dict):
+        if not all(type(key) is str for key in value):
+            raise TypeError("a key that is not a str")
+        keys = sorted(value)
+        children, brackets = [value[key] for key in keys], "{}"
+    elif isinstance(value, (list, tuple)):
+        keys, children, brackets = None, value, "[]"
+    else:
+        chunks.append(encoder.encode(value))
+        return
+    if not value:
+        chunks.append(brackets)
+        return
+    separator = encoder.item_separator
+    chunks.append(brackets[0] + separator[1:])
+    if all(isinstance(child, (str, int, float, type(None))) for child in children):
+        chunks.append(encoder.encode(value)[1:-1])
+    else:
+        for k, child in enumerate(children):
+            if k:
+                chunks.append(separator)
+            if keys is not None:
+                chunks.append(json.encoder.encode_basestring(keys[k]) + ": ")
+            _render(child, level + 1, encoders, chunks)
+    chunks.append("\n" + "  " * level + brackets[1])
 
 
 def file_digest(raw: bytes) -> str:
@@ -528,11 +577,15 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         raise ParseError(f"{source}: variables: expected a list of names")
     labels = target.algebra.labels
     dim1 = complex_.dim_at(1)
-    slices: dict[int, dict] = {}
+    blocks: dict[int, dict] = {}
     for b, block in enumerate(_field(data, "phi", list, source)):
         where = f"{source}: phi[{b}]"
         r = _field(block, "degree", int, where)
-        terms = {}
+        if r < 1:
+            raise ParseError(f"{where}: degree: {r} is below 1")
+        if r in blocks:
+            raise ParseError(f"{where}: degree: {r} repeats an earlier block")
+        terms = blocks[r] = {}
         for t, term in enumerate(_field(block, "terms", list, where)):
             tw = f"{where}.terms[{t}]"
             exps = tuple(_field(term, "exponents", list, tw))
@@ -543,7 +596,11 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
                     f"{tw}: exponents: expected {len(variables)} "
                     "nonnegative integers, one per variable"
                 )
-            vec: dict[int, Scalar] = {}
+            if sum(exps) != r:
+                raise ParseError(f"{tw}: exponents: total {sum(exps)} is not the degree {r}")
+            if exps in terms:
+                raise ParseError(f"{tw}: exponents: repeat an earlier term")
+            vec = terms[exps] = {}
             for k, entry in enumerate(_field(term, "entries", list, tw)):
                 ew = f"{tw}.entries[{k}]"
                 mono_idx = _field(entry, "monomial_index", int, ew)
@@ -555,13 +612,16 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
                 label = _field(entry, "target", str, ew)
                 if label not in labels:
                     raise ParseError(f"{ew}: target: unknown label {label!r}")
-                value = _coerce_scalar(entry.get("value"), f"{ew}: value")
-                if value:
-                    vec[tdgla.flat(mono_idx, labels.index(label))] = value
-            if vec:
-                terms[exps] = vec
-        if terms:
-            slices[r] = terms
+                spot = tdgla.flat(mono_idx, labels.index(label))
+                if spot in vec:
+                    raise ParseError(f"{ew}: repeats an earlier (monomial_index, target)")
+                vec[spot] = _coerce_scalar(entry.get("value"), f"{ew}: value")
+    # Zero values are not stored, nor the terms and blocks they leave empty.
+    slices: dict[int, dict] = {}
+    for r, terms in blocks.items():
+        nonzero = {e: {i: x for i, x in vec.items() if x} for e, vec in terms.items()}
+        if any(nonzero.values()):
+            slices[r] = {e: vec for e, vec in nonzero.items() if vec}
     phi = PolyCochain(variables, 1, slices)
     obstructions = _field(data, "obstructions", dict, source)
     where = f"{source}: obstructions"

@@ -47,7 +47,7 @@ from .cedga import Dga, SubDga, wedge_monomials
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, SparseColumns
 from .multipoly import ExponentVector, MultiPoly
 from .scalars import ONE, Scalar, ZERO, from_ints, scalar
 
@@ -169,7 +169,7 @@ class TensorDgla:
                     vec_add_into(out, {base + k: c}, coeff)
         return out
 
-    def apply_matrix(self, matrix_cols: list[list[tuple[int, Scalar]]], u: SparseVec) -> SparseVec:
+    def apply_matrix(self, matrix_cols: SparseColumns, u: SparseVec) -> SparseVec:
         """Apply (matrix tensor id) given sparse columns of the matrix."""
         ta = self.target.dim
         out: SparseVec = {}
@@ -185,14 +185,14 @@ class TensorDgla:
         return out
 
 
-def sparse_columns(matrix: Matrix, ncols: int) -> list[list[tuple[int, Scalar]]]:
+def sparse_columns(matrix: Matrix, ncols: int) -> SparseColumns:
     return [
         [(i, matrix[i][j]) for i in range(len(matrix)) if matrix[i][j]]
         for j in range(ncols)
     ]
 
 
-def delta_cols(dec: Decomposition, p: int) -> list[list[tuple[int, Scalar]]]:
+def delta_cols(dec: Decomposition, p: int) -> SparseColumns:
     """Sparse columns of delta: C^p -> C^(p-1); none above the top degree."""
     if p >= len(dec.delta):
         return []
@@ -201,8 +201,7 @@ def delta_cols(dec: Decomposition, p: int) -> list[list[tuple[int, Scalar]]]:
 
 def mc_residual(tdgla: TensorDgla, omega: SparseVec) -> SparseVec:
     """d(omega) + (1/2)[omega, omega] for a degree-one element."""
-    dga = tdgla.dga
-    out = tdgla.apply_matrix(sparse_columns(dga.d[1], dga.dim_at(1)), omega)
+    out = tdgla.apply_matrix(tdgla.dga.columns[1], omega)
     vec_add_into(out, tdgla.bracket11(omega, omega), HALF)
     return out
 

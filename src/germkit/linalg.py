@@ -17,6 +17,8 @@ from .scalars import Scalar, ZERO, ONE
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
+# Column j of a matrix as its nonzero entries [(row, value)], rows ascending.
+SparseColumns = list[list[tuple[int, Scalar]]]
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -129,6 +131,32 @@ def rref(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Matrix, list[int
 
 def rank(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
     return len(rref(rows, ncols)[0])
+
+
+def sparse_rank(columns: SparseColumns) -> int:
+    """Rank of a matrix held as sparse columns.
+
+    Each column is reduced by the stored columns whose largest row matches
+    its own until that row is new (it joins the store) or it vanishes.
+    """
+    reduced: dict[int, dict[int, Scalar]] = {}
+    for column in columns:
+        vec = {r: x for r, x in column if x}
+        while vec:
+            low = max(vec)
+            pivot = reduced.get(low)
+            if pivot is None:
+                inv = ONE / vec[low]
+                reduced[low] = {r: x * inv for r, x in vec.items()}
+                break
+            f = vec[low]
+            for r, y in pivot.items():
+                total = vec.get(r, ZERO) - f * y
+                if total:
+                    vec[r] = total
+                else:
+                    del vec[r]
+    return len(reduced)
 
 
 def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> Matrix:

@@ -83,37 +83,47 @@ def oracle_d_matrix(algebra: LieAlgebra, p: int) -> list[list[Scalar]]:
     target = list(itertools.combinations(range(n), p + 1))
     rows = []
     for big in target:
-        row = []
-        for mono in source:
-            total = ZERO
-            for s in range(p + 1):
-                for t in range(s + 1, p + 1):
-                    bracket = algebra.bracket(
-                        algebra.basis_vector(big[s]), algebra.basis_vector(big[t])
-                    )
-                    if not any(bracket):
-                        continue
+        # (whether the sign is +, arguments) of each term with a nonzero bracket
+        terms = []
+        for s in range(p + 1):
+            for t in range(s + 1, p + 1):
+                bracket = algebra.bracket(
+                    algebra.basis_vector(big[s]), algebra.basis_vector(big[t])
+                )
+                if any(bracket):
                     rest = [
                         algebra.basis_vector(big[u])
                         for u in range(p + 1)
                         if u != s and u != t
                     ]
-                    value = _eval_monomial(mono, [bracket] + rest)
-                    if value:
-                        term = value if (s + t) % 2 == 0 else -value
-                        total = total + term
+                    terms.append(((s + t) % 2 == 0, [bracket] + rest))
+        row = []
+        for mono in source:
+            total = ZERO
+            for even, args in terms:
+                value = _eval_monomial(mono, args)
+                if value:
+                    total = total + (value if even else -value)
             row.append(total)
         rows.append(row)
     return rows
 
 
-def oracle_betti(algebra: LieAlgebra) -> list[int]:
-    """Cohomology dimensions from the oracle differentials and frac_rank."""
+def oracle_betti(
+    algebra: LieAlgebra, matrices: list[list[list[Scalar]]] | None = None
+) -> list[int]:
+    """Cohomology dimensions from the oracle differentials and frac_rank.
+
+    ``matrices`` may pass oracle_d_matrix of every degree already computed.
+    """
     n = algebra.dim
     dims = [len(list(itertools.combinations(range(n), p))) for p in range(n + 1)]
     ranks = []
     for p in range(n + 1):
-        matrix = oracle_d_matrix(algebra, p) if p < n else []
+        if matrices is not None:
+            matrix = matrices[p]
+        else:
+            matrix = oracle_d_matrix(algebra, p) if p < n else []
         if matrix and dims[p]:
             ranks.append(frac_rank([[to_fraction(x) for x in row] for row in matrix]))
         else:
@@ -166,6 +176,18 @@ GENERATED = {
     **{f"h{2 * k + 1}": heisenberg(k) for k in range(1, 4)},
     **{f"L{n}": filiform(n) for n in range(3, 8)},
 }
+
+
+def germbench_inputs():
+    """germbench/inputs.py, imported from its file (it is not a package)."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "germbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("germbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def algebra_fixture_files() -> dict[str, LieAlgebra]:

@@ -6,6 +6,7 @@ from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
     UNIMODULAR,
+    germbench_inputs,
     non_unimodular2,
     oracle_betti,
     oracle_d_matrix,
@@ -28,6 +29,7 @@ from germkit.cedga import (
 )
 from germkit.decomp import hermitian
 from germkit.errors import PreconditionError
+from germkit.formats import parse_algebra_dict
 from germkit.liealg import LieAlgebra
 from germkit.scalars import ONE, ZERO, scalar
 
@@ -60,8 +62,41 @@ def test_abelian_differential_is_zero():
 def test_engine_matches_multilinear_oracle(name):
     algebra = UNIMODULAR[name]
     dga = Dga(algebra)
-    for p in range(algebra.dim):
+    assert len(dga.d) == algebra.dim + 1
+    for p in range(algebra.dim + 1):
         assert la.mat_eq(dga.d[p], oracle_d_matrix(algebra, p)), (name, p)
+
+
+def test_dense_rows_are_built_only_for_the_degrees_read():
+    dga = Dga(GENERATED["h7"])
+    assert dga.d._built == {}
+    assert dga.d[2] is dga.d[-6] and list(dga.d._built) == [2]
+    assert [len(m) for m in dga.d] == dga.dims()[1:] + [0]
+
+
+SEED = 3
+
+
+def _seeded(name: str) -> LieAlgebra:
+    """Benchmark algebras with the non-unit constants of seed SEED."""
+    inputs = germbench_inputs()
+    make = {
+        "h9": lambda rng: inputs.heisenberg(4, rng),
+        "L8": lambda rng: inputs.filiform(8, rng),
+        "solv_h5": lambda rng: inputs.solvable_heisenberg(2, rng),
+    }[name]
+    return parse_algebra_dict(make(inputs.rng_for(SEED, name))).algebra
+
+
+@pytest.mark.parametrize("name", ["h9", "L8", "solv_h5"])
+def test_seeded_complex_matches_oracle_in_every_degree(name):
+    algebra = _seeded(name)
+    matrices = [oracle_d_matrix(algebra, p) for p in range(algebra.dim + 1)]
+    dga = Dga(algebra)
+    assert any(c != ONE for _, _, comps in algebra.nonzero_brackets() for c in comps.values())
+    for p, matrix in enumerate(matrices):
+        assert la.mat_eq(dga.d[p], matrix), (name, p)
+    assert dga.betti() == oracle_betti(algebra, matrices)
 
 
 def test_dims_are_binomials():
@@ -133,6 +168,43 @@ def test_jacobi_iff_d_squared_zero():
                 Dga(algebra)
             seen_fail += 1
     assert seen_pass > 0 and seen_fail > 0
+
+
+def _non_jacobi4() -> LieAlgebra:
+    """Violates Jacobi: d o d fails in degree 1 at five entries, and the
+    first in row-major order (row 0, column 2) is not the first by column
+    (row 2, column 0)."""
+    return LieAlgebra(
+        tuple("ABCD"),
+        {
+            (0, 1): {1: -ONE},
+            (0, 2): {2: ONE},
+            (1, 2): {2: ONE},
+            (1, 3): {1: -ONE},
+            (2, 3): {0: -ONE},
+        },
+        validate=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "monomials, failure",
+    [
+        (None, "degree 1 entry (row A∧B∧C, column C) = -1"),
+        # a d-closed selection: the check runs on sub-DGAs too
+        (
+            [[()], [(0,)], [(2, 3)], [(0, 2, 3), (1, 2, 3)], [(0, 1, 2, 3)]],
+            "degree 1 entry (row A∧C∧D, column A) = -1",
+        ),
+    ],
+    ids=["full", "selection"],
+)
+def test_d_squared_failure_names_the_first_entry(monomials, failure):
+    with pytest.raises(PreconditionError) as info:
+        Dga(_non_jacobi4(), monomials)
+    assert str(info.value) == (
+        f"d o d != 0: {failure}; the structure constants violate the Jacobi identity"
+    )
 
 
 def test_pd_type_full_complexes():

@@ -6,6 +6,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from germkit import cli, fixtures
 from germkit.cli import main
@@ -322,8 +324,33 @@ def test_germ_file_reconstruction(tmp_path, capsys):
     assert residual
 
 
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.tuples(children, children),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(st.integers(), children),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_render_json_is_the_stdlib_indented_dump(data):
+    expected = json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert render_json(data) == expected
+
+
 def _first_phi_term(germ):
     return germ["phi"][0]["terms"][0]
+
+
+def _split_first_block(germ):
+    """Move half the degree-1 terms into a second degree-1 block."""
+    first = germ["phi"][0]
+    germ["phi"].insert(1, {"degree": 1, "terms": first["terms"][3:]})
+    del first["terms"][3:]
 
 
 @pytest.mark.parametrize(
@@ -337,10 +364,18 @@ def _first_phi_term(germ):
         # int() would read these as [0, 1, 1, 1, 0, 0], the record's true exponents.
         (lambda g: g["obstructions"]["polynomials"][0][0].update(exponents=[0, 1.5, 1.5, 1.5, 0, 0]), "polynomials[0]"),
         (lambda g: g["obstructions"]["polynomials"][0][0].update(exponents=[0, True, 1, 1, 0, 0]), "polynomials[0]"),
+        # Read as one block, the last would silently replace the first.
+        (_split_first_block, "phi[1]: degree: 1 repeats an earlier block"),
+        (lambda g: g["phi"][0].update(degree=0), "phi[0]: degree: 0 is below 1"),
+        (lambda g: g["phi"][1].update(degree=3), "phi[1].terms[0]: exponents: total 2 is not the degree 3"),
+        (lambda g: g["phi"][0]["terms"].append(_first_phi_term(g)), "phi[0].terms[6]: exponents: repeat an earlier term"),
+        (lambda g: _first_phi_term(g)["entries"].append(_first_phi_term(g)["entries"][0]),
+         "phi[0].terms[0].entries[1]: repeats an earlier (monomial_index, target)"),
     ],
     ids=[
         "no-base-algebra", "monomial-index-99", "short-exponents", "strategy-foo", "short-record",
-        "float-record-exponents", "bool-record-exponent",
+        "float-record-exponents", "bool-record-exponent", "split-degree-block", "degree-0",
+        "degree-not-exponent-total", "repeated-exponents", "repeated-entry",
     ],
 )
 def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):

@@ -93,7 +93,7 @@ def test_leibniz_rule_for_d():
     tdgla = TensorDgla(Dga(h3), sl2)
     a = {tdgla.flat(3, 0): ONE, tdgla.flat(1, 1): scalar(3)}  # degree 1
     b = {tdgla.flat(0, 2): ONE, tdgla.flat(3, 0): scalar(-2)}  # degree 1
-    d1, d2 = (sparse_columns(tdgla.dga.d[p], tdgla.dga.dim_at(p)) for p in (1, 2))
+    d1, d2 = tdgla.dga.columns[1], tdgla.dga.columns[2]
     lhs = tdgla.apply_matrix(d2, tdgla.bracket11(a, b))
     rhs = tdgla.bracket(2, tdgla.apply_matrix(d1, a), 1, b)
     minus = tdgla.bracket(1, a, 2, tdgla.apply_matrix(d1, b))
@@ -134,7 +134,6 @@ def test_recursion_identity():
     for base, target in (("h3", "sl2"), ("filiform4", "gl2"), ("h5", "h3")):
         series = _setup(base, target)
         dec = series.decomposition
-        from germkit.kuranishi import sparse_columns
 
         delta2 = sparse_columns(dec.delta[2], dec.dga.dim_at(2))
         for r in range(2, series.last_nonzero + 1):

@@ -60,6 +60,40 @@ def test_image_basis_spans_columns(m):
         assert la.in_row_space(reduced, pivots, col)
 
 
+@st.composite
+def column_sets(draw):
+    """(rows, sparse columns): random, unit, zero, repeated and summed columns."""
+    nrows = draw(st.integers(0, 5))
+    columns: list[list] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("random", "unit", "zero", "multiple", "sum")))
+        dense = [ZERO] * nrows
+        if kind == "random":
+            dense = draw(st.lists(st.one_of(st.just(ZERO), scalars_st), min_size=nrows, max_size=nrows))
+        elif kind == "unit" and nrows:
+            dense[draw(st.integers(0, nrows - 1))] = ONE
+        elif kind != "zero" and columns:
+            factor = draw(scalars_st)
+            picked = [draw(st.sampled_from(columns))]
+            if kind == "sum":
+                picked.append(draw(st.sampled_from(columns)))
+            for column in picked:
+                for r, x in column:
+                    dense[r] = dense[r] + factor * x
+        columns.append([(r, x) for r, x in enumerate(dense) if x])
+    return nrows, columns
+
+
+@given(column_sets())
+def test_sparse_rank_matches_dense_rank(case):
+    nrows, columns = case
+    rows = la.zeros(nrows, len(columns))
+    for c, column in enumerate(columns):
+        for r, x in column:
+            rows[r][c] = x
+    assert la.sparse_rank(columns) == la.rank(rows, len(columns))
+
+
 def test_inverse_of_identity_like():
     a = [
         [ONE, la.zeros(1, 1)[0][0], ONE],

@@ -12,7 +12,6 @@ from .cedga import (
     CharacterData,
     Cochain,
     Dga,
-    SubDga,
     TorsionComponent,
     bar_star,
     pd_type_check,

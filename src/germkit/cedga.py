@@ -17,7 +17,9 @@ d o d check and the Betti ranks work on these columns; dense rows of d_p
 in the degrees it needs.
 
 A monomial sub-DGA is a per-degree selection of monomials that contains the
-unit and is closed under both d and wedge.  Character data (exponent vectors
+unit and is closed under both d and wedge.  ``verify_subdga`` checks a
+selection against its parent once; the sub-DGA is then a ``Dga`` of its
+own on the selected monomials.  Character data (exponent vectors
 on a finitely generated abelian group, with optional torsion) selects the
 monomials whose exponent sums vanish, which is how invariant sub-DGAs of
 diagonalizable actions enter the pipeline.
@@ -389,30 +391,14 @@ def bar_star(dga: Dga, degree: int, coeffs: Vector) -> Vector:
 # -- monomial sub-DGAs -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubDga:
-    """A per-degree monomial selection inside a parent complex."""
-
-    parent: Dga
-    selected: tuple[tuple[Monomial, ...], ...]
-
-    def complex(self) -> Dga:
-        """The selection as a complex of its own (verified on construction)."""
-        return Dga(self.parent.algebra, [list(level) for level in self.selected])
-
-    def selected_set(self) -> set[Monomial]:
-        return {mono for level in self.selected for mono in level}
-
-    def degree_counts(self) -> list[int]:
-        return [len(level) for level in self.selected]
-
-
-def verify_subdga(sub: SubDga) -> str | None:
-    """None if the selection is a genuine sub-DGA, else the violation."""
-    chosen = sub.selected_set()
+def verify_subdga(
+    parent: Dga, selected: Sequence[Sequence[Monomial]]
+) -> str | None:
+    """None if the per-degree selection is a genuine sub-DGA of ``parent``,
+    else the violation."""
+    chosen = {mono for level in selected for mono in level}
     if () not in chosen:
         return "selection does not contain the degree-0 unit"
-    parent = sub.parent
     for mono in sorted(chosen):
         for target, coeff in parent._diff_monomial(mono).items():
             if coeff and target not in chosen:
@@ -476,8 +462,8 @@ class CharacterData:
         return True
 
 
-def subdga_from_characters(dga: Dga, characters: CharacterData) -> SubDga:
-    """Select the character-invariant monomials of ``dga``.
+def subdga_from_characters(dga: Dga, characters: CharacterData) -> Dga:
+    """The complex on the character-invariant monomials of ``dga``.
 
     Raises PreconditionError when the exponent data is incompatible with the
     differential or the product (the selection would not be a sub-DGA).
@@ -487,14 +473,13 @@ def subdga_from_characters(dga: Dga, characters: CharacterData) -> SubDga:
             f"need one exponent vector per basis index "
             f"({dga.algebra.dim}), got {len(characters.exponents)}"
         )
-    selected = tuple(
-        tuple(mono for mono in level if characters.selects(mono))
+    selected = [
+        [mono for mono in level if characters.selects(mono)]
         for level in dga.monomials
-    )
-    sub = SubDga(dga, selected)
-    violation = verify_subdga(sub)
+    ]
+    violation = verify_subdga(dga, selected)
     if violation is not None:
         raise PreconditionError(
             f"character data does not define a sub-DGA: {violation}"
         )
-    return sub
+    return Dga(dga.algebra, selected)

@@ -19,7 +19,7 @@ from . import fixtures
 from .cedga import (
     CharacterData,
     Dga,
-    SubDga,
+    Monomial,
     pd_type_check,
     subdga_from_characters,
     verify_subdga,
@@ -389,7 +389,7 @@ def cmd_decompose(args) -> dict:
     return report
 
 
-def _load_selection(path: str, dga: Dga) -> SubDga | CharacterData:
+def _load_selection(path: str, dga: Dga) -> list[list[Monomial]] | CharacterData:
     """A selection file: explicit monomials, character data, or a bare
     character object."""
     spec = load_json_file(path)
@@ -409,38 +409,37 @@ def _selection_from_args(args, parsed: ParsedAlgebra, dga: Dga):
     )
 
 
-def _subdga(spec: SubDga | CharacterData, dga: Dga) -> SubDga:
-    """The sub-DGA a selection names; character selections verify themselves."""
+def _subdga(spec: list[list[Monomial]] | CharacterData, dga: Dga) -> Dga:
+    """The complex on the monomials a selection names, verified once."""
     if isinstance(spec, CharacterData):
         return subdga_from_characters(dga, spec)
-    violation = verify_subdga(spec)
+    violation = verify_subdga(dga, spec)
     if violation is not None:
         raise PreconditionError(f"selection is not a sub-DGA: {violation}")
-    return spec
+    return Dga(dga.algebra, spec)
 
 
 def cmd_subdga(args) -> dict:
     parsed = load_algebra_file(args.file)
     dga = Dga(parsed.algebra)
     sub = _subdga(_selection_from_args(args, parsed, dga), dga)
-    restricted = sub.complex()
-    pd = pd_type_check(restricted)
+    pd = pd_type_check(sub)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "subdga",
         "name": parsed.name,
         "input_digest": parsed.digest,
         "selected_monomials": subdga_to_monomial_lists(sub),
-        "degree_counts": sub.degree_counts(),
+        "degree_counts": sub.dims(),
         "verification": "pass",
         "pd_type": "pass" if pd is None else pd,
     }
     labels = [
-        dga.monomial_label(mono) for level in sub.selected for mono in level
+        dga.monomial_label(mono) for level in sub.monomials for mono in level
     ]
     report["text"] = [
         f"selection in the complex of {parsed.name}: "
-        f"{sum(sub.degree_counts())} monomials, degree counts {sub.degree_counts()}",
+        f"{sum(sub.dims())} monomials, degree counts {sub.dims()}",
         "selected: " + ", ".join(labels),
         "closed under d and wedge: pass",
         f"duality-type check: {report['pd_type']}",
@@ -506,18 +505,17 @@ def _run_germ(
 
 
 def _subdga_germ(
-    args, base: dict, sub: SubDga, target: tuple[dict, LieAlgebra]
+    args, base: dict, sub: Dga, ambient: Dga, target: tuple[dict, LieAlgebra]
 ) -> tuple[dict, dict]:
-    """The selection's own germ, after checking that its inclusion into the
+    """The sub-DGA's own germ, after checking that its inclusion into the
     ambient complex preserves flatness residuals on rational samples."""
-    sub_complex = sub.complex()
     germ, summary = _run_germ(
-        args, base, sub_complex, target, None, subdga_to_monomial_lists(sub)
+        args, base, sub, target, None, subdga_to_monomial_lists(sub)
     )
     samples = random_rational_samples(
-        EMBEDDING_SAMPLES, sub_complex.dim_at(1) * target[1].dim
+        EMBEDDING_SAMPLES, sub.dim_at(1) * target[1].dim
     )
-    witness = linear_embedding_check(sub, target[1], samples)
+    witness = linear_embedding_check(sub, ambient, target[1], samples)
     if witness is not None:
         raise InternalCheckError(
             f"inclusion does not preserve residuals on sample {witness[0]}: "
@@ -542,7 +540,7 @@ def cmd_kuranishi(args) -> dict:
     if args.subdga is not None:
         spec = _load_selection(args.subdga, full)
         grading_how = "none (sub-DGA run)"
-        germ, summary = _subdga_germ(args, base, _subdga(spec, full), target)
+        germ, summary = _subdga_germ(args, base, _subdga(spec, full), full, target)
     else:
         grading, grading_how = obtain_grading(parsed.grading, parsed.algebra)
         germ, summary = _run_germ(args, base, full, target, grading)
@@ -717,19 +715,19 @@ def cmd_pipeline(args) -> dict:
 
     if parsed.characters is not None:
         sub = _subdga(parsed.characters, dga)
-        _, sub_sum = _subdga_germ(args, base, sub, target)
+        _, sub_sum = _subdga_germ(args, base, sub, dga, target)
         kept = ("betti", "variables", "terminated", "max_degree", "smooth")
         stages.append(
             {
                 "stage": "character_subdga",
-                "degree_counts": sub.degree_counts(),
+                "degree_counts": sub.dims(),
                 **{key: sub_sum[key] for key in kept},
                 "embedding_samples": EMBEDDING_SAMPLES,
                 "embedding_agree": True,
             }
         )
         text.append(
-            f"[sub-dga] degree counts {sub.degree_counts()}, betti "
+            f"[sub-dga] degree counts {sub.dims()}, betti "
             f"{sub_sum['betti']}, variables={sub_sum['variables']}, "
             + ("smooth germ" if sub_sum["smooth"] else
                f"max degree {sub_sum['max_degree']}")

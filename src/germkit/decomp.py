@@ -107,9 +107,6 @@ class Decomposition:
     def harmonic_coords(self, p: int) -> Matrix:
         return self.splits[p].harmonic_coords
 
-    def proj_harmonic(self, p: int) -> Matrix:
-        return self.splits[p].proj_harmonic
-
     def proj_exact(self, p: int) -> Matrix:
         return self.splits[p].proj_exact
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .cedga import CharacterData, Dga, Monomial, SubDga, TorsionComponent
+from .cedga import CharacterData, Dga, Monomial, TorsionComponent, verify_subdga
 from .decomp import GERM_TOP, STRATEGIES, Decomposition, split_complex
 from .errors import ParseError
 from .kuranishi import (
@@ -384,8 +384,13 @@ def characters_to_dict(characters: CharacterData) -> dict:
 
 def parse_subdga_spec(
     data: dict, dga: Dga, source: str = "<subdga>"
-) -> "SubDga | CharacterData":
-    """A selection file holds either explicit monomials or character data."""
+) -> list[list[Monomial]] | CharacterData:
+    """A selection file holds either explicit monomials or character data.
+
+    Monomials come back as per-degree lists of 0-based index tuples, sorted,
+    with the unit added; they are not yet checked to form a sub-DGA
+    (``verify_subdga`` does that).  Character data comes back as is.
+    """
     if "characters" in data:
         return parse_characters(
             data["characters"], dga.algebra.dim, f"{source}: characters"
@@ -421,16 +426,12 @@ def parse_subdga_spec(
             raise ParseError(f"{where}: repeated index")
         levels[len(mono)].add(mono)
     levels[0].add(())
-    return SubDga(dga, tuple(tuple(sorted(level)) for level in levels))
+    return [sorted(level) for level in levels]
 
 
-def subdga_to_monomial_lists(sub: SubDga) -> list[list[int]]:
+def subdga_to_monomial_lists(sub: Dga) -> list[list[int]]:
     """1-based index lists, by degree then lexicographic order."""
-    out = []
-    for level in sub.selected:
-        for mono in level:
-            out.append([i + 1 for i in mono])
-    return out
+    return [[i + 1 for i in mono] for level in sub.monomials for mono in level]
 
 
 # -- germ files -----------------------------------------------------------------------
@@ -518,9 +519,6 @@ def germ_to_dict(
 class GermData:
     """A germ file rebuilt far enough to evaluate points exactly."""
 
-    base: ParsedAlgebra
-    target: ParsedAlgebra
-    complex: Dga
     decomposition: Decomposition
     tdgla: TensorDgla
     variables: tuple[str, ...]
@@ -530,7 +528,10 @@ class GermData:
     terminated: bool
 
 
-_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+_KINDS = {
+    dict: "an object", list: "a list", int: "an integer", str: "a string",
+    bool: "a boolean",
+}
 
 
 def _field(data: Any, key: str, kind: type, where: str) -> Any:
@@ -557,15 +558,16 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     target = parse_algebra_dict(
         _field(data, "target_algebra", dict, source), f"{source}: target_algebra"
     )
-    full = Dga(base.algebra)
+    complex_ = Dga(base.algebra)
     if data.get("subdga_monomials") is not None:
-        sub = parse_subdga_spec(
-            {"monomials": data["subdga_monomials"]}, full, f"{source}: subdga"
+        where = f"{source}: subdga_monomials"
+        selected = parse_subdga_spec(
+            {"monomials": data["subdga_monomials"]}, complex_, where
         )
-        assert isinstance(sub, SubDga)
-        complex_ = sub.complex()
-    else:
-        complex_ = full
+        violation = verify_subdga(complex_, selected)
+        if violation is not None:
+            raise ParseError(f"{where}: {violation}")
+        complex_ = Dga(base.algebra, selected)
     grading = None
     if data.get("grading") is not None:
         grading = _parse_grading(
@@ -575,6 +577,8 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     variables = tuple(_field(data, "variables", list, source))
     if not all(isinstance(name, str) for name in variables):
         raise ParseError(f"{source}: variables: expected a list of names")
+    if len(set(variables)) != len(variables):
+        raise ParseError(f"{source}: variables: names must be distinct")
     labels = target.algebra.labels
     dim1 = complex_.dim_at(1)
     blocks: dict[int, dict] = {}
@@ -634,10 +638,8 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     coordinates = tuple(_field(obstructions, "coordinates", list, where))
     if len(coordinates) != len(polys):
         raise ParseError(f"{where}: coordinates: need one label per polynomial")
+    terminated = _field(data, "terminated", bool, source)
     return GermData(
-        base=base,
-        target=target,
-        complex=complex_,
         decomposition=split_complex(
             complex_, strategy=strategy, grading=grading, top=GERM_TOP
         ),
@@ -646,7 +648,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         phi=phi,
         polynomials=tuple(polys),
         coordinates=coordinates,
-        terminated=bool(data.get("terminated", False)),
+        terminated=terminated,
     )
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 from sys import byteorder
 
-from .cedga import Dga, SubDga, wedge_monomials
+from .cedga import Dga, wedge_monomials
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
@@ -644,19 +644,20 @@ def mc_spot_check(
 
 
 def linear_embedding_check(
-    sub: SubDga,
+    sub: Dga,
+    ambient: Dga,
     target: LieAlgebra,
     samples: list[list[Scalar]],
 ) -> tuple[int, str] | None:
-    """Compare flatness residuals computed in the selection and the ambient.
+    """Compare flatness residuals computed in a sub-DGA and the ambient.
 
-    Each sample lists coordinates over the selection's degree-one basis
+    ``sub`` is a complex on monomials of ``ambient`` (a verified selection,
+    as ``subdga_from_characters`` returns); both are built by the caller.
+    Each sample lists coordinates over the sub-DGA's degree-one basis
     (monomial-major, target-minor).  Returns None when the inclusion
     commutes with the residual on every sample, else (sample index, detail).
     """
-    sub_complex = sub.complex()
-    ambient = sub.parent
-    sub_dgla = TensorDgla(sub_complex, target)
+    sub_dgla = TensorDgla(sub, target)
     amb_dgla = TensorDgla(ambient, target)
     ta = target.dim
 
@@ -664,7 +665,7 @@ def linear_embedding_check(
         out: SparseVec = {}
         for idx, c in v.items():
             mono_idx, a = divmod(idx, ta)
-            mono = sub_complex.monomials[p][mono_idx]
+            mono = sub.monomials[p][mono_idx]
             amb_idx = ambient.position[mono][1]
             out[amb_idx * ta + a] = c
         return out

@@ -263,9 +263,9 @@ def test_criterion_7_linear_embedding():
     dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
     target = fixtures.sl2()
-    dim1 = sub.complex().dim_at(1) * target.dim
+    dim1 = sub.dim_at(1) * target.dim
     samples = random_rational_samples(100, dim1, seed=20240810)
-    witness = linear_embedding_check(sub, target, samples)
+    witness = linear_embedding_check(sub, dga, target, samples)
     report(
         7,
         witness is None,
@@ -293,7 +293,7 @@ def test_criterion_8_pd_gate():
     total = [sum(v[c] for v in chars.exponents) for c in range(chars.rank)]
     ok = ok and all(t == 0 for t in total)
     sub = subdga_from_characters(dga, chars)
-    ok = ok and pd_type_check(sub.complex()) is None
+    ok = ok and pd_type_check(sub) is None
     report(
         8,
         ok,

@@ -18,7 +18,6 @@ from germkit.cedga import (
     CharacterData,
     Cochain,
     Dga,
-    SubDga,
     TorsionComponent,
     bar_star,
     pd_type_check,
@@ -262,7 +261,7 @@ def test_subdga_selection_from_characters():
     dga = Dga(fixtures.q_plus_heisenberg3())
     chars = fixtures.solvable_heisenberg_characters()
     sub = subdga_from_characters(dga, chars)
-    got = [tuple(i + 1 for i in m) for level in sub.selected for m in level]
+    got = [tuple(i + 1 for i in m) for level in sub.monomials for m in level]
     assert got == [
         (),
         (1,),
@@ -273,22 +272,22 @@ def test_subdga_selection_from_characters():
         (2, 3, 4),
         (1, 2, 3, 4),
     ]
-    assert verify_subdga(sub) is None
-    assert pd_type_check(sub.complex()) is None
+    assert verify_subdga(dga, sub.monomials) is None
+    assert pd_type_check(sub) is None
 
 
 def test_all_zero_exponents_select_everything():
     dga = Dga(fixtures.heisenberg3())
     chars = CharacterData(rank=1, exponents=((0,), (0,), (0,)))
     sub = subdga_from_characters(dga, chars)
-    assert sub.degree_counts() == [1, 3, 3, 1]
+    assert sub.dims() == [1, 3, 3, 1]
 
 
 def test_two_generator_zero_sum_selection():
     dga = Dga(fixtures.abelian(2))
     chars = CharacterData(rank=1, exponents=((1,), (-1,)))
     sub = subdga_from_characters(dga, chars)
-    got = [tuple(i + 1 for i in m) for level in sub.selected for m in level]
+    got = [tuple(i + 1 for i in m) for level in sub.monomials for m in level]
     assert got == [(), (1, 2)]
 
 
@@ -300,7 +299,7 @@ def test_torsion_components():
         torsion=(TorsionComponent(2, (1, 1, 0)),),
     )
     sub = subdga_from_characters(dga, chars)
-    got = [tuple(i + 1 for i in m) for level in sub.selected for m in level]
+    got = [tuple(i + 1 for i in m) for level in sub.monomials for m in level]
     assert got == [(), (3,), (1, 2), (1, 2, 3)]
 
 
@@ -320,7 +319,7 @@ def test_unimodular_duality_of_selections():
     total = [sum(v[c] for v in chars.exponents) for c in range(chars.rank)]
     assert all(t == 0 for t in total)
     sub = subdga_from_characters(dga, chars)
-    chosen = sub.selected_set()
+    chosen = set(sub.position)
     everything = tuple(range(4))
     for mono in chosen:
         complement = tuple(i for i in everything if i not in mono)
@@ -330,14 +329,14 @@ def test_unimodular_duality_of_selections():
 def test_verify_subdga_violations():
     dga = Dga(fixtures.heisenberg3())
     # closed: 1, x, y in degrees 0..1 and x^y in degree 2
-    good = SubDga(dga, (((),), ((0,), (1,)), ((0, 1),), ()))
-    assert verify_subdga(good) is None
+    good = (((),), ((0,), (1,)), ((0, 1),), ())
+    assert verify_subdga(dga, good) is None
     # selecting z without x^y breaks d-closure
-    bad = SubDga(dga, (((),), ((2,),), (), ()))
-    message = verify_subdga(bad)
+    bad = (((),), ((2,),), (), ())
+    message = verify_subdga(dga, bad)
     assert message is not None and "X∧Y" in message
     # missing unit
-    assert verify_subdga(SubDga(dga, ((), ((0,),), (), ()))) is not None
+    assert verify_subdga(dga, ((), ((0,),), (), ())) is not None
 
 
 def test_wedge_monomial_signs():

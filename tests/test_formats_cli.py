@@ -371,11 +371,18 @@ def _split_first_block(germ):
         (lambda g: g["phi"][0]["terms"].append(_first_phi_term(g)), "phi[0].terms[6]: exponents: repeat an earlier term"),
         (lambda g: _first_phi_term(g)["entries"].append(_first_phi_term(g)["entries"][0]),
          "phi[0].terms[0].entries[1]: repeats an earlier (monomial_index, target)"),
+        # Z without X∧Y: the selection is not closed under d.
+        (lambda g: g.update(subdga_monomials=[[3]]), "subdga_monomials: not closed under d"),
+        (lambda g: g.update(terminated="false"), "terminated: missing or not a boolean"),
+        (lambda g: g.pop("terminated"), "terminated: missing or not a boolean"),
+        (lambda g: g.update(variables=["t1"] * len(g["variables"])), "variables: names must be distinct"),
     ],
     ids=[
         "no-base-algebra", "monomial-index-99", "short-exponents", "strategy-foo", "short-record",
         "float-record-exponents", "bool-record-exponent", "split-degree-block", "degree-0",
         "degree-not-exponent-total", "repeated-exponents", "repeated-entry",
+        "subdga-not-closed", "terminated-string", "terminated-missing",
+        "repeated-variables",
     ],
 )
 def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):
@@ -407,6 +414,31 @@ def test_pipeline_command_and_determinism(capsys):
     assert stages["character_subdga"]["smooth"] is True
     assert stages["character_subdga"]["embedding_agree"] is True
     assert report["germ"]["obstructions"]["max_degree"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", str(FIXTURES / "solv_heisenberg.json"), "--target", "sl2"],
+        ["kuranishi", str(FIXTURES / "q_plus_h3.json"),
+         "--subdga", str(FIXTURES / "diag_weight_characters.json"), "--target", "sl2"],
+    ],
+    ids=["pipeline-characters", "kuranishi-subdga"],
+)
+def test_selected_complex_is_built_once(monkeypatch, capsys, argv):
+    # One Dga for the full complex and one for the selection; the germ and
+    # the embedding check share the latter.
+    built = []
+    init = cli.Dga.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Dga, "__init__", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(built) == 2
 
 
 def test_pipeline_text_output(capsys):

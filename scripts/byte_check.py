@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Hash the ``kuranishi`` and ``pipeline`` JSON output over a fixed matrix.
+"""Hash the ``kuranishi``, ``pipeline`` and ``mc-check`` JSON output over a
+fixed matrix.
 
 The matrix runs ``germkit.cli.main`` in-process, ``--json`` to stdout, on:
 
@@ -10,7 +11,10 @@ The matrix runs ``germkit.cli.main`` in-process, ``--json`` to stdout, on:
 - the targets sl2, gl:2 and gl:3;
 - the options: default, ``--strategy pivot`` and ``--cap 3``.
 
-That is 360 runs.  Each run's exit code, stdout and stderr are hashed, with
+That is 360 runs.  Every germ a ``kuranishi`` run with target sl2 or gl:2
+prints is then read back by ``mc-check`` at three points (see
+``mc_points``): an axis point, a generic rational point and a Gaussian
+point.  Each run's exit code, stdout and stderr are hashed, with
 the input directories replaced by fixed tokens, as tests/test_golden_cli.py
 does.  The script prints the run count, the exit-code counts and one sha256
 over the per-run hashes.  A change that must keep every output byte prints
@@ -41,6 +45,9 @@ from germkit import cli
 COMMANDS = ("kuranishi", "pipeline")
 TARGETS = ("sl2", "gl:2", "gl:3")
 OPTIONS = ((), ("--strategy", "pivot"), ("--cap", "3"))
+# Germs read back by mc-check (gl:3 germs are the slowest to write and add
+# no parse or evaluation path of their own).
+MC_TARGETS = ("sl2", "gl:2")
 
 
 def _load_inputs():
@@ -69,19 +76,35 @@ def generated() -> dict[str, dict]:
     return out
 
 
-def run(argv: list[str], tokens: dict[str, str]) -> tuple[int, str]:
-    """(exit code, sha256 of exit code, stdout and stderr) of one run."""
+def mc_points(variables: list[str]) -> list[str]:
+    """The axis, generic rational and Gaussian ``--point`` of a germ: the
+    last variable alone; every variable, with varied signs and
+    denominators; every variable complex, some real or imaginary only."""
+    if not variables:
+        return [""] * 3
+    axis = f"{variables[-1]}=-3/2"
+    generic = ",".join(
+        f"{v}={(-1) ** k * (k % 4 + 1)}/{k % 3 + 2}" for k, v in enumerate(variables)
+    )
+    values = ("1/2+i", "-2-1/3*i", "2*i", "3", "-1/4+3/2*i")
+    gaussian = ",".join(f"{v}={values[k % 5]}" for k, v in enumerate(variables))
+    return [axis, generic, gaussian]
+
+
+def run(argv: list[str], tokens: dict[str, str]) -> tuple[int, str, str]:
+    """(exit code, sha256 of exit code, stdout and stderr, stdout) of one run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    texts = [out.getvalue(), err.getvalue()]
+    stdout = out.getvalue()
+    texts = [stdout, err.getvalue()]
     for path, token in tokens.items():
         texts = [t.replace(path, token) for t in texts]
     blob = json.dumps([code, *texts], ensure_ascii=False).encode("utf-8")
-    return code, hashlib.sha256(blob).hexdigest()
+    return code, hashlib.sha256(blob).hexdigest(), stdout
 
 
 def main() -> None:
@@ -89,6 +112,8 @@ def main() -> None:
         gen_dir = pathlib.Path(tmp)
         for stem, data in generated().items():
             (gen_dir / f"{stem}.json").write_text(json.dumps(data), encoding="utf-8")
+        germ_path = gen_dir / "germ" / "germ.json"
+        germ_path.parent.mkdir()
         tokens = {str(gen_dir): "<generated>", str(FIXTURES): "<fixtures>"}
         files = sorted(FIXTURES.glob("*.json")) + sorted(gen_dir.glob("*.json"))
         codes: collections.Counter[int] = collections.Counter()
@@ -98,9 +123,17 @@ def main() -> None:
                 for target in TARGETS:
                     for options in OPTIONS:
                         argv = [command, str(path), "--target", target, *options, "--json"]
-                        code, digest = run(argv, tokens)
+                        code, digest, stdout = run(argv, tokens)
                         codes[code] += 1
                         total.update(digest.encode("ascii"))
+                        if command != "kuranishi" or target not in MC_TARGETS or code:
+                            continue
+                        germ_path.write_text(stdout, encoding="utf-8")
+                        for point in mc_points(json.loads(stdout)["variables"]):
+                            argv = ["mc-check", str(germ_path), "--point", point, "--json"]
+                            code, digest, _ = run(argv, tokens)
+                            codes[code] += 1
+                            total.update(digest.encode("ascii"))
     counts = ", ".join(f"{code}: {n}" for code, n in sorted(codes.items()))
     print(f"runs {sum(codes.values())}; exit codes {{{counts}}}; sha256 {total.hexdigest()}")
 

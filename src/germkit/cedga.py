@@ -406,15 +406,16 @@ def verify_subdga(
                     f"not closed under d: d({parent.monomial_label(mono)}) "
                     f"has a component on {parent.monomial_label(target)}"
                 )
-    ordered = sorted(chosen)
-    for left in ordered:
-        for right in ordered:
-            merged = wedge_monomials(left, right)
-            if merged is not None and merged[1] not in chosen:
-                return (
-                    f"not closed under wedge: {parent.monomial_label(left)} "
-                    f"wedge {parent.monomial_label(right)} leaves the selection"
-                )
+    # Wedge closure is symmetric, and a monomial wedged with itself is zero
+    # or the unit, so unordered pairs suffice; the first violation in
+    # lexicographic order has left < right.
+    for left, right in itertools.combinations(sorted(chosen), 2):
+        merged = wedge_monomials(left, right)
+        if merged is not None and merged[1] not in chosen:
+            return (
+                f"not closed under wedge: {parent.monomial_label(left)} "
+                f"wedge {parent.monomial_label(right)} leaves the selection"
+            )
     return None
 
 

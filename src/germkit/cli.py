@@ -48,7 +48,6 @@ from .formats import (
 )
 from .kuranishi import (
     SpotCheckResult,
-    delta_cols,
     gauge_identity_check,
     kuranishi_series,
     linear_embedding_check,
@@ -65,6 +64,7 @@ from .liealg import (
     lower_central_series,
     verify_natural_grading,
 )
+from .multipoly import PointPowers
 from .nilshadow import SolvableInput, nilshadow
 
 EMBEDDING_SAMPLES = 20
@@ -581,11 +581,12 @@ def cmd_kuranishi(args) -> dict:
 def cmd_mc_check(args) -> dict:
     germ = germ_from_dict(load_json_file(args.germ), args.germ)
     point = parse_point(args.point, germ.variables)
-    omega = germ.phi.eval(point)
+    at = PointPowers(point)
+    omega = germ.phi.eval(at)
     check = SpotCheckResult(
-        [poly.eval(point) for poly in germ.polynomials],
+        [poly.eval(at) for poly in germ.polynomials],
         mc_residual(germ.tdgla, omega),
-        germ.tdgla.apply_matrix(delta_cols(germ.decomposition, 1), omega),
+        germ.tdgla.apply_matrix(germ.decomposition.delta_cols(1), omega),
     )
     values = check.obstruction_values
     report = {

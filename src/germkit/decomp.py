@@ -22,7 +22,9 @@ produces weight-homogeneous bases automatically and verifies that it did.
 The splitting of degree p reads d only on degrees p - 1 and p, so a split
 truncated at ``top`` gives the same data in degrees 0..top as the full one.
 The germ needs H^1, H^2 and delta on degree 2 (Goldman-Millson), which is
-why the germ path splits only up to GERM_TOP.
+why the germ path splits only up to GERM_TOP.  Reading a germ file back,
+mc-check needs only delta on degree 1, so it splits up to READBACK_TOP
+and only its grading check reads d in degree 2.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import linalg
 from .cedga import Dga, Monomial
 from .errors import InternalCheckError, PreconditionError
 from .liealg import Grading, basis_aligned_weights, verify_natural_grading
-from .linalg import Matrix, Vector
+from .linalg import Matrix, SparseColumns, Vector
 from .scalars import ONE, Scalar, ZERO
 
 Strategy = str  # "metric" | "pivot"
@@ -42,6 +44,9 @@ STRATEGIES = ("metric", "pivot")
 # Highest degree the germ path splits: the series and its obstructions read
 # only H^1, H^2 and delta on degrees 1 and 2.
 GERM_TOP = 2
+# Highest degree a germ file read back is split to: mc-check reads only the
+# gauge condition delta(phi) = 0 on degree 1.
+READBACK_TOP = 1
 
 
 def hermitian(u: Vector, v: Vector) -> Scalar:
@@ -78,7 +83,9 @@ class DegreeSplit:
 class Decomposition:
     """Splitting of degrees 0..top plus the homotopy operator delta there."""
 
-    __slots__ = ("dga", "strategy", "grading", "weights", "splits", "delta", "dstar")
+    __slots__ = (
+        "dga", "strategy", "grading", "weights", "splits", "delta", "dstar", "_delta_cols"
+    )
 
     def __init__(
         self,
@@ -97,6 +104,7 @@ class Decomposition:
         self.splits = splits
         self.delta = delta
         self.dstar = dstar
+        self._delta_cols: dict[int, SparseColumns] = {}
 
     def betti(self) -> list[int]:
         return [len(split.harmonic) for split in self.splits]
@@ -109,6 +117,18 @@ class Decomposition:
 
     def proj_exact(self, p: int) -> Matrix:
         return self.splits[p].proj_exact
+
+    def delta_cols(self, p: int) -> SparseColumns:
+        """Sparse columns of delta: C^p -> C^(p-1), converted on the first
+        read and shared by every later one; none above the top degree."""
+        if p >= len(self.delta):
+            return []
+        cols = self._delta_cols.get(p)
+        if cols is None:
+            cols = self._delta_cols[p] = linalg.sparse_columns(
+                self.delta[p], self.dga.dim_at(p)
+            )
+        return cols
 
     def apply_delta(self, p: int, v: Vector) -> Vector:
         return linalg.mat_vec(self.delta[p], v)
@@ -147,15 +167,7 @@ def split_complex(
     n = len(dims) - 1
     last = n if top is None else min(top, n)
 
-    weights = None
-    if grading is not None:
-        weights = basis_aligned_weights(grading)
-        if weights is None or len(weights) != dga.algebra.dim:
-            raise PreconditionError(
-                "grading layers must be spanned by input basis vectors to "
-                "drive the weight machinery"
-            )
-        _check_weight_homogeneous_differential(dga, weights, last)
+    weights = None if grading is None else graded_weights(dga, grading, last)
 
     dstar: list[Matrix] | None = None
     if strategy == "metric":
@@ -259,14 +271,20 @@ def _build_delta(
     return delta
 
 
-def _check_weight_homogeneous_differential(
-    dga: Dga, weights: list[int], last: int
-) -> None:
-    """Check d on degrees 0..last, the part a split of degrees <= last reads.
+def graded_weights(dga: Dga, grading: Grading, last: int) -> list[int]:
+    """The basis weights of ``grading``, after checking that d preserves
+    them on degrees 0..last, the part a split of degrees <= last reads.
 
     On a full complex d is the derivation extending its degree-one values,
-    so a violation anywhere already shows in degree one.
+    so a violation anywhere already shows in degree one; on a selection of
+    monomials it may first show in a higher degree.
     """
+    weights = basis_aligned_weights(grading)
+    if weights is None or len(weights) != dga.algebra.dim:
+        raise PreconditionError(
+            "grading layers must be spanned by input basis vectors to "
+            "drive the weight machinery"
+        )
     for p in range(min(last + 1, len(dga.columns) - 1)):
         for mono, column in zip(dga.monomials[p], dga.columns[p]):
             w = monomial_weight(weights, mono)
@@ -281,6 +299,7 @@ def _check_weight_homogeneous_differential(
                         f"weight {tw}; the grading does not send each "
                         "dual layer into the matching degree-2 weight space"
                     )
+    return weights
 
 
 def _vector_weights(dga: Dga, weights: list[int], p: int, v: Vector) -> set[int]:

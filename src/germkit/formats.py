@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from .cedga import CharacterData, Dga, Monomial, TorsionComponent, verify_subdga
-from .decomp import GERM_TOP, STRATEGIES, Decomposition, split_complex
+from .decomp import (
+    GERM_TOP,
+    READBACK_TOP,
+    STRATEGIES,
+    Decomposition,
+    graded_weights,
+    split_complex,
+)
 from .errors import ParseError
 from .kuranishi import (
     KuranishiSeries,
@@ -22,7 +29,7 @@ from .kuranishi import (
     TensorDgla,
 )
 from .liealg import Grading, LieAlgebra, Subspace
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, is_exponent_list
 from .scalars import Scalar, parse_scalar, scalar
 
 SCHEMA_VERSION = 1
@@ -592,14 +599,13 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         terms = blocks[r] = {}
         for t, term in enumerate(_field(block, "terms", list, where)):
             tw = f"{where}.terms[{t}]"
-            exps = tuple(_field(term, "exponents", list, tw))
-            if len(exps) != len(variables) or not all(
-                type(e) is int and e >= 0 for e in exps
-            ):
+            exps = _field(term, "exponents", list, tw)
+            if not is_exponent_list(exps, len(variables)):
                 raise ParseError(
                     f"{tw}: exponents: expected {len(variables)} "
                     "nonnegative integers, one per variable"
                 )
+            exps = tuple(exps)
             if sum(exps) != r:
                 raise ParseError(f"{tw}: exponents: total {sum(exps)} is not the degree {r}")
             if exps in terms:
@@ -639,9 +645,13 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     if len(coordinates) != len(polys):
         raise ParseError(f"{where}: coordinates: need one label per polynomial")
     terminated = _field(data, "terminated", bool, source)
+    if grading is not None:
+        # The split below reads d only on degrees <= READBACK_TOP; the
+        # grading is checked on every degree the germ was built from.
+        graded_weights(complex_, grading, GERM_TOP)
     return GermData(
         decomposition=split_complex(
-            complex_, strategy=strategy, grading=grading, top=GERM_TOP
+            complex_, strategy=strategy, grading=grading, top=READBACK_TOP
         ),
         tdgla=tdgla,
         variables=variables,

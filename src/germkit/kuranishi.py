@@ -47,8 +47,8 @@ from .cedga import Dga, wedge_monomials
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
-from .linalg import Matrix, SparseColumns
-from .multipoly import ExponentVector, MultiPoly
+from .linalg import SparseColumns, sparse_columns
+from .multipoly import ExponentVector, MultiPoly, PointPowers, prepared
 from .scalars import ONE, Scalar, ZERO, from_ints, scalar
 
 SparseVec = dict[int, Scalar]
@@ -185,20 +185,6 @@ class TensorDgla:
         return out
 
 
-def sparse_columns(matrix: Matrix, ncols: int) -> SparseColumns:
-    return [
-        [(i, matrix[i][j]) for i in range(len(matrix)) if matrix[i][j]]
-        for j in range(ncols)
-    ]
-
-
-def delta_cols(dec: Decomposition, p: int) -> SparseColumns:
-    """Sparse columns of delta: C^p -> C^(p-1); none above the top degree."""
-    if p >= len(dec.delta):
-        return []
-    return sparse_columns(dec.delta[p], dec.dga.dim_at(p))
-
-
 def mc_residual(tdgla: TensorDgla, omega: SparseVec) -> SparseVec:
     """d(omega) + (1/2)[omega, omega] for a degree-one element."""
     out = tdgla.apply_matrix(tdgla.dga.columns[1], omega)
@@ -224,20 +210,16 @@ class PolyCochain:
     degree: int
     slices: dict[int, Slice] = field(default_factory=dict)
 
-    def eval(self, point: list[Scalar]) -> SparseVec:
-        if len(point) != len(self.variables):
-            raise ValueError(
-                f"point has {len(point)} coordinates for "
-                f"{len(self.variables)} variables"
-            )
+    def eval(self, point: "list[Scalar] | PointPowers") -> SparseVec:
+        """Exact substitution at one Scalar per variable, or at a
+        PointPowers shared with the obstruction polynomials."""
+        monomial = prepared(point, len(self.variables)).monomial
         out: SparseVec = {}
         for terms in self.slices.values():
             for exps, vec in terms.items():
-                factor = ONE
-                for value, e in zip(point, exps):
-                    if e:
-                        factor = factor * value**e
-                vec_add_into(out, vec, factor)
+                factor = monomial(exps)
+                if factor is not None:
+                    vec_add_into(out, vec, factor)
         return out
 
 
@@ -436,7 +418,7 @@ def kuranishi_series(
         slices[1] = phi1
 
     # phi_r = -(1/2) delta [phi, phi]_r, with -1/2 folded into the columns.
-    delta2_cols = [[(i, -HALF * c) for i, c in col] for col in delta_cols(dec, 2)]
+    delta2_cols = [[(i, -HALF * c) for i, c in col] for col in dec.delta_cols(2)]
 
     rho = 1
     terminated = m == 0  # an empty series is trivially finite
@@ -581,11 +563,11 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
     dec = series.decomposition
     tdgla = series.tdgla
     slices = series.slices
-    delta1_cols = delta_cols(dec, 1)
+    delta1_cols = dec.delta_cols(1)
     for terms in slices.values():
         if any(tdgla.apply_matrix(delta1_cols, v) for v in terms.values()):
             return "delta(phi) is not identically zero"
-    half_delta2 = [[(i, HALF * c) for i, c in col] for col in delta_cols(dec, 2)]
+    half_delta2 = [[(i, HALF * c) for i, c in col] for col in dec.delta_cols(2)]
     for r in range(2, 2 * max(slices, default=0) + 1):
         square = bracket_slices(
             tdgla, [(1, slices.get(s, {}), slices.get(r - s, {})) for s in range(1, r)]
@@ -632,11 +614,13 @@ def mc_spot_check(
     system: ObstructionSystem,
     point: list[Scalar],
 ) -> SpotCheckResult:
-    """Evaluate the system and the flatness residual at an exact point."""
-    values = [poly.eval(point) for poly in system.polynomials]
-    omega = series.phi().eval(point)
+    """Evaluate the system and the flatness residual at an exact point,
+    prepared once for every polynomial."""
+    at = PointPowers(point)
+    values = [poly.eval(at) for poly in system.polynomials]
+    omega = series.phi().eval(at)
     residual = mc_residual(series.tdgla, omega)
-    gauge = series.tdgla.apply_matrix(delta_cols(series.decomposition, 1), omega)
+    gauge = series.tdgla.apply_matrix(series.decomposition.delta_cols(1), omega)
     return SpotCheckResult(values, residual, gauge)
 
 

@@ -21,6 +21,14 @@ Vector = list[Scalar]
 SparseColumns = list[list[tuple[int, Scalar]]]
 
 
+def sparse_columns(matrix: Matrix, ncols: int) -> SparseColumns:
+    """The nonzero entries of each of the ``ncols`` columns of ``matrix``."""
+    return [
+        [(i, matrix[i][j]) for i in range(len(matrix)) if matrix[i][j]]
+        for j in range(ncols)
+    ]
+
+
 def zeros(nrows: int, ncols: int) -> Matrix:
     return [[ZERO] * ncols for _ in range(nrows)]
 

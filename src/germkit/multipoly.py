@@ -8,16 +8,75 @@ every serialization and printed report deterministic.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
-from .scalars import Scalar, ZERO, scalar
+from .scalars import ONE, Scalar, ZERO, scalar
 
 ExponentVector = tuple[int, ...]
+
+_new = object.__new__
 
 
 def grlex_key(exponents: ExponentVector) -> tuple[int, ExponentVector]:
     return (sum(exponents), exponents)
+
+
+def is_exponent_list(value, n: int) -> bool:
+    """True for a list of ``n`` nonnegative ints, as JSON gives them: int()
+    would truncate 1.5 and read true as 1."""
+    return (
+        isinstance(value, list)
+        and len(value) == n
+        and {*map(type, value)} <= {int}
+        and not (value and min(value) < 0)
+    )
+
+
+class PointPowers:
+    """A point prepared once for evaluating many polynomials there.
+
+    Holds the coordinates as Scalars, which of them are zero, and each power
+    x_j^e the first time a term asks for it, so every polynomial evaluated
+    at the same point shares the powers.  ``MultiPoly.eval`` and
+    ``PolyCochain.eval`` take one in place of a plain coordinate list.
+    """
+
+    __slots__ = ("values", "zero", "_indices", "_powers")
+
+    def __init__(self, point: Sequence):
+        self.values: list[Scalar] = [scalar(p) for p in point]
+        self.zero: tuple[bool, ...] = tuple(not v for v in self.values)
+        self._indices = range(len(self.values))
+        self._powers: dict[tuple[int, int], Scalar] = {}
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def monomial(self, exps: ExponentVector) -> Scalar | None:
+        """The product of x_j^e_j over the nonzero exponents; None when a
+        zero coordinate has a nonzero exponent (the monomial vanishes)."""
+        if any(compress(self.zero, exps)):
+            return None
+        powers = self._powers
+        out = ONE
+        for j in compress(self._indices, exps):
+            key = (j, exps[j])
+            power = powers.get(key)
+            if power is None:
+                power = powers[key] = self.values[j] ** exps[j]
+            out = out * power
+        return out
+
+
+def prepared(point: "Sequence | PointPowers", nvars: int) -> PointPowers:
+    """``point`` as a PointPowers, after checking it has ``nvars`` coordinates."""
+    if len(point) != nvars:
+        raise ValueError(
+            f"point has {len(point)} coordinates for {nvars} variables"
+        )
+    return point if isinstance(point, PointPowers) else PointPowers(point)
 
 
 class MultiPoly:
@@ -170,21 +229,15 @@ class MultiPoly:
 
     # -- evaluation and structure ---------------------------------------------
 
-    def eval(self, point: Sequence[Scalar]) -> Scalar:
-        """Exact substitution.  ``point`` must list one Scalar per variable."""
-        if len(point) != len(self.variables):
-            raise ValueError(
-                f"point has {len(point)} coordinates for "
-                f"{len(self.variables)} variables"
-            )
-        values = [scalar(p) for p in point]
+    def eval(self, point: "Sequence[Scalar] | PointPowers") -> Scalar:
+        """Exact substitution at one Scalar per variable, or at a
+        PointPowers shared with other polynomials."""
+        monomial = prepared(point, len(self.variables)).monomial
         total = ZERO
         for exps, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, exps):
-                if e:
-                    term = term * value**e
-            total = total + term
+            x = monomial(exps)
+            if x is not None:
+                total = total + coeff * x
         return total
 
     def homogeneous_components(self) -> list[tuple[int, "MultiPoly"]]:
@@ -209,6 +262,8 @@ class MultiPoly:
     def from_records(
         cls, variables: Sequence[str], records: Iterable[dict]
     ) -> "MultiPoly":
+        """The polynomial of ``to_records`` output, each record validated
+        once; the terms are built in place, without ``__init__``'s checks."""
         terms: dict[ExponentVector, Scalar] = {}
         n = len(variables)
         for rec in records:
@@ -217,10 +272,7 @@ class MultiPoly:
                 coeff = scalar(rec["coefficient"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad polynomial record {rec!r}: {exc}") from None
-            # JSON integers only: int() would truncate 1.5 and read true as 1.
-            if not isinstance(exps, list) or len(exps) != n or not all(
-                type(e) is int and e >= 0 for e in exps
-            ):
+            if not is_exponent_list(exps, n):
                 raise ParseError(
                     f"bad polynomial record {rec!r}: exponents: expected {n} "
                     "nonnegative integers, one per variable"
@@ -230,7 +282,10 @@ class MultiPoly:
                 raise ParseError(f"duplicate exponent vector {exps}")
             if coeff:
                 terms[exps] = coeff
-        return cls(variables, terms)
+        poly = _new(cls)
+        poly.variables = tuple(variables)
+        poly.terms = terms
+        return poly
 
     def __str__(self) -> str:
         if not self.terms:

@@ -284,9 +284,14 @@ _SCALAR = _re.compile(
 )
 
 
-def _fraction(text: str) -> Fraction:
+def _int_parts(text: str) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a signed decimal ``a`` or ``a/b``;
+    a zero denominator raises what ``Fraction`` raises."""
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    n, d = int(num), int(den) if den else 1
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return n, d
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -304,10 +309,11 @@ def parse_scalar(text: str) -> Scalar:
         raise ParseError(f"bad scalar {text!r}: expected a, a/b, c/d*i or a/b+c/d*i")
     re_text, sign, im_text = m.group("re", "sign", "im")
     try:
-        re = _fraction(re_text) if re_text else 0
-        if sign is None:
-            return Scalar(re)
-        im = _fraction(im_text) if im_text else 1
+        rn, rd = _int_parts(re_text) if re_text else (0, 1)
+        jn, jd = 0, 1
+        if sign is not None:
+            jn, jd = _int_parts(im_text) if im_text else (1, 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {text!r}: {exc}") from None
-    return Scalar(re, -im if sign == "-" else im)
+    # (rn/rd) + (jn/jd)*i over the one denominator rd*jd, reduced by one gcd.
+    return from_ints(rn * jd, -jn * rd if sign == "-" else jn * rd, rd * jd)

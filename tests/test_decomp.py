@@ -13,6 +13,7 @@ from germkit import fixtures
 from germkit.cedga import Dga
 from germkit.decomp import (
     GERM_TOP,
+    READBACK_TOP,
     degree2_weight_table,
     hermitian,
     kernel_containment_check,
@@ -210,14 +211,17 @@ def test_truncated_split_agrees_with_full_split(algebra, strategy):
     dga = Dga(algebra)
     grading = infer_grading_basis_aligned(algebra)
     full = split_complex(dga, strategy, grading)
-    cut = split_complex(dga, strategy, grading, top=GERM_TOP)
-    low = min(GERM_TOP, algebra.dim)
-    assert len(cut.splits) == low + 1 and len(cut.delta) == low + 1
-    for p in range(low + 1):
-        assert cut.harmonic_basis(p) == full.harmonic_basis(p), p
-        assert cut.harmonic_coords(p) == full.harmonic_coords(p), p
-        assert cut.proj_exact(p) == full.proj_exact(p), p
-    for p in range(1, low + 1):
-        assert cut.delta[p] == full.delta[p], p
-    assert cut.betti() == full.betti()[: low + 1]
+    # The germ path splits to GERM_TOP, a germ file read back to READBACK_TOP.
+    for top in (GERM_TOP, READBACK_TOP):
+        cut = split_complex(dga, strategy, grading, top=top)
+        low = min(top, algebra.dim)
+        assert len(cut.splits) == low + 1 and len(cut.delta) == low + 1
+        for p in range(low + 1):
+            assert cut.harmonic_basis(p) == full.harmonic_basis(p), p
+            assert cut.harmonic_coords(p) == full.harmonic_coords(p), p
+            assert cut.proj_exact(p) == full.proj_exact(p), p
+        for p in range(1, low + 1):
+            assert cut.delta[p] == full.delta[p], p
+            assert cut.delta_cols(p) == full.delta_cols(p), p
+        assert cut.betti() == full.betti()[: low + 1]
     assert dga.betti() == full.betti()

@@ -376,13 +376,22 @@ def _split_first_block(germ):
         (lambda g: g.update(terminated="false"), "terminated: missing or not a boolean"),
         (lambda g: g.pop("terminated"), "terminated: missing or not a boolean"),
         (lambda g: g.update(variables=["t1"] * len(g["variables"])), "variables: names must be distinct"),
+        (lambda g: g["obstructions"]["polynomials"][0][0].update(exponents=[0, -1, 1, 1, 0, 0]),
+         "polynomials[0]: bad polynomial record"),
+        (lambda g: g["obstructions"]["polynomials"][0].append(g["obstructions"]["polynomials"][0][0]),
+         "polynomials[0]: duplicate exponent vector"),
+        (lambda g: g["obstructions"]["polynomials"][0][0].update(coefficient="1/0"),
+         "polynomials[0]: bad scalar '1/0': Fraction(1, 0)"),
+        (lambda g: g["obstructions"]["polynomials"][0][0].update(coefficient="1.5"),
+         "polynomials[0]: bad scalar '1.5': expected a, a/b, c/d*i or a/b+c/d*i"),
     ],
     ids=[
         "no-base-algebra", "monomial-index-99", "short-exponents", "strategy-foo", "short-record",
         "float-record-exponents", "bool-record-exponent", "split-degree-block", "degree-0",
         "degree-not-exponent-total", "repeated-exponents", "repeated-entry",
         "subdga-not-closed", "terminated-string", "terminated-missing",
-        "repeated-variables",
+        "repeated-variables", "negative-record-exponent", "repeated-record-exponents",
+        "record-coefficient-1/0", "record-coefficient-1.5",
     ],
 )
 def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):
@@ -398,6 +407,34 @@ def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):
     code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1")
     assert code == 2 and out == ""
     assert err.startswith("parse error: ") and field in err
+
+
+def test_germ_grading_is_checked_beyond_the_split(tmp_path, capsys):
+    # mc-check splits a germ only to degree 1, but the grading check still
+    # reads d in degree 2.  Here the selection has no degree-1 monomials and
+    # the one-layer grading fails only at d(X1∧Z) = X1∧X2∧Y2.
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "h5.json"), "--target", "sl2",
+        "--json", str(germ_path),
+    )
+    assert code == 0
+    germ = json.loads(germ_path.read_text())
+    germ.update(
+        subdga_monomials=[["X1", "Z"], ["X1", "X2", "Y2"]],
+        grading=[[["1" if i == j else "0" for j in range(5)] for i in range(5)]],
+        phi=[], variables=[], zeta=[],
+    )
+    germ["obstructions"].update(polynomials=[], coordinates=[])
+    germ_path.write_text(json.dumps(germ))
+    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "")
+    assert code == 1 and out == ""
+    assert err == (
+        "precondition failed: differential is not weight-homogeneous: "
+        "d(X1∧Z) of weight 2 has a component on X1∧X2∧Y2 of weight 3; the "
+        "grading does not send each dual layer into the matching degree-2 "
+        "weight space\n"
+    )
 
 
 def test_pipeline_command_and_determinism(capsys):

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_ALGEBRAS, GRADED_NILPOTENT
+from conftest import FIXTURE_ALGEBRAS, GRADED_NILPOTENT, heisenberg
 
-from germkit import fixtures
+from germkit import cli, fixtures, linalg
 from germkit.cedga import Dga, subdga_from_characters, wedge_monomials
 from germkit.decomp import GERM_TOP, monomial_weight, split_complex
 from germkit.errors import PreconditionError
+from germkit.formats import algebra_to_dict, render_json
 from germkit.kuranishi import (
     KuranishiSeries,
     TensorDgla,
@@ -655,3 +656,23 @@ def test_square_slice_matches_scalar_reference_over_a_series(base, target):
     for r in range(2, 2 * series.last_nonzero + 1):
         expected = _reference_square(dga, lie_target, series.slices, r)
         assert square_slice(series.tdgla, series.slices, r) == expected, r
+
+
+def test_delta_columns_are_converted_once(monkeypatch, tmp_path, capsys):
+    # kuranishi_series and gauge_identity_check read the same sparse columns
+    # of delta_2 (C^2 -> C^1, a dim C^1 x dim C^2 matrix), and delta_1 once.
+    path = tmp_path / "h9.json"
+    path.write_text(render_json(algebra_to_dict(heisenberg(4), "h9")))
+    shapes = []
+    convert = linalg.sparse_columns
+
+    def counting(matrix, ncols):
+        shapes.append((len(matrix), ncols))
+        return convert(matrix, ncols)
+
+    monkeypatch.setattr(linalg, "sparse_columns", counting)
+    code = cli.main(["kuranishi", str(path), "--target", "sl2", "--json", str(tmp_path / "germ.json")])
+    capsys.readouterr()
+    assert code == 0
+    assert shapes.count((9, 36)) == 1
+    assert shapes.count((1, 9)) == 1

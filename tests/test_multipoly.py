@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germkit.multipoly import MultiPoly
+from germkit.kuranishi import PolyCochain
+from germkit.multipoly import MultiPoly, PointPowers
 from germkit.scalars import Scalar, ZERO, scalar
 
 VARS = ("t1", "t2", "t3")
@@ -104,3 +105,79 @@ def test_string_form_is_graded_lex():
 def test_eval_length_mismatch():
     with pytest.raises(ValueError):
         p_var(0).eval([scalar(1)])
+
+
+# -- evaluation against a plain oracle ---------------------------------------------
+
+VARS8 = tuple(f"t{k}" for k in range(1, 9))
+# Mostly zero exponents, as in obstruction terms; Gaussian points with zeros.
+exps8_st = st.tuples(*(st.sampled_from((0, 0, 0, 1, 2, 3)) for _ in VARS8))
+polys8_st = st.builds(
+    lambda terms: MultiPoly(VARS8, terms),
+    st.dictionaries(exps8_st, scalars_st, max_size=6),
+)
+points8_st = st.lists(
+    st.one_of(st.just(ZERO), scalars_st), min_size=len(VARS8), max_size=len(VARS8)
+)
+cochains8_st = st.dictionaries(
+    exps8_st, st.dictionaries(st.integers(0, 3), scalars_st, min_size=1, max_size=3),
+    max_size=4,
+)
+
+
+def oracle_monomial(exps, point):
+    value = scalar(1)
+    for x, e in zip(point, exps):
+        value = value * x**e
+    return value
+
+
+def oracle_eval(poly, point):
+    """Sum of c * prod x_j^e_j with plain Scalar powers."""
+    total = ZERO
+    for exps, coeff in poly.terms.items():
+        total = total + coeff * oracle_monomial(exps, point)
+    return total
+
+
+def oracle_cochain(terms, point):
+    out = {}
+    for exps, vec in terms.items():
+        m = oracle_monomial(exps, point)
+        for i, c in vec.items():
+            out[i] = out.get(i, ZERO) + c * m
+    return {i: c for i, c in out.items() if c}
+
+
+def as_cochain(terms):
+    slices = {}
+    for exps, vec in terms.items():
+        slices.setdefault(sum(exps), {})[exps] = vec
+    return PolyCochain(VARS8, 1, slices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polys8_st, min_size=1, max_size=3), cochains8_st, points8_st)
+def test_eval_at_a_shared_point_matches_the_oracle(polys, terms, point):
+    at = PointPowers(point)
+    for p in polys:
+        assert p.eval(at) == oracle_eval(p, point)
+        assert p.eval(point) == oracle_eval(p, point)
+    cochain = as_cochain(terms)
+    assert cochain.eval(at) == oracle_cochain(terms, point)
+    assert cochain.eval(point) == oracle_cochain(terms, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys8_st, cochains8_st, points8_st, points8_st)
+def test_points_evaluated_in_turn_keep_their_own_powers(p, terms, x, y):
+    at_x, at_y = PointPowers(x), PointPowers(y)
+    cochain = as_cochain(terms)
+    for at, point in ((at_x, x), (at_y, y), (at_x, x), (at_y, y)):
+        assert p.eval(at) == oracle_eval(p, point)
+        assert cochain.eval(at) == oracle_cochain(terms, point)
+
+
+def test_prepared_point_length_mismatch():
+    with pytest.raises(ValueError):
+        p_var(0).eval(PointPowers([scalar(1)]))

@@ -104,6 +104,19 @@ def test_parse_rejects_garbage(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "bad scalar '1/0': Fraction(1, 0)"),
+        ("3/0*i", "bad scalar '3/0*i': Fraction(3, 0)"),
+    ],
+)
+def test_zero_denominator_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text)
+    assert str(info.value) == message
+
+
 def test_powers():
     x = scalar("2/3")
     assert x**3 == scalar("8/27")

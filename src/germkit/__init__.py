@@ -10,23 +10,16 @@ point.
 
 from .cedga import (
     CharacterData,
-    Cochain,
     Dga,
     TorsionComponent,
-    bar_star,
     pd_type_check,
     subdga_from_characters,
     verify_subdga,
     wedge_monomials,
 )
-from .decomp import (
-    Decomposition,
-    hermitian,
-    kernel_containment_check,
-    split_complex,
-)
+from .decomp import Decomposition, kernel_containment_check, split_complex
 from .errors import GermkitError, InternalCheckError, ParseError, PreconditionError
-from .jordan import char_poly, jordan_chevalley, minimal_polynomial, squarefree_part
+from .jordan import char_poly, jordan_chevalley, squarefree_part
 from .kuranishi import (
     KuranishiSeries,
     ObstructionSystem,
@@ -37,7 +30,6 @@ from .kuranishi import (
     kuranishi_series,
     linear_embedding_check,
     mc_residual,
-    mc_spot_check,
     obstruction_system,
     verify_degree_bound,
 )

@@ -201,41 +201,6 @@ class Dga:
                 parts.append(f"({c})*{mono}")
         return " + ".join(parts) if parts else "0"
 
-    # -- operations ---------------------------------------------------------
-
-    def wedge_vectors(
-        self, p: int, u: Vector, q: int, v: Vector
-    ) -> Vector:
-        """Wedge of coefficient vectors; result in degree p+q of this complex."""
-        out = [ZERO] * self.dim_at(p + q)
-        for iu, cu in enumerate(u):
-            if not cu:
-                continue
-            left = self.monomials[p][iu]
-            for iv, cv in enumerate(v):
-                if not cv:
-                    continue
-                merged = wedge_monomials(left, self.monomials[q][iv])
-                if merged is None:
-                    continue
-                sign, target = merged
-                spot = self.position.get(target)
-                if spot is None or spot[0] != p + q:
-                    raise PreconditionError(
-                        f"wedge leaves the span: {self.monomial_label(target)} "
-                        "is not in the complex"
-                    )
-                out[spot[1]] = out[spot[1]] + scalar(sign) * cu * cv
-        return out
-
-    def apply_d(self, p: int, u: Vector) -> Vector:
-        out = [ZERO] * self.dim_at(p + 1)
-        for x, column in zip(u, self.columns[p]):
-            if x:
-                for r, value in column:
-                    out[r] = out[r] + x * value
-        return out
-
 
 class DenseDifferential(Sequence):
     """Read-only dense rows of each d_p, built from the columns on first read."""
@@ -255,50 +220,6 @@ class DenseDifferential(Sequence):
                 for row, value in column:
                     matrix[row][col] = value
         return self._built[p]
-
-
-@dataclass(frozen=True)
-class Cochain:
-    """A homogeneous element of a Dga, stored as dense coefficients."""
-
-    dga: Dga
-    degree: int
-    coeffs: tuple[Scalar, ...]
-
-    @classmethod
-    def from_monomial(cls, dga: Dga, mono: Monomial) -> "Cochain":
-        p, idx = dga.position[mono]
-        coeffs = [ZERO] * dga.dim_at(p)
-        coeffs[idx] = ONE
-        return cls(dga, p, tuple(coeffs))
-
-    def wedge(self, other: "Cochain") -> "Cochain":
-        assert self.dga is other.dga, "operands live in different complexes"
-        out = self.dga.wedge_vectors(
-            self.degree, list(self.coeffs), other.degree, list(other.coeffs)
-        )
-        return Cochain(self.dga, self.degree + other.degree, tuple(out))
-
-    def d(self) -> "Cochain":
-        out = self.dga.apply_d(self.degree, list(self.coeffs))
-        return Cochain(self.dga, self.degree + 1, tuple(out))
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        assert self.dga is other.dga and self.degree == other.degree
-        return Cochain(
-            self.dga,
-            self.degree,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def scale(self, c: Scalar) -> "Cochain":
-        return Cochain(self.dga, self.degree, tuple(c * x for x in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __str__(self) -> str:
-        return self.dga.cochain_label(self.degree, list(self.coeffs))
 
 
 def pd_type_check(dga: Dga) -> str | None:
@@ -343,49 +264,16 @@ def _pd_type_by_pairing(dga: Dga) -> str | None:
                 f"({len(rows)} vs {len(cols)})"
             )
         pairing = []
-        for left in rows:
-            row = []
-            for right in cols:
+        for right in cols:
+            column = []
+            for r, left in enumerate(rows):
                 merged = wedge_monomials(left, right)
                 if merged is not None and merged[1] == top_mono:
-                    row.append(scalar(merged[0]))
-                else:
-                    row.append(ZERO)
-            pairing.append(row)
-        if linalg.rank(pairing, len(cols)) != len(cols):
+                    column.append((r, scalar(merged[0])))
+            pairing.append(column)
+        if linalg.sparse_rank(pairing) != len(cols):
             return f"pairing of degrees {i} and {top - i} is degenerate"
     return None
-
-
-def bar_star(dga: Dga, degree: int, coeffs: Vector) -> Vector:
-    """The conjugate-linear duality map into the complementary degree.
-
-    Defined by  alpha wedge bar_star(beta) = <alpha, beta> * volume  with the
-    monomial basis orthonormal; requires a one-dimensional top degree whose
-    monomial contains every selected index.
-    """
-    top = dga.top_degree
-    if dga.dim_at(top) != 1:
-        raise ValueError("duality map needs a one-dimensional top degree")
-    top_mono = dga.monomials[top][0]
-    top_set = set(top_mono)
-    out = [ZERO] * dga.dim_at(top - degree)
-    for idx, c in enumerate(coeffs):
-        if not c:
-            continue
-        mono = dga.monomials[degree][idx]
-        if not set(mono) <= top_set:
-            raise ValueError(
-                f"monomial {dga.monomial_label(mono)} is not below the volume"
-            )
-        complement = tuple(i for i in top_mono if i not in mono)
-        merged = wedge_monomials(mono, complement)
-        assert merged is not None and merged[1] == top_mono
-        spot = dga.position.get(complement)
-        if spot is None or spot[0] != top - degree:
-            raise ValueError("complementary monomial missing from the complex")
-        out[spot[1]] = out[spot[1]] + scalar(merged[0]) * c.conjugate()
-    return out
 
 
 # -- monomial sub-DGAs -----------------------------------------------------

@@ -36,7 +36,7 @@ from .cedga import Dga, Monomial
 from .errors import InternalCheckError, PreconditionError
 from .liealg import Grading, basis_aligned_weights, verify_natural_grading
 from .linalg import Matrix, SparseColumns, Vector
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, ZERO
 
 Strategy = str  # "metric" | "pivot"
 STRATEGIES = ("metric", "pivot")
@@ -47,15 +47,6 @@ GERM_TOP = 2
 # Highest degree a germ file read back is split to: mc-check reads only the
 # gauge condition delta(phi) = 0 on degree 1.
 READBACK_TOP = 1
-
-
-def hermitian(u: Vector, v: Vector) -> Scalar:
-    """<u, v> = sum u_i conj(v_i); linear on the left."""
-    acc = ZERO
-    for x, y in zip(u, v):
-        if x and y:
-            acc = acc + x * y.conjugate()
-    return acc
 
 
 def _mul(a: Matrix, b: Matrix, nrows: int, inner: int, ncols: int) -> Matrix:
@@ -83,14 +74,11 @@ class DegreeSplit:
 class Decomposition:
     """Splitting of degrees 0..top plus the homotopy operator delta there."""
 
-    __slots__ = (
-        "dga", "strategy", "grading", "weights", "splits", "delta", "dstar", "_delta_cols"
-    )
+    __slots__ = ("dga", "grading", "weights", "splits", "delta", "dstar", "_delta_cols")
 
     def __init__(
         self,
         dga: Dga,
-        strategy: Strategy,
         grading: Grading | None,
         weights: list[int] | None,
         splits: list[DegreeSplit],
@@ -98,7 +86,6 @@ class Decomposition:
         dstar: list[Matrix] | None,
     ):
         self.dga = dga
-        self.strategy = strategy
         self.grading = grading
         self.weights = weights
         self.splits = splits
@@ -115,9 +102,6 @@ class Decomposition:
     def harmonic_coords(self, p: int) -> Matrix:
         return self.splits[p].harmonic_coords
 
-    def proj_exact(self, p: int) -> Matrix:
-        return self.splits[p].proj_exact
-
     def delta_cols(self, p: int) -> SparseColumns:
         """Sparse columns of delta: C^p -> C^(p-1), converted on the first
         read and shared by every later one; none above the top degree."""
@@ -130,17 +114,9 @@ class Decomposition:
             )
         return cols
 
-    def apply_delta(self, p: int, v: Vector) -> Vector:
-        return linalg.mat_vec(self.delta[p], v)
-
-    def laplacian(self, p: int) -> Matrix:
-        """d d* + d* d in degree p (metric strategy only)."""
-        if self.dstar is None:
-            raise ValueError("laplacian is defined for the metric strategy")
-        return _laplacian(self.dga, self.dstar, p)
-
 
 def _laplacian(dga: Dga, dstar: list[Matrix], p: int) -> Matrix:
+    """d d* + d* d in degree p."""
     dims = dga.dims()
     top = len(dims) - 1
     above = dims[p + 1] if p < top else 0
@@ -203,7 +179,7 @@ def split_complex(
         splits.append(_assemble_split(harmonic, exact, complement, dim_p))
 
     delta = _build_delta(dga, splits, dims)
-    dec = Decomposition(dga, strategy, grading, weights, splits, delta, dstar)
+    dec = Decomposition(dga, grading, weights, splits, delta, dstar)
     _verify_decomposition(dec, dims)
     return dec
 

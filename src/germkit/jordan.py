@@ -153,22 +153,6 @@ def squarefree_part(a: Poly) -> Poly:
     return poly_monic(q)
 
 
-def minimal_polynomial(m: Matrix) -> Poly:
-    """Monic minimal polynomial via the first linear dependence of powers."""
-    n = len(m)
-    powers = [linalg.identity(n)]
-    for _ in range(n):
-        powers.append(linalg.mat_mul(m, powers[-1]))
-    flat = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
-    for k in range(1, n + 1):
-        rows = [[row[j] for j in range(k)] for row in flat]
-        rhs = [row[k] for row in flat]
-        sol = linalg.solve(rows, rhs, k)
-        if sol is not None:
-            return poly_normalize([-c for c in sol] + [ONE])
-    raise InternalCheckError("no linear dependence among matrix powers")
-
-
 def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
     """Split m = S + N into commuting semisimple and nilpotent parts."""
     n = len(m)

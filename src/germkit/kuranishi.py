@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 from sys import byteorder
 
-from .cedga import Dga, wedge_monomials
+from .cedga import Dga
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
@@ -70,15 +70,12 @@ def vec_add_into(dst: SparseVec, src: SparseVec, factor: Scalar = ONE) -> None:
 class TensorDgla:
     """L^p = C^p tensor a with flat indexing (monomial, basis) -> int."""
 
-    __slots__ = ("dga", "target", "_bracket_table", "_wedge11", "_int_bracket")
+    __slots__ = ("dga", "target", "_wedge11", "_int_bracket")
 
     def __init__(self, dga: Dga, target: LieAlgebra):
         self.dga = dga
         self.target = target
         ta = target.dim
-        self._bracket_table = [
-            [target.bracket_basis(s, t) for t in range(ta)] for s in range(ta)
-        ]
         ones = self.dga.monomials[1]
         table: list[list[tuple[int, int] | None]] = []
         for left in ones:
@@ -101,7 +98,7 @@ class TensorDgla:
         # The bracket table over one denominator Dc for bracket_slices:
         # [(real part, 0), (imaginary part, 1)], part[s * ta + t] listing
         # (k, numerator), a part left out when it is zero throughout.
-        cols = [col for row in self._bracket_table for col in row]
+        cols = [target.bracket_basis(s, t) for s in range(ta) for t in range(ta)]
         dc = lcm(*(c._d for col in cols for c in col.values()))
         parts = (
             [[(k, c._a * (dc // c._d)) for k, c in col.items() if c._a] for col in cols],
@@ -141,33 +138,6 @@ class TensorDgla:
     def bracket11(self, u: SparseVec, v: SparseVec) -> SparseVec:
         """[u, v] for degree-one u, v: ``bracket_slices`` on one term each."""
         return bracket_slices(self, [(1, {(): u}, {(): v})]).get((), {})
-
-    def bracket(self, p: int, u: SparseVec, q: int, v: SparseVec) -> SparseVec:
-        """[u, v] for arbitrary degrees (general path, used by checks)."""
-        if p == 1 and q == 1:
-            return self.bracket11(u, v)
-        ta = self.target.dim
-        out: SparseVec = {}
-        for iu, cu in u.items():
-            mu, au = divmod(iu, ta)
-            left = self.dga.monomials[p][mu]
-            for iv, cv in v.items():
-                mv, av = divmod(iv, ta)
-                right = self.dga.monomials[q][mv]
-                merged = wedge_monomials(left, right)
-                if merged is None:
-                    continue
-                sign, target = merged
-                spot = self.dga.position.get(target)
-                if spot is None or spot[0] != p + q:
-                    raise PreconditionError(
-                        "bracket leaves the complex; selection not closed"
-                    )
-                coeff = scalar(sign) * cu * cv
-                base = spot[1] * ta
-                for k, c in self._bracket_table[au][av].items():
-                    vec_add_into(out, {base + k: c}, coeff)
-        return out
 
     def apply_matrix(self, matrix_cols: SparseColumns, u: SparseVec) -> SparseVec:
         """Apply (matrix tensor id) given sparse columns of the matrix."""
@@ -377,9 +347,6 @@ class KuranishiSeries:
     # system takes these over (and empties the field) instead of
     # bracketing phi again.
     bracket_sums: dict[int, Slice] = field(default_factory=dict)
-
-    def phi(self) -> PolyCochain:
-        return PolyCochain(self.variables, 1, {r: s for r, s in self.slices.items()})
 
 
 def kuranishi_series(
@@ -607,21 +574,6 @@ class SpotCheckResult:
         if self.obstructions_vanish:
             return self.residual_is_zero and self.gauge_is_zero
         return True
-
-
-def mc_spot_check(
-    series: KuranishiSeries,
-    system: ObstructionSystem,
-    point: list[Scalar],
-) -> SpotCheckResult:
-    """Evaluate the system and the flatness residual at an exact point,
-    prepared once for every polynomial."""
-    at = PointPowers(point)
-    values = [poly.eval(at) for poly in system.polynomials]
-    omega = series.phi().eval(at)
-    residual = mc_residual(series.tdgla, omega)
-    gauge = series.tdgla.apply_matrix(series.decomposition.delta_cols(1), omega)
-    return SpotCheckResult(values, residual, gauge)
 
 
 # -- sub-DGLA inclusion --------------------------------------------------------------

@@ -234,16 +234,7 @@ class LowerCentralSeries:
 
 
 def lower_central_series(algebra: LieAlgebra) -> LowerCentralSeries:
-    full = Subspace.full(algebra.dim)
-    chain = [full]
-    while True:
-        nxt = span_of_brackets(algebra, full, chain[-1])
-        if nxt.dim == chain[-1].dim:
-            # stabilized without reaching zero (only possible when nonzero)
-            return LowerCentralSeries(tuple(chain), None)
-        chain.append(nxt)
-        if nxt.is_zero():
-            return LowerCentralSeries(tuple(chain), len(chain) - 1)
+    return restricted_lower_central_series(algebra, Subspace.full(algebra.dim))
 
 
 def derived_series(algebra: LieAlgebra) -> list[Subspace]:
@@ -274,6 +265,7 @@ def restricted_lower_central_series(
     while True:
         nxt = span_of_brackets(algebra, sub, chain[-1])
         if nxt.dim == chain[-1].dim:
+            # stabilized without reaching zero (only possible when nonzero)
             return LowerCentralSeries(tuple(chain), None)
         chain.append(nxt)
         if nxt.is_zero():

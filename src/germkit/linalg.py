@@ -137,10 +137,6 @@ def rref(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Matrix, list[int
     return m[:r], pivots
 
 
-def rank(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
-
-
 def sparse_rank(columns: SparseColumns) -> int:
     """Rank of a matrix held as sparse columns.
 

@@ -4,12 +4,18 @@ A polynomial is a map from exponent vectors to nonzero Scalars over a fixed
 ordered tuple of variable names (deformation parameters ``t1..tm``).  The
 canonical term order is graded lexicographic by variable index, which keeps
 every serialization and printed report deterministic.
+
+``MultiPoly`` holds, evaluates, prints and serialises the obstruction
+polynomials the deformation series produces.  It has no ring arithmetic:
+the engine assembles each polynomial's terms directly, and the ring
+operations the tests write their hand-expanded oracles in live in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 from .scalars import ONE, Scalar, ZERO, scalar
@@ -104,24 +110,6 @@ class MultiPoly:
                 clean[exps] = coeff
         self.terms = clean
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls(variables, {})
-
-    @classmethod
-    def constant(cls, variables: Sequence[str], value) -> "MultiPoly":
-        c = scalar(value)
-        n = len(variables)
-        return cls(variables, {(0,) * n: c} if c else {})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], index: int) -> "MultiPoly":
-        n = len(variables)
-        exps = tuple(1 if k == index else 0 for k in range(n))
-        return cls(variables, {exps: scalar(1)})
-
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -136,89 +124,8 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.variables), ZERO)
-
-    def coefficient(self, exponents: ExponentVector) -> Scalar:
-        return self.terms.get(tuple(exponents), ZERO)
-
     def sorted_terms(self) -> list[tuple[ExponentVector, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def __iter__(self) -> Iterator[tuple[ExponentVector, Scalar]]:
-        return iter(self.sorted_terms())
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _align(self, other) -> "tuple[MultiPoly, MultiPoly]":
-        """Coerce the pair onto a shared variable tuple.
-
-        Constants (including plain Scalars/ints) adapt to the other side;
-        genuinely different variable tuples are an error.
-        """
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.variables, other)
-        if self.variables == other.variables:
-            return self, other
-        if not self.variables or self.is_constant():
-            return MultiPoly.constant(other.variables, self.constant_term()), other
-        if not other.variables or other.is_constant():
-            return self, MultiPoly.constant(self.variables, other.constant_term())
-        raise ValueError(
-            f"variable mismatch: {self.variables} vs {other.variables}"
-        )
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def __add__(self, other) -> "MultiPoly":
-        a, b = self._align(other)
-        out = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            s = out.get(exps, ZERO) + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return MultiPoly(a.variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        a, b = self._align(other)
-        return a + (-b)
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (Scalar, int)):
-            c = scalar(other)
-            if not c:
-                return MultiPoly.zero(self.variables)
-            return MultiPoly(
-                self.variables, {e: k * c for e, k in self.terms.items()}
-            )
-        a, b = self._align(other)
-        out: dict[ExponentVector, Scalar] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(exps, ZERO) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        return MultiPoly(a.variables, out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -265,6 +172,7 @@ class MultiPoly:
         """The polynomial of ``to_records`` output, each record validated
         once; the terms are built in place, without ``__init__``'s checks."""
         terms: dict[ExponentVector, Scalar] = {}
+        seen: set[ExponentVector] = set()
         n = len(variables)
         for rec in records:
             try:
@@ -278,8 +186,9 @@ class MultiPoly:
                     "nonnegative integers, one per variable"
                 )
             exps = tuple(exps)
-            if exps in terms:
+            if exps in seen:
                 raise ParseError(f"duplicate exponent vector {exps}")
+            seen.add(exps)
             if coeff:
                 terms[exps] = coeff
         poly = _new(cls)

@@ -67,9 +67,6 @@ class AdSMap:
                     out[k] = out[k] + c * col[k]
         return out
 
-    def is_zero(self) -> bool:
-        return all(linalg.is_zero_matrix(m) for m in self.matrices)
-
 
 def validate_solvable_input(data: SolvableInput) -> None:
     """Raise PreconditionError naming the first violated hypothesis."""

@@ -76,9 +76,6 @@ class Scalar:
 
     # -- predicates -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not (self._a or self._b)
-
     def is_rational(self) -> bool:
         return not self._b
 
@@ -188,9 +185,6 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         return _make(self._a, -self._b, self._d)
-
-    def inverse(self) -> "Scalar":
-        return ONE / self
 
     # -- display ----------------------------------------------------------
 

@@ -1,17 +1,40 @@
 """Shared test helpers: independent oracles kept deliberately separate from
-the library code paths they check.
+the library code paths they check, and the references the tests compare
+library code against.  ``src/germkit`` holds only what the program runs;
+these live here because only the tests call them:
+
+- ``frac_rank``, ``oracle_d_matrix`` and ``oracle_betti``: ranks and
+  differentials from plain Fractions and the multilinear formula;
+- ``wedge_vectors``, ``apply_d`` and ``Cochain``: dense cochains of a
+  ``Dga``, the harness of the Leibniz and graded-commutativity tests on
+  ``Dga.columns``;
+- ``tensor_bracket``: the bracket of ``C* (x) a`` in any pair of degrees,
+  the reference of the DGLA-axiom tests;
+- ``RingPoly``: ``MultiPoly`` with ring arithmetic, in which the
+  hand-expanded obstruction oracles are written;
+- ``minimal_polynomial``: the squarefree check on Jordan-Chevalley parts;
+- ``hermitian``: the form that makes the monomial basis orthonormal, for
+  the adjointness tests of the metric splitting.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import pytest
 
-from germkit import fixtures
+from germkit import fixtures, linalg
+from germkit.cedga import Dga, Monomial, wedge_monomials
+from germkit.errors import InternalCheckError, PreconditionError
+from germkit.jordan import Poly, poly_normalize
+from germkit.kuranishi import SparseVec, TensorDgla, vec_add_into
 from germkit.liealg import LieAlgebra
-from germkit.scalars import Scalar, ZERO, scalar
+from germkit.linalg import Matrix, Vector
+from germkit.multipoly import ExponentVector, MultiPoly
+from germkit.scalars import ONE, Scalar, ZERO, scalar
 
 
 # -- independent rank computation (plain Fractions, no germkit.linalg) ----------
@@ -133,6 +156,254 @@ def oracle_betti(
         incoming = ranks[p - 1] if p >= 1 else 0
         betti.append(dims[p] - ranks[p] - incoming)
     return betti
+
+
+# -- dense cochains of a Dga -----------------------------------------------------
+
+
+def wedge_vectors(dga: Dga, p: int, u: Vector, q: int, v: Vector) -> Vector:
+    """Wedge of coefficient vectors; result in degree p+q of ``dga``."""
+    out = [ZERO] * dga.dim_at(p + q)
+    for iu, cu in enumerate(u):
+        if not cu:
+            continue
+        left = dga.monomials[p][iu]
+        for iv, cv in enumerate(v):
+            if not cv:
+                continue
+            merged = wedge_monomials(left, dga.monomials[q][iv])
+            if merged is None:
+                continue
+            sign, target = merged
+            spot = dga.position.get(target)
+            if spot is None or spot[0] != p + q:
+                raise PreconditionError(
+                    f"wedge leaves the span: {dga.monomial_label(target)} "
+                    "is not in the complex"
+                )
+            out[spot[1]] = out[spot[1]] + scalar(sign) * cu * cv
+    return out
+
+
+def apply_d(dga: Dga, p: int, u: Vector) -> Vector:
+    out = [ZERO] * dga.dim_at(p + 1)
+    for x, column in zip(u, dga.columns[p]):
+        if x:
+            for r, value in column:
+                out[r] = out[r] + x * value
+    return out
+
+
+@dataclass(frozen=True)
+class Cochain:
+    """A homogeneous element of a Dga, stored as dense coefficients."""
+
+    dga: Dga
+    degree: int
+    coeffs: tuple[Scalar, ...]
+
+    @classmethod
+    def from_monomial(cls, dga: Dga, mono: Monomial) -> "Cochain":
+        p, idx = dga.position[mono]
+        coeffs = [ZERO] * dga.dim_at(p)
+        coeffs[idx] = ONE
+        return cls(dga, p, tuple(coeffs))
+
+    def wedge(self, other: "Cochain") -> "Cochain":
+        assert self.dga is other.dga, "operands live in different complexes"
+        out = wedge_vectors(
+            self.dga, self.degree, list(self.coeffs), other.degree, list(other.coeffs)
+        )
+        return Cochain(self.dga, self.degree + other.degree, tuple(out))
+
+    def d(self) -> "Cochain":
+        out = apply_d(self.dga, self.degree, list(self.coeffs))
+        return Cochain(self.dga, self.degree + 1, tuple(out))
+
+    def __add__(self, other: "Cochain") -> "Cochain":
+        assert self.dga is other.dga and self.degree == other.degree
+        return Cochain(
+            self.dga,
+            self.degree,
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+        )
+
+    def scale(self, c: Scalar) -> "Cochain":
+        return Cochain(self.dga, self.degree, tuple(c * x for x in self.coeffs))
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __str__(self) -> str:
+        return self.dga.cochain_label(self.degree, list(self.coeffs))
+
+
+def hermitian(u: Vector, v: Vector) -> Scalar:
+    """<u, v> = sum u_i conj(v_i); linear on the left."""
+    acc = ZERO
+    for x, y in zip(u, v):
+        if x and y:
+            acc = acc + x * y.conjugate()
+    return acc
+
+
+# -- the tensor DGLA bracket in any degrees ----------------------------------------
+
+
+def tensor_bracket(
+    tdgla: TensorDgla, p: int, u: SparseVec, q: int, v: SparseVec
+) -> SparseVec:
+    """[u, v] for arbitrary degrees, term by term; degree one takes the
+    library's ``bracket11``."""
+    if p == 1 and q == 1:
+        return tdgla.bracket11(u, v)
+    ta = tdgla.target.dim
+    out: SparseVec = {}
+    for iu, cu in u.items():
+        mu, au = divmod(iu, ta)
+        left = tdgla.dga.monomials[p][mu]
+        for iv, cv in v.items():
+            mv, av = divmod(iv, ta)
+            right = tdgla.dga.monomials[q][mv]
+            merged = wedge_monomials(left, right)
+            if merged is None:
+                continue
+            sign, target = merged
+            spot = tdgla.dga.position.get(target)
+            if spot is None or spot[0] != p + q:
+                raise PreconditionError(
+                    "bracket leaves the complex; selection not closed"
+                )
+            coeff = scalar(sign) * cu * cv
+            base = spot[1] * ta
+            for k, c in tdgla.target.bracket_basis(au, av).items():
+                vec_add_into(out, {base + k: c}, coeff)
+    return out
+
+
+# -- polynomial ring arithmetic -------------------------------------------------------
+
+
+class RingPoly(MultiPoly):
+    """A MultiPoly with ring arithmetic, for writing polynomials by hand.
+
+    Compares equal to a library MultiPoly with the same variables and terms.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, variables: Sequence[str]) -> "RingPoly":
+        return cls(variables, {})
+
+    @classmethod
+    def constant(cls, variables: Sequence[str], value) -> "RingPoly":
+        c = scalar(value)
+        n = len(variables)
+        return cls(variables, {(0,) * n: c} if c else {})
+
+    @classmethod
+    def variable(cls, variables: Sequence[str], index: int) -> "RingPoly":
+        n = len(variables)
+        exps = tuple(1 if k == index else 0 for k in range(n))
+        return cls(variables, {exps: scalar(1)})
+
+    def is_homogeneous(self) -> bool:
+        degrees = {sum(e) for e in self.terms}
+        return len(degrees) <= 1
+
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * len(self.variables), ZERO)
+
+    def __iter__(self) -> Iterator[tuple[ExponentVector, Scalar]]:
+        return iter(self.sorted_terms())
+
+    def _align(self, other) -> "tuple[RingPoly, RingPoly]":
+        """Coerce the pair onto a shared variable tuple.
+
+        Constants (including plain Scalars/ints) adapt to the other side;
+        genuinely different variable tuples are an error.
+        """
+        if isinstance(other, MultiPoly):
+            other = RingPoly(other.variables, other.terms)
+        else:
+            other = RingPoly.constant(self.variables, other)
+        if self.variables == other.variables:
+            return self, other
+        if not self.variables or self.is_constant():
+            return RingPoly.constant(other.variables, self.constant_term()), other
+        if not other.variables or other.is_constant():
+            return self, RingPoly.constant(self.variables, other.constant_term())
+        raise ValueError(
+            f"variable mismatch: {self.variables} vs {other.variables}"
+        )
+
+    def is_constant(self) -> bool:
+        return all(sum(e) == 0 for e in self.terms)
+
+    def __add__(self, other) -> "RingPoly":
+        a, b = self._align(other)
+        out = dict(a.terms)
+        for exps, coeff in b.terms.items():
+            s = out.get(exps, ZERO) + coeff
+            if s:
+                out[exps] = s
+            else:
+                out.pop(exps, None)
+        return RingPoly(a.variables, out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RingPoly":
+        return RingPoly(self.variables, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "RingPoly":
+        a, b = self._align(other)
+        return a + (-b)
+
+    def __rsub__(self, other) -> "RingPoly":
+        return (-self) + other
+
+    def __mul__(self, other) -> "RingPoly":
+        if isinstance(other, (Scalar, int)):
+            c = scalar(other)
+            if not c:
+                return RingPoly.zero(self.variables)
+            return RingPoly(
+                self.variables, {e: k * c for e, k in self.terms.items()}
+            )
+        a, b = self._align(other)
+        out: dict[ExponentVector, Scalar] = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                exps = tuple(x + y for x, y in zip(e1, e2))
+                s = out.get(exps, ZERO) + c1 * c2
+                if s:
+                    out[exps] = s
+                else:
+                    out.pop(exps, None)
+        return RingPoly(a.variables, out)
+
+    __rmul__ = __mul__
+
+
+# -- minimal polynomial of a matrix ---------------------------------------------------
+
+
+def minimal_polynomial(m: Matrix) -> Poly:
+    """Monic minimal polynomial via the first linear dependence of powers."""
+    n = len(m)
+    powers = [linalg.identity(n)]
+    for _ in range(n):
+        powers.append(linalg.mat_mul(m, powers[-1]))
+    flat = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
+    for k in range(1, n + 1):
+        rows = [[row[j] for j in range(k)] for row in flat]
+        rhs = [row[k] for row in flat]
+        sol = linalg.solve(rows, rhs, k)
+        if sol is not None:
+            return poly_normalize([-c for c in sol] + [ONE])
+    raise InternalCheckError("no linear dependence among matrix powers")
 
 
 # -- fixture registry ------------------------------------------------------------

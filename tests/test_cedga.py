@@ -6,6 +6,7 @@ from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
     UNIMODULAR,
+    Cochain,
     germbench_inputs,
     non_unimodular2,
     oracle_betti,
@@ -16,17 +17,14 @@ import germkit.linalg as la
 from germkit import fixtures
 from germkit.cedga import (
     CharacterData,
-    Cochain,
     Dga,
     TorsionComponent,
-    bar_star,
     pd_type_check,
     _pd_type_by_pairing,
     subdga_from_characters,
     verify_subdga,
     wedge_monomials,
 )
-from germkit.decomp import hermitian
 from germkit.errors import PreconditionError
 from germkit.formats import parse_algebra_dict
 from germkit.liealg import LieAlgebra
@@ -238,23 +236,6 @@ def test_pd_shortcut_matches_the_pairing_check(name):
 def test_betti_from_ranks_matches_oracle(name):
     algebra = PD_CASES[name]
     assert Dga(algebra).betti() == oracle_betti(algebra)
-
-
-def test_bar_star_defining_property():
-    for algebra in (fixtures.heisenberg3(), fixtures.q_plus_heisenberg3()):
-        dga = Dga(algebra)
-        n = algebra.dim
-        volume = [ONE]
-        for p in range(n + 1):
-            dim_p = dga.dim_at(p)
-            for a in range(dim_p):
-                alpha = [ONE if i == a else ZERO for i in range(dim_p)]
-                for b in range(dim_p):
-                    beta = [ONE if i == b else ZERO for i in range(dim_p)]
-                    star_beta = bar_star(dga, p, beta)
-                    product = dga.wedge_vectors(p, alpha, n - p, star_beta)
-                    expected = [hermitian(alpha, beta) * volume[0]]
-                    assert product == expected
 
 
 def test_subdga_selection_from_characters():

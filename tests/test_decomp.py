@@ -5,6 +5,8 @@ from conftest import (
     GENERATED,
     GRADED_NILPOTENT,
     UNIMODULAR,
+    apply_d,
+    hermitian,
     oracle_betti,
 )
 
@@ -14,8 +16,8 @@ from germkit.cedga import Dga
 from germkit.decomp import (
     GERM_TOP,
     READBACK_TOP,
+    _laplacian,
     degree2_weight_table,
-    hermitian,
     kernel_containment_check,
     monomial_weight,
     split_complex,
@@ -47,9 +49,9 @@ def test_h3_harmonic_spaces_and_delta():
         [ZERO, ZERO, ONE],
     ]
     # delta(x^y) = -z, and delta kills the harmonic two-forms
-    assert dec.apply_delta(2, [ONE, ZERO, ZERO]) == [ZERO, ZERO, -ONE]
-    assert dec.apply_delta(2, [ZERO, ONE, ZERO]) == [ZERO] * 3
-    assert dec.apply_delta(2, [ZERO, ZERO, ONE]) == [ZERO] * 3
+    assert la.mat_vec(dec.delta[2], [ONE, ZERO, ZERO]) == [ZERO, ZERO, -ONE]
+    assert la.mat_vec(dec.delta[2], [ZERO, ONE, ZERO]) == [ZERO] * 3
+    assert la.mat_vec(dec.delta[2], [ZERO, ZERO, ONE]) == [ZERO] * 3
 
 
 def test_abelian_split_is_trivial():
@@ -89,7 +91,7 @@ def test_adjointness_on_every_basis_pair(name):
         dim_p, dim_q = dga.dim_at(p), dga.dim_at(p + 1)
         for a in range(dim_p):
             alpha = [ONE if i == a else ZERO for i in range(dim_p)]
-            d_alpha = dga.apply_d(p, alpha)
+            d_alpha = apply_d(dga, p, alpha)
             for b in range(dim_q):
                 beta = [ONE if i == b else ZERO for i in range(dim_q)]
                 dstar_beta = la.mat_vec(dec.dstar[p + 1], beta)
@@ -114,10 +116,10 @@ def test_metric_harmonics_are_two_sided_kernels():
         dga = Dga(algebra)
         dec = split_complex(dga)
         for p in range(len(dec.splits)):
-            lap = dec.laplacian(p)
+            lap = _laplacian(dga, dec.dstar, p)
             for row in dec.harmonic_basis(p):
                 assert not any(la.mat_vec(lap, list(row))), (name, p)
-                assert not any(dga.apply_d(p, list(row)))
+                assert not any(apply_d(dga, p, list(row)))
                 assert not any(la.mat_vec(dec.dstar[p], list(row)))
             # ker(Laplacian) (+) im(Laplacian) is a direct sum filling the degree
             image = la.image_basis(lap, dga.dim_at(p))
@@ -125,7 +127,7 @@ def test_metric_harmonics_are_two_sided_kernels():
                 list(r) for r in image
             ]
             assert len(stacked) == dga.dim_at(p)
-            assert la.rank(stacked, dga.dim_at(p)) == dga.dim_at(p)
+            assert len(la.rref(stacked, dga.dim_at(p))[0]) == dga.dim_at(p)
 
 
 def test_delta_respects_weights_in_degree_two():
@@ -139,7 +141,7 @@ def test_delta_respects_weights_in_degree_two():
             for mono in monos:
                 vec = [ZERO] * dga.dim_at(2)
                 vec[dga.position[mono][1]] = ONE
-                out = dec.apply_delta(2, vec)
+                out = la.mat_vec(dec.delta[2], vec)
                 for i, c in enumerate(out):
                     if c:
                         assert weights[dga.monomials[1][i][0]] == k, name
@@ -219,7 +221,7 @@ def test_truncated_split_agrees_with_full_split(algebra, strategy):
         for p in range(low + 1):
             assert cut.harmonic_basis(p) == full.harmonic_basis(p), p
             assert cut.harmonic_coords(p) == full.harmonic_coords(p), p
-            assert cut.proj_exact(p) == full.proj_exact(p), p
+            assert cut.splits[p].proj_exact == full.splits[p].proj_exact, p
         for p in range(1, low + 1):
             assert cut.delta[p] == full.delta[p], p
             assert cut.delta_cols(p) == full.delta_cols(p), p

@@ -353,6 +353,13 @@ def _split_first_block(germ):
     del first["terms"][3:]
 
 
+def _zero_twin(germ, before):
+    """Give the first record of polynomials[0] a twin with coefficient 0,
+    just before or just after it."""
+    records = germ["obstructions"]["polynomials"][0]
+    records.insert(0 if before else 1, {**records[0], "coefficient": "0"})
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -380,6 +387,9 @@ def _split_first_block(germ):
          "polynomials[0]: bad polynomial record"),
         (lambda g: g["obstructions"]["polynomials"][0].append(g["obstructions"]["polynomials"][0][0]),
          "polynomials[0]: duplicate exponent vector"),
+        # A zero coefficient repeats an exponent vector as much as any other.
+        (lambda g: _zero_twin(g, before=True), "obstructions.polynomials[0]: duplicate exponent vector"),
+        (lambda g: _zero_twin(g, before=False), "obstructions.polynomials[0]: duplicate exponent vector"),
         (lambda g: g["obstructions"]["polynomials"][0][0].update(coefficient="1/0"),
          "polynomials[0]: bad scalar '1/0': Fraction(1, 0)"),
         (lambda g: g["obstructions"]["polynomials"][0][0].update(coefficient="1.5"),
@@ -391,6 +401,7 @@ def _split_first_block(germ):
         "degree-not-exponent-total", "repeated-exponents", "repeated-entry",
         "subdga-not-closed", "terminated-string", "terminated-missing",
         "repeated-variables", "negative-record-exponent", "repeated-record-exponents",
+        "zero-record-then-repeat", "repeat-then-zero-record",
         "record-coefficient-1/0", "record-coefficient-1.5",
     ],
 )

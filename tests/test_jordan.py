@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+from conftest import minimal_polynomial
+
 import germkit.linalg as la
 from germkit.jordan import (
     char_poly,
     jordan_chevalley,
-    minimal_polynomial,
     poly_derivative,
     poly_eval_matrix,
     poly_gcd,

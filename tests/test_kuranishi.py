@@ -1,8 +1,17 @@
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_ALGEBRAS, GRADED_NILPOTENT, heisenberg
+from conftest import (
+    FIXTURE_ALGEBRAS,
+    GRADED_NILPOTENT,
+    RingPoly,
+    heisenberg,
+    tensor_bracket,
+)
 
 from germkit import cli, fixtures, linalg
 from germkit.cedga import Dga, subdga_from_characters, wedge_monomials
@@ -17,7 +26,6 @@ from germkit.kuranishi import (
     kuranishi_series,
     linear_embedding_check,
     mc_residual,
-    mc_spot_check,
     obstruction_system,
     random_rational_samples,
     sparse_columns,
@@ -29,6 +37,8 @@ from germkit.liealg import LieAlgebra, Subspace
 from germkit.multipoly import MultiPoly
 from germkit.nilshadow import SolvableInput, nilshadow
 from germkit.scalars import I, ONE, Scalar, ZERO, scalar
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _setup(base, target, grading=True, cap=None):
@@ -72,15 +82,15 @@ def test_bracket_graded_antisymmetry_and_jacobi():
     ]
     for (p, a) in elems:
         for (q, b) in elems:
-            ab = tdgla.bracket(p, a, q, b)
-            ba = tdgla.bracket(q, b, p, a)
+            ab = tensor_bracket(tdgla, p, a, q, b)
+            ba = tensor_bracket(tdgla, q, b, p, a)
             sign = scalar(-((-1) ** (p * q)))
             assert ab == {k: sign * c for k, c in ba.items()}
     # graded Leibniz form of Jacobi: [a,[b,c]] = [[a,b],c] + (-1)^{pq}[b,[a,c]]
     (p, a), (q, b), (r, c) = elems
-    lhs = tdgla.bracket(p, a, q + r, tdgla.bracket(q, b, r, c))
-    rhs = tdgla.bracket(p + q, tdgla.bracket(p, a, q, b), r, c)
-    term = tdgla.bracket(q, b, p + r, tdgla.bracket(p, a, r, c))
+    lhs = tensor_bracket(tdgla, p, a, q + r, tensor_bracket(tdgla, q, b, r, c))
+    rhs = tensor_bracket(tdgla, p + q, tensor_bracket(tdgla, p, a, q, b), r, c)
+    term = tensor_bracket(tdgla, q, b, p + r, tensor_bracket(tdgla, p, a, r, c))
     sign = scalar((-1) ** (p * q))
     for k, v in term.items():
         rhs[k] = rhs.get(k, ZERO) + sign * v
@@ -96,8 +106,8 @@ def test_leibniz_rule_for_d():
     b = {tdgla.flat(0, 2): ONE, tdgla.flat(3, 0): scalar(-2)}  # degree 1
     d1, d2 = tdgla.dga.columns[1], tdgla.dga.columns[2]
     lhs = tdgla.apply_matrix(d2, tdgla.bracket11(a, b))
-    rhs = tdgla.bracket(2, tdgla.apply_matrix(d1, a), 1, b)
-    minus = tdgla.bracket(1, a, 2, tdgla.apply_matrix(d1, b))
+    rhs = tensor_bracket(tdgla, 2, tdgla.apply_matrix(d1, a), 1, b)
+    minus = tensor_bracket(tdgla, 1, a, 2, tdgla.apply_matrix(d1, b))
     for k, v in minus.items():
         rhs[k] = rhs.get(k, ZERO) - v
     rhs = {k: v for k, v in rhs.items() if v}
@@ -237,7 +247,7 @@ def _sl2_oracle():
     variables = tuple(f"t{i}" for i in range(1, 7))
 
     def var(i):
-        return MultiPoly.variable(variables, i)
+        return RingPoly.variable(variables, i)
 
     a = [var(0), var(1), var(2)]  # H, E, F coefficients
     b = [var(3), var(4), var(5)]
@@ -260,7 +270,7 @@ def test_h3_sl2_obstructions_match_brute_force_oracle():
     oracle = first + second  # x^z block then y^z block, components H, E, F
     for engine_poly, oracle_poly in zip(system.polynomials, oracle):
         assert engine_poly == oracle_poly * scalar(2)
-        assert engine_poly.is_homogeneous()
+        assert engine_poly.homogeneous_components() == [(3, engine_poly)]
         assert engine_poly.total_degree() == 3
 
 
@@ -270,7 +280,7 @@ def test_abelian_base_gives_cup_product_system():
     variables = series.variables  # t_{(i,a)} = row-major (one-form, sl2 basis)
 
     def var(i, a):
-        return MultiPoly.variable(variables, 3 * i + a)
+        return RingPoly.variable(variables, 3 * i + a)
 
     def bracket(u, v):
         h = u[1] * v[2] - u[2] * v[1]
@@ -336,33 +346,46 @@ def test_obstructions_have_no_low_order_terms():
                 assert sum(exps) >= 2
 
 
-def test_spot_checks_on_h3_sl2():
-    series = _setup("h3", "sl2")
-    system = obstruction_system(series)
-    s = scalar
+def _germ_file(tmp_path, capsys, name):
+    """The germ ``kuranishi`` writes for fixtures/<name>.json with target sl2."""
+    path = tmp_path / "germ.json"
+    fixture = FIXTURES / f"{name}.json"
+    code = cli.main(["kuranishi", str(fixture), "--target", "sl2", "--json", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    return path
+
+
+def _mc_check(capsys, germ, point):
+    """The JSON report of ``mc-check`` on ``germ`` at ``point``."""
+    code = cli.main(["mc-check", str(germ), "--point", point, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    return json.loads(out)
+
+
+def test_spot_checks_on_h3_sl2(tmp_path, capsys):
+    germ = _germ_file(tmp_path, capsys, "h3")
     # a = E, b = 0: everything commutes with itself
-    r = mc_spot_check(series, system, [s(0), s(1), s(0), s(0), s(0), s(0)])
-    assert r.obstructions_vanish and r.residual_is_zero and r.gauge_is_zero
+    r = _mc_check(capsys, germ, "t2=1")
+    assert r["obstructions_vanish"] and r["residual_is_zero"] and r["gauge_is_zero"]
     # a = E, b = 3/2 E: proportional values stay flat
-    r = mc_spot_check(series, system, [s(0), s(1), s(0), s(0), s("3/2"), s(0)])
-    assert r.obstructions_vanish and r.residual_is_zero
+    r = _mc_check(capsys, germ, "t2=1,t5=3/2")
+    assert r["obstructions_vanish"] and r["residual_is_zero"]
     # a = H, b = E: [H, [H, E]] = 4E obstructs
-    r = mc_spot_check(series, system, [s(1), s(0), s(0), s(0), s(1), s(0)])
-    assert not r.obstructions_vanish
-    assert not r.residual_is_zero
-    assert r.consistent
-    assert r.obstruction_values[1] == s(8)  # 2 * 4 on the x^z (x) E slot
+    r = _mc_check(capsys, germ, "t1=1,t5=1")
+    assert not r["obstructions_vanish"]
+    assert not r["residual_is_zero"]
+    assert r["consistent"]
+    assert r["obstruction_values"]["h2[0]⊗E"] == "8"  # 2 * 4 on the x^z (x) E slot
 
 
-def test_spot_checks_respect_flat_points_on_large_values():
+def test_spot_checks_respect_flat_points_on_large_values(tmp_path, capsys):
     # graded base: vanishing obstructions force exact flatness even for
     # large parameter values
-    series = _setup("q_plus_h3", "sl2")
-    system = obstruction_system(series)
-    s = scalar
-    point = [s(100), s(0), s(0), s(0), s(0), s(0), s(200), s(0), s(0)]
-    r = mc_spot_check(series, system, point)
-    assert r.consistent
+    germ = _germ_file(tmp_path, capsys, "q_plus_h3")
+    r = _mc_check(capsys, germ, "t1=100,t7=200")
+    assert r["consistent"]
 
 
 def test_linear_embedding_of_character_subdga():

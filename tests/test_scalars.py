@@ -195,7 +195,7 @@ def test_unary_operations_and_powers_match_oracle(x, k):
         with pytest.raises(ZeroDivisionError):
             x**k
         with pytest.raises(ZeroDivisionError):
-            x.inverse()
+            ONE / x
         return
     expected = (Fraction(1), Fraction(0))
     for _ in range(abs(k)):
@@ -204,7 +204,7 @@ def test_unary_operations_and_powers_match_oracle(x, k):
         expected = _oracle_div((Fraction(1), Fraction(0)), expected)
     _assert_canonical(x**k, expected)
     if x:
-        _assert_canonical(x.inverse(), _oracle_div((Fraction(1), Fraction(0)), (re, im)))
+        _assert_canonical(ONE / x, _oracle_div((Fraction(1), Fraction(0)), (re, im)))
 
 
 @given(any_fractions_st, any_fractions_st)
@@ -214,7 +214,7 @@ def test_parts_round_trip(re, im):
     assert Scalar(re=re, im=im) == x
     assert Scalar(x.re, x.im) == x
     assert x.is_rational() == (im == 0)
-    assert x.is_zero() == (not x) == (re == 0 and im == 0)
+    assert (not x) == (re == 0 and im == 0)
     assert pickle.loads(pickle.dumps(x)) == x
     d = 6 * re.denominator * im.denominator  # over a common, unreduced denominator
     a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)

@@ -102,8 +102,3 @@ def test_every_definition_is_reached_from_the_program():
         "only tests reach these; move them into tests/conftest.py or delete "
         f"them: {flagged}"
     )
-
-
-def test_every_allowed_exception_is_still_needed():
-    stale = sorted(set(ALLOWED) - set(unreached()))
-    assert not stale, f"ALLOWED names that the program now reaches: {stale}"

@@ -16,9 +16,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from germkit import fixtures
 from germkit.cedga import Dga
+from germkit.cli import obtain_grading
 from germkit.decomp import GERM_TOP, split_complex
 from germkit.kuranishi import kuranishi_series, obstruction_system, verify_degree_bound
-from germkit.liealg import infer_grading_basis_aligned
+from germkit.liealg import lower_central_series
 
 BASES = {
     "abelian3": fixtures.abelian(3),
@@ -40,7 +41,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for base_name, base in BASES.items():
-        grading = infer_grading_basis_aligned(base)
+        grading, _ = obtain_grading(None, base, lower_central_series(base))
         assert grading is not None
         dec = split_complex(Dga(base), "metric", grading, top=GERM_TOP)
         nu = grading.depth

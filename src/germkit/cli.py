@@ -27,6 +27,7 @@ from .cedga import (
 from .decomp import (
     GERM_TOP,
     STRATEGIES,
+    Decomposition,
     degree2_weight_table,
     kernel_containment_check,
     split_complex,
@@ -59,6 +60,8 @@ from .kuranishi import (
 from .liealg import (
     Grading,
     LieAlgebra,
+    LowerCentralSeries,
+    basis_aligned_weights,
     infer_grading_basis_aligned,
     is_solvable,
     lower_central_series,
@@ -219,17 +222,20 @@ def resolve_target(spec: str) -> tuple[dict, LieAlgebra]:
 
 
 def obtain_grading(
-    parsed_grading: Grading | None, algebra: LieAlgebra
+    parsed_grading: Grading | None, algebra: LieAlgebra, lcs: LowerCentralSeries
 ) -> tuple[Grading | None, str]:
-    if parsed_grading is not None:
-        violation = verify_natural_grading(algebra, parsed_grading)
-        if violation is not None:
-            raise PreconditionError(f"supplied grading is not natural: {violation}")
-        return parsed_grading, "supplied"
-    inferred = infer_grading_basis_aligned(algebra)
-    if inferred is not None:
-        return inferred, "inferred"
-    return None, "none"
+    """The supplied grading, or else the inferred one, checked natural once
+    against the series ``lcs``; a failing inferred candidate is dropped."""
+    grading = parsed_grading or infer_grading_basis_aligned(algebra, lcs)
+    if grading is None:
+        return None, "none"
+    violation = verify_natural_grading(algebra, lcs, grading)
+    if parsed_grading is None:
+        return (None, "none") if violation else (grading, "inferred")
+    if violation is not None:
+        raise PreconditionError(f"supplied grading is not natural: {violation}")
+    basis_aligned_weights(grading)  # raises unless the layers are basis vectors
+    return grading, "supplied"
 
 
 def grading_rows(grading: Grading) -> list[list[list[str]]]:
@@ -246,7 +252,8 @@ def bracket_text(algebra: LieAlgebra) -> str:
     return "; ".join(pretty) if pretty else "none (abelian)"
 
 
-def classification(algebra: LieAlgebra) -> dict:
+def classification(algebra: LieAlgebra) -> tuple[dict, LowerCentralSeries]:
+    """The fields of ``check``, and the series that later stages reuse."""
     lcs = lower_central_series(algebra)
     return {
         "dim": algebra.dim,
@@ -256,7 +263,7 @@ def classification(algebra: LieAlgebra) -> dict:
         "nu": lcs.nu,
         "lower_central_dims": lcs.dims(),
         "unimodular": algebra.is_unimodular(),
-    }
+    }, lcs
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -264,7 +271,7 @@ def classification(algebra: LieAlgebra) -> dict:
 
 def cmd_check(args) -> dict:
     parsed = load_algebra_file(args.file)
-    info = classification(parsed.algebra)
+    info, _ = classification(parsed.algebra)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "check",
@@ -326,7 +333,9 @@ def cmd_nilshadow(args) -> dict:
 def cmd_decompose(args) -> dict:
     parsed = load_algebra_file(args.file)
     dga = Dga(parsed.algebra)
-    grading, grading_how = obtain_grading(parsed.grading, parsed.algebra)
+    grading, grading_how = obtain_grading(
+        parsed.grading, parsed.algebra, lower_central_series(parsed.algebra)
+    )
     dec = split_complex(dga, strategy=args.strategy, grading=grading)
     betti = dec.betti()
     harmonic = {
@@ -366,14 +375,14 @@ def cmd_decompose(args) -> dict:
         )
         if split.harmonic:
             text.append("  harmonic basis: " + "; ".join(harmonic[str(p)]))
-    if grading is not None and dec.weights is not None:
+    if grading is not None:
         table = degree2_weight_table(dga, dec.weights)
         rows = {
             str(w): [dga.monomial_label(m) for m in monos]
             for w, monos in table.items()
         }
         report["degree2_weight_table"] = rows
-        kc = kernel_containment_check(dga, grading)
+        kc = kernel_containment_check(dec)
         report["degree2_cocycle_weight_bound"] = {
             "bound": grading.depth + 1,
             "satisfied": kc is None,
@@ -450,16 +459,13 @@ def cmd_subdga(args) -> dict:
 def _run_germ(
     args,
     base: dict,
-    complex_: Dga,
+    dec: Decomposition,
     target: tuple[dict, LieAlgebra],
-    grading: Grading | None,
     subdga_monomials: list[list[int]] | None = None,
 ) -> tuple[dict, dict]:
-    """Split, solve and check the series; returns (germ file, summary)."""
-    dec = split_complex(
-        complex_, strategy=args.strategy, grading=grading, top=GERM_TOP
-    )
-    betti = complex_.betti()
+    """Solve and check the series; returns (germ file, summary)."""
+    grading = dec.grading
+    betti = dec.dga.betti()
     if dec.betti() != betti[: len(dec.splits)]:
         raise InternalCheckError(
             f"split gives betti {dec.betti()} in degrees <= {GERM_TOP}, "
@@ -510,7 +516,8 @@ def _subdga_germ(
     """The sub-DGA's own germ, after checking that its inclusion into the
     ambient complex preserves flatness residuals on rational samples."""
     germ, summary = _run_germ(
-        args, base, sub, target, None, subdga_to_monomial_lists(sub)
+        args, base, split_complex(sub, args.strategy, None, GERM_TOP), target,
+        subdga_to_monomial_lists(sub),
     )
     samples = random_rational_samples(
         EMBEDDING_SAMPLES, sub.dim_at(1) * target[1].dim
@@ -542,8 +549,11 @@ def cmd_kuranishi(args) -> dict:
         grading_how = "none (sub-DGA run)"
         germ, summary = _subdga_germ(args, base, _subdga(spec, full), full, target)
     else:
-        grading, grading_how = obtain_grading(parsed.grading, parsed.algebra)
-        germ, summary = _run_germ(args, base, full, target, grading)
+        grading, grading_how = obtain_grading(
+            parsed.grading, parsed.algebra, lower_central_series(parsed.algebra)
+        )
+        dec = split_complex(full, args.strategy, grading, GERM_TOP)
+        germ, summary = _run_germ(args, base, dec, target)
 
     text = [
         f"deformation series for {parsed.name} with target {args.target}",
@@ -630,7 +640,7 @@ def cmd_pipeline(args) -> dict:
     stages: list[dict] = []
     text: list[str] = [f"pipeline: {parsed.name} -> target {args.target}"]
 
-    info = classification(parsed.algebra)
+    info, lcs = classification(parsed.algebra)
     stages.append({"stage": "classify", **info})
     text.append(
         f"[classify] dim={info['dim']} jacobi=pass solvable={info['solvable']} "
@@ -639,16 +649,16 @@ def cmd_pipeline(args) -> dict:
 
     if parsed.nilradical is not None and parsed.complement is not None:
         shadow = nilshadow(_require_solvable_data(parsed))
+        shadow_lcs = lower_central_series(shadow)
         how = "computed from nilradical/complement data"
     elif info["nilpotent"]:
-        shadow = parsed.algebra
+        shadow, shadow_lcs = parsed.algebra, lcs
         how = "input already nilpotent; nilshadow is the identity"
     else:
         raise PreconditionError(
             "algebra is not nilpotent and no nilradical/complement data "
             "was provided; cannot form the nilshadow"
         )
-    shadow_lcs = lower_central_series(shadow)
     stages.append(
         {
             "stage": "nilshadow",
@@ -662,7 +672,7 @@ def cmd_pipeline(args) -> dict:
     )
 
     grading, grading_how = obtain_grading(
-        parsed.grading if shadow is parsed.algebra else None, shadow
+        parsed.grading if shadow is parsed.algebra else None, shadow, shadow_lcs
     )
     stages.append(
         {
@@ -679,8 +689,9 @@ def cmd_pipeline(args) -> dict:
     stages.append({"stage": "pd_type", "verdict": "pass" if pd is None else pd})
     text.append(f"[pd-type] {'pass' if pd is None else pd}")
 
+    dec = split_complex(dga, args.strategy, grading, GERM_TOP)
     if grading is not None:
-        kc = kernel_containment_check(dga, grading)
+        kc = kernel_containment_check(dec)
         stages.append(
             {
                 "stage": "degree2_cocycle_weights",
@@ -694,7 +705,7 @@ def cmd_pipeline(args) -> dict:
         )
 
     base = algebra_to_dict(shadow, parsed.name)
-    germ, summary = _run_germ(args, base, dga, target, grading)
+    germ, summary = _run_germ(args, base, dec, target)
     stages.append({"stage": "germ", **summary})
     text.append(
         f"[decompose] betti {summary['betti']} (strategy {args.strategy})"

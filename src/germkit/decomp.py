@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import linalg
 from .cedga import Dga, Monomial
 from .errors import InternalCheckError, PreconditionError
-from .liealg import Grading, basis_aligned_weights, verify_natural_grading
+from .liealg import Grading, basis_aligned_weights
 from .linalg import Matrix, SparseColumns, Vector
 from .scalars import ONE, ZERO
 
@@ -74,7 +74,7 @@ class DegreeSplit:
 class Decomposition:
     """Splitting of degrees 0..top plus the homotopy operator delta there."""
 
-    __slots__ = ("dga", "grading", "weights", "splits", "delta", "dstar", "_delta_cols")
+    __slots__ = ("dga", "grading", "weights", "splits", "delta", "_delta_cols")
 
     def __init__(
         self,
@@ -83,14 +83,12 @@ class Decomposition:
         weights: list[int] | None,
         splits: list[DegreeSplit],
         delta: list[Matrix],
-        dstar: list[Matrix] | None,
     ):
         self.dga = dga
         self.grading = grading
         self.weights = weights
         self.splits = splits
         self.delta = delta
-        self.dstar = dstar
         self._delta_cols: dict[int, SparseColumns] = {}
 
     def betti(self) -> list[int]:
@@ -179,7 +177,7 @@ def split_complex(
         splits.append(_assemble_split(harmonic, exact, complement, dim_p))
 
     delta = _build_delta(dga, splits, dims)
-    dec = Decomposition(dga, grading, weights, splits, delta, dstar)
+    dec = Decomposition(dga, grading, weights, splits, delta)
     _verify_decomposition(dec, dims)
     return dec
 
@@ -256,11 +254,6 @@ def graded_weights(dga: Dga, grading: Grading, last: int) -> list[int]:
     monomials it may first show in a higher degree.
     """
     weights = basis_aligned_weights(grading)
-    if weights is None or len(weights) != dga.algebra.dim:
-        raise PreconditionError(
-            "grading layers must be spanned by input basis vectors to "
-            "drive the weight machinery"
-        )
     for p in range(min(last + 1, len(dga.columns) - 1)):
         for mono, column in zip(dga.monomials[p], dga.columns[p]):
             w = monomial_weight(weights, mono)
@@ -322,34 +315,30 @@ def _verify_decomposition(dec: Decomposition, dims: list[int]) -> None:
                     )
 
 
-def kernel_containment_check(
-    dga: Dga, grading: Grading
-) -> tuple[Vector, int] | None:
+def kernel_containment_check(dec: Decomposition) -> tuple[Vector, int] | None:
     """Check that degree-2 cocycles carry weight at most nu + 1.
 
-    Returns None on pass, else a witness (cocycle, offending weight).  The
-    grading must be natural and aligned with the input basis.
+    The harmonic and exact rows of degree 2 together span the cocycles, and
+    the split has verified each row weight-homogeneous, so the weights of
+    these rows are the weights the cocycles carry.  ``dec`` must carry a
+    grading and reach degree 2 when the complex has one; with none there
+    are no cocycles.  Returns None on pass, else a witness (cocycle,
+    offending weight).
     """
-    violation = verify_natural_grading(dga.algebra, grading)
-    if violation is not None:
-        raise PreconditionError(f"grading is not natural: {violation}")
-    weights = basis_aligned_weights(grading)
-    if weights is None:
-        raise PreconditionError(
-            "grading layers must be spanned by input basis vectors"
-        )
-    nu = grading.depth
-    kernel = linalg.kernel_basis(dga.d[2], dga.dim_at(2))
-    for row in kernel:
-        for weight in sorted(_vector_weights(dga, weights, 2, row)):
-            if weight > nu + 1:
-                return list(row), weight
+    if not dec.dga.dim_at(2):
+        return None
+    nu = dec.grading.depth
+    split = dec.splits[2]
+    for row in split.harmonic + split.exact:
+        (weight,) = _vector_weights(dec.dga, dec.weights, 2, row)
+        if weight > nu + 1:
+            return list(row), weight
     return None
 
 
 def degree2_weight_table(dga: Dga, weights: list[int]) -> dict[int, list[Monomial]]:
     """Degree-2 monomials bucketed by weight (for reports and tests)."""
     table: dict[int, list[Monomial]] = {}
-    for mono in dga.monomials[2]:
+    for mono in dga.monomials[2] if dga.dim_at(2) else ():
         table.setdefault(monomial_weight(weights, mono), []).append(mono)
     return dict(sorted(table.items()))

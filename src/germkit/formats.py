@@ -632,7 +632,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         nonzero = {e: {i: x for i, x in vec.items() if x} for e, vec in terms.items()}
         if any(nonzero.values()):
             slices[r] = {e: vec for e, vec in nonzero.items() if vec}
-    phi = PolyCochain(variables, 1, slices)
+    phi = PolyCochain(variables, slices)
     obstructions = _field(data, "obstructions", dict, source)
     where = f"{source}: obstructions"
     polys = []

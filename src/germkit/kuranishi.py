@@ -170,14 +170,13 @@ Slice = dict[ExponentVector, SparseVec]
 
 @dataclass
 class PolyCochain:
-    """Cochain-valued polynomial in the deformation parameters.
+    """L^1-valued polynomial in the deformation parameters.
 
     ``slices[r]`` is the homogeneous part of total degree r, mapping
-    exponent vectors to sparse L^degree vectors.
+    exponent vectors to sparse L^1 vectors.
     """
 
     variables: tuple[str, ...]
-    degree: int
     slices: dict[int, Slice] = field(default_factory=dict)
 
     def eval(self, point: "list[Scalar] | PointPowers") -> SparseVec:
@@ -337,7 +336,6 @@ class KuranishiSeries:
     tdgla: TensorDgla
     decomposition: Decomposition
     variables: tuple[str, ...]
-    zeta: list[SparseVec]
     zeta_info: list[tuple[int, int]]  # (harmonic 1-form index, target index)
     slices: dict[int, Slice]
     cap: int
@@ -409,7 +407,6 @@ def kuranishi_series(
         tdgla=tdgla,
         decomposition=dec,
         variables=variables,
-        zeta=zeta,
         zeta_info=zeta_info,
         slices=slices,
         cap=cap,

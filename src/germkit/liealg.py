@@ -115,23 +115,24 @@ class LieAlgebra:
     def jacobi_counterexample(self) -> tuple[int, int, int, Vector] | None:
         """None if the Jacobi identity holds, else a violating triple.
 
-        The returned vector is the nonzero cyclic sum
+        Triples i < j < k are tried in lexicographic order, composing the
+        sparse bracket table.  The returned vector is the nonzero cyclic sum
         [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
         """
+        table = dict(self._brackets)
+        for (i, j), entries in self._brackets.items():
+            table[(j, i)] = tuple((k, -c) for k, c in entries)
         n = self.dim
         for i in range(n):
-            ei = self.basis_vector(i)
             for j in range(i + 1, n):
-                ej = self.basis_vector(j)
                 for k in range(j + 1, n):
-                    ek = self.basis_vector(k)
-                    total = self.bracket(ei, self.bracket(ej, ek))
-                    for x, c in enumerate(self.bracket(ej, self.bracket(ek, ei))):
-                        total[x] = total[x] + c
-                    for x, c in enumerate(self.bracket(ek, self.bracket(ei, ej))):
-                        total[x] = total[x] + c
-                    if any(total):
-                        return (i, j, k, total)
+                    total: dict[int, Scalar] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in table.get((b, c), ()):
+                            for t, y in table.get((a, m), ()):
+                                total[t] = total.get(t, ZERO) + x * y
+                    if any(total.values()):
+                        return i, j, k, [total.get(t, ZERO) for t in range(n)]
         return None
 
     def is_unimodular(self) -> bool:
@@ -286,14 +287,16 @@ class Grading:
         return len(self.layers)
 
 
-def verify_natural_grading(algebra: LieAlgebra, grading: Grading) -> str | None:
+def verify_natural_grading(
+    algebra: LieAlgebra, lcs: LowerCentralSeries, grading: Grading
+) -> str | None:
     """None if the grading is natural, else a violation message.
 
-    Checks: the algebra is nilpotent of class nu = number of layers, layer i
-    complements g^(i+1) inside g^(i), and every [layer_i, layer_j] lands in
-    layer_{i+j} (the zero space when i+j exceeds nu).
+    Checks, against the lower central series ``lcs``: the algebra is
+    nilpotent of class nu = number of layers, layer i complements g^(i+1)
+    inside g^(i), and every [layer_i, layer_j] lands in layer_{i+j} (the
+    zero space when i+j exceeds nu).
     """
-    lcs = lower_central_series(algebra)
     if lcs.nu is None:
         return "algebra is not nilpotent"
     nu = lcs.nu
@@ -323,20 +326,20 @@ def verify_natural_grading(algebra: LieAlgebra, grading: Grading) -> str | None:
     return None
 
 
-def infer_grading_basis_aligned(algebra: LieAlgebra) -> Grading | None:
-    """Search for a natural grading spanned by input basis vectors.
+def infer_grading_basis_aligned(
+    algebra: LieAlgebra, lcs: LowerCentralSeries
+) -> Grading | None:
+    """Layers of input basis vectors complementing each step of the lower
+    central series ``lcs``, greedy, smallest basis indices first.
 
-    Greedy, smallest basis indices first.  Returning None does not prove
-    that no natural grading exists; it only means no coordinate-aligned
-    one was found by this rule.
+    A candidate only: ``verify_natural_grading`` checks the bracket.  None
+    does not prove that no natural grading exists.
     """
-    lcs = lower_central_series(algebra)
     if lcs.nu is None:
         return None
-    nu = lcs.nu
     chain = list(lcs.chain) + [Subspace.zero(algebra.dim)]
     layers = []
-    for i in range(1, nu + 1):
+    for i in range(1, lcs.nu + 1):
         step, nxt = chain[i - 1], chain[i]
         chosen: list[Vector] = []
         span = nxt
@@ -351,30 +354,22 @@ def infer_grading_basis_aligned(algebra: LieAlgebra) -> Grading | None:
         if span.dim != step.dim:
             return None
         layers.append(Subspace.from_vectors(algebra.dim, chosen))
-    grading = Grading(tuple(layers))
-    if verify_natural_grading(algebra, grading) is not None:
-        return None
-    return grading
+    return Grading(tuple(layers))
 
 
-def basis_aligned_weights(grading: Grading) -> list[int] | None:
-    """Per-basis-index weights when every layer is a coordinate subspace.
-
-    Returns None when some layer row is not a standard basis vector; the
-    weight machinery downstream requires alignment with the input basis.
-    """
-    if not grading.layers:
-        return None
-    n = grading.layers[0].ambient_dim
-    weights: list[int | None] = [None] * n
+def basis_aligned_weights(grading: Grading) -> list[int]:
+    """Per-basis-index weights; the weight machinery downstream needs each
+    basis vector to be a row of exactly one layer, and no other rows."""
+    n = grading.layers[0].ambient_dim if grading.layers else 0
+    weights: dict[int, int] = {}
     for w, layer in enumerate(grading.layers, start=1):
         for row in layer.rows:
             support = [i for i, c in enumerate(row) if c]
-            if len(support) != 1 or row[support[0]] != ONE:
-                return None
-            if weights[support[0]] is not None:
-                return None
-            weights[support[0]] = w
-    if any(w is None for w in weights):
-        return None
-    return [w for w in weights if w is not None]
+            if len(support) == 1 and row[support[0]] == ONE:
+                weights[support[0]] = w
+    if not n or len(weights) != n or sum(g.dim for g in grading.layers) != n:
+        raise PreconditionError(
+            "grading layers must be spanned by input basis vectors to "
+            "drive the weight machinery"
+        )
+    return [weights[i] for i in range(n)]

@@ -14,7 +14,13 @@ these live here because only the tests call them:
   hand-expanded obstruction oracles are written;
 - ``minimal_polynomial``: the squarefree check on Jordan-Chevalley parts;
 - ``hermitian``: the form that makes the monomial basis orthonormal, for
-  the adjointness tests of the metric splitting.
+  the adjointness tests of the metric splitting;
+- ``jacobi_counterexample_dense``: the Jacobi check on dense vectors, the
+  reference of the sparse ``LieAlgebra.jacobi_counterexample``;
+- ``kernel_containment_dense``: the degree-2 cocycle-weight check on a
+  dense kernel of d_2, the reference of ``kernel_containment_check``,
+  which reads the cocycles off the split;
+- ``inferred_grading``: the grading the CLI infers, for graded splits.
 """
 
 from __future__ import annotations
@@ -28,10 +34,18 @@ import pytest
 
 from germkit import fixtures, linalg
 from germkit.cedga import Dga, Monomial, wedge_monomials
+from germkit.cli import obtain_grading
+from germkit.decomp import _vector_weights
 from germkit.errors import InternalCheckError, PreconditionError
 from germkit.jordan import Poly, poly_normalize
 from germkit.kuranishi import SparseVec, TensorDgla, vec_add_into
-from germkit.liealg import LieAlgebra
+from germkit.liealg import (
+    Grading,
+    LieAlgebra,
+    basis_aligned_weights,
+    lower_central_series,
+    verify_natural_grading,
+)
 from germkit.linalg import Matrix, Vector
 from germkit.multipoly import ExponentVector, MultiPoly
 from germkit.scalars import ONE, Scalar, ZERO, scalar
@@ -404,6 +418,62 @@ def minimal_polynomial(m: Matrix) -> Poly:
         if sol is not None:
             return poly_normalize([-c for c in sol] + [ONE])
     raise InternalCheckError("no linear dependence among matrix powers")
+
+
+# -- dense references of sparse or split-based checks -------------------------
+
+
+def jacobi_counterexample_dense(
+    algebra: LieAlgebra,
+) -> tuple[int, int, int, Vector] | None:
+    """None if the Jacobi identity holds, else a violating triple.
+
+    The returned vector is the nonzero cyclic sum
+    [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
+    """
+    n = algebra.dim
+    for i in range(n):
+        ei = algebra.basis_vector(i)
+        for j in range(i + 1, n):
+            ej = algebra.basis_vector(j)
+            for k in range(j + 1, n):
+                ek = algebra.basis_vector(k)
+                total = algebra.bracket(ei, algebra.bracket(ej, ek))
+                for x, c in enumerate(algebra.bracket(ej, algebra.bracket(ek, ei))):
+                    total[x] = total[x] + c
+                for x, c in enumerate(algebra.bracket(ek, algebra.bracket(ei, ej))):
+                    total[x] = total[x] + c
+                if any(total):
+                    return (i, j, k, total)
+    return None
+
+
+def kernel_containment_dense(
+    dga: Dga, grading: Grading
+) -> tuple[Vector, int] | None:
+    """Check that degree-2 cocycles carry weight at most nu + 1.
+
+    Returns None on pass, else a witness (cocycle, offending weight).  The
+    grading must be natural and aligned with the input basis.
+    """
+    violation = verify_natural_grading(
+        dga.algebra, lower_central_series(dga.algebra), grading
+    )
+    if violation is not None:
+        raise PreconditionError(f"grading is not natural: {violation}")
+    weights = basis_aligned_weights(grading)
+    nu = grading.depth
+    kernel = linalg.kernel_basis(dga.d[2], dga.dim_at(2))
+    for row in kernel:
+        for weight in sorted(_vector_weights(dga, weights, 2, row)):
+            if weight > nu + 1:
+                return list(row), weight
+    return None
+
+
+def inferred_grading(algebra: LieAlgebra) -> Grading | None:
+    """The basis-aligned natural grading the CLI infers, or None."""
+    return obtain_grading(None, algebra, lower_central_series(algebra))[0]
 
 
 # -- fixture registry ------------------------------------------------------------

@@ -7,6 +7,8 @@ from conftest import (
     UNIMODULAR,
     apply_d,
     hermitian,
+    inferred_grading,
+    kernel_containment_dense,
     oracle_betti,
 )
 
@@ -16,19 +18,16 @@ from germkit.cedga import Dga
 from germkit.decomp import (
     GERM_TOP,
     READBACK_TOP,
+    STRATEGIES,
     _laplacian,
+    _vector_weights,
     degree2_weight_table,
     kernel_containment_check,
     monomial_weight,
     split_complex,
 )
 from germkit.errors import PreconditionError
-from germkit.liealg import (
-    Grading,
-    Subspace,
-    basis_aligned_weights,
-    infer_grading_basis_aligned,
-)
+from germkit.liealg import Grading, Subspace, basis_aligned_weights
 from germkit.scalars import ONE, ZERO, scalar
 
 
@@ -36,9 +35,17 @@ def _metric(algebra, grading=None):
     return split_complex(Dga(algebra), "metric", grading)
 
 
+def _dstar(dga):
+    """The adjoint of d in each degree p >= 1, for the metric split."""
+    return [la.zeros(0, dga.dim_at(0))] + [
+        la.conj_transpose(dga.d[p - 1], dga.dim_at(p - 1))
+        for p in range(1, len(dga.monomials))
+    ]
+
+
 def test_h3_harmonic_spaces_and_delta():
     h3 = fixtures.heisenberg3()
-    dec = _metric(h3, infer_grading_basis_aligned(h3))
+    dec = _metric(h3, inferred_grading(h3))
     assert dec.betti() == [1, 2, 2, 1]
     assert dec.harmonic_basis(1) == [
         [ONE, ZERO, ZERO],
@@ -85,7 +92,7 @@ def test_poincare_duality_on_unimodular_fixtures(name):
 def test_adjointness_on_every_basis_pair(name):
     algebra = UNIMODULAR[name]
     dga = Dga(algebra)
-    dec = split_complex(dga)
+    dstar = _dstar(dga)
     n = algebra.dim
     for p in range(n):
         dim_p, dim_q = dga.dim_at(p), dga.dim_at(p + 1)
@@ -94,7 +101,7 @@ def test_adjointness_on_every_basis_pair(name):
             d_alpha = apply_d(dga, p, alpha)
             for b in range(dim_q):
                 beta = [ONE if i == b else ZERO for i in range(dim_q)]
-                dstar_beta = la.mat_vec(dec.dstar[p + 1], beta)
+                dstar_beta = la.mat_vec(dstar[p + 1], beta)
                 assert hermitian(d_alpha, beta) == hermitian(alpha, dstar_beta)
 
 
@@ -115,12 +122,13 @@ def test_metric_harmonics_are_two_sided_kernels():
     for name, algebra in UNIMODULAR.items():
         dga = Dga(algebra)
         dec = split_complex(dga)
+        dstar = _dstar(dga)
         for p in range(len(dec.splits)):
-            lap = _laplacian(dga, dec.dstar, p)
+            lap = _laplacian(dga, dstar, p)
             for row in dec.harmonic_basis(p):
                 assert not any(la.mat_vec(lap, list(row))), (name, p)
                 assert not any(apply_d(dga, p, list(row)))
-                assert not any(la.mat_vec(dec.dstar[p], list(row)))
+                assert not any(la.mat_vec(dstar[p], list(row)))
             # ker(Laplacian) (+) im(Laplacian) is a direct sum filling the degree
             image = la.image_basis(lap, dga.dim_at(p))
             stacked = [list(r) for r in dec.harmonic_basis(p)] + [
@@ -132,7 +140,7 @@ def test_metric_harmonics_are_two_sided_kernels():
 
 def test_delta_respects_weights_in_degree_two():
     for name, algebra in GRADED_NILPOTENT.items():
-        grading = infer_grading_basis_aligned(algebra)
+        grading = inferred_grading(algebra)
         dga = Dga(algebra)
         dec = split_complex(dga, "metric", grading)
         weights = dec.weights
@@ -149,14 +157,51 @@ def test_delta_respects_weights_in_degree_two():
 
 def test_kernel_containment_on_graded_fixtures():
     for name, algebra in GRADED_NILPOTENT.items():
-        grading = infer_grading_basis_aligned(algebra)
-        dga = Dga(algebra)
-        assert kernel_containment_check(dga, grading) is None, name
+        dec = _metric(algebra, inferred_grading(algebra))
+        assert kernel_containment_check(dec) is None, name
+
+
+GRADED_CASES = [
+    (f"fixture:{name}", algebra)
+    for name, algebra in FIXTURE_ALGEBRAS.items()
+    if inferred_grading(algebra) is not None
+] + [(f"generated:{name}", algebra) for name, algebra in GENERATED.items()]
+
+
+@pytest.mark.parametrize("top", [None, GERM_TOP], ids=["full", "germ-top"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "algebra", [a for _, a in GRADED_CASES], ids=[n for n, _ in GRADED_CASES]
+)
+def test_cocycle_weights_from_the_split_match_the_dense_kernel(
+    algebra, strategy, top
+):
+    # The harmonic and exact rows of degree 2 span Z^2, each row in one
+    # weight; a dense kernel basis of d_2 may mix weights within a row, but
+    # the weights its rows touch are the same set.
+    grading = inferred_grading(algebra)
+    dga = Dga(algebra)
+    dec = split_complex(dga, strategy, grading, top=top)
+    split = dec.splits[2]
+    from_split = {
+        w
+        for row in split.harmonic + split.exact
+        for w in _vector_weights(dga, dec.weights, 2, row)
+    }
+    from_kernel = {
+        w
+        for row in la.kernel_basis(dga.d[2], dga.dim_at(2))
+        for w in _vector_weights(dga, dec.weights, 2, row)
+    }
+    assert from_split == from_kernel
+    assert max(from_split) <= grading.depth + 1
+    assert kernel_containment_check(dec) is None
+    assert kernel_containment_dense(dga, grading) is None
 
 
 def test_h3_degree2_weights():
     h3 = fixtures.heisenberg3()
-    grading = infer_grading_basis_aligned(h3)
+    grading = inferred_grading(h3)
     weights = basis_aligned_weights(grading)
     dga = Dga(h3)
     table = degree2_weight_table(dga, weights)
@@ -211,7 +256,7 @@ TRUNCATION_CASES = [
 )
 def test_truncated_split_agrees_with_full_split(algebra, strategy):
     dga = Dga(algebra)
-    grading = infer_grading_basis_aligned(algebra)
+    grading = inferred_grading(algebra)
     full = split_complex(dga, strategy, grading)
     # The germ path splits to GERM_TOP, a germ file read back to READBACK_TOP.
     for top in (GERM_TOP, READBACK_TOP):

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import pathlib
@@ -487,6 +488,97 @@ def test_selected_complex_is_built_once(monkeypatch, capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "fixture, series_runs", [("h5.json", 1), ("solv_heisenberg.json", 3)]
+)
+def test_pipeline_checks_each_structural_fact_once(
+    monkeypatch, capsys, fixture, series_runs
+):
+    # One lower central series per algebra: the input's, reused for a
+    # nilpotent input's nilshadow and grading; a computed nilshadow adds its
+    # self-check and its own (the nilradical's series is not counted).  One
+    # naturality check, and the degree-2 cocycles read off the split, not
+    # off a kernel of d_2.
+    from germkit import decomp, liealg, linalg
+
+    calls = collections.Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        liealg,
+        "restricted_lower_central_series",
+        counting("series", liealg.restricted_lower_central_series),
+    )
+    verify = liealg.verify_natural_grading
+    for module in (liealg, cli, decomp):
+        if getattr(module, "verify_natural_grading", None) is verify:
+            monkeypatch.setattr(
+                module, "verify_natural_grading", counting("verify", verify)
+            )
+    kernels, built = [], []
+    kernel_basis, init = linalg.kernel_basis, cli.Dga.__init__
+
+    def recording_kernel(matrix, ncols):
+        kernels.append(matrix)
+        return kernel_basis(matrix, ncols)
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "kernel_basis", recording_kernel)
+    monkeypatch.setattr(cli.Dga, "__init__", recording_init)
+    code, _, _ = run(capsys, "pipeline", str(FIXTURES / fixture), "--target", "sl2")
+    assert code == 0
+    assert calls == {"series": series_runs, "verify": 1}
+    assert not any(m is dga.d[2] for dga in built for m in kernels)
+
+
+def test_one_dimensional_algebra_has_no_degree_two(tmp_path, capsys):
+    # No degree 2 means no cocycles there: the weight table is empty and
+    # the cocycle-weight bound holds.
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps({"name": "a1", "basis": ["x"], "brackets": []}))
+    code, out, err = run(capsys, "decompose", str(path), "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["degree_dims"] == [1, 1]
+    assert report["degree2_weight_table"] == {}
+    assert report["degree2_cocycle_weight_bound"] == {"bound": 2, "satisfied": True}
+    code, out, err = run(capsys, "pipeline", str(path), "--target", "sl2", "--json")
+    assert code == 0 and err == ""
+    stages = {s["stage"]: s for s in json.loads(out)["stages"]}
+    assert stages["degree2_cocycle_weights"]["satisfied"] is True
+    assert stages["germ"]["degree_bound"] == {"bound": 2, "satisfied": True}
+
+
+def test_unaligned_grading_is_rejected_with_one_message(tmp_path, capsys):
+    # Layers (X, Y + Z), (Z) are a natural grading of h3, but not spanned
+    # by basis vectors; the grading step rejects them the same way for
+    # every subcommand that reads a grading.
+    data = json.loads((FIXTURES / "h3.json").read_text())
+    data["grading"] = [["X", ["0", "1", "1"]], ["Z"]]
+    path = tmp_path / "h3_skew.json"
+    path.write_text(json.dumps(data))
+    for argv in (
+        ["decompose", str(path)],
+        ["kuranishi", str(path), "--target", "sl2"],
+        ["pipeline", str(path), "--target", "sl2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == (
+            "precondition failed: grading layers must be spanned by input "
+            "basis vectors to drive the weight machinery\n"
+        ), argv
 
 
 def test_pipeline_text_output(capsys):

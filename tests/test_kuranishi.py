@@ -10,6 +10,7 @@ from conftest import (
     GRADED_NILPOTENT,
     RingPoly,
     heisenberg,
+    inferred_grading,
     tensor_bracket,
 )
 
@@ -44,9 +45,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 def _setup(base, target, grading=True, cap=None):
     g = fixtures.BUILTIN_ALGEBRAS[base]() if isinstance(base, str) else base
     t = fixtures.BUILTIN_ALGEBRAS[target]() if isinstance(target, str) else target
-    from germkit.liealg import infer_grading_basis_aligned
-
-    gr = infer_grading_basis_aligned(g) if grading else None
+    gr = inferred_grading(g) if grading else None
     dec = split_complex(Dga(g), "metric", gr)
     series = kuranishi_series(dec, t, cap)
     return series
@@ -167,9 +166,9 @@ def test_recursion_identity():
 
 def test_graded_weight_confinement():
     for name, algebra in GRADED_NILPOTENT.items():
-        from germkit.liealg import basis_aligned_weights, infer_grading_basis_aligned
+        from germkit.liealg import basis_aligned_weights
 
-        grading = infer_grading_basis_aligned(algebra)
+        grading = inferred_grading(algebra)
         weights = basis_aligned_weights(grading)
         nu = grading.depth
         dga = Dga(algebra)
@@ -199,7 +198,6 @@ def _with_slices(series, slices):
         tdgla=series.tdgla,
         decomposition=series.decomposition,
         variables=series.variables,
-        zeta=series.zeta,
         zeta_info=series.zeta_info,
         slices=slices,
         cap=series.cap,
@@ -315,10 +313,8 @@ def test_h3_target_matches_hand_expansion():
 
 
 def test_pivot_strategy_gives_equivalent_series_shape():
-    from germkit.liealg import infer_grading_basis_aligned
-
     h3 = fixtures.heisenberg3()
-    grading = infer_grading_basis_aligned(h3)
+    grading = inferred_grading(h3)
     sl2 = fixtures.sl2()
     metric = kuranishi_series(split_complex(Dga(h3), "metric", grading), sl2)
     pivot = kuranishi_series(split_complex(Dga(h3), "pivot", grading), sl2)
@@ -668,10 +664,8 @@ def _solvable_heisenberg5_nilshadow():
     ids=["L6-gl2", "Th5-gl3"],
 )
 def test_square_slice_matches_scalar_reference_over_a_series(base, target):
-    from germkit.liealg import infer_grading_basis_aligned
-
     algebra, lie_target = base(), target()
-    grading = infer_grading_basis_aligned(algebra)
+    grading = inferred_grading(algebra)
     dec = split_complex(Dga(algebra), "metric", grading, top=GERM_TOP)
     series = kuranishi_series(dec, lie_target)
     assert series.terminated and series.last_nonzero >= 2

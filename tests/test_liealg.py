@@ -1,6 +1,12 @@
 import pytest
 
-from conftest import GRADED_NILPOTENT, non_unimodular2
+from conftest import (
+    FIXTURE_ALGEBRAS,
+    GENERATED,
+    GRADED_NILPOTENT,
+    jacobi_counterexample_dense,
+    non_unimodular2,
+)
 
 from germkit import fixtures
 from germkit.errors import PreconditionError
@@ -95,7 +101,7 @@ def test_verify_natural_grading_standard_layers():
             Subspace.from_vectors(3, [h3.basis_vector(2)]),
         )
     )
-    assert verify_natural_grading(h3, grading) is None
+    assert verify_natural_grading(h3, lower_central_series(h3), grading) is None
 
 
 def test_verify_natural_grading_skew_layer():
@@ -108,7 +114,7 @@ def test_verify_natural_grading_skew_layer():
             Subspace.from_vectors(3, [h3.basis_vector(2)]),
         )
     )
-    assert verify_natural_grading(h3, grading) is None
+    assert verify_natural_grading(h3, lower_central_series(h3), grading) is None
 
 
 def test_verify_natural_grading_violations():
@@ -119,37 +125,41 @@ def test_verify_natural_grading_violations():
             Subspace.from_vectors(3, [h3.basis_vector(1)]),
         )
     )
-    assert verify_natural_grading(h3, bad) is not None
+    lcs = lower_central_series(h3)
+    assert verify_natural_grading(h3, lcs, bad) is not None
     with pytest.raises(PreconditionError):
         verify_natural_grading(
-            h3, Grading((Subspace.full(3),))
+            h3, lcs, Grading((Subspace.full(3),))
         )  # wrong layer count
 
 
 def test_filiform_grading():
     fil = fixtures.filiform4()
-    grading = infer_grading_basis_aligned(fil)
+    lcs = lower_central_series(fil)
+    grading = infer_grading_basis_aligned(fil, lcs)
     assert grading is not None
     assert [layer.dim for layer in grading.layers] == [2, 1, 1]
-    assert verify_natural_grading(fil, grading) is None
+    assert verify_natural_grading(fil, lcs, grading) is None
     assert basis_aligned_weights(grading) == [1, 1, 2, 3]
 
 
 def test_infer_grading_examples():
     h3 = fixtures.heisenberg3()
-    grading = infer_grading_basis_aligned(h3)
+    grading = infer_grading_basis_aligned(h3, lower_central_series(h3))
     assert grading is not None
     assert [layer.dim for layer in grading.layers] == [2, 1]
-    abelian = infer_grading_basis_aligned(fixtures.abelian(4))
+    a4 = fixtures.abelian(4)
+    abelian = infer_grading_basis_aligned(a4, lower_central_series(a4))
     assert abelian is not None and abelian.depth == 1
     assert abelian.layers[0].dim == 4
 
 
 def test_infer_then_verify_on_all_graded_fixtures():
     for name, algebra in GRADED_NILPOTENT.items():
-        grading = infer_grading_basis_aligned(algebra)
+        lcs = lower_central_series(algebra)
+        grading = infer_grading_basis_aligned(algebra, lcs)
         assert grading is not None, name
-        assert verify_natural_grading(algebra, grading) is None, name
+        assert verify_natural_grading(algebra, lcs, grading) is None, name
 
 
 def _zero_positions(algebra):
@@ -162,7 +172,26 @@ def _zero_positions(algebra):
                     yield (i, j, k)
 
 
-@pytest.mark.parametrize("name", ["h3", "filiform4", "h5"])
+def _mutations(algebra):
+    """(position, ``algebra`` with 1 added to the zero structure constant
+    there) for each position of ``_zero_positions``."""
+    for (i, j, k) in _zero_positions(algebra):
+        table = {
+            (a, b): dict(algebra.bracket_basis(a, b))
+            for a in range(algebra.dim)
+            for b in range(a + 1, algebra.dim)
+            if algebra.bracket_basis(a, b)
+        }
+        entry = dict(table.get((i, j), {}))
+        entry[k] = entry.get(k, scalar(0)) + scalar(1)
+        table[(i, j)] = entry
+        yield (i, j, k), LieAlgebra(algebra.labels, table, validate=False)
+
+
+MUTATED = ("h3", "filiform4", "h5")
+
+
+@pytest.mark.parametrize("name", MUTATED)
 def test_corrupting_a_structure_constant_is_never_silently_wrong(name):
     """Adding 1 to a structure constant is either detected or harmless.
 
@@ -179,18 +208,8 @@ def test_corrupting_a_structure_constant_is_never_silently_wrong(name):
     baseline_dims = [s.dim for s in baseline_chain]
     baseline_betti = oracle_betti(algebra)
     detected = 0
-    positions = list(_zero_positions(algebra))
-    for (i, j, k) in positions:
-        table = {
-            (a, b): dict(algebra.bracket_basis(a, b))
-            for a in range(algebra.dim)
-            for b in range(a + 1, algebra.dim)
-            if algebra.bracket_basis(a, b)
-        }
-        entry = dict(table.get((i, j), {}))
-        entry[k] = entry.get(k, scalar(0)) + scalar(1)
-        table[(i, j)] = entry
-        mutated = LieAlgebra(algebra.labels, table, validate=False)
+    mutations = list(_mutations(algebra))
+    for (i, j, k), mutated in mutations:
         if mutated.jacobi_counterexample() is not None:
             detected += 1
             continue
@@ -200,4 +219,25 @@ def test_corrupting_a_structure_constant_is_never_silently_wrong(name):
         # not detected: must be an equivalent presentation
         assert lower_central_series(mutated).dims() == baseline_dims, (name, i, j, k)
         assert oracle_betti(mutated) == baseline_betti, (name, i, j, k)
-    assert detected > len(positions) // 2, name
+    assert detected > len(mutations) // 2, name
+
+
+def test_sparse_jacobi_matches_the_dense_reference():
+    # Same first failing triple and the same cyclic sum, entry for entry
+    # and as printed, on every fixture, generated algebra and corrupted
+    # table of the test above.
+    cases = [*FIXTURE_ALGEBRAS.values(), *GENERATED.values()] + [
+        mutated
+        for name in MUTATED
+        for _, mutated in _mutations(GRADED_NILPOTENT[name])
+    ]
+    failing = 0
+    for algebra in cases:
+        sparse = algebra.jacobi_counterexample()
+        dense = jacobi_counterexample_dense(algebra)
+        assert sparse == dense, algebra
+        if sparse is not None:
+            failing += 1
+            assert algebra.vector_str(sparse[3]) == algebra.vector_str(dense[3])
+            assert [str(c) for c in sparse[3]] == [str(c) for c in dense[3]]
+    assert failing > 0

@@ -155,7 +155,7 @@ def as_cochain(terms):
     slices = {}
     for exps, vec in terms.items():
         slices.setdefault(sum(exps), {})[exps] = vec
-    return PolyCochain(VARS8, 1, slices)
+    return PolyCochain(VARS8, slices)
 
 
 @settings(max_examples=60, deadline=None)

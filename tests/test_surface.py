@@ -13,6 +13,11 @@ imports do not count, so re-exporting a name from ``__init__`` does not
 keep it alive.  References in ``tests/`` do not count either: code that
 only the tests reach belongs in ``tests/conftest.py``.
 
+Data gets the same treatment.  Each field of a dataclass and each entry of
+a ``__slots__`` must be read as an attribute (``series.slices``, not an
+assignment to it) somewhere in ``src/germkit`` or ``scripts/``; a field the
+program fills and never reads keeps its data alive for nothing.
+
 The check matches names, not bindings, so it is permissive: a method whose
 name another definition shares (``bracket``, ``zero``, ``eval``) passes as
 soon as either is referenced.  It catches definitions whose name nothing in
@@ -63,6 +68,43 @@ def _definitions(tree: ast.Module, module: str):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each attribute name is read (not assigned) inside ``node``."""
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _data_fields(tree: ast.Module, module: str):
+    """(qualified name, name) of each dataclass field and ``__slots__``
+    entry of the top-level classes."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (
+                _is_dataclass(node)
+                and isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+            ):
+                yield f"{module}.{node.name}.{item.target.id}", item.target.id
+            elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                for elt in item.value.elts:
+                    yield f"{module}.{node.name}.{elt.value}", elt.value
+
+
 def _entry_point() -> str:
     with open(ROOT / "pyproject.toml", "rb") as handle:
         scripts = tomllib.load(handle)["project"]["scripts"]
@@ -72,18 +114,20 @@ def _entry_point() -> str:
 
 
 def unreached() -> list[str]:
-    """Qualified names of the definitions that meet none of the conditions."""
+    """Qualified names of the definitions that meet none of the conditions,
+    and of the data fields that nothing reads."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
     }
+    scripts = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SCRIPTS.glob("*.py"))
+    ]
     in_src = sum((_references(tree) for tree in trees.values()), Counter())
-    in_scripts = sum(
-        (
-            _references(ast.parse(path.read_text(encoding="utf-8")))
-            for path in sorted(SCRIPTS.glob("*.py"))
-        ),
-        Counter(),
+    in_scripts = sum((_references(tree) for tree in scripts), Counter())
+    reads = sum(
+        (_attribute_reads(tree) for tree in [*trees.values(), *scripts]), Counter()
     )
     entry = _entry_point()
     out = []
@@ -93,6 +137,7 @@ def unreached() -> list[str]:
             if outside or in_scripts[name] or qualified == entry:
                 continue
             out.append(qualified)
+        out.extend(q for q, name in _data_fields(tree, module) if not reads[name])
     return out
 
 

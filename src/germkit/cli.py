@@ -304,8 +304,7 @@ def _require_solvable_data(parsed: ParsedAlgebra) -> SolvableInput:
 def cmd_nilshadow(args) -> dict:
     parsed = load_algebra_file(args.file)
     data = _require_solvable_data(parsed)
-    shadow = nilshadow(data)
-    lcs = lower_central_series(shadow)
+    shadow, lcs = nilshadow(data)
     brackets_unchanged = all(
         shadow.bracket(list(u), list(v)) == parsed.algebra.bracket(list(u), list(v))
         for u in data.nilradical.rows
@@ -648,8 +647,7 @@ def cmd_pipeline(args) -> dict:
     )
 
     if parsed.nilradical is not None and parsed.complement is not None:
-        shadow = nilshadow(_require_solvable_data(parsed))
-        shadow_lcs = lower_central_series(shadow)
+        shadow, shadow_lcs = nilshadow(_require_solvable_data(parsed))
         how = "computed from nilradical/complement data"
     elif info["nilpotent"]:
         shadow, shadow_lcs = parsed.algebra, lcs

@@ -19,14 +19,26 @@ coordinates of (harmonic 2-forms) tensor a: finitely many polynomials with
 no constant or linear part whose zero set presents the flat germ at the
 origin on the harmonic slice.
 
-Every degree-one bracket goes through one integer kernel,
-``bracket_slices``: it takes a list of pairs, each with an integer factor,
-groups each slice by L^1 index, packs exponent vectors into ints (one add
-multiplies two monomials) and sums every pair in integer maps over one
-shared denominator.  Scalars are built once per output entry.
-``square_slice`` ([phi, phi]_r) is one kernel call over the pairs
-s + t = r, and ``TensorDgla.bracket11`` is a one-pair call on a single
-term each.
+Every degree-one bracket goes through one integer kernel in three steps.
+*Pack* (``_int_slice``) groups a slice by L^1 index, brings its numerators
+over one denominator and packs each exponent vector into an int, so one add
+multiplies two monomials.  *Sum* (``_sum_pairs``) adds factor * [a, b] over
+a list of packed pairs into one (real, imaginary) pair of integer maps over
+one shared denominator, keyed by packed exponent * step + index.  *Reduce*
+(``_reduce``) builds one Scalar per output entry.  ``bracket_slices`` is the
+three in a row; ``TensorDgla.bracket11`` is a one-pair call on a single term
+each.  Between sum and reduce, ``_apply_columns`` applies (matrix tensor id)
+to the integer maps, with the matrix converted once per stage to
+Gaussian-integer numerators over one denominator (``_int_columns``).
+
+So the series, the obstruction projection and the gauge check stay on
+integers from the bracket to their result: each phi_r is packed once, when
+it is produced; -(1/2) delta_2 of its integer bracket sum is reduced once
+per entry of phi_r; the obstruction system projects the series' integer
+sums on the harmonic 2-forms and reduces once per polynomial coefficient;
+the gauge check brackets every ordered pair afresh, applies delta_1 and
+(1/2) delta_2 on integers and compares with phi_r by cross-multiplying
+denominators, building no Scalar.
 
 Termination bookkeeping: if phi_j = 0 for rho < j <= 2*rho then every later
 degree vanishes too (each bracket pair has a factor of degree > rho), so the
@@ -38,6 +50,7 @@ system is only valid modulo higher degree.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -70,7 +83,7 @@ def vec_add_into(dst: SparseVec, src: SparseVec, factor: Scalar = ONE) -> None:
 class TensorDgla:
     """L^p = C^p tensor a with flat indexing (monomial, basis) -> int."""
 
-    __slots__ = ("dga", "target", "_wedge11", "_int_bracket")
+    __slots__ = ("dga", "target", "_wedge11", "_int_bracket", "_step")
 
     def __init__(self, dga: Dga, target: LieAlgebra):
         self.dga = dga
@@ -95,19 +108,15 @@ class TensorDgla:
                 row.append((sign, spot[1]))
             table.append(row)
         self._wedge11 = table
-        # The bracket table over one denominator Dc for bracket_slices:
-        # [(real part, 0), (imaginary part, 1)], part[s * ta + t] listing
-        # (k, numerator), a part left out when it is zero throughout.
-        cols = [target.bracket_basis(s, t) for s in range(ta) for t in range(ta)]
-        dc = lcm(*(c._d for col in cols for c in col.values()))
-        parts = (
-            [[(k, c._a * (dc // c._d)) for k, c in col.items() if c._a] for col in cols],
-            [[(k, c._b * (dc // c._d)) for k, c in col.items() if c._b] for col in cols],
+        # The bracket table for the kernel, column s * ta + t listing the
+        # (k, numerator) of [x_s, x_t].
+        self._int_bracket = _int_columns(
+            [target.bracket_basis(s, t).items() for s in range(ta) for t in range(ta)]
         )
-        self._int_bracket = (
-            [(part, turns) for turns, part in enumerate(parts) if any(part)],
-            dc,
-        )
+        # Integer maps are keyed by packed exponent * step + index; every
+        # index the kernel and the linear maps write (L^0, L^1, L^2 and the
+        # obstruction coordinates) is below the step.
+        self._step = max(self.dim(1), self.dim(2), 1)
 
     # -- indexing -----------------------------------------------------------
 
@@ -192,14 +201,48 @@ class PolyCochain:
         return out
 
 
-def _int_slice(terms: Slice, code: str, step: int):
-    """A slice as index-major integer parts over one denominator D.
+# Integer maps: numerators keyed by packed exponent * step + index, as a
+# (real part, imaginary part) pair over a denominator held beside them.
+IntMaps = tuple[dict[int, int], dict[int, int]]
+# A packed slice: ([(real part, 0), (imaginary part, 1)], D), a part mapping
+# each L^1 index to its (packed exponent * step, numerator) pairs.
+Packed = tuple[list[tuple[dict[int, list[tuple[int, int]]], int]], int]
+# A matrix for (matrix tensor id): ([(real part, 0), (imaginary part, 1)], D),
+# a part listing for each column its (row, numerator) pairs.
+IntColumns = tuple[list[tuple[list[list[tuple[int, int]]], int]], int]
 
-    Returns ([(real part, 0), (imaginary part, 1)], D), a part mapping each
-    L^1 index i to its (packed exponent * step, numerator) pairs and left
-    out when empty.  An exponent vector is packed as the bytes of an array
-    of type ``code``, one field a variable, so one int add multiplies two
-    monomials.
+NO_TERMS: Packed = ([], 1)
+
+
+def _array_code(degree: int) -> str:
+    """The smallest unsigned array type whose fields hold ``degree``, hence
+    every exponent of a monomial of total degree <= ``degree``."""
+    bits = degree.bit_length()
+    return next(c for c in "BHIQ" if bits <= 8 * array(c).itemsize)
+
+
+def _int_columns(
+    cols: Sequence[Iterable[tuple[int, Scalar]]], scale: Fraction = Fraction(1)
+) -> IntColumns:
+    """Sparse columns times ``scale`` as Gaussian-integer numerators over
+    one denominator; a part is left out when it is zero throughout."""
+    den = lcm(*(c._d for col in cols for _, c in col))
+    num = scale.numerator
+    parts = (
+        [[(i, c._a * num * (den // c._d)) for i, c in col if c._a] for col in cols],
+        [[(i, c._b * num * (den // c._d)) for i, c in col if c._b] for col in cols],
+    )
+    return (
+        [(part, turns) for turns, part in enumerate(parts) if any(part)],
+        den * scale.denominator,
+    )
+
+
+def _int_slice(terms: Slice, code: str, step: int) -> Packed:
+    """Pack: a slice as index-major integer parts over one denominator D.
+
+    An exponent vector is packed as the bytes of an array of type ``code``,
+    one field a variable, so one int add multiplies two monomials.
     """
     den = lcm(*(c._d for vec in terms.values() for c in vec.values()))
     re: dict[int, list[tuple[int, int]]] = {}
@@ -213,6 +256,14 @@ def _int_slice(terms: Slice, code: str, step: int):
             if c._b:
                 im.setdefault(i, []).append((packed, c._b * scale))
     return [(part, turns) for turns, part in enumerate((re, im)) if part], den
+
+
+def _flat(packed: Packed) -> IntMaps:
+    """A packed slice's numerators as integer maps."""
+    maps: IntMaps = ({}, {})
+    for part, turns in packed[0]:
+        maps[turns].update((e + i, x) for i, terms in part.items() for e, x in terms)
+    return maps
 
 
 def _accumulate(
@@ -254,36 +305,24 @@ def _accumulate(
                     acc[key] = get(key, 0) + xa * xb
 
 
-def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> Slice:
-    """Sum of factor * [a, b] over the (factor, a, b) in ``pairs``: int
-    factors, homogeneous degree-one slices in one set of variables.
+def _sum_pairs(
+    tdgla: TensorDgla, pairs: list[tuple[int, Packed, Packed]]
+) -> tuple[IntMaps, int]:
+    """Sum: factor * [a, b] over the (int factor, packed a, packed b) in
+    ``pairs``, as integer maps over one denominator.
 
-    The kernel of every degree-one bracket.  Each pair's numerators are
-    brought onto one denominator L * Dc, with L the lcm of Da * Db over the
-    pairs, by scaling that pair's sign by L / (Da * Db).  All pairs are
-    summed in the same integer maps, keyed by packed exponent and L^2
-    index, and Scalars are built once per output entry.  Q(i) data splits
-    into real and imaginary numerators, combined by bilinearity (each factor
-    of i turns the product a quarter: re, im, -re, -im); rational data has
-    no imaginary parts and runs one pass.
+    Each pair's numerators are brought onto one denominator L * Dc, with L
+    the lcm of Da * Db over the pairs, by scaling that pair's sign by
+    L / (Da * Db).  Q(i) data splits into real and imaginary numerators,
+    combined by bilinearity (each factor of i turns the product a quarter:
+    re, im, -re, -im); rational data has no imaginary parts and runs one
+    pass.
     """
-    pairs = [(f, a, b) for f, a, b in pairs if f and a and b]
-    if not pairs:
-        return {}
-    # The smallest unsigned array type that holds the output's total
-    # degree, hence every exponent of the output.
-    bits = max(max(map(sum, a)) + max(map(sum, b)) for _, a, b in pairs).bit_length()
-    code = next(c for c in "BHIQ" if bits <= 8 * array(c).itemsize)
-    nbytes = len(next(iter(pairs[0][1]))) * array(code).itemsize
-    step = tdgla.dim(2) or 1
-    ta = tdgla.target.dim
-    ints = [
-        (f, _int_slice(a, code, step), _int_slice(b, code, step)) for f, a, b in pairs
-    ]
-    den = lcm(*(da * db for _, (_, da), (_, db) in ints))
+    den = lcm(*(da * db for _, (_, da), (_, db) in pairs))
     parts_c, dc = tdgla._int_bracket
-    acc: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for factor, (parts_a, da), (parts_b, db) in ints:
+    ta = tdgla.target.dim
+    acc: IntMaps = ({}, {})
+    for factor, (parts_a, da), (parts_b, db) in pairs:
         factor *= den // (da * db)
         for left, ia in parts_a:
             for right, ib in parts_b:
@@ -291,12 +330,43 @@ def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> 
                     turns = ia + ib + ic
                     sign = -factor if turns & 2 else factor
                     _accumulate(acc[turns & 1], sign, left, right, consts, tdgla._wedge11, ta)
-    re, im = acc
+    return acc, den * dc
+
+
+def _apply_columns(columns: IntColumns, maps: IntMaps, step: int, ta: int) -> IntMaps:
+    """(matrix tensor id) on integer maps, by bilinearity over the real and
+    imaginary parts as in ``_sum_pairs``.  The result's denominator is the
+    input's times the columns'; an index (monomial, a) goes to (row, a)."""
+    out: IntMaps = ({}, {})
+    for source, ix in zip(maps, (0, 1)):
+        for cols, ic in columns[0]:
+            turns = ix + ic
+            sign = -1 if turns & 2 else 1
+            acc = out[turns & 1]
+            get = acc.get
+            for key, x in source.items():
+                spot = key % step
+                mono, a = divmod(spot, ta)
+                col = cols[mono]
+                if not (col and x):
+                    continue
+                base = key - spot + a
+                x *= sign
+                for i, c in col:
+                    k = base + i * ta
+                    acc[k] = get(k, 0) + x * c
+    return out
+
+
+def _reduce(maps: IntMaps, den: int, code: str, nvars: int, step: int) -> Slice:
+    """Reduce: integer maps over ``den`` as a slice, one Scalar per nonzero
+    entry.  ``maps`` is used up."""
+    re, im = maps
     # Give every purely imaginary entry a zero real part, so one walk over
     # re reaches every output entry.
     for key in im.keys() - re.keys():
         re[key] = 0
-    den *= dc
+    nbytes = nvars * array(code).itemsize
     out: Slice = {}
     # Output vectors by packed exponent: each one is unpacked once.
     rows: dict[int, SparseVec] = {}
@@ -313,17 +383,23 @@ def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> 
     return out
 
 
-def square_slice(tdgla: TensorDgla, slices: dict[int, Slice], r: int) -> Slice:
-    """[phi, phi]_r = sum over s + t = r of [phi_s, phi_t], in one kernel
-    call (the bracket of degree-one elements is symmetric, so each unordered
-    pair counts twice)."""
-    return bracket_slices(
+def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> Slice:
+    """Sum of factor * [a, b] over the (factor, a, b) in ``pairs``: int
+    factors, homogeneous degree-one slices in one set of variables.
+
+    Pack, sum and reduce in a row, with the smallest array type that holds
+    the output's total degree.
+    """
+    pairs = [(f, a, b) for f, a, b in pairs if f and a and b]
+    if not pairs:
+        return {}
+    code = _array_code(max(max(map(sum, a)) + max(map(sum, b)) for _, a, b in pairs))
+    step = tdgla._step
+    maps, den = _sum_pairs(
         tdgla,
-        [
-            (1 if 2 * s == r else 2, slices.get(s, {}), slices.get(r - s, {}))
-            for s in range(1, r // 2 + 1)
-        ],
+        [(f, _int_slice(a, code, step), _int_slice(b, code, step)) for f, a, b in pairs],
     )
+    return _reduce(maps, den, code, len(next(iter(pairs[0][1]))), step)
 
 
 # -- the deformation series ----------------------------------------------------
@@ -341,10 +417,30 @@ class KuranishiSeries:
     cap: int
     terminated: bool
     last_nonzero: int
-    # [phi, phi]_r for each degree r the recursion reached; the obstruction
-    # system takes these over (and empties the field) instead of
-    # bracketing phi again.
-    bracket_sums: dict[int, Slice] = field(default_factory=dict)
+    # [phi, phi]_r for each degree r the recursion reached, as integer maps
+    # with their denominator (exponents packed with ``_series_code(cap)``);
+    # the obstruction system takes these over (and empties the field)
+    # instead of bracketing phi again.
+    bracket_sums: dict[int, tuple[IntMaps, int]] = field(default_factory=dict)
+
+
+def _square(tdgla: TensorDgla, packed: dict[int, Packed], r: int) -> tuple[IntMaps, int]:
+    """[phi, phi]_r as integer sums over the unordered pairs s + t = r (the
+    bracket of degree-one elements is symmetric, so s != t counts twice)."""
+    return _sum_pairs(
+        tdgla,
+        [
+            (1 if 2 * s == r else 2, packed.get(s, NO_TERMS), packed.get(r - s, NO_TERMS))
+            for s in range(1, r // 2 + 1)
+        ],
+    )
+
+
+def _series_code(cap: int) -> str:
+    """The array type of a series' packed exponents.  It holds degree
+    2 * cap: a capped series' obstruction system brackets up to twice its
+    last degree."""
+    return _array_code(2 * cap)
 
 
 def kuranishi_series(
@@ -377,27 +473,30 @@ def kuranishi_series(
     def unit_exp(i: int) -> ExponentVector:
         return tuple(1 if k == i else 0 for k in range(m))
 
+    code, step = _series_code(cap), tdgla._step
     slices: dict[int, Slice] = {}
+    # Each phi_r packed once, when it is produced.
+    packed: dict[int, Packed] = {}
     phi1: Slice = {unit_exp(i): dict(z) for i, z in enumerate(zeta) if z}
     if phi1:
         slices[1] = phi1
+        packed[1] = _int_slice(phi1, code, step)
 
     # phi_r = -(1/2) delta [phi, phi]_r, with -1/2 folded into the columns.
-    delta2_cols = [[(i, -HALF * c) for i, c in col] for col in dec.delta_cols(2)]
+    delta2 = _int_columns(dec.delta_cols(2), Fraction(-1, 2))
 
     rho = 1
     terminated = m == 0  # an empty series is trivially finite
-    bracket_sums: dict[int, Slice] = {}
+    bracket_sums: dict[int, tuple[IntMaps, int]] = {}
     if not terminated:
         for r in range(2, cap + 1):
-            bracket_sum = bracket_sums[r] = square_slice(tdgla, slices, r)
-            phi_r: Slice = {}
-            for e, v in bracket_sum.items():
-                w = tdgla.apply_matrix(delta2_cols, v)
-                if w:
-                    phi_r[e] = w
+            sums, den = bracket_sums[r] = _square(tdgla, packed, r)
+            phi_r = _reduce(
+                _apply_columns(delta2, sums, step, ta), den * delta2[1], code, m, step
+            )
             if phi_r:
                 slices[r] = phi_r
+                packed[r] = _int_slice(phi_r, code, step)
                 rho = r
             if r >= 2 * rho:
                 terminated = True
@@ -453,31 +552,37 @@ class ObstructionSystem:
 def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
     """Harmonic coordinates of [phi, phi] as exact polynomials.
 
-    [phi, phi] is the series' own bracket sums, plus the degrees above the
-    last one the recursion reached (a capped series), bracketed here.  The
-    series' sums are dropped afterwards: nothing else reads them.
+    [phi, phi] is the series' own integer bracket sums, plus the degrees
+    above the last one the recursion reached (a capped series), bracketed
+    here.  The series' sums are dropped afterwards: nothing else reads them.
     """
     dec = series.decomposition
     tdgla = series.tdgla
     ta = tdgla.target.dim
     coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
     b2 = len(coords)
+    code, step = _series_code(series.cap), tdgla._step
+    nvars = len(series.variables)
 
     square = series.bracket_sums
     series.bracket_sums = {}
-    for r in range(2, 2 * max(series.slices, default=0) + 1):
-        if r not in square:
-            square[r] = square_slice(tdgla, series.slices, r)
+    top = 2 * max(series.slices, default=0)
+    if any(r not in square for r in range(2, top + 1)):
+        packed = {r: _int_slice(terms, code, step) for r, terms in series.slices.items()}
+        for r in range(2, top + 1):
+            if r not in square:
+                square[r] = _square(tdgla, packed, r)
 
     # (harmonic_coords(2) tensor id) sends a degree-2 vector straight to the
     # obstruction coordinates h * ta + a; each exponent vector occurs once.
-    coord_cols = sparse_columns(coords, dec.dga.dim_at(2))
+    coord_cols = _int_columns(sparse_columns(coords, dec.dga.dim_at(2)))
     polys: list[dict[ExponentVector, Scalar]] = [
         {} for _ in range(b2 * ta)
     ]
-    for terms in square.values():
-        for exps, vec in terms.items():
-            for k, value in tdgla.apply_matrix(coord_cols, vec).items():
+    for sums, den in square.values():
+        projected = _apply_columns(coord_cols, sums, step, ta)
+        for exps, vec in _reduce(projected, den * coord_cols[1], code, nvars, step).items():
+            for k, value in vec.items():
                 polys[k][exps] = value
 
     labels = tuple(
@@ -521,26 +626,38 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
     equals the linear part phi_1, that is phi_r + (1/2) delta [phi, phi]_r
     = 0 for every r >= 2.  [phi, phi] is bracketed afresh here, over every
     ordered pair s + t = r, independent of the series' own bracket sums.
+    Both identities are checked on the kernel's integer maps; no Scalar is
+    built.
     """
     if not series.terminated:
         raise PreconditionError("gauge identities require a terminated series")
     dec = series.decomposition
     tdgla = series.tdgla
-    slices = series.slices
-    delta1_cols = dec.delta_cols(1)
-    for terms in slices.values():
-        if any(tdgla.apply_matrix(delta1_cols, v) for v in terms.values()):
+    ta, step = tdgla.target.dim, tdgla._step
+    top = 2 * max(series.slices, default=0)
+    code = _array_code(top)
+    # Each phi_s packed once, index-major for the kernel and flat for the
+    # linear maps and the comparison.
+    packed = {s: _int_slice(terms, code, step) for s, terms in series.slices.items()}
+    flat = {s: _flat(p) for s, p in packed.items()}
+    delta1 = _int_columns(dec.delta_cols(1))
+    for maps in flat.values():
+        if any(any(part.values()) for part in _apply_columns(delta1, maps, step, ta)):
             return "delta(phi) is not identically zero"
-    half_delta2 = [[(i, HALF * c) for i, c in col] for col in dec.delta_cols(2)]
-    for r in range(2, 2 * max(slices, default=0) + 1):
-        square = bracket_slices(
-            tdgla, [(1, slices.get(s, {}), slices.get(r - s, {})) for s in range(1, r)]
+    half_delta2 = _int_columns(dec.delta_cols(2), Fraction(1, 2))
+    for r in range(2, top + 1):
+        sums, den = _sum_pairs(
+            tdgla,
+            [(1, packed.get(s, NO_TERMS), packed.get(r - s, NO_TERMS)) for s in range(1, r)],
         )
-        lhs = {e: dict(v) for e, v in slices.get(r, {}).items()}
-        for e, v in square.items():
-            vec_add_into(lhs.setdefault(e, {}), tdgla.apply_matrix(half_delta2, v))
-        if any(lhs.values()):
-            return "phi + (1/2) delta[phi, phi] differs from the linear part"
+        # phi_r = N / D and (1/2) delta [phi, phi]_r = M / D': the sum
+        # vanishes when D' * N + D * M does, key by key.
+        image = _apply_columns(half_delta2, sums, step, ta)
+        scale, d_phi = den * half_delta2[1], packed.get(r, NO_TERMS)[1]
+        for mine, theirs in zip(flat.get(r, ({}, {})), image):
+            for key in mine.keys() | theirs.keys():
+                if scale * mine.get(key, 0) + d_phi * theirs.get(key, 0):
+                    return "phi + (1/2) delta[phi, phi] differs from the linear part"
     return None
 
 

@@ -136,15 +136,20 @@ class LieAlgebra:
         return None
 
     def is_unimodular(self) -> bool:
-        """True iff every ad_X is traceless."""
-        for i in range(self.dim):
-            ad = self.ad_matrix(self.basis_vector(i))
-            trace = ZERO
-            for d in range(self.dim):
-                trace = trace + ad[d][d]
-            if trace:
-                return False
-        return True
+        """True iff every ad_X is traceless.
+
+        tr ad X_i is the sum over j of the X_j-coefficient of [X_i, X_j],
+        read off the sparse table: an entry c of [X_i, X_j] (i < j) on X_j
+        adds c to tr ad X_i, and one on X_i adds -c to tr ad X_j.
+        """
+        traces: dict[int, Scalar] = {}
+        for (i, j), entries in self._brackets.items():
+            for k, c in entries:
+                if k == j:
+                    traces[i] = traces.get(i, ZERO) + c
+                elif k == i:
+                    traces[j] = traces.get(j, ZERO) - c
+        return not any(traces.values())
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, labels={self.labels})"

@@ -23,6 +23,7 @@ from .errors import PreconditionError
 from .jordan import jordan_chevalley
 from .liealg import (
     LieAlgebra,
+    LowerCentralSeries,
     Subspace,
     derived_subalgebra,
     is_solvable,
@@ -197,8 +198,9 @@ def _verify_ad_s(
                     )
 
 
-def nilshadow(data: SolvableInput) -> LieAlgebra:
-    """The nilpotent algebra on the same basis with the corrected bracket."""
+def nilshadow(data: SolvableInput) -> tuple[LieAlgebra, LowerCentralSeries]:
+    """The nilpotent algebra on the same basis with the corrected bracket,
+    with its lower central series (computed for the nilpotency check)."""
     ads = ad_s_map(data)
     g = data.algebra
     n = g.dim
@@ -223,8 +225,9 @@ def nilshadow(data: SolvableInput) -> LieAlgebra:
         raise PreconditionError(
             f"input data violates the nilshadow hypotheses: {exc}"
         ) from None
-    if lower_central_series(shadow).nu is None:
+    lcs = lower_central_series(shadow)
+    if lcs.nu is None:
         raise PreconditionError(
             "input data violates the nilshadow hypotheses: result is not nilpotent"
         )
-    return shadow
+    return shadow, lcs

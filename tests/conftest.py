@@ -20,7 +20,13 @@ these live here because only the tests call them:
 - ``kernel_containment_dense``: the degree-2 cocycle-weight check on a
   dense kernel of d_2, the reference of ``kernel_containment_check``,
   which reads the cocycles off the split;
-- ``inferred_grading``: the grading the CLI infers, for graded splits.
+- ``inferred_grading``: the grading the CLI infers, for graded splits;
+- ``square_slice`` and ``gauge_identity_check_reference``: [phi, phi]_r as
+  one ``bracket_slices`` call over the unordered pairs, and the gauge check
+  on Scalar slices, the references of the series' integer bracket sums and
+  of the integer ``gauge_identity_check``;
+- ``is_unimodular_dense``: the traces of dense ad matrices, the reference
+  of the sparse ``LieAlgebra.is_unimodular``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,15 @@ from germkit.cli import obtain_grading
 from germkit.decomp import _vector_weights
 from germkit.errors import InternalCheckError, PreconditionError
 from germkit.jordan import Poly, poly_normalize
-from germkit.kuranishi import SparseVec, TensorDgla, vec_add_into
+from germkit.kuranishi import (
+    HALF,
+    KuranishiSeries,
+    Slice,
+    SparseVec,
+    TensorDgla,
+    bracket_slices,
+    vec_add_into,
+)
 from germkit.liealg import (
     Grading,
     LieAlgebra,
@@ -471,6 +485,65 @@ def kernel_containment_dense(
     return None
 
 
+def is_unimodular_dense(algebra: LieAlgebra) -> bool:
+    """True iff every ad_X is traceless."""
+    for i in range(algebra.dim):
+        ad = algebra.ad_matrix(algebra.basis_vector(i))
+        trace = ZERO
+        for d in range(algebra.dim):
+            trace = trace + ad[d][d]
+        if trace:
+            return False
+    return True
+
+
+# -- Scalar references of the integer series stages ----------------------------
+
+
+def square_slice(tdgla: TensorDgla, slices: dict[int, Slice], r: int) -> Slice:
+    """[phi, phi]_r = sum over s + t = r of [phi_s, phi_t], in one kernel
+    call (the bracket of degree-one elements is symmetric, so each unordered
+    pair counts twice)."""
+    return bracket_slices(
+        tdgla,
+        [
+            (1 if 2 * s == r else 2, slices.get(s, {}), slices.get(r - s, {}))
+            for s in range(1, r // 2 + 1)
+        ],
+    )
+
+
+def gauge_identity_check_reference(series: KuranishiSeries) -> str | None:
+    """Verify the two exact polynomial identities of a terminated series.
+
+    First, delta kills the whole series coefficientwise.  Second, the
+    series inverts the normal-form map:  phi + (1/2) delta [phi, phi]
+    equals the linear part phi_1, that is phi_r + (1/2) delta [phi, phi]_r
+    = 0 for every r >= 2.  [phi, phi] is bracketed afresh here, over every
+    ordered pair s + t = r, independent of the series' own bracket sums.
+    """
+    if not series.terminated:
+        raise PreconditionError("gauge identities require a terminated series")
+    dec = series.decomposition
+    tdgla = series.tdgla
+    slices = series.slices
+    delta1_cols = dec.delta_cols(1)
+    for terms in slices.values():
+        if any(tdgla.apply_matrix(delta1_cols, v) for v in terms.values()):
+            return "delta(phi) is not identically zero"
+    half_delta2 = [[(i, HALF * c) for i, c in col] for col in dec.delta_cols(2)]
+    for r in range(2, 2 * max(slices, default=0) + 1):
+        square = bracket_slices(
+            tdgla, [(1, slices.get(s, {}), slices.get(r - s, {})) for s in range(1, r)]
+        )
+        lhs = {e: dict(v) for e, v in slices.get(r, {}).items()}
+        for e, v in square.items():
+            vec_add_into(lhs.setdefault(e, {}), tdgla.apply_matrix(half_delta2, v))
+        if any(lhs.values()):
+            return "phi + (1/2) delta[phi, phi] differs from the linear part"
+    return None
+
+
 def inferred_grading(algebra: LieAlgebra) -> Grading | None:
     """The basis-aligned natural grading the CLI infers, or None."""
     return obtain_grading(None, algebra, lower_central_series(algebra))[0]
@@ -497,6 +570,11 @@ UNIMODULAR = {
 
 def non_unimodular2() -> LieAlgebra:
     return LieAlgebra(("T", "X"), {(0, 1): {1: scalar(1)}})
+
+
+def book3() -> LieAlgebra:
+    """T x| Q^2 with [T, X] = X, [T, Y] = 2 Y: solvable and not unimodular."""
+    return LieAlgebra(("T", "X", "Y"), {(0, 1): {1: ONE}, (0, 2): {2: scalar(2)}})
 
 
 def heisenberg(k: int) -> LieAlgebra:

@@ -148,10 +148,10 @@ def test_criterion_2_degree_bound():
 
 
 def test_criterion_3_nilshadow():
-    shadow = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
     ok = shadow.labels == ("T", "X", "Y", "Z")
     ok = ok and shadow.nonzero_brackets() == [(1, 2, {3: ONE})]
-    split = nilshadow(fixtures.sol3_input())
+    split, _ = nilshadow(fixtures.sol3_input())
     ok = ok and split.nonzero_brackets() == []
     report(
         3,
@@ -260,7 +260,7 @@ def test_criterion_6_cocycle_weight_bound():
 
 
 def test_criterion_7_linear_embedding():
-    shadow = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
     dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
     target = fixtures.sl2()

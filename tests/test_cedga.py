@@ -7,6 +7,7 @@ from conftest import (
     GENERATED,
     UNIMODULAR,
     Cochain,
+    book3,
     germbench_inputs,
     non_unimodular2,
     oracle_betti,
@@ -207,21 +208,16 @@ def test_d_squared_failure_names_the_first_entry(monomials, failure):
 def test_pd_type_full_complexes():
     for name, algebra in UNIMODULAR.items():
         assert pd_type_check(Dga(algebra)) is None, name
-    for algebra in (non_unimodular2(), _book3()):
+    for algebra in (non_unimodular2(), book3()):
         violation = pd_type_check(Dga(algebra))
         assert violation == f"d does not vanish on degree {algebra.dim - 1} (top - 1)"
-
-
-def _book3() -> LieAlgebra:
-    """[T, X] = X, [T, Y] = 2 Y: solvable and not unimodular."""
-    return LieAlgebra(("T", "X", "Y"), {(0, 1): {1: ONE}, (0, 2): {2: scalar(2)}})
 
 
 PD_CASES = {
     **{f"fixture:{name}": a for name, a in FIXTURE_ALGEBRAS.items()},
     **{f"generated:{name}": a for name, a in GENERATED.items()},
     "non_unimodular2": non_unimodular2(),
-    "book3": _book3(),
+    "book3": book3(),
 }
 
 

@@ -491,14 +491,15 @@ def test_selected_complex_is_built_once(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "fixture, series_runs", [("h5.json", 1), ("solv_heisenberg.json", 3)]
+    "fixture, series_runs", [("h5.json", 1), ("solv_heisenberg.json", 2)]
 )
 def test_pipeline_checks_each_structural_fact_once(
     monkeypatch, capsys, fixture, series_runs
 ):
     # One lower central series per algebra: the input's, reused for a
     # nilpotent input's nilshadow and grading; a computed nilshadow adds its
-    # self-check and its own (the nilradical's series is not counted).  One
+    # own, which its self-check computes and hands out (the nilradical's
+    # series is not counted).  One
     # naturality check, and the degree-2 cocycles read off the split, not
     # off a kernel of d_2.
     from germkit import decomp, liealg, linalg

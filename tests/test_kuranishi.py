@@ -7,18 +7,22 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_ALGEBRAS,
+    GENERATED,
     GRADED_NILPOTENT,
     RingPoly,
+    gauge_identity_check_reference,
+    germbench_inputs,
     heisenberg,
     inferred_grading,
+    square_slice,
     tensor_bracket,
 )
 
-from germkit import cli, fixtures, linalg
+from germkit import cli, fixtures, kuranishi, linalg, scalars
 from germkit.cedga import Dga, subdga_from_characters, wedge_monomials
 from germkit.decomp import GERM_TOP, monomial_weight, split_complex
 from germkit.errors import PreconditionError
-from germkit.formats import algebra_to_dict, render_json
+from germkit.formats import algebra_to_dict, parse_algebra_dict, render_json
 from germkit.kuranishi import (
     KuranishiSeries,
     TensorDgla,
@@ -30,7 +34,6 @@ from germkit.kuranishi import (
     obstruction_system,
     random_rational_samples,
     sparse_columns,
-    square_slice,
     vec_add_into,
     verify_degree_bound,
 )
@@ -385,7 +388,7 @@ def test_spot_checks_respect_flat_points_on_large_values(tmp_path, capsys):
 
 
 def test_linear_embedding_of_character_subdga():
-    shadow = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
     dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
     sl2 = fixtures.sl2()
@@ -404,7 +407,7 @@ def test_full_complex_as_its_own_selection():
 
 
 def test_character_subdga_germ_is_smooth():
-    shadow = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
     dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
     dec = split_complex(sub)
@@ -652,7 +655,7 @@ def _solvable_heisenberg5_nilshadow():
             nilradical=Subspace.from_vectors(6, basis[1:]),
             complement=Subspace.from_vectors(6, basis[:1]),
         )
-    )
+    )[0]
 
 
 @pytest.mark.parametrize(
@@ -664,15 +667,107 @@ def _solvable_heisenberg5_nilshadow():
     ids=["L6-gl2", "Th5-gl3"],
 )
 def test_square_slice_matches_scalar_reference_over_a_series(base, target):
+    # The series' own integer bracket sums, reduced, are [phi, phi]_r: the
+    # Scalar sum over ordered pairs and one kernel call over unordered ones.
     algebra, lie_target = base(), target()
     grading = inferred_grading(algebra)
     dec = split_complex(Dga(algebra), "metric", grading, top=GERM_TOP)
     series = kuranishi_series(dec, lie_target)
     assert series.terminated and series.last_nonzero >= 2
+    assert set(series.bracket_sums) == set(range(2, 2 * series.last_nonzero + 1))
     dga = series.tdgla.dga
-    for r in range(2, 2 * series.last_nonzero + 1):
+    code = kuranishi._series_code(series.cap)
+    for r, ((re, im), den) in series.bracket_sums.items():
         expected = _reference_square(dga, lie_target, series.slices, r)
+        reduced = kuranishi._reduce(
+            (dict(re), dict(im)), den, code, len(series.variables), series.tdgla._step
+        )
+        assert reduced == expected, r
         assert square_slice(series.tdgla, series.slices, r) == expected, r
+
+
+# -- the integer gauge check against the Scalar reference -------------------------
+
+
+def _seeded_bases():
+    """germbench's seeded L6, h5 and the nilshadow of T x| h5: non-unit
+    constants."""
+    inputs = germbench_inputs()
+    out = {}
+    for name, make in (
+        ("L6", lambda rng: inputs.filiform(6, rng)),
+        ("h5", lambda rng: inputs.heisenberg(2, rng)),
+        ("solv_h5", lambda rng: inputs.solvable_heisenberg(2, rng)),
+    ):
+        parsed = parse_algebra_dict(make(inputs.rng_for(0, name)))
+        if parsed.nilradical is None:
+            out[f"seeded:{name}"] = parsed.algebra
+        else:
+            data = SolvableInput(parsed.algebra, parsed.nilradical, parsed.complement)
+            out[f"seeded:{name}"] = nilshadow(data)[0]
+    return out
+
+
+GAUGE_BASES = {
+    **{f"fixture:{name}": a for name, a in FIXTURE_ALGEBRAS.items()},
+    **{f"generated:{name}": a for name, a in GENERATED.items()},
+    **_seeded_bases(),
+}
+GAUGE_CASES = [(base, target) for base in sorted(GAUGE_BASES) for target in ("sl2", "gl2")] + [
+    (base, target)
+    for base in ("fixture:h5", "fixture:filiform4", "generated:L6", "seeded:L6", "seeded:solv_h5")
+    for target in ("sl2_i", "sl2_third")
+]
+
+
+def _gauge_mutations(series):
+    """The series with phi_3's first coefficient vector doubled, and with
+    the first term of its last degree dropped."""
+    out = []
+    slices = series.slices
+    if 3 in slices:
+        doubled = dict(slices)
+        exps, vec = next(iter(slices[3].items()))
+        doubled[3] = {**slices[3], exps: {i: c * scalar(2) for i, c in vec.items()}}
+        out.append(doubled)
+    if slices:
+        last = max(slices)
+        dropped = dict(slices)
+        dropped[last] = dict(list(slices[last].items())[1:])
+        out.append(dropped)
+    return out
+
+
+@pytest.mark.parametrize("base, target", GAUGE_CASES)
+def test_integer_gauge_check_matches_the_scalar_reference(base, target):
+    algebra = GAUGE_BASES[base]
+    grading = inferred_grading(algebra)
+    dec = split_complex(Dga(algebra), "metric", grading, top=GERM_TOP)
+    series = kuranishi_series(dec, KERNEL_TARGETS[target])
+    if not series.terminated:
+        for check in (gauge_identity_check, gauge_identity_check_reference):
+            with pytest.raises(PreconditionError):
+                check(series)
+        return
+    assert gauge_identity_check(series) is None
+    assert gauge_identity_check_reference(series) is None
+    for slices in _gauge_mutations(series):
+        mutated = _with_slices(series, slices)
+        assert gauge_identity_check(mutated) == gauge_identity_check_reference(mutated)
+
+
+def test_gauge_check_builds_no_scalar(monkeypatch):
+    series = _setup(_filiform6(), fixtures.gl(2))
+    mutated = [_with_slices(series, slices) for slices in _gauge_mutations(series)]
+
+    def refuse(*args):
+        raise AssertionError("the gauge check built a Scalar")
+
+    monkeypatch.setattr(kuranishi, "from_ints", refuse)
+    monkeypatch.setattr(scalars, "_make", refuse)
+    assert gauge_identity_check(series) is None
+    differs = "phi + (1/2) delta[phi, phi] differs from the linear part"
+    assert [gauge_identity_check(m) for m in mutated] == [differs, differs]
 
 
 def test_delta_columns_are_converted_once(monkeypatch, tmp_path, capsys):

@@ -4,6 +4,8 @@ from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
     GRADED_NILPOTENT,
+    book3,
+    is_unimodular_dense,
     jacobi_counterexample_dense,
     non_unimodular2,
 )
@@ -78,6 +80,23 @@ def test_unimodularity():
     assert not non_unimodular2().is_unimodular()
     assert fixtures.solvable_heisenberg().is_unimodular()
     assert fixtures.sl2().is_unimodular()
+
+
+UNIMODULARITY_CASES = {
+    **{f"fixture:{name}": a for name, a in FIXTURE_ALGEBRAS.items()},
+    **{f"generated:{name}": a for name, a in GENERATED.items()},
+    "non_unimodular2": non_unimodular2(),
+    "book3": book3(),
+    # sol3 with T in the middle: [Y, T] = Y and [T, X] = X.  Both traces of
+    # ad T come from entries with opposite roles of T, and they cancel.
+    "sol3_reordered": LieAlgebra(("Y", "T", "X"), {(0, 1): {0: scalar(1)}, (1, 2): {2: scalar(1)}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIMODULARITY_CASES))
+def test_sparse_unimodularity_matches_the_dense_traces(name):
+    algebra = UNIMODULARITY_CASES[name]
+    assert algebra.is_unimodular() == is_unimodular_dense(algebra)
 
 
 def test_solvability():

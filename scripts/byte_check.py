@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Hash the ``kuranishi``, ``pipeline`` and ``mc-check`` JSON output over a
-fixed matrix.
+"""Hash the ``kuranishi``, ``pipeline``, ``mc-check`` and ``decompose`` JSON
+output over a fixed matrix.
 
 The matrix runs ``germkit.cli.main`` in-process, ``--json`` to stdout, on:
 
@@ -14,9 +14,10 @@ The matrix runs ``germkit.cli.main`` in-process, ``--json`` to stdout, on:
 That is 360 runs.  Every germ a ``kuranishi`` run with target sl2 or gl:2
 prints is then read back by ``mc-check`` at three points (see
 ``mc_points``): an axis point, a generic rational point and a Gaussian
-point.  Each run's exit code, stdout and stderr are hashed, with
-the input directories replaced by fixed tokens, as tests/test_golden_cli.py
-does.  The script prints the run count, the exit-code counts and one sha256
+point.  Each input is also split in every degree by ``decompose
+--strategy metric`` and ``--strategy pivot``: 40 runs.  Each run's exit
+code, stdout and stderr are hashed, with the input directories replaced by
+fixed tokens, as tests/test_golden_cli.py does.  The script prints the run count, the exit-code counts and one sha256
 over the per-run hashes.  A change that must keep every output byte prints
 the same line before and after.  It takes minutes (L7 x gl:3 dominates), so
 it is not part of the test suite.
@@ -43,6 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from germkit import cli
 
 COMMANDS = ("kuranishi", "pipeline")
+STRATEGIES = ("metric", "pivot")
 TARGETS = ("sl2", "gl:2", "gl:3")
 OPTIONS = ((), ("--strategy", "pivot"), ("--cap", "3"))
 # Germs read back by mc-check (gl:3 germs are the slowest to write and add
@@ -134,6 +136,11 @@ def main() -> None:
                             code, digest, _ = run(argv, tokens)
                             codes[code] += 1
                             total.update(digest.encode("ascii"))
+            for strategy in STRATEGIES:
+                argv = ["decompose", str(path), "--strategy", strategy, "--json"]
+                code, digest, _ = run(argv, tokens)
+                codes[code] += 1
+                total.update(digest.encode("ascii"))
     counts = ", ".join(f"{code}: {n}" for code, n in sorted(codes.items()))
     print(f"runs {sum(codes.values())}; exit codes {{{counts}}}; sha256 {total.hexdigest()}")
 

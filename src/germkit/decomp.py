@@ -19,6 +19,16 @@ deformation recursion consumes.  When a coordinate-aligned grading is
 supplied, the differential must preserve weights; the construction then
 produces weight-homogeneous bases automatically and verifies that it did.
 
+The split reads d only through the sparse columns ``Dga.columns``: the
+exact part of degree p is the row space of the columns of d_(p-1), the
+complement and the pivot kernel come from the nonzero rows of d_p, and the
+Laplacian is a sum of one Gram term per such row and column.  The exact
+part and the metric harmonic and complement parts are the canonical rref
+bases of their spaces.  delta_p is held as sparse columns, C^p -> C^(p-1),
+built once: each exact row of degree p is lifted through d on the
+complement of degree p - 1, and column j is the combination of the lifts
+that the exact coordinates of e_j give.
+
 The splitting of degree p reads d only on degrees p - 1 and p, so a split
 truncated at ``top`` gives the same data in degrees 0..top as the full one.
 The germ needs H^1, H^2 and delta on degree 2 (Goldman-Millson), which is
@@ -29,6 +39,7 @@ and only its grading check reads d in degree 2.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import linalg
@@ -36,7 +47,7 @@ from .cedga import Dga, Monomial
 from .errors import InternalCheckError, PreconditionError
 from .liealg import Grading, basis_aligned_weights
 from .linalg import Matrix, SparseColumns, Vector
-from .scalars import ONE, ZERO
+from .scalars import ONE, Scalar, ZERO
 
 Strategy = str  # "metric" | "pivot"
 STRATEGIES = ("metric", "pivot")
@@ -48,11 +59,8 @@ GERM_TOP = 2
 # gauge condition delta(phi) = 0 on degree 1.
 READBACK_TOP = 1
 
-
-def _mul(a: Matrix, b: Matrix, nrows: int, inner: int, ncols: int) -> Matrix:
-    if nrows == 0 or ncols == 0 or inner == 0:
-        return linalg.zeros(nrows, ncols)
-    return linalg.mat_mul(a, b)
+# A sparse vector as its nonzero entries [(index, value)].
+Entries = Iterable[tuple[int, Scalar]]
 
 
 def monomial_weight(weights: list[int], mono: Monomial) -> int:
@@ -61,35 +69,25 @@ def monomial_weight(weights: list[int], mono: Monomial) -> int:
 
 @dataclass
 class DegreeSplit:
-    """Bases and projections for one degree of the complex."""
+    """Bases for one degree of the complex, and coordinates in them."""
 
     harmonic: Matrix        # rows spanning the harmonic representatives
     exact: Matrix           # rows spanning im(d)
     complement: Matrix      # rows spanning the chosen complement of ker(d)
-    proj_harmonic: Matrix   # dim x dim projection onto the harmonic part
-    proj_exact: Matrix      # dim x dim projection onto the exact part
-    harmonic_coords: Matrix  # b_p x dim: coordinates in the harmonic basis
+    harmonic_coords: SparseColumns  # column j: e_j in the harmonic basis
+    exact_coords: SparseColumns     # column j: e_j in the exact basis
 
 
+@dataclass
 class Decomposition:
-    """Splitting of degrees 0..top plus the homotopy operator delta there."""
+    """Splitting of degrees 0..top plus the homotopy operator delta there:
+    ``delta[p]`` holds delta: C^p -> C^(p-1) as sparse columns."""
 
-    __slots__ = ("dga", "grading", "weights", "splits", "delta", "_delta_cols")
-
-    def __init__(
-        self,
-        dga: Dga,
-        grading: Grading | None,
-        weights: list[int] | None,
-        splits: list[DegreeSplit],
-        delta: list[Matrix],
-    ):
-        self.dga = dga
-        self.grading = grading
-        self.weights = weights
-        self.splits = splits
-        self.delta = delta
-        self._delta_cols: dict[int, SparseColumns] = {}
+    dga: Dga
+    grading: Grading | None
+    weights: list[int] | None
+    splits: list[DegreeSplit]
+    delta: list[SparseColumns]
 
     def betti(self) -> list[int]:
         return [len(split.harmonic) for split in self.splits]
@@ -97,31 +95,61 @@ class Decomposition:
     def harmonic_basis(self, p: int) -> Matrix:
         return self.splits[p].harmonic
 
-    def harmonic_coords(self, p: int) -> Matrix:
+    def harmonic_coords(self, p: int) -> SparseColumns:
         return self.splits[p].harmonic_coords
 
     def delta_cols(self, p: int) -> SparseColumns:
-        """Sparse columns of delta: C^p -> C^(p-1), converted on the first
-        read and shared by every later one; none above the top degree."""
-        if p >= len(self.delta):
-            return []
-        cols = self._delta_cols.get(p)
-        if cols is None:
-            cols = self._delta_cols[p] = linalg.sparse_columns(
-                self.delta[p], self.dga.dim_at(p)
-            )
-        return cols
+        """The columns of delta_p; none above the top degree."""
+        return self.delta[p] if p < len(self.delta) else []
 
 
-def _laplacian(dga: Dga, dstar: list[Matrix], p: int) -> Matrix:
-    """d d* + d* d in degree p."""
-    dims = dga.dims()
-    top = len(dims) - 1
-    above = dims[p + 1] if p < top else 0
-    below = dims[p - 1] if p >= 1 else 0
-    up = _mul(dstar[p + 1] if p < top else [], dga.d[p], dims[p], above, dims[p])
-    down = _mul(dga.d[p - 1] if p >= 1 else [], dstar[p], dims[p], below, dims[p])
-    return linalg.mat_add(up, down)
+def _apply(columns: SparseColumns, vec: Entries) -> dict[int, Scalar]:
+    """sum_j x_j columns[j] over the entries (j, x_j) of ``vec``: the
+    matrix held as ``columns`` applied to a sparse vector."""
+    out: dict[int, Scalar] = {}
+    for j, x in vec:
+        for i, y in columns[j]:
+            total = out.get(i, ZERO) + x * y
+            if total:
+                out[i] = total
+            else:
+                del out[i]
+    return out
+
+
+def _entries(row: Vector) -> list[tuple[int, Scalar]]:
+    return [(i, x) for i, x in enumerate(row) if x]
+
+
+def _conj(vec: Entries) -> list[tuple[int, Scalar]]:
+    return [(i, x.conjugate()) for i, x in vec]
+
+
+def _dense(vec: Entries, dim: int) -> Vector:
+    out = [ZERO] * dim
+    for i, x in vec:
+        out[i] = x
+    return out
+
+
+def _nonzero_rows(columns: SparseColumns, nrows: int) -> SparseColumns:
+    """The nonzero rows of the matrix held as ``columns``, in row order."""
+    rows: SparseColumns = [[] for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for i, x in column:
+            rows[i].append((j, x))
+    return [row for row in rows if row]
+
+
+def _gram(vectors: SparseColumns, dim: int) -> Matrix:
+    """sum over ``vectors`` of conj(v)^T v, a dim x dim matrix."""
+    out = linalg.zeros(dim, dim)
+    for vec in vectors:
+        for i, x in vec:
+            cx, row = x.conjugate(), out[i]
+            for j, y in vec:
+                row[j] = row[j] + cx * y
+    return out
 
 
 def split_complex(
@@ -132,8 +160,8 @@ def split_complex(
 ) -> Decomposition:
     """Split degrees 0..top (every degree when None); see the module docstring.
 
-    A truncated split forms d* only up to degree top + 1 and delta only up
-    to degree top.
+    A truncated split reads d only up to degree top and builds delta only
+    up to degree top.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -143,32 +171,22 @@ def split_complex(
 
     weights = None if grading is None else graded_weights(dga, grading, last)
 
-    dstar: list[Matrix] | None = None
-    if strategy == "metric":
-        dstar = [linalg.zeros(0, dims[0])]
-        for p in range(1, min(last + 1, n) + 1):
-            dstar.append(linalg.conj_transpose(dga.d[p - 1], dims[p - 1]))
-
     splits: list[DegreeSplit] = []
     for p in range(last + 1):
         dim_p = dims[p]
-        exact = (
-            linalg.image_basis(dga.d[p - 1], dims[p - 1]) if p >= 1 else []
-        )
+        below = dga.columns[p - 1] if p >= 1 else []
+        rows = _nonzero_rows(dga.columns[p], dga.dim_at(p + 1))
+        exact = linalg.rref([_dense(col, dim_p) for col in below if col], dim_p)[0]
         if strategy == "metric":
-            assert dstar is not None
-            harmonic = linalg.kernel_basis(_laplacian(dga, dstar, p), dim_p)
-            complement = (
-                linalg.image_basis(dstar[p + 1], dims[p + 1]) if p + 1 <= n else []
-            )
+            # Laplacian d* d + d d*: conj(row)^T row over the rows of d_p,
+            # col conj(col)^T over the columns of d_(p-1).
+            lap = _gram(rows + [_conj(col) for col in below], dim_p)
+            harmonic = linalg.kernel_basis(lap, dim_p)
+            complement = linalg.rref([_dense(_conj(row), dim_p) for row in rows], dim_p)[0]
         else:
-            kernel = linalg.kernel_basis(dga.d[p], dim_p)
-            _, pivots = linalg.rref(dga.d[p], dim_p)
-            complement = []
-            for c in pivots:
-                e = [ZERO] * dim_p
-                e[c] = ONE
-                complement.append(e)
+            reduced, pivots = linalg.rref([_dense(row, dim_p) for row in rows], dim_p)
+            kernel = linalg.kernel_basis(reduced, dim_p)
+            complement = [_dense([(c, ONE)], dim_p) for c in pivots]
             harmonic = _extend_basis(exact, kernel, dim_p)
         if len(harmonic) + len(exact) + len(complement) != dim_p:
             raise InternalCheckError(
@@ -176,9 +194,8 @@ def split_complex(
             )
         splits.append(_assemble_split(harmonic, exact, complement, dim_p))
 
-    delta = _build_delta(dga, splits, dims)
-    dec = Decomposition(dga, grading, weights, splits, delta)
-    _verify_decomposition(dec, dims)
+    dec = Decomposition(dga, grading, weights, splits, _build_delta(dga, splits))
+    _verify_decomposition(dec)
     return dec
 
 
@@ -206,42 +223,31 @@ def _assemble_split(
         raise InternalCheckError("splitting pieces are not independent") from None
     b = len(harmonic)
     e = len(exact)
-    coords_h = inv[:b]
-    coords_e = inv[b : b + e]
-    cols_h = linalg.transpose([list(r) for r in harmonic], dim)
-    cols_e = linalg.transpose([list(r) for r in exact], dim)
-    proj_h = _mul(cols_h, coords_h, dim, b, dim)
-    proj_e = _mul(cols_e, coords_e, dim, e, dim)
     return DegreeSplit(
         harmonic=[list(r) for r in harmonic],
         exact=[list(r) for r in exact],
         complement=[list(r) for r in complement],
-        proj_harmonic=proj_h,
-        proj_exact=proj_e,
-        harmonic_coords=coords_h,
+        harmonic_coords=[_entries(col) for col in linalg.transpose(inv[:b], dim)],
+        exact_coords=[_entries(col) for col in linalg.transpose(inv[b : b + e], dim)],
     )
 
 
-def _build_delta(
-    dga: Dga, splits: list[DegreeSplit], dims: list[int]
-) -> list[Matrix]:
-    delta: list[Matrix] = [linalg.zeros(0, dims[0])]
+def _build_delta(dga: Dga, splits: list[DegreeSplit]) -> list[SparseColumns]:
+    """delta_p for p = 0..top: lift each exact row of degree p through d on
+    the complement of degree p - 1 (one solve), then column j of delta_p
+    is sum_k c_kj lift_k, with c_kj the exact coordinates of e_j."""
+    delta: list[SparseColumns] = [[[] for _ in dga.columns[0]]]
     for p in range(1, len(splits)):
-        comp = splits[p - 1].complement
-        if not comp or dims[p] == 0:
-            delta.append(linalg.zeros(dims[p - 1], dims[p]))
-            continue
-        comp_cols = linalg.transpose([list(r) for r in comp], dims[p - 1])
-        d_comp = _mul(dga.d[p - 1], comp_cols, dims[p], dims[p - 1], len(comp))
-        beta = splits[p].proj_exact
-        rhs = [[beta[i][j] for i in range(dims[p])] for j in range(dims[p])]
-        ys = linalg.solve_many(d_comp, rhs, len(comp))
+        dim_p = dga.dim_at(p)
+        comp = [_entries(row) for row in splits[p - 1].complement]
+        d_comp = [_dense(_apply(dga.columns[p - 1], row).items(), dim_p) for row in comp]
+        ys = linalg.solve_many(linalg.transpose(d_comp, dim_p), splits[p].exact, len(comp))
         if ys is None:
             raise InternalCheckError(
                 f"exact part of degree {p} is not in the image of d"
             )
-        y_cols = linalg.transpose(ys, len(comp))  # len(comp) x dim_p
-        delta.append(_mul(comp_cols, y_cols, dims[p - 1], len(comp), dims[p]))
+        lifts = [list(_apply(comp, _entries(y)).items()) for y in ys]
+        delta.append([sorted(_apply(lifts, c).items()) for c in splits[p].exact_coords])
     return delta
 
 
@@ -277,34 +283,30 @@ def _vector_weights(dga: Dga, weights: list[int], p: int, v: Vector) -> set[int]
     }
 
 
-def _verify_decomposition(dec: Decomposition, dims: list[int]) -> None:
-    """Exact checks on every degree the decomposition splits."""
+def _verify_decomposition(dec: Decomposition) -> None:
+    """Exact checks on every degree the decomposition splits, column by
+    column of d and delta."""
     dga = dec.dga
     last = len(dec.splits) - 1
     for p in range(1, last + 1):
-        d_delta = _mul(dga.d[p - 1], dec.delta[p], dims[p], dims[p - 1], dims[p])
-        if not linalg.mat_eq(d_delta, dec.splits[p].proj_exact):
-            raise InternalCheckError(f"d o delta != beta in degree {p}")
-        if p >= 2:
-            dd = _mul(
-                dec.delta[p - 1], dec.delta[p], dims[p - 2], dims[p - 1], dims[p]
-            )
-            if not linalg.is_zero_matrix(dd):
-                raise InternalCheckError(f"delta o delta != 0 in degree {p}")
-        for row in dec.splits[p].harmonic + dec.splits[p].complement:
-            if any(linalg.mat_vec(dec.delta[p], list(row))):
+        split, delta = dec.splits[p], dec.delta[p]
+        exact = [_entries(row) for row in split.exact]
+        # beta(e_j) = sum_k c_kj exact_k, with c_kj the exact coordinates of e_j.
+        for column, coords in zip(delta, split.exact_coords):
+            if _apply(dga.columns[p - 1], column) != _apply(exact, coords):
+                raise InternalCheckError(f"d o delta != beta in degree {p}")
+        if p >= 2 and any(_apply(dec.delta[p - 1], column) for column in delta):
+            raise InternalCheckError(f"delta o delta != 0 in degree {p}")
+        for row in split.harmonic + split.complement:
+            if _apply(delta, _entries(row)):
                 raise InternalCheckError(
                     f"delta does not vanish off the exact part in degree {p}"
                 )
+    # The harmonic rows are independent, so H o d = 0 exactly when the
+    # harmonic coordinates of every column of d vanish.
     for p in range(last):
-        hd = _mul(
-            dec.splits[p + 1].proj_harmonic,
-            dga.d[p],
-            dims[p + 1],
-            dims[p + 1],
-            dims[p],
-        )
-        if not linalg.is_zero_matrix(hd):
+        coords = dec.splits[p + 1].harmonic_coords
+        if any(_apply(coords, column) for column in dga.columns[p]):
             raise InternalCheckError(f"H o d != 0 in degree {p}")
     if dec.weights is not None:
         for p, split in enumerate(dec.splits):

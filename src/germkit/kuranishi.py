@@ -60,7 +60,7 @@ from .cedga import Dga
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
-from .linalg import SparseColumns, sparse_columns
+from .linalg import SparseColumns
 from .multipoly import ExponentVector, MultiPoly, PointPowers, prepared
 from .scalars import ONE, Scalar, ZERO, from_ints, scalar
 
@@ -560,7 +560,7 @@ def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
     tdgla = series.tdgla
     ta = tdgla.target.dim
     coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
-    b2 = len(coords)
+    b2 = dec.betti()[2] if coords else 0
     code, step = _series_code(series.cap), tdgla._step
     nvars = len(series.variables)
 
@@ -575,13 +575,17 @@ def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
 
     # (harmonic_coords(2) tensor id) sends a degree-2 vector straight to the
     # obstruction coordinates h * ta + a; each exponent vector occurs once.
-    coord_cols = _int_columns(sparse_columns(coords, dec.dga.dim_at(2)))
+    coord_cols = _int_columns(coords)
     polys: list[dict[ExponentVector, Scalar]] = [
         {} for _ in range(b2 * ta)
     ]
     for sums, den in square.values():
         projected = _apply_columns(coord_cols, sums, step, ta)
         for exps, vec in _reduce(projected, den * coord_cols[1], code, nvars, step).items():
+            if sum(exps) < 2:
+                raise InternalCheckError(
+                    "obstruction polynomial has a constant or linear part"
+                )
             for k, value in vec.items():
                 polys[k][exps] = value
 
@@ -590,15 +594,7 @@ def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
         for h in range(b2)
         for a in range(ta)
     )
-    polynomials = tuple(
-        MultiPoly(series.variables, terms) for terms in polys
-    )
-    for poly in polynomials:
-        for exps, _ in poly.terms.items():
-            if sum(exps) < 2:
-                raise InternalCheckError(
-                    "obstruction polynomial has a constant or linear part"
-                )
+    polynomials = tuple(MultiPoly.from_terms(series.variables, terms) for terms in polys)
     nu = dec.grading.depth if dec.grading is not None else None
     return ObstructionSystem(
         variables=series.variables,

@@ -21,14 +21,6 @@ Vector = list[Scalar]
 SparseColumns = list[list[tuple[int, Scalar]]]
 
 
-def sparse_columns(matrix: Matrix, ncols: int) -> SparseColumns:
-    """The nonzero entries of each of the ``ncols`` columns of ``matrix``."""
-    return [
-        [(i, matrix[i][j]) for i in range(len(matrix)) if matrix[i][j]]
-        for j in range(ncols)
-    ]
-
-
 def zeros(nrows: int, ncols: int) -> Matrix:
     return [[ZERO] * ncols for _ in range(nrows)]
 
@@ -88,10 +80,6 @@ def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
 
 def transpose(a: Matrix, ncols: int) -> Matrix:
     return [[row[j] for row in a] for j in range(ncols)]
-
-
-def conj_transpose(a: Matrix, ncols: int) -> Matrix:
-    return [[row[j].conjugate() for row in a] for j in range(ncols)]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -179,11 +167,6 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> Matrix:
     return rref(basis, ncols)[0]
 
 
-def image_basis(a: Matrix, ncols: int) -> Matrix:
-    """Canonical rref basis of the column space of ``a``."""
-    return rref(transpose(a, ncols), len(a))[0]
-
-
 def solve(a: Matrix, b: Sequence[Scalar], ncols: int) -> Vector | None:
     """One exact solution of A x = b with free coordinates set to zero."""
     sols = solve_many(a, [list(b)], ncols)
@@ -214,7 +197,8 @@ def solve_many(
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
+    eye = identity(n)
+    aug = [list(row) + eye[i] for i, row in enumerate(a)]
     reduced, pivots = rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -191,6 +191,15 @@ class MultiPoly:
             seen.add(exps)
             if coeff:
                 terms[exps] = coeff
+        return cls.from_terms(variables, terms)
+
+    @classmethod
+    def from_terms(
+        cls, variables: Sequence[str], terms: dict[ExponentVector, Scalar]
+    ) -> "MultiPoly":
+        """The polynomial with ``terms`` as they are: exponent tuples of the
+        right length and nonzero coefficients, already checked by the
+        caller, so ``__init__``'s checks are skipped."""
         poly = _new(cls)
         poly.variables = tuple(variables)
         poly.terms = terms

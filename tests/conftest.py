@@ -26,7 +26,12 @@ these live here because only the tests call them:
   on Scalar slices, the references of the series' integer bracket sums and
   of the integer ``gauge_identity_check``;
 - ``is_unimodular_dense``: the traces of dense ad matrices, the reference
-  of the sparse ``LieAlgebra.is_unimodular``.
+  of the sparse ``LieAlgebra.is_unimodular``;
+- ``split_complex_dense``: the splitting from dense d, d*, Laplacians and
+  dim x dim projections, the reference of ``decomp.split_complex``, which
+  reads only the sparse columns of d; with it ``conj_transpose``,
+  ``image_basis``, ``dstar_matrices``, ``dense_laplacian`` and
+  ``dense_columns`` (sparse columns as a dense matrix).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import pytest
 from germkit import fixtures, linalg
 from germkit.cedga import Dga, Monomial, wedge_monomials
 from germkit.cli import obtain_grading
-from germkit.decomp import _vector_weights
+from germkit.decomp import _extend_basis, _vector_weights
 from germkit.errors import InternalCheckError, PreconditionError
 from germkit.jordan import Poly, poly_normalize
 from germkit.kuranishi import (
@@ -60,7 +65,7 @@ from germkit.liealg import (
     lower_central_series,
     verify_natural_grading,
 )
-from germkit.linalg import Matrix, Vector
+from germkit.linalg import Matrix, SparseColumns, Vector
 from germkit.multipoly import ExponentVector, MultiPoly
 from germkit.scalars import ONE, Scalar, ZERO, scalar
 
@@ -483,6 +488,121 @@ def kernel_containment_dense(
             if weight > nu + 1:
                 return list(row), weight
     return None
+
+
+# -- the dense splitting, the reference of decomp.split_complex ------------------
+
+
+def conj_transpose(a: Matrix, ncols: int) -> Matrix:
+    return [[row[j].conjugate() for row in a] for j in range(ncols)]
+
+
+def image_basis(a: Matrix, ncols: int) -> Matrix:
+    """Canonical rref basis of the column space of ``a``."""
+    return linalg.rref(linalg.transpose(a, ncols), len(a))[0]
+
+
+def dense_columns(columns: SparseColumns, nrows: int) -> Matrix:
+    """The dense matrix whose columns are the sparse ``columns``."""
+    out = linalg.zeros(nrows, len(columns))
+    for j, column in enumerate(columns):
+        for i, x in column:
+            out[i][j] = x
+    return out
+
+
+def _mul(a: Matrix, b: Matrix, nrows: int, inner: int, ncols: int) -> Matrix:
+    if nrows == 0 or ncols == 0 or inner == 0:
+        return linalg.zeros(nrows, ncols)
+    return linalg.mat_mul(a, b)
+
+
+def dstar_matrices(dga: Dga) -> list[Matrix]:
+    """The adjoint of d in each degree p >= 1, for the metric split."""
+    return [linalg.zeros(0, dga.dim_at(0))] + [
+        conj_transpose(dga.d[p - 1], dga.dim_at(p - 1))
+        for p in range(1, len(dga.monomials))
+    ]
+
+
+def dense_laplacian(dga: Dga, dstar: list[Matrix], p: int) -> Matrix:
+    """d d* + d* d in degree p, from dense products."""
+    dims = dga.dims()
+    top = len(dims) - 1
+    above = dims[p + 1] if p < top else 0
+    below = dims[p - 1] if p >= 1 else 0
+    up = _mul(dstar[p + 1] if p < top else [], dga.d[p], dims[p], above, dims[p])
+    down = _mul(dga.d[p - 1] if p >= 1 else [], dstar[p], dims[p], below, dims[p])
+    return linalg.mat_add(up, down)
+
+
+@dataclass
+class DenseSplit:
+    """One degree of the dense reference split."""
+
+    harmonic: Matrix
+    exact: Matrix
+    complement: Matrix
+    proj_exact: Matrix      # dim x dim projection onto the exact part
+    harmonic_coords: Matrix  # b_p x dim: coordinates in the harmonic basis
+
+
+@dataclass
+class DenseDecomposition:
+    splits: list[DenseSplit]
+    delta: list[Matrix]     # delta_p as a dim_(p-1) x dim_p matrix
+
+
+def split_complex_dense(
+    dga: Dga, strategy: str = "metric", top: int | None = None
+) -> DenseDecomposition:
+    """The splitting from dense d, d*, Laplacians and the exact projection,
+    with delta solved for every column of that projection."""
+    dims = dga.dims()
+    n = len(dims) - 1
+    last = n if top is None else min(top, n)
+    dstar = dstar_matrices(dga) if strategy == "metric" else None
+    splits = []
+    for p in range(last + 1):
+        dim_p = dims[p]
+        exact = image_basis(dga.d[p - 1], dims[p - 1]) if p >= 1 else []
+        if strategy == "metric":
+            harmonic = linalg.kernel_basis(dense_laplacian(dga, dstar, p), dim_p)
+            complement = image_basis(dstar[p + 1], dims[p + 1]) if p + 1 <= n else []
+        else:
+            kernel = linalg.kernel_basis(dga.d[p], dim_p)
+            _, pivots = linalg.rref(dga.d[p], dim_p)
+            complement = [
+                [ONE if i == c else ZERO for i in range(dim_p)] for c in pivots
+            ]
+            harmonic = _extend_basis(exact, kernel, dim_p)
+        stacked = [list(r) for r in harmonic + exact + complement]
+        inv = linalg.inverse(linalg.transpose(stacked, dim_p))
+        b, e = len(harmonic), len(exact)
+        cols_e = linalg.transpose(exact, dim_p)
+        splits.append(
+            DenseSplit(
+                harmonic=harmonic,
+                exact=exact,
+                complement=complement,
+                proj_exact=_mul(cols_e, inv[b : b + e], dim_p, e, dim_p),
+                harmonic_coords=inv[:b],
+            )
+        )
+    delta = [linalg.zeros(0, dims[0])]
+    for p in range(1, last + 1):
+        comp = splits[p - 1].complement
+        if not comp or dims[p] == 0:
+            delta.append(linalg.zeros(dims[p - 1], dims[p]))
+            continue
+        comp_cols = linalg.transpose(comp, dims[p - 1])
+        d_comp = _mul(dga.d[p - 1], comp_cols, dims[p], dims[p - 1], len(comp))
+        beta = splits[p].proj_exact
+        rhs = [[beta[i][j] for i in range(dims[p])] for j in range(dims[p])]
+        ys = linalg.solve_many(d_comp, rhs, len(comp))
+        y_cols = linalg.transpose(ys, len(comp))
+        delta.append(_mul(comp_cols, y_cols, dims[p - 1], len(comp), dims[p]))
+    return DenseDecomposition(splits, delta)
 
 
 def is_unimodular_dense(algebra: LieAlgebra) -> bool:

@@ -15,6 +15,7 @@ from conftest import (
     UNIMODULAR,
     RingPoly,
     apply_d,
+    conj_transpose,
     hermitian,
     inferred_grading,
     minimal_polynomial,
@@ -178,7 +179,7 @@ def test_criterion_4_hodge_machinery():
             )
         for p in range(algebra.dim):
             dim_p, dim_q = dga.dim_at(p), dga.dim_at(p + 1)
-            dstar = la.conj_transpose(dga.d[p], dim_p)
+            dstar = conj_transpose(dga.d[p], dim_p)
             for a_idx in range(dim_p):
                 alpha = [ONE if i == a_idx else ZERO for i in range(dim_p)]
                 d_alpha = apply_d(dga, p, alpha)

@@ -6,10 +6,15 @@ from conftest import (
     GRADED_NILPOTENT,
     UNIMODULAR,
     apply_d,
+    dense_columns,
+    dense_laplacian,
+    dstar_matrices,
     hermitian,
+    image_basis,
     inferred_grading,
     kernel_containment_dense,
     oracle_betti,
+    split_complex_dense,
 )
 
 import germkit.linalg as la
@@ -19,28 +24,20 @@ from germkit.decomp import (
     GERM_TOP,
     READBACK_TOP,
     STRATEGIES,
-    _laplacian,
     _vector_weights,
+    _verify_decomposition,
     degree2_weight_table,
     kernel_containment_check,
     monomial_weight,
     split_complex,
 )
-from germkit.errors import PreconditionError
+from germkit.errors import InternalCheckError, PreconditionError
 from germkit.liealg import Grading, Subspace, basis_aligned_weights
 from germkit.scalars import ONE, ZERO, scalar
 
 
 def _metric(algebra, grading=None):
     return split_complex(Dga(algebra), "metric", grading)
-
-
-def _dstar(dga):
-    """The adjoint of d in each degree p >= 1, for the metric split."""
-    return [la.zeros(0, dga.dim_at(0))] + [
-        la.conj_transpose(dga.d[p - 1], dga.dim_at(p - 1))
-        for p in range(1, len(dga.monomials))
-    ]
 
 
 def test_h3_harmonic_spaces_and_delta():
@@ -56,16 +53,17 @@ def test_h3_harmonic_spaces_and_delta():
         [ZERO, ZERO, ONE],
     ]
     # delta(x^y) = -z, and delta kills the harmonic two-forms
-    assert la.mat_vec(dec.delta[2], [ONE, ZERO, ZERO]) == [ZERO, ZERO, -ONE]
-    assert la.mat_vec(dec.delta[2], [ZERO, ONE, ZERO]) == [ZERO] * 3
-    assert la.mat_vec(dec.delta[2], [ZERO, ZERO, ONE]) == [ZERO] * 3
+    delta2 = dense_columns(dec.delta[2], 3)
+    assert la.mat_vec(delta2, [ONE, ZERO, ZERO]) == [ZERO, ZERO, -ONE]
+    assert la.mat_vec(delta2, [ZERO, ONE, ZERO]) == [ZERO] * 3
+    assert la.mat_vec(delta2, [ZERO, ZERO, ONE]) == [ZERO] * 3
 
 
 def test_abelian_split_is_trivial():
     dec = _metric(fixtures.abelian(3))
     assert dec.betti() == [1, 3, 3, 1]
-    for matrix in dec.delta:
-        assert la.is_zero_matrix(matrix)
+    for p, columns in enumerate(dec.delta):
+        assert la.is_zero_matrix(dense_columns(columns, dec.dga.dim_at(p - 1)))
     for p, split in enumerate(dec.splits):
         assert len(split.harmonic) == dec.dga.dim_at(p)
 
@@ -92,7 +90,7 @@ def test_poincare_duality_on_unimodular_fixtures(name):
 def test_adjointness_on_every_basis_pair(name):
     algebra = UNIMODULAR[name]
     dga = Dga(algebra)
-    dstar = _dstar(dga)
+    dstar = dstar_matrices(dga)
     n = algebra.dim
     for p in range(n):
         dim_p, dim_q = dga.dim_at(p), dga.dim_at(p + 1)
@@ -122,15 +120,15 @@ def test_metric_harmonics_are_two_sided_kernels():
     for name, algebra in UNIMODULAR.items():
         dga = Dga(algebra)
         dec = split_complex(dga)
-        dstar = _dstar(dga)
+        dstar = dstar_matrices(dga)
         for p in range(len(dec.splits)):
-            lap = _laplacian(dga, dstar, p)
+            lap = dense_laplacian(dga, dstar, p)
             for row in dec.harmonic_basis(p):
                 assert not any(la.mat_vec(lap, list(row))), (name, p)
                 assert not any(apply_d(dga, p, list(row)))
                 assert not any(la.mat_vec(dstar[p], list(row)))
             # ker(Laplacian) (+) im(Laplacian) is a direct sum filling the degree
-            image = la.image_basis(lap, dga.dim_at(p))
+            image = image_basis(lap, dga.dim_at(p))
             stacked = [list(r) for r in dec.harmonic_basis(p)] + [
                 list(r) for r in image
             ]
@@ -149,7 +147,7 @@ def test_delta_respects_weights_in_degree_two():
             for mono in monos:
                 vec = [ZERO] * dga.dim_at(2)
                 vec[dga.position[mono][1]] = ONE
-                out = la.mat_vec(dec.delta[2], vec)
+                out = la.mat_vec(dense_columns(dec.delta[2], dga.dim_at(1)), vec)
                 for i, c in enumerate(out):
                     if c:
                         assert weights[dga.monomials[1][i][0]] == k, name
@@ -266,9 +264,55 @@ def test_truncated_split_agrees_with_full_split(algebra, strategy):
         for p in range(low + 1):
             assert cut.harmonic_basis(p) == full.harmonic_basis(p), p
             assert cut.harmonic_coords(p) == full.harmonic_coords(p), p
-            assert cut.splits[p].proj_exact == full.splits[p].proj_exact, p
+            assert cut.splits[p].exact == full.splits[p].exact, p
+            assert cut.splits[p].exact_coords == full.splits[p].exact_coords, p
         for p in range(1, low + 1):
             assert cut.delta[p] == full.delta[p], p
-            assert cut.delta_cols(p) == full.delta_cols(p), p
         assert cut.betti() == full.betti()[: low + 1]
     assert dga.betti() == full.betti()
+
+
+@pytest.mark.parametrize(
+    "top", [None, GERM_TOP, READBACK_TOP], ids=["full", "germ-top", "readback-top"]
+)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "algebra", [a for _, a in TRUNCATION_CASES], ids=[n for n, _ in TRUNCATION_CASES]
+)
+def test_split_matches_the_dense_reference(algebra, strategy, top):
+    dga = Dga(algebra)
+    dec = split_complex(dga, strategy, inferred_grading(algebra), top=top)
+    ref = split_complex_dense(dga, strategy, top)
+    assert len(dec.splits) == len(ref.splits)
+    for p, (split, expected) in enumerate(zip(dec.splits, ref.splits)):
+        assert split.harmonic == expected.harmonic, p
+        assert split.exact == expected.exact, p
+        assert split.complement == expected.complement, p
+        coords = dense_columns(split.harmonic_coords, len(split.harmonic))
+        assert coords == expected.harmonic_coords, p
+    for p in range(1, len(dec.splits)):
+        assert dense_columns(dec.delta[p], dga.dim_at(p - 1)) == ref.delta[p], p
+
+
+def _h3_split():
+    h3 = fixtures.heisenberg3()
+    return split_complex(Dga(h3), "metric", inferred_grading(h3))
+
+
+def test_corrupted_delta_entry_fails_d_delta_check():
+    dec = _h3_split()
+    # delta(x^y) = -z and d z = -x^y: doubling the entry breaks d o delta = beta.
+    assert dec.delta[2][0] == [(2, -ONE)]
+    dec.delta[2][0] = [(2, scalar(-2))]
+    with pytest.raises(InternalCheckError, match="d o delta != beta in degree 2"):
+        _verify_decomposition(dec)
+
+
+def test_corrupted_harmonic_coordinate_fails_h_d_check():
+    dec = _h3_split()
+    # d z = -x^y, and x^y is exact: its harmonic coordinates are zero.
+    coords = dec.splits[2].harmonic_coords
+    assert coords[0] == []
+    coords[0] = [(0, ONE)]
+    with pytest.raises(InternalCheckError, match="H o d != 0 in degree 1"):
+        _verify_decomposition(dec)

@@ -543,6 +543,24 @@ def test_pipeline_checks_each_structural_fact_once(
     assert not any(m is dga.d[2] for dga in built for m in kernels)
 
 
+@pytest.mark.parametrize("strategy", ["metric", "pivot"])
+@pytest.mark.parametrize("command", ["pipeline", "decompose"])
+def test_split_builds_no_dense_differential(monkeypatch, capsys, command, strategy):
+    # The split reads only the sparse columns of d; Dga.d stays unbuilt.
+    built = []
+    init = cli.Dga.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Dga, "__init__", recording)
+    argv = [command, str(FIXTURES / "h5.json"), "--strategy", strategy]
+    code, _, _ = run(capsys, *argv, *(["--target", "sl2"] if command == "pipeline" else []))
+    assert code == 0 and built
+    assert all(dga.d._built == {} for dga in built)
+
+
 def test_one_dimensional_algebra_has_no_degree_two(tmp_path, capsys):
     # No degree 2 means no cocycles there: the weight table is empty and
     # the cocycle-weight bound holds.

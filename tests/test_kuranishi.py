@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -10,19 +11,19 @@ from conftest import (
     GENERATED,
     GRADED_NILPOTENT,
     RingPoly,
+    dense_columns,
     gauge_identity_check_reference,
     germbench_inputs,
-    heisenberg,
     inferred_grading,
     square_slice,
     tensor_bracket,
 )
 
-from germkit import cli, fixtures, kuranishi, linalg, scalars
+from germkit import cli, fixtures, kuranishi, scalars
 from germkit.cedga import Dga, subdga_from_characters, wedge_monomials
-from germkit.decomp import GERM_TOP, monomial_weight, split_complex
-from germkit.errors import PreconditionError
-from germkit.formats import algebra_to_dict, parse_algebra_dict, render_json
+from germkit.decomp import GERM_TOP, Decomposition, monomial_weight, split_complex
+from germkit.errors import InternalCheckError, PreconditionError
+from germkit.formats import parse_algebra_dict
 from germkit.kuranishi import (
     KuranishiSeries,
     TensorDgla,
@@ -33,7 +34,6 @@ from germkit.kuranishi import (
     mc_residual,
     obstruction_system,
     random_rational_samples,
-    sparse_columns,
     vec_add_into,
     verify_degree_bound,
 )
@@ -148,7 +148,7 @@ def test_recursion_identity():
         series = _setup(base, target)
         dec = series.decomposition
 
-        delta2 = sparse_columns(dec.delta[2], dec.dga.dim_at(2))
+        delta2 = dec.delta[2]
         for r in range(2, series.last_nonzero + 1):
             acc = {}
             for s_deg in range(1, r):
@@ -463,7 +463,9 @@ def _reference_obstructions(series):
     product per term, harmonic 2-form and target index."""
     dec = series.decomposition
     ta = series.tdgla.target.dim
-    coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
+    coords = (
+        dense_columns(dec.harmonic_coords(2), dec.betti()[2]) if len(dec.splits) > 2 else []
+    )
     dga, target = series.tdgla.dga, series.tdgla.target
     square = [
         _reference_square(dga, target, series.slices, r)
@@ -770,21 +772,25 @@ def test_gauge_check_builds_no_scalar(monkeypatch):
     assert [gauge_identity_check(m) for m in mutated] == [differs, differs]
 
 
-def test_delta_columns_are_converted_once(monkeypatch, tmp_path, capsys):
-    # kuranishi_series and gauge_identity_check read the same sparse columns
-    # of delta_2 (C^2 -> C^1, a dim C^1 x dim C^2 matrix), and delta_1 once.
-    path = tmp_path / "h9.json"
-    path.write_text(render_json(algebra_to_dict(heisenberg(4), "h9")))
-    shapes = []
-    convert = linalg.sparse_columns
+def test_gauge_check_catches_a_nonzero_delta_one():
+    # delta_1 = 0 on every complex (d vanishes on C^0), so only a
+    # decomposition handed a nonzero delta_1 column reaches this message.
+    series = _setup("h3", "sl2")
+    dec = series.decomposition
+    assert dec.delta[1] == [[], [], []]
+    delta = [dec.delta[0], [[(0, ONE)], [], []], *dec.delta[2:]]
+    mutated = dataclasses.replace(
+        series,
+        decomposition=Decomposition(dec.dga, dec.grading, dec.weights, dec.splits, delta),
+    )
+    message = "delta(phi) is not identically zero"
+    assert gauge_identity_check(mutated) == message
+    assert gauge_identity_check_reference(mutated) == message
 
-    def counting(matrix, ncols):
-        shapes.append((len(matrix), ncols))
-        return convert(matrix, ncols)
 
-    monkeypatch.setattr(linalg, "sparse_columns", counting)
-    code = cli.main(["kuranishi", str(path), "--target", "sl2", "--json", str(tmp_path / "germ.json")])
-    capsys.readouterr()
-    assert code == 0
-    assert shapes.count((9, 36)) == 1
-    assert shapes.count((1, 9)) == 1
+def test_obstruction_system_rejects_a_linear_term(monkeypatch):
+    series = _setup("h3", "sl2")
+    linear = (1,) + (0,) * (len(series.variables) - 1)
+    monkeypatch.setattr(kuranishi, "_reduce", lambda *args: {linear: {0: ONE}})
+    with pytest.raises(InternalCheckError, match="constant or linear part"):
+        obstruction_system(series)

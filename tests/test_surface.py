@@ -37,7 +37,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "germkit"
 SCRIPTS = ROOT / "scripts"
 
-ALLOWED: dict[str, str] = {}
+ALLOWED: dict[str, str] = {
+    "cedga.Dga.d": (
+        "dense rows of d, built on first read; the program reads only "
+        "Dga.columns, and the benchmark's counters and rref microbenchmark "
+        "(germbench/spans.py, germbench/probes.py) read Dga.d"
+    ),
+}
 
 
 def _references(node: ast.AST) -> Counter:
@@ -147,3 +153,8 @@ def test_every_definition_is_reached_from_the_program():
         "only tests reach these; move them into tests/conftest.py or delete "
         f"them: {flagged}"
     )
+
+
+def test_every_allowed_exception_is_still_needed():
+    stale = sorted(set(ALLOWED) - set(unreached()))
+    assert not stale, f"ALLOWED names that the program now reaches: {stale}"

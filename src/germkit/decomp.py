@@ -39,6 +39,7 @@ and only its grading check reads d in degree 2.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -187,7 +188,7 @@ def split_complex(
             reduced, pivots = linalg.rref([_dense(row, dim_p) for row in rows], dim_p)
             kernel = linalg.kernel_basis(reduced, dim_p)
             complement = [_dense([(c, ONE)], dim_p) for c in pivots]
-            harmonic = _extend_basis(exact, kernel, dim_p)
+            harmonic = _extend_basis(exact, kernel)
         if len(harmonic) + len(exact) + len(complement) != dim_p:
             raise InternalCheckError(
                 f"three-way splitting of degree {p} does not fill the space"
@@ -199,16 +200,36 @@ def split_complex(
     return dec
 
 
-def _extend_basis(base: Matrix, inside: Matrix, dim: int) -> Matrix:
-    """Greedily extend ``base`` to span ``inside`` using rows of ``inside``."""
-    rows = [list(r) for r in base]
-    reduced, pivots = linalg.rref(rows, dim)
+def _extend_basis(base: Matrix, inside: Matrix) -> Matrix:
+    """Greedily extend ``base`` to span ``inside`` using rows of ``inside``.
+
+    The rows of ``base`` and the rows chosen so far are kept in echelon
+    form, by leading column; each row of ``inside`` is reduced against them
+    in ascending leading column and is chosen, and kept, when a remainder
+    is left.
+    """
+    echelon: dict[int, dict[int, Scalar]] = {}
+    leads: list[int] = []
     chosen = []
-    for row in inside:
-        if linalg.in_row_space(reduced, pivots, row):
+    for k, row in enumerate([*base, *inside]):
+        vec = {j: x for j, x in enumerate(row) if x}
+        for lead in leads:
+            f = vec.get(lead)
+            if f:
+                for j, y in echelon[lead].items():
+                    total = vec.get(j, ZERO) - f * y
+                    if total:
+                        vec[j] = total
+                    else:
+                        del vec[j]
+        if not vec:
             continue
-        chosen.append(list(row))
-        reduced, pivots = linalg.rref(reduced + [list(row)], dim)
+        lead = min(vec)
+        inv = ONE / vec[lead]
+        echelon[lead] = {j: x * inv for j, x in vec.items()}
+        insort(leads, lead)
+        if k >= len(base):
+            chosen.append(list(row))
     return chosen
 
 

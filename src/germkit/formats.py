@@ -30,7 +30,7 @@ from .kuranishi import (
 )
 from .liealg import Grading, LieAlgebra, Subspace
 from .multipoly import MultiPoly, is_exponent_list
-from .scalars import Scalar, parse_scalar, scalar
+from .scalars import ParsedScalars, Scalar, scalar
 
 SCHEMA_VERSION = 1
 
@@ -39,53 +39,90 @@ def render_json(data: dict) -> str:
     """``json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False)``
     and a newline, byte for byte.
 
-    ``indent`` sends the stdlib to its pure-Python encoder.  Here each
-    container whose values are all leaves is one call of the C encoder,
-    with the newline and indentation in its item separator; only the levels
-    above the leaves are walked in Python.  A dict with a key that is not a
-    str takes the stdlib call.
+    ``indent`` sends the stdlib to its pure-Python encoder, one generator
+    step per leaf.  Here only containers are walked in Python.  A list
+    whose items all have one leaf type (all ``int`` or all ``str``, say)
+    is one ``str.join`` over ``json.encoder.encode_basestring`` or the
+    ints' texts, with the newline and indentation in the separator; a leaf
+    in a mixed container is written directly by its exact type, so
+    ``True`` next to ``1`` still reads ``true``.  Each distinct int is
+    formatted once per call (exponent vectors repeat a few small ints).
+    The leaf types are exactly ``str``, ``int``, ``bool`` and ``None``.
+    Anything else, a float or a subclass, and a dict key that is not a
+    ``str``, sends the whole document to the stdlib call.
     """
+    leaves = {**_LEAVES, int: _IntTexts().__getitem__}
+    leaf = leaves.get(type(data))
+    if leaf is not None:
+        return leaf(data) + "\n"
     chunks: list[str] = []
     try:
-        _render(data, 0, {}, chunks)
+        _render(data, "\n", chunks, leaves)
     except TypeError:
         return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _render(value: Any, level: int, encoders: dict, chunks: list[str]) -> None:
-    """Append ``value`` as json.dumps writes it at indentation ``level``."""
-    if level not in encoders:
-        encoders[level] = json.JSONEncoder(
-            sort_keys=True, ensure_ascii=False, separators=(",\n" + "  " * (level + 1), ": ")
-        )
-    encoder = encoders[level]
+# How json.dumps writes each leaf type, by exact type; ints go through
+# an _IntTexts of the call.
+_LEAVES = {
+    str: json.encoder.encode_basestring,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+class _IntTexts(dict):
+    """Each int's JSON text, made on its first lookup; looked up with
+    exact ints only (``True == 1``)."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = int.__repr__(value)
+        return text
+
+
+def _render(value: Any, newline: str, chunks: list[str], leaves: dict) -> None:
+    """Append the container ``value`` as json.dumps writes it after
+    ``newline``, a newline and the indentation of its own level; ``leaves``
+    writes each leaf by its exact type."""
+    inner = newline + "  "
+    separator = "," + inner
     if isinstance(value, dict):
-        if not all(type(key) is str for key in value):
-            raise TypeError("a key that is not a str")
+        if not value:
+            chunks.append("{}")
+            return
         keys = sorted(value)
-        children, brackets = [value[key] for key in keys], "{}"
+        if {*map(type, keys)} != {str}:
+            raise TypeError("a key that is not a str")
+        heads = [key + ": " for key in map(leaves[str], keys)]
+        children = [value[key] for key in keys]
+        brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        keys, children, brackets = None, value, "[]"
+        if not value:
+            chunks.append("[]")
+            return
+        kinds = {*map(type, value)}
+        if len(kinds) == 1:
+            leaf = leaves.get(kinds.pop())
+            if leaf is not None:
+                chunks.append("[" + inner + separator.join(map(leaf, value)) + newline + "]")
+                return
+        heads, children, brackets = None, value, "[]"
     else:
-        chunks.append(encoder.encode(value))
-        return
-    if not value:
-        chunks.append(brackets)
-        return
-    separator = encoder.item_separator
-    chunks.append(brackets[0] + separator[1:])
-    if all(isinstance(child, (str, int, float, type(None))) for child in children):
-        chunks.append(encoder.encode(value)[1:-1])
-    else:
-        for k, child in enumerate(children):
-            if k:
-                chunks.append(separator)
-            if keys is not None:
-                chunks.append(json.encoder.encode_basestring(keys[k]) + ": ")
-            _render(child, level + 1, encoders, chunks)
-    chunks.append("\n" + "  " * level + brackets[1])
+        raise TypeError(f"no fast path for {type(value).__name__}")
+    chunks.append(brackets[0] + inner)
+    for k, child in enumerate(children):
+        if k:
+            chunks.append(separator)
+        if heads is not None:
+            chunks.append(heads[k])
+        leaf = leaves.get(type(child))
+        if leaf is None:
+            _render(child, inner, chunks, leaves)
+        else:
+            chunks.append(leaf(child))
+    chunks.append(newline + brackets[1])
 
 
 def file_digest(raw: bytes) -> str:
@@ -108,14 +145,16 @@ def load_json_file(path: str) -> dict:
     return data
 
 
-def _coerce_scalar(value: Any, where: str) -> Scalar:
+def _coerce_scalar(value: Any, where: str, scalars: ParsedScalars) -> Scalar:
+    """The Scalar of a JSON value at ``where``; a text is looked up in
+    ``scalars``, the texts of the one file being read."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: booleans are not scalars")
     if isinstance(value, int):
         return scalar(value)
     if isinstance(value, str):
         try:
-            return parse_scalar(value)
+            return scalars[value]
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from None
     raise ParseError(
@@ -138,7 +177,9 @@ class ParsedAlgebra:
     digest: str | None
 
 
-def _parse_vector(entry: Any, labels: tuple[str, ...], where: str) -> list[Scalar]:
+def _parse_vector(
+    entry: Any, labels: tuple[str, ...], where: str, scalars: ParsedScalars
+) -> list[Scalar]:
     n = len(labels)
     if isinstance(entry, str):
         if entry not in labels:
@@ -152,29 +193,31 @@ def _parse_vector(entry: Any, labels: tuple[str, ...], where: str) -> list[Scala
                 f"{where}: vector has {len(entry)} coordinates, expected {n}"
             )
         return [
-            _coerce_scalar(c, f"{where}[{k}]") for k, c in enumerate(entry)
+            _coerce_scalar(c, f"{where}[{k}]", scalars) for k, c in enumerate(entry)
         ]
     raise ParseError(f"{where}: expected a basis label or a coordinate vector")
 
 
 def _parse_subspace(
-    entries: Any, labels: tuple[str, ...], where: str
+    entries: Any, labels: tuple[str, ...], where: str, scalars: ParsedScalars
 ) -> Subspace:
     if not isinstance(entries, list):
         raise ParseError(f"{where}: expected a list of labels or vectors")
     vectors = [
-        _parse_vector(entry, labels, f"{where}[{k}]")
+        _parse_vector(entry, labels, f"{where}[{k}]", scalars)
         for k, entry in enumerate(entries)
     ]
     return Subspace.from_vectors(len(labels), vectors)
 
 
-def _parse_grading(entries: Any, labels: tuple[str, ...], where: str) -> Grading:
+def _parse_grading(
+    entries: Any, labels: tuple[str, ...], where: str, scalars: ParsedScalars
+) -> Grading:
     if not isinstance(entries, list):
         raise ParseError(f"{where}: expected a list of layers")
     return Grading(
         tuple(
-            _parse_subspace(layer, labels, f"{where}[{k}]")
+            _parse_subspace(layer, labels, f"{where}[{k}]", scalars)
             for k, layer in enumerate(entries)
         )
     )
@@ -227,7 +270,13 @@ def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
     return CharacterData(rank=rank, exponents=tuple(exponents), torsion=tuple(torsion))
 
 
-def parse_algebra_dict(data: dict, source: str = "<input>") -> ParsedAlgebra:
+def parse_algebra_dict(
+    data: dict, source: str = "<input>", scalars: ParsedScalars | None = None
+) -> ParsedAlgebra:
+    """The algebra file ``data``; ``scalars`` holds the scalar texts of the
+    file it is part of (a germ file), a fresh map when None."""
+    if scalars is None:
+        scalars = ParsedScalars()
     name = data.get("name", "unnamed")
     basis = data.get("basis")
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
@@ -281,7 +330,7 @@ def parse_algebra_dict(data: dict, source: str = "<input>") -> ParsedAlgebra:
             if term["basis"] not in labels:
                 raise ParseError(f"{tw}.basis: unknown basis label {term['basis']!r}")
             target = labels.index(term["basis"])
-            coeff = _coerce_scalar(term["coef"], f"{tw}.coef")
+            coeff = _coerce_scalar(term["coef"], f"{tw}.coef", scalars)
             if field_name == "Q" and not coeff.is_rational():
                 raise ParseError(f"{tw}.coef: imaginary part in a field-Q file")
             if sign == -1:
@@ -297,17 +346,17 @@ def parse_algebra_dict(data: dict, source: str = "<input>") -> ParsedAlgebra:
     algebra = LieAlgebra(labels, brackets)  # runs the Jacobi check
 
     grading = (
-        _parse_grading(data["grading"], labels, f"{source}: grading")
+        _parse_grading(data["grading"], labels, f"{source}: grading", scalars)
         if "grading" in data
         else None
     )
     nilradical = (
-        _parse_subspace(data["nilradical"], labels, f"{source}: nilradical")
+        _parse_subspace(data["nilradical"], labels, f"{source}: nilradical", scalars)
         if "nilradical" in data
         else None
     )
     complement = (
-        _parse_subspace(data["complement"], labels, f"{source}: complement")
+        _parse_subspace(data["complement"], labels, f"{source}: complement", scalars)
         if "complement" in data
         else None
     )
@@ -484,6 +533,7 @@ def germ_to_dict(
         phi_out.append({"degree": r, "terms": terms})
     dec = series.decomposition
     harmonic2 = dec.harmonic_basis(2) if len(dec.splits) > 2 else []
+    serialised = [p.serialise() for p in system.polynomials]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "germ",
@@ -509,8 +559,8 @@ def germ_to_dict(
         "phi": phi_out,
         "obstructions": {
             "coordinates": list(system.coordinates),
-            "polynomials": [p.to_records() for p in system.polynomials],
-            "pretty": [str(p) for p in system.polynomials],
+            "polynomials": [records for records, _ in serialised],
+            "pretty": [text for _, text in serialised],
             "homogeneous_degrees": system.homogeneous_degrees(),
             "max_degree": system.max_degree,
             "nu": system.nu,
@@ -559,11 +609,13 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     strategy = data.get("strategy", "metric")
     if strategy not in STRATEGIES:
         raise ParseError(f"{source}: strategy: expected one of {STRATEGIES}")
+    # Every scalar text of this file, parsed once; dropped with the call.
+    scalars = ParsedScalars()
     base = parse_algebra_dict(
-        _field(data, "base_algebra", dict, source), f"{source}: base_algebra"
+        _field(data, "base_algebra", dict, source), f"{source}: base_algebra", scalars
     )
     target = parse_algebra_dict(
-        _field(data, "target_algebra", dict, source), f"{source}: target_algebra"
+        _field(data, "target_algebra", dict, source), f"{source}: target_algebra", scalars
     )
     complex_ = Dga(base.algebra)
     if data.get("subdga_monomials") is not None:
@@ -578,7 +630,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     grading = None
     if data.get("grading") is not None:
         grading = _parse_grading(
-            data["grading"], base.algebra.labels, f"{source}: grading"
+            data["grading"], base.algebra.labels, f"{source}: grading", scalars
         )
     tdgla = TensorDgla(complex_, target.algebra)
     variables = tuple(_field(data, "variables", list, source))
@@ -625,7 +677,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
                 spot = tdgla.flat(mono_idx, labels.index(label))
                 if spot in vec:
                     raise ParseError(f"{ew}: repeats an earlier (monomial_index, target)")
-                vec[spot] = _coerce_scalar(entry.get("value"), f"{ew}: value")
+                vec[spot] = _coerce_scalar(entry.get("value"), f"{ew}: value", scalars)
     # Zero values are not stored, nor the terms and blocks they leave empty.
     slices: dict[int, dict] = {}
     for r, terms in blocks.items():
@@ -638,7 +690,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     polys = []
     for k, records in enumerate(_field(obstructions, "polynomials", list, where)):
         try:
-            polys.append(MultiPoly.from_records(variables, records))
+            polys.append(MultiPoly.from_records(variables, records, scalars))
         except (ParseError, TypeError, ValueError) as exc:
             raise ParseError(f"{where}.polynomials[{k}]: {exc}") from None
     coordinates = tuple(_field(obstructions, "coordinates", list, where))
@@ -665,6 +717,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
 def parse_point(text: str, variables: tuple[str, ...]) -> list[Scalar]:
     """Parse 't1=1,t2=1/2' into a full coordinate vector (default 0)."""
     values = {name: scalar(0) for name in variables}
+    scalars = ParsedScalars()
     text = text.strip()
     if text:
         for chunk in text.split(","):
@@ -674,5 +727,5 @@ def parse_point(text: str, variables: tuple[str, ...]) -> list[Scalar]:
             name = name.strip()
             if name not in values:
                 raise ParseError(f"point: unknown variable {name!r}")
-            values[name] = _coerce_scalar(raw.strip(), f"point.{name}")
+            values[name] = _coerce_scalar(raw.strip(), f"point.{name}", scalars)
     return [values[name] for name in variables]

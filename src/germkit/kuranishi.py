@@ -544,9 +544,8 @@ class ObstructionSystem:
         return None if self.terminated else self.cap + 1
 
     def homogeneous_degrees(self) -> list[list[int]]:
-        return [
-            [deg for deg, _ in p.homogeneous_components()] for p in self.polynomials
-        ]
+        """The degrees of each polynomial's homogeneous components, ascending."""
+        return [sorted({*map(sum, p.terms)}) for p in self.polynomials]
 
 
 def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:

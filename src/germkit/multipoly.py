@@ -18,7 +18,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .scalars import ONE, Scalar, ZERO, scalar
+from .scalars import ONE, ParsedScalars, Scalar, ZERO, scalar
 
 ExponentVector = tuple[int, ...]
 
@@ -134,7 +134,7 @@ class MultiPoly:
 
     __hash__ = None  # mutable dict inside; not intended as a key
 
-    # -- evaluation and structure ---------------------------------------------
+    # -- evaluation -------------------------------------------------------------
 
     def eval(self, point: "Sequence[Scalar] | PointPowers") -> Scalar:
         """Exact substitution at one Scalar per variable, or at a
@@ -147,37 +147,32 @@ class MultiPoly:
                 total = total + coeff * x
         return total
 
-    def homogeneous_components(self) -> list[tuple[int, "MultiPoly"]]:
-        """Split into (degree, component) pairs, ascending; they sum to self."""
-        buckets: dict[int, dict[ExponentVector, Scalar]] = {}
-        for exps, coeff in self.terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = coeff
-        return [
-            (deg, MultiPoly(self.variables, buckets[deg]))
-            for deg in sorted(buckets)
-        ]
-
     # -- serialization ---------------------------------------------------------
 
-    def to_records(self) -> list[dict]:
-        return [
-            {"exponents": list(exps), "coefficient": str(coeff)}
-            for exps, coeff in self.sorted_terms()
-        ]
+    def serialise(self) -> tuple[list[dict], str]:
+        """The germ file's records, in grlex order, and the printed form,
+        from one sort of the terms and one ``str`` per coefficient."""
+        terms = [(exps, str(coeff)) for exps, coeff in self.sorted_terms()]
+        records = [{"exponents": list(exps), "coefficient": c} for exps, c in terms]
+        return records, _show(self.variables, terms[::-1])
 
     @classmethod
     def from_records(
-        cls, variables: Sequence[str], records: Iterable[dict]
+        cls, variables: Sequence[str], records: Iterable[dict], scalars: ParsedScalars
     ) -> "MultiPoly":
-        """The polynomial of ``to_records`` output, each record validated
-        once; the terms are built in place, without ``__init__``'s checks."""
+        """The polynomial of ``serialise`` records, each record validated
+        once; the terms are built in place, without ``__init__``'s checks.
+        A coefficient text is looked up in ``scalars``, the texts of the
+        file being read, so each distinct one is parsed once."""
         terms: dict[ExponentVector, Scalar] = {}
         seen: set[ExponentVector] = set()
         n = len(variables)
         for rec in records:
             try:
-                exps = rec["exponents"]
-                coeff = scalar(rec["coefficient"])
+                exps, coeff = rec["exponents"], rec["coefficient"]
+                if isinstance(coeff, bool):
+                    raise TypeError("booleans are not scalars")
+                coeff = scalars[coeff] if type(coeff) is str else scalar(coeff)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad polynomial record {rec!r}: {exc}") from None
             if not is_exponent_list(exps, n):
@@ -206,33 +201,35 @@ class MultiPoly:
         return poly
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in sorted(
-            self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True
-        ):
-            factors = [
-                f"{name}^{e}" if e > 1 else name
-                for name, e in zip(self.variables, exps)
-                if e
-            ]
-            body = "*".join(factors)
-            c = str(coeff)
-            if not factors:
-                parts.append(c)
-            elif c == "1":
-                parts.append(body)
-            elif c == "-1":
-                parts.append(f"-{body}")
-            elif "+" in c[1:] or "-" in c[1:]:
-                parts.append(f"({c})*{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return self.serialise()[1]
 
     def __repr__(self) -> str:
         return f"MultiPoly({str(self)!r})"
+
+
+def _show(variables: tuple[str, ...], terms: list[tuple[ExponentVector, str]]) -> str:
+    """The printed form of a polynomial from its (exponents, coefficient
+    text) pairs, highest term first: ``t1^2 - 1/2*t2*t3 + (1+i)*t4``."""
+    if not terms:
+        return "0"
+    parts = []
+    for exps, c in terms:
+        factors = [
+            f"{name}^{e}" if e > 1 else name
+            for name, e in compress(zip(variables, exps), exps)
+        ]
+        body = "*".join(factors)
+        if not factors:
+            parts.append(c)
+        elif c == "1":
+            parts.append(body)
+        elif c == "-1":
+            parts.append(f"-{body}")
+        elif "+" in c[1:] or "-" in c[1:]:
+            parts.append(f"({c})*{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out

@@ -311,3 +311,16 @@ def parse_scalar(text: str) -> Scalar:
         raise ParseError(f"bad scalar {text!r}: {exc}") from None
     # (rn/rd) + (jn/jd)*i over the one denominator rd*jd, reduced by one gcd.
     return from_ints(rn * jd, -jn * rd if sign == "-" else jn * rd, rd * jd)
+
+
+class ParsedScalars(dict):
+    """Scalar texts and their values, each text parsed on its first lookup.
+
+    A file reader makes one for the one file it reads and drops it after,
+    so a text that repeats in that file is parsed once and nothing carries
+    over to the next read.  A bad text raises ``parse_scalar``'s error.
+    """
+
+    def __missing__(self, text: str) -> Scalar:
+        value = self[text] = parse_scalar(text)
+        return value

@@ -11,7 +11,8 @@ these live here because only the tests call them:
 - ``tensor_bracket``: the bracket of ``C* (x) a`` in any pair of degrees,
   the reference of the DGLA-axiom tests;
 - ``RingPoly``: ``MultiPoly`` with ring arithmetic, in which the
-  hand-expanded obstruction oracles are written;
+  hand-expanded obstruction oracles are written, and
+  ``homogeneous_components``, a polynomial split by degree;
 - ``minimal_polynomial``: the squarefree check on Jordan-Chevalley parts;
 - ``hermitian``: the form that makes the monomial basis orthonormal, for
   the adjointness tests of the metric splitting;
@@ -29,7 +30,9 @@ these live here because only the tests call them:
   of the sparse ``LieAlgebra.is_unimodular``;
 - ``split_complex_dense``: the splitting from dense d, d*, Laplacians and
   dim x dim projections, the reference of ``decomp.split_complex``, which
-  reads only the sparse columns of d; with it ``conj_transpose``,
+  reads only the sparse columns of d; with it ``extend_basis_reference``
+  (the pivot split's harmonic choice by one rref per row chosen, the
+  reference of ``decomp._extend_basis``), ``conj_transpose``,
   ``image_basis``, ``dstar_matrices``, ``dense_laplacian`` and
   ``dense_columns`` (sparse columns as a dense matrix).
 """
@@ -46,7 +49,7 @@ import pytest
 from germkit import fixtures, linalg
 from germkit.cedga import Dga, Monomial, wedge_monomials
 from germkit.cli import obtain_grading
-from germkit.decomp import _extend_basis, _vector_weights
+from germkit.decomp import _vector_weights
 from germkit.errors import InternalCheckError, PreconditionError
 from germkit.jordan import Poly, poly_normalize
 from germkit.kuranishi import (
@@ -420,6 +423,17 @@ class RingPoly(MultiPoly):
     __rmul__ = __mul__
 
 
+def homogeneous_components(poly: MultiPoly) -> list[tuple[int, MultiPoly]]:
+    """Split into (degree, component) pairs, ascending; they sum to poly."""
+    buckets: dict[int, dict[ExponentVector, Scalar]] = {}
+    for exps, coeff in poly.terms.items():
+        buckets.setdefault(sum(exps), {})[exps] = coeff
+    return [
+        (deg, MultiPoly(poly.variables, buckets[deg]))
+        for deg in sorted(buckets)
+    ]
+
+
 # -- minimal polynomial of a matrix ---------------------------------------------------
 
 
@@ -553,6 +567,22 @@ class DenseDecomposition:
     delta: list[Matrix]     # delta_p as a dim_(p-1) x dim_p matrix
 
 
+def extend_basis_reference(base: Matrix, inside: Matrix, dim: int) -> Matrix:
+    """Greedily extend ``base`` to span ``inside`` using rows of ``inside``,
+    with a full rref of the rows kept so far after each row chosen: the
+    reference of ``decomp._extend_basis``, which reduces each row against
+    echelon rows kept as it goes."""
+    rows = [list(r) for r in base]
+    reduced, pivots = linalg.rref(rows, dim)
+    chosen = []
+    for row in inside:
+        if linalg.in_row_space(reduced, pivots, row):
+            continue
+        chosen.append(list(row))
+        reduced, pivots = linalg.rref(reduced + [list(row)], dim)
+    return chosen
+
+
 def split_complex_dense(
     dga: Dga, strategy: str = "metric", top: int | None = None
 ) -> DenseDecomposition:
@@ -575,7 +605,7 @@ def split_complex_dense(
             complement = [
                 [ONE if i == c else ZERO for i in range(dim_p)] for c in pivots
             ]
-            harmonic = _extend_basis(exact, kernel, dim_p)
+            harmonic = extend_basis_reference(exact, kernel, dim_p)
         stacked = [list(r) for r in harmonic + exact + complement]
         inv = linalg.inverse(linalg.transpose(stacked, dim_p))
         b, e = len(harmonic), len(exact)

@@ -17,6 +17,7 @@ from conftest import (
     apply_d,
     conj_transpose,
     hermitian,
+    homogeneous_components,
     inferred_grading,
     minimal_polynomial,
     non_unimodular2,
@@ -68,7 +69,7 @@ def test_criterion_1_cubic_cone():
     ok = ok and len(system.variables) == 6
     ok = ok and len(system.polynomials) == 6
     ok = ok and all(
-        p.homogeneous_components() == [(3, p)] for p in system.polynomials
+        homogeneous_components(p) == [(3, p)] for p in system.polynomials
     )
 
     # independent brute-force oracle: [a,[a,b]] = 0, [b,[a,b]] = 0 expanded

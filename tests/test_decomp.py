@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_ALGEBRAS,
@@ -9,6 +11,7 @@ from conftest import (
     dense_columns,
     dense_laplacian,
     dstar_matrices,
+    extend_basis_reference,
     hermitian,
     image_basis,
     inferred_grading,
@@ -24,6 +27,7 @@ from germkit.decomp import (
     GERM_TOP,
     READBACK_TOP,
     STRATEGIES,
+    _extend_basis,
     _vector_weights,
     _verify_decomposition,
     degree2_weight_table,
@@ -33,7 +37,7 @@ from germkit.decomp import (
 )
 from germkit.errors import InternalCheckError, PreconditionError
 from germkit.liealg import Grading, Subspace, basis_aligned_weights
-from germkit.scalars import ONE, ZERO, scalar
+from germkit.scalars import I, ONE, ZERO, scalar
 
 
 def _metric(algebra, grading=None):
@@ -316,3 +320,38 @@ def test_corrupted_harmonic_coordinate_fails_h_d_check():
     coords[0] = [(0, ONE)]
     with pytest.raises(InternalCheckError, match="H o d != 0 in degree 1"):
         _verify_decomposition(dec)
+
+
+@pytest.mark.parametrize(
+    "algebra", [a for _, a in TRUNCATION_CASES], ids=[n for n, _ in TRUNCATION_CASES]
+)
+def test_extend_basis_chooses_the_reference_rows(algebra):
+    # The pivot split's inputs in every degree: the exact rows, extended
+    # inside the kernel of d; then the same with the kernel rows reversed,
+    # so the exact part and the kept rows arrive in another order.
+    dga = Dga(algebra)
+    for p, dim in enumerate(dga.dims()):
+        exact = image_basis(dga.d[p - 1], dga.dim_at(p - 1)) if p else []
+        kernel = la.kernel_basis(dga.d[p], dim)
+        for inside in (kernel, kernel[::-1], exact + kernel):
+            chosen = _extend_basis(exact, inside)
+            assert chosen == extend_basis_reference(exact, inside, dim), p
+        assert len(exact) + len(_extend_basis(exact, kernel)) == len(kernel), p
+
+
+ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(2), scalar("1/3"), I, -I + 1])
+
+
+def _rows(n, max_size):
+    return st.lists(st.lists(ENTRIES, min_size=n, max_size=n), max_size=max_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), _rows(n, 4), _rows(n, 7))))
+def test_extend_basis_matches_the_reference_on_any_rows(case):
+    # Any base (reduced or not, dependent rows included) and any candidate
+    # rows over Q(i), with a sum of two candidates as one more.
+    dim, base, inside = case
+    if len(inside) > 1:
+        inside.append([x + y for x, y in zip(inside[0], inside[1])])
+    assert _extend_basis(base, inside) == extend_basis_reference(base, inside, dim)

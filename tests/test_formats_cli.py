@@ -337,10 +337,55 @@ JSON_VALUES = st.recursive(
 )
 
 
-@given(JSON_VALUES)
+# Shaped like engine output: long runs of exponents and labels, exponents
+# next to booleans, labels with ⊗, quotes and control characters, empty
+# containers and tuples.
+LABELS = st.text(st.sampled_from('t1h2[]⊗∧Eé "\\\n\t\x00\x1f\u2028'), max_size=8)
+ENGINE_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(), LABELS),
+    lambda children: st.one_of(
+        st.lists(st.integers(0, 3), min_size=20, max_size=80),
+        st.lists(st.integers(), min_size=2, max_size=10),
+        st.lists(LABELS, min_size=10, max_size=30),
+        st.lists(st.one_of(st.booleans(), st.integers(0, 1))),
+        st.lists(children),
+        st.tuples(children, children),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.just(()),
+        st.dictionaries(LABELS, children),
+    ),
+    max_leaves=40,
+)
+
+
+@given(st.one_of(JSON_VALUES, ENGINE_VALUES))
 def test_render_json_is_the_stdlib_indented_dump(data):
     expected = json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     assert render_json(data) == expected
+
+
+def test_render_json_keeps_booleans_out_of_integer_runs():
+    # [1, 0] fills the call's int texts before True and False come by.
+    data = {"a": [1, 0], "b": [True, 1, False, 0], "c": [True, False], "d": (None, "⊗")}
+    assert render_json(data) == json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert '"b": [\n    true,\n    1,\n    false,\n    0\n  ]' in render_json(data)
+
+
+def test_pipeline_report_renders_without_the_stdlib_encoder(monkeypatch, capsys):
+    # A report holds only str, int, bool and None leaves under str keys, so
+    # render_json never falls back to json.dumps or a JSONEncoder.
+    argv = ("pipeline", str(FIXTURES / "solv_heisenberg.json"), "--target", "gl:3", "--json")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stdlib JSON encoder was called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def _first_phi_term(germ):
@@ -419,6 +464,77 @@ def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):
     code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1")
     assert code == 2 and out == ""
     assert err.startswith("parse error: ") and field in err
+
+
+def _h3_germ(tmp_path, capsys):
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "h3.json"), "--target", "sl2",
+        "--json", str(germ_path),
+    )
+    assert code == 0
+    return germ_path, json.loads(germ_path.read_text())
+
+
+def test_boolean_coefficient_is_a_parse_error(tmp_path, capsys):
+    # scalar() reads true as 1; a germ file's coefficient is a JSON string
+    # or integer, as its phi values are.
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    record = germ["obstructions"]["polynomials"][0][0]
+    record["coefficient"] = True
+    germ_path.write_text(json.dumps(germ))
+    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"parse error: {germ_path}: obstructions.polynomials[0]: bad polynomial "
+        f"record {record!r}: booleans are not scalars\n"
+    )
+
+
+def test_repeated_bad_coefficient_fails_at_its_first_record(tmp_path, capsys):
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    polynomials = germ["obstructions"]["polynomials"]
+    nonzero = [k for k, records in enumerate(polynomials) if records]
+    for k in nonzero[1:3]:
+        polynomials[k][-1]["coefficient"] = "2/0"
+    germ_path.write_text(json.dumps(germ))
+    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"parse error: {germ_path}: obstructions.polynomials[{nonzero[1]}]: "
+        "bad scalar '2/0': Fraction(2, 0)\n"
+    )
+
+
+def test_germ_read_parses_each_scalar_text_once_per_read(tmp_path, capsys, monkeypatch):
+    from germkit import scalars
+
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "h5.json"), "--target", "gl:2",
+        "--json", str(tmp_path / "germ.json"),
+    )
+    assert code == 0
+    data = json.loads((tmp_path / "germ.json").read_text())
+    values = [e["value"] for block in data["phi"] for t in block["terms"] for e in t["entries"]]
+    coefficients = [r["coefficient"] for records in data["obstructions"]["polynomials"] for r in records]
+    assert len({*values, *coefficients}) < len(values + coefficients)
+
+    parsed = collections.Counter()
+    parse = scalars.parse_scalar
+
+    def counting(text):
+        parsed[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(scalars, "parse_scalar", counting)
+    reads = []
+    for _ in range(2):
+        parsed.clear()
+        germ_from_dict(json.loads(json.dumps(data)))
+        reads.append(dict(parsed))
+    assert reads[0] == reads[1]
+    assert set(reads[0].values()) == {1}
+    assert {*values, *coefficients} <= reads[0].keys()
 
 
 def test_germ_grading_is_checked_beyond_the_split(tmp_path, capsys):

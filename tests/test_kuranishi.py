@@ -14,6 +14,7 @@ from conftest import (
     dense_columns,
     gauge_identity_check_reference,
     germbench_inputs,
+    homogeneous_components,
     inferred_grading,
     square_slice,
     tensor_bracket,
@@ -271,7 +272,7 @@ def test_h3_sl2_obstructions_match_brute_force_oracle():
     oracle = first + second  # x^z block then y^z block, components H, E, F
     for engine_poly, oracle_poly in zip(system.polynomials, oracle):
         assert engine_poly == oracle_poly * scalar(2)
-        assert engine_poly.homogeneous_components() == [(3, engine_poly)]
+        assert homogeneous_components(engine_poly) == [(3, engine_poly)]
         assert engine_poly.total_degree() == 3
 
 

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RingPoly
+from conftest import RingPoly, homogeneous_components
 
-from germkit.kuranishi import PolyCochain
+from germkit.kuranishi import ObstructionSystem, PolyCochain
 from germkit.multipoly import MultiPoly, PointPowers
-from germkit.scalars import Scalar, ZERO, scalar
+from germkit.scalars import ParsedScalars, Scalar, ZERO, scalar
 
 VARS = ("t1", "t2", "t3")
 
@@ -44,11 +44,11 @@ def test_eval_examples():
 
 def test_homogeneous_components_examples():
     t1, t2 = p_var(0), p_var(1)
-    comps = (t1 + t1 * t2).homogeneous_components()
+    comps = homogeneous_components(t1 + t1 * t2)
     assert [(d, str(c)) for d, c in comps] == [(1, "t1"), (2, "t1*t2")]
-    assert RingPoly.zero(VARS).homogeneous_components() == []
+    assert homogeneous_components(RingPoly.zero(VARS)) == []
     cubed = t1 * t1 * t1
-    assert cubed.homogeneous_components() == [(3, cubed)]
+    assert homogeneous_components(cubed) == [(3, cubed)]
 
 
 def test_variable_mismatch_rejected():
@@ -86,7 +86,7 @@ def test_eval_is_a_ring_map(p, point):
 @given(polys_st)
 def test_homogeneous_components_sum_back(p):
     total = RingPoly.zero(VARS)
-    for degree, comp in p.homogeneous_components():
+    for degree, comp in homogeneous_components(p):
         assert RingPoly(VARS, comp.terms).is_homogeneous()
         assert comp.is_zero() or comp.total_degree() == degree
         total = total + comp
@@ -95,7 +95,24 @@ def test_homogeneous_components_sum_back(p):
 
 @given(polys_st)
 def test_records_round_trip(p):
-    assert MultiPoly.from_records(VARS, p.to_records()) == p
+    records, text = p.serialise()
+    assert MultiPoly.from_records(VARS, records, ParsedScalars()) == p
+    assert text == str(p)
+
+
+@given(st.lists(polys_st, max_size=4))
+def test_homogeneous_degrees_are_the_component_degrees(polys):
+    system = ObstructionSystem(
+        variables=VARS,
+        coordinates=tuple(f"c{k}" for k in range(len(polys))),
+        polynomials=tuple(polys),
+        nu=None,
+        cap=4,
+        terminated=True,
+    )
+    assert system.homogeneous_degrees() == [
+        [degree for degree, _ in homogeneous_components(p)] for p in polys
+    ]
 
 
 def test_string_form_is_graded_lex():

@@ -17,10 +17,15 @@ prints is then read back by ``mc-check`` at three points (see
 point.  Each input is also split in every degree by ``decompose
 --strategy metric`` and ``--strategy pivot``: 40 runs.  Each run's exit
 code, stdout and stderr are hashed, with the input directories replaced by
-fixed tokens, as tests/test_golden_cli.py does.  The script prints the run count, the exit-code counts and one sha256
-over the per-run hashes.  A change that must keep every output byte prints
-the same line before and after.  It takes minutes (L7 x gl:3 dominates), so
-it is not part of the test suite.
+fixed tokens, as tests/test_golden_cli.py does.  The script prints the run
+count, the exit-code counts and one sha256 over the per-run hashes.
+
+A second line extends the matrix by ``check`` on each of the 20 inputs and
+``nilshadow`` on each input that carries nilradical and complement data, the
+classification and nilshadow layers; it counts and hashes all runs, the
+first line's included.  A change that must keep every output byte prints
+the same two lines before and after.  It takes minutes (L7 x gl:3
+dominates), so it is not part of the test suite.
 
     python3 scripts/byte_check.py
 """
@@ -109,6 +114,25 @@ def run(argv: list[str], tokens: dict[str, str]) -> tuple[int, str, str]:
     return code, hashlib.sha256(blob).hexdigest(), stdout
 
 
+class Tally:
+    """Exit-code counts and one sha256 over the per-run hashes."""
+
+    def __init__(self) -> None:
+        self.codes: collections.Counter[int] = collections.Counter()
+        self.total = hashlib.sha256()
+
+    def add(self, code: int, digest: str) -> None:
+        self.codes[code] += 1
+        self.total.update(digest.encode("ascii"))
+
+    def line(self) -> str:
+        counts = ", ".join(f"{code}: {n}" for code, n in sorted(self.codes.items()))
+        return (
+            f"runs {sum(self.codes.values())}; exit codes {{{counts}}}; "
+            f"sha256 {self.total.hexdigest()}"
+        )
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         gen_dir = pathlib.Path(tmp)
@@ -118,31 +142,34 @@ def main() -> None:
         germ_path.parent.mkdir()
         tokens = {str(gen_dir): "<generated>", str(FIXTURES): "<fixtures>"}
         files = sorted(FIXTURES.glob("*.json")) + sorted(gen_dir.glob("*.json"))
-        codes: collections.Counter[int] = collections.Counter()
-        total = hashlib.sha256()
+        base, extended = Tally(), Tally()
+
+        def record(argv: list[str], tallies: tuple[Tally, ...]) -> tuple[int, str]:
+            code, digest, stdout = run(argv, tokens)
+            for tally in tallies:
+                tally.add(code, digest)
+            return code, stdout
+
+        both = (base, extended)
         for path in files:
             for command in COMMANDS:
                 for target in TARGETS:
                     for options in OPTIONS:
                         argv = [command, str(path), "--target", target, *options, "--json"]
-                        code, digest, stdout = run(argv, tokens)
-                        codes[code] += 1
-                        total.update(digest.encode("ascii"))
+                        code, stdout = record(argv, both)
                         if command != "kuranishi" or target not in MC_TARGETS or code:
                             continue
                         germ_path.write_text(stdout, encoding="utf-8")
                         for point in mc_points(json.loads(stdout)["variables"]):
-                            argv = ["mc-check", str(germ_path), "--point", point, "--json"]
-                            code, digest, _ = run(argv, tokens)
-                            codes[code] += 1
-                            total.update(digest.encode("ascii"))
+                            record(["mc-check", str(germ_path), "--point", point, "--json"], both)
             for strategy in STRATEGIES:
-                argv = ["decompose", str(path), "--strategy", strategy, "--json"]
-                code, digest, _ = run(argv, tokens)
-                codes[code] += 1
-                total.update(digest.encode("ascii"))
-    counts = ", ".join(f"{code}: {n}" for code, n in sorted(codes.items()))
-    print(f"runs {sum(codes.values())}; exit codes {{{counts}}}; sha256 {total.hexdigest()}")
+                record(["decompose", str(path), "--strategy", strategy, "--json"], both)
+            record(["check", str(path), "--json"], (extended,))
+            data = json.loads(path.read_text(encoding="utf-8"))
+            if "nilradical" in data and "complement" in data:
+                record(["nilshadow", str(path), "--json"], (extended,))
+    print(base.line())
+    print(extended.line())
 
 
 if __name__ == "__main__":

@@ -11,11 +11,12 @@ degree one.  This sign convention is fixed globally: frozen expected values
 throughout the test suite are computed under it.
 
 The differential is held as sparse columns: d_p is one list of (row, value)
-pairs per degree-p monomial, the form TensorDgla.apply_matrix reads.  The
-d o d check, the Betti ranks, the split and ``verify_subdga`` work on these
+pairs per degree-p monomial, the form ``linalg.apply`` reads.  The d o d
+check (``linalg.apply`` of d_(p+1) to each column of d_p), the Betti ranks
+(``linalg.sparse_rank``), the split and ``verify_subdga`` work on these
 columns.  Dense rows of d_p (``Dga.d``) are built per degree when first
 read; the program never reads them, and they are kept for the benchmark's
-counters.
+counters and its ``rref`` probe.
 
 A monomial sub-DGA is a per-degree selection of monomials that contains the
 unit and is closed under both d and wedge.  ``verify_subdga`` checks a
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .errors import PreconditionError
 from .liealg import LieAlgebra
-from .linalg import Matrix, SparseColumns, Vector
+from .linalg import Matrix, Row, SparseColumns
 from .scalars import ONE, Scalar, ZERO, scalar
 
 Monomial = tuple[int, ...]
@@ -130,11 +131,8 @@ class Dga:
         for p in range(n - 1):
             failures = []
             for c, column in enumerate(self.columns[p]):
-                square: dict[int, Scalar] = {}
-                for mid, x in column:
-                    for r, y in self.columns[p + 1][mid]:
-                        square[r] = square.get(r, ZERO) + x * y
-                failures.extend((r, c, value) for r, value in square.items() if value)
+                square = linalg.apply(self.columns[p + 1], column)
+                failures.extend((r, c, value) for r, value in square.items())
             if failures:
                 r, c, value = min(failures, key=lambda f: f[:2])
                 raise PreconditionError(
@@ -190,11 +188,11 @@ class Dga:
             return "1"
         return "∧".join(self.algebra.labels[i] for i in mono)
 
-    def cochain_label(self, degree: int, coeffs: Vector) -> str:
+    def cochain_label(self, degree: int, coeffs: Row) -> str:
+        """A cochain given by its nonzero coefficients, term by term in
+        monomial order."""
         parts = []
-        for idx, c in enumerate(coeffs):
-            if not c:
-                continue
+        for idx, c in sorted(coeffs.items()):
             mono = self.monomial_label(self.monomials[degree][idx])
             if c == ONE:
                 parts.append(mono)

@@ -19,15 +19,21 @@ deformation recursion consumes.  When a coordinate-aligned grading is
 supplied, the differential must preserve weights; the construction then
 produces weight-homogeneous bases automatically and verifies that it did.
 
-The split reads d only through the sparse columns ``Dga.columns``: the
-exact part of degree p is the row space of the columns of d_(p-1), the
-complement and the pivot kernel come from the nonzero rows of d_p, and the
-Laplacian is a sum of one Gram term per such row and column.  The exact
-part and the metric harmonic and complement parts are the canonical rref
-bases of their spaces.  delta_p is held as sparse columns, C^p -> C^(p-1),
-built once: each exact row of degree p is lifted through d on the
-complement of degree p - 1, and column j is the combination of the lifts
-that the exact coordinates of e_j give.
+The split reads d only through the sparse columns ``Dga.columns`` and
+works on sparse rows (``linalg.Row``) from there to the ``Decomposition``;
+every elimination is ``linalg.echelon``.  The exact part of degree p is
+the row space of the columns of d_(p-1); the complement and the pivot
+kernel come from the nonzero rows of d_p.  The metric harmonic part is the
+kernel of the Laplacian, which is the common kernel of the rows of d_p and
+of the conjugated columns of d_(p-1), since the form is positive definite.
+The exact part and the metric harmonic and complement parts are the
+canonical rref bases of their spaces.  The coordinates of each e_j in the
+harmonic and exact bases come from one elimination of the stacked basis.
+delta_p is held as sparse columns, C^p -> C^(p-1), built once: d maps the
+complement of degree p - 1 one-to-one onto the exact part of degree p, so
+inverting that square map in exact coordinates lifts each exact row,
+and column j is the combination of the lifts that the exact coordinates of
+e_j give.
 
 The splitting of degree p reads d only on degrees p - 1 and p, so a split
 truncated at ``top`` gives the same data in degrees 0..top as the full one.
@@ -39,16 +45,14 @@ and only its grading check reads d in degree 2.
 
 from __future__ import annotations
 
-from bisect import insort
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import linalg
 from .cedga import Dga, Monomial
 from .errors import InternalCheckError, PreconditionError
 from .liealg import Grading, basis_aligned_weights
-from .linalg import Matrix, SparseColumns, Vector
-from .scalars import ONE, Scalar, ZERO
+from .linalg import Entries, Row, SparseColumns
+from .scalars import ONE
 
 Strategy = str  # "metric" | "pivot"
 STRATEGIES = ("metric", "pivot")
@@ -60,9 +64,6 @@ GERM_TOP = 2
 # gauge condition delta(phi) = 0 on degree 1.
 READBACK_TOP = 1
 
-# A sparse vector as its nonzero entries [(index, value)].
-Entries = Iterable[tuple[int, Scalar]]
-
 
 def monomial_weight(weights: list[int], mono: Monomial) -> int:
     return sum(weights[i] for i in mono)
@@ -72,9 +73,9 @@ def monomial_weight(weights: list[int], mono: Monomial) -> int:
 class DegreeSplit:
     """Bases for one degree of the complex, and coordinates in them."""
 
-    harmonic: Matrix        # rows spanning the harmonic representatives
-    exact: Matrix           # rows spanning im(d)
-    complement: Matrix      # rows spanning the chosen complement of ker(d)
+    harmonic: list[Row]     # rows spanning the harmonic representatives
+    exact: list[Row]        # rows spanning im(d)
+    complement: list[Row]   # rows spanning the chosen complement of ker(d)
     harmonic_coords: SparseColumns  # column j: e_j in the harmonic basis
     exact_coords: SparseColumns     # column j: e_j in the exact basis
 
@@ -93,7 +94,7 @@ class Decomposition:
     def betti(self) -> list[int]:
         return [len(split.harmonic) for split in self.splits]
 
-    def harmonic_basis(self, p: int) -> Matrix:
+    def harmonic_basis(self, p: int) -> list[Row]:
         return self.splits[p].harmonic
 
     def harmonic_coords(self, p: int) -> SparseColumns:
@@ -104,33 +105,8 @@ class Decomposition:
         return self.delta[p] if p < len(self.delta) else []
 
 
-def _apply(columns: SparseColumns, vec: Entries) -> dict[int, Scalar]:
-    """sum_j x_j columns[j] over the entries (j, x_j) of ``vec``: the
-    matrix held as ``columns`` applied to a sparse vector."""
-    out: dict[int, Scalar] = {}
-    for j, x in vec:
-        for i, y in columns[j]:
-            total = out.get(i, ZERO) + x * y
-            if total:
-                out[i] = total
-            else:
-                del out[i]
-    return out
-
-
-def _entries(row: Vector) -> list[tuple[int, Scalar]]:
-    return [(i, x) for i, x in enumerate(row) if x]
-
-
-def _conj(vec: Entries) -> list[tuple[int, Scalar]]:
+def _conj(vec: Entries) -> Entries:
     return [(i, x.conjugate()) for i, x in vec]
-
-
-def _dense(vec: Entries, dim: int) -> Vector:
-    out = [ZERO] * dim
-    for i, x in vec:
-        out[i] = x
-    return out
 
 
 def _nonzero_rows(columns: SparseColumns, nrows: int) -> SparseColumns:
@@ -140,17 +116,6 @@ def _nonzero_rows(columns: SparseColumns, nrows: int) -> SparseColumns:
         for i, x in column:
             rows[i].append((j, x))
     return [row for row in rows if row]
-
-
-def _gram(vectors: SparseColumns, dim: int) -> Matrix:
-    """sum over ``vectors`` of conj(v)^T v, a dim x dim matrix."""
-    out = linalg.zeros(dim, dim)
-    for vec in vectors:
-        for i, x in vec:
-            cx, row = x.conjugate(), out[i]
-            for j, y in vec:
-                row[j] = row[j] + cx * y
-    return out
 
 
 def split_complex(
@@ -177,17 +142,15 @@ def split_complex(
         dim_p = dims[p]
         below = dga.columns[p - 1] if p >= 1 else []
         rows = _nonzero_rows(dga.columns[p], dga.dim_at(p + 1))
-        exact = linalg.rref([_dense(col, dim_p) for col in below if col], dim_p)[0]
+        exact = linalg.echelon(below)[0]
         if strategy == "metric":
-            # Laplacian d* d + d d*: conj(row)^T row over the rows of d_p,
-            # col conj(col)^T over the columns of d_(p-1).
-            lap = _gram(rows + [_conj(col) for col in below], dim_p)
-            harmonic = linalg.kernel_basis(lap, dim_p)
-            complement = linalg.rref([_dense(_conj(row), dim_p) for row in rows], dim_p)[0]
+            # ker(d* d + d d*) = ker(d_p) cut with ker(d_(p-1)*).
+            harmonic = linalg.kernel_basis(rows + [_conj(col) for col in below], dim_p)
+            complement = linalg.echelon(_conj(row) for row in rows)[0]
         else:
-            reduced, pivots = linalg.rref([_dense(row, dim_p) for row in rows], dim_p)
+            reduced, pivots = linalg.echelon(rows)
             kernel = linalg.kernel_basis(reduced, dim_p)
-            complement = [_dense([(c, ONE)], dim_p) for c in pivots]
+            complement = [{c: ONE} for c in pivots]
             harmonic = _extend_basis(exact, kernel)
         if len(harmonic) + len(exact) + len(complement) != dim_p:
             raise InternalCheckError(
@@ -200,75 +163,58 @@ def split_complex(
     return dec
 
 
-def _extend_basis(base: Matrix, inside: Matrix) -> Matrix:
-    """Greedily extend ``base`` to span ``inside`` using rows of ``inside``.
-
-    The rows of ``base`` and the rows chosen so far are kept in echelon
-    form, by leading column; each row of ``inside`` is reduced against them
-    in ascending leading column and is chosen, and kept, when a remainder
-    is left.
-    """
-    echelon: dict[int, dict[int, Scalar]] = {}
-    leads: list[int] = []
-    chosen = []
-    for k, row in enumerate([*base, *inside]):
-        vec = {j: x for j, x in enumerate(row) if x}
-        for lead in leads:
-            f = vec.get(lead)
-            if f:
-                for j, y in echelon[lead].items():
-                    total = vec.get(j, ZERO) - f * y
-                    if total:
-                        vec[j] = total
-                    else:
-                        del vec[j]
-        if not vec:
-            continue
-        lead = min(vec)
-        inv = ONE / vec[lead]
-        echelon[lead] = {j: x * inv for j, x in vec.items()}
-        insort(leads, lead)
-        if k >= len(base):
-            chosen.append(list(row))
-    return chosen
+def _extend_basis(base: list[Row], inside: list[Row]) -> list[Row]:
+    """Greedily extend ``base`` to span ``inside`` using rows of ``inside``:
+    a row is chosen when it is independent of ``base`` and the rows chosen
+    before it."""
+    kept: dict[int, Row] = {}
+    for row in base:
+        linalg.insert(kept, row)
+    return [row for row in inside if linalg.insert(kept, row)]
 
 
 def _assemble_split(
-    harmonic: Matrix, exact: Matrix, complement: Matrix, dim: int
+    harmonic: list[Row], exact: list[Row], complement: list[Row], dim: int
 ) -> DegreeSplit:
-    stacked = [list(r) for r in harmonic + exact + complement]
-    basis_cols = linalg.transpose(stacked, dim)  # columns are basis vectors
     try:
-        inv = linalg.inverse(basis_cols)
+        # Row j: the coordinates of e_j in the stacked basis.
+        coords = linalg.coordinates(harmonic + exact + complement, dim)
     except ValueError:
         raise InternalCheckError("splitting pieces are not independent") from None
     b = len(harmonic)
     e = len(exact)
     return DegreeSplit(
-        harmonic=[list(r) for r in harmonic],
-        exact=[list(r) for r in exact],
-        complement=[list(r) for r in complement],
-        harmonic_coords=[_entries(col) for col in linalg.transpose(inv[:b], dim)],
-        exact_coords=[_entries(col) for col in linalg.transpose(inv[b : b + e], dim)],
+        harmonic=harmonic,
+        exact=exact,
+        complement=complement,
+        harmonic_coords=[[(k, x) for k, x in row.items() if k < b] for row in coords],
+        exact_coords=[
+            [(k - b, x) for k, x in row.items() if b <= k < b + e] for row in coords
+        ],
     )
 
 
 def _build_delta(dga: Dga, splits: list[DegreeSplit]) -> list[SparseColumns]:
-    """delta_p for p = 0..top: lift each exact row of degree p through d on
-    the complement of degree p - 1 (one solve), then column j of delta_p
-    is sum_k c_kj lift_k, with c_kj the exact coordinates of e_j."""
+    """delta_p for p = 0..top: d maps the complement of degree p - 1
+    one-to-one onto the exact part of degree p, so inverting that map
+    in exact coordinates lifts each exact row; column j of delta_p is
+    sum_k c_kj lift_k, with c_kj the exact coordinates of e_j."""
     delta: list[SparseColumns] = [[[] for _ in dga.columns[0]]]
     for p in range(1, len(splits)):
-        dim_p = dga.dim_at(p)
-        comp = [_entries(row) for row in splits[p - 1].complement]
-        d_comp = [_dense(_apply(dga.columns[p - 1], row).items(), dim_p) for row in comp]
-        ys = linalg.solve_many(linalg.transpose(d_comp, dim_p), splits[p].exact, len(comp))
-        if ys is None:
+        comp = [row.items() for row in splits[p - 1].complement]
+        coords = splits[p].exact_coords
+        d_comp = [
+            linalg.apply(coords, linalg.apply(dga.columns[p - 1], row).items())
+            for row in comp
+        ]
+        try:
+            lift_coords = linalg.coordinates(d_comp, len(splits[p].exact))
+        except ValueError:
             raise InternalCheckError(
                 f"exact part of degree {p} is not in the image of d"
-            )
-        lifts = [list(_apply(comp, _entries(y)).items()) for y in ys]
-        delta.append([sorted(_apply(lifts, c).items()) for c in splits[p].exact_coords])
+            ) from None
+        lifts = [list(linalg.apply(comp, row.items()).items()) for row in lift_coords]
+        delta.append([sorted(linalg.apply(lifts, c).items()) for c in coords])
     return delta
 
 
@@ -298,10 +244,8 @@ def graded_weights(dga: Dga, grading: Grading, last: int) -> list[int]:
     return weights
 
 
-def _vector_weights(dga: Dga, weights: list[int], p: int, v: Vector) -> set[int]:
-    return {
-        monomial_weight(weights, dga.monomials[p][i]) for i, c in enumerate(v) if c
-    }
+def _vector_weights(dga: Dga, weights: list[int], p: int, v: Row) -> set[int]:
+    return {monomial_weight(weights, dga.monomials[p][i]) for i in v}
 
 
 def _verify_decomposition(dec: Decomposition) -> None:
@@ -311,15 +255,15 @@ def _verify_decomposition(dec: Decomposition) -> None:
     last = len(dec.splits) - 1
     for p in range(1, last + 1):
         split, delta = dec.splits[p], dec.delta[p]
-        exact = [_entries(row) for row in split.exact]
+        exact = [row.items() for row in split.exact]
         # beta(e_j) = sum_k c_kj exact_k, with c_kj the exact coordinates of e_j.
         for column, coords in zip(delta, split.exact_coords):
-            if _apply(dga.columns[p - 1], column) != _apply(exact, coords):
+            if linalg.apply(dga.columns[p - 1], column) != linalg.apply(exact, coords):
                 raise InternalCheckError(f"d o delta != beta in degree {p}")
-        if p >= 2 and any(_apply(dec.delta[p - 1], column) for column in delta):
+        if p >= 2 and any(linalg.apply(dec.delta[p - 1], column) for column in delta):
             raise InternalCheckError(f"delta o delta != 0 in degree {p}")
         for row in split.harmonic + split.complement:
-            if _apply(delta, _entries(row)):
+            if linalg.apply(delta, row.items()):
                 raise InternalCheckError(
                     f"delta does not vanish off the exact part in degree {p}"
                 )
@@ -327,26 +271,26 @@ def _verify_decomposition(dec: Decomposition) -> None:
     # harmonic coordinates of every column of d vanish.
     for p in range(last):
         coords = dec.splits[p + 1].harmonic_coords
-        if any(_apply(coords, column) for column in dga.columns[p]):
+        if any(linalg.apply(coords, column) for column in dga.columns[p]):
             raise InternalCheckError(f"H o d != 0 in degree {p}")
     if dec.weights is not None:
         for p, split in enumerate(dec.splits):
             for row in split.harmonic + split.exact + split.complement:
-                if len(_vector_weights(dga, dec.weights, p, list(row))) > 1:
+                if len(_vector_weights(dga, dec.weights, p, row)) > 1:
                     raise InternalCheckError(
                         f"splitting basis of degree {p} mixes weights"
                     )
 
 
-def kernel_containment_check(dec: Decomposition) -> tuple[Vector, int] | None:
+def kernel_containment_check(dec: Decomposition) -> tuple[Row, int] | None:
     """Check that degree-2 cocycles carry weight at most nu + 1.
 
     The harmonic and exact rows of degree 2 together span the cocycles, and
     the split has verified each row weight-homogeneous, so the weights of
     these rows are the weights the cocycles carry.  ``dec`` must carry a
     grading and reach degree 2 when the complex has one; with none there
-    are no cocycles.  Returns None on pass, else a witness (cocycle,
-    offending weight).
+    are no cocycles.  Returns None on pass, else a witness (cocycle as a
+    sparse row, offending weight).
     """
     if not dec.dga.dim_at(2):
         return None
@@ -355,7 +299,7 @@ def kernel_containment_check(dec: Decomposition) -> tuple[Vector, int] | None:
     for row in split.harmonic + split.exact:
         (weight,) = _vector_weights(dec.dga, dec.weights, 2, row)
         if weight > nu + 1:
-            return list(row), weight
+            return dict(row), weight
     return None
 
 

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from . import linalg
 from .cedga import CharacterData, Dga, Monomial, TorsionComponent, verify_subdga
 from .decomp import (
     GERM_TOP,
@@ -532,7 +533,15 @@ def germ_to_dict(
             )
         phi_out.append({"degree": r, "terms": terms})
     dec = series.decomposition
-    harmonic2 = dec.harmonic_basis(2) if len(dec.splits) > 2 else []
+    # The split holds sparse rows; the file prints each form as a dense row.
+    one_forms, two_forms = (
+        matrix_strings(
+            linalg.dense(row, dec.dga.dim_at(p)) for row in dec.harmonic_basis(p)
+        )
+        if p < len(dec.splits)
+        else []
+        for p in (1, 2)
+    )
     serialised = [p.serialise() for p in system.polynomials]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -554,8 +563,8 @@ def germ_to_dict(
             }
             for i, (h, a) in enumerate(series.zeta_info)
         ],
-        "harmonic_one_forms": matrix_strings(dec.harmonic_basis(1)),
-        "harmonic_two_forms": matrix_strings(harmonic2),
+        "harmonic_one_forms": one_forms,
+        "harmonic_two_forms": two_forms,
         "phi": phi_out,
         "obstructions": {
             "coordinates": list(system.coordinates),

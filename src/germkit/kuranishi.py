@@ -31,6 +31,12 @@ each.  Between sum and reduce, ``_apply_columns`` applies (matrix tensor id)
 to the integer maps, with the matrix converted once per stage to
 Gaussian-integer numerators over one denominator (``_int_columns``).
 
+Outside that kernel, elements are sparse Scalar vectors (``SparseVec``) and
+every linear map on them, (matrix tensor id) in ``apply_matrix``, the
+Maurer-Cartan residual and ``PolyCochain.eval``, is one ``linalg.apply``
+call; the split that supplies delta and the harmonic forms eliminates only
+through ``linalg.echelon`` and builds no dense matrix.
+
 So the series, the obstruction projection and the gauge check stay on
 integers from the bracket to their result: each phi_r is packed once, when
 it is produced; -(1/2) delta_2 of its integer bracket sum is reduced once
@@ -56,28 +62,18 @@ from fractions import Fraction
 from math import lcm
 from sys import byteorder
 
+from . import linalg
 from .cedga import Dga
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
 from .linalg import SparseColumns
 from .multipoly import ExponentVector, MultiPoly, PointPowers, prepared
-from .scalars import ONE, Scalar, ZERO, from_ints, scalar
+from .scalars import Scalar, from_ints, scalar
 
 SparseVec = dict[int, Scalar]
 
 HALF = Scalar(Fraction(1, 2))
-
-
-def vec_add_into(dst: SparseVec, src: SparseVec, factor: Scalar = ONE) -> None:
-    if not factor:
-        return
-    for idx, c in src.items():
-        total = dst.get(idx, ZERO) + factor * c
-        if total:
-            dst[idx] = total
-        else:
-            dst.pop(idx, None)
 
 
 class TensorDgla:
@@ -150,25 +146,14 @@ class TensorDgla:
 
     def apply_matrix(self, matrix_cols: SparseColumns, u: SparseVec) -> SparseVec:
         """Apply (matrix tensor id) given sparse columns of the matrix."""
-        ta = self.target.dim
-        out: SparseVec = {}
-        for iu, cu in u.items():
-            mu, au = divmod(iu, ta)
-            for i, val in matrix_cols[mu]:
-                spot = i * ta + au
-                total = out.get(spot, ZERO) + cu * val
-                if total:
-                    out[spot] = total
-                else:
-                    out.pop(spot, None)
-        return out
+        return linalg.apply(matrix_cols, u.items(), stride=self.target.dim)
 
 
 def mc_residual(tdgla: TensorDgla, omega: SparseVec) -> SparseVec:
     """d(omega) + (1/2)[omega, omega] for a degree-one element."""
     out = tdgla.apply_matrix(tdgla.dga.columns[1], omega)
-    vec_add_into(out, tdgla.bracket11(omega, omega), HALF)
-    return out
+    square = tdgla.bracket11(omega, omega)
+    return linalg.apply([square.items()], [(0, HALF)], out)
 
 
 # -- polynomial cochains ------------------------------------------------------
@@ -192,13 +177,14 @@ class PolyCochain:
         """Exact substitution at one Scalar per variable, or at a
         PointPowers shared with the obstruction polynomials."""
         monomial = prepared(point, len(self.variables)).monomial
-        out: SparseVec = {}
+        vecs, factors = [], []
         for terms in self.slices.values():
             for exps, vec in terms.items():
                 factor = monomial(exps)
-                if factor is not None:
-                    vec_add_into(out, vec, factor)
-        return out
+                if factor:
+                    vecs.append(vec.items())
+                    factors.append(factor)
+        return linalg.apply(vecs, enumerate(factors))
 
 
 # Integer maps: numerators keyed by packed exponent * step + index, as a
@@ -462,9 +448,7 @@ def kuranishi_series(
     zeta_info: list[tuple[int, int]] = []
     for h, row in enumerate(harm1):
         for a in range(ta):
-            vec = {
-                tdgla.flat(i, a): c for i, c in enumerate(row) if c
-            }
+            vec = {tdgla.flat(i, a): c for i, c in row.items()}
             zeta.append(vec)
             zeta_info.append((h, a))
     m = len(zeta)

@@ -193,7 +193,7 @@ class Subspace:
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return linalg.in_row_space(
-            [list(r) for r in self.rows], list(self.pivots), v
+            [linalg.sparse(r) for r in self.rows], self.pivots, linalg.sparse(v)
         )
 
     def contains_subspace(self, other: "Subspace") -> bool:

@@ -69,8 +69,12 @@ class AdSMap:
         return out
 
 
-def validate_solvable_input(data: SolvableInput) -> None:
-    """Raise PreconditionError naming the first violated hypothesis."""
+def validate_solvable_input(data: SolvableInput) -> list[Matrix]:
+    """Raise PreconditionError naming the first violated hypothesis.
+
+    Returns the semisimple parts (ad_A)_s of the complement rows A, in row
+    order, which the check computes.
+    """
     g = data.algebra
     n = g.dim
     nil, comp = data.nilradical, data.complement
@@ -93,8 +97,10 @@ def validate_solvable_input(data: SolvableInput) -> None:
                 )
     if restricted_lower_central_series(g, nil).nu is None:
         raise PreconditionError("declared nilradical is not nilpotent")
+    semis = []
     for a_row in comp.rows:
         semi, _ = jordan_chevalley(g.ad_matrix(list(a_row)))
+        semis.append(semi)
         for b_row in comp.rows:
             image = linalg.mat_vec(semi, list(b_row))
             if any(image):
@@ -103,37 +109,39 @@ def validate_solvable_input(data: SolvableInput) -> None:
                     f"(ad_A)_s(B) != 0 for A={g.vector_str(a_row)}, "
                     f"B={g.vector_str(b_row)}"
                 )
+    return semis
 
 
 def ad_s_map(data: SolvableInput) -> AdSMap:
     """Assemble and verify the semisimple-part map ad_s."""
-    validate_solvable_input(data)
+    semis = validate_solvable_input(data)
     g = data.algebra
     n = g.dim
     nil, comp = data.nilradical, data.complement
 
-    # coordinates of each basis vector in the (V rows | n rows) basis
-    basis_matrix = [list(r) for r in comp.rows] + [list(r) for r in nil.rows]
-    columns = linalg.transpose(basis_matrix, n)
+    # Row i: the coordinates of e_i in the (V rows | n rows) basis.
+    basis = [linalg.sparse(r) for r in comp.rows + nil.rows]
+    try:
+        coords = linalg.coordinates(basis, n)
+    except ValueError:
+        raise PreconditionError("complement and nilradical do not span") from None
     v_parts: list[Vector] = []
-    for i in range(n):
-        coords = linalg.solve(columns, g.basis_vector(i), n)
-        if coords is None:
-            raise PreconditionError("complement and nilradical do not span")
-        v_part = [ZERO] * n
-        for j in range(comp.dim):
-            if coords[j]:
-                for k, c in enumerate(comp.rows[j]):
-                    v_part[k] = v_part[k] + coords[j] * c
-        v_parts.append(v_part)
-
     matrices = []
-    for i in range(n):
-        if any(v_parts[i]):
-            semi, _ = jordan_chevalley(g.ad_matrix(v_parts[i]))
+    for row in coords:
+        v_coords = [(j, c) for j, c in row.items() if j < comp.dim]
+        v_part = [ZERO] * n
+        for j, c in v_coords:
+            for k, x in enumerate(comp.rows[j]):
+                v_part[k] = v_part[k] + c * x
+        v_parts.append(v_part)
+        if len(v_coords) == 1:
+            # (c ad_A)_s = c (ad_A)_s, and validation decomposed ad_A.
+            j, c = v_coords[0]
+            matrices.append(linalg.mat_scale(c, semis[j]))
+        elif v_coords:
+            matrices.append(jordan_chevalley(g.ad_matrix(v_part))[0])
         else:
-            semi = linalg.zeros(n, n)
-        matrices.append(semi)
+            matrices.append(linalg.zeros(n, n))
 
     _verify_ad_s(g, nil, v_parts, matrices)
     return AdSMap(g, tuple(matrices))

@@ -28,13 +28,20 @@ these live here because only the tests call them:
   of the integer ``gauge_identity_check``;
 - ``is_unimodular_dense``: the traces of dense ad matrices, the reference
   of the sparse ``LieAlgebra.is_unimodular``;
+- ``dense_rref``, ``dense_kernel_basis``, ``dense_solve_many``,
+  ``dense_inverse``, ``dense_in_row_space`` and ``transpose``: Gauss-Jordan
+  elimination on dense rows, pivot column by pivot column, the references
+  of the sparse ``linalg.echelon`` and its consumers; ``vec_add_into``,
+  the reference accumulation of sparse vectors;
 - ``split_complex_dense``: the splitting from dense d, d*, Laplacians and
-  dim x dim projections, the reference of ``decomp.split_complex``, which
-  reads only the sparse columns of d; with it ``extend_basis_reference``
-  (the pivot split's harmonic choice by one rref per row chosen, the
-  reference of ``decomp._extend_basis``), ``conj_transpose``,
-  ``image_basis``, ``dstar_matrices``, ``dense_laplacian`` and
-  ``dense_columns`` (sparse columns as a dense matrix).
+  dim x dim projections on those dense references, the reference of
+  ``decomp.split_complex``, which reads only the sparse columns of d and
+  works on sparse rows; with it ``extend_basis_reference`` (the pivot
+  split's harmonic choice by one rref per row chosen, the reference of
+  ``decomp._extend_basis``), ``conj_transpose``, ``image_basis``,
+  ``dstar_matrices``, ``dense_laplacian``, ``dense_columns`` (sparse
+  columns as a dense matrix) and ``dense_rows`` (sparse rows as dense
+  rows).
 """
 
 from __future__ import annotations
@@ -59,7 +66,6 @@ from germkit.kuranishi import (
     SparseVec,
     TensorDgla,
     bracket_slices,
-    vec_add_into,
 )
 from germkit.liealg import (
     Grading,
@@ -102,6 +108,114 @@ def frac_rank(rows: list[list[Fraction]]) -> int:
 def to_fraction(x: Scalar) -> Fraction:
     assert x.is_rational(), "oracle expects rational data"
     return x.re
+
+
+# -- dense Gauss-Jordan references of the sparse elimination ---------------------
+
+
+def transpose(a: Matrix, ncols: int) -> Matrix:
+    return [[row[j] for row in a] for j in range(ncols)]
+
+
+def dense_rref(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form with zero rows dropped, by Gauss-Jordan
+    elimination on the first nonzero entry of each column in turn."""
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [x * inv if x else x for x in m[r]]
+        support = [(j, y) for j, y in enumerate(m[r]) if y]
+        for i in range(len(m)):
+            row = m[i]
+            f = row[c]
+            if i != r and f:
+                for j, y in support:
+                    row[j] = row[j] - f * y
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def dense_kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> Matrix:
+    """Canonical rref basis of the right null space {x : A x = 0}."""
+    reduced, pivots = dense_rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            if reduced[r][fc]:
+                v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return dense_rref(basis, ncols)[0]
+
+
+def dense_solve_many(
+    a: Matrix, bs: Sequence[Sequence[Scalar]], ncols: int
+) -> list[Vector] | None:
+    """One solution of A x = b per right-hand side, free coordinates set to
+    zero, from one elimination; None if any system is inconsistent."""
+    nrhs = len(bs)
+    aug = [list(row) + [b[i] for b in bs] for i, row in enumerate(a)]
+    reduced, pivots = dense_rref(aug, ncols + nrhs) if aug else ([], [])
+    if any(pc >= ncols for pc in pivots):
+        return None
+    solutions = []
+    for k in range(nrhs):
+        x = [ZERO] * ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = reduced[r][ncols + k]
+        solutions.append(x)
+    return solutions
+
+
+def dense_inverse(a: Matrix) -> Matrix:
+    n = len(a)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots = dense_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced[:n]]
+
+
+def dense_in_row_space(rref_rows: Matrix, pivots: list[int], v: Sequence[Scalar]) -> bool:
+    """Membership test against a subspace already in rref form."""
+    residual = list(v)
+    for row, pc in zip(rref_rows, pivots):
+        f = residual[pc]
+        if f:
+            for j, y in enumerate(row):
+                if y:
+                    residual[j] = residual[j] - f * y
+    return all(not x for x in residual)
+
+
+def vec_add_into(dst: SparseVec, src: SparseVec, factor: Scalar = ONE) -> None:
+    """dst += factor * src, dropping the entries that cancel."""
+    for idx, c in src.items():
+        total = dst.get(idx, ZERO) + factor * c
+        if total:
+            dst[idx] = total
+        else:
+            dst.pop(idx, None)
+
+
+def dense_rows(rows: Sequence[dict[int, Scalar]], ncols: int) -> Matrix:
+    """Sparse rows as dense rows of length ``ncols``."""
+    return [linalg.dense(row, ncols) for row in rows]
 
 
 # -- independent Chevalley-Eilenberg differential -------------------------------
@@ -271,7 +385,7 @@ class Cochain:
         return not any(self.coeffs)
 
     def __str__(self) -> str:
-        return self.dga.cochain_label(self.degree, list(self.coeffs))
+        return self.dga.cochain_label(self.degree, linalg.sparse(self.coeffs))
 
 
 def hermitian(u: Vector, v: Vector) -> Scalar:
@@ -447,9 +561,9 @@ def minimal_polynomial(m: Matrix) -> Poly:
     for k in range(1, n + 1):
         rows = [[row[j] for j in range(k)] for row in flat]
         rhs = [row[k] for row in flat]
-        sol = linalg.solve(rows, rhs, k)
-        if sol is not None:
-            return poly_normalize([-c for c in sol] + [ONE])
+        sols = dense_solve_many(rows, [rhs], k)
+        if sols is not None:
+            return poly_normalize([-c for c in sols[0]] + [ONE])
     raise InternalCheckError("no linear dependence among matrix powers")
 
 
@@ -496,9 +610,9 @@ def kernel_containment_dense(
         raise PreconditionError(f"grading is not natural: {violation}")
     weights = basis_aligned_weights(grading)
     nu = grading.depth
-    kernel = linalg.kernel_basis(dga.d[2], dga.dim_at(2))
+    kernel = dense_kernel_basis(dga.d[2], dga.dim_at(2))
     for row in kernel:
-        for weight in sorted(_vector_weights(dga, weights, 2, row)):
+        for weight in sorted(_vector_weights(dga, weights, 2, linalg.sparse(row))):
             if weight > nu + 1:
                 return list(row), weight
     return None
@@ -513,7 +627,7 @@ def conj_transpose(a: Matrix, ncols: int) -> Matrix:
 
 def image_basis(a: Matrix, ncols: int) -> Matrix:
     """Canonical rref basis of the column space of ``a``."""
-    return linalg.rref(linalg.transpose(a, ncols), len(a))[0]
+    return dense_rref(transpose(a, ncols), len(a))[0]
 
 
 def dense_columns(columns: SparseColumns, nrows: int) -> Matrix:
@@ -573,13 +687,13 @@ def extend_basis_reference(base: Matrix, inside: Matrix, dim: int) -> Matrix:
     reference of ``decomp._extend_basis``, which reduces each row against
     echelon rows kept as it goes."""
     rows = [list(r) for r in base]
-    reduced, pivots = linalg.rref(rows, dim)
+    reduced, pivots = dense_rref(rows, dim)
     chosen = []
     for row in inside:
-        if linalg.in_row_space(reduced, pivots, row):
+        if dense_in_row_space(reduced, pivots, row):
             continue
         chosen.append(list(row))
-        reduced, pivots = linalg.rref(reduced + [list(row)], dim)
+        reduced, pivots = dense_rref(reduced + [list(row)], dim)
     return chosen
 
 
@@ -597,19 +711,19 @@ def split_complex_dense(
         dim_p = dims[p]
         exact = image_basis(dga.d[p - 1], dims[p - 1]) if p >= 1 else []
         if strategy == "metric":
-            harmonic = linalg.kernel_basis(dense_laplacian(dga, dstar, p), dim_p)
+            harmonic = dense_kernel_basis(dense_laplacian(dga, dstar, p), dim_p)
             complement = image_basis(dstar[p + 1], dims[p + 1]) if p + 1 <= n else []
         else:
-            kernel = linalg.kernel_basis(dga.d[p], dim_p)
-            _, pivots = linalg.rref(dga.d[p], dim_p)
+            kernel = dense_kernel_basis(dga.d[p], dim_p)
+            _, pivots = dense_rref(dga.d[p], dim_p)
             complement = [
                 [ONE if i == c else ZERO for i in range(dim_p)] for c in pivots
             ]
             harmonic = extend_basis_reference(exact, kernel, dim_p)
         stacked = [list(r) for r in harmonic + exact + complement]
-        inv = linalg.inverse(linalg.transpose(stacked, dim_p))
+        inv = dense_inverse(transpose(stacked, dim_p))
         b, e = len(harmonic), len(exact)
-        cols_e = linalg.transpose(exact, dim_p)
+        cols_e = transpose(exact, dim_p)
         splits.append(
             DenseSplit(
                 harmonic=harmonic,
@@ -625,12 +739,12 @@ def split_complex_dense(
         if not comp or dims[p] == 0:
             delta.append(linalg.zeros(dims[p - 1], dims[p]))
             continue
-        comp_cols = linalg.transpose(comp, dims[p - 1])
+        comp_cols = transpose(comp, dims[p - 1])
         d_comp = _mul(dga.d[p - 1], comp_cols, dims[p], dims[p - 1], len(comp))
         beta = splits[p].proj_exact
         rhs = [[beta[i][j] for i in range(dims[p])] for j in range(dims[p])]
-        ys = linalg.solve_many(d_comp, rhs, len(comp))
-        y_cols = linalg.transpose(ys, len(comp))
+        ys = dense_solve_many(d_comp, rhs, len(comp))
+        y_cols = transpose(ys, len(comp))
         delta.append(_mul(comp_cols, y_cols, dims[p - 1], len(comp), dims[p]))
     return DenseDecomposition(splits, delta)
 

@@ -9,7 +9,9 @@ from conftest import (
     UNIMODULAR,
     apply_d,
     dense_columns,
+    dense_kernel_basis,
     dense_laplacian,
+    dense_rows,
     dstar_matrices,
     extend_basis_reference,
     hermitian,
@@ -36,7 +38,7 @@ from germkit.decomp import (
     split_complex,
 )
 from germkit.errors import InternalCheckError, PreconditionError
-from germkit.liealg import Grading, Subspace, basis_aligned_weights
+from germkit.liealg import Grading, LieAlgebra, Subspace, basis_aligned_weights
 from germkit.scalars import I, ONE, ZERO, scalar
 
 
@@ -48,14 +50,8 @@ def test_h3_harmonic_spaces_and_delta():
     h3 = fixtures.heisenberg3()
     dec = _metric(h3, inferred_grading(h3))
     assert dec.betti() == [1, 2, 2, 1]
-    assert dec.harmonic_basis(1) == [
-        [ONE, ZERO, ZERO],
-        [ZERO, ONE, ZERO],
-    ]
-    assert dec.harmonic_basis(2) == [
-        [ZERO, ONE, ZERO],
-        [ZERO, ZERO, ONE],
-    ]
+    assert dec.harmonic_basis(1) == [{0: ONE}, {1: ONE}]
+    assert dec.harmonic_basis(2) == [{1: ONE}, {2: ONE}]
     # delta(x^y) = -z, and delta kills the harmonic two-forms
     delta2 = dense_columns(dec.delta[2], 3)
     assert la.mat_vec(delta2, [ONE, ZERO, ZERO]) == [ZERO, ZERO, -ONE]
@@ -127,15 +123,14 @@ def test_metric_harmonics_are_two_sided_kernels():
         dstar = dstar_matrices(dga)
         for p in range(len(dec.splits)):
             lap = dense_laplacian(dga, dstar, p)
-            for row in dec.harmonic_basis(p):
-                assert not any(la.mat_vec(lap, list(row))), (name, p)
-                assert not any(apply_d(dga, p, list(row)))
-                assert not any(la.mat_vec(dstar[p], list(row)))
+            harmonic = dense_rows(dec.harmonic_basis(p), dga.dim_at(p))
+            for row in harmonic:
+                assert not any(la.mat_vec(lap, row)), (name, p)
+                assert not any(apply_d(dga, p, row))
+                assert not any(la.mat_vec(dstar[p], row))
             # ker(Laplacian) (+) im(Laplacian) is a direct sum filling the degree
             image = image_basis(lap, dga.dim_at(p))
-            stacked = [list(r) for r in dec.harmonic_basis(p)] + [
-                list(r) for r in image
-            ]
+            stacked = harmonic + [list(r) for r in image]
             assert len(stacked) == dga.dim_at(p)
             assert len(la.rref(stacked, dga.dim_at(p))[0]) == dga.dim_at(p)
 
@@ -192,8 +187,8 @@ def test_cocycle_weights_from_the_split_match_the_dense_kernel(
     }
     from_kernel = {
         w
-        for row in la.kernel_basis(dga.d[2], dga.dim_at(2))
-        for w in _vector_weights(dga, dec.weights, 2, row)
+        for row in dense_kernel_basis(dga.d[2], dga.dim_at(2))
+        for w in _vector_weights(dga, dec.weights, 2, la.sparse(row))
     }
     assert from_split == from_kernel
     assert max(from_split) <= grading.depth + 1
@@ -286,16 +281,49 @@ def test_truncated_split_agrees_with_full_split(algebra, strategy):
 def test_split_matches_the_dense_reference(algebra, strategy, top):
     dga = Dga(algebra)
     dec = split_complex(dga, strategy, inferred_grading(algebra), top=top)
-    ref = split_complex_dense(dga, strategy, top)
+    _assert_matches_reference(dec, split_complex_dense(dga, strategy, top))
+
+
+def _assert_matches_reference(dec, ref):
+    dga = dec.dga
     assert len(dec.splits) == len(ref.splits)
     for p, (split, expected) in enumerate(zip(dec.splits, ref.splits)):
-        assert split.harmonic == expected.harmonic, p
-        assert split.exact == expected.exact, p
-        assert split.complement == expected.complement, p
+        dim = dga.dim_at(p)
+        assert dense_rows(split.harmonic, dim) == expected.harmonic, p
+        assert dense_rows(split.exact, dim) == expected.exact, p
+        assert dense_rows(split.complement, dim) == expected.complement, p
         coords = dense_columns(split.harmonic_coords, len(split.harmonic))
         assert coords == expected.harmonic_coords, p
     for p in range(1, len(dec.splits)):
         assert dense_columns(dec.delta[p], dga.dim_at(p - 1)) == ref.delta[p], p
+
+
+def _h5_i_scaled():
+    """h(5) over Q(i): [X1, Y1] = i Z and [X2, Y2] = (1 - i/2) Z."""
+    return LieAlgebra(
+        ["X1", "Y1", "X2", "Y2", "Z"],
+        {(0, 1): {4: I}, (2, 3): {4: ONE - I * scalar("1/2")}},
+        validate=True,
+    )
+
+
+@pytest.mark.parametrize("top", [None, GERM_TOP], ids=["full", "germ-top"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", ["h5", "h5-i-scaled"])
+def test_split_builds_no_dense_matrix(monkeypatch, name, strategy, top):
+    # The split eliminates only on sparse rows: with the dense builders and
+    # the dense rref patched to raise, it still splits, to the reference's data.
+    dga = Dga(fixtures.heisenberg5() if name == "h5" else _h5_i_scaled())
+    ref = split_complex_dense(dga, strategy, top)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the split built a dense matrix")
+
+    for attr in ("rref", "zeros", "identity", "transpose"):
+        monkeypatch.setattr(la, attr, dense, raising=False)
+    dec = split_complex(dga, strategy, top=top)
+    monkeypatch.undo()
+    _assert_matches_reference(dec, ref)
 
 
 def _h3_split():
@@ -332,11 +360,16 @@ def test_extend_basis_chooses_the_reference_rows(algebra):
     dga = Dga(algebra)
     for p, dim in enumerate(dga.dims()):
         exact = image_basis(dga.d[p - 1], dga.dim_at(p - 1)) if p else []
-        kernel = la.kernel_basis(dga.d[p], dim)
+        kernel = dense_kernel_basis(dga.d[p], dim)
         for inside in (kernel, kernel[::-1], exact + kernel):
-            chosen = _extend_basis(exact, inside)
-            assert chosen == extend_basis_reference(exact, inside, dim), p
-        assert len(exact) + len(_extend_basis(exact, kernel)) == len(kernel), p
+            chosen = _extend_basis(_sparse(exact), _sparse(inside))
+            assert dense_rows(chosen, dim) == extend_basis_reference(exact, inside, dim), p
+        chosen = _extend_basis(_sparse(exact), _sparse(kernel))
+        assert len(exact) + len(chosen) == len(kernel), p
+
+
+def _sparse(rows):
+    return [la.sparse(row) for row in rows]
 
 
 ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(2), scalar("1/3"), I, -I + 1])
@@ -354,4 +387,5 @@ def test_extend_basis_matches_the_reference_on_any_rows(case):
     dim, base, inside = case
     if len(inside) > 1:
         inside.append([x + y for x, y in zip(inside[0], inside[1])])
-    assert _extend_basis(base, inside) == extend_basis_reference(base, inside, dim)
+    chosen = _extend_basis(_sparse(base), _sparse(inside))
+    assert dense_rows(chosen, dim) == extend_basis_reference(base, inside, dim)

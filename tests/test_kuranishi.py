@@ -18,6 +18,7 @@ from conftest import (
     inferred_grading,
     square_slice,
     tensor_bracket,
+    vec_add_into,
 )
 
 from germkit import cli, fixtures, kuranishi, scalars
@@ -35,7 +36,6 @@ from germkit.kuranishi import (
     mc_residual,
     obstruction_system,
     random_rational_samples,
-    vec_add_into,
     verify_degree_bound,
 )
 from germkit.liealg import LieAlgebra, Subspace

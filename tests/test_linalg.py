@@ -1,10 +1,19 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import image_basis
+from conftest import (
+    dense_in_row_space,
+    dense_inverse,
+    dense_kernel_basis,
+    dense_rows,
+    dense_rref,
+    dense_solve_many,
+    image_basis,
+    transpose,
+)
 
 import germkit.linalg as la
-from germkit.scalars import ONE, Scalar, ZERO
+from germkit.scalars import I, ONE, Scalar, ZERO, scalar
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars_st = st.builds(Scalar, fractions_st, fractions_st)
@@ -28,16 +37,17 @@ def test_rref_is_idempotent_and_preserves_row_space(m):
     reduced, pivots = la.rref(m, ncols)
     again, pivots2 = la.rref(reduced, ncols)
     assert again == reduced and pivots2 == pivots
+    sparse_reduced = [la.sparse(r) for r in reduced]
     for row in m:
-        assert la.in_row_space(reduced, pivots, row)
+        assert la.in_row_space(sparse_reduced, pivots, la.sparse(row))
     for row in reduced:
-        assert la.in_row_space(*la.rref(m, ncols), v=row)
+        assert dense_in_row_space(*la.rref(m, ncols), v=row)
 
 
 @given(matrices_st())
 def test_kernel_annihilates_and_rank_nullity(m):
     ncols = len(m[0])
-    kernel = la.kernel_basis(m, ncols)
+    kernel = dense_rows(la.kernel_basis([la.sparse(r) for r in m], ncols), ncols)
     for vec in kernel:
         assert all(not x for x in la.mat_vec(m, vec))
     assert len(la.rref(m, ncols)[0]) + len(kernel) == ncols
@@ -46,10 +56,11 @@ def test_kernel_annihilates_and_rank_nullity(m):
 @given(matrices_st(3))
 def test_solve_finds_exact_solutions(m):
     ncols = len(m[0])
+    # The dense reference the split's reference solves with.
     target = [ONE] * len(m)
-    solution = la.solve(m, target, ncols)
-    if solution is not None:
-        assert la.mat_vec(m, solution) == target
+    solutions = dense_solve_many(m, [target], ncols)
+    if solutions is not None:
+        assert la.mat_vec(m, solutions[0]) == target
 
 
 @given(matrices_st(3))
@@ -59,7 +70,7 @@ def test_image_basis_spans_columns(m):
     reduced, pivots = la.rref(image, len(m))
     for j in range(ncols):
         col = [m[i][j] for i in range(len(m))]
-        assert la.in_row_space(reduced, pivots, col)
+        assert dense_in_row_space(reduced, pivots, col)
 
 
 @st.composite
@@ -102,12 +113,83 @@ def test_inverse_of_identity_like():
         [ZERO, ONE, ONE],
         [ZERO, ZERO, ONE],
     ]
-    inv = la.inverse(a)
+    inv = dense_rows(la.coordinates([la.sparse(r) for r in a], 3), 3)
     assert la.mat_eq(la.mat_mul(a, inv), la.identity(3))
     assert la.mat_eq(la.mat_mul(inv, a), la.identity(3))
 
 
 def test_empty_shapes():
     assert la.rref([], 3) == ([], [])
-    assert la.kernel_basis([], 2) == la.rref(la.identity(2), 2)[0]
-    assert la.transpose([], 3) == [[], [], []]
+    assert la.kernel_basis([], 2) == [{0: ONE}, {1: ONE}]
+    assert la.kernel_basis([], 0) == []
+    assert la.echelon([]) == ([], [])
+    assert la.coordinates([], 0) == []
+    assert transpose([], 3) == [[], [], []]
+
+
+ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(2), scalar("1/3"), I, -I + 1])
+
+
+@st.composite
+def row_sets(draw):
+    """(ncols, dense rows) over Q(i): random, zero, repeated and summed rows,
+    with no rows and ncols = 0 among the cases."""
+    ncols = draw(st.integers(0, 5))
+    rows: list[list] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("random", "zero", "repeat", "sum")))
+        if kind == "random" or not rows:
+            row = draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+        elif kind == "zero":
+            row = [ZERO] * ncols
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f = draw(ENTRIES)
+            row = [x + f * y for x, y in zip(a, b)]
+        rows.append(row)
+    return ncols, rows
+
+
+@given(row_sets(), st.lists(ENTRIES, min_size=5, max_size=5))
+def test_sparse_elimination_matches_the_dense_references(case, probe):
+    ncols, rows = case
+    sparse_rows = [la.sparse(r) for r in rows]
+    expected, pivots = dense_rref(rows, ncols)
+    reduced, sparse_pivots = la.echelon(sparse_rows)
+    assert sparse_pivots == pivots
+    assert dense_rows(reduced, ncols) == expected
+    assert all(list(row) == sorted(row) and all(row.values()) for row in reduced)
+    assert la.rref(rows, ncols) == (expected, pivots)
+    kernel = la.kernel_basis(sparse_rows, ncols)
+    assert dense_rows(kernel, ncols) == dense_kernel_basis(rows, ncols)
+    for v in rows + [probe[:ncols]] + dense_rows(kernel, ncols):
+        assert la.in_row_space(reduced, pivots, la.sparse(v)) == dense_in_row_space(
+            expected, pivots, v
+        )
+    # _extend_basis, the split's greedy choice, keeps the rows that raise the rank.
+    kept: dict = {}
+    chosen = [r for r in sparse_rows if la.insert(kept, r)]
+    assert len(chosen) == len(pivots)
+    assert la.echelon(chosen) == (reduced, pivots)
+    columns = [list(la.sparse(col).items()) for col in transpose(rows, ncols)]
+    vec = la.sparse(probe[:ncols])
+    assert la.dense(la.apply(columns, vec.items()), len(rows)) == la.mat_vec(rows, probe[:ncols])
+
+
+@given(row_sets())
+def test_sparse_inverse_matches_the_dense_reference(case):
+    ncols, rows = case
+    square = rows[:ncols]
+    if len(square) < ncols:
+        square += [[ONE if i == j else ZERO for j in range(ncols)] for i in range(len(square), ncols)]
+    try:
+        expected = dense_inverse(square)
+    except ValueError:
+        expected = None
+    try:
+        inverse = dense_rows(la.coordinates([la.sparse(r) for r in square], ncols), ncols)
+    except ValueError:
+        inverse = None
+    assert inverse == expected

@@ -46,7 +46,7 @@ from .liealg import (
     verify_natural_grading,
 )
 from .multipoly import MultiPoly
-from .nilshadow import AdSMap, SolvableInput, ad_s_map, nilshadow
+from .nilshadow import SolvableInput, ad_s_map, nilshadow
 from .scalars import Scalar, parse_scalar, scalar
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .errors import PreconditionError
 from .liealg import LieAlgebra
-from .linalg import Matrix, Row, SparseColumns
+from .linalg import Row, SparseColumns
 from .scalars import ONE, Scalar, ZERO, scalar
 
 Monomial = tuple[int, ...]
@@ -210,11 +210,12 @@ class DenseDifferential(Sequence):
     def __len__(self) -> int:
         return len(self._dga.columns)
 
-    def __getitem__(self, p: int) -> Matrix:
+    def __getitem__(self, p: int) -> list[list[Scalar]]:
         p = range(len(self))[p]
         if p not in self._built:
             dga = self._dga
-            self._built[p] = matrix = linalg.zeros(dga.dim_at(p + 1), dga.dim_at(p))
+            ncols = dga.dim_at(p)
+            self._built[p] = matrix = [[ZERO] * ncols for _ in range(dga.dim_at(p + 1))]
             for col, column in enumerate(dga.columns[p]):
                 for row, value in column:
                     matrix[row][col] = value

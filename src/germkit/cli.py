@@ -239,7 +239,7 @@ def obtain_grading(
 
 
 def grading_rows(grading: Grading) -> list[list[list[str]]]:
-    return [matrix_strings(layer.rows) for layer in grading.layers]
+    return [matrix_strings(layer.rows, layer.ambient_dim) for layer in grading.layers]
 
 
 def bracket_text(algebra: LieAlgebra) -> str:
@@ -306,7 +306,7 @@ def cmd_nilshadow(args) -> dict:
     data = _require_solvable_data(parsed)
     shadow, lcs = nilshadow(data)
     brackets_unchanged = all(
-        shadow.bracket(list(u), list(v)) == parsed.algebra.bracket(list(u), list(v))
+        shadow.bracket(u, v) == parsed.algebra.bracket(u, v)
         for u in data.nilradical.rows
         for v in data.nilradical.rows
     )

@@ -97,8 +97,10 @@ def sl2() -> LieAlgebra:
 
 
 def gl(n: int) -> LieAlgebra:
-    """gl(n) on the elementary-matrix basis Eij."""
-    labels = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    """gl(n) on the elementary-matrix basis Eij; from n = 10 on the labels
+    read Ei_j, since E111 would name both E1_11 and E11_1."""
+    sep = "_" if n >= 10 else ""
+    labels = [f"E{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
 
     def idx(i: int, j: int) -> int:
         return i * n + j

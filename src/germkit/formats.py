@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from . import linalg
 from .cedga import CharacterData, Dga, Monomial, TorsionComponent, verify_subdga
@@ -31,7 +31,7 @@ from .kuranishi import (
 )
 from .liealg import Grading, LieAlgebra, Subspace
 from .multipoly import MultiPoly, is_exponent_list
-from .scalars import ParsedScalars, Scalar, scalar
+from .scalars import ParsedScalars, Scalar, ZERO, scalar
 
 SCHEMA_VERSION = 1
 
@@ -208,7 +208,8 @@ def _parse_subspace(
         _parse_vector(entry, labels, f"{where}[{k}]", scalars)
         for k, entry in enumerate(entries)
     ]
-    return Subspace.from_vectors(len(labels), vectors)
+    rows, pivots = linalg.rref(vectors, len(labels))
+    return Subspace(len(labels), tuple(rows), tuple(pivots))
 
 
 def _parse_grading(
@@ -224,8 +225,9 @@ def _parse_grading(
     )
 
 
-def matrix_strings(rows) -> list[list[str]]:
-    return [[str(c) for c in row] for row in rows]
+def matrix_strings(rows: Iterable[linalg.Row], ncols: int) -> list[list[str]]:
+    """Sparse rows printed as dense rows of ``ncols`` entries."""
+    return [[str(row.get(j, ZERO)) for j in range(ncols)] for row in rows]
 
 
 def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
@@ -413,11 +415,11 @@ def algebra_to_dict(
         ],
     }
     if grading is not None:
-        data["grading"] = [matrix_strings(layer.rows) for layer in grading.layers]
+        data["grading"] = [matrix_strings(layer.rows, algebra.dim) for layer in grading.layers]
     if nilradical is not None:
-        data["nilradical"] = matrix_strings(nilradical.rows)
+        data["nilradical"] = matrix_strings(nilradical.rows, algebra.dim)
     if complement is not None:
-        data["complement"] = matrix_strings(complement.rows)
+        data["complement"] = matrix_strings(complement.rows, algebra.dim)
     if characters is not None:
         data["characters"] = characters_to_dict(characters)
     return data
@@ -535,9 +537,7 @@ def germ_to_dict(
     dec = series.decomposition
     # The split holds sparse rows; the file prints each form as a dense row.
     one_forms, two_forms = (
-        matrix_strings(
-            linalg.dense(row, dec.dga.dim_at(p)) for row in dec.harmonic_basis(p)
-        )
+        matrix_strings(dec.harmonic_basis(p), dec.dga.dim_at(p))
         if p < len(dec.splits)
         else []
         for p in (1, 2)

@@ -10,7 +10,8 @@ construction, and semisimplicity is certified by q being squarefree
 (gcd(q, q') = 1) together with q(S) = 0.
 
 Univariate polynomials here are lists of Scalars, ascending powers, with no
-trailing zeros; the zero polynomial is the empty list.
+trailing zeros; the zero polynomial is the empty list.  Matrices are
+square and held as sparse columns.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 from . import linalg
 from .errors import InternalCheckError
-from .linalg import Matrix
+from .linalg import SparseColumns
 from .scalars import ONE, Scalar, ZERO, scalar
 
 Poly = list[Scalar]
@@ -89,13 +90,6 @@ def poly_monic(a: Poly) -> Poly:
     return [c * inv for c in a]
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    x, y = poly_normalize(list(a)), poly_normalize(list(b))
-    while y:
-        x, y = y, poly_divmod(x, y)[1]
-    return poly_monic(x)
-
-
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, u, v) with u*a + v*b = g and g monic."""
     r0, r1 = poly_normalize(list(a)), poly_normalize(list(b))
@@ -116,44 +110,42 @@ def poly_derivative(a: Poly) -> Poly:
     return poly_normalize([scalar(k) * a[k] for k in range(1, len(a))])
 
 
-def poly_eval_matrix(a: Poly, m: Matrix) -> Matrix:
-    n = len(m)
-    acc = linalg.zeros(n, n)
+def _identity(n: int) -> SparseColumns:
+    return [[(j, ONE)] for j in range(n)]
+
+
+def poly_eval_matrix(a: Poly, m: SparseColumns) -> SparseColumns:
+    identity = _identity(len(m))
+    acc: SparseColumns = [[] for _ in m]
     for c in reversed(a):
-        acc = linalg.mat_mul(acc, m)
-        for d in range(n):
-            acc[d][d] = acc[d][d] + c
+        acc = linalg.combine((ONE, c), (linalg.mat_mul(acc, m), identity))
     return acc
 
 
-def char_poly(m: Matrix) -> Poly:
+def char_poly(m: SparseColumns) -> Poly:
     """Monic characteristic polynomial by the Faddeev-LeVerrier recurrence."""
     n = len(m)
+    identity = _identity(n)
     coeffs = [ZERO] * n + [ONE]  # ascending; coeffs[n] = 1
-    mk = linalg.copy_matrix(m)
+    mk = m
     for k in range(1, n + 1):
-        trace = ZERO
-        for d in range(n):
-            trace = trace + mk[d][d]
+        trace = sum((x for j, column in enumerate(mk) for i, x in column if i == j), ZERO)
         coeffs[n - k] = -trace / scalar(k)
         if k == n:
             break
-        shifted = linalg.copy_matrix(mk)
-        for d in range(n):
-            shifted[d][d] = shifted[d][d] + coeffs[n - k]
-        mk = linalg.mat_mul(m, shifted)
+        mk = linalg.mat_mul(m, linalg.combine((ONE, coeffs[n - k]), (mk, identity)))
     return coeffs
 
 
 def squarefree_part(a: Poly) -> Poly:
     """a / gcd(a, a'), monic: same roots, all simple."""
-    g = poly_gcd(a, poly_derivative(a))
+    g = poly_xgcd(a, poly_derivative(a))[0]
     q, r = poly_divmod(a, g)
     assert not r, "gcd must divide"
     return poly_monic(q)
 
 
-def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
+def jordan_chevalley(m: SparseColumns) -> tuple[SparseColumns, SparseColumns]:
     """Split m = S + N into commuting semisimple and nilpotent parts."""
     n = len(m)
     if n == 0:
@@ -163,28 +155,27 @@ def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
     g, _, v = poly_xgcd(q, poly_derivative(q))
     if g != [ONE]:
         raise InternalCheckError("squarefree part is not coprime to its derivative")
-    a = linalg.copy_matrix(m)
-    for _ in range(math.ceil(math.log2(n)) + 1 if n > 1 else 1):
-        qa = poly_eval_matrix(q, a)
-        if linalg.is_zero_matrix(qa):
+    s = m
+    # The Newton steps, and one more evaluation of q at the last iterate.
+    for _ in range(math.ceil(math.log2(n)) + 2 if n > 1 else 2):
+        qs = poly_eval_matrix(q, s)
+        if not any(qs):
             break
-        a = linalg.mat_sub(a, linalg.mat_mul(qa, poly_eval_matrix(v, a)))
-    s = a
-    if not linalg.is_zero_matrix(poly_eval_matrix(q, s)):
+        s = linalg.combine((ONE, -ONE), (s, linalg.mat_mul(qs, poly_eval_matrix(v, s))))
+    else:
         raise InternalCheckError("Newton iteration did not converge")
-    nil = linalg.mat_sub(m, s)
-    _verify_decomposition(m, s, nil, q)
+    nil = linalg.combine((ONE, -ONE), (m, s))
+    _verify_decomposition(m, s, nil)
     return s, nil
 
 
-def _verify_decomposition(m: Matrix, s: Matrix, nil: Matrix, q: Poly) -> None:
-    n = len(m)
-    if not linalg.mat_eq(linalg.mat_add(s, nil), m):
+def _verify_decomposition(m: SparseColumns, s: SparseColumns, nil: SparseColumns) -> None:
+    if linalg.combine((ONE, ONE), (s, nil)) != m:
         raise InternalCheckError("S + N != M")
-    if not linalg.mat_eq(linalg.mat_mul(s, nil), linalg.mat_mul(nil, s)):
+    if linalg.mat_mul(s, nil) != linalg.mat_mul(nil, s):
         raise InternalCheckError("S and N do not commute")
-    power = linalg.identity(n)
-    for _ in range(n):
+    power = _identity(len(m))
+    for _ in m:
         power = linalg.mat_mul(nil, power)
-    if not linalg.is_zero_matrix(power):
+    if any(power):
         raise InternalCheckError("N is not nilpotent")

@@ -69,7 +69,7 @@ from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
 from .linalg import SparseColumns
 from .multipoly import ExponentVector, MultiPoly, PointPowers, prepared
-from .scalars import Scalar, from_ints, scalar
+from .scalars import ONE, Scalar, from_ints, scalar
 
 SparseVec = dict[int, Scalar]
 
@@ -107,7 +107,7 @@ class TensorDgla:
         # The bracket table for the kernel, column s * ta + t listing the
         # (k, numerator) of [x_s, x_t].
         self._int_bracket = _int_columns(
-            [target.bracket_basis(s, t).items() for s in range(ta) for t in range(ta)]
+            [column for s in range(ta) for column in target.ad({s: ONE})]
         )
         # Integer maps are keyed by packed exponent * step + index; every
         # index the kernel and the linear maps write (L^0, L^1, L^2 and the

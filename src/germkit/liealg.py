@@ -1,8 +1,9 @@
-"""Lie algebras presented by structure constants over Q(i).
+"""Lie algebras presented by structure constants over Q(i), on sparse rows.
 
-A bracket table stores only pairs i < j, so antisymmetry is built in.  The
-Jacobi identity is checked at construction unless the caller explicitly opts
-out (tests use that to exercise the failure paths).
+The caller gives the brackets of pairs i < j; one antisymmetric table of
+every nonzero [X_i, X_j] serves the bracket, ad, Jacobi and unimodularity.
+The Jacobi identity is checked at construction unless the caller explicitly
+opts out (tests use that to exercise the failure paths).
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import PreconditionError
-from .linalg import Matrix, Vector
-from .scalars import ONE, Scalar, ZERO, scalar
+from .linalg import Row, SparseColumns
+from .scalars import ONE, Scalar, ZERO
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra on a labelled basis."""
 
-    __slots__ = ("labels", "_brackets")
+    __slots__ = ("labels", "_table")
 
     def __init__(
         self,
@@ -34,6 +35,7 @@ class LieAlgebra:
             raise ValueError("a Lie algebra needs at least one basis vector")
         if len(set(self.labels)) != n:
             raise ValueError("duplicate basis labels")
+        # (i, j) -> the nonzero entries (k, c) of [X_i, X_j], k ascending.
         table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
         for (i, j), comps in brackets.items():
             if not (0 <= i < j < n):
@@ -45,7 +47,8 @@ class LieAlgebra:
                 raise ValueError(f"bracket ({i},{j}) targets an unknown index")
             if entries:
                 table[(i, j)] = entries
-        self._brackets = table
+                table[(j, i)] = tuple((k, -c) for k, c in entries)
+        self._table = table
         if validate:
             bad = self.jacobi_counterexample()
             if bad is not None:
@@ -62,93 +65,69 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, Scalar]:
-        """[X_i, X_j] as a sparse vector."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._brackets.get((i, j), ()))
-        return {k: -c for k, c in self._brackets.get((j, i), ())}
+    def bracket(self, u: Row, v: Row) -> Row:
+        """Bilinear extension of the basis bracket to sparse vectors."""
+        table = self._table
+        out: Row = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                entries = table.get((i, j))
+                if entries:
+                    ab = a * b
+                    for k, c in entries:
+                        out[k] = out.get(k, ZERO) + ab * c
+        return {k: x for k, x in out.items() if x}
 
-    def bracket(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        """Bilinear extension of the basis bracket."""
-        n = self.dim
-        out = [ZERO] * n
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b or i == j:
-                    continue
-                ab = a * b
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] = out[k] + ab * c
-        return out
+    def ad(self, v: Row) -> SparseColumns:
+        """ad_v : w -> [v, w] as sparse columns in the given basis."""
+        return [sorted(self.bracket(v, {j: ONE}).items()) for j in range(self.dim)]
 
-    def ad_matrix(self, v: Sequence[Scalar]) -> Matrix:
-        """Matrix of ad_v : w -> [v, w] in the given basis."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            basis_j = [ZERO] * n
-            basis_j[j] = scalar(1)
-            cols.append(self.bracket(v, basis_j))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+    def basis_vector(self, i: int) -> Row:
+        return {i: ONE}
 
-    def basis_vector(self, i: int) -> Vector:
-        v = [ZERO] * self.dim
-        v[i] = scalar(1)
-        return v
-
-    def vector_str(self, v: Sequence[Scalar]) -> str:
-        parts = [f"{c}*{self.labels[i]}" for i, c in enumerate(v) if c]
+    def vector_str(self, v: Row) -> str:
+        parts = [f"{c}*{self.labels[i]}" for i, c in sorted(v.items())]
         return " + ".join(parts) if parts else "0"
 
     def nonzero_brackets(self) -> list[tuple[int, int, dict[int, Scalar]]]:
         return [
             (i, j, dict(entries))
-            for (i, j), entries in sorted(self._brackets.items())
+            for (i, j), entries in sorted(self._table.items())
+            if i < j
         ]
 
     # -- checks ---------------------------------------------------------------
 
-    def jacobi_counterexample(self) -> tuple[int, int, int, Vector] | None:
+    def jacobi_counterexample(self) -> tuple[int, int, int, Row] | None:
         """None if the Jacobi identity holds, else a violating triple.
 
         Triples i < j < k are tried in lexicographic order, composing the
-        sparse bracket table.  The returned vector is the nonzero cyclic sum
+        bracket table.  The returned vector is the nonzero cyclic sum
         [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
         """
-        table = dict(self._brackets)
-        for (i, j), entries in self._brackets.items():
-            table[(j, i)] = tuple((k, -c) for k, c in entries)
+        table = self._table
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    total: dict[int, Scalar] = {}
+                    total: Row = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         for m, x in table.get((b, c), ()):
                             for t, y in table.get((a, m), ()):
                                 total[t] = total.get(t, ZERO) + x * y
-                    if any(total.values()):
-                        return i, j, k, [total.get(t, ZERO) for t in range(n)]
+                    total = {t: x for t, x in sorted(total.items()) if x}
+                    if total:
+                        return i, j, k, total
         return None
 
     def is_unimodular(self) -> bool:
-        """True iff every ad_X is traceless.
-
-        tr ad X_i is the sum over j of the X_j-coefficient of [X_i, X_j],
-        read off the sparse table: an entry c of [X_i, X_j] (i < j) on X_j
-        adds c to tr ad X_i, and one on X_i adds -c to tr ad X_j.
-        """
+        """True iff every ad_X is traceless: tr ad X_i sums the
+        X_j-coefficients of [X_i, X_j] over j."""
         traces: dict[int, Scalar] = {}
-        for (i, j), entries in self._brackets.items():
+        for (i, j), entries in self._table.items():
             for k, c in entries:
                 if k == j:
                     traces[i] = traces.get(i, ZERO) + c
-                elif k == i:
-                    traces[j] = traces.get(j, ZERO) - c
         return not any(traces.values())
 
     def __repr__(self) -> str:
@@ -160,21 +139,20 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q(i)^n in canonical reduced echelon form.
+    """Subspace of Q(i)^n held as the reduced echelon rows ``linalg.echelon``
+    gives, with their pivot columns.
 
     Equality of subspaces is literal equality of the stored rows.
     """
 
     ambient_dim: int
-    rows: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[Row, ...]
     pivots: tuple[int, ...]
 
     @classmethod
-    def from_vectors(
-        cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]
-    ) -> "Subspace":
-        reduced, pivots = linalg.rref([list(v) for v in vectors], ambient_dim)
-        return cls(ambient_dim, tuple(tuple(r) for r in reduced), tuple(pivots))
+    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Row]) -> "Subspace":
+        reduced, pivots = linalg.echelon(vectors)
+        return cls(ambient_dim, tuple(reduced), tuple(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -182,7 +160,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(ambient_dim, linalg.identity(ambient_dim))
+        return cls.from_vectors(ambient_dim, ({i: ONE} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -191,18 +169,14 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return linalg.in_row_space(
-            [linalg.sparse(r) for r in self.rows], self.pivots, linalg.sparse(v)
-        )
+    def contains(self, v: Row) -> bool:
+        return linalg.in_row_space(self.rows, self.pivots, v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(
-            self.ambient_dim, [list(r) for r in self.rows + other.rows]
-        )
+        return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
 
     def intersection_dim(self, other: "Subspace") -> int:
         return self.dim + other.dim - self.add(other).dim
@@ -212,10 +186,9 @@ def span_of_brackets(
     algebra: LieAlgebra, left: Subspace, right: Subspace
 ) -> Subspace:
     """Span of all [u, v] with u in ``left`` and v in ``right``."""
-    vectors = [
-        algebra.bracket(list(u), list(v)) for u in left.rows for v in right.rows
-    ]
-    return Subspace.from_vectors(algebra.dim, vectors)
+    return Subspace.from_vectors(
+        algebra.dim, (algebra.bracket(u, v) for u in left.rows for v in right.rows)
+    )
 
 
 # -- series ---------------------------------------------------------------------
@@ -346,17 +319,16 @@ def infer_grading_basis_aligned(
     layers = []
     for i in range(1, lcs.nu + 1):
         step, nxt = chain[i - 1], chain[i]
-        chosen: list[Vector] = []
-        span = nxt
+        chosen: list[Row] = []
+        # The span of g^(i+1) and the vectors chosen, as echelon rows by pivot.
+        span = dict(zip(nxt.pivots, nxt.rows))
         for k in range(algebra.dim):
-            if span.dim == step.dim:
+            if len(span) == step.dim:
                 break
             e = algebra.basis_vector(k)
-            if not step.contains(e) or span.contains(e):
-                continue
-            chosen.append(e)
-            span = span.add(Subspace.from_vectors(algebra.dim, [e]))
-        if span.dim != step.dim:
+            if step.contains(e) and linalg.insert(span, e):
+                chosen.append(e)
+        if len(span) != step.dim:
             return None
         layers.append(Subspace.from_vectors(algebra.dim, chosen))
     return Grading(tuple(layers))
@@ -368,10 +340,9 @@ def basis_aligned_weights(grading: Grading) -> list[int]:
     n = grading.layers[0].ambient_dim if grading.layers else 0
     weights: dict[int, int] = {}
     for w, layer in enumerate(grading.layers, start=1):
-        for row in layer.rows:
-            support = [i for i, c in enumerate(row) if c]
-            if len(support) == 1 and row[support[0]] == ONE:
-                weights[support[0]] = w
+        for row, pivot in zip(layer.rows, layer.pivots):
+            if len(row) == 1:  # the echelon row {pivot: 1}
+                weights[pivot] = w
     if not n or len(weights) != n or sum(g.dim for g in grading.layers) != n:
         raise PreconditionError(
             "grading layers must be spanned by input basis vectors to "

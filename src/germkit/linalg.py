@@ -1,22 +1,19 @@
-"""Exact linear algebra over Q(i).
+"""Exact linear algebra over Q(i), on one sparse type: rows and vectors
+are ``Row``s (nonzero entries by index), matrices are sparse columns.
 
-One elimination serves every exact solve.  It works on sparse rows,
-``Row = dict[int, Scalar]`` with the nonzero entries only: ``insert``
-reduces a row by the rows kept so far until its pivot column is new and
-keeps it there, scaled to a leading one; ``echelon`` inserts by the
-leftmost column and back-substitutes once, which gives the unique reduced
-row echelon form.  ``kernel_basis``, ``coordinates``, ``in_row_space`` and
-the split's basis extension run on it, and ``rref`` is its adapter for
-dense rows (``liealg.Subspace`` passes those).  ``sparse_rank`` needs only
-the rank and inserts by the largest index instead, which on the columns of
-d is about twice as fast.  ``apply`` applies a matrix held as sparse
-columns, or (matrix tensor id), to a sparse vector.  Functions that can
-receive no rows take the column count, because an empty list carries no
-shape.
-
-Dense matrices, lists of row lists treated as immutable once returned,
-stay for the n x n algebra-side matrices of ``jordan``, ``nilshadow`` and
-``liealg`` and for the dense rows of d (``Dga.d``) the benchmark reads.
+One elimination serves every exact solve: ``insert`` reduces a row by the
+rows kept so far until its pivot column is new and keeps it there, scaled
+to a leading one; ``echelon`` inserts by the leftmost column and
+back-substitutes once, which gives the unique reduced row echelon form.
+``kernel_basis``, ``coordinates``, ``in_row_space``, ``liealg.Subspace``
+and the split's basis extension run on it.  ``sparse_rank`` needs only the
+rank and inserts by the largest index instead, which on the columns of d
+is about twice as fast.  ``apply`` applies a matrix, or (matrix tensor id),
+to a sparse vector; ``mat_mul`` and ``combine`` compose and add matrices.
+Functions that can receive no rows take the column count, because an
+empty list carries no shape.  ``rref``, the one function on dense rows,
+reads an algebra file's coordinate vectors, and the benchmark times it on
+the dense rows of d (``Dga.d``).
 """
 
 from __future__ import annotations
@@ -25,90 +22,12 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .scalars import Scalar, ZERO, ONE
 
-Matrix = list[list[Scalar]]
-Vector = list[Scalar]
 # A sparse row or vector: its nonzero entries, by index.
 Row = dict[int, Scalar]
 # A sparse vector as its nonzero entries [(index, value)].
 Entries = Iterable[tuple[int, Scalar]]
 # Column j of a matrix as its nonzero entries [(row, value)], rows ascending.
 SparseColumns = list[list[tuple[int, Scalar]]]
-
-
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def copy_matrix(a: Sequence[Sequence[Scalar]]) -> Matrix:
-    return [list(row) for row in a]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: Scalar, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix, *, inner: int | None = None) -> Matrix:
-    """Product a @ b.  ``inner`` is required only when ``a`` has no rows."""
-    if a:
-        inner = len(a[0])
-    elif inner is None:
-        raise ValueError("inner dimension needed for an empty left factor")
-    assert len(b) == inner, "shape mismatch in mat_mul"
-    ncols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [ZERO] * ncols
-        for k, x in enumerate(row):
-            if not x:
-                continue
-            brow = b[k]
-            for j, y in enumerate(brow):
-                if y:
-                    acc[j] = acc[j] + x * y
-        out.append(acc)
-    return out
-
-
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
-    out = []
-    for row in a:
-        acc = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def sparse(row: Sequence[Scalar]) -> Row:
-    return {j: x for j, x in enumerate(row) if x}
-
-
-def dense(row: Mapping[int, Scalar], ncols: int) -> Vector:
-    out = [ZERO] * ncols
-    for j, x in row.items():
-        out[j] = x
-    return out
 
 
 def apply(
@@ -130,6 +49,17 @@ def apply(
             else:
                 out.pop(k, None)
     return out
+
+
+def mat_mul(a: SparseColumns, b: SparseColumns) -> SparseColumns:
+    """The product a b of matrices held as sparse columns."""
+    return [sorted(apply(a, column).items()) for column in b]
+
+
+def combine(coeffs: Sequence[Scalar], matrices: Sequence[SparseColumns]) -> SparseColumns:
+    """The sum of coeffs[k] * matrices[k], matrices of one shape held as
+    sparse columns."""
+    return [sorted(apply(columns, enumerate(coeffs)).items()) for columns in zip(*matrices)]
 
 
 def _subtract(row: Row, f: Scalar, pivot: Row) -> None:
@@ -188,11 +118,9 @@ def echelon(rows: Iterable[Entries | Mapping[int, Scalar]]) -> tuple[list[Row], 
     return [dict(sorted(kept[p].items())) for p in pivots], pivots
 
 
-def rref(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Matrix, list[int]]:
-    """``echelon`` of dense rows of length ``ncols``, as dense rows with
-    zero rows dropped."""
-    reduced, pivots = echelon(sparse(row) for row in rows)
-    return [dense(row, ncols) for row in reduced], pivots
+def rref(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[list[Row], list[int]]:
+    """``echelon`` of dense rows of length ``ncols``."""
+    return echelon({j: row[j] for j in range(ncols) if row[j]} for row in rows)
 
 
 def kernel_basis(rows: Iterable[Entries | Mapping[int, Scalar]], ncols: int) -> list[Row]:

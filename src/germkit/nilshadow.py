@@ -30,8 +30,8 @@ from .liealg import (
     lower_central_series,
     restricted_lower_central_series,
 )
-from .linalg import Matrix, Vector
-from .scalars import Scalar, ZERO
+from .linalg import Row, SparseColumns
+from .scalars import ONE, Scalar
 
 
 @dataclass(frozen=True)
@@ -43,33 +43,13 @@ class SolvableInput:
     complement: Subspace
 
 
-@dataclass(frozen=True)
-class AdSMap:
-    """Matrices of the semisimple-part map on each basis vector.
-
-    The assignment is linear, the images commute pairwise, every matrix is
-    a derivation of the algebra, and the map kills the nilradical; all of
-    this is verified at construction time.
-    """
-
-    algebra: LieAlgebra
-    matrices: tuple[Matrix, ...]
-
-    def apply(self, v: Vector, w: Vector) -> Vector:
-        """ad_s(v) applied to w."""
-        n = self.algebra.dim
-        out = [ZERO] * n
-        for i, c in enumerate(v):
-            if not c:
-                continue
-            col = linalg.mat_vec(self.matrices[i], w)
-            for k in range(n):
-                if col[k]:
-                    out[k] = out[k] + c * col[k]
-        return out
+def _sum(*vectors: Row) -> Row:
+    """The sum of sparse vectors, entries that cancel dropped."""
+    columns = [v.items() for v in vectors]
+    return linalg.apply(columns, [(k, ONE) for k in range(len(columns))])
 
 
-def validate_solvable_input(data: SolvableInput) -> list[Matrix]:
+def validate_solvable_input(data: SolvableInput) -> list[SparseColumns]:
     """Raise PreconditionError naming the first violated hypothesis.
 
     Returns the semisimple parts (ad_A)_s of the complement rows A, in row
@@ -91,7 +71,7 @@ def validate_solvable_input(data: SolvableInput) -> list[Matrix]:
         raise PreconditionError("nilradical does not contain [g, g]")
     for i in range(n):
         for row in nil.rows:
-            if not nil.contains(g.bracket(g.basis_vector(i), list(row))):
+            if not nil.contains(g.bracket(g.basis_vector(i), row)):
                 raise PreconditionError(
                     f"nilradical is not an ideal: [{g.labels[i]}, n] leaves n"
                 )
@@ -99,11 +79,10 @@ def validate_solvable_input(data: SolvableInput) -> list[Matrix]:
         raise PreconditionError("declared nilradical is not nilpotent")
     semis = []
     for a_row in comp.rows:
-        semi, _ = jordan_chevalley(g.ad_matrix(list(a_row)))
+        semi, _ = jordan_chevalley(g.ad(a_row))
         semis.append(semi)
         for b_row in comp.rows:
-            image = linalg.mat_vec(semi, list(b_row))
-            if any(image):
+            if linalg.apply(semi, b_row.items()):
                 raise PreconditionError(
                     "semisimple part of ad_A does not kill V: "
                     f"(ad_A)_s(B) != 0 for A={g.vector_str(a_row)}, "
@@ -112,68 +91,65 @@ def validate_solvable_input(data: SolvableInput) -> list[Matrix]:
     return semis
 
 
-def ad_s_map(data: SolvableInput) -> AdSMap:
-    """Assemble and verify the semisimple-part map ad_s."""
+def ad_s_map(data: SolvableInput) -> list[SparseColumns]:
+    """The matrices of the semisimple-part map ad_s on each basis vector.
+
+    The assignment is linear, the images commute pairwise, every matrix is
+    a derivation of the algebra, and the map kills the nilradical; all of
+    this is verified before they are returned.
+    """
     semis = validate_solvable_input(data)
     g = data.algebra
     n = g.dim
     nil, comp = data.nilradical, data.complement
 
     # Row i: the coordinates of e_i in the (V rows | n rows) basis.
-    basis = [linalg.sparse(r) for r in comp.rows + nil.rows]
     try:
-        coords = linalg.coordinates(basis, n)
+        coords = linalg.coordinates(comp.rows + nil.rows, n)
     except ValueError:
         raise PreconditionError("complement and nilradical do not span") from None
-    v_parts: list[Vector] = []
+    comp_columns = [row.items() for row in comp.rows]
+    v_parts: list[Row] = []
     matrices = []
     for row in coords:
         v_coords = [(j, c) for j, c in row.items() if j < comp.dim]
-        v_part = [ZERO] * n
-        for j, c in v_coords:
-            for k, x in enumerate(comp.rows[j]):
-                v_part[k] = v_part[k] + c * x
+        v_part = linalg.apply(comp_columns, v_coords)
         v_parts.append(v_part)
         if len(v_coords) == 1:
             # (c ad_A)_s = c (ad_A)_s, and validation decomposed ad_A.
             j, c = v_coords[0]
-            matrices.append(linalg.mat_scale(c, semis[j]))
+            matrices.append(linalg.combine((c,), (semis[j],)))
         elif v_coords:
-            matrices.append(jordan_chevalley(g.ad_matrix(v_part))[0])
+            matrices.append(jordan_chevalley(g.ad(v_part))[0])
         else:
-            matrices.append(linalg.zeros(n, n))
+            matrices.append([[] for _ in range(n)])
 
     _verify_ad_s(g, nil, v_parts, matrices)
-    return AdSMap(g, tuple(matrices))
+    return matrices
 
 
 def _verify_ad_s(
     g: LieAlgebra,
     nil: Subspace,
-    v_parts: list[Vector],
-    matrices: list[Matrix],
+    v_parts: list[Row],
+    matrices: list[SparseColumns],
 ) -> None:
     n = g.dim
     # linearity: the semisimple part of ad over a sum of V-components
     # must equal the sum of the parts
     for i in range(n):
         for j in range(i + 1, n):
-            if not any(v_parts[i]) or not any(v_parts[j]):
+            if not v_parts[i] or not v_parts[j]:
                 continue
-            combined = [x + y for x, y in zip(v_parts[i], v_parts[j])]
-            semi, _ = jordan_chevalley(g.ad_matrix(combined))
-            if not linalg.mat_eq(semi, linalg.mat_add(matrices[i], matrices[j])):
+            semi, _ = jordan_chevalley(g.ad(_sum(v_parts[i], v_parts[j])))
+            if semi != linalg.combine((ONE, ONE), (matrices[i], matrices[j])):
                 raise PreconditionError(
                     "ad_s is not linear on the given splitting "
                     f"(basis vectors {g.labels[i]}, {g.labels[j]})"
                 )
     # the map must vanish on the nilradical
     for row in nil.rows:
-        total = linalg.zeros(n, n)
-        for i, c in enumerate(row):
-            if c:
-                total = linalg.mat_add(total, linalg.mat_scale(c, matrices[i]))
-        if not linalg.is_zero_matrix(total):
+        if any(linalg.combine(list(row.values()), [matrices[i] for i in row])):
             raise PreconditionError(
                 f"ad_s does not vanish on the nilradical at {g.vector_str(row)}"
             )
@@ -182,23 +158,21 @@ def _verify_ad_s(
         for j in range(i + 1, n):
             ab = linalg.mat_mul(matrices[i], matrices[j])
             ba = linalg.mat_mul(matrices[j], matrices[i])
-            if not linalg.mat_eq(ab, ba):
+            if ab != ba:
                 raise PreconditionError(
                     f"ad_s images of {g.labels[i]} and {g.labels[j]} do not commute"
                 )
     # each image is a derivation of the bracket
     for i in range(n):
         m = matrices[i]
-        if linalg.is_zero_matrix(m):
+        if not any(m):
             continue
         for a in range(n):
             ea = g.basis_vector(a)
             for b in range(a + 1, n):
                 eb = g.basis_vector(b)
-                lhs = linalg.mat_vec(m, g.bracket(ea, eb))
-                rhs = g.bracket(linalg.mat_vec(m, ea), eb)
-                for k, c in enumerate(g.bracket(ea, linalg.mat_vec(m, eb))):
-                    rhs[k] = rhs[k] + c
+                lhs = linalg.apply(m, g.bracket(ea, eb).items())
+                rhs = _sum(g.bracket(dict(m[a]), eb), g.bracket(ea, dict(m[b])))
                 if lhs != rhs:
                     raise PreconditionError(
                         f"ad_s({g.labels[i]}) is not a derivation "
@@ -214,17 +188,11 @@ def nilshadow(data: SolvableInput) -> tuple[LieAlgebra, LowerCentralSeries]:
     n = g.dim
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(n):
-        ei = g.basis_vector(i)
         for j in range(i + 1, n):
-            ej = g.basis_vector(j)
-            vec = g.bracket(ei, ej)
-            minus = ads.apply(ei, ej)
-            plus = ads.apply(ej, ei)
-            comps = {
-                k: vec[k] - minus[k] + plus[k]
-                for k in range(n)
-                if vec[k] - minus[k] + plus[k]
-            }
+            # [X_i, X_j] - ad_s(X_i)(X_j) + ad_s(X_j)(X_i)
+            comps = g.bracket(g.basis_vector(i), g.basis_vector(j))
+            linalg.apply(ads[i], [(j, -ONE)], comps)
+            linalg.apply(ads[j], [(i, ONE)], comps)
             if comps:
                 brackets[(i, j)] = comps
     try:

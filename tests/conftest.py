@@ -28,6 +28,17 @@ these live here because only the tests call them:
   of the integer ``gauge_identity_check``;
 - ``is_unimodular_dense``: the traces of dense ad matrices, the reference
   of the sparse ``LieAlgebra.is_unimodular``;
+- the dense matrix kit, the references of the sparse rows and columns
+  that ``linalg`` holds: ``zeros``, ``identity``, ``mat_add``, ``mat_sub``,
+  ``dense_mat_mul``, ``mat_vec``, ``is_zero_matrix`` and ``unit``, with
+  ``sparse``, ``dense``, ``sparse_columns`` and ``dense_columns`` between
+  the two forms;
+- ``dense_bracket`` and ``dense_ad`` (the bracket from the i < j table on
+  dense vectors), ``series_dense`` (the lower central and derived series),
+  ``infer_grading_dense`` (one dense rref per basis vector chosen),
+  ``jordan_chevalley_dense`` and ``ad_s_matrices_dense``: the references of
+  the sparse algebra side, ``jordan_chevalley_on_dense`` the library's
+  decomposition of a dense matrix, and ``h5_i_scaled`` a Q(i) input;
 - ``dense_rref``, ``dense_kernel_basis``, ``dense_solve_many``,
   ``dense_inverse``, ``dense_in_row_space`` and ``transpose``: Gauss-Jordan
   elimination on dense rows, pivot column by pivot column, the references
@@ -39,26 +50,33 @@ these live here because only the tests call them:
   works on sparse rows; with it ``extend_basis_reference`` (the pivot
   split's harmonic choice by one rref per row chosen, the reference of
   ``decomp._extend_basis``), ``conj_transpose``, ``image_basis``,
-  ``dstar_matrices``, ``dense_laplacian``, ``dense_columns`` (sparse
-  columns as a dense matrix) and ``dense_rows`` (sparse rows as dense
-  rows).
+  ``dstar_matrices``, ``dense_laplacian`` and ``dense_rows`` (sparse rows
+  as dense rows).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import pytest
 
-from germkit import fixtures, linalg
+from germkit import fixtures
 from germkit.cedga import Dga, Monomial, wedge_monomials
 from germkit.cli import obtain_grading
 from germkit.decomp import _vector_weights
 from germkit.errors import InternalCheckError, PreconditionError
-from germkit.jordan import Poly, poly_normalize
+from germkit.jordan import (
+    Poly,
+    jordan_chevalley,
+    poly_derivative,
+    poly_normalize,
+    poly_xgcd,
+    squarefree_part,
+)
 from germkit.kuranishi import (
     HALF,
     KuranishiSeries,
@@ -74,9 +92,10 @@ from germkit.liealg import (
     lower_central_series,
     verify_natural_grading,
 )
-from germkit.linalg import Matrix, SparseColumns, Vector
+from germkit.nilshadow import SolvableInput
+from germkit.linalg import Row, SparseColumns
 from germkit.multipoly import ExponentVector, MultiPoly
-from germkit.scalars import ONE, Scalar, ZERO, scalar
+from germkit.scalars import I, ONE, Scalar, ZERO, scalar
 
 
 # -- independent rank computation (plain Fractions, no germkit.linalg) ----------
@@ -108,6 +127,89 @@ def frac_rank(rows: list[list[Fraction]]) -> int:
 def to_fraction(x: Scalar) -> Fraction:
     assert x.is_rational(), "oracle expects rational data"
     return x.re
+
+
+# -- the dense matrix kit, the reference of sparse rows and columns --------------
+
+Matrix = list[list[Scalar]]
+Vector = list[Scalar]
+
+
+def zeros(nrows: int, ncols: int) -> Matrix:
+    return [[ZERO] * ncols for _ in range(nrows)]
+
+
+def identity(n: int) -> Matrix:
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product a @ b of dense matrices; ``a`` has at least one row."""
+    assert len(b) == len(a[0]), "shape mismatch in dense_mat_mul"
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [ZERO] * ncols
+        for k, x in enumerate(row):
+            if not x:
+                continue
+            for j, y in enumerate(b[k]):
+                if y:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
+    out = []
+    for row in a:
+        acc = ZERO
+        for x, y in zip(row, v):
+            if x and y:
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def is_zero_matrix(a: Matrix) -> bool:
+    return all(not x for row in a for x in row)
+
+
+def sparse(row: Sequence[Scalar]) -> Row:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(row: Row, ncols: int) -> Vector:
+    out = [ZERO] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def sparse_columns(m: Matrix) -> SparseColumns:
+    """The sparse columns of a dense matrix with at least one row."""
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m[0]))]
+
+
+def dense_columns(columns: SparseColumns, nrows: int) -> Matrix:
+    """The dense matrix whose columns are the sparse ``columns``."""
+    out = zeros(nrows, len(columns))
+    for j, column in enumerate(columns):
+        for i, x in column:
+            out[i][j] = x
+    return out
+
+
+def unit(n: int, i: int) -> Vector:
+    return [ONE if j == i else ZERO for j in range(n)]
 
 
 # -- dense Gauss-Jordan references of the sparse elimination ---------------------
@@ -215,7 +317,7 @@ def vec_add_into(dst: SparseVec, src: SparseVec, factor: Scalar = ONE) -> None:
 
 def dense_rows(rows: Sequence[dict[int, Scalar]], ncols: int) -> Matrix:
     """Sparse rows as dense rows of length ``ncols``."""
-    return [linalg.dense(row, ncols) for row in rows]
+    return [dense(row, ncols) for row in rows]
 
 
 # -- independent Chevalley-Eilenberg differential -------------------------------
@@ -260,15 +362,9 @@ def oracle_d_matrix(algebra: LieAlgebra, p: int) -> list[list[Scalar]]:
         terms = []
         for s in range(p + 1):
             for t in range(s + 1, p + 1):
-                bracket = algebra.bracket(
-                    algebra.basis_vector(big[s]), algebra.basis_vector(big[t])
-                )
+                bracket = dense_bracket(algebra, unit(n, big[s]), unit(n, big[t]))
                 if any(bracket):
-                    rest = [
-                        algebra.basis_vector(big[u])
-                        for u in range(p + 1)
-                        if u != s and u != t
-                    ]
+                    rest = [unit(n, big[u]) for u in range(p + 1) if u != s and u != t]
                     terms.append(((s + t) % 2 == 0, [bracket] + rest))
         row = []
         for mono in source:
@@ -385,7 +481,7 @@ class Cochain:
         return not any(self.coeffs)
 
     def __str__(self) -> str:
-        return self.dga.cochain_label(self.degree, linalg.sparse(self.coeffs))
+        return self.dga.cochain_label(self.degree, sparse(self.coeffs))
 
 
 def hermitian(u: Vector, v: Vector) -> Scalar:
@@ -426,7 +522,7 @@ def tensor_bracket(
                 )
             coeff = scalar(sign) * cu * cv
             base = spot[1] * ta
-            for k, c in tdgla.target.bracket_basis(au, av).items():
+            for k, c in tdgla.target.bracket({au: ONE}, {av: ONE}).items():
                 vec_add_into(out, {base + k: c}, coeff)
     return out
 
@@ -554,9 +650,9 @@ def homogeneous_components(poly: MultiPoly) -> list[tuple[int, MultiPoly]]:
 def minimal_polynomial(m: Matrix) -> Poly:
     """Monic minimal polynomial via the first linear dependence of powers."""
     n = len(m)
-    powers = [linalg.identity(n)]
+    powers = [identity(n)]
     for _ in range(n):
-        powers.append(linalg.mat_mul(m, powers[-1]))
+        powers.append(dense_mat_mul(m, powers[-1]))
     flat = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
     for k in range(1, n + 1):
         rows = [[row[j] for j in range(k)] for row in flat]
@@ -565,6 +661,146 @@ def minimal_polynomial(m: Matrix) -> Poly:
         if sols is not None:
             return poly_normalize([-c for c in sols[0]] + [ONE])
     raise InternalCheckError("no linear dependence among matrix powers")
+
+
+# -- dense references of the algebra side ------------------------------------
+
+
+def dense_bracket(algebra: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
+    """[u, v] on dense vectors from the i < j table ``nonzero_brackets``:
+    the reference of the sparse ``LieAlgebra.bracket``."""
+    table = {(i, j): comps for i, j, comps in algebra.nonzero_brackets()}
+    out = [ZERO] * algebra.dim
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if not a or not b or i == j:
+                continue
+            ab = a * b if i < j else -(a * b)
+            for k, c in table.get((min(i, j), max(i, j)), {}).items():
+                out[k] = out[k] + ab * c
+    return out
+
+
+def dense_ad(algebra: LieAlgebra, v: Sequence[Scalar]) -> Matrix:
+    """The matrix of ad_v : w -> [v, w], column j = [v, e_j]."""
+    n = algebra.dim
+    return transpose([dense_bracket(algebra, v, unit(n, j)) for j in range(n)], n)
+
+
+def series_dense(algebra: LieAlgebra, derived: bool) -> list[tuple[Matrix, list[int]]]:
+    """The lower central series (or with ``derived`` the derived series) as
+    dense rref rows and pivots, each term rebracketed from dense vectors,
+    until a term is zero or repeats the dimension of the one before."""
+    n = algebra.dim
+    full = identity(n)
+    chain = [(full, list(range(n)))]
+    while True:
+        left = chain[-1][0] if derived else full
+        rows = [dense_bracket(algebra, u, v) for u in left for v in chain[-1][0]]
+        nxt = dense_rref(rows, n)
+        if len(nxt[0]) == len(chain[-1][0]):
+            return chain
+        chain.append(nxt)
+        if not nxt[0]:
+            return chain
+
+
+def infer_grading_dense(algebra: LieAlgebra) -> list[Matrix] | None:
+    """The basis-aligned layers of ``infer_grading_basis_aligned``, with one
+    dense rref of the span per basis vector chosen."""
+    n = algebra.dim
+    chain = series_dense(algebra, derived=False)
+    if chain[-1][0]:
+        return None
+    layers = []
+    for (step, step_pivots), (span, pivots) in zip(chain, chain[1:]):
+        chosen: list[Vector] = []
+        for k in range(n):
+            if len(span) == len(step):
+                break
+            e = unit(n, k)
+            if not dense_in_row_space(step, step_pivots, e) or dense_in_row_space(
+                span, pivots, e
+            ):
+                continue
+            chosen.append(e)
+            span, pivots = dense_rref(span + [e], n)
+        if len(span) != len(step):
+            return None
+        layers.append(dense_rref(chosen, n)[0])
+    return layers
+
+
+def _poly_eval_dense(a: Poly, m: Matrix) -> Matrix:
+    n = len(m)
+    acc = zeros(n, n)
+    for c in reversed(a):
+        acc = dense_mat_mul(acc, m)
+        for d in range(n):
+            acc[d][d] = acc[d][d] + c
+    return acc
+
+
+def _char_poly_dense(m: Matrix) -> Poly:
+    """Faddeev-LeVerrier on dense matrices."""
+    n = len(m)
+    coeffs = [ZERO] * n + [ONE]
+    mk = [list(row) for row in m]
+    for k in range(1, n + 1):
+        trace = ZERO
+        for d in range(n):
+            trace = trace + mk[d][d]
+        coeffs[n - k] = -trace / scalar(k)
+        if k == n:
+            break
+        shifted = [list(row) for row in mk]
+        for d in range(n):
+            shifted[d][d] = shifted[d][d] + coeffs[n - k]
+        mk = dense_mat_mul(m, shifted)
+    return coeffs
+
+
+def jordan_chevalley_dense(m: Matrix) -> tuple[Matrix, Matrix]:
+    """(S, N) by the same Newton iteration on dense matrices: the reference
+    of the sparse ``jordan_chevalley``."""
+    n = len(m)
+    q = squarefree_part(_char_poly_dense(m))
+    _, _, v = poly_xgcd(q, poly_derivative(q))
+    a = [list(row) for row in m]
+    for _ in range(math.ceil(math.log2(n)) + 1 if n > 1 else 1):
+        qa = _poly_eval_dense(q, a)
+        if is_zero_matrix(qa):
+            break
+        a = mat_sub(a, dense_mat_mul(qa, _poly_eval_dense(v, a)))
+    assert is_zero_matrix(_poly_eval_dense(q, a)), "Newton iteration did not converge"
+    return a, mat_sub(m, a)
+
+
+def jordan_chevalley_on_dense(m: Matrix) -> tuple[Matrix, Matrix]:
+    """The library's ``jordan_chevalley`` of a dense matrix, its parts as
+    dense matrices."""
+    semi, nil = jordan_chevalley(sparse_columns(m))
+    return dense_columns(semi, len(m)), dense_columns(nil, len(m))
+
+
+def ad_s_matrices_dense(data: SolvableInput) -> list[Matrix]:
+    """The matrices of ad_s on each basis vector, dense: e_i's coordinates
+    in the (V rows | n rows) basis from the dense inverse, its V-part v,
+    and (ad_v)_s from ``jordan_chevalley_dense`` (zero when v is)."""
+    g = data.algebra
+    n = g.dim
+    comp = dense_rows(data.complement.rows, n)
+    coords = dense_inverse(comp + dense_rows(data.nilradical.rows, n))
+    out = []
+    for row in coords:
+        v_part = [ZERO] * n
+        for c, basis_row in zip(row, comp):
+            v_part = [x + c * y for x, y in zip(v_part, basis_row)]
+        if any(v_part):
+            out.append(jordan_chevalley_dense(dense_ad(g, v_part))[0])
+        else:
+            out.append(zeros(n, n))
+    return out
 
 
 # -- dense references of sparse or split-based checks -------------------------
@@ -579,16 +815,20 @@ def jacobi_counterexample_dense(
     [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
     """
     n = algebra.dim
+
+    def bracket(u, v):
+        return dense_bracket(algebra, u, v)
+
     for i in range(n):
-        ei = algebra.basis_vector(i)
+        ei = unit(n, i)
         for j in range(i + 1, n):
-            ej = algebra.basis_vector(j)
+            ej = unit(n, j)
             for k in range(j + 1, n):
-                ek = algebra.basis_vector(k)
-                total = algebra.bracket(ei, algebra.bracket(ej, ek))
-                for x, c in enumerate(algebra.bracket(ej, algebra.bracket(ek, ei))):
+                ek = unit(n, k)
+                total = bracket(ei, bracket(ej, ek))
+                for x, c in enumerate(bracket(ej, bracket(ek, ei))):
                     total[x] = total[x] + c
-                for x, c in enumerate(algebra.bracket(ek, algebra.bracket(ei, ej))):
+                for x, c in enumerate(bracket(ek, bracket(ei, ej))):
                     total[x] = total[x] + c
                 if any(total):
                     return (i, j, k, total)
@@ -612,7 +852,7 @@ def kernel_containment_dense(
     nu = grading.depth
     kernel = dense_kernel_basis(dga.d[2], dga.dim_at(2))
     for row in kernel:
-        for weight in sorted(_vector_weights(dga, weights, 2, linalg.sparse(row))):
+        for weight in sorted(_vector_weights(dga, weights, 2, sparse(row))):
             if weight > nu + 1:
                 return list(row), weight
     return None
@@ -630,24 +870,15 @@ def image_basis(a: Matrix, ncols: int) -> Matrix:
     return dense_rref(transpose(a, ncols), len(a))[0]
 
 
-def dense_columns(columns: SparseColumns, nrows: int) -> Matrix:
-    """The dense matrix whose columns are the sparse ``columns``."""
-    out = linalg.zeros(nrows, len(columns))
-    for j, column in enumerate(columns):
-        for i, x in column:
-            out[i][j] = x
-    return out
-
-
 def _mul(a: Matrix, b: Matrix, nrows: int, inner: int, ncols: int) -> Matrix:
     if nrows == 0 or ncols == 0 or inner == 0:
-        return linalg.zeros(nrows, ncols)
-    return linalg.mat_mul(a, b)
+        return zeros(nrows, ncols)
+    return dense_mat_mul(a, b)
 
 
 def dstar_matrices(dga: Dga) -> list[Matrix]:
     """The adjoint of d in each degree p >= 1, for the metric split."""
-    return [linalg.zeros(0, dga.dim_at(0))] + [
+    return [zeros(0, dga.dim_at(0))] + [
         conj_transpose(dga.d[p - 1], dga.dim_at(p - 1))
         for p in range(1, len(dga.monomials))
     ]
@@ -661,7 +892,7 @@ def dense_laplacian(dga: Dga, dstar: list[Matrix], p: int) -> Matrix:
     below = dims[p - 1] if p >= 1 else 0
     up = _mul(dstar[p + 1] if p < top else [], dga.d[p], dims[p], above, dims[p])
     down = _mul(dga.d[p - 1] if p >= 1 else [], dstar[p], dims[p], below, dims[p])
-    return linalg.mat_add(up, down)
+    return mat_add(up, down)
 
 
 @dataclass
@@ -733,11 +964,11 @@ def split_complex_dense(
                 harmonic_coords=inv[:b],
             )
         )
-    delta = [linalg.zeros(0, dims[0])]
+    delta = [zeros(0, dims[0])]
     for p in range(1, last + 1):
         comp = splits[p - 1].complement
         if not comp or dims[p] == 0:
-            delta.append(linalg.zeros(dims[p - 1], dims[p]))
+            delta.append(zeros(dims[p - 1], dims[p]))
             continue
         comp_cols = transpose(comp, dims[p - 1])
         d_comp = _mul(dga.d[p - 1], comp_cols, dims[p], dims[p - 1], len(comp))
@@ -752,7 +983,7 @@ def split_complex_dense(
 def is_unimodular_dense(algebra: LieAlgebra) -> bool:
     """True iff every ad_X is traceless."""
     for i in range(algebra.dim):
-        ad = algebra.ad_matrix(algebra.basis_vector(i))
+        ad = dense_ad(algebra, unit(algebra.dim, i))
         trace = ZERO
         for d in range(algebra.dim):
             trace = trace + ad[d][d]
@@ -853,6 +1084,14 @@ def filiform(n: int) -> LieAlgebra:
     """L_n: [e1, e_i] = e_{i+1} for i = 2..n-1."""
     labels = [f"e{i}" for i in range(1, n + 1)]
     return LieAlgebra(labels, {(0, i): {i + 1: scalar(1)} for i in range(1, n - 1)})
+
+
+def h5_i_scaled() -> LieAlgebra:
+    """h(5) over Q(i): [X1, Y1] = i Z and [X2, Y2] = (1 - i/2) Z."""
+    return LieAlgebra(
+        ["X1", "Y1", "X2", "Y2", "Z"],
+        {(0, 1): {4: I}, (2, 3): {4: ONE - I * scalar("1/2")}},
+    )
 
 
 GENERATED = {

@@ -9,12 +9,12 @@ from conftest import (
     Cochain,
     book3,
     germbench_inputs,
+    is_zero_matrix,
     non_unimodular2,
     oracle_betti,
     oracle_d_matrix,
 )
 
-import germkit.linalg as la
 from germkit import fixtures
 from germkit.cedga import (
     CharacterData,
@@ -53,7 +53,7 @@ def test_filiform_differential():
 
 def test_abelian_differential_is_zero():
     dga = Dga(fixtures.abelian(4))
-    assert all(la.is_zero_matrix(m) for m in dga.d)
+    assert all(is_zero_matrix(m) for m in dga.d)
 
 
 @pytest.mark.parametrize("name", sorted(UNIMODULAR))
@@ -62,7 +62,7 @@ def test_engine_matches_multilinear_oracle(name):
     dga = Dga(algebra)
     assert len(dga.d) == algebra.dim + 1
     for p in range(algebra.dim + 1):
-        assert la.mat_eq(dga.d[p], oracle_d_matrix(algebra, p)), (name, p)
+        assert dga.d[p] == oracle_d_matrix(algebra, p), (name, p)
 
 
 def test_dense_rows_are_built_only_for_the_degrees_read():
@@ -93,7 +93,7 @@ def test_seeded_complex_matches_oracle_in_every_degree(name):
     dga = Dga(algebra)
     assert any(c != ONE for _, _, comps in algebra.nonzero_brackets() for c in comps.values())
     for p, matrix in enumerate(matrices):
-        assert la.mat_eq(dga.d[p], matrix), (name, p)
+        assert dga.d[p] == matrix, (name, p)
     assert dga.betti() == oracle_betti(algebra, matrices)
 
 

@@ -14,11 +14,15 @@ from conftest import (
     dense_rows,
     dstar_matrices,
     extend_basis_reference,
+    h5_i_scaled,
     hermitian,
     image_basis,
     inferred_grading,
+    is_zero_matrix,
     kernel_containment_dense,
+    mat_vec,
     oracle_betti,
+    sparse,
     split_complex_dense,
 )
 
@@ -38,7 +42,7 @@ from germkit.decomp import (
     split_complex,
 )
 from germkit.errors import InternalCheckError, PreconditionError
-from germkit.liealg import Grading, LieAlgebra, Subspace, basis_aligned_weights
+from germkit.liealg import Grading, Subspace, basis_aligned_weights
 from germkit.scalars import I, ONE, ZERO, scalar
 
 
@@ -54,16 +58,16 @@ def test_h3_harmonic_spaces_and_delta():
     assert dec.harmonic_basis(2) == [{1: ONE}, {2: ONE}]
     # delta(x^y) = -z, and delta kills the harmonic two-forms
     delta2 = dense_columns(dec.delta[2], 3)
-    assert la.mat_vec(delta2, [ONE, ZERO, ZERO]) == [ZERO, ZERO, -ONE]
-    assert la.mat_vec(delta2, [ZERO, ONE, ZERO]) == [ZERO] * 3
-    assert la.mat_vec(delta2, [ZERO, ZERO, ONE]) == [ZERO] * 3
+    assert mat_vec(delta2, [ONE, ZERO, ZERO]) == [ZERO, ZERO, -ONE]
+    assert mat_vec(delta2, [ZERO, ONE, ZERO]) == [ZERO] * 3
+    assert mat_vec(delta2, [ZERO, ZERO, ONE]) == [ZERO] * 3
 
 
 def test_abelian_split_is_trivial():
     dec = _metric(fixtures.abelian(3))
     assert dec.betti() == [1, 3, 3, 1]
     for p, columns in enumerate(dec.delta):
-        assert la.is_zero_matrix(dense_columns(columns, dec.dga.dim_at(p - 1)))
+        assert is_zero_matrix(dense_columns(columns, dec.dga.dim_at(p - 1)))
     for p, split in enumerate(dec.splits):
         assert len(split.harmonic) == dec.dga.dim_at(p)
 
@@ -99,7 +103,7 @@ def test_adjointness_on_every_basis_pair(name):
             d_alpha = apply_d(dga, p, alpha)
             for b in range(dim_q):
                 beta = [ONE if i == b else ZERO for i in range(dim_q)]
-                dstar_beta = la.mat_vec(dstar[p + 1], beta)
+                dstar_beta = mat_vec(dstar[p + 1], beta)
                 assert hermitian(d_alpha, beta) == hermitian(alpha, dstar_beta)
 
 
@@ -125,9 +129,9 @@ def test_metric_harmonics_are_two_sided_kernels():
             lap = dense_laplacian(dga, dstar, p)
             harmonic = dense_rows(dec.harmonic_basis(p), dga.dim_at(p))
             for row in harmonic:
-                assert not any(la.mat_vec(lap, row)), (name, p)
+                assert not any(mat_vec(lap, row)), (name, p)
                 assert not any(apply_d(dga, p, row))
-                assert not any(la.mat_vec(dstar[p], row))
+                assert not any(mat_vec(dstar[p], row))
             # ker(Laplacian) (+) im(Laplacian) is a direct sum filling the degree
             image = image_basis(lap, dga.dim_at(p))
             stacked = harmonic + [list(r) for r in image]
@@ -146,7 +150,7 @@ def test_delta_respects_weights_in_degree_two():
             for mono in monos:
                 vec = [ZERO] * dga.dim_at(2)
                 vec[dga.position[mono][1]] = ONE
-                out = la.mat_vec(dense_columns(dec.delta[2], dga.dim_at(1)), vec)
+                out = mat_vec(dense_columns(dec.delta[2], dga.dim_at(1)), vec)
                 for i, c in enumerate(out):
                     if c:
                         assert weights[dga.monomials[1][i][0]] == k, name
@@ -188,7 +192,7 @@ def test_cocycle_weights_from_the_split_match_the_dense_kernel(
     from_kernel = {
         w
         for row in dense_kernel_basis(dga.d[2], dga.dim_at(2))
-        for w in _vector_weights(dga, dec.weights, 2, la.sparse(row))
+        for w in _vector_weights(dga, dec.weights, 2, sparse(row))
     }
     assert from_split == from_kernel
     assert max(from_split) <= grading.depth + 1
@@ -223,7 +227,7 @@ def test_non_weight_homogeneous_grading_is_rejected():
 
 def test_non_aligned_grading_is_rejected():
     h3 = fixtures.heisenberg3()
-    skew = [ZERO, ONE, ONE]
+    skew = {1: ONE, 2: ONE}
     grading = Grading(
         (
             Subspace.from_vectors(3, [h3.basis_vector(0), skew]),
@@ -298,22 +302,13 @@ def _assert_matches_reference(dec, ref):
         assert dense_columns(dec.delta[p], dga.dim_at(p - 1)) == ref.delta[p], p
 
 
-def _h5_i_scaled():
-    """h(5) over Q(i): [X1, Y1] = i Z and [X2, Y2] = (1 - i/2) Z."""
-    return LieAlgebra(
-        ["X1", "Y1", "X2", "Y2", "Z"],
-        {(0, 1): {4: I}, (2, 3): {4: ONE - I * scalar("1/2")}},
-        validate=True,
-    )
-
-
 @pytest.mark.parametrize("top", [None, GERM_TOP], ids=["full", "germ-top"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("name", ["h5", "h5-i-scaled"])
 def test_split_builds_no_dense_matrix(monkeypatch, name, strategy, top):
     # The split eliminates only on sparse rows: with the dense builders and
     # the dense rref patched to raise, it still splits, to the reference's data.
-    dga = Dga(fixtures.heisenberg5() if name == "h5" else _h5_i_scaled())
+    dga = Dga(fixtures.heisenberg5() if name == "h5" else h5_i_scaled())
     ref = split_complex_dense(dga, strategy, top)
 
     def dense(*args, **kwargs):
@@ -369,7 +364,7 @@ def test_extend_basis_chooses_the_reference_rows(algebra):
 
 
 def _sparse(rows):
-    return [la.sparse(row) for row in rows]
+    return [sparse(row) for row in rows]
 
 
 ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(2), scalar("1/3"), I, -I + 1])

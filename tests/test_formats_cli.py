@@ -753,6 +753,16 @@ def test_gl_target_spec(capsys):
     assert "variables: 8" in out
 
 
+def test_gl_labels_stay_distinct_past_nine():
+    # Without a separator E_{1,11} and E_{11,1} would both be E111, a
+    # duplicate label; up to gl:9 the labels keep the unseparated form.
+    _, gl11 = cli.resolve_target("gl:11")
+    assert len(set(gl11.labels)) == 121
+    assert {"E1_11", "E11_1", "E11_11"} <= set(gl11.labels)
+    assert fixtures.gl(9).labels[:2] == ("E11", "E12")
+    assert fixtures.gl(10).labels[-1] == "E10_10"
+
+
 @pytest.mark.parametrize(
     "spec", ["gl:1_0", "gl:+2", "gl:-2", "gl: 2", "gl:2 ", "gl:\u0662", "gl:", "gl:2.0", "gl:0"]
 )

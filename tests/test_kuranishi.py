@@ -513,10 +513,13 @@ def test_capped_obstructions_match_a_fresh_bracket(name, target, cap):
 def _reference_bracket(dga, target, a, b):
     """[a, b] of two degree-one slices, term by term in Scalar arithmetic.
 
-    Built from ``wedge_monomials`` and ``LieAlgebra.bracket_basis`` only, so
-    it shares nothing with the kernel's tables.
+    Built from ``wedge_monomials`` and ``LieAlgebra.nonzero_brackets`` only,
+    so it shares nothing with the kernel's tables.
     """
     ta = target.dim
+    table = {(i, j): comps for i, j, comps in target.nonzero_brackets()}
+    for (i, j), comps in list(table.items()):
+        table[(j, i)] = {k: -c for k, c in comps.items()}
     out = {}
     for ea, va in a.items():
         for eb, vb in b.items():
@@ -532,7 +535,7 @@ def _reference_bracket(dga, target, a, b):
                     degree, spot = dga.position[mono]
                     assert degree == 2
                     vec = out.setdefault(exps, {})
-                    for k, c in target.bracket_basis(au, av).items():
+                    for k, c in table.get((au, av), {}).items():
                         key = spot * ta + k
                         vec[key] = vec.get(key, ZERO) + scalar(sign) * cu * cv * c
     cleaned = {e: {k: c for k, c in v.items() if c} for e, v in out.items()}

@@ -1,22 +1,38 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
     GRADED_NILPOTENT,
     book3,
+    dense,
+    dense_ad,
+    dense_bracket,
+    dense_in_row_space,
+    dense_rows,
+    dense_rref,
+    h5_i_scaled,
+    infer_grading_dense,
     is_unimodular_dense,
     jacobi_counterexample_dense,
+    jordan_chevalley_dense,
     non_unimodular2,
+    series_dense,
+    sparse,
+    sparse_columns,
 )
 
-from germkit import fixtures
+from germkit import fixtures, linalg
 from germkit.errors import PreconditionError
+from germkit.jordan import jordan_chevalley
 from germkit.liealg import (
     Grading,
     LieAlgebra,
     Subspace,
     basis_aligned_weights,
+    derived_series,
     derived_subalgebra,
     infer_grading_basis_aligned,
     is_solvable,
@@ -24,7 +40,7 @@ from germkit.liealg import (
     span_of_brackets,
     verify_natural_grading,
 )
-from germkit.scalars import scalar
+from germkit.scalars import I, ONE, ZERO, scalar
 
 
 def test_jacobi_pass_on_heisenberg():
@@ -42,7 +58,7 @@ def test_jacobi_counterexample_is_reported():
     i, j, k, total = witness
     assert (i, j, k) == (0, 1, 2)
     # the cyclic sum collapses to e3
-    assert [str(c) for c in total] == ["0", "0", "1"]
+    assert [str(c) for c in dense(total, 3)] == ["0", "0", "1"]
     with pytest.raises(PreconditionError):
         LieAlgebra(("e1", "e2", "e3"), {(0, 1): {2: scalar(1)}, (0, 2): {0: scalar(1)}})
 
@@ -126,7 +142,7 @@ def test_verify_natural_grading_standard_layers():
 def test_verify_natural_grading_skew_layer():
     # first layer spanned by X and Y + Z still works: [X, Y+Z] = Z
     h3 = fixtures.heisenberg3()
-    skew = [scalar(0), scalar(1), scalar(1)]
+    skew = {1: scalar(1), 2: scalar(1)}
     grading = Grading(
         (
             Subspace.from_vectors(3, [h3.basis_vector(0), skew]),
@@ -183,9 +199,10 @@ def test_infer_then_verify_on_all_graded_fixtures():
 
 def _zero_positions(algebra):
     n = algebra.dim
+    table = {(i, j): comps for i, j, comps in algebra.nonzero_brackets()}
     for i in range(n):
         for j in range(i + 1, n):
-            comps = algebra.bracket_basis(i, j)
+            comps = table.get((i, j), {})
             for k in range(n):
                 if k not in comps:
                     yield (i, j, k)
@@ -195,12 +212,7 @@ def _mutations(algebra):
     """(position, ``algebra`` with 1 added to the zero structure constant
     there) for each position of ``_zero_positions``."""
     for (i, j, k) in _zero_positions(algebra):
-        table = {
-            (a, b): dict(algebra.bracket_basis(a, b))
-            for a in range(algebra.dim)
-            for b in range(a + 1, algebra.dim)
-            if algebra.bracket_basis(a, b)
-        }
+        table = {(a, b): comps for a, b, comps in algebra.nonzero_brackets()}
         entry = dict(table.get((i, j), {}))
         entry[k] = entry.get(k, scalar(0)) + scalar(1)
         table[(i, j)] = entry
@@ -252,11 +264,105 @@ def test_sparse_jacobi_matches_the_dense_reference():
     ]
     failing = 0
     for algebra in cases:
-        sparse = algebra.jacobi_counterexample()
-        dense = jacobi_counterexample_dense(algebra)
-        assert sparse == dense, algebra
-        if sparse is not None:
-            failing += 1
-            assert algebra.vector_str(sparse[3]) == algebra.vector_str(dense[3])
-            assert [str(c) for c in sparse[3]] == [str(c) for c in dense[3]]
+        found = algebra.jacobi_counterexample()
+        reference = jacobi_counterexample_dense(algebra)
+        if found is None:
+            assert reference is None, algebra
+            continue
+        failing += 1
+        total = dense(found[3], algebra.dim)
+        assert (*found[:3], total) == reference, algebra
+        assert algebra.vector_str(found[3]) == algebra.vector_str(sparse(reference[3]))
+        assert [str(c) for c in total] == [str(c) for c in reference[3]]
     assert failing > 0
+
+
+# -- the sparse algebra side against the dense references ----------------------
+
+EQUIVALENCE_CASES = {
+    **{f"fixture:{name}": a for name, a in FIXTURE_ALGEBRAS.items()},
+    **{f"generated:{name}": a for name, a in GENERATED.items()},
+    "h5_i_scaled": h5_i_scaled(),
+}
+
+ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(2), scalar("1/3"), I, -I + 1])
+
+
+@st.composite
+def algebra_vectors(draw):
+    """An algebra of EQUIVALENCE_CASES, two lists of dense vectors over Q(i)
+    (the second sometimes holding a sum of the first's) and a probe."""
+    algebra = EQUIVALENCE_CASES[draw(st.sampled_from(sorted(EQUIVALENCE_CASES)))]
+    vector = st.lists(ENTRIES, min_size=algebra.dim, max_size=algebra.dim)
+    left = draw(st.lists(vector, max_size=4))
+    right = draw(st.lists(vector, max_size=3))
+    if len(left) > 1 and draw(st.booleans()):
+        right.append([x + y for x, y in zip(left[0], left[1])])
+    return algebra, left, right, draw(vector)
+
+
+def _dense_subspace(sub):
+    return dense_rows(sub.rows, sub.ambient_dim), list(sub.pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_vectors())
+def test_algebra_side_matches_the_dense_references(case):
+    # Subspace construction, contains and add, the bracket, ad, the span of
+    # brackets and Jordan-Chevalley of ad, each against its dense reference.
+    algebra, left, right, probe = case
+    n = algebra.dim
+    a = Subspace.from_vectors(n, map(sparse, left))
+    b = Subspace.from_vectors(n, map(sparse, right))
+    for sub, vectors in ((a, left), (b, right)):
+        rows, pivots = dense_rref(vectors, n)
+        assert _dense_subspace(sub) == (rows, pivots)
+        for v in vectors + [probe]:
+            assert sub.contains(sparse(v)) == dense_in_row_space(rows, pivots, v)
+    assert _dense_subspace(a.add(b)) == dense_rref(left + right, n)
+    assert a.add(b) == Subspace.from_vectors(n, map(sparse, right + left))
+    brackets = [
+        dense_bracket(algebra, u, v)
+        for u in dense_rows(a.rows, n)
+        for v in dense_rows(b.rows, n)
+    ]
+    assert _dense_subspace(span_of_brackets(algebra, a, b)) == dense_rref(brackets, n)
+    for u in left + [probe]:
+        bracket = algebra.bracket(sparse(u), sparse(probe))
+        assert all(bracket.values())
+        assert dense(bracket, n) == dense_bracket(algebra, u, probe)
+        assert algebra.ad(sparse(u)) == sparse_columns(dense_ad(algebra, u))
+    semi, nil = jordan_chevalley(algebra.ad(sparse(probe)))
+    ref_semi, ref_nil = jordan_chevalley_dense(dense_ad(algebra, probe))
+    assert (semi, nil) == (sparse_columns(ref_semi), sparse_columns(ref_nil))
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+def test_series_and_grading_match_the_dense_references(name):
+    algebra = EQUIVALENCE_CASES[name]
+    lcs = lower_central_series(algebra)
+    assert [_dense_subspace(s) for s in lcs.chain] == series_dense(algebra, derived=False)
+    derived = [_dense_subspace(s) for s in derived_series(algebra)]
+    assert derived == series_dense(algebra, derived=True)
+    grading = infer_grading_basis_aligned(algebra, lcs)
+    layers = None if grading is None else [_dense_subspace(s)[0] for s in grading.layers]
+    assert layers == infer_grading_dense(algebra)
+
+
+@pytest.mark.parametrize("name", ["h5", "filiform4"])
+def test_series_and_grading_build_no_dense_rows(monkeypatch, name):
+    # Subspaces eliminate on sparse rows only: with the dense-row ``rref``
+    # patched to raise, the series and the inferred grading come out as before.
+    algebra = GRADED_NILPOTENT[name]
+    lcs = lower_central_series(algebra)
+    expected = (lcs, derived_series(algebra), infer_grading_basis_aligned(algebra, lcs))
+
+    def dense_rref_called(*args, **kwargs):
+        raise AssertionError("the algebra side built dense rows")
+
+    monkeypatch.setattr(linalg, "rref", dense_rref_called)
+    lcs = lower_central_series(algebra)
+    got = (lcs, derived_series(algebra), infer_grading_basis_aligned(algebra, lcs))
+    monkeypatch.undo()
+    assert got == expected
+    assert expected[2] is not None

@@ -2,14 +2,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    dense,
+    dense_columns,
     dense_in_row_space,
     dense_inverse,
     dense_kernel_basis,
+    dense_mat_mul,
     dense_rows,
     dense_rref,
     dense_solve_many,
+    identity,
     image_basis,
+    mat_add,
+    mat_vec,
+    sparse,
+    sparse_columns,
     transpose,
+    zeros,
 )
 
 import germkit.linalg as la
@@ -35,21 +44,20 @@ def matrices_st(max_dim=4):
 def test_rref_is_idempotent_and_preserves_row_space(m):
     ncols = len(m[0])
     reduced, pivots = la.rref(m, ncols)
-    again, pivots2 = la.rref(reduced, ncols)
+    again, pivots2 = la.rref(dense_rows(reduced, ncols), ncols)
     assert again == reduced and pivots2 == pivots
-    sparse_reduced = [la.sparse(r) for r in reduced]
     for row in m:
-        assert la.in_row_space(sparse_reduced, pivots, la.sparse(row))
-    for row in reduced:
-        assert dense_in_row_space(*la.rref(m, ncols), v=row)
+        assert la.in_row_space(reduced, pivots, sparse(row))
+    for row in dense_rows(reduced, ncols):
+        assert dense_in_row_space(dense_rows(reduced, ncols), pivots, v=row)
 
 
 @given(matrices_st())
 def test_kernel_annihilates_and_rank_nullity(m):
     ncols = len(m[0])
-    kernel = dense_rows(la.kernel_basis([la.sparse(r) for r in m], ncols), ncols)
+    kernel = dense_rows(la.kernel_basis([sparse(r) for r in m], ncols), ncols)
     for vec in kernel:
-        assert all(not x for x in la.mat_vec(m, vec))
+        assert all(not x for x in mat_vec(m, vec))
     assert len(la.rref(m, ncols)[0]) + len(kernel) == ncols
 
 
@@ -60,7 +68,7 @@ def test_solve_finds_exact_solutions(m):
     target = [ONE] * len(m)
     solutions = dense_solve_many(m, [target], ncols)
     if solutions is not None:
-        assert la.mat_vec(m, solutions[0]) == target
+        assert mat_vec(m, solutions[0]) == target
 
 
 @given(matrices_st(3))
@@ -68,6 +76,7 @@ def test_image_basis_spans_columns(m):
     ncols = len(m[0])
     image = image_basis(m, ncols)
     reduced, pivots = la.rref(image, len(m))
+    reduced = dense_rows(reduced, len(m))
     for j in range(ncols):
         col = [m[i][j] for i in range(len(m))]
         assert dense_in_row_space(reduced, pivots, col)
@@ -100,7 +109,7 @@ def column_sets(draw):
 @given(column_sets())
 def test_sparse_rank_matches_dense_rank(case):
     nrows, columns = case
-    rows = la.zeros(nrows, len(columns))
+    rows = zeros(nrows, len(columns))
     for c, column in enumerate(columns):
         for r, x in column:
             rows[r][c] = x
@@ -109,13 +118,13 @@ def test_sparse_rank_matches_dense_rank(case):
 
 def test_inverse_of_identity_like():
     a = [
-        [ONE, la.zeros(1, 1)[0][0], ONE],
+        [ONE, zeros(1, 1)[0][0], ONE],
         [ZERO, ONE, ONE],
         [ZERO, ZERO, ONE],
     ]
-    inv = dense_rows(la.coordinates([la.sparse(r) for r in a], 3), 3)
-    assert la.mat_eq(la.mat_mul(a, inv), la.identity(3))
-    assert la.mat_eq(la.mat_mul(inv, a), la.identity(3))
+    inv = dense_rows(la.coordinates([sparse(r) for r in a], 3), 3)
+    assert dense_mat_mul(a, inv) == identity(3)
+    assert dense_mat_mul(inv, a) == identity(3)
 
 
 def test_empty_shapes():
@@ -155,17 +164,18 @@ def row_sets(draw):
 @given(row_sets(), st.lists(ENTRIES, min_size=5, max_size=5))
 def test_sparse_elimination_matches_the_dense_references(case, probe):
     ncols, rows = case
-    sparse_rows = [la.sparse(r) for r in rows]
+    sparse_rows = [sparse(r) for r in rows]
     expected, pivots = dense_rref(rows, ncols)
     reduced, sparse_pivots = la.echelon(sparse_rows)
     assert sparse_pivots == pivots
     assert dense_rows(reduced, ncols) == expected
     assert all(list(row) == sorted(row) and all(row.values()) for row in reduced)
-    assert la.rref(rows, ncols) == (expected, pivots)
+    rref_rows, rref_pivots = la.rref(rows, ncols)
+    assert (dense_rows(rref_rows, ncols), rref_pivots) == (expected, pivots)
     kernel = la.kernel_basis(sparse_rows, ncols)
     assert dense_rows(kernel, ncols) == dense_kernel_basis(rows, ncols)
     for v in rows + [probe[:ncols]] + dense_rows(kernel, ncols):
-        assert la.in_row_space(reduced, pivots, la.sparse(v)) == dense_in_row_space(
+        assert la.in_row_space(reduced, pivots, sparse(v)) == dense_in_row_space(
             expected, pivots, v
         )
     # _extend_basis, the split's greedy choice, keeps the rows that raise the rank.
@@ -173,9 +183,9 @@ def test_sparse_elimination_matches_the_dense_references(case, probe):
     chosen = [r for r in sparse_rows if la.insert(kept, r)]
     assert len(chosen) == len(pivots)
     assert la.echelon(chosen) == (reduced, pivots)
-    columns = [list(la.sparse(col).items()) for col in transpose(rows, ncols)]
-    vec = la.sparse(probe[:ncols])
-    assert la.dense(la.apply(columns, vec.items()), len(rows)) == la.mat_vec(rows, probe[:ncols])
+    columns = [list(sparse(col).items()) for col in transpose(rows, ncols)]
+    vec = sparse(probe[:ncols])
+    assert dense(la.apply(columns, vec.items()), len(rows)) == mat_vec(rows, probe[:ncols])
 
 
 @given(row_sets())
@@ -189,7 +199,35 @@ def test_sparse_inverse_matches_the_dense_reference(case):
     except ValueError:
         expected = None
     try:
-        inverse = dense_rows(la.coordinates([la.sparse(r) for r in square], ncols), ncols)
+        inverse = dense_rows(la.coordinates([sparse(r) for r in square], ncols), ncols)
     except ValueError:
         inverse = None
     assert inverse == expected
+
+
+@st.composite
+def square_triples(draw):
+    """Three n x n dense matrices over Q(i), n from 1 to 4, the second
+    sometimes the first (so products can cancel) and the third sometimes
+    zero."""
+    n = draw(st.integers(1, 4))
+    square = st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+    a = draw(square)
+    b = a if draw(st.booleans()) else draw(square)
+    c = zeros(n, n) if draw(st.booleans()) else draw(square)
+    return a, b, c
+
+
+@given(square_triples(), ENTRIES, ENTRIES)
+def test_sparse_products_and_sums_match_the_dense_kit(case, f, g):
+    a, b, c = case
+    n = len(a)
+    sa, sb, sc = sparse_columns(a), sparse_columns(b), sparse_columns(c)
+    product = la.mat_mul(sa, sb)
+    assert dense_columns(product, n) == dense_mat_mul(a, b)
+    assert product == sparse_columns(dense_mat_mul(a, b))
+    total = la.combine((f, g, -ONE), (sa, sb, sc))
+    scaled = [[f * x for x in row] for row in a]
+    minus_c = [[-x for x in row] for row in c]
+    expected = mat_add(mat_add(scaled, [[g * x for x in row] for row in b]), minus_c)
+    assert total == sparse_columns(expected)

@@ -1,8 +1,19 @@
+import pathlib
+
 import pytest
 
-from germkit import fixtures
-import germkit.linalg as la
+from conftest import (
+    GENERATED,
+    ad_s_matrices_dense,
+    dense_columns,
+    germbench_inputs,
+    h5_i_scaled,
+    is_zero_matrix,
+)
+
+from germkit import fixtures, linalg
 from germkit.errors import PreconditionError
+from germkit.formats import load_algebra_file, parse_algebra_dict
 from germkit.liealg import (
     Subspace,
     derived_subalgebra,
@@ -15,17 +26,18 @@ from germkit.scalars import scalar
 def test_ad_s_of_diagonal_derivation():
     data = fixtures.solvable_heisenberg_input()
     ads = ad_s_map(data)
-    diag = [ads.matrices[0][d][d] for d in range(4)]
+    m0 = dense_columns(ads[0], 4)
+    diag = [m0[d][d] for d in range(4)]
     assert [str(c) for c in diag] == ["0", "1", "-1", "0"]
     off = [
-        ads.matrices[0][r][c]
+        m0[r][c]
         for r in range(4)
         for c in range(4)
         if r != c
     ]
     assert all(not x for x in off)
     for i in (1, 2, 3):  # nilradical directions map to zero
-        assert la.is_zero_matrix(ads.matrices[i])
+        assert is_zero_matrix(dense_columns(ads[i], 4))
 
 
 def test_nilshadow_of_solvable_heisenberg():
@@ -43,17 +55,9 @@ def test_nilshadow_of_split_diagonal_action_is_direct_sum():
 
 
 def test_nilshadow_with_rotation_action():
-    # [T, X] = Y, [T, Y] = -X: ad_T has eigenvalues +-i but is semisimple,
-    # so the corrected bracket is abelian
-    g = fixtures._alg(
-        ["T", "X", "Y"], {(0, 1): {2: 1}, (0, 2): {1: -1}}
-    )
-    data = SolvableInput(
-        algebra=g,
-        nilradical=Subspace.from_vectors(3, [g.basis_vector(1), g.basis_vector(2)]),
-        complement=Subspace.from_vectors(3, [g.basis_vector(0)]),
-    )
-    shadow, _ = nilshadow(data)
+    # ad_T has eigenvalues +-i but is semisimple, so the corrected bracket
+    # is abelian
+    shadow, _ = nilshadow(_rotation_input())
     assert shadow.nonzero_brackets() == []
 
 
@@ -65,7 +69,7 @@ def test_nilpotent_input_is_fixed():
         complement=Subspace.zero(3),
     )
     ads = ad_s_map(data)
-    assert all(la.is_zero_matrix(m) for m in ads.matrices)
+    assert all(is_zero_matrix(dense_columns(m, 3)) for m in ads)
     shadow, _ = nilshadow(data)
     assert shadow.nonzero_brackets() == h3.nonzero_brackets()
 
@@ -77,7 +81,7 @@ def test_abelian_any_declared_splitting_gives_zero_map():
         nilradical=Subspace.from_vectors(3, [g.basis_vector(0)]),
         complement=Subspace.from_vectors(3, [g.basis_vector(1), g.basis_vector(2)]),
     )
-    assert all(la.is_zero_matrix(m) for m in ad_s_map(data).matrices)
+    assert all(is_zero_matrix(dense_columns(m, 3)) for m in ad_s_map(data))
     assert nilshadow(data)[0].nonzero_brackets() == []
 
 
@@ -87,20 +91,13 @@ def test_bracket_unchanged_on_nilradical_and_derived_contained():
     g = data.algebra
     for u in data.nilradical.rows:
         for v in data.nilradical.rows:
-            assert shadow.bracket(list(u), list(v)) == g.bracket(list(u), list(v))
+            assert shadow.bracket(u, v) == g.bracket(u, v)
     assert data.nilradical.contains_subspace(derived_subalgebra(shadow))
 
 
 def test_alternate_complement_gives_isomorphic_invariants():
-    g = fixtures.solvable_heisenberg()
-    shifted = [scalar(1), scalar(1), scalar(0), scalar(0)]  # T + X
-    data2 = SolvableInput(
-        algebra=g,
-        nilradical=fixtures.solvable_heisenberg_input().nilradical,
-        complement=Subspace.from_vectors(4, [shifted]),
-    )
     shadow1, _ = nilshadow(fixtures.solvable_heisenberg_input())
-    shadow2, _ = nilshadow(data2)
+    shadow2, _ = nilshadow(_shifted_complement_input())
     lcs1, lcs2 = lower_central_series(shadow1), lower_central_series(shadow2)
     assert lcs1.dims() == lcs2.dims() and lcs1.nu == lcs2.nu
     from conftest import oracle_betti
@@ -132,3 +129,83 @@ def test_non_solvable_input_is_rejected():
     )
     with pytest.raises(PreconditionError):
         validate_solvable_input(data)
+
+
+def _rotation_input():
+    """[T, X] = Y, [T, Y] = -X: ad_T is semisimple with eigenvalues +-i."""
+    g = fixtures._alg(["T", "X", "Y"], {(0, 1): {2: 1}, (0, 2): {1: -1}})
+    return SolvableInput(
+        algebra=g,
+        nilradical=Subspace.from_vectors(3, [g.basis_vector(1), g.basis_vector(2)]),
+        complement=Subspace.from_vectors(3, [g.basis_vector(0)]),
+    )
+
+
+def _shifted_complement_input():
+    """T x| h3 with the complement spanned by T + X, not a basis vector."""
+    data = fixtures.solvable_heisenberg_input()
+    return SolvableInput(
+        algebra=data.algebra,
+        nilradical=data.nilradical,
+        complement=Subspace.from_vectors(4, [{0: scalar(1), 1: scalar(1)}]),
+    )
+
+
+def _from_file(parsed):
+    return SolvableInput(parsed.algebra, parsed.nilradical, parsed.complement)
+
+
+def _nilpotent_input(algebra):
+    n = algebra.dim
+    return SolvableInput(algebra, Subspace.full(n), Subspace.zero(n))
+
+
+def _solvable_cases():
+    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    inputs = germbench_inputs()
+    seeded = parse_algebra_dict(inputs.solvable_heisenberg(2, inputs.rng_for(0, "solv_h5")))
+    return {
+        "solv_heisenberg": fixtures.solvable_heisenberg_input(),
+        "sol3": fixtures.sol3_input(),
+        **{
+            f"file:{name}": _from_file(load_algebra_file(str(root / f"{name}.json")))
+            for name in ("solv_heisenberg", "sol3")
+        },
+        "rotation": _rotation_input(),
+        "shifted_complement": _shifted_complement_input(),
+        "seeded:solv_h5": _from_file(seeded),
+        "h5_i_scaled": _nilpotent_input(h5_i_scaled()),
+        **{f"generated:{name}": _nilpotent_input(a) for name, a in GENERATED.items()},
+    }
+
+
+SOLVABLE_CASES = _solvable_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVABLE_CASES))
+def test_ad_s_map_matches_the_dense_reference(name):
+    data = SOLVABLE_CASES[name]
+    n = data.algebra.dim
+    matrices = ad_s_map(data)
+    assert [dense_columns(m, n) for m in matrices] == ad_s_matrices_dense(data)
+    assert any(map(any, matrices)) == (data.complement.dim > 0)
+
+
+def test_nilshadow_builds_no_dense_rows(monkeypatch):
+    # The nilshadow's checks eliminate on sparse rows only: with the
+    # dense-row ``rref`` patched to raise, the results are unchanged.
+    data = fixtures.solvable_heisenberg_input()
+
+    def results():
+        shadow, lcs = nilshadow(data)
+        return shadow.nonzero_brackets(), lcs, ad_s_map(data)
+
+    expected = results()
+
+    def dense_rref_called(*args, **kwargs):
+        raise AssertionError("the nilshadow built dense rows")
+
+    monkeypatch.setattr(linalg, "rref", dense_rref_called)
+    got = results()
+    monkeypatch.undo()
+    assert got == expected

@@ -1,7 +1,9 @@
-"""Frozen digests of every subcommand's ``--json`` run on every fixture.
+"""Frozen digests of every subcommand's run on every fixture.
 
 Each case calls ``germkit.cli.main`` in-process and hashes (exit code,
-stdout, stderr).  Paths in the output are replaced by fixed tokens, so the
+stdout, stderr).  Every case runs twice: with ``--json`` (key
+``"<algebra> <case>"``) and without it, printing the text report (key
+``"<algebra> <case> text"``).  Paths in the output are replaced by fixed tokens, so the
 digests do not depend on where the checkout lives.  A refactor must leave
 every digest unchanged; a change that alters output on purpose rewrites the
 table with ``python3 tests/test_golden_cli.py --write`` and says why.
@@ -44,6 +46,7 @@ COMMANDS = {
     "pipeline-gl2": ["pipeline", "--target", "gl:2"],
 }
 MC_CHECK = "mc-check"
+TEXT = "text"
 
 
 def _invoke(argv: list[str]) -> tuple[int, str, str]:
@@ -63,32 +66,35 @@ def _scrub(text: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def run_case(algebra: str, command: str) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one case, with paths scrubbed."""
+def run_case(algebra: str, command: str, *mode: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one case, with paths scrubbed; the
+    text mode drops ``--json``."""
+    json_flag = [] if mode == (TEXT,) else ["--json"]
     if command == MC_CHECK:
         code, germ, _ = run_case(algebra, "kuranishi-sl2")
         assert code == 0, f"{algebra}: no sl2 germ to check"
         GERM_DIR.mkdir(exist_ok=True)
         path = GERM_DIR / f"{algebra}_sl2.json"
         path.write_text(germ, encoding="utf-8")
-        code, out, err = _invoke([MC_CHECK, str(path), "--point", "t1=1", "--json"])
+        code, out, err = _invoke([MC_CHECK, str(path), "--point", "t1=1", *json_flag])
     else:
         path = FIXTURES / f"{algebra}.json"
-        code, out, err = _invoke([COMMANDS[command][0], str(path), *COMMANDS[command][1:], "--json"])
+        code, out, err = _invoke([COMMANDS[command][0], str(path), *COMMANDS[command][1:], *json_flag])
     return code, _scrub(out), _scrub(err)
 
 
-def digest(algebra: str, command: str) -> str:
-    code, out, err = run_case(algebra, command)
+def digest(key: str) -> str:
+    code, out, err = run_case(*key.split(" "))
     blob = json.dumps([code, out, err], ensure_ascii=False).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
 def all_cases() -> list[str]:
-    """Every base case, plus mc-check wherever the sl2 germ was written."""
+    """Every base case, plus mc-check wherever the sl2 germ was written,
+    each in JSON and in text."""
     keys = [f"{a} {c}" for a in ALGEBRAS for c in COMMANDS]
     keys += [f"{a} {MC_CHECK}" for a in ALGEBRAS if run_case(a, "kuranishi-sl2")[0] == 0]
-    return keys
+    return keys + [f"{key} {TEXT}" for key in keys]
 
 
 FROZEN: dict[str, str] = (
@@ -102,14 +108,13 @@ def test_table_covers_every_case():
 
 @pytest.mark.parametrize("key", sorted(FROZEN))
 def test_golden_digest(key):
-    algebra, command = key.split(" ")
-    assert digest(algebra, command) == FROZEN[key], run_case(algebra, command)[2]
+    assert digest(key) == FROZEN[key], run_case(*key.split(" "))[2]
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python3 tests/test_golden_cli.py --write")
-    table = {key: digest(*key.split(" ")) for key in all_cases()}
+    table = {key: digest(key) for key in all_cases()}
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} digests to {TABLE}")

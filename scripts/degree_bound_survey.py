@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Survey the obstruction degree bound across base/target combinations.
 
-For every graded nilpotent fixture and every target preset, solve the
-deformation series and report the attained maximal obstruction degree next
-to the bound nu + 1.
+For every graded nilpotent fixture and every target preset, run the CLI's
+germ stage (series, obstruction system, gauge identities and the Betti
+cross-check) and report the attained maximal obstruction degree next to
+the bound nu + 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import sys
 import time
@@ -15,11 +17,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from germkit import fixtures
-from germkit.cedga import Dga
-from germkit.cli import obtain_grading
-from germkit.decomp import GERM_TOP, split_complex
-from germkit.kuranishi import kuranishi_series, obstruction_system, verify_degree_bound
-from germkit.liealg import lower_central_series
+from germkit.cli import Run
+from germkit.formats import ParsedAlgebra, algebra_to_dict
 
 BASES = {
     "abelian3": fixtures.abelian(3),
@@ -41,18 +40,21 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for base_name, base in BASES.items():
-        grading, _ = obtain_grading(None, base, lower_central_series(base))
-        assert grading is not None
-        dec = split_complex(Dga(base), "metric", grading, top=GERM_TOP)
-        nu = grading.depth
         for target_name, target in TARGETS.items():
             start = time.time()
-            series = kuranishi_series(dec, target)
-            system = obstruction_system(series)
-            ok = series.terminated and verify_degree_bound(system, nu) is None
+            # The algebras are built in code, so the run is handed its parse
+            # and target stages instead of reading files.
+            run = Run(argparse.Namespace(command="kuranishi", strategy="metric", cap=None))
+            run.parsed = ParsedAlgebra(base_name, base, None, None, None, None, None)
+            run.target = algebra_to_dict(target, target_name), target
+            _, summary = run.germ
+            grading = run.grading[0]
+            assert grading is not None
+            nu, bound = grading.depth, summary["degree_bound"]
+            ok = bound is not None and bound["satisfied"]
             print(
                 f"{base_name:<11} {nu:>2} {target_name:<9} "
-                f"{len(series.variables):>3} {system.max_degree:>7} {nu + 1:>5}  "
+                f"{summary['variables']:>3} {summary['max_degree']:>7} {nu + 1:>5}  "
                 f"{'ok' if ok else 'VIOLATION'} ({time.time() - start:.2f}s)"
             )
 

@@ -24,7 +24,6 @@ from .kuranishi import (
     KuranishiSeries,
     ObstructionSystem,
     PolyCochain,
-    SpotCheckResult,
     TensorDgla,
     gauge_identity_check,
     kuranishi_series,

@@ -126,7 +126,7 @@ class Dga:
                 column.sort()
                 columns.append(column)
             self.columns.append(columns)
-        self.d = DenseDifferential(self)
+        self.d = DenseDifferential(self.columns, self.dims())
 
         for p in range(n - 1):
             failures = []
@@ -202,21 +202,25 @@ class Dga:
 
 
 class DenseDifferential(Sequence):
-    """Read-only dense rows of each d_p, built from the columns on first read."""
+    """Read-only dense rows of each d_p, built from the columns on first read.
 
-    def __init__(self, dga: Dga):
-        self._dga, self._built = dga, {}
+    It holds the columns and the per-degree dimensions, not the ``Dga``, so
+    a complex is freed without the cyclic collector.
+    """
+
+    def __init__(self, columns: list[SparseColumns], dims: list[int]):
+        # d of the top degree maps into degree top + 1, which is zero.
+        self._columns, self._dims, self._built = columns, [*dims, 0], {}
 
     def __len__(self) -> int:
-        return len(self._dga.columns)
+        return len(self._columns)
 
     def __getitem__(self, p: int) -> list[list[Scalar]]:
         p = range(len(self))[p]
         if p not in self._built:
-            dga = self._dga
-            ncols = dga.dim_at(p)
-            self._built[p] = matrix = [[ZERO] * ncols for _ in range(dga.dim_at(p + 1))]
-            for col, column in enumerate(dga.columns[p]):
+            ncols, nrows = self._dims[p], self._dims[p + 1]
+            self._built[p] = matrix = [[ZERO] * ncols for _ in range(nrows)]
+            for col, column in enumerate(self._columns[p]):
                 for row, value in column:
                     matrix[row][col] = value
         return self._built[p]

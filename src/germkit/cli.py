@@ -4,14 +4,20 @@ Subcommands: check, nilshadow, decompose, subdga, kuranishi, mc-check,
 pipeline.  Exit codes: 0 success (also when the reader of stdout closes it
 early), 1 mathematical precondition failure, 2 parse error or an unwritable
 output path, 3 internal invariant violation or any other engine error
-(one line on stderr, no traceback).  ``--json`` switches any subcommand to
-its machine-readable mirror (optionally into a file); the text and JSON
-forms are rendered from the same report object.
+(one line on stderr, no traceback).
+
+Each handler builds one report dict from the stages of a ``Run`` (parse,
+target, lower central series, classify, nilshadow, grading, complex,
+duality type, split, cocycle weights, germ, selection, sub-DGA germ,
+embedding), read in the order their errors should surface.  A stage runs
+once, on first read, and calls its engine function from one place.  Text
+output prints the report's ``text`` lines; ``--json`` renders the dict.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -19,7 +25,6 @@ from . import fixtures
 from .cedga import (
     CharacterData,
     Dga,
-    Monomial,
     pd_type_check,
     subdga_from_characters,
     verify_subdga,
@@ -48,7 +53,6 @@ from .formats import (
     subdga_to_monomial_lists,
 )
 from .kuranishi import (
-    SpotCheckResult,
     gauge_identity_check,
     kuranishi_series,
     linear_embedding_check,
@@ -80,27 +84,38 @@ def entrypoint() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
+    if args.command is None:
         parser.print_help()
         return 0
+    # Looked up per call, so a handler replaced on the module is the one run.
+    handler = {
+        "check": cmd_check,
+        "nilshadow": cmd_nilshadow,
+        "decompose": cmd_decompose,
+        "subdga": cmd_subdga,
+        "kuranishi": cmd_kuranishi,
+        "mc-check": cmd_mc_check,
+        "pipeline": cmd_pipeline,
+    }[args.command]
+    run = Run(args)
     try:
-        report = args.handler(args)
+        report = handler(run)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
-    except InternalCheckError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:
-        # Last resort: any other failure is an engine bug, reported in one
-        # line that names the subcommand, not as a traceback.
-        print(
-            f"internal error in {args.command}: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
+        # Anything else is an engine bug, reported in one line that names
+        # the subcommand and the stage it escaped from, not as a traceback.
+        stage = "" if run.failed_stage is None else f", stage {run.failed_stage}"
+        if isinstance(exc, InternalCheckError):
+            where = f" in {args.command}{stage}" if stage else ""
+            print(f"internal invariant violated{where}: {exc}", file=sys.stderr)
+        else:
+            print(f"internal error in {args.command}{stage}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
         return 3
     try:
         emit(report, args)
@@ -117,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def emit(report: dict, args) -> None:
-    if getattr(args, "json", None) is not None:
+    if args.json is not None:
         payload = render_json(report)
         if args.json == "-":
             sys.stdout.write(payload)
@@ -131,7 +146,9 @@ def emit(report: dict, args) -> None:
     sys.stdout.flush()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="germkit",
         description=(
@@ -140,62 +157,38 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--json",
-            nargs="?",
-            const="-",
-            default=None,
-            metavar="PATH",
-            help="emit machine-readable JSON (to PATH, or stdout if omitted)",
-        )
-
-    p = sub.add_parser("check", help="validate an algebra file and classify it")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("nilshadow", help="compute the nilshadow of a solvable algebra")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=cmd_nilshadow)
-
-    p = sub.add_parser("decompose", help="split the cochain complex degree by degree")
-    p.add_argument("file")
-    p.add_argument("--strategy", choices=STRATEGIES, default="metric")
-    common(p)
-    p.set_defaults(handler=cmd_decompose)
-
-    p = sub.add_parser("subdga", help="select an invariant monomial sub-DGA")
-    p.add_argument("file")
-    p.add_argument("--characters", metavar="PATH", default=None)
-    common(p)
-    p.set_defaults(handler=cmd_subdga)
-
-    p = sub.add_parser("kuranishi", help="solve the deformation series and emit the germ")
-    p.add_argument("file")
-    p.add_argument("--target", required=True, help="algebra file, sl2, or gl:N")
-    p.add_argument("--subdga", metavar="PATH", default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--strategy", choices=STRATEGIES, default="metric")
-    common(p)
-    p.set_defaults(handler=cmd_kuranishi)
-
-    p = sub.add_parser("mc-check", help="exact spot check of a germ file at a point")
-    p.add_argument("germ")
-    p.add_argument("--point", required=True, help='e.g. "t1=1,t2=1/2"')
-    common(p)
-    p.set_defaults(handler=cmd_mc_check)
-
-    p = sub.add_parser("pipeline", help="full run: classify, nilshadow, grade, germ, bound")
-    p.add_argument("file")
-    p.add_argument("--target", default="sl2", help="algebra file, sl2, or gl:N")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--strategy", choices=STRATEGIES, default="metric")
-    common(p)
-    p.set_defaults(handler=cmd_pipeline)
-
+    strategy = {"choices": STRATEGIES, "default": "metric"}
+    cap = {"type": int, "default": None}
+    target = "algebra file, sl2, or gl:N"
+    # Both selection options fill ``selection``, which is None elsewhere.
+    selection = {"dest": "selection", "metavar": "PATH", "default": None}
+    for name, help_text, options in (
+        ("check", "validate an algebra file and classify it", {}),
+        ("nilshadow", "compute the nilshadow of a solvable algebra", {}),
+        ("decompose", "split the cochain complex degree by degree", {"--strategy": strategy}),
+        ("subdga", "select an invariant monomial sub-DGA", {"--characters": selection}),
+        ("kuranishi", "solve the deformation series and emit the germ", {
+            "--target": {"required": True, "help": target},
+            "--subdga": selection,
+            "--cap": cap,
+            "--strategy": strategy,
+        }),
+        ("mc-check", "exact spot check of a germ file at a point", {
+            "--point": {"required": True, "help": 'e.g. "t1=1,t2=1/2"'},
+        }),
+        ("pipeline", "full run: classify, nilshadow, grade, germ, bound", {
+            "--target": {"default": "sl2", "help": target},
+            "--cap": cap,
+            "--strategy": strategy,
+        }),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("germ" if name == "mc-check" else "file")
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH",
+                       help="emit machine-readable JSON (to PATH, or stdout if omitted)")
+        p.set_defaults(selection=None)
     return parser
 
 
@@ -204,9 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_target(spec: str) -> tuple[dict, LieAlgebra]:
     if spec == "sl2":
-        algebra = fixtures.sl2()
-        return algebra_to_dict(algebra, "sl2"), algebra
-    if spec.startswith("gl:"):
+        name, algebra = "sl2", fixtures.sl2()
+    elif spec.startswith("gl:"):
         digits = spec[3:]
         # ASCII digits only: int() would also take signs, spaces, "_" and
         # non-ASCII digits ("gl:1_0" is gl(10)).
@@ -215,10 +207,11 @@ def resolve_target(spec: str) -> tuple[dict, LieAlgebra]:
         n = int(digits)
         if n < 1:
             raise ParseError("gl:N needs N >= 1")
-        algebra = fixtures.gl(n)
-        return algebra_to_dict(algebra, f"gl{n}"), algebra
-    parsed = load_algebra_file(spec)
-    return algebra_to_dict(parsed.algebra, parsed.name), parsed.algebra
+        name, algebra = f"gl{n}", fixtures.gl(n)
+    else:
+        parsed = load_algebra_file(spec)
+        name, algebra = parsed.name, parsed.algebra
+    return algebra_to_dict(algebra, name), algebra
 
 
 def obtain_grading(
@@ -252,9 +245,8 @@ def bracket_text(algebra: LieAlgebra) -> str:
     return "; ".join(pretty) if pretty else "none (abelian)"
 
 
-def classification(algebra: LieAlgebra) -> tuple[dict, LowerCentralSeries]:
-    """The fields of ``check``, and the series that later stages reuse."""
-    lcs = lower_central_series(algebra)
+def classification(algebra: LieAlgebra, lcs: LowerCentralSeries) -> dict:
+    """The fields of ``check``."""
     return {
         "dim": algebra.dim,
         "jacobi": "pass",
@@ -263,111 +255,279 @@ def classification(algebra: LieAlgebra) -> tuple[dict, LowerCentralSeries]:
         "nu": lcs.nu,
         "lower_central_dims": lcs.dims(),
         "unimodular": algebra.is_unimodular(),
-    }, lcs
+    }
+
+
+# -- the stages ---------------------------------------------------------------------
+
+
+def stage(method):
+    """A ``Run`` stage, kept once read; a failing one names itself on the run."""
+
+    @functools.wraps(method)
+    def compute(run: Run):
+        try:
+            return method(run)
+        except Exception:
+            run.failed_stage = run.failed_stage or method.__name__
+            raise
+
+    return functools.cached_property(compute)
+
+
+class Run:
+    """The stages of one invocation.  A caller may assign a stage before its
+    first read (the degree-bound survey assigns ``parsed`` and ``target``)."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.failed_stage: str | None = None
+
+    def report(self, fields: dict, text: list[str]) -> dict:
+        """``fields`` under the report header, with the text lines."""
+        header = {"schema_version": SCHEMA_VERSION, "command": self.args.command}
+        if self.args.command != "mc-check":
+            header.update(name=self.parsed.name, input_digest=self.parsed.digest)
+        return {**header, **fields, "text": text}
+
+    @stage
+    def parsed(self) -> ParsedAlgebra:
+        return load_algebra_file(self.args.file)
+
+    @stage
+    def target(self) -> tuple[dict, LieAlgebra]:
+        return resolve_target(self.args.target)
+
+    @stage
+    def lcs(self) -> LowerCentralSeries:
+        return lower_central_series(self.parsed.algebra)
+
+    @stage
+    def classify(self) -> dict:
+        return classification(self.parsed.algebra, self.lcs)
+
+    @stage
+    def shadow(self) -> tuple[LieAlgebra, LowerCentralSeries, str]:
+        """(nilshadow, its lower central series, how it was formed); only
+        ``pipeline`` takes a nilpotent input as its own nilshadow."""
+        parsed = self.parsed
+        if parsed.nilradical is not None and parsed.complement is not None:
+            data = SolvableInput(parsed.algebra, parsed.nilradical, parsed.complement)
+            return *nilshadow(data), "computed from nilradical/complement data"
+        if self.args.command == "nilshadow":
+            raise ParseError(
+                f"{parsed.name}: nilshadow needs 'nilradical' and 'complement' entries"
+            )
+        if self.lcs.is_nilpotent:
+            return parsed.algebra, self.lcs, "input already nilpotent; nilshadow is the identity"
+        raise PreconditionError(
+            "algebra is not nilpotent and no nilradical/complement data "
+            "was provided; cannot form the nilshadow"
+        )
+
+    @property
+    def base(self) -> LieAlgebra:
+        """The algebra of the complex: ``pipeline``'s nilshadow, else the input."""
+        return self.shadow[0] if self.args.command == "pipeline" else self.parsed.algebra
+
+    @stage
+    def grading(self) -> tuple[Grading | None, str]:
+        """The base's grading; a supplied one holds only for the input."""
+        parsed = self.parsed
+        own = self.base is parsed.algebra
+        return obtain_grading(
+            parsed.grading if own else None,
+            self.base,
+            self.lcs if own else self.shadow[1],
+        )
+
+    @stage
+    def complex(self) -> Dga:
+        return Dga(self.base)
+
+    @stage
+    def pd_type(self) -> str:
+        """Duality-type verdict of the selection (``subdga``) or the complex."""
+        subject = self.selection if self.args.command == "subdga" else self.complex
+        violation = pd_type_check(subject)
+        return "pass" if violation is None else violation
+
+    @stage
+    def split(self) -> Decomposition:
+        return self._split(self.complex, self.grading[0])
+
+    def _split(self, dga: Dga, grading: Grading | None) -> Decomposition:
+        """Every degree for ``decompose``; the germ reads degrees <= GERM_TOP."""
+        top = None if self.args.command == "decompose" else GERM_TOP
+        return split_complex(dga, self.args.strategy, grading, top)
+
+    @stage
+    def cocycle_weights(self) -> dict | None:
+        """Degree-2 cocycles within weight depth + 1; None without a grading."""
+        grading = self.grading[0]
+        if grading is None:
+            return None
+        kc = kernel_containment_check(self.split)
+        return {"bound": grading.depth + 1, "satisfied": kc is None}
+
+    @stage
+    def germ(self) -> tuple[dict, dict]:
+        return self._germ(self.split, None)
+
+    def _germ(
+        self, dec: Decomposition, subdga_monomials: list[list[int]] | None
+    ) -> tuple[dict, dict]:
+        """Solve and check the series on ``dec``; returns (germ file, summary)."""
+        grading = dec.grading
+        betti = dec.dga.betti()
+        if dec.betti() != betti[: len(dec.splits)]:
+            raise InternalCheckError(
+                f"split gives betti {dec.betti()} in degrees <= {GERM_TOP}, "
+                f"ranks of d give {betti}"
+            )
+        target_dict, target = self.target
+        series = kuranishi_series(dec, target, self.args.cap)
+        system = obstruction_system(series)
+        if series.terminated:
+            failure = gauge_identity_check(series)
+            if failure is not None:
+                raise InternalCheckError(f"gauge identity failed: {failure}")
+        degree_bound = None
+        if grading is not None and series.terminated:
+            witness = verify_degree_bound(system, grading.depth)
+            degree_bound = {"bound": grading.depth + 1, "satisfied": witness is None}
+            if witness is not None:
+                degree_bound["witness"] = str(witness)
+        germ = germ_to_dict(
+            series,
+            system,
+            base=algebra_to_dict(dec.dga.algebra, self.parsed.name),
+            target=target_dict,
+            strategy=self.args.strategy,
+            grading_labels=grading_rows(grading) if grading is not None else None,
+            subdga_monomials=subdga_monomials,
+            degree_bound=degree_bound,
+        )
+        summary = {
+            "variables": len(series.variables),
+            "betti": betti,
+            "terminated": series.terminated,
+            "last_nonzero_degree": series.last_nonzero,
+            "cap": series.cap,
+            "max_degree": system.max_degree,
+            "smooth": system.is_smooth,
+            "polynomials": len(system.polynomials),
+            "degree_bound": degree_bound,
+        }
+        return germ, summary
+
+    @stage
+    def selection(self) -> Dga | None:
+        """The verified complex on the monomials that the selection file, else
+        the algebra file's characters, names; None without either."""
+        spec, path = self.parsed.characters, self.args.selection
+        if path is not None:
+            # Explicit monomials, character data, or a bare character object.
+            spec = load_json_file(path)
+            if "characters" not in spec and "monomials" not in spec:
+                spec = {"characters": spec}
+            spec = parse_subdga_spec(spec, self.complex, path)
+        if spec is None:
+            return None
+        if isinstance(spec, CharacterData):
+            return subdga_from_characters(self.complex, spec)
+        violation = verify_subdga(self.complex, spec)
+        if violation is not None:
+            raise PreconditionError(f"selection is not a sub-DGA: {violation}")
+        return Dga(self.complex.algebra, spec)
+
+    @stage
+    def sub_germ(self) -> tuple[dict, dict]:
+        """The selection's own germ, split without a grading."""
+        sub = self.selection
+        return self._germ(self._split(sub, None), subdga_to_monomial_lists(sub))
+
+    @stage
+    def embedding(self) -> dict:
+        """The inclusion of the selection preserves flatness residuals."""
+        sub, target = self.selection, self.target[1]
+        samples = random_rational_samples(EMBEDDING_SAMPLES, sub.dim_at(1) * target.dim)
+        witness = linear_embedding_check(sub, self.complex, target, samples)
+        if witness is not None:
+            raise InternalCheckError(
+                f"inclusion does not preserve residuals on sample {witness[0]}: "
+                f"{witness[1]}"
+            )
+        return {"samples": EMBEDDING_SAMPLES, "agree": True}
 
 
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_check(args) -> dict:
-    parsed = load_algebra_file(args.file)
-    info, _ = classification(parsed.algebra)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
-        "name": parsed.name,
-        "input_digest": parsed.digest,
-        **info,
-    }
-    report["text"] = [
-        f"algebra {parsed.name}: dim={info['dim']} jacobi=pass",
+def cmd_check(run: Run) -> dict:
+    name, info = run.parsed.name, run.classify
+    return run.report(info, [
+        f"algebra {name}: dim={info['dim']} jacobi=pass",
         f"solvable={info['solvable']} nilpotent={info['nilpotent']}"
         + (f" nu={info['nu']}" if info["nu"] is not None else ""),
         f"lower central dims: {info['lower_central_dims']}",
         f"unimodular={info['unimodular']}",
-    ]
-    return report
+    ])
 
 
-def _require_solvable_data(parsed: ParsedAlgebra) -> SolvableInput:
-    if parsed.nilradical is None or parsed.complement is None:
-        raise ParseError(
-            f"{parsed.name}: nilshadow needs 'nilradical' and 'complement' entries"
-        )
-    return SolvableInput(
-        algebra=parsed.algebra,
-        nilradical=parsed.nilradical,
-        complement=parsed.complement,
-    )
-
-
-def cmd_nilshadow(args) -> dict:
-    parsed = load_algebra_file(args.file)
-    data = _require_solvable_data(parsed)
-    shadow, lcs = nilshadow(data)
-    brackets_unchanged = all(
+def cmd_nilshadow(run: Run) -> dict:
+    parsed = run.parsed
+    shadow, lcs, _ = run.shadow
+    nilradical = parsed.nilradical.rows
+    unchanged = all(
         shadow.bracket(u, v) == parsed.algebra.bracket(u, v)
-        for u in data.nilradical.rows
-        for v in data.nilradical.rows
+        for u in nilradical
+        for v in nilradical
     )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "nilshadow",
-        "name": parsed.name,
-        "input_digest": parsed.digest,
+    return run.report({
         "nilshadow_algebra": algebra_to_dict(shadow, f"{parsed.name}_nilshadow"),
         "nu": lcs.nu,
         "lower_central_dims": lcs.dims(),
-        "bracket_fixed_on_nilradical": brackets_unchanged,
-    }
-    report["text"] = [
+        "bracket_fixed_on_nilradical": unchanged,
+    }, [
         f"nilshadow of {parsed.name} on basis ({', '.join(shadow.labels)})",
         "nonzero brackets: " + bracket_text(shadow),
         f"nilpotent with nu={lcs.nu}; lower central dims {lcs.dims()}",
-        f"bracket unchanged on the nilradical: {brackets_unchanged}",
-    ]
-    return report
+        f"bracket unchanged on the nilradical: {unchanged}",
+    ])
 
 
-def cmd_decompose(args) -> dict:
-    parsed = load_algebra_file(args.file)
-    dga = Dga(parsed.algebra)
-    grading, grading_how = obtain_grading(
-        parsed.grading, parsed.algebra, lower_central_series(parsed.algebra)
-    )
-    dec = split_complex(dga, strategy=args.strategy, grading=grading)
+def cmd_decompose(run: Run) -> dict:
+    dga, dec = run.complex, run.split
+    grading, grading_how = run.grading
+    strategy = run.args.strategy
     betti = dec.betti()
     harmonic = {
         str(p): [dga.cochain_label(p, row) for row in dec.harmonic_basis(p)]
         for p in range(len(dec.splits))
     }
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "decompose",
-        "name": parsed.name,
-        "input_digest": parsed.digest,
-        "strategy": args.strategy,
+    fields = {
+        "strategy": strategy,
         "grading": grading_how,
         "betti": betti,
         "degree_dims": dga.dims(),
         "split_dims": [
             {
                 "degree": p,
-                "harmonic": len(dec.splits[p].harmonic),
-                "exact": len(dec.splits[p].exact),
-                "complement": len(dec.splits[p].complement),
+                "harmonic": len(split.harmonic),
+                "exact": len(split.exact),
+                "complement": len(split.complement),
             }
-            for p in range(len(dec.splits))
+            for p, split in enumerate(dec.splits)
         ],
         "harmonic_bases": harmonic,
     }
     text = [
-        f"complex of {parsed.name}: degree dims {dga.dims()}",
-        f"strategy={args.strategy} grading={grading_how}",
+        f"complex of {run.parsed.name}: degree dims {dga.dims()}",
+        f"strategy={strategy} grading={grading_how}",
         f"betti numbers: {betti}",
     ]
-    for p in range(len(dec.splits)):
-        split = dec.splits[p]
+    for p, split in enumerate(dec.splits):
         text.append(
             f"degree {p}: harmonic={len(split.harmonic)} "
             f"exact={len(split.exact)} complement={len(split.complement)}"
@@ -375,160 +535,44 @@ def cmd_decompose(args) -> dict:
         if split.harmonic:
             text.append("  harmonic basis: " + "; ".join(harmonic[str(p)]))
     if grading is not None:
-        table = degree2_weight_table(dga, dec.weights)
         rows = {
             str(w): [dga.monomial_label(m) for m in monos]
-            for w, monos in table.items()
+            for w, monos in degree2_weight_table(dga, dec.weights).items()
         }
-        report["degree2_weight_table"] = rows
-        kc = kernel_containment_check(dec)
-        report["degree2_cocycle_weight_bound"] = {
-            "bound": grading.depth + 1,
-            "satisfied": kc is None,
-        }
+        fields["degree2_weight_table"] = rows
+        fields["degree2_cocycle_weight_bound"] = bound = run.cocycle_weights
         text.append("degree-2 weight table: " + "; ".join(
             f"w={w}: {', '.join(monos)}" for w, monos in rows.items()
         ))
-        text.append(
-            f"degree-2 cocycles confined to weight <= {grading.depth + 1}: "
-            f"{kc is None}"
+        text.append(_weights_verdict(bound))
+    return run.report(fields, text)
+
+
+def cmd_subdga(run: Run) -> dict:
+    sub = run.selection
+    if sub is None:
+        raise ParseError(
+            "no selection given: pass --characters FILE or embed 'characters' "
+            "in the algebra file"
         )
-    report["text"] = text
-    return report
-
-
-def _load_selection(path: str, dga: Dga) -> list[list[Monomial]] | CharacterData:
-    """A selection file: explicit monomials, character data, or a bare
-    character object."""
-    spec = load_json_file(path)
-    if "characters" not in spec and "monomials" not in spec:
-        spec = {"characters": spec}
-    return parse_subdga_spec(spec, dga, path)
-
-
-def _selection_from_args(args, parsed: ParsedAlgebra, dga: Dga):
-    if args.characters is not None:
-        return _load_selection(args.characters, dga)
-    if parsed.characters is not None:
-        return parsed.characters
-    raise ParseError(
-        "no selection given: pass --characters FILE or embed 'characters' "
-        "in the algebra file"
-    )
-
-
-def _subdga(spec: list[list[Monomial]] | CharacterData, dga: Dga) -> Dga:
-    """The complex on the monomials a selection names, verified once."""
-    if isinstance(spec, CharacterData):
-        return subdga_from_characters(dga, spec)
-    violation = verify_subdga(dga, spec)
-    if violation is not None:
-        raise PreconditionError(f"selection is not a sub-DGA: {violation}")
-    return Dga(dga.algebra, spec)
-
-
-def cmd_subdga(args) -> dict:
-    parsed = load_algebra_file(args.file)
-    dga = Dga(parsed.algebra)
-    sub = _subdga(_selection_from_args(args, parsed, dga), dga)
-    pd = pd_type_check(sub)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "subdga",
-        "name": parsed.name,
-        "input_digest": parsed.digest,
+    labels = [sub.monomial_label(mono) for level in sub.monomials for mono in level]
+    verdict = run.pd_type
+    return run.report({
         "selected_monomials": subdga_to_monomial_lists(sub),
         "degree_counts": sub.dims(),
         "verification": "pass",
-        "pd_type": "pass" if pd is None else pd,
-    }
-    labels = [
-        dga.monomial_label(mono) for level in sub.monomials for mono in level
-    ]
-    report["text"] = [
-        f"selection in the complex of {parsed.name}: "
+        "pd_type": verdict,
+    }, [
+        f"selection in the complex of {run.parsed.name}: "
         f"{sum(sub.dims())} monomials, degree counts {sub.dims()}",
         "selected: " + ", ".join(labels),
         "closed under d and wedge: pass",
-        f"duality-type check: {report['pd_type']}",
-    ]
-    return report
+        f"duality-type check: {verdict}",
+    ])
 
 
-def _run_germ(
-    args,
-    base: dict,
-    dec: Decomposition,
-    target: tuple[dict, LieAlgebra],
-    subdga_monomials: list[list[int]] | None = None,
-) -> tuple[dict, dict]:
-    """Solve and check the series; returns (germ file, summary)."""
-    grading = dec.grading
-    betti = dec.dga.betti()
-    if dec.betti() != betti[: len(dec.splits)]:
-        raise InternalCheckError(
-            f"split gives betti {dec.betti()} in degrees <= {GERM_TOP}, "
-            f"ranks of d give {betti}"
-        )
-    series = kuranishi_series(dec, target[1], args.cap)
-    system = obstruction_system(series)
-    if series.terminated:
-        failure = gauge_identity_check(series)
-        if failure is not None:
-            raise InternalCheckError(f"gauge identity failed: {failure}")
-    degree_bound = None
-    if grading is not None and series.terminated:
-        witness = verify_degree_bound(system, grading.depth)
-        degree_bound = {
-            "bound": grading.depth + 1,
-            "satisfied": witness is None,
-        }
-        if witness is not None:
-            degree_bound["witness"] = str(witness)
-    germ = germ_to_dict(
-        series,
-        system,
-        base=base,
-        target=target[0],
-        strategy=args.strategy,
-        grading_labels=grading_rows(grading) if grading is not None else None,
-        subdga_monomials=subdga_monomials,
-        degree_bound=degree_bound,
-    )
-    summary = {
-        "variables": len(series.variables),
-        "betti": betti,
-        "terminated": series.terminated,
-        "last_nonzero_degree": series.last_nonzero,
-        "cap": series.cap,
-        "max_degree": system.max_degree,
-        "smooth": system.is_smooth,
-        "polynomials": len(system.polynomials),
-        "degree_bound": degree_bound,
-    }
-    return germ, summary
-
-
-def _subdga_germ(
-    args, base: dict, sub: Dga, ambient: Dga, target: tuple[dict, LieAlgebra]
-) -> tuple[dict, dict]:
-    """The sub-DGA's own germ, after checking that its inclusion into the
-    ambient complex preserves flatness residuals on rational samples."""
-    germ, summary = _run_germ(
-        args, base, split_complex(sub, args.strategy, None, GERM_TOP), target,
-        subdga_to_monomial_lists(sub),
-    )
-    samples = random_rational_samples(
-        EMBEDDING_SAMPLES, sub.dim_at(1) * target[1].dim
-    )
-    witness = linear_embedding_check(sub, ambient, target[1], samples)
-    if witness is not None:
-        raise InternalCheckError(
-            f"inclusion does not preserve residuals on sample {witness[0]}: "
-            f"{witness[1]}"
-        )
-    germ["embedding_check"] = {"samples": EMBEDDING_SAMPLES, "agree": True}
-    return germ, summary
+def _weights_verdict(bound: dict) -> str:
+    return f"degree-2 cocycles confined to weight <= {bound['bound']}: {bound['satisfied']}"
 
 
 def _bound_verdict(summary: dict) -> str:
@@ -538,24 +582,19 @@ def _bound_verdict(summary: dict) -> str:
     )
 
 
-def cmd_kuranishi(args) -> dict:
-    parsed = load_algebra_file(args.file)
-    target = resolve_target(args.target)
-    base = algebra_to_dict(parsed.algebra, parsed.name)
-    full = Dga(parsed.algebra)
-    if args.subdga is not None:
-        spec = _load_selection(args.subdga, full)
+def cmd_kuranishi(run: Run) -> dict:
+    args = run.args
+    run.target  # a bad --target is reported before anything else is read
+    if args.selection is not None:
+        germ, summary = run.sub_germ
+        germ["embedding_check"] = run.embedding
         grading_how = "none (sub-DGA run)"
-        germ, summary = _subdga_germ(args, base, _subdga(spec, full), full, target)
     else:
-        grading, grading_how = obtain_grading(
-            parsed.grading, parsed.algebra, lower_central_series(parsed.algebra)
-        )
-        dec = split_complex(full, args.strategy, grading, GERM_TOP)
-        germ, summary = _run_germ(args, base, dec, target)
+        germ, summary = run.germ
+        grading_how = run.grading[1]
 
     text = [
-        f"deformation series for {parsed.name} with target {args.target}",
+        f"deformation series for {run.parsed.name} with target {args.target}",
         f"strategy={args.strategy} grading={grading_how}",
         f"variables: {summary['variables']}; betti {summary['betti']}",
         f"series: last nonzero degree {summary['last_nonzero_degree']}, "
@@ -579,7 +618,7 @@ def cmd_kuranishi(args) -> dict:
                 text.append(f"  {label}: {pretty} = 0")
     if summary["degree_bound"] is not None:
         text.append("degree bound: " + _bound_verdict(summary))
-    if args.subdga is not None:
+    if args.selection is not None:
         text.append(
             f"inclusion residual agreement on {EMBEDDING_SAMPLES} samples: pass"
         )
@@ -587,123 +626,89 @@ def cmd_kuranishi(args) -> dict:
     return germ
 
 
-def cmd_mc_check(args) -> dict:
+def cmd_mc_check(run: Run) -> dict:
+    args = run.args
     germ = germ_from_dict(load_json_file(args.germ), args.germ)
     point = parse_point(args.point, germ.variables)
     at = PointPowers(point)
     omega = germ.phi.eval(at)
-    check = SpotCheckResult(
-        [poly.eval(at) for poly in germ.polynomials],
-        mc_residual(germ.tdgla, omega),
-        germ.tdgla.apply_matrix(germ.decomposition.delta_cols(1), omega),
-    )
-    values = check.obstruction_values
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "mc-check",
-        "point": {name: str(v) for name, v in zip(germ.variables, point)},
-        "obstruction_values": {
-            label: str(v) for label, v in zip(germ.coordinates, values)
-        },
-        "obstructions_vanish": check.obstructions_vanish,
-        "residual_is_zero": check.residual_is_zero,
-        "gauge_is_zero": check.gauge_is_zero,
-        "residual": germ.tdgla.element_str(2, check.residual),
-        "terminated_series": germ.terminated,
-        "consistent": check.consistent,
-    }
+    values = [poly.eval(at) for poly in germ.polynomials]
+    residual = mc_residual(germ.tdgla, omega)
+    gauge = germ.tdgla.apply_matrix(germ.decomposition.delta_cols(1), omega)
+    vanish = not any(values)
+    residual_text = germ.tdgla.element_str(2, residual)
     text = [
         f"point: {args.point}",
-        f"obstruction values vanish: {check.obstructions_vanish}",
-        f"flatness residual zero: {check.residual_is_zero}",
-        f"gauge condition zero: {check.gauge_is_zero}",
+        f"obstruction values vanish: {vanish}",
+        f"flatness residual zero: {not residual}",
+        f"gauge condition zero: {not gauge}",
     ]
-    if not check.obstructions_vanish:
+    if not vanish:
         nonzero = [
             f"{label} = {v}" for label, v in zip(germ.coordinates, values) if v
         ]
         text.append("nonzero obstructions: " + "; ".join(nonzero))
-        text.append(f"residual: {report['residual']}")
-    if not check.consistent:
+        text.append(f"residual: {residual_text}")
+    elif residual or gauge:
+        # Vanishing obstructions must force an exactly flat point.
         raise InternalCheckError(
-            "obstructions vanish but the point is not flat: "
-            f"residual {report['residual']}"
+            f"obstructions vanish but the point is not flat: residual {residual_text}"
         )
-    report["text"] = text
-    return report
+    return run.report({
+        "point": {name: str(v) for name, v in zip(germ.variables, point)},
+        "obstruction_values": {
+            label: str(v) for label, v in zip(germ.coordinates, values)
+        },
+        "obstructions_vanish": vanish,
+        "residual_is_zero": not residual,
+        "gauge_is_zero": not gauge,
+        "residual": residual_text,
+        "terminated_series": germ.terminated,
+        "consistent": True,
+    }, text)
 
 
-def cmd_pipeline(args) -> dict:
-    parsed = load_algebra_file(args.file)
-    target = resolve_target(args.target)
-    stages: list[dict] = []
-    text: list[str] = [f"pipeline: {parsed.name} -> target {args.target}"]
+def cmd_pipeline(run: Run) -> dict:
+    args, name = run.args, run.parsed.name
+    run.target  # a bad --target is reported before anything else is read
+    text = [f"pipeline: {name} -> target {args.target}"]
 
-    info, lcs = classification(parsed.algebra)
-    stages.append({"stage": "classify", **info})
+    info = run.classify
+    stages = [{"stage": "classify", **info}]
     text.append(
         f"[classify] dim={info['dim']} jacobi=pass solvable={info['solvable']} "
         f"nilpotent={info['nilpotent']} unimodular={info['unimodular']}"
     )
 
-    if parsed.nilradical is not None and parsed.complement is not None:
-        shadow, shadow_lcs = nilshadow(_require_solvable_data(parsed))
-        how = "computed from nilradical/complement data"
-    elif info["nilpotent"]:
-        shadow, shadow_lcs = parsed.algebra, lcs
-        how = "input already nilpotent; nilshadow is the identity"
-    else:
-        raise PreconditionError(
-            "algebra is not nilpotent and no nilradical/complement data "
-            "was provided; cannot form the nilshadow"
-        )
-    stages.append(
-        {
-            "stage": "nilshadow",
-            "how": how,
-            "nu": shadow_lcs.nu,
-            "algebra": algebra_to_dict(shadow, f"{parsed.name}_nilshadow"),
-        }
-    )
+    shadow, shadow_lcs, how = run.shadow
+    stages.append({
+        "stage": "nilshadow",
+        "how": how,
+        "nu": shadow_lcs.nu,
+        "algebra": algebra_to_dict(shadow, f"{name}_nilshadow"),
+    })
     text.append(
         f"[nilshadow] {how}; nu={shadow_lcs.nu}; brackets: {bracket_text(shadow)}"
     )
 
-    grading, grading_how = obtain_grading(
-        parsed.grading if shadow is parsed.algebra else None, shadow, shadow_lcs
-    )
-    stages.append(
-        {
-            "stage": "grading",
-            "how": grading_how,
-            "layers": grading_rows(grading) if grading is not None else None,
-        }
-    )
+    grading, grading_how = run.grading
+    stages.append({
+        "stage": "grading",
+        "how": grading_how,
+        "layers": grading_rows(grading) if grading is not None else None,
+    })
     text.append(f"[grading] {grading_how}"
                 + (f", {grading.depth} layers" if grading is not None else ""))
 
-    dga = Dga(shadow)
-    pd = pd_type_check(dga)
-    stages.append({"stage": "pd_type", "verdict": "pass" if pd is None else pd})
-    text.append(f"[pd-type] {'pass' if pd is None else pd}")
+    stages.append({"stage": "pd_type", "verdict": run.pd_type})
+    text.append(f"[pd-type] {run.pd_type}")
 
-    dec = split_complex(dga, args.strategy, grading, GERM_TOP)
-    if grading is not None:
-        kc = kernel_containment_check(dec)
-        stages.append(
-            {
-                "stage": "degree2_cocycle_weights",
-                "bound": grading.depth + 1,
-                "satisfied": kc is None,
-            }
-        )
-        text.append(
-            f"[cocycle-weights] degree-2 cocycles confined to weight <= "
-            f"{grading.depth + 1}: {kc is None}"
-        )
+    bound = run.cocycle_weights
+    if bound is not None:
+        stages.append({"stage": "degree2_cocycle_weights", **bound})
+        text.append("[cocycle-weights] " + _weights_verdict(bound))
 
-    base = algebra_to_dict(shadow, parsed.name)
-    germ, summary = _run_germ(args, base, dec, target)
+    germ, summary = run.germ
     stages.append({"stage": "germ", **summary})
     text.append(
         f"[decompose] betti {summary['betti']} (strategy {args.strategy})"
@@ -723,19 +728,18 @@ def cmd_pipeline(args) -> dict:
     if summary["degree_bound"] is not None:
         text.append("[bound] " + _bound_verdict(summary))
 
-    if parsed.characters is not None:
-        sub = _subdga(parsed.characters, dga)
-        _, sub_sum = _subdga_germ(args, base, sub, dga, target)
+    sub = run.selection
+    if sub is not None:
+        _, sub_sum = run.sub_germ
+        embedding = run.embedding
         kept = ("betti", "variables", "terminated", "max_degree", "smooth")
-        stages.append(
-            {
-                "stage": "character_subdga",
-                "degree_counts": sub.dims(),
-                **{key: sub_sum[key] for key in kept},
-                "embedding_samples": EMBEDDING_SAMPLES,
-                "embedding_agree": True,
-            }
-        )
+        stages.append({
+            "stage": "character_subdga",
+            "degree_counts": sub.dims(),
+            **{key: sub_sum[key] for key in kept},
+            "embedding_samples": embedding["samples"],
+            "embedding_agree": embedding["agree"],
+        })
         text.append(
             f"[sub-dga] degree counts {sub.dims()}, betti "
             f"{sub_sum['betti']}, variables={sub_sum['variables']}, "
@@ -746,14 +750,9 @@ def cmd_pipeline(args) -> dict:
             f"[embedding] residual agreement on {EMBEDDING_SAMPLES} samples: pass"
         )
 
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "pipeline",
-        "name": parsed.name,
-        "input_digest": parsed.digest,
+    return run.report({
         "target": args.target,
         "strategy": args.strategy,
         "stages": stages,
         "germ": germ,
-        "text": text,
-    }
+    }, text)

@@ -640,35 +640,6 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
     return None
 
 
-# -- point checks -------------------------------------------------------------------
-
-
-@dataclass
-class SpotCheckResult:
-    obstruction_values: list[Scalar]
-    residual: SparseVec
-    gauge: SparseVec
-
-    @property
-    def obstructions_vanish(self) -> bool:
-        return all(not v for v in self.obstruction_values)
-
-    @property
-    def residual_is_zero(self) -> bool:
-        return not self.residual
-
-    @property
-    def gauge_is_zero(self) -> bool:
-        return not self.gauge
-
-    @property
-    def consistent(self) -> bool:
-        """Vanishing obstructions must force an exactly flat point."""
-        if self.obstructions_vanish:
-            return self.residual_is_zero and self.gauge_is_zero
-        return True
-
-
 # -- sub-DGLA inclusion --------------------------------------------------------------
 
 

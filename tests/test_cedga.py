@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -70,6 +71,23 @@ def test_dense_rows_are_built_only_for_the_degrees_read():
     assert dga.d._built == {}
     assert dga.d[2] is dga.d[-6] and list(dga.d._built) == [2]
     assert [len(m) for m in dga.d] == dga.dims()[1:] + [0]
+
+
+def test_complex_is_freed_without_the_cyclic_collector():
+    # Dga.d holds the columns, not the Dga: dropping a complex whose dense
+    # rows were read leaves no cycle for the collector to find.
+    algebra = fixtures.heisenberg5()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        dga = Dga(algebra)
+        assert dga.d[2]
+        del dga
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 SEED = 3

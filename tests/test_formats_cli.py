@@ -303,6 +303,38 @@ def test_unexpected_exception_is_exit_3_without_traceback(monkeypatch, capsys):
     assert err == "internal error in check: KeyError: 'boom'\n"
 
 
+def test_exit_3_names_the_stage_it_escaped_from(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "split_complex", broken)
+    code, out, err = run(capsys, "pipeline", str(FIXTURES / "h3.json"), "--target", "sl2")
+    assert code == 3 and out == ""
+    assert err == "internal error in pipeline, stage split: RuntimeError: boom\n"
+    # The selection's split runs inside the sub-DGA germ stage.
+    code, out, err = run(
+        capsys, "kuranishi", str(FIXTURES / "q_plus_h3.json"), "--target", "sl2",
+        "--subdga", str(FIXTURES / "diag_weight_characters.json"),
+    )
+    assert code == 3 and out == ""
+    assert err == "internal error in kuranishi, stage sub_germ: RuntimeError: boom\n"
+
+
+def test_invariant_violation_names_the_stage(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gauge_identity_check", lambda series: "forced")
+    code, out, err = run(capsys, "pipeline", str(FIXTURES / "h3.json"), "--target", "sl2")
+    assert code == 3 and out == ""
+    assert err == (
+        "internal invariant violated in pipeline, stage germ: "
+        "gauge identity failed: forced\n"
+    )
+
+
+def test_parser_is_built_once():
+    # Handlers are looked up per call: the exit-3 test above patches one.
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_germ_file_reconstruction(tmp_path, capsys):
     germ_path = tmp_path / "germ.json"
     code, _, _ = run(

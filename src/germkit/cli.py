@@ -156,39 +156,58 @@ def build_parser() -> argparse.ArgumentParser:
             "nilshadows, splittings, and deformation germs."
         ),
     )
+    # The --characters or --subdga file; None for the other subcommands.
+    parser.set_defaults(selection=None)
     sub = parser.add_subparsers(dest="command")
-    strategy = {"choices": STRATEGIES, "default": "metric"}
-    cap = {"type": int, "default": None}
-    target = "algebra file, sl2, or gl:N"
-    # Both selection options fill ``selection``, which is None elsewhere.
-    selection = {"dest": "selection", "metavar": "PATH", "default": None}
-    for name, help_text, options in (
-        ("check", "validate an algebra file and classify it", {}),
-        ("nilshadow", "compute the nilshadow of a solvable algebra", {}),
-        ("decompose", "split the cochain complex degree by degree", {"--strategy": strategy}),
-        ("subdga", "select an invariant monomial sub-DGA", {"--characters": selection}),
-        ("kuranishi", "solve the deformation series and emit the germ", {
-            "--target": {"required": True, "help": target},
-            "--subdga": selection,
-            "--cap": cap,
-            "--strategy": strategy,
-        }),
-        ("mc-check", "exact spot check of a germ file at a point", {
-            "--point": {"required": True, "help": 'e.g. "t1=1,t2=1/2"'},
-        }),
-        ("pipeline", "full run: classify, nilshadow, grade, germ, bound", {
-            "--target": {"default": "sl2", "help": target},
-            "--cap": cap,
-            "--strategy": strategy,
-        }),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("germ" if name == "mc-check" else "file")
-        for flag, spec in options.items():
-            p.add_argument(flag, **spec)
-        p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH",
-                       help="emit machine-readable JSON (to PATH, or stdout if omitted)")
-        p.set_defaults(selection=None)
+
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--json",
+            nargs="?",
+            const="-",
+            default=None,
+            metavar="PATH",
+            help="emit machine-readable JSON (to PATH, or stdout if omitted)",
+        )
+
+    p = sub.add_parser("check", help="validate an algebra file and classify it")
+    p.add_argument("file")
+    common(p)
+
+    p = sub.add_parser("nilshadow", help="compute the nilshadow of a solvable algebra")
+    p.add_argument("file")
+    common(p)
+
+    p = sub.add_parser("decompose", help="split the cochain complex degree by degree")
+    p.add_argument("file")
+    p.add_argument("--strategy", choices=STRATEGIES, default="metric")
+    common(p)
+
+    p = sub.add_parser("subdga", help="select an invariant monomial sub-DGA")
+    p.add_argument("file")
+    p.add_argument("--characters", dest="selection", metavar="PATH", default=None)
+    common(p)
+
+    p = sub.add_parser("kuranishi", help="solve the deformation series and emit the germ")
+    p.add_argument("file")
+    p.add_argument("--target", required=True, help="algebra file, sl2, or gl:N")
+    p.add_argument("--subdga", dest="selection", metavar="PATH", default=None)
+    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default="metric")
+    common(p)
+
+    p = sub.add_parser("mc-check", help="exact spot check of a germ file at a point")
+    p.add_argument("germ")
+    p.add_argument("--point", required=True, help='e.g. "t1=1,t2=1/2"')
+    common(p)
+
+    p = sub.add_parser("pipeline", help="full run: classify, nilshadow, grade, germ, bound")
+    p.add_argument("file")
+    p.add_argument("--target", default="sl2", help="algebra file, sl2, or gl:N")
+    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default="metric")
+    common(p)
+
     return parser
 
 
@@ -245,6 +264,11 @@ def bracket_text(algebra: LieAlgebra) -> str:
     return "; ".join(pretty) if pretty else "none (abelian)"
 
 
+def duality_verdict(dga: Dga) -> str:
+    violation = pd_type_check(dga)
+    return "pass" if violation is None else violation
+
+
 def classification(algebra: LieAlgebra, lcs: LowerCentralSeries) -> dict:
     """The fields of ``check``."""
     return {
@@ -277,16 +301,20 @@ def stage(method):
 
 class Run:
     """The stages of one invocation.  A caller may assign a stage before its
-    first read (the degree-bound survey assigns ``parsed`` and ``target``)."""
+    first read (the degree-bound survey assigns ``parsed``)."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.failed_stage: str | None = None
+        # The highest degree split: the germ reads degrees <= GERM_TOP, and
+        # ``decompose`` sets None to split every degree.
+        self.top: int | None = GERM_TOP
 
     def report(self, fields: dict, text: list[str]) -> dict:
-        """``fields`` under the report header, with the text lines."""
+        """``fields`` under the report header, with the text lines; a run on
+        an algebra file names it and its digest."""
         header = {"schema_version": SCHEMA_VERSION, "command": self.args.command}
-        if self.args.command != "mc-check":
+        if "file" in self.args:
             header.update(name=self.parsed.name, input_digest=self.parsed.digest)
         return {**header, **fields, "text": text}
 
@@ -308,16 +336,12 @@ class Run:
 
     @stage
     def shadow(self) -> tuple[LieAlgebra, LowerCentralSeries, str]:
-        """(nilshadow, its lower central series, how it was formed); only
-        ``pipeline`` takes a nilpotent input as its own nilshadow."""
+        """(nilshadow, its lower central series, how it was formed); without
+        solvable data a nilpotent input is its own nilshadow."""
         parsed = self.parsed
         if parsed.nilradical is not None and parsed.complement is not None:
             data = SolvableInput(parsed.algebra, parsed.nilradical, parsed.complement)
             return *nilshadow(data), "computed from nilradical/complement data"
-        if self.args.command == "nilshadow":
-            raise ParseError(
-                f"{parsed.name}: nilshadow needs 'nilradical' and 'complement' entries"
-            )
         if self.lcs.is_nilpotent:
             return parsed.algebra, self.lcs, "input already nilpotent; nilshadow is the identity"
         raise PreconditionError(
@@ -347,19 +371,14 @@ class Run:
 
     @stage
     def pd_type(self) -> str:
-        """Duality-type verdict of the selection (``subdga``) or the complex."""
-        subject = self.selection if self.args.command == "subdga" else self.complex
-        violation = pd_type_check(subject)
-        return "pass" if violation is None else violation
+        return duality_verdict(self.complex)
 
     @stage
     def split(self) -> Decomposition:
         return self._split(self.complex, self.grading[0])
 
     def _split(self, dga: Dga, grading: Grading | None) -> Decomposition:
-        """Every degree for ``decompose``; the germ reads degrees <= GERM_TOP."""
-        top = None if self.args.command == "decompose" else GERM_TOP
-        return split_complex(dga, self.args.strategy, grading, top)
+        return split_complex(dga, self.args.strategy, grading, self.top)
 
     @stage
     def cocycle_weights(self) -> dict | None:
@@ -372,12 +391,16 @@ class Run:
 
     @stage
     def germ(self) -> tuple[dict, dict]:
-        return self._germ(self.split, None)
+        return self.solve(self.split, self.target, None)
 
-    def _germ(
-        self, dec: Decomposition, subdga_monomials: list[list[int]] | None
+    def solve(
+        self,
+        dec: Decomposition,
+        target: tuple[dict, LieAlgebra],
+        subdga_monomials: list[list[int]] | None,
     ) -> tuple[dict, dict]:
-        """Solve and check the series on ``dec``; returns (germ file, summary)."""
+        """Solve and check the series on ``dec`` with values in the target;
+        returns (germ file, summary)."""
         grading = dec.grading
         betti = dec.dga.betti()
         if dec.betti() != betti[: len(dec.splits)]:
@@ -385,8 +408,8 @@ class Run:
                 f"split gives betti {dec.betti()} in degrees <= {GERM_TOP}, "
                 f"ranks of d give {betti}"
             )
-        target_dict, target = self.target
-        series = kuranishi_series(dec, target, self.args.cap)
+        target_dict, target_algebra = target
+        series = kuranishi_series(dec, target_algebra, self.args.cap)
         system = obstruction_system(series)
         if series.terminated:
             failure = gauge_identity_check(series)
@@ -425,27 +448,27 @@ class Run:
     def selection(self) -> Dga | None:
         """The verified complex on the monomials that the selection file, else
         the algebra file's characters, names; None without either."""
-        spec, path = self.parsed.characters, self.args.selection
+        ambient, spec, path = self.complex, self.parsed.characters, self.args.selection
         if path is not None:
             # Explicit monomials, character data, or a bare character object.
             spec = load_json_file(path)
             if "characters" not in spec and "monomials" not in spec:
                 spec = {"characters": spec}
-            spec = parse_subdga_spec(spec, self.complex, path)
+            spec = parse_subdga_spec(spec, ambient, path)
         if spec is None:
             return None
         if isinstance(spec, CharacterData):
-            return subdga_from_characters(self.complex, spec)
-        violation = verify_subdga(self.complex, spec)
+            return subdga_from_characters(ambient, spec)
+        violation = verify_subdga(ambient, spec)
         if violation is not None:
             raise PreconditionError(f"selection is not a sub-DGA: {violation}")
-        return Dga(self.complex.algebra, spec)
+        return Dga(ambient.algebra, spec)
 
     @stage
     def sub_germ(self) -> tuple[dict, dict]:
         """The selection's own germ, split without a grading."""
         sub = self.selection
-        return self._germ(self._split(sub, None), subdga_to_monomial_lists(sub))
+        return self.solve(self._split(sub, None), self.target, subdga_to_monomial_lists(sub))
 
     @stage
     def embedding(self) -> dict:
@@ -477,6 +500,10 @@ def cmd_check(run: Run) -> dict:
 
 def cmd_nilshadow(run: Run) -> dict:
     parsed = run.parsed
+    if parsed.nilradical is None or parsed.complement is None:
+        raise ParseError(
+            f"{parsed.name}: nilshadow needs 'nilradical' and 'complement' entries"
+        )
     shadow, lcs, _ = run.shadow
     nilradical = parsed.nilradical.rows
     unchanged = all(
@@ -498,6 +525,7 @@ def cmd_nilshadow(run: Run) -> dict:
 
 
 def cmd_decompose(run: Run) -> dict:
+    run.top = None
     dga, dec = run.complex, run.split
     grading, grading_how = run.grading
     strategy = run.args.strategy
@@ -556,7 +584,7 @@ def cmd_subdga(run: Run) -> dict:
             "in the algebra file"
         )
     labels = [sub.monomial_label(mono) for level in sub.monomials for mono in level]
-    verdict = run.pd_type
+    verdict = duality_verdict(sub)
     return run.report({
         "selected_monomials": subdga_to_monomial_lists(sub),
         "degree_counts": sub.dims(),
@@ -584,7 +612,7 @@ def _bound_verdict(summary: dict) -> str:
 
 def cmd_kuranishi(run: Run) -> dict:
     args = run.args
-    run.target  # a bad --target is reported before anything else is read
+    run.parsed, run.target  # the input file's errors come first, then the target's
     if args.selection is not None:
         germ, summary = run.sub_germ
         germ["embedding_check"] = run.embedding
@@ -670,7 +698,7 @@ def cmd_mc_check(run: Run) -> dict:
 
 def cmd_pipeline(run: Run) -> dict:
     args, name = run.args, run.parsed.name
-    run.target  # a bad --target is reported before anything else is read
+    run.target  # a bad --target is reported before the input is classified
     text = [f"pipeline: {name} -> target {args.target}"]
 
     info = run.classify

@@ -806,6 +806,24 @@ def test_gl_target_spec_is_strict(capsys, spec):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["kuranishi", "pipeline"])
+def test_input_errors_surface_before_a_bad_target(tmp_path, capsys, command):
+    notlie = tmp_path / "notlie.json"
+    notlie.write_text(json.dumps({
+        "basis": ["e1", "e2", "e3"],
+        "brackets": [
+            {"left": "e1", "right": "e2", "result": [{"coef": "1", "basis": "e3"}]},
+            {"left": "e1", "right": "e3", "result": [{"coef": "1", "basis": "e1"}]},
+        ],
+    }))
+    code, out, err = run(capsys, command, str(notlie), "--target", "gl:0")
+    assert code == 1 and out == "" and "Jacobi" in err
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, command, str(missing), "--target", "gl:0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error: {missing}: ") and "gl:" not in err
+
+
 def test_fixture_files_match_builders():
     import germkit.formats as formats
 

@@ -40,7 +40,12 @@ truncated at ``top`` gives the same data in degrees 0..top as the full one.
 The germ needs H^1, H^2 and delta on degree 2 (Goldman-Millson), which is
 why the germ path splits only up to GERM_TOP.  Reading a germ file back,
 mc-check needs only delta on degree 1, so it splits up to READBACK_TOP
-and only its grading check reads d in degree 2.
+and only its grading check reads d in degree 2.  That delta is zero in
+every complex: d(1) = 0 and degree 0 of a selection is the unit or empty,
+so the exact part of degree 1 is zero and every column of delta_1 is
+empty.  mc-check's gauge condition delta(phi) = 0 and the first gauge
+identity therefore hold for every input; they stay as checks of the
+contract.
 """
 
 from __future__ import annotations

@@ -724,8 +724,9 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
 
 
 def parse_point(text: str, variables: tuple[str, ...]) -> list[Scalar]:
-    """Parse 't1=1,t2=1/2' into a full coordinate vector (default 0)."""
-    values = {name: scalar(0) for name in variables}
+    """Parse 't1=1,t2=1/2' into a full coordinate vector (default 0); a
+    variable may be given once."""
+    values: dict[str, Scalar] = {}
     scalars = ParsedScalars()
     text = text.strip()
     if text:
@@ -734,7 +735,9 @@ def parse_point(text: str, variables: tuple[str, ...]) -> list[Scalar]:
                 raise ParseError(f"point: expected name=value, got {chunk!r}")
             name, _, raw = chunk.partition("=")
             name = name.strip()
-            if name not in values:
+            if name not in variables:
                 raise ParseError(f"point: unknown variable {name!r}")
+            if name in values:
+                raise ParseError(f"point: variable {name!r} given twice")
             values[name] = _coerce_scalar(raw.strip(), f"point.{name}", scalars)
-    return [values[name] for name in variables]
+    return [values.get(name, ZERO) for name in variables]

@@ -51,6 +51,11 @@ degree vanishes too (each bracket pair has a factor of degree > rho), so the
 series is certified finite as soon as the trailing window of zeros reaches
 the last nonzero degree.  Otherwise the result is flagged truncated and the
 system is only valid modulo higher degree.
+
+The inclusion of a sub-DGA commutes with the residual everywhere exactly
+when it does at the points e_k and e_k + e_l of the sub-DGA's degree-one
+basis, since the residual is quadratic and [e_k, e_k] = 0;
+``linear_embedding_check`` compares it there and samples nothing.
 """
 
 from __future__ import annotations
@@ -63,13 +68,13 @@ from math import lcm
 from sys import byteorder
 
 from . import linalg
-from .cedga import Dga
+from .cedga import Dga, wedge_monomials
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
 from .linalg import SparseColumns
 from .multipoly import ExponentVector, MultiPoly, PointPowers, prepared
-from .scalars import ONE, Scalar, from_ints, scalar
+from .scalars import ONE, Scalar, from_ints
 
 SparseVec = dict[int, Scalar]
 
@@ -90,18 +95,17 @@ class TensorDgla:
         for left in ones:
             row: list[tuple[int, int] | None] = []
             for right in ones:
-                if left == right:
+                merged = wedge_monomials(left, right)
+                if merged is None:
                     row.append(None)
                     continue
-                merged = tuple(sorted(left + right))
-                spot = self.dga.position.get(merged)
-                if spot is None or spot[0] != 2:
+                spot = self.dga.position.get(merged[1])
+                if spot is None:
                     raise PreconditionError(
                         "degree-1 wedge leaves the complex; the selection "
                         "is not closed under products"
                     )
-                sign = 1 if left < right else -1
-                row.append((sign, spot[1]))
+                row.append((merged[0], spot[1]))
             table.append(row)
         self._wedge11 = table
         # The bracket table for the kernel, column s * ta + t listing the
@@ -644,64 +648,45 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
 
 
 def linear_embedding_check(
-    sub: Dga,
-    ambient: Dga,
-    target: LieAlgebra,
-    samples: list[list[Scalar]],
-) -> tuple[int, str] | None:
-    """Compare flatness residuals computed in a sub-DGA and the ambient.
+    sub: Dga, ambient: Dga, target: LieAlgebra
+) -> tuple[int, str | None]:
+    """Whether the inclusion of ``sub`` into ``ambient`` commutes with the
+    Maurer-Cartan residual R(w) = d w + (1/2)[w, w], decided exactly.
 
     ``sub`` is a complex on monomials of ``ambient`` (a verified selection,
     as ``subdga_from_characters`` returns); both are built by the caller.
-    Each sample lists coordinates over the sub-DGA's degree-one basis
-    (monomial-major, target-minor).  Returns None when the inclusion
-    commutes with the residual on every sample, else (sample index, detail).
+    Let e_k run over the degree-one basis of the selection, one monomial
+    tensor one target basis vector, N of them.  [e_k, e_k] = 0, because
+    alpha wedge alpha = 0, and the bracket of degree-one elements is
+    symmetric, so R(e_k) = d e_k, R(e_k + e_l) = d e_k + d e_l + [e_k, e_l]
+    and R(sum_k c_k e_k) = sum_k c_k R(e_k) + sum_{k<l} c_k c_l
+    (R(e_k + e_l) - R(e_k) - R(e_l)); the same holds for the images in the
+    ambient.  So if the inclusion commutes with R at every e_k and every
+    e_k + e_l (k < l), it commutes with R at every w, over Q(i) as well.
+
+    Returns (points compared, witness): the witness is None when the
+    residuals agree at all N(N+1)/2 points, else it names the first point
+    that fails by its basis labels, with both residuals.
     """
     sub_dgla = TensorDgla(sub, target)
     amb_dgla = TensorDgla(ambient, target)
     ta = target.dim
-
-    def include(p: int, v: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for idx, c in v.items():
-            mono_idx, a = divmod(idx, ta)
-            mono = sub.monomials[p][mono_idx]
-            amb_idx = ambient.position[mono][1]
-            out[amb_idx * ta + a] = c
-        return out
-
-    for k, coords in enumerate(samples):
-        if len(coords) != sub_dgla.dim(1):
-            raise ValueError(
-                f"sample {k} has {len(coords)} coordinates, "
-                f"expected {sub_dgla.dim(1)}"
-            )
-        omega_sub = {i: scalar(c) for i, c in enumerate(coords) if scalar(c)}
-        res_sub = mc_residual(sub_dgla, omega_sub)
-        omega_amb = include(1, omega_sub)
-        res_amb = mc_residual(amb_dgla, omega_amb)
-        if include(2, res_sub) != res_amb:
-            return k, (
-                "residuals disagree: selection gives "
+    # The ambient index of each selection index, in degrees 1 and 2.
+    lift = {
+        p: [ambient.position[m][1] * ta + a for m in sub.monomials[p] for a in range(ta)]
+        for p in (1, 2)
+    }
+    n = sub_dgla.dim(1)
+    pairs = [(k, l) for k in range(n) for l in range(k, n)]
+    for compared, pair in enumerate(pairs, 1):
+        omega = dict.fromkeys(pair, ONE)  # e_k when k == l
+        res_sub = mc_residual(sub_dgla, omega)
+        res_amb = mc_residual(amb_dgla, {lift[1][i]: c for i, c in omega.items()})
+        if {lift[2][i]: c for i, c in res_sub.items()} != res_amb:
+            point = " + ".join(sub_dgla.basis_label(1, i) for i in omega)
+            return compared, (
+                f"residuals disagree at {point}: selection gives "
                 f"{sub_dgla.element_str(2, res_sub)}, ambient gives "
                 f"{amb_dgla.element_str(2, res_amb)}"
             )
-    return None
-
-
-def random_rational_samples(
-    count: int, dimension: int, seed: int = 0
-) -> list[list[Scalar]]:
-    """Deterministic pseudo-random rational sample points."""
-    import random
-
-    rng = random.Random(seed)
-    samples = []
-    for _ in range(count):
-        samples.append(
-            [
-                Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
-                for _ in range(dimension)
-            ]
-        )
-    return samples
+    return len(pairs), None

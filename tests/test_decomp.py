@@ -275,6 +275,18 @@ def test_truncated_split_agrees_with_full_split(algebra, strategy):
     assert dga.betti() == full.betti()
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "algebra", [a for _, a in TRUNCATION_CASES], ids=[n for n, _ in TRUNCATION_CASES]
+)
+def test_delta_on_degree_one_is_zero(algebra, strategy):
+    # d(1) = 0 and degree 0 is the unit, so the exact part of degree 1 is
+    # zero: mc-check's gauge condition delta(phi) = 0 holds for every germ.
+    dga = Dga(algebra)
+    delta1 = split_complex(dga, strategy, top=READBACK_TOP).delta_cols(1)
+    assert len(delta1) == dga.dim_at(1) and not any(delta1)
+
+
 @pytest.mark.parametrize(
     "top", [None, GERM_TOP, READBACK_TOP], ids=["full", "germ-top", "readback-top"]
 )

@@ -93,6 +93,8 @@ def test_parse_point():
     assert point == [scalar(1), scalar(0), scalar("-2/3")]
     with pytest.raises(ParseError):
         parse_point("t9=1", ("t1",))
+    with pytest.raises(ParseError, match="variable 't1' given twice"):
+        parse_point("t1=1, t1=2", ("t1", "t2"))
 
 
 # -- CLI commands ------------------------------------------------------------------
@@ -293,6 +295,18 @@ def test_mc_check_rejects_a_decimal_point_value(tmp_path, capsys):
     assert err.startswith("parse error: point.t1: ")
 
 
+def test_mc_check_rejects_a_repeated_point_variable(tmp_path, capsys):
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "h3.json"), "--target", "sl2",
+        "--json", str(germ_path),
+    )
+    assert code == 0
+    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1,t1=2")
+    assert code == 2 and out == ""
+    assert err == "parse error: point: variable 't1' given twice\n"
+
+
 def test_unexpected_exception_is_exit_3_without_traceback(monkeypatch, capsys):
     def broken(args):
         raise KeyError("boom")
@@ -327,6 +341,19 @@ def test_invariant_violation_names_the_stage(monkeypatch, capsys):
     assert err == (
         "internal invariant violated in pipeline, stage germ: "
         "gauge identity failed: forced\n"
+    )
+
+
+def test_embedding_witness_is_exit_3_naming_the_point(monkeypatch, capsys):
+    witness = "residuals disagree at X⊗H + Z⊗H: selection gives 0, ambient gives 0"
+    monkeypatch.setattr(cli, "linear_embedding_check", lambda sub, ambient, target: (7, witness))
+    code, out, err = run(
+        capsys, "pipeline", str(FIXTURES / "solv_heisenberg.json"), "--target", "sl2"
+    )
+    assert code == 3 and out == ""
+    assert err == (
+        "internal invariant violated in pipeline, stage embedding: "
+        f"inclusion does not preserve residuals: {witness}\n"
     )
 
 

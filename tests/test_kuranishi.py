@@ -14,6 +14,7 @@ from conftest import (
     dense_columns,
     gauge_identity_check_reference,
     germbench_inputs,
+    h5_i_scaled,
     homogeneous_components,
     inferred_grading,
     square_slice,
@@ -35,7 +36,6 @@ from germkit.kuranishi import (
     linear_embedding_check,
     mc_residual,
     obstruction_system,
-    random_rational_samples,
     verify_degree_bound,
 )
 from germkit.liealg import LieAlgebra, Subspace
@@ -392,19 +392,39 @@ def test_linear_embedding_of_character_subdga():
     shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
     dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
-    sl2 = fixtures.sl2()
-    dim1 = sub.dim_at(1) * sl2.dim
-    samples = [[ZERO] * dim1] + random_rational_samples(50, dim1, seed=3)
-    assert linear_embedding_check(sub, dga, sl2, samples) is None
+    # N = 2 one-forms * dim sl2 = 6 basis vectors: N(N+1)/2 points.
+    assert linear_embedding_check(sub, dga, fixtures.sl2()) == (21, None)
 
 
 def test_full_complex_as_its_own_selection():
     h3 = fixtures.heisenberg3()
     dga = Dga(h3)
-    sub = Dga(h3, dga.monomials)
-    sl2 = fixtures.sl2()
-    samples = random_rational_samples(10, dga.dim_at(1) * sl2.dim, seed=1)
-    assert linear_embedding_check(sub, dga, sl2, samples) is None
+    assert linear_embedding_check(Dga(h3, dga.monomials), dga, fixtures.sl2()) == (45, None)
+
+
+def test_linear_embedding_names_the_failing_point():
+    # The monomials of h3 on [X, Y] = 2Z: d Z differs from the ambient's, so
+    # the first point carrying Z, in k-major order, fails.
+    h3 = fixtures.heisenberg3()
+    doubled = LieAlgebra(["X", "Y", "Z"], {(0, 1): {2: scalar(2)}})
+    sub = Dga(doubled, Dga(h3).monomials)
+    assert linear_embedding_check(sub, Dga(h3), fixtures.sl2()) == (7, (
+        "residuals disagree at X⊗H + Z⊗H: selection gives (-2)*X∧Y⊗H, "
+        "ambient gives (-1)*X∧Y⊗H"
+    ))
+
+
+def test_linear_embedding_over_gaussian_rationals():
+    h5i = h5_i_scaled()
+    dga = Dga(h5i)
+    target = _sl2_scaled(I, ONE)
+    no_z = [[m for m in level if 4 not in m] for level in dga.monomials]
+    for monomials, points in ((dga.monomials, 120), (no_z, 78)):
+        assert linear_embedding_check(Dga(h5i, monomials), dga, target) == (points, None)
+    # The conjugate constants give the conjugate d Z.
+    conjugate = LieAlgebra(h5i.labels, {(0, 1): {4: -I}, (2, 3): {4: ONE + I * scalar("1/2")}})
+    compared, witness = linear_embedding_check(Dga(conjugate, dga.monomials), dga, target)
+    assert compared == 13 and witness.startswith("residuals disagree at X1⊗H' + Z⊗H': ")
 
 
 def test_character_subdga_germ_is_smooth():

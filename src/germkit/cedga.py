@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -46,16 +47,25 @@ Monomial = tuple[int, ...]
 def sort_with_sign(indices: tuple[int, ...]) -> tuple[int, Monomial] | None:
     """Sort an index sequence, tracking permutation parity.
 
-    Returns None when an index repeats (the wedge vanishes).
+    Returns None when an index repeats (the wedge vanishes).  The sign is
+    the parity of the inversions: walking from the right, each index is
+    inserted into the sorted indices after it, past the smaller ones.
     """
-    if len(set(indices)) != len(indices):
-        return None
+    if len(indices) == 2:
+        # The product of two degree-one monomials: one comparison.
+        i, j = indices
+        if i < j:
+            return 1, indices
+        return (-1, (j, i)) if i > j else None
+    ordered: list[int] = []
     inversions = 0
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            if indices[a] > indices[b]:
-                inversions += 1
-    return (-1 if inversions % 2 else 1), tuple(sorted(indices))
+    for index in reversed(indices):
+        spot = bisect_left(ordered, index)
+        if spot < len(ordered) and ordered[spot] == index:
+            return None
+        inversions += spot
+        ordered.insert(spot, index)
+    return (-1 if inversions % 2 else 1), tuple(ordered)
 
 
 def wedge_monomials(left: Monomial, right: Monomial) -> tuple[int, Monomial] | None:

@@ -46,6 +46,19 @@ the gauge check brackets every ordered pair afresh, applies delta_1 and
 (1/2) delta_2 on integers and compares with phi_r by cross-multiplying
 denominators, building no Scalar.
 
+Each of those sums writes only the 2-monomials that its consumer's linear
+map reads.  (matrix tensor id) sends every entry on a 2-monomial whose
+column is empty to zero, so ``TensorDgla.wedge_onto`` drops each product
+of degree-one monomials that lands on a 2-monomial with an empty column in
+every map it is given: the series keeps the 2-monomials that delta_2 or the
+harmonic coordinates read (its sums feed phi_r and the obstructions), the
+degrees a capped series leaves to the obstruction system those that the
+harmonic coordinates read, and the gauge check those that delta_2 reads.
+A dropped entry would only have met empty columns, so phi, the obstruction
+polynomials and the gauge comparison are the same integers.
+``bracket_slices``, and with it ``bracket11``, ``mc_residual`` and the
+embedding check, return every coordinate and keep the full table.
+
 Termination bookkeeping: if phi_j = 0 for rho < j <= 2*rho then every later
 degree vanishes too (each bracket pair has a factor of degree > rho), so the
 series is certified finite as soon as the trailing window of zeros reaches
@@ -77,6 +90,9 @@ from .multipoly import ExponentVector, MultiPoly, PointPowers, prepared
 from .scalars import ONE, Scalar, from_ints
 
 SparseVec = dict[int, Scalar]
+# For each pair of degree-one monomials, (wedge sign, 2-monomial index) of
+# their product, or None where it vanishes (or is left out).
+WedgeTable = list[list[tuple[int, int] | None]]
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -91,7 +107,7 @@ class TensorDgla:
         self.target = target
         ta = target.dim
         ones = self.dga.monomials[1]
-        table: list[list[tuple[int, int] | None]] = []
+        table: WedgeTable = []
         for left in ones:
             row: list[tuple[int, int] | None] = []
             for right in ones:
@@ -107,6 +123,8 @@ class TensorDgla:
                     )
                 row.append((merged[0], spot[1]))
             table.append(row)
+        # Every product of two degree-one monomials, for the kernel calls
+        # that need every coordinate; ``wedge_onto`` prunes it.
         self._wedge11 = table
         # The bracket table for the kernel, column s * ta + t listing the
         # (k, numerator) of [x_s, x_t].
@@ -141,6 +159,18 @@ class TensorDgla:
             f"({c})*{self.basis_label(p, i)}" for i, c in sorted(v.items())
         ]
         return " + ".join(parts) if parts else "0"
+
+    def wedge_onto(self, *columns: SparseColumns) -> WedgeTable:
+        """The wedge table with None at every product whose 2-monomial has
+        an empty column in each of ``columns``: the bracket entries there
+        meet only empty columns in every one of those linear maps."""
+        read = {
+            mono for cols in columns for mono, col in enumerate(cols) if col
+        }
+        return [
+            [w if w is not None and w[1] in read else None for w in row]
+            for row in self._wedge11
+        ]
 
     # -- operations -----------------------------------------------------------
 
@@ -262,7 +292,7 @@ def _accumulate(
     left: dict[int, list[tuple[int, int]]],
     right: dict[int, list[tuple[int, int]]],
     consts: list[list[tuple[int, int]]],
-    wedge: list[list[tuple[int, int] | None]],
+    wedge: WedgeTable,
     ta: int,
 ) -> None:
     """Add sign * [left, right] to acc, keyed by packed exponent * step +
@@ -296,10 +326,13 @@ def _accumulate(
 
 
 def _sum_pairs(
-    tdgla: TensorDgla, pairs: list[tuple[int, Packed, Packed]]
+    tdgla: TensorDgla,
+    wedge: WedgeTable,
+    pairs: list[tuple[int, Packed, Packed]],
 ) -> tuple[IntMaps, int]:
     """Sum: factor * [a, b] over the (int factor, packed a, packed b) in
-    ``pairs``, as integer maps over one denominator.
+    ``pairs``, as integer maps over one denominator, on the 2-monomials
+    that the wedge table ``wedge`` keeps (``TensorDgla.wedge_onto``).
 
     Each pair's numerators are brought onto one denominator L * Dc, with L
     the lcm of Da * Db over the pairs, by scaling that pair's sign by
@@ -319,7 +352,7 @@ def _sum_pairs(
                 for consts, ic in parts_c:
                     turns = ia + ib + ic
                     sign = -factor if turns & 2 else factor
-                    _accumulate(acc[turns & 1], sign, left, right, consts, tdgla._wedge11, ta)
+                    _accumulate(acc[turns & 1], sign, left, right, consts, wedge, ta)
     return acc, den * dc
 
 
@@ -387,6 +420,7 @@ def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> 
     step = tdgla._step
     maps, den = _sum_pairs(
         tdgla,
+        tdgla._wedge11,
         [(f, _int_slice(a, code, step), _int_slice(b, code, step)) for f, a, b in pairs],
     )
     return _reduce(maps, den, code, len(next(iter(pairs[0][1]))), step)
@@ -408,17 +442,24 @@ class KuranishiSeries:
     terminated: bool
     last_nonzero: int
     # [phi, phi]_r for each degree r the recursion reached, as integer maps
-    # with their denominator (exponents packed with ``_series_code(cap)``);
-    # the obstruction system takes these over (and empties the field)
-    # instead of bracketing phi again.
+    # with their denominator (exponents packed with ``_series_code(cap)``).
+    # They hold only the 2-monomials that delta_2 or the harmonic
+    # coordinates read; the rest is left out, not summed.  phi_r reads them
+    # through delta_2, and the obstruction system takes them over (and
+    # empties the field) instead of bracketing phi again, reading them
+    # through the harmonic coordinates.
     bracket_sums: dict[int, tuple[IntMaps, int]] = field(default_factory=dict)
 
 
-def _square(tdgla: TensorDgla, packed: dict[int, Packed], r: int) -> tuple[IntMaps, int]:
+def _square(
+    tdgla: TensorDgla, wedge: WedgeTable, packed: dict[int, Packed], r: int
+) -> tuple[IntMaps, int]:
     """[phi, phi]_r as integer sums over the unordered pairs s + t = r (the
-    bracket of degree-one elements is symmetric, so s != t counts twice)."""
+    bracket of degree-one elements is symmetric, so s != t counts twice), on
+    the 2-monomials that ``wedge`` keeps."""
     return _sum_pairs(
         tdgla,
+        wedge,
         [
             (1 if 2 * s == r else 2, packed.get(s, NO_TERMS), packed.get(r - s, NO_TERMS))
             for s in range(1, r // 2 + 1)
@@ -471,14 +512,17 @@ def kuranishi_series(
         packed[1] = _int_slice(phi1, code, step)
 
     # phi_r = -(1/2) delta [phi, phi]_r, with -1/2 folded into the columns.
+    # The stored sums also feed the obstruction projection, so they cover
+    # the 2-monomials that delta_2 or the harmonic coordinates read.
     delta2 = _int_columns(dec.delta_cols(2), Fraction(-1, 2))
+    wedge = tdgla.wedge_onto(dec.delta_cols(2), _obstruction_coords(dec))
 
     rho = 1
     terminated = m == 0  # an empty series is trivially finite
     bracket_sums: dict[int, tuple[IntMaps, int]] = {}
     if not terminated:
         for r in range(2, cap + 1):
-            sums, den = bracket_sums[r] = _square(tdgla, packed, r)
+            sums, den = bracket_sums[r] = _square(tdgla, wedge, packed, r)
             phi_r = _reduce(
                 _apply_columns(delta2, sums, step, ta), den * delta2[1], code, m, step
             )
@@ -536,17 +580,24 @@ class ObstructionSystem:
         return [sorted({*map(sum, p.terms)}) for p in self.polynomials]
 
 
+def _obstruction_coords(dec: Decomposition) -> SparseColumns:
+    """The harmonic coordinates on degree 2, one column per 2-monomial;
+    none when the split stops below degree 2."""
+    return dec.harmonic_coords(2) if len(dec.splits) > 2 else []
+
+
 def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
     """Harmonic coordinates of [phi, phi] as exact polynomials.
 
     [phi, phi] is the series' own integer bracket sums, plus the degrees
     above the last one the recursion reached (a capped series), bracketed
-    here.  The series' sums are dropped afterwards: nothing else reads them.
+    here onto the 2-monomials that the harmonic coordinates read.  The
+    series' sums are dropped afterwards: nothing else reads them.
     """
     dec = series.decomposition
     tdgla = series.tdgla
     ta = tdgla.target.dim
-    coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
+    coords = _obstruction_coords(dec)
     b2 = dec.betti()[2] if coords else 0
     code, step = _series_code(series.cap), tdgla._step
     nvars = len(series.variables)
@@ -556,9 +607,10 @@ def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
     top = 2 * max(series.slices, default=0)
     if any(r not in square for r in range(2, top + 1)):
         packed = {r: _int_slice(terms, code, step) for r, terms in series.slices.items()}
+        wedge = tdgla.wedge_onto(coords)
         for r in range(2, top + 1):
             if r not in square:
-                square[r] = _square(tdgla, packed, r)
+                square[r] = _square(tdgla, wedge, packed, r)
 
     # (harmonic_coords(2) tensor id) sends a degree-2 vector straight to the
     # obstruction coordinates h * ta + a; each exponent vector occurs once.
@@ -608,9 +660,9 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
     series inverts the normal-form map:  phi + (1/2) delta [phi, phi]
     equals the linear part phi_1, that is phi_r + (1/2) delta [phi, phi]_r
     = 0 for every r >= 2.  [phi, phi] is bracketed afresh here, over every
-    ordered pair s + t = r, independent of the series' own bracket sums.
-    Both identities are checked on the kernel's integer maps; no Scalar is
-    built.
+    ordered pair s + t = r, independent of the series' own bracket sums,
+    onto the 2-monomials that delta_2 reads.  Both identities are checked
+    on the kernel's integer maps; no Scalar is built.
     """
     if not series.terminated:
         raise PreconditionError("gauge identities require a terminated series")
@@ -628,9 +680,11 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
         if any(any(part.values()) for part in _apply_columns(delta1, maps, step, ta)):
             return "delta(phi) is not identically zero"
     half_delta2 = _int_columns(dec.delta_cols(2), Fraction(1, 2))
+    wedge = tdgla.wedge_onto(dec.delta_cols(2))
     for r in range(2, top + 1):
         sums, den = _sum_pairs(
             tdgla,
+            wedge,
             [(1, packed.get(s, NO_TERMS), packed.get(r - s, NO_TERMS)) for s in range(1, r)],
         )
         # phi_r = N / D and (1/2) delta [phi, phi]_r = M / D': the sum

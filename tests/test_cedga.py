@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from germkit.cedga import (
     TorsionComponent,
     pd_type_check,
     _pd_type_by_pairing,
+    sort_with_sign,
     subdga_from_characters,
     verify_subdga,
     wedge_monomials,
@@ -339,3 +341,17 @@ def test_wedge_monomial_signs():
     assert wedge_monomials((1,), (0,)) == (-1, (0, 1))
     assert wedge_monomials((0,), (0,)) is None
     assert wedge_monomials((0, 2), (1,)) == (-1, (0, 1, 2))
+
+
+def test_sort_with_sign_agrees_with_the_inversion_count():
+    # The two-index fast path and the general loop give one sign rule: the
+    # parity of the inversions, None on a repeated index.
+    def reference(indices):
+        if len(set(indices)) != len(indices):
+            return None
+        inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+        return (-1) ** inversions, tuple(sorted(indices))
+
+    for length in range(5):
+        for indices in itertools.product(range(4), repeat=length):
+            assert sort_with_sign(indices) == reference(indices), indices

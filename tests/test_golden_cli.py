@@ -111,6 +111,24 @@ def test_golden_digest(key):
     assert digest(key) == FROZEN[key], run_case(*key.split(" "))[2]
 
 
+# sha256 of the scrubbed stdout of ``pipeline --target gl:3 --json`` on
+# germbench's seeded L7 (seed 0): a deep series (nu = 6) into a
+# 9-dimensional target, about 15 MB of JSON.
+DEEP_TARGET = "b6ca45a3c2e126b59d8c31b905dd326595d05e56666d6491c381f576576b1d06"
+
+
+def test_deep_target_digest(tmp_path):
+    from conftest import germbench_inputs
+
+    inputs = germbench_inputs()
+    path = tmp_path / "L7.json"
+    path.write_text(json.dumps(inputs.filiform(7, inputs.rng_for(0, "L7"))), encoding="utf-8")
+    code, out, err = _invoke(["pipeline", str(path), "--target", "gl:3", "--json"])
+    assert (code, err) == (0, "")
+    out = out.replace(str(tmp_path), "<input>")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_TARGET
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     if sys.argv[1:] != ["--write"]:

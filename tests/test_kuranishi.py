@@ -693,23 +693,39 @@ def _solvable_heisenberg5_nilshadow():
     ids=["L6-gl2", "Th5-gl3"],
 )
 def test_square_slice_matches_scalar_reference_over_a_series(base, target):
-    # The series' own integer bracket sums, reduced, are [phi, phi]_r: the
+    # The series' own integer bracket sums, reduced, are [phi, phi]_r on
+    # every 2-monomial that delta_2 or the harmonic coordinates read: the
     # Scalar sum over ordered pairs and one kernel call over unordered ones.
+    # The sums leave out the other 2-monomials, which both maps send to 0.
     algebra, lie_target = base(), target()
     grading = inferred_grading(algebra)
     dec = split_complex(Dga(algebra), "metric", grading, top=GERM_TOP)
     series = kuranishi_series(dec, lie_target)
     assert series.terminated and series.last_nonzero >= 2
     assert set(series.bracket_sums) == set(range(2, 2 * series.last_nonzero + 1))
-    dga = series.tdgla.dga
+    tdgla = series.tdgla
+    ta = lie_target.dim
+    maps = (dec.delta_cols(2), dec.harmonic_coords(2))
+    read = {mono for cols in maps for mono, col in enumerate(cols) if col}
+    assert read < set(range(dec.dga.dim_at(2)))
     code = kuranishi._series_code(series.cap)
+    dropped = 0
     for r, ((re, im), den) in series.bracket_sums.items():
-        expected = _reference_square(dga, lie_target, series.slices, r)
+        expected = _reference_square(dec.dga, lie_target, series.slices, r)
         reduced = kuranishi._reduce(
-            (dict(re), dict(im)), den, code, len(series.variables), series.tdgla._step
+            (dict(re), dict(im)), den, code, len(series.variables), tdgla._step
         )
-        assert reduced == expected, r
-        assert square_slice(series.tdgla, series.slices, r) == expected, r
+        kept = {
+            e: {i: c for i, c in v.items() if i // ta in read} for e, v in expected.items()
+        }
+        assert reduced == {e: v for e, v in kept.items() if v}, r
+        for e, v in expected.items():
+            rest = {i: c for i, c in v.items() if i // ta not in read}
+            dropped += len(rest)
+            for cols in maps:
+                assert tdgla.apply_matrix(cols, rest) == {}, (r, e)
+        assert square_slice(tdgla, series.slices, r) == expected, r
+    assert dropped
 
 
 # -- the integer gauge check against the Scalar reference -------------------------
@@ -810,6 +826,82 @@ def test_gauge_check_catches_a_nonzero_delta_one():
     message = "delta(phi) is not identically zero"
     assert gauge_identity_check(mutated) == message
     assert gauge_identity_check_reference(mutated) == message
+
+
+# -- the pruned bracket kernel against the full wedge table ------------------------
+
+
+PRUNING_BASES = {**GAUGE_BASES, "i_scaled:h5": h5_i_scaled()}
+PRUNING_CASES = [
+    (base, strategy, "gl2", cap)
+    for base in sorted(PRUNING_BASES)
+    for strategy in ("metric", "pivot")
+    for cap in (None, 2, 3)
+] + [
+    (base, strategy, "sl2_i", cap)
+    for base in ("fixture:h5", "generated:L6", "seeded:L6", "i_scaled:h5")
+    for strategy in ("metric", "pivot")
+    for cap in (None, 2, 3)
+]
+
+
+def _germ_outputs(algebra, strategy, target, cap):
+    """The phi slices, the obstruction polynomials and the gauge verdicts on
+    the series and its mutations, of one run."""
+    dec = split_complex(Dga(algebra), strategy, inferred_grading(algebra), top=GERM_TOP)
+    series = kuranishi_series(dec, target, cap)
+    polynomials = [p.terms for p in obstruction_system(series).polynomials]
+    verdicts = []
+    for slices in (series.slices, *_gauge_mutations(series)):
+        try:
+            verdicts.append(gauge_identity_check(_with_slices(series, slices)))
+        except PreconditionError as exc:
+            verdicts.append(str(exc))
+    return series.slices, polynomials, verdicts
+
+
+@pytest.mark.parametrize("base, strategy, target, cap", PRUNING_CASES)
+def test_pruned_kernel_matches_the_full_wedge_table(monkeypatch, base, strategy, target, cap):
+    algebra, lie_target = PRUNING_BASES[base], KERNEL_TARGETS[target]
+    pruned = _germ_outputs(algebra, strategy, lie_target, cap)
+    monkeypatch.setattr(TensorDgla, "wedge_onto", lambda self, *columns: self._wedge11)
+    assert _germ_outputs(algebra, strategy, lie_target, cap) == pruned
+
+
+@pytest.mark.parametrize("strategy", ["metric", "pivot"])
+@pytest.mark.parametrize("base", sorted(PRUNING_BASES))
+def test_wedge_onto_drops_only_unread_monomials(base, strategy):
+    algebra = PRUNING_BASES[base]
+    dec = split_complex(Dga(algebra), strategy, inferred_grading(algebra), top=GERM_TOP)
+    tdgla = TensorDgla(dec.dga, fixtures.sl2())
+    delta2, coords = dec.delta_cols(2), kuranishi._obstruction_coords(dec)
+
+    def reads(cols, mono):
+        return mono < len(cols) and bool(cols[mono])
+
+    for maps in ((delta2,), (coords,), (delta2, coords)):
+        table = tdgla.wedge_onto(*maps)
+        for full_row, row in zip(tdgla._wedge11, table, strict=True):
+            for full, kept in zip(full_row, row, strict=True):
+                if kept is not None:
+                    assert kept == full and any(reads(cols, kept[1]) for cols in maps)
+                elif full is not None:
+                    assert not any(reads(cols, full[1]) for cols in maps)
+
+
+def test_wedge_onto_keeps_few_monomials_on_a_filiform_base():
+    # L7 x gl2 (metric): delta_2 reads 5 of the 21 2-monomials, delta_2 and
+    # the harmonic coordinates together 12.
+    algebra = GENERATED["L7"]
+    dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
+    tdgla = TensorDgla(dec.dga, fixtures.gl(2))
+
+    def targets(table):
+        return {w[1] for row in table for w in row if w is not None}
+
+    assert len(targets(tdgla._wedge11)) == 21
+    assert len(targets(tdgla.wedge_onto(dec.delta_cols(2)))) == 5
+    assert len(targets(tdgla.wedge_onto(dec.delta_cols(2), dec.harmonic_coords(2)))) == 12
 
 
 def test_obstruction_system_rejects_a_linear_term(monkeypatch):

@@ -284,6 +284,8 @@ def parse_algebra_dict(
     basis = data.get("basis")
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise ParseError(f"{source}: basis: expected a list of labels")
+    if not basis:
+        raise ParseError(f"{source}: basis: needs at least one label")
     labels = tuple(basis)
     if len(set(labels)) != len(labels):
         raise ParseError(f"{source}: basis: duplicate labels")
@@ -703,6 +705,10 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         except (ParseError, TypeError, ValueError) as exc:
             raise ParseError(f"{where}.polynomials[{k}]: {exc}") from None
     coordinates = tuple(_field(obstructions, "coordinates", list, where))
+    if not all(isinstance(label, str) for label in coordinates):
+        raise ParseError(f"{where}: coordinates: expected a list of labels")
+    if len(set(coordinates)) != len(coordinates):
+        raise ParseError(f"{where}: coordinates: labels must be distinct")
     if len(coordinates) != len(polys):
         raise ParseError(f"{where}: coordinates: need one label per polynomial")
     terminated = _field(data, "terminated", bool, source)

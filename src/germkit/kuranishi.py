@@ -37,22 +37,21 @@ Maurer-Cartan residual and ``PolyCochain.eval``, is one ``linalg.apply``
 call; the split that supplies delta and the harmonic forms eliminates only
 through ``linalg.echelon`` and builds no dense matrix.
 
-So the series, the obstruction projection and the gauge check stay on
-integers from the bracket to their result: each phi_r is packed once, when
-it is produced; -(1/2) delta_2 of its integer bracket sum is reduced once
-per entry of phi_r; the obstruction system projects the series' integer
-sums on the harmonic 2-forms and reduces once per polynomial coefficient;
-the gauge check brackets every ordered pair afresh, applies delta_1 and
-(1/2) delta_2 on integers and compares with phi_r by cross-multiplying
-denominators, building no Scalar.
+So the series and the gauge check stay on integers from the bracket to
+their result.  The series sums each [phi, phi]_r once and reads it twice:
+its harmonic coordinates are reduced once per obstruction coefficient, and
+while r is within the cap, -(1/2) delta_2 of it is reduced once per entry
+of phi_r, which is packed once, when it is produced.  ``obstruction_system``
+only wraps the series' obstruction terms as polynomials.  The gauge check
+brackets every ordered pair afresh, applies delta_1 and (1/2) delta_2 on
+integers and compares with phi_r by cross-multiplying denominators,
+building no Scalar.
 
 Each of those sums writes only the 2-monomials that its consumer's linear
 map reads.  (matrix tensor id) sends every entry on a 2-monomial whose
 column is empty to zero, so ``TensorDgla.wedge_onto`` drops each product
 of degree-one monomials that lands on a 2-monomial with an empty column in
 every map it is given: the series keeps the 2-monomials that delta_2 or the
-harmonic coordinates read (its sums feed phi_r and the obstructions), the
-degrees a capped series leaves to the obstruction system those that the
 harmonic coordinates read, and the gauge check those that delta_2 reads.
 A dropped entry would only have met empty columns, so phi, the obstruction
 polynomials and the gauge comparison are the same integers.
@@ -62,8 +61,9 @@ embedding check, return every coordinate and keep the full table.
 Termination bookkeeping: if phi_j = 0 for rho < j <= 2*rho then every later
 degree vanishes too (each bracket pair has a factor of degree > rho), so the
 series is certified finite as soon as the trailing window of zeros reaches
-the last nonzero degree.  Otherwise the result is flagged truncated and the
-system is only valid modulo higher degree.
+the last nonzero degree.  [phi, phi] is projected up to that degree 2*rho
+even when it lies past the cap; a series that reaches the cap first is
+flagged truncated, and its system is only valid modulo higher degree.
 
 The inclusion of a sub-DGA commutes with the residual everywhere exactly
 when it does at the points e_k and e_k + e_l of the sub-DGA's degree-one
@@ -441,14 +441,9 @@ class KuranishiSeries:
     cap: int
     terminated: bool
     last_nonzero: int
-    # [phi, phi]_r for each degree r the recursion reached, as integer maps
-    # with their denominator (exponents packed with ``_series_code(cap)``).
-    # They hold only the 2-monomials that delta_2 or the harmonic
-    # coordinates read; the rest is left out, not summed.  phi_r reads them
-    # through delta_2, and the obstruction system takes them over (and
-    # empties the field) instead of bracketing phi again, reading them
-    # through the harmonic coordinates.
-    bracket_sums: dict[int, tuple[IntMaps, int]] = field(default_factory=dict)
+    # The harmonic coordinates of [phi, phi]: for each obstruction
+    # coordinate h * dim a + a, its terms by exponent vector.
+    obstruction_terms: list[dict[ExponentVector, Scalar]]
 
 
 def _square(
@@ -467,17 +462,12 @@ def _square(
     )
 
 
-def _series_code(cap: int) -> str:
-    """The array type of a series' packed exponents.  It holds degree
-    2 * cap: a capped series' obstruction system brackets up to twice its
-    last degree."""
-    return _array_code(2 * cap)
-
-
 def kuranishi_series(
     dec: Decomposition, target: LieAlgebra, cap: int | None = None
 ) -> KuranishiSeries:
-    """Solve the recursion up to ``cap`` (default 2*nu, or 2*dim ungraded)."""
+    """Solve the recursion up to ``cap`` (default 2*nu, or 2*dim ungraded)
+    and project [phi, phi] onto the harmonic 2-forms up to twice the last
+    nonzero degree."""
     tdgla = TensorDgla(dec.dga, target)
     if cap is None:
         if dec.grading is not None:
@@ -502,7 +492,8 @@ def kuranishi_series(
     def unit_exp(i: int) -> ExponentVector:
         return tuple(1 if k == i else 0 for k in range(m))
 
-    code, step = _series_code(cap), tdgla._step
+    # Packed exponents reach degree 2 * rho <= 2 * cap.
+    code, step = _array_code(2 * cap), tdgla._step
     slices: dict[int, Slice] = {}
     # Each phi_r packed once, when it is produced.
     packed: dict[int, Packed] = {}
@@ -511,18 +502,33 @@ def kuranishi_series(
         slices[1] = phi1
         packed[1] = _int_slice(phi1, code, step)
 
-    # phi_r = -(1/2) delta [phi, phi]_r, with -1/2 folded into the columns.
-    # The stored sums also feed the obstruction projection, so they cover
-    # the 2-monomials that delta_2 or the harmonic coordinates read.
+    # Each [phi, phi]_r is summed once, onto the 2-monomials that delta_2 or
+    # the harmonic coordinates read.  Its harmonic coordinates are the
+    # obstruction terms of degree r: (harmonic_coords(2) tensor id) sends a
+    # degree-2 vector straight to the coordinates h * ta + a (none when the
+    # split stops below degree 2).  While r <= cap, -(1/2) delta_2 of it is
+    # phi_r, with -1/2 folded into the columns.
+    coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
+    coord_cols = _int_columns(coords)
     delta2 = _int_columns(dec.delta_cols(2), Fraction(-1, 2))
-    wedge = tdgla.wedge_onto(dec.delta_cols(2), _obstruction_coords(dec))
+    wedge = tdgla.wedge_onto(dec.delta_cols(2), coords)
+    b2 = dec.betti()[2] if coords else 0
+    obstruction_terms: list[dict[ExponentVector, Scalar]] = [{} for _ in range(b2 * ta)]
 
-    rho = 1
-    terminated = m == 0  # an empty series is trivially finite
-    bracket_sums: dict[int, tuple[IntMaps, int]] = {}
-    if not terminated:
-        for r in range(2, cap + 1):
-            sums, den = bracket_sums[r] = _square(tdgla, wedge, packed, r)
+    # The loop stops at r = 2 * rho; the series terminates if that is within
+    # the cap.  An empty series has no degree to bracket.
+    rho, r = 1, 2
+    while m and r <= 2 * rho:
+        sums, den = _square(tdgla, wedge, packed, r)
+        projected = _apply_columns(coord_cols, sums, step, ta)
+        for exps, vec in _reduce(projected, den * coord_cols[1], code, m, step).items():
+            if sum(exps) < 2:
+                raise InternalCheckError(
+                    "obstruction polynomial has a constant or linear part"
+                )
+            for k, value in vec.items():
+                obstruction_terms[k][exps] = value
+        if r <= cap:
             phi_r = _reduce(
                 _apply_columns(delta2, sums, step, ta), den * delta2[1], code, m, step
             )
@@ -530,9 +536,7 @@ def kuranishi_series(
                 slices[r] = phi_r
                 packed[r] = _int_slice(phi_r, code, step)
                 rho = r
-            if r >= 2 * rho:
-                terminated = True
-                break
+        r += 1
 
     return KuranishiSeries(
         tdgla=tdgla,
@@ -541,9 +545,9 @@ def kuranishi_series(
         zeta_info=zeta_info,
         slices=slices,
         cap=cap,
-        terminated=terminated,
+        terminated=2 * rho <= cap,
         last_nonzero=rho if m else 0,
-        bracket_sums=bracket_sums,
+        obstruction_terms=obstruction_terms,
     )
 
 
@@ -580,60 +584,18 @@ class ObstructionSystem:
         return [sorted({*map(sum, p.terms)}) for p in self.polynomials]
 
 
-def _obstruction_coords(dec: Decomposition) -> SparseColumns:
-    """The harmonic coordinates on degree 2, one column per 2-monomial;
-    none when the split stops below degree 2."""
-    return dec.harmonic_coords(2) if len(dec.splits) > 2 else []
-
-
 def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
-    """Harmonic coordinates of [phi, phi] as exact polynomials.
-
-    [phi, phi] is the series' own integer bracket sums, plus the degrees
-    above the last one the recursion reached (a capped series), bracketed
-    here onto the 2-monomials that the harmonic coordinates read.  The
-    series' sums are dropped afterwards: nothing else reads them.
-    """
+    """The series' harmonic coordinates of [phi, phi] as exact polynomials,
+    labelled by harmonic 2-form and target basis vector."""
     dec = series.decomposition
-    tdgla = series.tdgla
-    ta = tdgla.target.dim
-    coords = _obstruction_coords(dec)
-    b2 = dec.betti()[2] if coords else 0
-    code, step = _series_code(series.cap), tdgla._step
-    nvars = len(series.variables)
-
-    square = series.bracket_sums
-    series.bracket_sums = {}
-    top = 2 * max(series.slices, default=0)
-    if any(r not in square for r in range(2, top + 1)):
-        packed = {r: _int_slice(terms, code, step) for r, terms in series.slices.items()}
-        wedge = tdgla.wedge_onto(coords)
-        for r in range(2, top + 1):
-            if r not in square:
-                square[r] = _square(tdgla, wedge, packed, r)
-
-    # (harmonic_coords(2) tensor id) sends a degree-2 vector straight to the
-    # obstruction coordinates h * ta + a; each exponent vector occurs once.
-    coord_cols = _int_columns(coords)
-    polys: list[dict[ExponentVector, Scalar]] = [
-        {} for _ in range(b2 * ta)
-    ]
-    for sums, den in square.values():
-        projected = _apply_columns(coord_cols, sums, step, ta)
-        for exps, vec in _reduce(projected, den * coord_cols[1], code, nvars, step).items():
-            if sum(exps) < 2:
-                raise InternalCheckError(
-                    "obstruction polynomial has a constant or linear part"
-                )
-            for k, value in vec.items():
-                polys[k][exps] = value
-
+    target = series.tdgla.target
     labels = tuple(
-        f"h2[{h}]⊗{tdgla.target.labels[a]}"
-        for h in range(b2)
-        for a in range(ta)
+        f"h2[{k // target.dim}]⊗{target.labels[k % target.dim]}"
+        for k in range(len(series.obstruction_terms))
     )
-    polynomials = tuple(MultiPoly.from_terms(series.variables, terms) for terms in polys)
+    polynomials = tuple(
+        MultiPoly.from_terms(series.variables, terms) for terms in series.obstruction_terms
+    )
     nu = dec.grading.depth if dec.grading is not None else None
     return ObstructionSystem(
         variables=series.variables,
@@ -659,10 +621,11 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
     First, delta kills the whole series coefficientwise.  Second, the
     series inverts the normal-form map:  phi + (1/2) delta [phi, phi]
     equals the linear part phi_1, that is phi_r + (1/2) delta [phi, phi]_r
-    = 0 for every r >= 2.  [phi, phi] is bracketed afresh here, over every
-    ordered pair s + t = r, independent of the series' own bracket sums,
-    onto the 2-monomials that delta_2 reads.  Both identities are checked
-    on the kernel's integer maps; no Scalar is built.
+    = 0 for every r >= 2.  [phi, phi] is bracketed afresh here from the
+    series' phi slices alone, over every ordered pair s + t = r, onto the
+    2-monomials that delta_2 reads; the series' own unordered sums are not
+    reused.  Both identities are checked on the kernel's integer maps; no
+    Scalar is built.
     """
     if not series.terminated:
         raise PreconditionError("gauge identities require a terminated series")

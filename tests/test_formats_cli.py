@@ -499,6 +499,16 @@ def _zero_twin(germ, before):
          "polynomials[0]: bad scalar '1/0': Fraction(1, 0)"),
         (lambda g: g["obstructions"]["polynomials"][0][0].update(coefficient="1.5"),
          "polynomials[0]: bad scalar '1.5': expected a, a/b, c/d*i or a/b+c/d*i"),
+        *[
+            (lambda g, label=label: g["obstructions"]["coordinates"].__setitem__(0, label),
+             "obstructions: coordinates: expected a list of labels")
+            for label in (["h2[0]"], {"h": 0}, None, True, 0, 1.5)
+        ],
+        # mc-check --json keys the obstruction values by label.
+        (lambda g: g["obstructions"]["coordinates"].__setitem__(1, g["obstructions"]["coordinates"][0]),
+         "obstructions: coordinates: labels must be distinct"),
+        (lambda g: g["target_algebra"].update(basis=[]), "target_algebra: basis: needs at least one label"),
+        (lambda g: g["base_algebra"].update(basis=[]), "base_algebra: basis: needs at least one label"),
     ],
     ids=[
         "no-base-algebra", "monomial-index-99", "short-exponents", "strategy-foo", "short-record",
@@ -508,6 +518,9 @@ def _zero_twin(germ, before):
         "repeated-variables", "negative-record-exponent", "repeated-record-exponents",
         "zero-record-then-repeat", "repeat-then-zero-record",
         "record-coefficient-1/0", "record-coefficient-1.5",
+        "list-coordinate", "dict-coordinate", "null-coordinate", "bool-coordinate",
+        "int-coordinate", "float-coordinate", "repeated-coordinate", "empty-target-basis",
+        "empty-base-basis",
     ],
 )
 def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):
@@ -520,9 +533,10 @@ def test_bad_germ_file_is_a_parse_error(tmp_path, capsys, corrupt, field):
     germ = json.loads(germ_path.read_text())
     corrupt(germ)
     germ_path.write_text(json.dumps(germ))
-    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1")
-    assert code == 2 and out == ""
-    assert err.startswith("parse error: ") and field in err
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1", *json_flag)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ") and field in err
 
 
 def _h3_germ(tmp_path, capsys):
@@ -831,6 +845,22 @@ def test_gl_target_spec_is_strict(capsys, spec):
     code, out, err = run(capsys, "kuranishi", str(FIXTURES / "h3.json"), "--target", spec)
     assert code == 2 and out == ""
     assert "Traceback" not in err
+
+
+def test_empty_basis_is_a_parse_error(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"basis": []}))
+    h3 = str(FIXTURES / "h3.json")
+    runs = [
+        *([command, str(empty)] for command in ("check", "pipeline", "nilshadow", "decompose")),
+        ["kuranishi", str(empty), "--target", "sl2"],
+        ["kuranishi", h3, "--target", str(empty)],
+        ["pipeline", h3, "--target", str(empty)],
+    ]
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"parse error: {empty}: basis: needs at least one label\n", argv
 
 
 @pytest.mark.parametrize("command", ["kuranishi", "pipeline"])

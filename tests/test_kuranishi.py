@@ -28,7 +28,6 @@ from germkit.decomp import GERM_TOP, Decomposition, monomial_weight, split_compl
 from germkit.errors import InternalCheckError, PreconditionError
 from germkit.formats import parse_algebra_dict
 from germkit.kuranishi import (
-    KuranishiSeries,
     TensorDgla,
     bracket_slices,
     gauge_identity_check,
@@ -198,16 +197,7 @@ def test_graded_weight_confinement():
 
 def _with_slices(series, slices):
     """``series`` with its phi replaced by ``slices``."""
-    return KuranishiSeries(
-        tdgla=series.tdgla,
-        decomposition=series.decomposition,
-        variables=series.variables,
-        zeta_info=series.zeta_info,
-        slices=slices,
-        cap=series.cap,
-        terminated=series.terminated,
-        last_nonzero=max(slices, default=0),
-    )
+    return dataclasses.replace(series, slices=slices, last_nonzero=max(slices, default=0))
 
 
 def test_gauge_identities_and_mutation():
@@ -479,51 +469,53 @@ def test_selection_with_empty_middle_degree():
         assert system.is_smooth
 
 
-def _reference_obstructions(series):
-    """Harmonic coordinates of a fresh Scalar [phi, phi]: one dense dot
-    product per term, harmonic 2-form and target index."""
+def _reference_projection(series, square):
+    """Harmonic coordinates of a Scalar slice of degree-2 vectors: one dense
+    dot product per term, harmonic 2-form and target index."""
     dec = series.decomposition
     ta = series.tdgla.target.dim
     coords = (
         dense_columns(dec.harmonic_coords(2), dec.betti()[2]) if len(dec.splits) > 2 else []
     )
-    dga, target = series.tdgla.dga, series.tdgla.target
-    square = [
-        _reference_square(dga, target, series.slices, r)
-        for r in range(2, 2 * max(series.slices, default=0) + 1)
-    ]
     polys = [{} for _ in range(len(coords) * ta)]
-    for terms in square:
-        for exps, vec in terms.items():
-            for a in range(ta):
-                dense = [ZERO] * dec.dga.dim_at(2)
-                for idx, c in vec.items():
-                    mono, ai = divmod(idx, ta)
-                    if ai == a:
-                        dense[mono] = c
-                for h, row in enumerate(coords):
-                    acc = ZERO
-                    for x, y in zip(row, dense):
-                        acc = acc + x * y
-                    if acc:
-                        polys[h * ta + a][exps] = acc
-    return [MultiPoly(series.variables, terms) for terms in polys]
+    for exps, vec in square.items():
+        for a in range(ta):
+            dense = [ZERO] * dec.dga.dim_at(2)
+            for idx, c in vec.items():
+                mono, ai = divmod(idx, ta)
+                if ai == a:
+                    dense[mono] = c
+            for h, row in enumerate(coords):
+                acc = ZERO
+                for x, y in zip(row, dense):
+                    acc = acc + x * y
+                if acc:
+                    polys[h * ta + a][exps] = acc
+    return polys
+
+
+def _reference_obstructions(series):
+    """Harmonic coordinates of a fresh Scalar [phi, phi]."""
+    dga, target = series.tdgla.dga, series.tdgla.target
+    square = {}
+    for r in range(2, 2 * max(series.slices, default=0) + 1):
+        square.update(_reference_square(dga, target, series.slices, r))
+    return [MultiPoly(series.variables, terms) for terms in _reference_projection(series, square)]
 
 
 @pytest.mark.parametrize("cap", [2, 3])
 @pytest.mark.parametrize("target", ["sl2", "gl2"])
 @pytest.mark.parametrize("name", sorted(FIXTURE_ALGEBRAS))
 def test_capped_obstructions_match_a_fresh_bracket(name, target, cap):
-    """A capped series leaves [phi, phi] above the cap to the obstruction
-    system; its result must still be the projection of the whole bracket."""
+    """A capped series projects [phi, phi] past the cap, up to twice its last
+    degree; the result must still be the projection of the whole bracket."""
     dec = split_complex(Dga(FIXTURE_ALGEBRAS[name]), "metric", top=GERM_TOP)
     series = kuranishi_series(dec, fixtures.BUILTIN_ALGEBRAS[target](), cap)
     reference = [p.terms for p in _reference_obstructions(series)]
     system = obstruction_system(series)
     assert system.cap == cap
     assert [p.terms for p in system.polynomials] == reference
-    # The series' bracket sums are used up; a second call brackets afresh.
-    assert not series.bracket_sums
+    # The system only reads the series, so a second call gives it again.
     assert [p.terms for p in obstruction_system(series).polynomials] == reference
 
 
@@ -693,32 +685,33 @@ def _solvable_heisenberg5_nilshadow():
     ids=["L6-gl2", "Th5-gl3"],
 )
 def test_square_slice_matches_scalar_reference_over_a_series(base, target):
-    # The series' own integer bracket sums, reduced, are [phi, phi]_r on
-    # every 2-monomial that delta_2 or the harmonic coordinates read: the
-    # Scalar sum over ordered pairs and one kernel call over unordered ones.
-    # The sums leave out the other 2-monomials, which both maps send to 0.
+    # The series' obstruction terms of each degree r in 2..2 rho are the
+    # harmonic coordinates of the Scalar [phi, phi]_r over ordered pairs,
+    # though the series sums it over unordered pairs and only onto the
+    # 2-monomials that delta_2 or the harmonic coordinates read.  Both maps
+    # send the other 2-monomials to 0.
     algebra, lie_target = base(), target()
     grading = inferred_grading(algebra)
     dec = split_complex(Dga(algebra), "metric", grading, top=GERM_TOP)
     series = kuranishi_series(dec, lie_target)
     assert series.terminated and series.last_nonzero >= 2
-    assert set(series.bracket_sums) == set(range(2, 2 * series.last_nonzero + 1))
+    top = 2 * series.last_nonzero
+    assert {sum(e) for terms in series.obstruction_terms for e in terms} <= set(
+        range(2, top + 1)
+    )
     tdgla = series.tdgla
     ta = lie_target.dim
     maps = (dec.delta_cols(2), dec.harmonic_coords(2))
     read = {mono for cols in maps for mono, col in enumerate(cols) if col}
     assert read < set(range(dec.dga.dim_at(2)))
-    code = kuranishi._series_code(series.cap)
     dropped = 0
-    for r, ((re, im), den) in series.bracket_sums.items():
+    for r in range(2, top + 1):
         expected = _reference_square(dec.dga, lie_target, series.slices, r)
-        reduced = kuranishi._reduce(
-            (dict(re), dict(im)), den, code, len(series.variables), tdgla._step
-        )
-        kept = {
-            e: {i: c for i, c in v.items() if i // ta in read} for e, v in expected.items()
-        }
-        assert reduced == {e: v for e, v in kept.items() if v}, r
+        got = [
+            {e: c for e, c in terms.items() if sum(e) == r}
+            for terms in series.obstruction_terms
+        ]
+        assert got == _reference_projection(series, expected), r
         for e, v in expected.items():
             rest = {i: c for i, c in v.items() if i // ta not in read}
             dropped += len(rest)
@@ -874,7 +867,7 @@ def test_wedge_onto_drops_only_unread_monomials(base, strategy):
     algebra = PRUNING_BASES[base]
     dec = split_complex(Dga(algebra), strategy, inferred_grading(algebra), top=GERM_TOP)
     tdgla = TensorDgla(dec.dga, fixtures.sl2())
-    delta2, coords = dec.delta_cols(2), kuranishi._obstruction_coords(dec)
+    delta2, coords = dec.delta_cols(2), dec.harmonic_coords(2)
 
     def reads(cols, mono):
         return mono < len(cols) and bool(cols[mono])
@@ -905,8 +898,29 @@ def test_wedge_onto_keeps_few_monomials_on_a_filiform_base():
 
 
 def test_obstruction_system_rejects_a_linear_term(monkeypatch):
-    series = _setup("h3", "sl2")
-    linear = (1,) + (0,) * (len(series.variables) - 1)
+    # The obstruction terms are reduced, and checked, while the series is
+    # built; the first reduction at r = 2 is the harmonic projection.
+    g = fixtures.heisenberg3()
+    dec = split_complex(Dga(g), "metric", inferred_grading(g))
+    linear = (1,) + (0,) * (dec.betti()[1] * 3 - 1)
     monkeypatch.setattr(kuranishi, "_reduce", lambda *args: {linear: {0: ONE}})
     with pytest.raises(InternalCheckError, match="constant or linear part"):
-        obstruction_system(series)
+        kuranishi_series(dec, fixtures.sl2())
+
+
+@pytest.mark.parametrize("cap", [None, 2, 3])
+@pytest.mark.parametrize("base", sorted(GAUGE_BASES))
+def test_obstruction_system_brackets_and_projects_nothing(monkeypatch, base, cap):
+    algebra = GAUGE_BASES[base]
+    dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
+    series = kuranishi_series(dec, fixtures.gl(2), cap)
+    expected = [dict(terms) for terms in series.obstruction_terms]
+
+    def refuse(*args):
+        raise AssertionError("obstruction_system reached the bracket kernel")
+
+    for name in ("_square", "_sum_pairs", "_apply_columns", "_reduce"):
+        monkeypatch.setattr(kuranishi, name, refuse)
+    system = obstruction_system(series)
+    assert [p.terms for p in system.polynomials] == expected
+    assert series.obstruction_terms == expected

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import ast
 import pathlib
-import tomllib
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -112,9 +111,17 @@ def _data_fields(tree: ast.Module, module: str):
 
 
 def _entry_point() -> str:
-    with open(ROOT / "pyproject.toml", "rb") as handle:
-        scripts = tomllib.load(handle)["project"]["scripts"]
-    (target,) = scripts.values()
+    """The one ``name = "module:attr"`` line of ``[project.scripts]``, read
+    as text: ``tomllib`` needs Python 3.11, the project supports 3.10."""
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    section = lines[lines.index("[project.scripts]") + 1 :]
+    entries = []
+    for line in section:
+        if line.startswith("["):
+            break
+        if "=" in line:
+            entries.append(line.split("=", 1)[1].strip().strip('"'))
+    (target,) = entries
     module, attr = target.split(":")
     return f"{module.removeprefix('germkit.')}.{attr}"
 

@@ -23,11 +23,20 @@ count, the exit-code counts and one sha256 over the per-run hashes.
 A second line extends the matrix by ``check`` on each of the 20 inputs and
 ``nilshadow`` on each input that carries nilradical and complement data, the
 classification and nilshadow layers; it counts and hashes all runs, the
-first line's included.  A change that must keep every output byte prints
-the same two lines before and after.  It takes 12-17 s on a 2-vCPU
-host with Python 3.11; writing the JSON (``render_json``) is its largest
-single function under cProfile, ahead of the series.  It is not part of
-the test suite.
+first line's included.
+
+A third line extends the second line's matrix by the sub-DGA germ path and
+truncated germs read back: ``kuranishi --subdga`` on each input that
+carries characters, at every target and option, with the characters written
+to a selection file; ``mc-check`` of those germs at ``mc_points``; and one
+two-variable point (first and last variable at 1) on each ``--cap 3`` germ,
+of the first line's matrix and of the sub-DGA runs.  It counts and hashes
+all runs, the first two lines' included.
+
+A change that must keep every output byte prints the same lines before and
+after.  It takes 12-17 s on a 2-vCPU host with Python 3.11; writing the
+JSON (``render_json``) is its largest single function under cProfile, ahead
+of the series.  It is not part of the test suite.
 
     python3 scripts/byte_check.py
 """
@@ -141,10 +150,11 @@ def main() -> None:
         for stem, data in generated().items():
             (gen_dir / f"{stem}.json").write_text(json.dumps(data), encoding="utf-8")
         germ_path = gen_dir / "germ" / "germ.json"
+        selection_path = germ_path.with_name("selection.json")
         germ_path.parent.mkdir()
         tokens = {str(gen_dir): "<generated>", str(FIXTURES): "<fixtures>"}
         files = sorted(FIXTURES.glob("*.json")) + sorted(gen_dir.glob("*.json"))
-        base, extended = Tally(), Tally()
+        base, extended, selections = Tally(), Tally(), Tally()
 
         def record(argv: list[str], tallies: tuple[Tally, ...]) -> tuple[int, str]:
             code, digest, stdout = run(argv, tokens)
@@ -152,26 +162,44 @@ def main() -> None:
                 tally.add(code, digest)
             return code, stdout
 
-        both = (base, extended)
+        def read_back(stdout: str, options: tuple[str, ...], tallies: tuple[Tally, ...]) -> None:
+            germ_path.write_text(stdout, encoding="utf-8")
+            variables = json.loads(stdout)["variables"]
+            for point in mc_points(variables):
+                record(["mc-check", str(germ_path), "--point", point, "--json"], tallies)
+            if "--cap" in options and len(variables) > 1:
+                pair = f"{variables[0]}=1,{variables[-1]}=1"
+                record(["mc-check", str(germ_path), "--point", pair, "--json"], (selections,))
+
+        every = (base, extended, selections)
         for path in files:
             for command in COMMANDS:
                 for target in TARGETS:
                     for options in OPTIONS:
                         argv = [command, str(path), "--target", target, *options, "--json"]
-                        code, stdout = record(argv, both)
-                        if command != "kuranishi" or target not in MC_TARGETS or code:
-                            continue
-                        germ_path.write_text(stdout, encoding="utf-8")
-                        for point in mc_points(json.loads(stdout)["variables"]):
-                            record(["mc-check", str(germ_path), "--point", point, "--json"], both)
+                        code, stdout = record(argv, every)
+                        if command == "kuranishi" and target in MC_TARGETS and not code:
+                            read_back(stdout, options, every)
             for strategy in STRATEGIES:
-                record(["decompose", str(path), "--strategy", strategy, "--json"], both)
-            record(["check", str(path), "--json"], (extended,))
+                record(["decompose", str(path), "--strategy", strategy, "--json"], every)
+            record(["check", str(path), "--json"], (extended, selections))
             data = json.loads(path.read_text(encoding="utf-8"))
             if "nilradical" in data and "complement" in data:
-                record(["nilshadow", str(path), "--json"], (extended,))
-    print(base.line())
-    print(extended.line())
+                record(["nilshadow", str(path), "--json"], (extended, selections))
+            if "basis" not in data or "characters" not in data:
+                continue
+            selection_path.write_text(json.dumps(data["characters"]), encoding="utf-8")
+            for target in TARGETS:
+                for options in OPTIONS:
+                    argv = [
+                        "kuranishi", str(path), "--subdga", str(selection_path),
+                        "--target", target, *options, "--json",
+                    ]
+                    code, stdout = record(argv, (selections,))
+                    if target in MC_TARGETS and not code:
+                        read_back(stdout, options, (selections,))
+    for tally in (base, extended, selections):
+        print(tally.line())
 
 
 if __name__ == "__main__":

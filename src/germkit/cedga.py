@@ -19,9 +19,10 @@ read; the program never reads them, and they are kept for the benchmark's
 counters and its ``rref`` probe.
 
 A monomial sub-DGA is a per-degree selection of monomials that contains the
-unit and is closed under both d and wedge.  ``verify_subdga`` checks a
-selection against its parent once; the sub-DGA is then a ``Dga`` of its
-own on the selected monomials.  Character data (exponent vectors
+unit and is closed under both d and wedge.  ``verify_subdga`` is the one
+check of a selection against its parent; ``Dga.restrict`` then re-indexes
+the parent's columns onto it, so d is derived from the structure constants
+once, for the full complex.  Character data (exponent vectors
 on a finitely generated abelian group, with optional torsion) selects the
 monomials whose exponent sums vanish, which is how invariant sub-DGAs of
 diagonalizable actions enter the pipeline.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -72,76 +73,92 @@ def wedge_monomials(left: Monomial, right: Monomial) -> tuple[int, Monomial] | N
     return sort_with_sign(left + right)
 
 
+def _diff_monomial(
+    gen_diff: list[dict[Monomial, Scalar]], mono: Monomial
+) -> dict[Monomial, Scalar]:
+    """d(x_mono) in the free exterior algebra, from d of each generator."""
+    out: dict[Monomial, Scalar] = {}
+    for t, gen in enumerate(mono):
+        for pair, coeff in gen_diff[gen].items():
+            seq = mono[:t] + pair + mono[t + 1 :]
+            sorted_ = sort_with_sign(seq)
+            if sorted_ is None:
+                continue
+            sign, target = sorted_
+            total = out.get(target, ZERO) + scalar(sign * (-1) ** t) * coeff
+            if total:
+                out[target] = total
+            else:
+                out.pop(target, None)
+    return out
+
+
+Position = dict[Monomial, tuple[int, int]]
+Column = list[tuple[int, Scalar]]
+
+
 class Dga:
     """A monomial cochain complex with wedge product.
 
-    Covers both the full exterior complex of an algebra and any monomial
-    sub-DGA of it (same generator differentials, restricted basis).
-    Construction fails if the differential leaves the chosen span or if
-    d composed with itself is nonzero; the error names the first nonzero
-    entry of d_(p+1) d_p in row-major order, in the lowest failing degree.
+    ``Dga(algebra)`` is the full exterior complex of an algebra, and
+    ``restrict`` the complex on a monomial sub-DGA of it.  Making either
+    checks d o d = 0; the error names the first nonzero entry of
+    d_(p+1) d_p in row-major order, in the lowest failing degree.
     """
 
-    __slots__ = ("algebra", "monomials", "position", "columns", "d", "_gen_diff")
+    __slots__ = ("algebra", "monomials", "position", "columns", "d")
 
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        monomials: list[list[Monomial]] | None = None,
-    ):
-        self.algebra = algebra
+    def __init__(self, algebra: LieAlgebra):
         n = algebra.dim
-        if monomials is None:
-            monomials = [
-                list(itertools.combinations(range(n), p)) for p in range(n + 1)
-            ]
-        if len(monomials) != n + 1:
-            raise ValueError("monomial table must cover degrees 0..dim")
-        self.monomials: tuple[tuple[Monomial, ...], ...] = tuple(
-            tuple(sorted(set(level))) for level in monomials
-        )
-        for p, level in enumerate(self.monomials):
-            for mono in level:
-                if len(mono) != p or list(mono) != sorted(set(mono)):
-                    raise ValueError(f"bad degree-{p} monomial {mono}")
-                if mono and not (0 <= mono[0] and mono[-1] < n):
-                    raise ValueError(f"monomial {mono} out of range")
-        self.position: dict[Monomial, tuple[int, int]] = {}
-        for p, level in enumerate(self.monomials):
-            for idx, mono in enumerate(level):
-                self.position[mono] = (p, idx)
-
-        self._gen_diff: list[dict[Monomial, Scalar]] = [
-            {} for _ in range(n)
-        ]
+        gen_diff: list[dict[Monomial, Scalar]] = [{} for _ in range(n)]
         for i, j, comps in algebra.nonzero_brackets():
             for k, c in comps.items():
-                acc = self._gen_diff[k]
-                acc[(i, j)] = acc.get((i, j), ZERO) - c
+                gen_diff[k][(i, j)] = gen_diff[k].get((i, j), ZERO) - c
 
-        self.columns: list[SparseColumns] = []
-        for p, level in enumerate(self.monomials):
-            columns = []
-            for mono in level:
-                column = []
-                for target, coeff in self._diff_monomial(mono).items():
-                    spot = self.position.get(target)
-                    if spot is None or spot[0] != p + 1:
-                        raise PreconditionError(
-                            f"differential leaves the span: d({self.monomial_label(mono)}) "
-                            f"has a component on {self.monomial_label(target)} "
-                            "outside the complex"
-                        )
-                    column.append((spot[1], coeff))
-                column.sort()
-                columns.append(column)
-            self.columns.append(columns)
+        def column(p: int, mono: Monomial, position: Position) -> Column:
+            diff = _diff_monomial(gen_diff, mono).items()
+            return sorted((position[target][1], coeff) for target, coeff in diff)
+
+        monomials = [list(itertools.combinations(range(n), p)) for p in range(n + 1)]
+        self._set(algebra, monomials, column)
+
+    def restrict(self, selected: Sequence[Sequence[Monomial]]) -> Dga:
+        """The complex on ``selected``, a per-degree selection that
+        ``verify_subdga`` has passed: this complex's columns, re-indexed.
+        Both bases are in lexicographic order, so each column stays sorted."""
+
+        def column(p: int, mono: Monomial, position: Position) -> Column:
+            return [
+                (position[self.monomials[p + 1][row]][1], value)
+                for row, value in self.columns[p][self.position[mono][1]]
+            ]
+
+        sub = Dga.__new__(Dga)
+        sub._set(self.algebra, [sorted(level) for level in selected], column)
+        return sub
+
+    def _set(
+        self,
+        algebra: LieAlgebra,
+        monomials: list[list[Monomial]],
+        column: Callable[[int, Monomial, Position], Column],
+    ) -> None:
+        """Lay out the basis, take each monomial's d from ``column`` and
+        check d o d = 0."""
+        self.algebra = algebra
+        self.monomials: tuple[tuple[Monomial, ...], ...] = tuple(map(tuple, monomials))
+        self.position: Position = {
+            mono: (p, idx) for p, level in enumerate(monomials) for idx, mono in enumerate(level)
+        }
+        self.columns: list[SparseColumns] = [
+            [column(p, mono, self.position) for mono in level]
+            for p, level in enumerate(self.monomials)
+        ]
         self.d = DenseDifferential(self.columns, self.dims())
-
-        for p in range(n - 1):
+        for p in range(len(self.columns) - 2):
             failures = []
-            for c, column in enumerate(self.columns[p]):
-                square = linalg.apply(self.columns[p + 1], column)
+            for c, col in enumerate(self.columns[p]):
+                square = linalg.apply(self.columns[p + 1], col)
                 failures.extend((r, c, value) for r, value in square.items())
             if failures:
                 r, c, value = min(failures, key=lambda f: f[:2])
@@ -175,23 +192,6 @@ class Dga:
             dims[p] - ranks[p] - (ranks[p - 1] if p else 0)
             for p in range(len(dims))
         ]
-
-    def _diff_monomial(self, mono: Monomial) -> dict[Monomial, Scalar]:
-        """d(x_mono) in the ambient free exterior algebra."""
-        out: dict[Monomial, Scalar] = {}
-        for t, gen in enumerate(mono):
-            for pair, coeff in self._gen_diff[gen].items():
-                seq = mono[:t] + pair + mono[t + 1 :]
-                sorted_ = sort_with_sign(seq)
-                if sorted_ is None:
-                    continue
-                sign, target = sorted_
-                total = out.get(target, ZERO) + scalar(sign * (-1) ** t) * coeff
-                if total:
-                    out[target] = total
-                else:
-                    out.pop(target, None)
-        return out
 
     def monomial_label(self, mono: Monomial) -> str:
         if not mono:
@@ -387,4 +387,4 @@ def subdga_from_characters(dga: Dga, characters: CharacterData) -> Dga:
         raise PreconditionError(
             f"character data does not define a sub-DGA: {violation}"
         )
-    return Dga(dga.algebra, selected)
+    return dga.restrict(selected)

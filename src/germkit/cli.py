@@ -464,7 +464,7 @@ class Run:
         violation = verify_subdga(ambient, spec)
         if violation is not None:
             raise PreconditionError(f"selection is not a sub-DGA: {violation}")
-        return Dga(ambient.algebra, spec)
+        return ambient.restrict(spec)
 
     @stage
     def sub_germ(self) -> tuple[dict, dict]:
@@ -675,12 +675,15 @@ def cmd_mc_check(run: Run) -> dict:
             f"{label} = {v}" for label, v in zip(germ.coordinates, values) if v
         ]
         text.append("nonzero obstructions: " + "; ".join(nonzero))
-        text.append(f"residual: {residual_text}")
-    elif residual or gauge:
-        # Vanishing obstructions must force an exactly flat point.
-        raise InternalCheckError(
-            f"obstructions vanish but the point is not flat: residual {residual_text}"
+    elif (residual or gauge) and germ.terminated:
+        # A terminated series' obstructions vanish only at exactly flat
+        # points; a truncated one's hold only modulo degree > cap.
+        raise ParseError(
+            f"{args.germ}: obstructions vanish but the point is not flat: "
+            f"residual {residual_text}; the file's obstructions disagree with its phi"
         )
+    if not vanish or residual:
+        text.append(f"residual: {residual_text}")
     return run.report({
         "point": {name: str(v) for name, v in zip(germ.variables, point)},
         "obstruction_values": {

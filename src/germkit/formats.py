@@ -637,7 +637,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         violation = verify_subdga(complex_, selected)
         if violation is not None:
             raise ParseError(f"{where}: {violation}")
-        complex_ = Dga(base.algebra, selected)
+        complex_ = complex_.restrict(selected)
     grading = None
     if data.get("grading") is not None:
         grading = _parse_grading(

@@ -106,26 +106,16 @@ class TensorDgla:
         self.dga = dga
         self.target = target
         ta = target.dim
-        ones = self.dga.monomials[1]
-        table: WedgeTable = []
-        for left in ones:
-            row: list[tuple[int, int] | None] = []
-            for right in ones:
-                merged = wedge_monomials(left, right)
-                if merged is None:
-                    row.append(None)
-                    continue
-                spot = self.dga.position.get(merged[1])
-                if spot is None:
-                    raise PreconditionError(
-                        "degree-1 wedge leaves the complex; the selection "
-                        "is not closed under products"
-                    )
-                row.append((merged[0], spot[1]))
-            table.append(row)
+        ones, position = dga.monomials[1], dga.position
         # Every product of two degree-one monomials, for the kernel calls
         # that need every coordinate; ``wedge_onto`` prunes it.
-        self._wedge11 = table
+        self._wedge11: WedgeTable = [
+            [
+                None if merged is None else (merged[0], position[merged[1]][1])
+                for merged in (wedge_monomials(left, right) for right in ones)
+            ]
+            for left in ones
+        ]
         # The bracket table for the kernel, column s * ta + t listing the
         # (k, numerator) of [x_s, x_t].
         self._int_bracket = _int_columns(
@@ -670,8 +660,9 @@ def linear_embedding_check(
     """Whether the inclusion of ``sub`` into ``ambient`` commutes with the
     Maurer-Cartan residual R(w) = d w + (1/2)[w, w], decided exactly.
 
-    ``sub`` is a complex on monomials of ``ambient`` (a verified selection,
-    as ``subdga_from_characters`` returns); both are built by the caller.
+    ``sub`` is a complex on monomials of ``ambient``, normally its
+    restriction to a verified selection (``Dga.restrict``, as
+    ``subdga_from_characters`` returns); both are built by the caller.
     Let e_k run over the degree-one basis of the selection, one monomial
     tensor one target basis vector, N of them.  [e_k, e_k] = 0, because
     alpha wedge alpha = 0, and the bracket of degree-one elements is

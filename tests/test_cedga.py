@@ -11,6 +11,7 @@ from conftest import (
     Cochain,
     book3,
     germbench_inputs,
+    h5_i_scaled,
     is_zero_matrix,
     non_unimodular2,
     oracle_betti,
@@ -32,6 +33,7 @@ from germkit.cedga import (
 from germkit.errors import PreconditionError
 from germkit.formats import parse_algebra_dict
 from germkit.liealg import LieAlgebra
+from germkit.nilshadow import SolvableInput, nilshadow
 from germkit.scalars import ONE, ZERO, scalar
 
 
@@ -205,11 +207,28 @@ def _non_jacobi4() -> LieAlgebra:
     )
 
 
+def _oracle_columns(algebra: LieAlgebra, monomials) -> list:
+    """The sparse columns of d on ``monomials``, a per-degree selection,
+    read off the multilinear oracle of the full complex of ``algebra``."""
+    n = algebra.dim
+    index = {m: i for p in range(n + 1) for i, m in enumerate(itertools.combinations(range(n), p))}
+    columns = []
+    for p, level in enumerate(monomials):
+        matrix = oracle_d_matrix(algebra, p)
+        above = monomials[p + 1] if p < n else ()
+        columns.append([
+            [(r, matrix[index[row]][index[m]]) for r, row in enumerate(above)
+             if matrix[index[row]][index[m]]]
+            for m in level
+        ])
+    return columns
+
+
 @pytest.mark.parametrize(
     "monomials, failure",
     [
         (None, "degree 1 entry (row A∧B∧C, column C) = -1"),
-        # a d-closed selection: the check runs on sub-DGAs too
+        # a d-closed selection: the check runs on restrictions too
         (
             [[()], [(0,)], [(2, 3)], [(0, 2, 3), (1, 2, 3)], [(0, 1, 2, 3)]],
             "degree 1 entry (row A∧C∧D, column A) = -1",
@@ -218,8 +237,16 @@ def _non_jacobi4() -> LieAlgebra:
     ids=["full", "selection"],
 )
 def test_d_squared_failure_names_the_first_entry(monomials, failure):
+    algebra = _non_jacobi4()
     with pytest.raises(PreconditionError) as info:
-        Dga(_non_jacobi4(), monomials)
+        if monomials is None:
+            Dga(algebra)
+        else:
+            # A non-Jacobi parent fails before any restriction: restrict a
+            # valid parent on the same labels that carries the oracle's d.
+            parent = Dga(LieAlgebra(algebra.labels, {}))
+            parent.columns = _oracle_columns(algebra, parent.monomials)
+            parent.restrict(monomials)
     assert str(info.value) == (
         f"d o d != 0: {failure}; the structure constants violate the Jacobi identity"
     )
@@ -334,6 +361,49 @@ def test_verify_subdga_violations():
     assert message is not None and "X∧Y" in message
     # missing unit
     assert verify_subdga(dga, ((), ((0,),), (), ())) is not None
+
+
+def _character_selection(algebra: LieAlgebra, characters: CharacterData):
+    return algebra, subdga_from_characters(Dga(algebra), characters)
+
+
+def _nilshadow_selection(k: int):
+    """The character selection of the nilshadow of germbench's
+    T x| h(2k+1) at seed SEED."""
+    inputs = germbench_inputs()
+    parsed = parse_algebra_dict(
+        inputs.solvable_heisenberg(k, inputs.rng_for(SEED, f"solv{k}"))
+    )
+    shadow, _ = nilshadow(SolvableInput(parsed.algebra, parsed.nilradical, parsed.complement))
+    return _character_selection(shadow, parsed.characters)
+
+
+def _h5i_selection(keep):
+    algebra = h5_i_scaled()
+    full = Dga(algebra)
+    return algebra, full.restrict([[m for m in level if keep(m)] for level in full.monomials])
+
+
+# name -> () -> (algebra, a restriction of its full complex)
+RESTRICTIONS = {
+    "fixture-characters": lambda: _character_selection(
+        fixtures.q_plus_heisenberg3(), fixtures.solvable_heisenberg_characters()
+    ),
+    "solv_h5": lambda: _nilshadow_selection(2),
+    "solv_h7": lambda: _nilshadow_selection(3),
+    "h5i-no-Z": lambda: _h5i_selection(lambda m: 4 not in m),
+    "h5i-full": lambda: _h5i_selection(lambda m: True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTIONS))
+def test_restriction_matches_the_oracle_on_the_selection(name):
+    algebra, sub = RESTRICTIONS[name]()
+    assert verify_subdga(Dga(algebra), sub.monomials) is None
+    assert sub.columns == _oracle_columns(algebra, sub.monomials)
+    assert sub.position == {
+        m: (p, i) for p, level in enumerate(sub.monomials) for i, m in enumerate(level)
+    }
 
 
 def test_wedge_monomial_signs():

@@ -283,6 +283,45 @@ def test_kuranishi_json_and_mc_check(tmp_path, capsys):
     assert "residual" in out
 
 
+def test_mc_check_reports_a_truncated_germ_at_an_unflat_point(tmp_path, capsys):
+    # A truncated series' obstructions hold only modulo degree > cap, so
+    # they may vanish at a point that is not flat.
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "filiform4.json"), "--target", "sl2",
+        "--cap", "2", "--json", str(germ_path),
+    )
+    assert code == 0 and not json.loads(germ_path.read_text())["terminated"]
+    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1,t5=1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "point: t1=1,t5=1",
+        "obstruction values vanish: True",
+        "flatness residual zero: False",
+        "gauge condition zero: True",
+        "residual: (4)*e1∧e3⊗E",
+    ]
+    code, out, _ = run(capsys, "mc-check", str(germ_path), "--point", "t1=1,t5=1", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["obstructions_vanish"] and not report["residual_is_zero"]
+    assert report["terminated_series"] is False
+
+
+def test_mc_check_rejects_a_terminated_germ_whose_obstructions_disagree(tmp_path, capsys):
+    # Zero obstruction polynomials against the phi of h3 x sl2: the file
+    # claims a flat point that its phi does not give.
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    assert germ["terminated"]
+    polynomials = germ["obstructions"]["polynomials"]
+    germ["obstructions"]["polynomials"] = [[] for _ in polynomials]
+    germ_path.write_text(json.dumps(germ))
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1,t5=1", *json_flag)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: {germ_path}: obstructions vanish but the point is not flat")
+        assert "the file's obstructions disagree with its phi" in err
+
+
 def test_mc_check_rejects_a_decimal_point_value(tmp_path, capsys):
     germ_path = tmp_path / "germ.json"
     code, _, _ = run(
@@ -664,19 +703,20 @@ def test_pipeline_command_and_determinism(capsys):
     ids=["pipeline-characters", "kuranishi-subdga"],
 )
 def test_selected_complex_is_built_once(monkeypatch, capsys, argv):
-    # One Dga for the full complex and one for the selection; the germ and
-    # the embedding check share the latter.
-    built = []
-    init = cli.Dga.__init__
+    # One full complex and one restriction of it to the selection; the germ
+    # and the embedding check share the latter.
+    calls = collections.Counter()
+    for name in ("__init__", "restrict"):
+        method = getattr(cli.Dga, name)
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+        def counting(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli.Dga, "__init__", counting)
+        monkeypatch.setattr(cli.Dga, name, counting)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(built) == 2
+    assert calls == {"__init__": 1, "restrict": 1}
 
 
 @pytest.mark.parametrize(

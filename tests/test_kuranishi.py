@@ -378,6 +378,41 @@ def test_spot_checks_respect_flat_points_on_large_values(tmp_path, capsys):
     assert r["consistent"]
 
 
+# Selections of q_plus_h3 = Q T + h3: the character file keeps one 1-form,
+# so every point is flat; the monomials of T, X and Y, without Z, keep
+# three, and T⊗H + X⊗E is obstructed by [H, E] = 2E.
+Q_PLUS_H3_SELECTIONS = {
+    "characters": (None, ["t3=-3/2", "t1=1,t2=1"]),
+    "no-Z": (
+        {"monomials": [[1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]]},
+        ["t9=-3/2", "t1=1,t5=1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", ["metric", "pivot"])
+@pytest.mark.parametrize("selection", sorted(Q_PLUS_H3_SELECTIONS))
+def test_mc_check_of_a_subdga_germ(tmp_path, capsys, selection, strategy):
+    spec, (axis, pair) = Q_PLUS_H3_SELECTIONS[selection]
+    selection_path = FIXTURES / "diag_weight_characters.json"
+    if spec is not None:
+        selection_path = tmp_path / "selection.json"
+        selection_path.write_text(json.dumps(spec))
+    germ = tmp_path / "germ.json"
+    code = cli.main([
+        "kuranishi", str(FIXTURES / "q_plus_h3.json"), "--subdga", str(selection_path),
+        "--target", "sl2", "--strategy", strategy, "--json", str(germ),
+    ])
+    capsys.readouterr()
+    assert code == 0 and json.loads(germ.read_text())["subdga_monomials"]
+    r = _mc_check(capsys, germ, axis)
+    assert r["obstructions_vanish"] and r["residual_is_zero"] and r["gauge_is_zero"]
+    r = _mc_check(capsys, germ, pair)
+    obstructed = spec is not None
+    assert r["obstructions_vanish"] is not obstructed
+    assert r["residual_is_zero"] is not obstructed
+
+
 def test_linear_embedding_of_character_subdga():
     shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
     dga = Dga(shadow)
@@ -389,7 +424,7 @@ def test_linear_embedding_of_character_subdga():
 def test_full_complex_as_its_own_selection():
     h3 = fixtures.heisenberg3()
     dga = Dga(h3)
-    assert linear_embedding_check(Dga(h3, dga.monomials), dga, fixtures.sl2()) == (45, None)
+    assert linear_embedding_check(dga.restrict(dga.monomials), dga, fixtures.sl2()) == (45, None)
 
 
 def test_linear_embedding_names_the_failing_point():
@@ -397,7 +432,7 @@ def test_linear_embedding_names_the_failing_point():
     # the first point carrying Z, in k-major order, fails.
     h3 = fixtures.heisenberg3()
     doubled = LieAlgebra(["X", "Y", "Z"], {(0, 1): {2: scalar(2)}})
-    sub = Dga(doubled, Dga(h3).monomials)
+    sub = Dga(doubled)
     assert linear_embedding_check(sub, Dga(h3), fixtures.sl2()) == (7, (
         "residuals disagree at X⊗H + Z⊗H: selection gives (-2)*X∧Y⊗H, "
         "ambient gives (-1)*X∧Y⊗H"
@@ -410,10 +445,10 @@ def test_linear_embedding_over_gaussian_rationals():
     target = _sl2_scaled(I, ONE)
     no_z = [[m for m in level if 4 not in m] for level in dga.monomials]
     for monomials, points in ((dga.monomials, 120), (no_z, 78)):
-        assert linear_embedding_check(Dga(h5i, monomials), dga, target) == (points, None)
+        assert linear_embedding_check(dga.restrict(monomials), dga, target) == (points, None)
     # The conjugate constants give the conjugate d Z.
     conjugate = LieAlgebra(h5i.labels, {(0, 1): {4: -I}, (2, 3): {4: ONE + I * scalar("1/2")}})
-    compared, witness = linear_embedding_check(Dga(conjugate, dga.monomials), dga, target)
+    compared, witness = linear_embedding_check(Dga(conjugate), dga, target)
     assert compared == 13 and witness.startswith("residuals disagree at X1⊗H' + Z⊗H': ")
 
 

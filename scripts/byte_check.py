@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Hash the ``kuranishi``, ``pipeline``, ``mc-check`` and ``decompose`` JSON
-output over a fixed matrix.
+"""Hash the ``kuranishi``, ``pipeline``, ``mc-check``, ``decompose``,
+``check``, ``nilshadow`` and ``subdga`` JSON output over a fixed matrix.
 
 The matrix runs ``germkit.cli.main`` in-process, ``--json`` to stdout, on:
 
@@ -33,10 +33,20 @@ two-variable point (first and last variable at 1) on each ``--cap 3`` germ,
 of the first line's matrix and of the sub-DGA runs.  It counts and hashes
 all runs, the first two lines' included.
 
+A fourth line extends the third line's matrix by ``subdga --json`` on each
+input that carries characters, once with the characters of the input file
+and once with the selection file the third line writes, passed through
+``--characters``: the selection and its duality-type check.  It counts and
+hashes all runs, the first three lines' included.
+
 A change that must keep every output byte prints the same lines before and
-after.  It takes 12-17 s on a 2-vCPU host with Python 3.11; writing the
-JSON (``render_json``) is its largest single function under cProfile, ahead
-of the series.  It is not part of the test suite.
+after; ``scripts/byte_check.expected`` holds them, and CI runs
+
+    python scripts/byte_check.py | diff - scripts/byte_check.expected
+
+on every supported Python.  It takes 10-17 s on a 2-vCPU host with Python
+3.11; writing the JSON (``render_json``) is its largest single function
+under cProfile, ahead of the series.  It is not part of the test suite.
 
     python3 scripts/byte_check.py
 """
@@ -154,38 +164,39 @@ def main() -> None:
         germ_path.parent.mkdir()
         tokens = {str(gen_dir): "<generated>", str(FIXTURES): "<fixtures>"}
         files = sorted(FIXTURES.glob("*.json")) + sorted(gen_dir.glob("*.json"))
-        base, extended, selections = Tally(), Tally(), Tally()
+        tallies = [Tally() for _ in range(4)]
 
-        def record(argv: list[str], tallies: tuple[Tally, ...]) -> tuple[int, str]:
+        def record(argv: list[str], line: int) -> tuple[int, str]:
+            """Run ``argv`` and count it on output line ``line`` (0-based)
+            and every later line, which extend its matrix."""
             code, digest, stdout = run(argv, tokens)
-            for tally in tallies:
+            for tally in tallies[line:]:
                 tally.add(code, digest)
             return code, stdout
 
-        def read_back(stdout: str, options: tuple[str, ...], tallies: tuple[Tally, ...]) -> None:
+        def read_back(stdout: str, options: tuple[str, ...], line: int) -> None:
             germ_path.write_text(stdout, encoding="utf-8")
             variables = json.loads(stdout)["variables"]
             for point in mc_points(variables):
-                record(["mc-check", str(germ_path), "--point", point, "--json"], tallies)
+                record(["mc-check", str(germ_path), "--point", point, "--json"], line)
             if "--cap" in options and len(variables) > 1:
                 pair = f"{variables[0]}=1,{variables[-1]}=1"
-                record(["mc-check", str(germ_path), "--point", pair, "--json"], (selections,))
+                record(["mc-check", str(germ_path), "--point", pair, "--json"], 2)
 
-        every = (base, extended, selections)
         for path in files:
             for command in COMMANDS:
                 for target in TARGETS:
                     for options in OPTIONS:
                         argv = [command, str(path), "--target", target, *options, "--json"]
-                        code, stdout = record(argv, every)
+                        code, stdout = record(argv, 0)
                         if command == "kuranishi" and target in MC_TARGETS and not code:
-                            read_back(stdout, options, every)
+                            read_back(stdout, options, 0)
             for strategy in STRATEGIES:
-                record(["decompose", str(path), "--strategy", strategy, "--json"], every)
-            record(["check", str(path), "--json"], (extended, selections))
+                record(["decompose", str(path), "--strategy", strategy, "--json"], 0)
+            record(["check", str(path), "--json"], 1)
             data = json.loads(path.read_text(encoding="utf-8"))
             if "nilradical" in data and "complement" in data:
-                record(["nilshadow", str(path), "--json"], (extended, selections))
+                record(["nilshadow", str(path), "--json"], 1)
             if "basis" not in data or "characters" not in data:
                 continue
             selection_path.write_text(json.dumps(data["characters"]), encoding="utf-8")
@@ -195,10 +206,12 @@ def main() -> None:
                         "kuranishi", str(path), "--subdga", str(selection_path),
                         "--target", target, *options, "--json",
                     ]
-                    code, stdout = record(argv, (selections,))
+                    code, stdout = record(argv, 2)
                     if target in MC_TARGETS and not code:
-                        read_back(stdout, options, (selections,))
-    for tally in (base, extended, selections):
+                        read_back(stdout, options, 2)
+            record(["subdga", str(path), "--json"], 3)
+            record(["subdga", str(path), "--characters", str(selection_path), "--json"], 3)
+    for tally in tallies:
         print(tally.line())
 
 

@@ -694,7 +694,7 @@ def cmd_mc_check(run: Run) -> dict:
         "gauge_is_zero": not gauge,
         "residual": residual_text,
         "terminated_series": germ.terminated,
-        "consistent": True,
+        "consistent": not (vanish and (residual or gauge)),
     }, text)
 
 

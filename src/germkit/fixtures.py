@@ -123,17 +123,3 @@ def gl(n: int) -> LieAlgebra:
                         brackets[(a, b)] = comps
     return LieAlgebra(labels, brackets)
 
-
-BUILTIN_ALGEBRAS = {
-    "abelian1": lambda: abelian(1),
-    "abelian2": lambda: abelian(2),
-    "abelian3": lambda: abelian(3),
-    "h3": heisenberg3,
-    "h5": heisenberg5,
-    "filiform4": filiform4,
-    "q_plus_h3": q_plus_heisenberg3,
-    "solv_heisenberg": solvable_heisenberg,
-    "sol3": sol3,
-    "sl2": sl2,
-    "gl2": lambda: gl(2),
-}

@@ -389,7 +389,6 @@ def algebra_to_dict(
     algebra: LieAlgebra,
     name: str = "unnamed",
     *,
-    grading: Grading | None = None,
     nilradical: Subspace | None = None,
     complement: Subspace | None = None,
     characters: CharacterData | None = None,
@@ -416,8 +415,6 @@ def algebra_to_dict(
             for i, j, comps in algebra.nonzero_brackets()
         ],
     }
-    if grading is not None:
-        data["grading"] = [matrix_strings(layer.rows, algebra.dim) for layer in grading.layers]
     if nilradical is not None:
         data["nilradical"] = matrix_strings(nilradical.rows, algebra.dim)
     if complement is not None:

@@ -584,7 +584,7 @@ def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
         for k in range(len(series.obstruction_terms))
     )
     polynomials = tuple(
-        MultiPoly.from_terms(series.variables, terms) for terms in series.obstruction_terms
+        MultiPoly(series.variables, terms) for terms in series.obstruction_terms
     )
     nu = dec.grading.depth if dec.grading is not None else None
     return ObstructionSystem(

@@ -2,8 +2,7 @@
 
 The caller gives the brackets of pairs i < j; one antisymmetric table of
 every nonzero [X_i, X_j] serves the bracket, ad, Jacobi and unimodularity.
-The Jacobi identity is checked at construction unless the caller explicitly
-opts out (tests use that to exercise the failure paths).
+The Jacobi identity is checked at construction.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ class LieAlgebra:
         self,
         labels: Sequence[str],
         brackets: Mapping[tuple[int, int], Mapping[int, Scalar]],
-        *,
-        validate: bool = True,
     ):
         self.labels: tuple[str, ...] = tuple(labels)
         n = len(self.labels)
@@ -49,15 +46,14 @@ class LieAlgebra:
                 table[(i, j)] = entries
                 table[(j, i)] = tuple((k, -c) for k, c in entries)
         self._table = table
-        if validate:
-            bad = self.jacobi_counterexample()
-            if bad is not None:
-                i, j, k, total = bad
-                raise PreconditionError(
-                    "Jacobi identity fails on basis triple "
-                    f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]}); "
-                    f"cyclic sum = {self.vector_str(total)}"
-                )
+        bad = self.jacobi_counterexample()
+        if bad is not None:
+            i, j, k, total = bad
+            raise PreconditionError(
+                "Jacobi identity fails on basis triple "
+                f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]}); "
+                f"cyclic sum = {self.vector_str(total)}"
+            )
 
     # -- basic structure ----------------------------------------------------
 
@@ -229,11 +225,6 @@ def derived_series(algebra: LieAlgebra) -> list[Subspace]:
 
 def is_solvable(algebra: LieAlgebra) -> bool:
     return derived_series(algebra)[-1].is_zero()
-
-
-def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
-    full = Subspace.full(algebra.dim)
-    return span_of_brackets(algebra, full, full)
 
 
 def restricted_lower_central_series(

@@ -6,10 +6,11 @@ canonical term order is graded lexicographic by variable index, which keeps
 every serialization and printed report deterministic.
 
 ``MultiPoly`` holds, evaluates, prints and serialises the obstruction
-polynomials the deformation series produces.  It has no ring arithmetic:
-the engine assembles each polynomial's terms directly, and the ring
-operations the tests write their hand-expanded oracles in live in
-``tests/conftest.py``.
+polynomials the deformation series produces.  It has one constructor,
+which trusts its terms: the engine assembles them directly and
+``from_records`` validates a file's records first.  It has no ring
+arithmetic; the ring operations the tests write their hand-expanded oracles
+in, and the checks on hand-written terms, live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .errors import ParseError
 from .scalars import ONE, ParsedScalars, Scalar, ZERO, scalar
 
 ExponentVector = tuple[int, ...]
-
-_new = object.__new__
 
 
 def grlex_key(exponents: ExponentVector) -> tuple[int, ExponentVector]:
@@ -90,25 +89,11 @@ class MultiPoly:
 
     __slots__ = ("variables", "terms")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        terms: dict[ExponentVector, Scalar] | None = None,
-    ):
+    def __init__(self, variables: Sequence[str], terms: dict[ExponentVector, Scalar]):
+        """The polynomial with ``terms`` as they are: exponent tuples of the
+        right length and nonzero coefficients, checked by the caller."""
         self.variables: tuple[str, ...] = tuple(variables)
-        clean: dict[ExponentVector, Scalar] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != len(self.variables):
-                raise ValueError(
-                    f"exponent vector {exps} does not match "
-                    f"{len(self.variables)} variables"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if coeff:
-                clean[exps] = coeff
-        self.terms = clean
+        self.terms = terms
 
     # -- basic queries -------------------------------------------------------
 
@@ -161,9 +146,8 @@ class MultiPoly:
         cls, variables: Sequence[str], records: Iterable[dict], scalars: ParsedScalars
     ) -> "MultiPoly":
         """The polynomial of ``serialise`` records, each record validated
-        once; the terms are built in place, without ``__init__``'s checks.
-        A coefficient text is looked up in ``scalars``, the texts of the
-        file being read, so each distinct one is parsed once."""
+        once.  A coefficient text is looked up in ``scalars``, the texts of
+        the file being read, so each distinct one is parsed once."""
         terms: dict[ExponentVector, Scalar] = {}
         seen: set[ExponentVector] = set()
         n = len(variables)
@@ -186,19 +170,7 @@ class MultiPoly:
             seen.add(exps)
             if coeff:
                 terms[exps] = coeff
-        return cls.from_terms(variables, terms)
-
-    @classmethod
-    def from_terms(
-        cls, variables: Sequence[str], terms: dict[ExponentVector, Scalar]
-    ) -> "MultiPoly":
-        """The polynomial with ``terms`` as they are: exponent tuples of the
-        right length and nonzero coefficients, already checked by the
-        caller, so ``__init__``'s checks are skipped."""
-        poly = _new(cls)
-        poly.variables = tuple(variables)
-        poly.terms = terms
-        return poly
+        return cls(variables, terms)
 
     def __str__(self) -> str:
         return self.serialise()[1]

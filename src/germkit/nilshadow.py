@@ -25,8 +25,7 @@ from .liealg import (
     LieAlgebra,
     LowerCentralSeries,
     Subspace,
-    derived_subalgebra,
-    is_solvable,
+    derived_series,
     lower_central_series,
     restricted_lower_central_series,
 )
@@ -64,10 +63,10 @@ def validate_solvable_input(data: SolvableInput) -> list[SparseColumns]:
         raise PreconditionError(
             "complement does not split the algebra: V + n is not a direct sum"
         )
-    if not is_solvable(g):
+    series = derived_series(g)
+    if not series[-1].is_zero():
         raise PreconditionError("algebra is not solvable")
-    derived = derived_subalgebra(g)
-    if not nil.contains_subspace(derived):
+    if not nil.contains_subspace(series[1]):
         raise PreconditionError("nilradical does not contain [g, g]")
     for i in range(n):
         for row in nil.rows:
@@ -196,7 +195,7 @@ def nilshadow(data: SolvableInput) -> tuple[LieAlgebra, LowerCentralSeries]:
             if comps:
                 brackets[(i, j)] = comps
     try:
-        shadow = LieAlgebra(g.labels, brackets, validate=True)
+        shadow = LieAlgebra(g.labels, brackets)
     except PreconditionError as exc:
         raise PreconditionError(
             f"input data violates the nilshadow hypotheses: {exc}"

@@ -62,18 +62,6 @@ class Scalar:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    # -- coercion ---------------------------------------------------------
-
-    @staticmethod
-    def of(value: "Scalar | Fraction | int | str") -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
-        if isinstance(value, str):
-            return parse_scalar(value)
-        raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
-
     # -- predicates -------------------------------------------------------
 
     def is_rational(self) -> bool:
@@ -243,12 +231,17 @@ def _coerce(value) -> "Scalar | None":
 
 ZERO = Scalar()
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 def scalar(value: "Scalar | Fraction | int | str") -> Scalar:
-    """Shorthand coercion, used pervasively in fixtures and tests."""
-    return Scalar.of(value)
+    """The Scalar of a Scalar, an int, a Fraction or a scalar text."""
+    if isinstance(value, Scalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Scalar(value)
+    if isinstance(value, str):
+        return parse_scalar(value)
+    raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
 
 
 def format_scalar(x: Scalar) -> str:

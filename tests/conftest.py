@@ -10,9 +10,15 @@ these live here because only the tests call them:
   ``Dga.columns``;
 - ``tensor_bracket``: the bracket of ``C* (x) a`` in any pair of degrees,
   the reference of the DGLA-axiom tests;
-- ``RingPoly``: ``MultiPoly`` with ring arithmetic, in which the
-  hand-expanded obstruction oracles are written, and
+- ``RingPoly``: ``MultiPoly`` with ring arithmetic and checked terms, in
+  which the hand-expanded obstruction oracles are written, and
   ``homogeneous_components``, a polynomial split by degree;
+- ``unchecked_algebra``: a ``LieAlgebra`` built without the Jacobi check,
+  for the failure paths of the complex and the Jacobi reference;
+- ``derived_subalgebra``: [g, g] from one bracket span, the reference of
+  the second term of ``liealg.derived_series``;
+- ``I`` and ``BUILTIN_ALGEBRAS``: the imaginary unit, and the built-in
+  algebras by name;
 - ``minimal_polynomial``: the squarefree check on Jordan-Chevalley parts;
 - ``hermitian``: the form that makes the monomial basis orthonormal, for
   the adjointness tests of the metric splitting;
@@ -88,14 +94,18 @@ from germkit.kuranishi import (
 from germkit.liealg import (
     Grading,
     LieAlgebra,
+    Subspace,
     basis_aligned_weights,
     lower_central_series,
+    span_of_brackets,
     verify_natural_grading,
 )
 from germkit.nilshadow import SolvableInput
 from germkit.linalg import Row, SparseColumns
 from germkit.multipoly import ExponentVector, MultiPoly
-from germkit.scalars import I, ONE, Scalar, ZERO, scalar
+from germkit.scalars import ONE, Scalar, ZERO, scalar
+
+I = Scalar(0, 1)
 
 
 # -- independent rank computation (plain Fractions, no germkit.linalg) ----------
@@ -537,6 +547,21 @@ class RingPoly(MultiPoly):
     """
 
     __slots__ = ()
+
+    def __init__(self, variables: Sequence[str], terms: dict[ExponentVector, Scalar]):
+        """Checks each exponent vector and drops the zero coefficients, which
+        ``MultiPoly`` trusts its callers to have done."""
+        n = len(variables)
+        clean: dict[ExponentVector, Scalar] = {}
+        for exps, coeff in terms.items():
+            exps = tuple(exps)
+            if len(exps) != n:
+                raise ValueError(f"exponent vector {exps} does not match {n} variables")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            if coeff:
+                clean[exps] = coeff
+        super().__init__(variables, clean)
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "RingPoly":
@@ -1044,6 +1069,23 @@ def inferred_grading(algebra: LieAlgebra) -> Grading | None:
     return obtain_grading(None, algebra, lower_central_series(algebra))[0]
 
 
+def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
+    """[g, g], the second term of ``liealg.derived_series``."""
+    full = Subspace.full(algebra.dim)
+    return span_of_brackets(algebra, full, full)
+
+
+def unchecked_algebra(labels, brackets) -> LieAlgebra:
+    """A LieAlgebra built without the Jacobi check, for the failure paths
+    that a checked algebra never reaches."""
+    check = LieAlgebra.jacobi_counterexample
+    LieAlgebra.jacobi_counterexample = lambda self: None
+    try:
+        return LieAlgebra(labels, brackets)
+    finally:
+        LieAlgebra.jacobi_counterexample = check
+
+
 # -- fixture registry ------------------------------------------------------------
 
 
@@ -1060,6 +1102,21 @@ UNIMODULAR = {
     "solv_heisenberg": fixtures.solvable_heisenberg(),
     "sol3": fixtures.sol3(),
     "sl2": fixtures.sl2(),
+}
+
+# The built-in algebras by name, each built afresh on call.
+BUILTIN_ALGEBRAS = {
+    "abelian1": lambda: fixtures.abelian(1),
+    "abelian2": lambda: fixtures.abelian(2),
+    "abelian3": lambda: fixtures.abelian(3),
+    "h3": fixtures.heisenberg3,
+    "h5": fixtures.heisenberg5,
+    "filiform4": fixtures.filiform4,
+    "q_plus_h3": fixtures.q_plus_heisenberg3,
+    "solv_heisenberg": fixtures.solvable_heisenberg,
+    "sol3": fixtures.sol3,
+    "sl2": fixtures.sl2,
+    "gl2": lambda: fixtures.gl(2),
 }
 
 

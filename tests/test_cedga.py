@@ -16,6 +16,7 @@ from conftest import (
     non_unimodular2,
     oracle_betti,
     oracle_d_matrix,
+    unchecked_algebra,
 )
 
 from germkit import fixtures
@@ -175,10 +176,8 @@ def test_jacobi_iff_d_squared_zero():
     seen_fail = seen_pass = 0
     for _ in range(60):
         n = rng.choice([3, 4])
-        algebra = LieAlgebra(
-            tuple(f"e{i}" for i in range(n)),
-            _random_bracket_table(rng, n),
-            validate=False,
+        algebra = unchecked_algebra(
+            tuple(f"e{i}" for i in range(n)), _random_bracket_table(rng, n)
         )
         if algebra.jacobi_counterexample() is None:
             Dga(algebra)  # must build: d o d == 0 is checked inside
@@ -194,7 +193,7 @@ def _non_jacobi4() -> LieAlgebra:
     """Violates Jacobi: d o d fails in degree 1 at five entries, and the
     first in row-major order (row 0, column 2) is not the first by column
     (row 2, column 0)."""
-    return LieAlgebra(
+    return unchecked_algebra(
         tuple("ABCD"),
         {
             (0, 1): {1: -ONE},
@@ -203,7 +202,6 @@ def _non_jacobi4() -> LieAlgebra:
             (1, 3): {1: -ONE},
             (2, 3): {0: -ONE},
         },
-        validate=False,
     )
 
 

@@ -6,6 +6,7 @@ from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
     GRADED_NILPOTENT,
+    I,
     UNIMODULAR,
     apply_d,
     dense_columns,
@@ -43,7 +44,7 @@ from germkit.decomp import (
 )
 from germkit.errors import InternalCheckError, PreconditionError
 from germkit.liealg import Grading, Subspace, basis_aligned_weights
-from germkit.scalars import I, ONE, ZERO, scalar
+from germkit.scalars import ONE, ZERO, scalar
 
 
 def _metric(algebra, grading=None):

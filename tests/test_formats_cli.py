@@ -307,6 +307,25 @@ def test_mc_check_reports_a_truncated_germ_at_an_unflat_point(tmp_path, capsys):
     assert report["terminated_series"] is False
 
 
+@pytest.mark.parametrize("point, consistent", [("t1=1,t5=1", False), ("t5=1", True)])
+def test_mc_check_reports_whether_vanishing_obstructions_mean_flatness(
+    tmp_path, capsys, point, consistent
+):
+    # On a truncated germ, vanishing obstructions at a point that is not
+    # flat are reported as inconsistent, not as an error.
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "filiform4.json"), "--target", "sl2",
+        "--cap", "2", "--json", str(germ_path),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "mc-check", str(germ_path), "--point", point, "--json")
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert code == 0 and report["obstructions_vanish"]
+    assert report["consistent"] is consistent
+
+
 def test_mc_check_rejects_a_terminated_germ_whose_obstructions_disagree(tmp_path, capsys):
     # Zero obstruction polynomials against the phi of h3 x sl2: the file
     # claims a flat point that its phi does not give.

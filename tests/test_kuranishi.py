@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BUILTIN_ALGEBRAS,
     FIXTURE_ALGEBRAS,
     GENERATED,
     GRADED_NILPOTENT,
+    I,
     RingPoly,
     dense_columns,
     gauge_identity_check_reference,
@@ -40,14 +42,14 @@ from germkit.kuranishi import (
 from germkit.liealg import LieAlgebra, Subspace
 from germkit.multipoly import MultiPoly
 from germkit.nilshadow import SolvableInput, nilshadow
-from germkit.scalars import I, ONE, Scalar, ZERO, scalar
+from germkit.scalars import ONE, Scalar, ZERO, scalar
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _setup(base, target, grading=True, cap=None):
-    g = fixtures.BUILTIN_ALGEBRAS[base]() if isinstance(base, str) else base
-    t = fixtures.BUILTIN_ALGEBRAS[target]() if isinstance(target, str) else target
+    g = BUILTIN_ALGEBRAS[base]() if isinstance(base, str) else base
+    t = BUILTIN_ALGEBRAS[target]() if isinstance(target, str) else target
     gr = inferred_grading(g) if grading else None
     dec = split_complex(Dga(g), "metric", gr)
     series = kuranishi_series(dec, t, cap)
@@ -545,7 +547,7 @@ def test_capped_obstructions_match_a_fresh_bracket(name, target, cap):
     """A capped series projects [phi, phi] past the cap, up to twice its last
     degree; the result must still be the projection of the whole bracket."""
     dec = split_complex(Dga(FIXTURE_ALGEBRAS[name]), "metric", top=GERM_TOP)
-    series = kuranishi_series(dec, fixtures.BUILTIN_ALGEBRAS[target](), cap)
+    series = kuranishi_series(dec, BUILTIN_ALGEBRAS[target](), cap)
     reference = [p.terms for p in _reference_obstructions(series)]
     system = obstruction_system(series)
     assert system.cap == cap

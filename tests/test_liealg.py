@@ -6,6 +6,7 @@ from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
     GRADED_NILPOTENT,
+    I,
     book3,
     dense,
     dense_ad,
@@ -13,6 +14,7 @@ from conftest import (
     dense_in_row_space,
     dense_rows,
     dense_rref,
+    derived_subalgebra,
     h5_i_scaled,
     infer_grading_dense,
     is_unimodular_dense,
@@ -22,6 +24,7 @@ from conftest import (
     series_dense,
     sparse,
     sparse_columns,
+    unchecked_algebra,
 )
 
 from germkit import fixtures, linalg
@@ -33,14 +36,13 @@ from germkit.liealg import (
     Subspace,
     basis_aligned_weights,
     derived_series,
-    derived_subalgebra,
     infer_grading_basis_aligned,
     is_solvable,
     lower_central_series,
     span_of_brackets,
     verify_natural_grading,
 )
-from germkit.scalars import I, ONE, ZERO, scalar
+from germkit.scalars import ONE, ZERO, scalar
 
 
 def test_jacobi_pass_on_heisenberg():
@@ -48,10 +50,9 @@ def test_jacobi_pass_on_heisenberg():
 
 
 def test_jacobi_counterexample_is_reported():
-    bad = LieAlgebra(
+    bad = unchecked_algebra(
         ("e1", "e2", "e3"),
         {(0, 1): {2: scalar(1)}, (0, 2): {0: scalar(1)}},
-        validate=False,
     )
     witness = bad.jacobi_counterexample()
     assert witness is not None
@@ -126,6 +127,8 @@ def test_derived_subalgebra():
     assert derived.dim == 3
     for idx in (1, 2, 3):
         assert derived.contains(fixtures.solvable_heisenberg().basis_vector(idx))
+    second = derived_series(fixtures.solvable_heisenberg())[1]
+    assert second.dim == 3 and second.contains_subspace(derived)
 
 
 def test_verify_natural_grading_standard_layers():
@@ -216,7 +219,7 @@ def _mutations(algebra):
         entry = dict(table.get((i, j), {}))
         entry[k] = entry.get(k, scalar(0)) + scalar(1)
         table[(i, j)] = entry
-        yield (i, j, k), LieAlgebra(algebra.labels, table, validate=False)
+        yield (i, j, k), unchecked_algebra(algebra.labels, table)
 
 
 MUTATED = ("h3", "filiform4", "h5")

@@ -2,6 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    I,
     dense,
     dense_columns,
     dense_in_row_space,
@@ -22,7 +23,7 @@ from conftest import (
 )
 
 import germkit.linalg as la
-from germkit.scalars import I, ONE, Scalar, ZERO, scalar
+from germkit.scalars import ONE, Scalar, ZERO, scalar
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars_st = st.builds(Scalar, fractions_st, fractions_st)

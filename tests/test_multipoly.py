@@ -132,7 +132,7 @@ VARS8 = tuple(f"t{k}" for k in range(1, 9))
 # Mostly zero exponents, as in obstruction terms; Gaussian points with zeros.
 exps8_st = st.tuples(*(st.sampled_from((0, 0, 0, 1, 2, 3)) for _ in VARS8))
 polys8_st = st.builds(
-    lambda terms: MultiPoly(VARS8, terms),
+    lambda terms: RingPoly(VARS8, terms),
     st.dictionaries(exps8_st, scalars_st, max_size=6),
 )
 points8_st = st.lists(

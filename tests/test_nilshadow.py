@@ -6,6 +6,7 @@ from conftest import (
     GENERATED,
     ad_s_matrices_dense,
     dense_columns,
+    derived_subalgebra,
     germbench_inputs,
     h5_i_scaled,
     is_zero_matrix,
@@ -14,11 +15,7 @@ from conftest import (
 from germkit import fixtures, linalg
 from germkit.errors import PreconditionError
 from germkit.formats import load_algebra_file, parse_algebra_dict
-from germkit.liealg import (
-    Subspace,
-    derived_subalgebra,
-    lower_central_series,
-)
+from germkit.liealg import Subspace, lower_central_series
 from germkit.nilshadow import SolvableInput, ad_s_map, nilshadow, validate_solvable_input
 from germkit.scalars import scalar
 

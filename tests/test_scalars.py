@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import I
+
 from germkit.errors import ParseError
 from germkit.scalars import (
-    I,
     ONE,
     Scalar,
     ZERO,

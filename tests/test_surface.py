@@ -9,9 +9,16 @@ one of three conditions:
 - it is the console entry point named in ``pyproject.toml``.
 
 A reference is a bare name (``Dga``) or an attribute (``dga.betti``);
-imports do not count, so re-exporting a name from ``__init__`` does not
-keep it alive.  References in ``tests/`` do not count either: code that
+imports do not count, so a name that is only imported somewhere is not
+kept alive by it.  References in ``tests/`` do not count either: code that
 only the tests reach belongs in ``tests/conftest.py``.
+
+Module-level names get the same rule.  Each name that a top-level
+assignment binds (a constant such as ``ONE``, a type alias such as
+``Row``) must be referenced in ``src/germkit`` outside its own statement,
+or in ``scripts/``.  The package root imports nothing: the program and
+the scripts import the module they use, so ``__init__`` has nothing to
+re-export.
 
 Data gets the same treatment.  Each field of a dataclass and each entry of
 a ``__slots__`` must be read as an attribute (``series.slices``, not an
@@ -73,6 +80,22 @@ def _definitions(tree: ast.Module, module: str):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
+def _module_names(tree: ast.Module, module: str):
+    """(qualified name, name, statement) of each name that a top-level
+    assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    yield f"{module}.{sub.id}", sub.id, node
+
+
 def _attribute_reads(node: ast.AST) -> Counter:
     """How often each attribute name is read (not assigned) inside ``node``."""
     return Counter(
@@ -127,8 +150,8 @@ def _entry_point() -> str:
 
 
 def unreached() -> list[str]:
-    """Qualified names of the definitions that meet none of the conditions,
-    and of the data fields that nothing reads."""
+    """Qualified names of the definitions and module-level names that meet
+    none of the conditions, and of the data fields that nothing reads."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
@@ -145,7 +168,8 @@ def unreached() -> list[str]:
     entry = _entry_point()
     out = []
     for module, tree in trees.items():
-        for qualified, name, node in _definitions(tree, module):
+        named = [*_definitions(tree, module), *_module_names(tree, module)]
+        for qualified, name, node in named:
             outside = in_src[name] - _references(node)[name]
             if outside or in_scripts[name] or qualified == entry:
                 continue
@@ -160,6 +184,16 @@ def test_every_definition_is_reached_from_the_program():
         "only tests reach these; move them into tests/conftest.py or delete "
         f"them: {flagged}"
     )
+
+
+def test_the_package_root_imports_nothing():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not imports, f"src/germkit/__init__.py re-exports names: {imports}"
 
 
 def test_every_allowed_exception_is_still_needed():

@@ -308,9 +308,6 @@ class Run:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.failed_stage: str | None = None
-        # The highest degree split: the germ reads degrees <= GERM_TOP, and
-        # ``decompose`` sets None to split every degree.
-        self.top: int | None = GERM_TOP
 
     def report(self, fields: dict, text: list[str]) -> dict:
         """``fields`` under the report header, with the text lines; a run on
@@ -380,7 +377,9 @@ class Run:
         return self._split(self.complex, self.grading[0])
 
     def _split(self, dga: Dga, grading: Grading | None) -> Decomposition:
-        return split_complex(dga, self.args.strategy, grading, self.top)
+        """``decompose`` splits every degree; the germ reads degrees <= GERM_TOP."""
+        top = None if self.args.command == "decompose" else GERM_TOP
+        return split_complex(dga, self.args.strategy, grading, top)
 
     @stage
     def cocycle_weights(self) -> dict | None:
@@ -523,7 +522,6 @@ def cmd_nilshadow(run: Run) -> dict:
 
 
 def cmd_decompose(run: Run) -> dict:
-    run.top = None
     dga, dec = run.complex, run.split
     grading, grading_how = run.grading
     strategy = run.args.strategy

@@ -19,17 +19,20 @@ coordinates of (harmonic 2-forms) tensor a: finitely many polynomials with
 no constant or linear part whose zero set presents the flat germ at the
 origin on the harmonic slice.
 
-Every degree-one bracket goes through one integer kernel in three steps.
-*Pack* (``_int_slice``) groups a slice by L^1 index, brings its numerators
-over one denominator and packs each exponent vector into an int, so one add
-multiplies two monomials.  *Sum* (``_sum_pairs``) adds factor * [a, b] over
-a list of packed pairs into one (real, imaginary) pair of integer maps over
-one shared denominator, keyed by packed exponent * step + index.  *Reduce*
-(``_reduce``) builds one Scalar per output entry.  ``bracket_slices`` is the
-three in a row; ``TensorDgla.bracket11`` is a one-pair call on a single term
-each.  Between sum and reduce, ``_apply_columns`` applies (matrix tensor id)
-to the integer maps, with the matrix converted once per stage to
-Gaussian-integer numerators over one denominator (``_int_columns``).
+Every degree-one bracket goes through one integer kernel, pack, sum and
+reduce, on one layout, ``IntMaps``: a (real part, imaginary part) pair of
+index-major maps {L^p index: {packed exponent: numerator}}, with one
+denominator held beside it.  *Pack* (``_int_slice``) brings a slice's
+numerators over one denominator and packs each exponent vector into an
+int, so one add multiplies two monomials.  *Sum* (``_sum_pairs``) adds
+factor * [a, b] over a list of packed pairs into one such pair over one
+shared denominator.  *Reduce* (``_reduce``) builds one Scalar per nonzero
+entry.  ``bracket_slices`` is the three in a row; ``TensorDgla.bracket11``
+is a one-pair call on a single term each.  Between sum and reduce,
+``_apply_columns`` applies (matrix tensor id) to the integer maps, with
+the matrix converted once per stage to Gaussian-integer numerators over
+one denominator (``_int_columns``); it looks up each index's column once
+and skips all of an index's terms when that column is empty.
 
 Outside that kernel, elements are sparse Scalar vectors (``SparseVec``) and
 every linear map on them, (matrix tensor id) in ``apply_matrix``, the
@@ -44,8 +47,8 @@ while r is within the cap, -(1/2) delta_2 of it is reduced once per entry
 of phi_r, which is packed once, when it is produced.  ``obstruction_system``
 only wraps the series' obstruction terms as polynomials.  The gauge check
 brackets every ordered pair afresh, applies delta_1 and (1/2) delta_2 on
-integers and compares with phi_r by cross-multiplying denominators,
-building no Scalar.
+integers and compares with the packed phi_r by cross-multiplying
+denominators, building no Scalar.
 
 Each of those sums writes only the 2-monomials that its consumer's linear
 map reads.  (matrix tensor id) sends every entry on a 2-monomial whose
@@ -100,7 +103,7 @@ HALF = Scalar(Fraction(1, 2))
 class TensorDgla:
     """L^p = C^p tensor a with flat indexing (monomial, basis) -> int."""
 
-    __slots__ = ("dga", "target", "_wedge11", "_int_bracket", "_step")
+    __slots__ = ("dga", "target", "_wedge11", "_int_bracket")
 
     def __init__(self, dga: Dga, target: LieAlgebra):
         self.dga = dga
@@ -121,10 +124,6 @@ class TensorDgla:
         self._int_bracket = _int_columns(
             [column for s in range(ta) for column in target.ad({s: ONE})]
         )
-        # Integer maps are keyed by packed exponent * step + index; every
-        # index the kernel and the linear maps write (L^0, L^1, L^2 and the
-        # obstruction coordinates) is below the step.
-        self._step = max(self.dim(1), self.dim(2), 1)
 
     # -- indexing -----------------------------------------------------------
 
@@ -211,17 +210,15 @@ class PolyCochain:
         return linalg.apply(vecs, enumerate(factors))
 
 
-# Integer maps: numerators keyed by packed exponent * step + index, as a
-# (real part, imaginary part) pair over a denominator held beside them.
-IntMaps = tuple[dict[int, int], dict[int, int]]
-# A packed slice: ([(real part, 0), (imaginary part, 1)], D), a part mapping
-# each L^1 index to its (packed exponent * step, numerator) pairs.
-Packed = tuple[list[tuple[dict[int, list[tuple[int, int]]], int]], int]
+# Integer maps: a (real part, imaginary part) pair, each part mapping an
+# L^p index to its numerators by packed exponent, over a denominator held
+# beside the pair.
+IntMaps = tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]
 # A matrix for (matrix tensor id): ([(real part, 0), (imaginary part, 1)], D),
 # a part listing for each column its (row, numerator) pairs.
 IntColumns = tuple[list[tuple[list[list[tuple[int, int]]], int]], int]
 
-NO_TERMS: Packed = ([], 1)
+NO_TERMS: tuple[IntMaps, int] = (({}, {}), 1)
 
 
 def _array_code(degree: int) -> str:
@@ -248,51 +245,43 @@ def _int_columns(
     )
 
 
-def _int_slice(terms: Slice, code: str, step: int) -> Packed:
-    """Pack: a slice as index-major integer parts over one denominator D.
+def _int_slice(terms: Slice, code: str) -> tuple[IntMaps, int]:
+    """Pack: a slice as integer maps over one denominator D.
 
     An exponent vector is packed as the bytes of an array of type ``code``,
     one field a variable, so one int add multiplies two monomials.
     """
     den = lcm(*(c._d for vec in terms.values() for c in vec.values()))
-    re: dict[int, list[tuple[int, int]]] = {}
-    im: dict[int, list[tuple[int, int]]] = {}
+    maps: IntMaps = ({}, {})
+    re, im = maps
     for exps, vec in terms.items():
-        packed = int.from_bytes(array(code, exps), byteorder) * step
+        packed = int.from_bytes(array(code, exps), byteorder)
         for i, c in vec.items():
             scale = den // c._d
             if c._a:
-                re.setdefault(i, []).append((packed, c._a * scale))
+                re.setdefault(i, {})[packed] = c._a * scale
             if c._b:
-                im.setdefault(i, []).append((packed, c._b * scale))
-    return [(part, turns) for turns, part in enumerate((re, im)) if part], den
-
-
-def _flat(packed: Packed) -> IntMaps:
-    """A packed slice's numerators as integer maps."""
-    maps: IntMaps = ({}, {})
-    for part, turns in packed[0]:
-        maps[turns].update((e + i, x) for i, terms in part.items() for e, x in terms)
-    return maps
+                im.setdefault(i, {})[packed] = c._b * scale
+    return maps, den
 
 
 def _accumulate(
-    acc: dict[int, int],
+    acc: dict[int, dict[int, int]],
     sign: int,
-    left: dict[int, list[tuple[int, int]]],
-    right: dict[int, list[tuple[int, int]]],
+    left: dict[int, dict[int, int]],
+    right: dict[int, dict[int, int]],
     consts: list[list[tuple[int, int]]],
     wedge: WedgeTable,
     ta: int,
 ) -> None:
-    """Add sign * [left, right] to acc, keyed by packed exponent * step +
-    L^2 index, with ``consts`` as the bracket table.
+    """Add sign * [left, right] to the part ``acc``, with ``consts`` as the
+    bracket table.
 
     The wedge sign, the target monomial and the structure constants are
-    resolved once per index pair and folded into the right-hand terms; each
-    term pair then costs one int add, one multiply and one dict update.
+    resolved once per index pair, and an output index's map once per index
+    pair and structure constant; each term pair then costs one int add, one
+    multiply and one dict update.
     """
-    get = acc.get
     for iu, terms_u in left.items():
         mu, au = divmod(iu, ta)
         wrow = wedge[mu]
@@ -306,19 +295,23 @@ def _accumulate(
             wsign, target = merged
             base = target * ta
             factor = sign * wsign
-            right_terms = [
-                (eb + base + k, xb * factor * x) for k, x in row for eb, xb in terms_v
-            ]
-            for ea, xa in terms_u:
-                for eb, xb in right_terms:
-                    key = ea + eb
-                    acc[key] = get(key, 0) + xa * xb
+            for k, x in row:
+                out = acc.get(base + k)
+                if out is None:
+                    out = acc[base + k] = {}
+                get = out.get
+                x *= factor
+                for ea, xa in terms_u.items():
+                    xa *= x
+                    for eb, xb in terms_v.items():
+                        key = ea + eb
+                        out[key] = get(key, 0) + xa * xb
 
 
 def _sum_pairs(
     tdgla: TensorDgla,
     wedge: WedgeTable,
-    pairs: list[tuple[int, Packed, Packed]],
+    pairs: list[tuple[int, tuple[IntMaps, int], tuple[IntMaps, int]]],
 ) -> tuple[IntMaps, int]:
     """Sum: factor * [a, b] over the (int factor, packed a, packed b) in
     ``pairs``, as integer maps over one denominator, on the 2-monomials
@@ -328,17 +321,19 @@ def _sum_pairs(
     the lcm of Da * Db over the pairs, by scaling that pair's sign by
     L / (Da * Db).  Q(i) data splits into real and imaginary numerators,
     combined by bilinearity (each factor of i turns the product a quarter:
-    re, im, -re, -im); rational data has no imaginary parts and runs one
-    pass.
+    re, im, -re, -im); an empty part, as every imaginary part of rational
+    data is, adds nothing.
     """
     den = lcm(*(da * db for _, (_, da), (_, db) in pairs))
     parts_c, dc = tdgla._int_bracket
     ta = tdgla.target.dim
     acc: IntMaps = ({}, {})
-    for factor, (parts_a, da), (parts_b, db) in pairs:
+    for factor, (maps_a, da), (maps_b, db) in pairs:
         factor *= den // (da * db)
-        for left, ia in parts_a:
-            for right, ib in parts_b:
+        for ia, left in enumerate(maps_a):
+            for ib, right in enumerate(maps_b):
+                if not (left and right):
+                    continue
                 for consts, ic in parts_c:
                     turns = ia + ib + ic
                     sign = -factor if turns & 2 else factor
@@ -346,53 +341,52 @@ def _sum_pairs(
     return acc, den * dc
 
 
-def _apply_columns(columns: IntColumns, maps: IntMaps, step: int, ta: int) -> IntMaps:
+def _apply_columns(columns: IntColumns, maps: IntMaps, ta: int) -> IntMaps:
     """(matrix tensor id) on integer maps, by bilinearity over the real and
     imaginary parts as in ``_sum_pairs``.  The result's denominator is the
-    input's times the columns'; an index (monomial, a) goes to (row, a)."""
+    input's times the columns'; an index (monomial, a) goes to (row, a).
+
+    Each index's column is read once per part; an empty one skips all of
+    that index's terms at once.
+    """
     out: IntMaps = ({}, {})
-    for source, ix in zip(maps, (0, 1)):
+    for ix, source in enumerate(maps):
         for cols, ic in columns[0]:
             turns = ix + ic
             sign = -1 if turns & 2 else 1
             acc = out[turns & 1]
-            get = acc.get
-            for key, x in source.items():
-                spot = key % step
-                mono, a = divmod(spot, ta)
-                col = cols[mono]
-                if not (col and x):
-                    continue
-                base = key - spot + a
-                x *= sign
-                for i, c in col:
-                    k = base + i * ta
-                    acc[k] = get(k, 0) + x * c
+            for index, terms in source.items():
+                mono, a = divmod(index, ta)
+                for i, c in cols[mono]:
+                    target = acc.get(i * ta + a)
+                    if target is None:
+                        target = acc[i * ta + a] = {}
+                    get = target.get
+                    c *= sign
+                    for e, x in terms.items():
+                        target[e] = get(e, 0) + x * c
     return out
 
 
-def _reduce(maps: IntMaps, den: int, code: str, nvars: int, step: int) -> Slice:
+def _reduce(maps: IntMaps, den: int, code: str, nvars: int) -> Slice:
     """Reduce: integer maps over ``den`` as a slice, one Scalar per nonzero
-    entry.  ``maps`` is used up."""
+    entry."""
     re, im = maps
-    # Give every purely imaginary entry a zero real part, so one walk over
-    # re reaches every output entry.
-    for key in im.keys() - re.keys():
-        re[key] = 0
     nbytes = nvars * array(code).itemsize
     out: Slice = {}
     # Output vectors by packed exponent: each one is unpacked once.
     rows: dict[int, SparseVec] = {}
-    for key, x in re.items():
-        y = im.get(key, 0)
-        if not (x or y):
-            continue
-        packed, spot = divmod(key, step)
-        vec = rows.get(packed)
-        if vec is None:
-            exps = tuple(array(code, packed.to_bytes(nbytes, byteorder)))
-            vec = rows[packed] = out[exps] = {}
-        vec[spot] = from_ints(x, y, den)
+    for index in re.keys() | im.keys():
+        real, imag = re.get(index, {}), im.get(index, {})
+        for packed in real.keys() | imag.keys():
+            x, y = real.get(packed, 0), imag.get(packed, 0)
+            if not (x or y):
+                continue
+            vec = rows.get(packed)
+            if vec is None:
+                exps = tuple(array(code, packed.to_bytes(nbytes, byteorder)))
+                vec = rows[packed] = out[exps] = {}
+            vec[index] = from_ints(x, y, den)
     return out
 
 
@@ -407,13 +401,12 @@ def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> 
     if not pairs:
         return {}
     code = _array_code(max(max(map(sum, a)) + max(map(sum, b)) for _, a, b in pairs))
-    step = tdgla._step
     maps, den = _sum_pairs(
         tdgla,
         tdgla._wedge11,
-        [(f, _int_slice(a, code, step), _int_slice(b, code, step)) for f, a, b in pairs],
+        [(f, _int_slice(a, code), _int_slice(b, code)) for f, a, b in pairs],
     )
-    return _reduce(maps, den, code, len(next(iter(pairs[0][1]))), step)
+    return _reduce(maps, den, code, len(next(iter(pairs[0][1]))))
 
 
 # -- the deformation series ----------------------------------------------------
@@ -437,7 +430,7 @@ class KuranishiSeries:
 
 
 def _square(
-    tdgla: TensorDgla, wedge: WedgeTable, packed: dict[int, Packed], r: int
+    tdgla: TensorDgla, wedge: WedgeTable, packed: dict[int, tuple[IntMaps, int]], r: int
 ) -> tuple[IntMaps, int]:
     """[phi, phi]_r as integer sums over the unordered pairs s + t = r (the
     bracket of degree-one elements is symmetric, so s != t counts twice), on
@@ -466,6 +459,10 @@ def kuranishi_series(
             cap = 2 * dec.dga.algebra.dim
     if cap < 2:
         raise PreconditionError("series cap must be at least 2")
+    # Packed exponents reach degree 2 * rho <= 2 * cap, in fields of at most
+    # 64 bits.
+    if cap >= 1 << 63:
+        raise PreconditionError(f"series cap must be below 2^63 = {1 << 63}")
 
     harm1 = dec.harmonic_basis(1)
     ta = target.dim
@@ -482,15 +479,14 @@ def kuranishi_series(
     def unit_exp(i: int) -> ExponentVector:
         return tuple(1 if k == i else 0 for k in range(m))
 
-    # Packed exponents reach degree 2 * rho <= 2 * cap.
-    code, step = _array_code(2 * cap), tdgla._step
+    code = _array_code(2 * cap)
     slices: dict[int, Slice] = {}
     # Each phi_r packed once, when it is produced.
-    packed: dict[int, Packed] = {}
+    packed: dict[int, tuple[IntMaps, int]] = {}
     phi1: Slice = {unit_exp(i): dict(z) for i, z in enumerate(zeta) if z}
     if phi1:
         slices[1] = phi1
-        packed[1] = _int_slice(phi1, code, step)
+        packed[1] = _int_slice(phi1, code)
 
     # Each [phi, phi]_r is summed once, onto the 2-monomials that delta_2 or
     # the harmonic coordinates read.  Its harmonic coordinates are the
@@ -510,8 +506,8 @@ def kuranishi_series(
     rho, r = 1, 2
     while m and r <= 2 * rho:
         sums, den = _square(tdgla, wedge, packed, r)
-        projected = _apply_columns(coord_cols, sums, step, ta)
-        for exps, vec in _reduce(projected, den * coord_cols[1], code, m, step).items():
+        projected = _apply_columns(coord_cols, sums, ta)
+        for exps, vec in _reduce(projected, den * coord_cols[1], code, m).items():
             if sum(exps) < 2:
                 raise InternalCheckError(
                     "obstruction polynomial has a constant or linear part"
@@ -520,11 +516,11 @@ def kuranishi_series(
                 obstruction_terms[k][exps] = value
         if r <= cap:
             phi_r = _reduce(
-                _apply_columns(delta2, sums, step, ta), den * delta2[1], code, m, step
+                _apply_columns(delta2, sums, ta), den * delta2[1], code, m
             )
             if phi_r:
                 slices[r] = phi_r
-                packed[r] = _int_slice(phi_r, code, step)
+                packed[r] = _int_slice(phi_r, code)
                 rho = r
         r += 1
 
@@ -621,16 +617,16 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
         raise PreconditionError("gauge identities require a terminated series")
     dec = series.decomposition
     tdgla = series.tdgla
-    ta, step = tdgla.target.dim, tdgla._step
+    ta = tdgla.target.dim
     top = 2 * max(series.slices, default=0)
     code = _array_code(top)
-    # Each phi_s packed once, index-major for the kernel and flat for the
-    # linear maps and the comparison.
-    packed = {s: _int_slice(terms, code, step) for s, terms in series.slices.items()}
-    flat = {s: _flat(p) for s, p in packed.items()}
+    # Each phi_s packed once, for the kernel, the linear maps and the
+    # comparison.
+    packed = {s: _int_slice(terms, code) for s, terms in series.slices.items()}
     delta1 = _int_columns(dec.delta_cols(1))
-    for maps in flat.values():
-        if any(any(part.values()) for part in _apply_columns(delta1, maps, step, ta)):
+    for maps, _ in packed.values():
+        image = _apply_columns(delta1, maps, ta)
+        if any(any(terms.values()) for part in image for terms in part.values()):
             return "delta(phi) is not identically zero"
     half_delta2 = _int_columns(dec.delta_cols(2), Fraction(1, 2))
     wedge = tdgla.wedge_onto(dec.delta_cols(2))
@@ -641,12 +637,13 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
             [(1, packed.get(s, NO_TERMS), packed.get(r - s, NO_TERMS)) for s in range(1, r)],
         )
         # phi_r = N / D and (1/2) delta [phi, phi]_r = M / D': the sum
-        # vanishes when D' * N + D * M does, key by key.
-        image = _apply_columns(half_delta2, sums, step, ta)
-        scale, d_phi = den * half_delta2[1], packed.get(r, NO_TERMS)[1]
-        for mine, theirs in zip(flat.get(r, ({}, {})), image):
-            for key in mine.keys() | theirs.keys():
-                if scale * mine.get(key, 0) + d_phi * theirs.get(key, 0):
+        # vanishes when D' * N + D * M does, entry by entry.
+        image = _apply_columns(half_delta2, sums, ta)
+        (phi_r, d_phi), scale = packed.get(r, NO_TERMS), den * half_delta2[1]
+        for mine, theirs in zip(phi_r, image):
+            for index in mine.keys() | theirs.keys():
+                n, m = mine.get(index, {}), theirs.get(index, {})
+                if any(scale * n.get(e, 0) + d_phi * m.get(e, 0) for e in n.keys() | m.keys()):
                     return "phi + (1/2) delta[phi, phi] differs from the linear part"
     return None
 

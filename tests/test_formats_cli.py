@@ -148,6 +148,25 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert code == 1 and "Jacobi" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kuranishi", "h3.json", "--target", "sl2"],
+        ["pipeline", "filiform4.json", "--json", "-"],
+    ],
+)
+def test_series_cap_is_bounded_by_the_packed_exponent_width(capsys, argv):
+    # Packed exponents reach degree 2 * cap in fields of at most 64 bits:
+    # 2^63 - 1 is the largest cap, and a larger one is a precondition.
+    command, name, *rest = argv
+    argv = [command, str(FIXTURES / name), *rest]
+    code, _, err = run(capsys, *argv, "--cap", str(2**63 - 1))
+    assert code == 0, err
+    for cap in (2**63, 10**23):
+        code, _, err = run(capsys, *argv, "--cap", str(cap))
+        assert code == 1 and f"series cap must be below 2^63 = {2**63}" in err, err
+
+
 def test_nilshadow_command(capsys):
     code, out, _ = run(capsys, "nilshadow", str(FIXTURES / "solv_heisenberg.json"))
     assert code == 0

@@ -934,6 +934,69 @@ def test_wedge_onto_keeps_few_monomials_on_a_filiform_base():
     assert len(targets(tdgla.wedge_onto(dec.delta_cols(2), dec.harmonic_coords(2)))) == 12
 
 
+class _CountingColumns(list):
+    """Sparse columns that count the reads of their entries."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_apply_columns_reads_each_index_column_once():
+    # Monomial 0 has an empty column; monomial 1 goes to 3 * row 0 - row 2.
+    # Many terms sit on monomial 0's indices, a few on monomial 1's, in both
+    # the real and the imaginary part; each index's column is read once.
+    ta = 2
+    col_lists = [[], [(0, 3), (2, -1)]]
+    cols = _CountingColumns(col_lists)
+    re = {
+        0: {e: e + 1 for e in range(50)},
+        1: {e: -e for e in range(1, 40)},
+        3: {7: 2, 9: -5},
+    }
+    im = {2: {7: 4, 11: 1}}
+    got = kuranishi._apply_columns(([(cols, 0)], 5), (re, im), ta)
+    assert cols.reads == len(re.keys() | im.keys())
+    expected = ({}, {})
+    for part, source in zip(expected, (re, im)):
+        for index, terms in source.items():
+            mono, a = divmod(index, ta)
+            for i, c in col_lists[mono]:
+                for e, x in terms.items():
+                    target = part.setdefault(i * ta + a, {})
+                    target[e] = target.get(e, 0) + x * c
+    assert got == expected
+    assert got == (
+        {1: {7: 6, 9: -15}, 5: {7: -2, 9: 5}},
+        {0: {7: 12, 11: 3}, 4: {7: -4, 11: -1}},
+    )
+
+
+@pytest.mark.parametrize("base, target", [("L6", "gl2"), ("h5_i_scaled", "sl2")])
+def test_series_is_the_same_at_every_packed_exponent_width(base, target):
+    # The cap picks the array type of the packed exponents (fields that hold
+    # 2 * cap): 8 bits at the default cap, 16 at 200, 32 at 40,000 and 64 at
+    # 2^32 and at the largest cap accepted.  A terminated series is the same
+    # at each.
+    algebra = GENERATED["L6"] if base == "L6" else h5_i_scaled()
+    lie_target = fixtures.gl(2) if target == "gl2" else fixtures.sl2()
+    dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
+    runs = [
+        kuranishi_series(dec, lie_target, cap)
+        for cap in (None, 200, 40_000, 2**32, 2**63 - 1)
+    ]
+    assert [kuranishi._array_code(2 * s.cap) for s in runs] == list("BHIQQ")
+    first = runs[0]
+    assert first.terminated and first.last_nonzero >= 2
+    for series in runs:
+        assert series.slices == first.slices
+        assert series.obstruction_terms == first.obstruction_terms
+        assert series.terminated and series.last_nonzero == first.last_nonzero
+        assert gauge_identity_check(series) is None
+
+
 def test_obstruction_system_rejects_a_linear_term(monkeypatch):
     # The obstruction terms are reduced, and checked, while the series is
     # built; the first reduction at r = 2 is the harmonic projection.

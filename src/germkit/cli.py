@@ -13,11 +13,12 @@ embedding), read in the order their errors should surface.  A stage runs
 once, on first read, and calls its engine function from one place.  Text
 output prints the report's ``text`` lines; ``--json`` renders the dict.
 
-The embedding stage is exact: it compares the selection's and the
-ambient's Maurer-Cartan residuals at e_k and e_k + e_l for the selection's
-degree-one basis e_k, which decides agreement at every point (see
-``linear_embedding_check``).  Reports give the number of points compared
-as ``samples`` (``embedding_samples`` in ``pipeline``).
+The embedding stage is exact: it decides that the selection's and the
+ambient's Maurer-Cartan residuals agree at every point as one polynomial
+identity in the generic degree-one element sum_k t_k e_k of the selection
+(see ``linear_embedding_check``).  That is equivalent to agreement at the
+N(N+1)/2 points e_k and e_k + e_l, which reports still count as
+``samples`` (``embedding_samples`` in ``pipeline``).
 """
 
 from __future__ import annotations

@@ -69,9 +69,11 @@ even when it lies past the cap; a series that reaches the cap first is
 flagged truncated, and its system is only valid modulo higher degree.
 
 The inclusion of a sub-DGA commutes with the residual everywhere exactly
-when it does at the points e_k and e_k + e_l of the sub-DGA's degree-one
-basis, since the residual is quadratic and [e_k, e_k] = 0;
-``linear_embedding_check`` compares it there and samples nothing.
+when d w and [w, w] agree as polynomials at the generic degree-one element
+w = sum_k t_k e_k of the sub-DGA: ``linear_embedding_check`` compares N
+columns of d and one ``bracket_slices`` call on each side, which is
+equivalent to comparing the residuals at the N(N+1)/2 points e_k and
+e_k + e_l, since the residual is quadratic and [e_k, e_k] = 0.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ class TensorDgla:
     def __init__(self, dga: Dga, target: LieAlgebra):
         self.dga = dga
         self.target = target
-        ta = target.dim
         ones, position = dga.monomials[1], dga.position
         # Every product of two degree-one monomials, for the kernel calls
         # that need every coordinate; ``wedge_onto`` prunes it.
@@ -119,11 +120,9 @@ class TensorDgla:
             ]
             for left in ones
         ]
-        # The bracket table for the kernel, column s * ta + t listing the
+        # The bracket table for the kernel, column s * dim a + t listing the
         # (k, numerator) of [x_s, x_t].
-        self._int_bracket = _int_columns(
-            [column for s in range(ta) for column in target.ad({s: ONE})]
-        )
+        self._int_bracket = _int_columns(target.structure_columns())
 
     # -- indexing -----------------------------------------------------------
 
@@ -655,23 +654,29 @@ def linear_embedding_check(
     sub: Dga, ambient: Dga, target: LieAlgebra
 ) -> tuple[int, str | None]:
     """Whether the inclusion of ``sub`` into ``ambient`` commutes with the
-    Maurer-Cartan residual R(w) = d w + (1/2)[w, w], decided exactly.
+    Maurer-Cartan residual R(w) = d w + (1/2)[w, w], decided exactly as one
+    polynomial identity.
 
     ``sub`` is a complex on monomials of ``ambient``, normally its
     restriction to a verified selection (``Dga.restrict``, as
     ``subdga_from_characters`` returns); both are built by the caller.
     Let e_k run over the degree-one basis of the selection, one monomial
-    tensor one target basis vector, N of them.  [e_k, e_k] = 0, because
-    alpha wedge alpha = 0, and the bracket of degree-one elements is
-    symmetric, so R(e_k) = d e_k, R(e_k + e_l) = d e_k + d e_l + [e_k, e_l]
-    and R(sum_k c_k e_k) = sum_k c_k R(e_k) + sum_{k<l} c_k c_l
-    (R(e_k + e_l) - R(e_k) - R(e_l)); the same holds for the images in the
-    ambient.  So if the inclusion commutes with R at every e_k and every
-    e_k + e_l (k < l), it commutes with R at every w, over Q(i) as well.
+    tensor one target basis vector, N of them, and let w = sum_k t_k e_k be
+    the generic degree-one element.  R(w) is a polynomial in t: its t_k
+    coefficient is d e_k and its t_k t_l coefficient (k < l) is [e_k, e_l],
+    since [e_k, e_k] = 0 (alpha wedge alpha = 0) and the bracket of
+    degree-one elements is symmetric.  The inclusion commutes with R at
+    every w, over Q(i) as well, exactly when d w and [w, w] (one
+    ``bracket_slices`` call) agree as polynomials on both sides, after the
+    selection's indices are lifted to the ambient's.  That is the same
+    statement as agreement at the N(N+1)/2 points e_k and e_k + e_l
+    (k <= l): R(e_k) = d e_k and R(e_k + e_l) = d e_k + d e_l + [e_k, e_l].
 
-    Returns (points compared, witness): the witness is None when the
-    residuals agree at all N(N+1)/2 points, else it names the first point
-    that fails by its basis labels, with both residuals.
+    Returns (points, witness).  When the identity holds, points is
+    N(N+1)/2 and the witness None.  Otherwise the points are searched in
+    k-major order, and the result counts them up to the first one where
+    the residuals differ and names it by its basis labels, with both
+    residuals.
     """
     sub_dgla = TensorDgla(sub, target)
     amb_dgla = TensorDgla(ambient, target)
@@ -682,7 +687,23 @@ def linear_embedding_check(
         for p in (1, 2)
     }
     n = sub_dgla.dim(1)
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+
+    def residual_terms(tdgla: TensorDgla, basis: Sequence[int]) -> Slice:
+        """d w and [w, w] at w = sum_k t_k e_k, with e_k at L^1 index
+        ``basis[k]``, as one slice by exponent vector."""
+        omega = {u: {i: ONE} for u, i in zip(units, basis)}
+        terms = {u: tdgla.apply_matrix(tdgla.dga.columns[1], e) for u, e in omega.items()}
+        terms.update(bracket_slices(tdgla, [(1, omega, omega)]))
+        return {u: vec for u, vec in terms.items() if vec}
+
+    lifted = {
+        u: {lift[2][i]: c for i, c in vec.items()}
+        for u, vec in residual_terms(sub_dgla, range(n)).items()
+    }
     pairs = [(k, l) for k in range(n) for l in range(k, n)]
+    if lifted == residual_terms(amb_dgla, lift[1]):
+        return len(pairs), None
     for compared, pair in enumerate(pairs, 1):
         omega = dict.fromkeys(pair, ONE)  # e_k when k == l
         res_sub = mc_residual(sub_dgla, omega)
@@ -694,4 +715,7 @@ def linear_embedding_check(
                 f"{sub_dgla.element_str(2, res_sub)}, ambient gives "
                 f"{amb_dgla.element_str(2, res_amb)}"
             )
-    return len(pairs), None
+    raise InternalCheckError(
+        "residual polynomials differ although they agree at every e_k and "
+        "e_k + e_l: some [e_k, e_k] is nonzero"
+    )

@@ -1,8 +1,8 @@
 """Lie algebras presented by structure constants over Q(i), on sparse rows.
 
 The caller gives the brackets of pairs i < j; one antisymmetric table of
-every nonzero [X_i, X_j] serves the bracket, ad, Jacobi and unimodularity.
-The Jacobi identity is checked at construction.
+every nonzero [X_i, X_j] serves the bracket, ad, the structure columns,
+Jacobi and unimodularity.  The Jacobi identity is checked at construction.
 """
 
 from __future__ import annotations
@@ -77,6 +77,12 @@ class LieAlgebra:
     def ad(self, v: Row) -> SparseColumns:
         """ad_v : w -> [v, w] as sparse columns in the given basis."""
         return [sorted(self.bracket(v, {j: ONE}).items()) for j in range(self.dim)]
+
+    def structure_columns(self) -> SparseColumns:
+        """The bracket table as sparse columns: column i * dim + j lists the
+        nonzero (k, c) of [X_i, X_j], k ascending."""
+        table, n = self._table, self.dim
+        return [list(table.get((i, j), ())) for i in range(n) for j in range(n)]
 
     def basis_vector(self, i: int) -> Row:
         return {i: ONE}

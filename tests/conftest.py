@@ -32,6 +32,9 @@ these live here because only the tests call them:
   one ``bracket_slices`` call over the unordered pairs, and the gauge check
   on Scalar slices, the references of the series' integer bracket sums and
   of the integer ``gauge_identity_check``;
+- ``linear_embedding_check_reference``: the embedding check as two
+  ``mc_residual`` calls at each of the N(N+1)/2 points e_k and e_k + e_l,
+  the reference of the polynomial identity in ``linear_embedding_check``;
 - ``is_unimodular_dense``: the traces of dense ad matrices, the reference
   of the sparse ``LieAlgebra.is_unimodular``;
 - the dense matrix kit, the references of the sparse rows and columns
@@ -90,6 +93,7 @@ from germkit.kuranishi import (
     SparseVec,
     TensorDgla,
     bracket_slices,
+    mc_residual,
 )
 from germkit.liealg import (
     Grading,
@@ -1062,6 +1066,34 @@ def gauge_identity_check_reference(series: KuranishiSeries) -> str | None:
         if any(lhs.values()):
             return "phi + (1/2) delta[phi, phi] differs from the linear part"
     return None
+
+
+def linear_embedding_check_reference(
+    sub: Dga, ambient: Dga, target: LieAlgebra
+) -> tuple[int, str | None]:
+    """The embedding check point by point: the selection's and the
+    ambient's residuals at e_k and at e_k + e_l (k < l), in k-major order,
+    with the same result and witness text as ``linear_embedding_check``."""
+    sub_dgla, amb_dgla = TensorDgla(sub, target), TensorDgla(ambient, target)
+    ta = target.dim
+    lift = {
+        p: [ambient.position[m][1] * ta + a for m in sub.monomials[p] for a in range(ta)]
+        for p in (1, 2)
+    }
+    n = sub_dgla.dim(1)
+    pairs = [(k, l) for k in range(n) for l in range(k, n)]
+    for compared, pair in enumerate(pairs, 1):
+        omega = dict.fromkeys(pair, ONE)
+        res_sub = mc_residual(sub_dgla, omega)
+        res_amb = mc_residual(amb_dgla, {lift[1][i]: c for i, c in omega.items()})
+        if {lift[2][i]: c for i, c in res_sub.items()} != res_amb:
+            point = " + ".join(sub_dgla.basis_label(1, i) for i in omega)
+            return compared, (
+                f"residuals disagree at {point}: selection gives "
+                f"{sub_dgla.element_str(2, res_sub)}, ambient gives "
+                f"{amb_dgla.element_str(2, res_amb)}"
+            )
+    return len(pairs), None
 
 
 def inferred_grading(algebra: LieAlgebra) -> Grading | None:

@@ -19,13 +19,14 @@ from conftest import (
     h5_i_scaled,
     homogeneous_components,
     inferred_grading,
+    linear_embedding_check_reference,
     square_slice,
     tensor_bracket,
     vec_add_into,
 )
 
 from germkit import cli, fixtures, kuranishi, scalars
-from germkit.cedga import Dga, subdga_from_characters, wedge_monomials
+from germkit.cedga import CharacterData, Dga, subdga_from_characters, wedge_monomials
 from germkit.decomp import GERM_TOP, Decomposition, monomial_weight, split_complex
 from germkit.errors import InternalCheckError, PreconditionError
 from germkit.formats import parse_algebra_dict
@@ -454,6 +455,114 @@ def test_linear_embedding_over_gaussian_rationals():
     assert compared == 13 and witness.startswith("residuals disagree at X1⊗H' + Z⊗H': ")
 
 
+def _cli_complexes(argv, data=None):
+    """(selection, ambient complex) as ``germkit subdga`` builds them, from
+    the files in ``argv`` or from the algebra dict ``data``."""
+    run = cli.Run(cli.build_parser().parse_args(["subdga", *argv]))
+    if data is not None:
+        run.parsed = parse_algebra_dict(data)
+    return run.selection, run.complex
+
+
+def _full_selection(algebra):
+    """The whole complex of ``algebra`` as its own selection."""
+    dga = Dga(algebra)
+    return dga.restrict(dga.monomials), dga
+
+
+def _zero_sum_selection():
+    """Zero-sum characters on the abelian plane: no one-form is kept, N = 0."""
+    dga = Dga(fixtures.abelian(2))
+    return subdga_from_characters(dga, CharacterData(rank=1, exponents=((1,), (-1,)))), dga
+
+
+# Functions giving (selection, ambient): each input that carries
+# characters, with its character selection, two complexes as their own
+# selections, and an empty degree-one level.
+EMBEDDING_CASES = {
+    "solv_heisenberg": lambda: _cli_complexes([str(FIXTURES / "solv_heisenberg.json")]),
+    "q_plus_h3": lambda: _cli_complexes([
+        str(FIXTURES / "q_plus_h3.json"),
+        "--characters",
+        str(FIXTURES / "diag_weight_characters.json"),
+    ]),
+    "Th5": lambda: _cli_complexes(["-"], germbench_inputs().solvable_heisenberg(2, None)),
+    "h3_full": lambda: _full_selection(fixtures.heisenberg3()),
+    "h5i_full": lambda: _full_selection(h5_i_scaled()),
+    "abelian2_zero_sum": _zero_sum_selection,
+}
+EMBEDDING_TARGETS = {
+    "sl2": fixtures.sl2,
+    "gl:2": lambda: fixtures.gl(2),
+    "gl:3": lambda: fixtures.gl(3),
+    "sl2_i": lambda: _sl2_scaled(I, ONE),
+}
+
+
+@pytest.mark.parametrize("target", sorted(EMBEDDING_TARGETS))
+@pytest.mark.parametrize("case", sorted(EMBEDDING_CASES))
+def test_embedding_identity_matches_the_point_loop(case, target):
+    sub, ambient = EMBEDDING_CASES[case]()
+    t = EMBEDDING_TARGETS[target]()
+    n = sub.dim_at(1) * t.dim
+    result = linear_embedding_check(sub, ambient, t)
+    assert result == linear_embedding_check_reference(sub, ambient, t)
+    assert result == (n * (n + 1) // 2, None)
+
+
+def _flip_one_wedge_sign(monkeypatch, sub):
+    """[m0, m1] changes sign in the wedge table of ``sub``'s TensorDgla
+    alone, so its [w, w] loses the m0 x m1 terms while d agrees."""
+    init = TensorDgla.__init__
+
+    def corrupted(self, dga, target):
+        init(self, dga, target)
+        if dga is sub:
+            sign, mono = self._wedge11[0][1]
+            self._wedge11[0][1] = (-sign, mono)
+
+    monkeypatch.setattr(TensorDgla, "__init__", corrupted)
+
+
+def test_embedding_identity_sees_a_corrupted_bracket(monkeypatch):
+    # Only the quadratic half of the identity differs.
+    sub, ambient = EMBEDDING_CASES["solv_heisenberg"]()
+    assert linear_embedding_check(sub, ambient, fixtures.sl2()) == (21, None)
+    _flip_one_wedge_sign(monkeypatch, sub)
+    result = linear_embedding_check(sub, ambient, fixtures.sl2())
+    assert result == linear_embedding_check_reference(sub, ambient, fixtures.sl2())
+    assert result == (5, (
+        "residuals disagree at T⊗H + Z⊗E: selection gives (-1)*X∧Y⊗E, "
+        "ambient gives (2)*T∧Z⊗E + (-1)*X∧Y⊗E"
+    ))
+
+
+def test_embedding_identity_sees_a_corrupted_differential():
+    # One entry of the selection's d_1 doubled: d e_k differs on the second
+    # one-form while [w, w] agrees, so only the linear half differs.
+    sub, ambient = EMBEDDING_CASES["solv_heisenberg"]()
+    columns = [list(level) for level in sub.columns]
+    (row, value), = columns[1][1]
+    columns[1][1] = [(row, 2 * value)]
+    sub.columns = columns
+    result = linear_embedding_check(sub, ambient, fixtures.sl2())
+    assert result == linear_embedding_check_reference(sub, ambient, fixtures.sl2())
+    assert result == (4, (
+        "residuals disagree at T⊗H + Z⊗H: selection gives (-2)*X∧Y⊗H, "
+        "ambient gives (-1)*X∧Y⊗H"
+    ))
+
+
+def test_embedding_identity_never_passes_a_failure_no_point_shows(monkeypatch):
+    # Identities that differ with residuals that agree at every basis point
+    # would need [e_k, e_k] != 0: an engine bug, reported as one.
+    sub, ambient = EMBEDDING_CASES["solv_heisenberg"]()
+    _flip_one_wedge_sign(monkeypatch, sub)
+    monkeypatch.setattr(kuranishi, "mc_residual", lambda tdgla, omega: {})
+    with pytest.raises(InternalCheckError, match="some \\[e_k, e_k\\] is nonzero"):
+        linear_embedding_check(sub, ambient, fixtures.sl2())
+
+
 def test_character_subdga_germ_is_smooth():
     shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
     dga = Dga(shadow)
@@ -490,12 +599,7 @@ def test_one_dimensional_base():
 def test_selection_with_empty_middle_degree():
     # zero-sum selection on the abelian plane keeps only the unit and the
     # volume; the degree-one level is empty and nothing may error
-    from germkit.cedga import CharacterData
-
-    dga = Dga(fixtures.abelian(2))
-    rc = subdga_from_characters(
-        dga, CharacterData(rank=1, exponents=((1,), (-1,)))
-    )
+    rc, _ = _zero_sum_selection()
     assert rc.dims() == [1, 0, 1]
     for strategy in ("metric", "pivot"):
         dec = split_complex(rc, strategy)
@@ -624,6 +728,16 @@ KERNEL_TARGETS = {
     "sl2_third": _sl2_scaled(ONE, scalar("1/3")),
 }
 KERNEL_DGA = Dga(fixtures.heisenberg5())
+
+
+@pytest.mark.parametrize(
+    "target", [fixtures.sl2(), fixtures.gl(3), _sl2_scaled(I, ONE)], ids=["sl2", "gl3", "sl2_i"]
+)
+def test_kernel_bracket_table_is_the_columns_of_ad(target):
+    # Column s * dim + t of the structure columns is column t of ad x_s.
+    by_ad = [column for s in range(target.dim) for column in target.ad({s: ONE})]
+    assert target.structure_columns() == by_ad
+    assert TensorDgla(KERNEL_DGA, target)._int_bracket == kuranishi._int_columns(by_ad)
 
 _parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _coefs = st.one_of(

@@ -11,12 +11,17 @@ degree one.  This sign convention is fixed globally: frozen expected values
 throughout the test suite are computed under it.
 
 The differential is held as sparse columns: d_p is one list of (row, value)
-pairs per degree-p monomial, the form ``linalg.apply`` reads.  The d o d
-check (``linalg.apply`` of d_(p+1) to each column of d_p), the Betti ranks
-(``linalg.sparse_rank``), the split and ``verify_subdga`` work on these
-columns.  Dense rows of d_p (``Dga.d``) are built per degree when first
-read; the program never reads them, and they are kept for the benchmark's
-counters and its ``rref`` probe.
+pairs per degree-p monomial, the form ``linalg.apply`` reads.  The full
+complex builds them on index bitmasks.  For the generator k at position t
+of x_I, each term -c_ij^k x_i x_j of d x_k whose bits miss rest = I - {k}
+lands on rest | {i, j} with sign (-1)^t times (-1)^(the number of indices
+of rest strictly between i and j), the parity of moving x_i and x_j into
+place.  Terms that land on one monomial are added and zeros dropped.  The
+d o d check (``linalg.apply`` of d_(p+1) to each column of d_p), the Betti
+ranks (``linalg.sparse_rank``), the split and ``verify_subdga`` work on
+these columns.  Dense rows of d_p (``Dga.d``) are built per degree when
+first read; the program never reads them, and they are kept for the
+benchmark's counters and its ``rref`` probe.
 
 A monomial sub-DGA is a per-degree selection of monomials that contains the
 unit and is closed under both d and wedge.  ``verify_subdga`` is the one
@@ -33,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -73,26 +78,6 @@ def wedge_monomials(left: Monomial, right: Monomial) -> tuple[int, Monomial] | N
     return sort_with_sign(left + right)
 
 
-def _diff_monomial(
-    gen_diff: list[dict[Monomial, Scalar]], mono: Monomial
-) -> dict[Monomial, Scalar]:
-    """d(x_mono) in the free exterior algebra, from d of each generator."""
-    out: dict[Monomial, Scalar] = {}
-    for t, gen in enumerate(mono):
-        for pair, coeff in gen_diff[gen].items():
-            seq = mono[:t] + pair + mono[t + 1 :]
-            sorted_ = sort_with_sign(seq)
-            if sorted_ is None:
-                continue
-            sign, target = sorted_
-            total = out.get(target, ZERO) + scalar(sign * (-1) ** t) * coeff
-            if total:
-                out[target] = total
-            else:
-                out.pop(target, None)
-    return out
-
-
 Position = dict[Monomial, tuple[int, int]]
 Column = list[tuple[int, Scalar]]
 
@@ -110,56 +95,76 @@ class Dga:
 
     def __init__(self, algebra: LieAlgebra):
         n = algebra.dim
-        gen_diff: list[dict[Monomial, Scalar]] = [{} for _ in range(n)]
+        # d x_k as (bits of i and j, bits strictly between them, -c_ij^k,
+        # c_ij^k) for each nonzero c_ij^k, i < j.
+        gen_diff: list[list[tuple[int, int, Scalar, Scalar]]] = [[] for _ in range(n)]
         for i, j, comps in algebra.nonzero_brackets():
             for k, c in comps.items():
-                gen_diff[k][(i, j)] = gen_diff[k].get((i, j), ZERO) - c
-
-        def column(p: int, mono: Monomial, position: Position) -> Column:
-            diff = _diff_monomial(gen_diff, mono).items()
-            return sorted((position[target][1], coeff) for target, coeff in diff)
-
+                gen_diff[k].append((1 << i | 1 << j, (1 << j) - (2 << i), -c, c))
+        # (bit of k, the bits below it, d x_k) for each k with d x_k != 0.
+        active = [(1 << k, (1 << k) - 1, pairs) for k, pairs in enumerate(gen_diff) if pairs]
         monomials = [list(itertools.combinations(range(n), p)) for p in range(n + 1)]
-        self._set(algebra, monomials, column)
+        bits = [1 << i for i in range(n)]
+        masks = [list(map(sum, itertools.combinations(bits, p))) for p in range(n + 1)]
+        row = {mask: idx for level in masks for idx, mask in enumerate(level)}
+
+        def column(mask: int) -> Column:
+            terms: dict[int, Scalar] = {}
+            for bit, below, pairs in active:
+                if mask & bit:
+                    rest, t = mask ^ bit, (mask & below).bit_count()
+                    for pair, between, value, negated in pairs:
+                        if not rest & pair:
+                            target = rest | pair
+                            term = negated if (t + (rest & between).bit_count()) & 1 else value
+                            if target in terms:
+                                terms[target] += term
+                            else:
+                                terms[target] = term
+            return sorted([(row[target], value) for target, value in terms.items() if value])
+
+        columns = [list(map(column, level)) for level in masks]
+        self._set(algebra, monomials, columns)
 
     def restrict(self, selected: Sequence[Sequence[Monomial]]) -> Dga:
         """The complex on ``selected``, a per-degree selection that
         ``verify_subdga`` has passed: this complex's columns, re-indexed.
         Both bases are in lexicographic order, so each column stays sorted."""
+        levels = [sorted(level) for level in selected]
+        index = {mono: idx for level in levels for idx, mono in enumerate(level)}
 
-        def column(p: int, mono: Monomial, position: Position) -> Column:
+        def column(p: int, mono: Monomial) -> Column:
             return [
-                (position[self.monomials[p + 1][row]][1], value)
+                (index[self.monomials[p + 1][row]], value)
                 for row, value in self.columns[p][self.position[mono][1]]
             ]
 
+        columns = [[column(p, mono) for mono in level] for p, level in enumerate(levels)]
         sub = Dga.__new__(Dga)
-        sub._set(self.algebra, [sorted(level) for level in selected], column)
+        sub._set(self.algebra, levels, columns)
         return sub
 
     def _set(
         self,
         algebra: LieAlgebra,
         monomials: list[list[Monomial]],
-        column: Callable[[int, Monomial, Position], Column],
+        columns: list[SparseColumns],
     ) -> None:
-        """Lay out the basis, take each monomial's d from ``column`` and
-        check d o d = 0."""
+        """Lay out the basis with d as ``columns`` and check d o d = 0."""
         self.algebra = algebra
         self.monomials: tuple[tuple[Monomial, ...], ...] = tuple(map(tuple, monomials))
         self.position: Position = {
             mono: (p, idx) for p, level in enumerate(monomials) for idx, mono in enumerate(level)
         }
-        self.columns: list[SparseColumns] = [
-            [column(p, mono, self.position) for mono in level]
-            for p, level in enumerate(self.monomials)
-        ]
+        self.columns: list[SparseColumns] = columns
         self.d = DenseDifferential(self.columns, self.dims())
-        for p in range(len(self.columns) - 2):
-            failures = []
-            for c, col in enumerate(self.columns[p]):
-                square = linalg.apply(self.columns[p + 1], col)
-                failures.extend((r, c, value) for r, value in square.items())
+        for p in range(len(columns) - 2):
+            failures = [
+                (r, c, value)
+                for c, col in enumerate(columns[p])
+                if col
+                for r, value in linalg.apply(columns[p + 1], col).items()
+            ]
             if failures:
                 r, c, value = min(failures, key=lambda f: f[:2])
                 raise PreconditionError(

@@ -7,9 +7,13 @@ to a leading one; ``echelon`` inserts by the leftmost column and
 back-substitutes once, which gives the unique reduced row echelon form.
 ``kernel_basis``, ``coordinates``, ``in_row_space``, ``liealg.Subspace``
 and the split's basis extension run on it.  ``sparse_rank`` needs only the
-rank and inserts by the largest index instead, which on the columns of d
-is about twice as fast.  ``apply`` applies a matrix, or (matrix tensor id),
-to a sparse vector; ``mat_mul`` and ``combine`` compose and add matrices.
+rank and eliminates fraction-free over Z (Bareiss, Math. Comp. 22, 1968):
+each column is scaled by the lcm of its denominators and reduced on its
+largest row index by row <- a row - b kept, and a kept row has its content
+divided out.  Gaussian columns c enter realified, as c and i c over Q,
+whose rank is twice the rank over Q(i).  ``apply`` applies a matrix, or
+(matrix tensor id), to a sparse vector; ``mat_mul`` and ``combine``
+compose and add matrices.
 Functions that can receive no rows take the column count, because an
 empty list carries no shape.  ``rref``, the one function on dense rows,
 reads an algebra file's coordinate vectors, and the benchmark times it on
@@ -18,7 +22,8 @@ the dense rows of d (``Dga.d``).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from math import gcd, lcm
 
 from .scalars import Scalar, ZERO, ONE
 
@@ -72,12 +77,12 @@ def _subtract(row: Row, f: Scalar, pivot: Row) -> None:
             del row[j]
 
 
-def _reduce(kept: Mapping[int, Row], row: Row, pivot: Callable = min) -> int | None:
+def _reduce(kept: Mapping[int, Row], row: Row) -> int | None:
     """Reduce ``row`` in place by the rows of ``kept`` (keyed by their
-    pivot column, entry one there) until its pivot column, the ``pivot`` of
-    its indices, is not kept; that column, or None when the row vanishes."""
+    pivot column, entry one there) until its pivot column, its smallest
+    index, is not kept; that column, or None when the row vanishes."""
     while row:
-        lead = pivot(row)
+        lead = min(row)
         kept_row = kept.get(lead)
         if kept_row is None:
             return lead
@@ -85,14 +90,12 @@ def _reduce(kept: Mapping[int, Row], row: Row, pivot: Callable = min) -> int | N
     return None
 
 
-def insert(
-    kept: dict[int, Row], row: Entries | Mapping[int, Scalar], pivot: Callable = min
-) -> bool:
+def insert(kept: dict[int, Row], row: Entries | Mapping[int, Scalar]) -> bool:
     """Reduce a copy of ``row`` (nonzero entries only) by ``kept`` and keep
     the remainder under its pivot column, scaled to one there.  False when
     the row lies in the span of ``kept`` already."""
     row = dict(row)
-    lead = _reduce(kept, row, pivot)
+    lead = _reduce(kept, row)
     if lead is None:
         return False
     inv = ONE / row[lead]
@@ -153,7 +156,36 @@ def in_row_space(rows: Sequence[Row], pivots: Sequence[int], v: Entries | Row) -
 
 
 def sparse_rank(columns: SparseColumns) -> int:
-    """Rank of a matrix held as sparse columns, each inserted by its
-    largest row index."""
-    kept: dict[int, Row] = {}
-    return sum(insert(kept, column, max) for column in columns)
+    """Rank of a matrix held as sparse columns, by the integer elimination
+    of the module docstring; a kept row is keyed by its largest index."""
+    if any(x._b for column in columns for _, x in column):
+        # c and i c over Q, entries a + b i of row r on rows 2r and 2r + 1.
+        realified = []
+        for column in columns:
+            parts = [(2 * r, Scalar(x.re), Scalar(x.im)) for r, x in column]
+            realified.append([(k + s, v) for k, a, b in parts for s, v in ((0, a), (1, b)) if v])
+            realified.append([(k + s, v) for k, a, b in parts for s, v in ((0, -b), (1, a)) if v])
+        return sparse_rank(realified) // 2
+    kept: dict[int, dict[int, int]] = {}
+    for column in filter(None, columns):
+        den = lcm(*(x._d for _, x in column))
+        row = {r: x._a * (den // x._d) for r, x in column}
+        while row:
+            lead = max(row)
+            pivot = kept.get(lead)
+            if pivot is None:
+                # Content out and lead positive, so a unit lead scales no row.
+                g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+                kept[lead] = {j: x // g for j, x in row.items()}
+                break
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            for j, y in pivot.items():
+                total = row.get(j, 0) - b * y
+                if total:
+                    row[j] = total
+                else:
+                    del row[j]
+    return len(kept)

@@ -28,7 +28,7 @@ class Scalar:
     ``Scalar(re, im)`` takes ints or ``Fraction``s.  Internally the value is
     ``(_a + _b*i) / _d`` in lowest terms with ``_d > 0``; the integer bracket
     kernel in ``kuranishi`` reads these three ints and returns its results
-    through ``from_ints``.
+    through ``from_ints``, and ``linalg.sparse_rank`` reads them.
     """
 
     __slots__ = ("_a", "_b", "_d")

@@ -10,6 +10,7 @@ from conftest import (
     UNIMODULAR,
     Cochain,
     book3,
+    dense_rref,
     germbench_inputs,
     h5_i_scaled,
     is_zero_matrix,
@@ -109,15 +110,24 @@ def _seeded(name: str) -> LieAlgebra:
     return parse_algebra_dict(make(inputs.rng_for(SEED, name))).algebra
 
 
-@pytest.mark.parametrize("name", ["h9", "L8", "solv_h5"])
+# Algebras in which two terms of some d x_I land on one monomial and add or
+# cancel: the bitmask build's signs and its dropped zeros against the oracle.
+CANCELLING = {"sl2": fixtures.sl2, "gl:3": lambda: fixtures.gl(3), "h5_i": h5_i_scaled}
+
+
+@pytest.mark.parametrize("name", ["h9", "L8", "solv_h5", *CANCELLING])
 def test_seeded_complex_matches_oracle_in_every_degree(name):
-    algebra = _seeded(name)
+    algebra = CANCELLING[name]() if name in CANCELLING else _seeded(name)
     matrices = [oracle_d_matrix(algebra, p) for p in range(algebra.dim + 1)]
     dga = Dga(algebra)
     assert any(c != ONE for _, _, comps in algebra.nonzero_brackets() for c in comps.values())
     for p, matrix in enumerate(matrices):
         assert dga.d[p] == matrix, (name, p)
-    assert dga.betti() == oracle_betti(algebra, matrices)
+    # The dense Gauss-Jordan rank over Q(i) of each oracle matrix.
+    ranks = [len(dense_rref(matrix, dga.dim_at(p))[0]) for p, matrix in enumerate(matrices)]
+    assert dga.betti() == [
+        dim - ranks[p] - (ranks[p - 1] if p else 0) for p, dim in enumerate(dga.dims())
+    ]
 
 
 def test_dims_are_binomials():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,6 +29,15 @@ from germkit.scalars import ONE, Scalar, ZERO, scalar
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars_st = st.builds(Scalar, fractions_st, fractions_st)
+# Nonzero rationals with 6-digit numerators and denominators.
+digits_st = st.builds(
+    Scalar,
+    st.builds(
+        Fraction,
+        st.one_of(st.integers(-999_999, -100_000), st.integers(100_000, 999_999)),
+        st.integers(100_000, 999_999),
+    ),
+)
 
 
 def matrices_st(max_dim=4):
@@ -85,14 +96,17 @@ def test_image_basis_spans_columns(m):
 
 @st.composite
 def column_sets(draw):
-    """(rows, sparse columns): random, unit, zero, repeated and summed columns."""
+    """(rows, sparse columns): random, dense 6-digit, unit, zero, repeated and
+    summed columns."""
     nrows = draw(st.integers(0, 5))
     columns: list[list] = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(("random", "unit", "zero", "multiple", "sum")))
+        kind = draw(st.sampled_from(("random", "digits", "unit", "zero", "multiple", "sum")))
         dense = [ZERO] * nrows
         if kind == "random":
             dense = draw(st.lists(st.one_of(st.just(ZERO), scalars_st), min_size=nrows, max_size=nrows))
+        elif kind == "digits":
+            dense = draw(st.lists(digits_st, min_size=nrows, max_size=nrows))
         elif kind == "unit" and nrows:
             dense[draw(st.integers(0, nrows - 1))] = ONE
         elif kind != "zero" and columns:

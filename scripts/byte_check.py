@@ -44,9 +44,11 @@ after; ``scripts/byte_check.expected`` holds them, and CI runs
 
     python scripts/byte_check.py | diff - scripts/byte_check.expected
 
-on every supported Python.  It takes 10-17 s on a 2-vCPU host with Python
-3.11; writing the JSON (``render_json``) is its largest single function
-under cProfile, ahead of the series.  It is not part of the test suite.
+on every supported Python.  It takes 9-17 s on a 2-vCPU host with Python
+3.11; under cProfile its largest single function is the series
+(``kuranishi_series``, 5.6 s of 27 s), ahead of writing the JSON
+(``render_json``, 4.5 s, which writes each germ's phi and obstruction
+records as text).  It is not part of the test suite.
 
     python3 scripts/byte_check.py
 """

@@ -134,6 +134,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+# A file is written in slices of this many characters.  The text layer
+# encodes each string it is given whole, into a buffer of 3 or 4 bytes per
+# character once the string holds a character past U+00FF: the few "⊗" of
+# the h7 x gl3 germ made one write of its 1 MB take a 3 MB buffer.
+_WRITE_SLICE = 1 << 16
+
+
 def emit(report: dict, args) -> None:
     if args.json is not None:
         payload = render_json(report)
@@ -141,7 +148,8 @@ def emit(report: dict, args) -> None:
             sys.stdout.write(payload)
         else:
             with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+                for start in range(0, len(payload), _WRITE_SLICE):
+                    handle.write(payload[start : start + _WRITE_SLICE])
             print(f"wrote {args.json}")
     else:
         for line in report["text"]:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable
+from functools import partial
+from itertools import compress
+from typing import Any, Callable, Iterable
 
 from . import linalg
 from .cedga import CharacterData, Dga, Monomial, TorsionComponent, verify_subdga
@@ -30,7 +32,7 @@ from .kuranishi import (
     TensorDgla,
 )
 from .liealg import Grading, LieAlgebra, Subspace
-from .multipoly import MultiPoly, is_exponent_list
+from .multipoly import ExponentVector, MultiPoly, is_exponent_list, show_terms
 from .scalars import ParsedScalars, Scalar, ZERO, scalar
 
 SCHEMA_VERSION = 1
@@ -38,55 +40,58 @@ SCHEMA_VERSION = 1
 
 def render_json(data: dict) -> str:
     """``json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False)``
-    and a newline, byte for byte.
+    and a newline, byte for byte, with each ``Fragment`` in ``data`` read
+    as the value whose text it holds.
 
     ``indent`` sends the stdlib to its pure-Python encoder, one generator
     step per leaf.  Here only containers are walked in Python.  A list
     whose items all have one leaf type (all ``int`` or all ``str``, say)
-    is one ``str.join`` over ``json.encoder.encode_basestring`` or the
-    ints' texts, with the newline and indentation in the separator; a leaf
-    in a mixed container is written directly by its exact type, so
-    ``True`` next to ``1`` still reads ``true``.  Each distinct int is
-    formatted once per call (exponent vectors repeat a few small ints).
-    The leaf types are exactly ``str``, ``int``, ``bool`` and ``None``.
-    Anything else, a float or a subclass, and a dict key that is not a
-    ``str``, sends the whole document to the stdlib call.
+    is one ``str.join`` over ``json.encoder.encode_basestring`` or
+    ``int.__repr__``, with the newline and indentation in the separator; a
+    leaf in a mixed container is written directly by its exact type, so
+    ``True`` next to ``1`` still reads ``true``.  A ``Fragment`` writes its
+    own text for the indentation of its position; the germ's phi and
+    obstruction records come as fragments, the bulk of a germ file.
+
+    The leaf types are exactly ``str``, ``int``, ``bool`` and ``None``, and
+    keys are ``str``: the reports hold nothing else.  Anything else, a float
+    or a subclass, raises ``TypeError``.
     """
-    leaves = {**_LEAVES, int: _IntTexts().__getitem__}
-    leaf = leaves.get(type(data))
+    leaf = _LEAVES.get(type(data))
     if leaf is not None:
         return leaf(data) + "\n"
     chunks: list[str] = []
-    try:
-        _render(data, "\n", chunks, leaves)
-    except TypeError:
-        return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    _render(data, "\n", chunks)
     chunks.append("\n")
     return "".join(chunks)
 
 
-# How json.dumps writes each leaf type, by exact type; ints go through
-# an _IntTexts of the call.
+class Fragment:
+    """A value that ``render_json`` writes as text: ``write(newline)`` is
+    its JSON text as json.dumps writes it after ``newline``, a newline and
+    the indentation of the value's level.  Written at its position, the
+    text is never re-indented."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[str], str]):
+        self.write = write
+
+
+_encode = json.encoder.encode_basestring
+
+# How json.dumps writes each leaf type, by exact type.
 _LEAVES = {
-    str: json.encoder.encode_basestring,
+    str: _encode,
+    int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
 
 
-class _IntTexts(dict):
-    """Each int's JSON text, made on its first lookup; looked up with
-    exact ints only (``True == 1``)."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = int.__repr__(value)
-        return text
-
-
-def _render(value: Any, newline: str, chunks: list[str], leaves: dict) -> None:
+def _render(value: Any, newline: str, chunks: list[str]) -> None:
     """Append the container ``value`` as json.dumps writes it after
-    ``newline``, a newline and the indentation of its own level; ``leaves``
-    writes each leaf by its exact type."""
+    ``newline``, a newline and the indentation of its own level."""
     inner = newline + "  "
     separator = "," + inner
     if isinstance(value, dict):
@@ -96,7 +101,7 @@ def _render(value: Any, newline: str, chunks: list[str], leaves: dict) -> None:
         keys = sorted(value)
         if {*map(type, keys)} != {str}:
             raise TypeError("a key that is not a str")
-        heads = [key + ": " for key in map(leaves[str], keys)]
+        heads = [key + ": " for key in map(_encode, keys)]
         children = [value[key] for key in keys]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
@@ -105,24 +110,26 @@ def _render(value: Any, newline: str, chunks: list[str], leaves: dict) -> None:
             return
         kinds = {*map(type, value)}
         if len(kinds) == 1:
-            leaf = leaves.get(kinds.pop())
+            leaf = _LEAVES.get(kinds.pop())
             if leaf is not None:
                 chunks.append("[" + inner + separator.join(map(leaf, value)) + newline + "]")
                 return
         heads, children, brackets = None, value, "[]"
     else:
-        raise TypeError(f"no fast path for {type(value).__name__}")
+        raise TypeError(f"cannot write a {type(value).__name__}")
     chunks.append(brackets[0] + inner)
     for k, child in enumerate(children):
         if k:
             chunks.append(separator)
         if heads is not None:
             chunks.append(heads[k])
-        leaf = leaves.get(type(child))
-        if leaf is None:
-            _render(child, inner, chunks, leaves)
-        else:
+        leaf = _LEAVES.get(type(child))
+        if leaf is not None:
             chunks.append(leaf(child))
+        elif type(child) is Fragment:
+            chunks.append(child.write(inner))
+        else:
+            _render(child, inner, chunks)
     chunks.append(newline + brackets[1])
 
 
@@ -130,7 +137,10 @@ def file_digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def load_json_file(path: str) -> dict:
+def load_json_file(path: str, *, digest: bool = False) -> dict:
+    """The JSON object in the file at ``path``; with ``digest``, the sha256
+    of its bytes under ``__digest__``, which an algebra file's report
+    names."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -142,7 +152,8 @@ def load_json_file(path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    data["__digest__"] = file_digest(raw)
+    if digest:
+        data["__digest__"] = file_digest(raw)
     return data
 
 
@@ -382,7 +393,7 @@ def parse_algebra_dict(
 
 
 def load_algebra_file(path: str) -> ParsedAlgebra:
-    return parse_algebra_dict(load_json_file(path), source=path)
+    return parse_algebra_dict(load_json_file(path, digest=True), source=path)
 
 
 def algebra_to_dict(
@@ -495,19 +506,85 @@ def subdga_to_monomial_lists(sub: Dga) -> list[list[int]]:
 # -- germ files -----------------------------------------------------------------------
 
 
-def _sparse_entries(tdgla: TensorDgla, vec: dict[int, Scalar]) -> list[dict]:
-    ta = tdgla.target.dim
-    entries = []
-    for idx in sorted(vec):
-        mono_idx, a = divmod(idx, ta)
-        entries.append(
-            {
-                "monomial_index": mono_idx,
-                "target": tdgla.target.labels[a],
-                "value": str(vec[idx]),
-            }
+class _Exponents:
+    """Exponent vectors of one length as json.dumps writes them after
+    ``newline``: a template of zeros, and each nonzero entry's text cut in
+    at its zero's spot, so an entry of any number of digits is exact."""
+
+    __slots__ = ("zeros", "spots", "indices")
+
+    def __init__(self, length: int, newline: str):
+        inner = newline + "  "
+        self.zeros = (
+            "[" + inner + ("," + inner).join("0" * length) + newline + "]"
+            if length
+            else "[]"
         )
-    return entries
+        step = len(inner) + 2
+        self.spots = range(len(inner) + 1, len(inner) + 1 + length * step, step)
+        self.indices = range(length)
+
+    def text(self, exps: ExponentVector) -> str:
+        """The text of ``exps``."""
+        zeros, spots = self.zeros, self.spots
+        parts = []
+        start = 0
+        for k in compress(self.indices, exps):
+            spot = spots[k]
+            parts += (zeros[start:spot], str(exps[k]))
+            start = spot + 1
+        parts.append(zeros[start:])
+        return "".join(parts)
+
+
+def _phi_text(series: KuranishiSeries, newline: str) -> str:
+    """The germ's ``phi`` as json.dumps writes it after ``newline``: one
+    block per degree, one term per exponent vector and one entry per
+    nonzero (1-monomial, target) value, each in sorted order, written
+    straight from ``series.slices``.  The pieces joined are whole terms:
+    on a deep germ, a piece per entry or per exponent would hold more
+    memory in string headers than in text."""
+    n1, n2, n3, n4, n5, n6 = (newline + "  " * k for k in range(1, 7))
+    ta = series.tdgla.target.dim
+    labels = [_encode(label) for label in series.tdgla.target.labels]
+    exponents = _Exponents(len(series.variables), n4)
+    block_head = n1 + "{" + n2 + '"degree": %d,' + n2 + '"terms": ['
+    term = n3 + "{" + n4 + '"entries": %s,' + n4 + '"exponents": %s' + n3 + "}"
+    entry = (
+        n5 + "{" + n6 + '"monomial_index": %d,' + n6 + '"target": %s,' + n6
+        + '"value": %s' + n5 + "}"
+    )
+    chunks = ["["]
+    for b, r in enumerate(sorted(series.slices)):
+        terms = series.slices[r]
+        chunks.append(("," if b else "") + block_head % r)
+        for t, exps in enumerate(sorted(terms)):
+            vec = terms[exps]
+            entries = ",".join(
+                [entry % (i // ta, labels[i % ta], _encode(str(vec[i]))) for i in sorted(vec)]
+            )
+            text = term % ("[" + entries + n4 + "]" if vec else "[]", exponents.text(exps))
+            chunks.append("," + text if t else text)
+        chunks.append(n2 + "]" + n1 + "}")
+    chunks.append(newline + "]" if series.slices else "]")
+    return "".join(chunks)
+
+
+def _records_text(
+    polynomials: list[list[tuple[ExponentVector, str]]], length: int, newline: str
+) -> str:
+    """The obstruction polynomials' records as json.dumps writes their list
+    after ``newline``, from each polynomial's (exponents, coefficient text)
+    pairs in grlex order; ``length`` is the number of variables."""
+    n1, n2, n3 = (newline + "  " * k for k in range(1, 4))
+    exponents = _Exponents(length, n3)
+    record = n2 + "{" + n3 + '"coefficient": %s,' + n3 + '"exponents": %s' + n2 + "}"
+    chunks = ["["]
+    for k, terms in enumerate(polynomials):
+        records = ",".join([record % (_encode(text), exponents.text(exps)) for exps, text in terms])
+        chunks.append(("," if k else "") + n1 + ("[" + records + n1 + "]" if terms else "[]"))
+    chunks.append(newline + "]" if polynomials else "]")
+    return "".join(chunks)
 
 
 def germ_to_dict(
@@ -521,18 +598,13 @@ def germ_to_dict(
     subdga_monomials: list[list[int]] | None,
     degree_bound: dict | None,
 ) -> dict:
+    """The germ file as a dict for ``render_json``.  ``phi`` and the
+    obstructions' ``polynomials``, the bulk of the file, are ``Fragment``s
+    that write their text straight from the series' slices and from each
+    polynomial's terms, with no dict per entry or term.  Each polynomial's
+    terms are sorted and their coefficients printed once, for both its
+    records and its ``pretty`` form."""
     tdgla = series.tdgla
-    phi_out = []
-    for r in sorted(series.slices):
-        terms = []
-        for exps in sorted(series.slices[r]):
-            terms.append(
-                {
-                    "exponents": list(exps),
-                    "entries": _sparse_entries(tdgla, series.slices[r][exps]),
-                }
-            )
-        phi_out.append({"degree": r, "terms": terms})
     dec = series.decomposition
     # The split holds sparse rows; the file prints each form as a dense row.
     one_forms, two_forms = (
@@ -541,7 +613,7 @@ def germ_to_dict(
         else []
         for p in (1, 2)
     )
-    serialised = [p.serialise() for p in system.polynomials]
+    terms = [poly.printed_terms() for poly in system.polynomials]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "germ",
@@ -564,11 +636,11 @@ def germ_to_dict(
         ],
         "harmonic_one_forms": one_forms,
         "harmonic_two_forms": two_forms,
-        "phi": phi_out,
+        "phi": Fragment(partial(_phi_text, series)),
         "obstructions": {
             "coordinates": list(system.coordinates),
-            "polynomials": [records for records, _ in serialised],
-            "pretty": [text for _, text in serialised],
+            "polynomials": Fragment(partial(_records_text, terms, len(series.variables))),
+            "pretty": [show_terms(series.variables, shown[::-1]) for shown in terms],
             "homogeneous_degrees": system.homogeneous_degrees(),
             "max_degree": system.max_degree,
             "nu": system.nu,

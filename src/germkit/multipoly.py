@@ -5,12 +5,15 @@ ordered tuple of variable names (deformation parameters ``t1..tm``).  The
 canonical term order is graded lexicographic by variable index, which keeps
 every serialization and printed report deterministic.
 
-``MultiPoly`` holds, evaluates, prints and serialises the obstruction
+``MultiPoly`` holds, evaluates, prints and reads back the obstruction
 polynomials the deformation series produces.  It has one constructor,
 which trusts its terms: the engine assembles them directly and
-``from_records`` validates a file's records first.  It has no ring
-arithmetic; the ring operations the tests write their hand-expanded oracles
-in, and the checks on hand-written terms, live in ``tests/conftest.py``.
+``from_records`` validates a file's records first.  ``formats`` writes the
+records: ``printed_terms`` sorts the terms and prints each coefficient
+once, for both the records and the printed form that ``show_terms`` makes.
+It has no ring arithmetic; the ring operations the tests write their
+hand-expanded oracles in, and the checks on hand-written terms, live in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -109,8 +112,10 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def sorted_terms(self) -> list[tuple[ExponentVector, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+    def printed_terms(self) -> list[tuple[ExponentVector, str]]:
+        """The terms in grlex order, each coefficient as its text."""
+        terms = self.terms
+        return [(exps, str(terms[exps])) for exps in sorted(terms, key=grlex_key)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -132,20 +137,13 @@ class MultiPoly:
                 total = total + coeff * x
         return total
 
-    # -- serialization ---------------------------------------------------------
-
-    def serialise(self) -> tuple[list[dict], str]:
-        """The germ file's records, in grlex order, and the printed form,
-        from one sort of the terms and one ``str`` per coefficient."""
-        terms = [(exps, str(coeff)) for exps, coeff in self.sorted_terms()]
-        records = [{"exponents": list(exps), "coefficient": c} for exps, c in terms]
-        return records, _show(self.variables, terms[::-1])
+    # -- reading back ------------------------------------------------------------
 
     @classmethod
     def from_records(
         cls, variables: Sequence[str], records: Iterable[dict], scalars: ParsedScalars
     ) -> "MultiPoly":
-        """The polynomial of ``serialise`` records, each record validated
+        """The polynomial of a germ file's records, each record validated
         once.  A coefficient text is looked up in ``scalars``, the texts of
         the file being read, so each distinct one is parsed once."""
         terms: dict[ExponentVector, Scalar] = {}
@@ -173,13 +171,13 @@ class MultiPoly:
         return cls(variables, terms)
 
     def __str__(self) -> str:
-        return self.serialise()[1]
+        return show_terms(self.variables, self.printed_terms()[::-1])
 
     def __repr__(self) -> str:
         return f"MultiPoly({str(self)!r})"
 
 
-def _show(variables: tuple[str, ...], terms: list[tuple[ExponentVector, str]]) -> str:
+def show_terms(variables: tuple[str, ...], terms: list[tuple[ExponentVector, str]]) -> str:
     """The printed form of a polynomial from its (exponents, coefficient
     text) pairs, highest term first: ``t1^2 - 1/2*t2*t3 + (1+i)*t4``."""
     if not terms:

@@ -32,6 +32,11 @@ these live here because only the tests call them:
   one ``bracket_slices`` call over the unordered pairs, and the gauge check
   on Scalar slices, the references of the series' integer bracket sums and
   of the integer ``gauge_identity_check``;
+- ``germ_to_dict_reference``, ``polynomial_records`` and
+  ``show_reference``: the germ file as nested dicts, one per phi entry and
+  per obstruction term, with each polynomial's records and printed form
+  made apart; the reference of ``formats.germ_to_dict``'s text fragments
+  and of ``multipoly.show_terms``;
 - ``linear_embedding_check_reference``: the embedding check as two
   ``mc_residual`` calls at each of the N(N+1)/2 points e_k and e_k + e_l,
   the reference of the polynomial identity in ``linear_embedding_check``;
@@ -106,7 +111,7 @@ from germkit.liealg import (
 )
 from germkit.nilshadow import SolvableInput
 from germkit.linalg import Row, SparseColumns
-from germkit.multipoly import ExponentVector, MultiPoly
+from germkit.multipoly import ExponentVector, MultiPoly, grlex_key
 from germkit.scalars import ONE, Scalar, ZERO, scalar
 
 I = Scalar(0, 1)
@@ -591,7 +596,7 @@ class RingPoly(MultiPoly):
         return self.terms.get((0,) * len(self.variables), ZERO)
 
     def __iter__(self) -> Iterator[tuple[ExponentVector, Scalar]]:
-        return iter(self.sorted_terms())
+        return iter(sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])))
 
     def _align(self, other) -> "tuple[RingPoly, RingPoly]":
         """Coerce the pair onto a shared variable tuple.
@@ -1094,6 +1099,122 @@ def linear_embedding_check_reference(
                 f"{amb_dgla.element_str(2, res_amb)}"
             )
     return len(pairs), None
+
+
+# -- the germ file as nested dicts -------------------------------------------------
+
+
+def show_reference(variables: tuple[str, ...], terms: list[tuple[ExponentVector, str]]) -> str:
+    """The printed form of a polynomial from its (exponents, coefficient
+    text) pairs, highest term first: ``t1^2 - 1/2*t2*t3 + (1+i)*t4``."""
+    if not terms:
+        return "0"
+    parts = []
+    for exps, c in terms:
+        factors = [
+            f"{name}^{e}" if e > 1 else name
+            for name, e in zip(variables, exps)
+            if e
+        ]
+        body = "*".join(factors)
+        if not factors:
+            parts.append(c)
+        elif c == "1":
+            parts.append(body)
+        elif c == "-1":
+            parts.append(f"-{body}")
+        elif "+" in c[1:] or "-" in c[1:]:
+            parts.append(f"({c})*{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def polynomial_records(poly: MultiPoly) -> list[dict]:
+    """A germ file's records of ``poly``, in grlex order."""
+    return [
+        {"exponents": list(exps), "coefficient": str(coeff)}
+        for exps, coeff in sorted(poly.terms.items(), key=lambda kv: grlex_key(kv[0]))
+    ]
+
+
+def germ_to_dict_reference(series: KuranishiSeries, system, **fields) -> dict:
+    """What ``formats.germ_to_dict`` writes, with ``phi`` and the
+    polynomials as lists of dicts; ``fields`` are its keyword arguments."""
+    from germkit.formats import SCHEMA_VERSION, matrix_strings
+
+    tdgla = series.tdgla
+    ta = tdgla.target.dim
+    phi = [
+        {
+            "degree": r,
+            "terms": [
+                {
+                    "exponents": list(exps),
+                    "entries": [
+                        {
+                            "monomial_index": idx // ta,
+                            "target": tdgla.target.labels[idx % ta],
+                            "value": str(vec[idx]),
+                        }
+                        for idx in sorted(vec)
+                    ],
+                }
+                for exps, vec in sorted(series.slices[r].items())
+            ],
+        }
+        for r in sorted(series.slices)
+    ]
+    dec = series.decomposition
+    one_forms, two_forms = (
+        matrix_strings(dec.harmonic_basis(p), dec.dga.dim_at(p))
+        if p < len(dec.splits)
+        else []
+        for p in (1, 2)
+    )
+    pretty = []
+    for poly in system.polynomials:
+        grlex = sorted(poly.terms.items(), key=lambda kv: grlex_key(kv[0]))
+        pretty.append(show_reference(poly.variables, [(e, str(c)) for e, c in grlex[::-1]]))
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "germ",
+        "base_algebra": fields["base"],
+        "target_algebra": fields["target"],
+        "strategy": fields["strategy"],
+        "grading": fields["grading_labels"],
+        "subdga_monomials": fields["subdga_monomials"],
+        "cap": series.cap,
+        "terminated": series.terminated,
+        "last_nonzero_degree": series.last_nonzero,
+        "variables": list(series.variables),
+        "zeta": [
+            {
+                "variable": series.variables[i],
+                "harmonic_one_form": h,
+                "target": tdgla.target.labels[a],
+            }
+            for i, (h, a) in enumerate(series.zeta_info)
+        ],
+        "harmonic_one_forms": one_forms,
+        "harmonic_two_forms": two_forms,
+        "phi": phi,
+        "obstructions": {
+            "coordinates": list(system.coordinates),
+            "polynomials": [polynomial_records(p) for p in system.polynomials],
+            "pretty": pretty,
+            "homogeneous_degrees": system.homogeneous_degrees(),
+            "max_degree": system.max_degree,
+            "nu": system.nu,
+            "terminated": system.terminated,
+            "valid_modulo": system.valid_modulo,
+            "smooth": system.is_smooth,
+            "degree_bound": fields["degree_bound"],
+        },
+    }
 
 
 def inferred_grading(algebra: LieAlgebra) -> Grading | None:

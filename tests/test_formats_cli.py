@@ -274,6 +274,19 @@ def test_unwritable_json_path_is_reported(tmp_path, capsys):
     assert str(target) in err and "Traceback" not in err
 
 
+def test_a_file_written_in_slices_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch):
+    # Slices of 7 characters cut the germ's 12 "⊗" labels into slices of
+    # both widths; the file still holds exactly what stdout gets.
+    argv = ["kuranishi", str(FIXTURES / "h3.json"), "--target", "sl2", "--json"]
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0 and printed.count("⊗") == 12
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    written = tmp_path / "germ.json"
+    code, out, _ = run(capsys, *argv, str(written))
+    assert code == 0 and out == f"wrote {written}\n"
+    assert written.read_bytes() == printed.encode("utf-8")
+
+
 def test_kuranishi_json_and_mc_check(tmp_path, capsys):
     germ_path = tmp_path / "germ.json"
     code, out, _ = run(
@@ -461,13 +474,13 @@ def test_germ_file_reconstruction(tmp_path, capsys):
     assert residual
 
 
+# The values a report holds: no floats, and str keys only.
 JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text()),
     lambda children: st.one_of(
         st.lists(children),
         st.tuples(children, children),
         st.dictionaries(st.text(), children),
-        st.dictionaries(st.integers(), children),
     ),
     max_leaves=30,
 )
@@ -507,9 +520,21 @@ def test_render_json_keeps_booleans_out_of_integer_runs():
     assert '"b": [\n    true,\n    1,\n    false,\n    0\n  ]' in render_json(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [1.5, [0, 0.5], {"a": {1: "b"}}, {"a": [True, 2, 0.0]}, [scalar(1)],
+     {"a": type("Int", (int,), {})(3)}, {"a": Exception()}],
+)
+def test_render_json_refuses_what_no_report_holds(data):
+    # No float, subclass or non-str key: render_json raises rather than
+    # write them differently from json.dumps.
+    with pytest.raises(TypeError):
+        render_json(data)
+
+
 def test_pipeline_report_renders_without_the_stdlib_encoder(monkeypatch, capsys):
-    # A report holds only str, int, bool and None leaves under str keys, so
-    # render_json never falls back to json.dumps or a JSONEncoder.
+    # A report holds only str, int, bool and None leaves under str keys, and
+    # render_json writes it without json.dumps or a JSONEncoder.
     argv = ("pipeline", str(FIXTURES / "solv_heisenberg.json"), "--target", "gl:3", "--json")
     code, expected, _ = run(capsys, *argv)
     assert code == 0
@@ -685,6 +710,26 @@ def test_germ_read_parses_each_scalar_text_once_per_read(tmp_path, capsys, monke
     assert reads[0] == reads[1]
     assert set(reads[0].values()) == {1}
     assert {*values, *coefficients} <= reads[0].keys()
+
+
+def test_only_algebra_files_are_hashed(tmp_path, capsys, monkeypatch):
+    # A report names the digest of its algebra file; a germ, selection or
+    # target file read as plain JSON is not hashed.
+    from germkit import formats
+
+    source = FIXTURES / "h3.json"
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(capsys, "kuranishi", str(source), "--target", "sl2", "--json", str(germ_path))
+    assert code == 0
+    hashed = []
+    digest = formats.file_digest
+    monkeypatch.setattr(formats, "file_digest", lambda raw: hashed.append(raw) or digest(raw))
+    code, _, _ = run(capsys, "mc-check", str(germ_path), "--point", "t1=1", "--json")
+    assert (code, hashed) == (0, [])
+    assert "__digest__" not in formats.load_json_file(str(source))
+    code, out, _ = run(capsys, "check", str(source), "--json")
+    assert code == 0 and hashed == [source.read_bytes()]
+    assert json.loads(out)["input_digest"] == digest(source.read_bytes())
 
 
 def test_germ_grading_is_checked_beyond_the_split(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RingPoly, homogeneous_components
+from conftest import RingPoly, homogeneous_components, polynomial_records, show_reference
 
 from germkit.kuranishi import ObstructionSystem, PolyCochain
 from germkit.multipoly import MultiPoly, PointPowers
@@ -95,9 +95,10 @@ def test_homogeneous_components_sum_back(p):
 
 @given(polys_st)
 def test_records_round_trip(p):
-    records, text = p.serialise()
+    records = polynomial_records(p)
     assert MultiPoly.from_records(VARS, records, ParsedScalars()) == p
-    assert text == str(p)
+    grlex = [(tuple(r["exponents"]), r["coefficient"]) for r in records]
+    assert str(p) == show_reference(VARS, grlex[::-1])
 
 
 @given(st.lists(polys_st, max_size=4))

@@ -32,7 +32,7 @@ from .kuranishi import (
     TensorDgla,
 )
 from .liealg import Grading, LieAlgebra, Subspace
-from .multipoly import ExponentVector, MultiPoly, is_exponent_list, show_terms
+from .multipoly import ExponentVector, MultiPoly, are_exponent_lists, show_terms
 from .scalars import ParsedScalars, Scalar, ZERO, scalar
 
 SCHEMA_VERSION = 1
@@ -718,7 +718,7 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         raise ParseError(f"{source}: variables: expected a list of names")
     if len(set(variables)) != len(variables):
         raise ParseError(f"{source}: variables: names must be distinct")
-    labels = target.algebra.labels
+    label_index = {label: a for a, label in enumerate(target.algebra.labels)}
     dim1 = complex_.dim_at(1)
     blocks: dict[int, dict] = {}
     for b, block in enumerate(_field(data, "phi", list, source)):
@@ -729,10 +729,14 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         if r in blocks:
             raise ParseError(f"{where}: degree: {r} repeats an earlier block")
         terms = blocks[r] = {}
-        for t, term in enumerate(_field(block, "terms", list, where)):
+        listed = _field(block, "terms", list, where)
+        # All exponent lists in one pass; one by one to name a bad one.
+        lists = [x.get("exponents") if type(x) is dict else 0 for x in listed]
+        checked = are_exponent_lists(lists, len(variables))
+        for t, term in enumerate(listed):
             tw = f"{where}.terms[{t}]"
             exps = _field(term, "exponents", list, tw)
-            if not is_exponent_list(exps, len(variables)):
+            if not (checked or are_exponent_lists([exps], len(variables))):
                 raise ParseError(
                     f"{tw}: exponents: expected {len(variables)} "
                     "nonnegative integers, one per variable"
@@ -752,9 +756,9 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
                         f"monomial (0..{dim1 - 1})"
                     )
                 label = _field(entry, "target", str, ew)
-                if label not in labels:
+                if label not in label_index:
                     raise ParseError(f"{ew}: target: unknown label {label!r}")
-                spot = tdgla.flat(mono_idx, labels.index(label))
+                spot = tdgla.flat(mono_idx, label_index[label])
                 if spot in vec:
                     raise ParseError(f"{ew}: repeats an earlier (monomial_index, target)")
                 vec[spot] = _coerce_scalar(entry.get("value"), f"{ew}: value", scalars)

@@ -34,11 +34,11 @@ the matrix converted once per stage to Gaussian-integer numerators over
 one denominator (``_int_columns``); it looks up each index's column once
 and skips all of an index's terms when that column is empty.
 
-Outside that kernel, elements are sparse Scalar vectors (``SparseVec``) and
-every linear map on them, (matrix tensor id) in ``apply_matrix``, the
-Maurer-Cartan residual and ``PolyCochain.eval``, is one ``linalg.apply``
-call; the split that supplies delta and the harmonic forms eliminates only
-through ``linalg.echelon`` and builds no dense matrix.
+Outside that kernel, elements are sparse Scalar vectors (``SparseVec``);
+(matrix tensor id) in ``apply_matrix`` and the Maurer-Cartan residual are
+one ``linalg.apply`` call each, and ``PolyCochain.eval`` sums on integers
+(``multipoly.evaluate``).  The split that supplies delta and the harmonic
+forms eliminates only through ``linalg.echelon`` and builds no dense matrix.
 
 So the series and the gauge check stay on integers from the bracket to
 their result.  The series sums each [phi, phi]_r once and reads it twice:
@@ -81,6 +81,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from sys import byteorder
@@ -91,7 +92,7 @@ from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
 from .linalg import SparseColumns
-from .multipoly import ExponentVector, MultiPoly, PointPowers, prepared
+from .multipoly import ExponentVector, MultiPoly, PointPowers, evaluate
 from .scalars import ONE, Scalar, from_ints
 
 SparseVec = dict[int, Scalar]
@@ -196,17 +197,10 @@ class PolyCochain:
     slices: dict[int, Slice] = field(default_factory=dict)
 
     def eval(self, point: "list[Scalar] | PointPowers") -> SparseVec:
-        """Exact substitution at one Scalar per variable, or at a
-        PointPowers shared with the obstruction polynomials."""
-        monomial = prepared(point, len(self.variables)).monomial
-        vecs, factors = [], []
-        for terms in self.slices.values():
-            for exps, vec in terms.items():
-                factor = monomial(exps)
-                if factor:
-                    vecs.append(vec.items())
-                    factors.append(factor)
-        return linalg.apply(vecs, enumerate(factors))
+        """Exact substitution at one Scalar per variable, or at a PointPowers
+        shared with the obstruction polynomials (``multipoly.evaluate``)."""
+        terms = [(e, vec.items()) for part in self.slices.values() for e, vec in part.items()]
+        return evaluate(point, len(self.variables), terms)
 
 
 # Integer maps: a (real part, imaginary part) pair, each part mapping an
@@ -550,14 +544,13 @@ class ObstructionSystem:
     cap: int
     terminated: bool
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
-        degrees = [p.total_degree() for p in self.polynomials if not p.is_zero()]
-        return max(degrees, default=0)
+        return max((p.total_degree() for p in self.polynomials), default=0)
 
-    @property
+    @cached_property
     def is_smooth(self) -> bool:
-        return all(p.is_zero() for p in self.polynomials)
+        return not any(self.polynomials)
 
     @property
     def valid_modulo(self) -> int | None:
@@ -594,10 +587,9 @@ def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
 
 def verify_degree_bound(system: ObstructionSystem, nu: int) -> MultiPoly | None:
     """None when every polynomial has total degree <= nu + 1, else a witness."""
-    for poly in system.polynomials:
-        if not poly.is_zero() and poly.total_degree() > nu + 1:
-            return poly
-    return None
+    if system.max_degree <= nu + 1:
+        return None
+    return next(p for p in system.polynomials if p.total_degree() > nu + 1)
 
 
 def gauge_identity_check(series: KuranishiSeries) -> str | None:

@@ -5,24 +5,25 @@ ordered tuple of variable names (deformation parameters ``t1..tm``).  The
 canonical term order is graded lexicographic by variable index, which keeps
 every serialization and printed report deterministic.
 
-``MultiPoly`` holds, evaluates, prints and reads back the obstruction
-polynomials the deformation series produces.  It has one constructor,
-which trusts its terms: the engine assembles them directly and
-``from_records`` validates a file's records first.  ``formats`` writes the
-records: ``printed_terms`` sorts the terms and prints each coefficient
-once, for both the records and the printed form that ``show_terms`` makes.
-It has no ring arithmetic; the ring operations the tests write their
-hand-expanded oracles in, and the checks on hand-written terms, live in
-``tests/conftest.py``.
+``MultiPoly`` holds, evaluates (on integers, in ``evaluate``), prints and
+reads back the obstruction polynomials the deformation series produces.
+It has one constructor, which trusts its terms: the engine assembles them
+directly and ``from_records`` validates a file's records first.
+``formats`` writes the records: ``printed_terms`` sorts the terms and
+prints each coefficient once, for both the records and the printed form
+that ``show_terms`` makes.  It has no ring arithmetic; the ring operations
+the tests write their hand-expanded oracles in, and the checks on
+hand-written terms, live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Iterable, Sequence
+from itertools import chain, compress, count
+from math import lcm
+from typing import Sequence
 
 from .errors import ParseError
-from .scalars import ONE, ParsedScalars, Scalar, ZERO, scalar
+from .scalars import ParsedScalars, Scalar, ZERO, from_ints, scalar
 
 ExponentVector = tuple[int, ...]
 
@@ -31,60 +32,76 @@ def grlex_key(exponents: ExponentVector) -> tuple[int, ExponentVector]:
     return (sum(exponents), exponents)
 
 
-def is_exponent_list(value, n: int) -> bool:
-    """True for a list of ``n`` nonnegative ints, as JSON gives them: int()
-    would truncate 1.5 and read true as 1."""
+def are_exponent_lists(lists: list, n: int) -> bool:
+    """True when each item of ``lists`` is a list of ``n`` nonnegative ints,
+    not 1.5 or true, found in one pass that builds no list of the entries."""
     return (
-        isinstance(value, list)
-        and len(value) == n
-        and {*map(type, value)} <= {int}
-        and not (value and min(value) < 0)
+        {*map(type, lists)} <= {list}
+        and {*map(len, lists)} <= {n}
+        and {*map(type, chain.from_iterable(lists))} <= {int}
+        and min(chain.from_iterable(lists), default=0) >= 0
     )
 
 
+def _power(x: int, y: int, e: int) -> tuple[int, int]:
+    """(x + y*i)^e, by repeated squaring."""
+    re, im = 1, 0
+    while e:
+        if e & 1:
+            re, im = re * x - im * y, re * y + im * x
+        x, y, e = x * x - y * y, 2 * x * y, e >> 1
+    return re, im
+
+
 class PointPowers:
-    """A point prepared once for evaluating many polynomials there.
+    """A point prepared once for evaluating many polynomials there: Gaussian
+    integer numerators over one denominator ``den``, which coordinates are
+    zero (none listed when none is), and each power x_j^e once asked for."""
 
-    Holds the coordinates as Scalars, which of them are zero, and each power
-    x_j^e the first time a term asks for it, so every polynomial evaluated
-    at the same point shares the powers.  ``MultiPoly.eval`` and
-    ``PolyCochain.eval`` take one in place of a plain coordinate list.
-    """
-
-    __slots__ = ("values", "zero", "_indices", "_powers")
+    __slots__ = ("den", "zero", "_nums", "_powers")
 
     def __init__(self, point: Sequence):
-        self.values: list[Scalar] = [scalar(p) for p in point]
-        self.zero: tuple[bool, ...] = tuple(not v for v in self.values)
-        self._indices = range(len(self.values))
-        self._powers: dict[tuple[int, int], Scalar] = {}
+        values = [scalar(p) for p in point]
+        self.den = den = lcm(*(v._d for v in values))
+        self.zero = () if all(values) else tuple(not v for v in values)
+        self._nums = [(v._a * den // v._d, v._b * den // v._d) for v in values]
+        self._powers: list[dict[int, tuple[int, int]]] = [{} for _ in values]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._nums)
 
-    def monomial(self, exps: ExponentVector) -> Scalar | None:
-        """The product of x_j^e_j over the nonzero exponents; None when a
-        zero coordinate has a nonzero exponent (the monomial vanishes)."""
-        if any(compress(self.zero, exps)):
+    def monomial(self, exps: ExponentVector) -> tuple[int, int, int] | None:
+        """(re, im, |exps|) with (re + im*i) / den^|exps| the product of
+        x_j^e_j; None when a zero coordinate has a nonzero exponent."""
+        if self.zero and any(compress(self.zero, exps)):
             return None
-        powers = self._powers
-        out = ONE
-        for j in compress(self._indices, exps):
-            key = (j, exps[j])
-            power = powers.get(key)
-            if power is None:
-                power = powers[key] = self.values[j] ** exps[j]
-            out = out * power
-        return out
+        re, im, degree = 1, 0, 0
+        for j in compress(count(), exps):
+            e, powers = exps[j], self._powers[j]
+            degree += e
+            x, y = powers.get(e) or powers.setdefault(e, _power(*self._nums[j], e))
+            re, im = (re * x - im * y, re * y + im * x) if im or y else (re * x, 0)
+        return re, im, degree
 
 
-def prepared(point: "Sequence | PointPowers", nvars: int) -> PointPowers:
-    """``point`` as a PointPowers, after checking it has ``nvars`` coordinates."""
+def evaluate(point: "Sequence | PointPowers", nvars: int, terms: list) -> dict:
+    """The sums of c * x^exps by key over the (exps, [(key, c), ...]) pairs
+    in ``terms`` at ``point``, one Scalar per nonzero sum, run on integers
+    over L * den^top (L: lcm of the c's denominators, top: highest degree)."""
     if len(point) != nvars:
-        raise ValueError(
-            f"point has {len(point)} coordinates for {nvars} variables"
-        )
-    return point if isinstance(point, PointPowers) else PointPowers(point)
+        raise ValueError(f"point has {len(point)} coordinates for {nvars} variables")
+    at = point if isinstance(point, PointPowers) else PointPowers(point)
+    lcd = lcm(*(c._d for _, entries in terms for _, c in entries))
+    found = [(x, entries) for exps, entries in terms if (x := at.monomial(exps))]
+    top, sums = max((x[2] for x, _ in found), default=0), {}
+    for (re, im, degree), entries in found:
+        lift = at.den ** (top - degree)
+        re, im = re * lift, im * lift
+        for key, c in entries:
+            s, (x, y) = lcd // c._d, sums.get(key, (0, 0))
+            sums[key] = (x + s * (c._a * re - c._b * im), y + s * (c._a * im + c._b * re))
+    den = lcd * at.den**top
+    return {key: from_ints(x, y, den) for key, (x, y) in sums.items() if x or y}
 
 
 class MultiPoly:
@@ -100,17 +117,12 @@ class MultiPoly:
 
     # -- basic queries -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def total_degree(self) -> int:
         """Largest term degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=0)
 
     def printed_terms(self) -> list[tuple[ExponentVector, str]]:
         """The terms in grlex order, each coefficient as its text."""
@@ -128,27 +140,31 @@ class MultiPoly:
 
     def eval(self, point: "Sequence[Scalar] | PointPowers") -> Scalar:
         """Exact substitution at one Scalar per variable, or at a
-        PointPowers shared with other polynomials."""
-        monomial = prepared(point, len(self.variables)).monomial
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            x = monomial(exps)
-            if x is not None:
-                total = total + coeff * x
-        return total
+        PointPowers shared with other polynomials (``evaluate``)."""
+        terms = [(e, ((0, c),)) for e, c in self.terms.items()]
+        return evaluate(point, len(self.variables), terms).get(0, ZERO)
 
     # -- reading back ------------------------------------------------------------
 
     @classmethod
     def from_records(
-        cls, variables: Sequence[str], records: Iterable[dict], scalars: ParsedScalars
+        cls, variables: Sequence[str], records: list, scalars: ParsedScalars
     ) -> "MultiPoly":
-        """The polynomial of a germ file's records, each record validated
-        once.  A coefficient text is looked up in ``scalars``, the texts of
-        the file being read, so each distinct one is parsed once."""
-        terms: dict[ExponentVector, Scalar] = {}
-        seen: set[ExponentVector] = set()
+        """The polynomial of a germ file's records, checked all at once and
+        one by one only to name a bad one.  A coefficient text is looked up
+        in ``scalars``, the file's texts, so each distinct one is parsed once."""
         n = len(variables)
+        lists = [rec.get("exponents") if type(rec) is dict else 0 for rec in records]
+        texts = [rec.get("coefficient") if type(rec) is dict else 0 for rec in records]
+        if {*map(type, texts)} <= {str} and are_exponent_lists(lists, n):
+            try:
+                terms = dict(zip(map(tuple, lists), [scalars[text] for text in texts]))
+            except ParseError:
+                terms = {}
+            if len(terms) == len(lists):
+                nonzero = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+                return cls(variables, nonzero)
+        terms = {}
         for rec in records:
             try:
                 exps, coeff = rec["exponents"], rec["coefficient"]
@@ -157,18 +173,16 @@ class MultiPoly:
                 coeff = scalars[coeff] if type(coeff) is str else scalar(coeff)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad polynomial record {rec!r}: {exc}") from None
-            if not is_exponent_list(exps, n):
+            if not are_exponent_lists([exps], n):
                 raise ParseError(
                     f"bad polynomial record {rec!r}: exponents: expected {n} "
                     "nonnegative integers, one per variable"
                 )
             exps = tuple(exps)
-            if exps in seen:
+            if exps in terms:
                 raise ParseError(f"duplicate exponent vector {exps}")
-            seen.add(exps)
-            if coeff:
-                terms[exps] = coeff
-        return cls(variables, terms)
+            terms[exps] = coeff
+        return cls(variables, {e: c for e, c in terms.items() if c})
 
     def __str__(self) -> str:
         return show_terms(self.variables, self.printed_terms()[::-1])

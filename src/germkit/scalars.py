@@ -26,9 +26,9 @@ class Scalar:
     """An element of Q(i), immutable and hashable.
 
     ``Scalar(re, im)`` takes ints or ``Fraction``s.  Internally the value is
-    ``(_a + _b*i) / _d`` in lowest terms with ``_d > 0``; the integer bracket
-    kernel in ``kuranishi`` reads these three ints and returns its results
-    through ``from_ints``, and ``linalg.sparse_rank`` reads them.
+    ``(_a + _b*i) / _d`` in lowest terms with ``_d > 0``; the integer kernels
+    (``kuranishi``'s bracket kernel, ``multipoly.evaluate``) read these three
+    ints and return through ``from_ints``, and ``linalg.sparse_rank`` reads them.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -157,19 +157,6 @@ class Scalar:
         if o is None:
             return NotImplemented
         return o / self
-
-    def __pow__(self, exponent: int) -> "Scalar":
-        if exponent < 0:
-            return ONE / (self ** (-exponent))
-        result = ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def conjugate(self) -> "Scalar":
         return _make(self._a, -self._b, self._d)

@@ -681,6 +681,117 @@ def test_repeated_bad_coefficient_fails_at_its_first_record(tmp_path, capsys):
     )
 
 
+# Bad exponent lists for the h3 x sl2 germ (6 variables).  Each fails the
+# one-pass check of its polynomial or phi block; the record-by-record check
+# that follows must name the first bad one, with the message it always had.
+BAD_EXPONENTS = {
+    "bool": [0, True, 1, 1, 0, 0],
+    "float": [0, 1.5, 1, 1, 0, 0],
+    "negative": [0, -1, 1, 1, 0, 0],
+    "short": [1, 1],
+}
+EXPONENTS_MESSAGE = "exponents: expected 6 nonnegative integers, one per variable"
+
+
+def _mc_check_error(capsys, germ_path, germ) -> str:
+    """mc-check's stderr on ``germ``, the same in text and JSON mode; each
+    run exits 2 and prints nothing on stdout."""
+    germ_path.write_text(json.dumps(germ))
+    errors = set()
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1", *json_flag)
+        assert (code, out) == (2, "")
+        errors.add(err)
+    (err,) = errors
+    return err
+
+
+@pytest.mark.parametrize("bad", BAD_EXPONENTS)
+@pytest.mark.parametrize("k, r", [(0, 2), (3, 1)], ids=["after-good-records", "later-polynomial"])
+def test_bad_record_exponents_name_the_first_bad_record(tmp_path, capsys, bad, k, r):
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    polynomials = germ["obstructions"]["polynomials"]
+    record = polynomials[k][r]
+    record["exponents"] = BAD_EXPONENTS[bad]
+    # Later bad records, in the same polynomial and in the last one.
+    polynomials[k].append({"coefficient": "1/0", "exponents": [9]})
+    polynomials[-1][0]["exponents"] = [True] * 6
+    assert _mc_check_error(capsys, germ_path, germ) == (
+        f"parse error: {germ_path}: obstructions.polynomials[{k}]: "
+        f"bad polynomial record {record!r}: {EXPONENTS_MESSAGE}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "coefficient, message",
+    [
+        ("1/0", "bad scalar '1/0': Fraction(1, 0)"),
+        (True, "bad polynomial record {record!r}: booleans are not scalars"),
+        (1.5, "bad polynomial record {record!r}: cannot build a Scalar from float"),
+    ],
+    ids=["text-1/0", "bool", "float"],
+)
+def test_bad_coefficient_before_bad_exponents_is_named(tmp_path, capsys, coefficient, message):
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    records = germ["obstructions"]["polynomials"][3]
+    record = records[1]
+    record["coefficient"] = coefficient
+    records[2]["exponents"] = BAD_EXPONENTS["bool"]
+    assert _mc_check_error(capsys, germ_path, germ) == (
+        f"parse error: {germ_path}: obstructions.polynomials[3]: "
+        + message.format(record=record) + "\n"
+    )
+
+
+def test_integer_coefficients_read_as_their_texts(tmp_path, capsys):
+    # Valid records that the one-pass check leaves to the record-by-record one.
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    argv = ["mc-check", str(germ_path), "--point", "t1=1/2,t2=-1,t3=2/3,t4=1,t5=3,t6=-1/4", "--json"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and not json.loads(expected)["obstructions_vanish"]
+    for records in germ["obstructions"]["polynomials"]:
+        for record in records:
+            record["coefficient"] = int(record["coefficient"])
+    germ_path.write_text(json.dumps(germ))
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("bad", [*BAD_EXPONENTS, "not-an-object"])
+@pytest.mark.parametrize("b, t", [(0, 3), (1, 2)], ids=["after-good-terms", "later-block"])
+def test_bad_phi_exponents_name_the_first_bad_term(tmp_path, capsys, bad, b, t):
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    terms = germ["phi"][b]["terms"]
+    if bad == "not-an-object":
+        terms[t], message = [terms[t]], "expected an object"
+    else:
+        terms[t]["exponents"], message = BAD_EXPONENTS[bad], EXPONENTS_MESSAGE
+    # Later bad terms, in the same block and in the last one.
+    terms.append({"entries": [], "exponents": [9]})
+    germ["phi"][-1]["terms"][-2]["exponents"] = [True] * 6
+    assert _mc_check_error(capsys, germ_path, germ) == (
+        f"parse error: {germ_path}: phi[{b}].terms[{t}]: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1/0", "bad scalar '1/0': Fraction(1, 0)"),
+        (True, "booleans are not scalars"),
+        (1.5, "scalars must be strings like '1/2' or '1/2+1/3*i' (or plain integers), got float"),
+    ],
+    ids=["text-1/0", "bool", "float"],
+)
+def test_bad_phi_value_before_bad_exponents_is_named(tmp_path, capsys, value, message):
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    terms = germ["phi"][1]["terms"]
+    terms[1]["entries"][0]["value"] = value
+    terms[2]["exponents"] = BAD_EXPONENTS["bool"]
+    assert _mc_check_error(capsys, germ_path, germ) == (
+        f"parse error: {germ_path}: phi[1].terms[1].entries[0]: value: {message}\n"
+    )
+
+
 def test_germ_read_parses_each_scalar_text_once_per_read(tmp_path, capsys, monkeypatch):
     from germkit import scalars
 

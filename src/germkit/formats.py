@@ -32,7 +32,7 @@ from .kuranishi import (
     TensorDgla,
 )
 from .liealg import Grading, LieAlgebra, Subspace
-from .multipoly import ExponentVector, MultiPoly, are_exponent_lists, show_terms
+from .multipoly import ExponentVector, MultiPoly, is_exponent_list, show_terms
 from .scalars import ParsedScalars, Scalar, ZERO, scalar
 
 SCHEMA_VERSION = 1
@@ -729,14 +729,10 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         if r in blocks:
             raise ParseError(f"{where}: degree: {r} repeats an earlier block")
         terms = blocks[r] = {}
-        listed = _field(block, "terms", list, where)
-        # All exponent lists in one pass; one by one to name a bad one.
-        lists = [x.get("exponents") if type(x) is dict else 0 for x in listed]
-        checked = are_exponent_lists(lists, len(variables))
-        for t, term in enumerate(listed):
+        for t, term in enumerate(_field(block, "terms", list, where)):
             tw = f"{where}.terms[{t}]"
             exps = _field(term, "exponents", list, tw)
-            if not (checked or are_exponent_lists([exps], len(variables))):
+            if not is_exponent_list(exps, len(variables)):
                 raise ParseError(
                     f"{tw}: exponents: expected {len(variables)} "
                     "nonnegative integers, one per variable"

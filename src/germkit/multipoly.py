@@ -18,9 +18,9 @@ hand-written terms, live in ``tests/conftest.py``.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count
+from itertools import compress, count
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 from .scalars import ParsedScalars, Scalar, ZERO, from_ints, scalar
@@ -32,14 +32,14 @@ def grlex_key(exponents: ExponentVector) -> tuple[int, ExponentVector]:
     return (sum(exponents), exponents)
 
 
-def are_exponent_lists(lists: list, n: int) -> bool:
-    """True when each item of ``lists`` is a list of ``n`` nonnegative ints,
-    not 1.5 or true, found in one pass that builds no list of the entries."""
+def is_exponent_list(value, n: int) -> bool:
+    """True for a list of ``n`` nonnegative ints, as JSON gives them: int()
+    would truncate 1.5 and read true as 1."""
     return (
-        {*map(type, lists)} <= {list}
-        and {*map(len, lists)} <= {n}
-        and {*map(type, chain.from_iterable(lists))} <= {int}
-        and min(chain.from_iterable(lists), default=0) >= 0
+        isinstance(value, list)
+        and len(value) == n
+        and {*map(type, value)} <= {int}
+        and not (value and min(value) < 0)
     )
 
 
@@ -56,14 +56,14 @@ def _power(x: int, y: int, e: int) -> tuple[int, int]:
 class PointPowers:
     """A point prepared once for evaluating many polynomials there: Gaussian
     integer numerators over one denominator ``den``, which coordinates are
-    zero (none listed when none is), and each power x_j^e once asked for."""
+    zero, and each power x_j^e the first time a term asks for it."""
 
     __slots__ = ("den", "zero", "_nums", "_powers")
 
     def __init__(self, point: Sequence):
         values = [scalar(p) for p in point]
         self.den = den = lcm(*(v._d for v in values))
-        self.zero = () if all(values) else tuple(not v for v in values)
+        self.zero = tuple(not v for v in values)
         self._nums = [(v._a * den // v._d, v._b * den // v._d) for v in values]
         self._powers: list[dict[int, tuple[int, int]]] = [{} for _ in values]
 
@@ -73,14 +73,14 @@ class PointPowers:
     def monomial(self, exps: ExponentVector) -> tuple[int, int, int] | None:
         """(re, im, |exps|) with (re + im*i) / den^|exps| the product of
         x_j^e_j; None when a zero coordinate has a nonzero exponent."""
-        if self.zero and any(compress(self.zero, exps)):
+        if any(compress(self.zero, exps)):
             return None
         re, im, degree = 1, 0, 0
         for j in compress(count(), exps):
             e, powers = exps[j], self._powers[j]
             degree += e
             x, y = powers.get(e) or powers.setdefault(e, _power(*self._nums[j], e))
-            re, im = (re * x - im * y, re * y + im * x) if im or y else (re * x, 0)
+            re, im = re * x - im * y, re * y + im * x
         return re, im, degree
 
 
@@ -148,23 +148,13 @@ class MultiPoly:
 
     @classmethod
     def from_records(
-        cls, variables: Sequence[str], records: list, scalars: ParsedScalars
+        cls, variables: Sequence[str], records: Iterable[dict], scalars: ParsedScalars
     ) -> "MultiPoly":
-        """The polynomial of a germ file's records, checked all at once and
-        one by one only to name a bad one.  A coefficient text is looked up
-        in ``scalars``, the file's texts, so each distinct one is parsed once."""
+        """The polynomial of a germ file's records, each record validated
+        once.  A coefficient text is looked up in ``scalars``, the texts of
+        the file being read, so each distinct one is parsed once."""
+        terms: dict[ExponentVector, Scalar] = {}
         n = len(variables)
-        lists = [rec.get("exponents") if type(rec) is dict else 0 for rec in records]
-        texts = [rec.get("coefficient") if type(rec) is dict else 0 for rec in records]
-        if {*map(type, texts)} <= {str} and are_exponent_lists(lists, n):
-            try:
-                terms = dict(zip(map(tuple, lists), [scalars[text] for text in texts]))
-            except ParseError:
-                terms = {}
-            if len(terms) == len(lists):
-                nonzero = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
-                return cls(variables, nonzero)
-        terms = {}
         for rec in records:
             try:
                 exps, coeff = rec["exponents"], rec["coefficient"]
@@ -173,7 +163,7 @@ class MultiPoly:
                 coeff = scalars[coeff] if type(coeff) is str else scalar(coeff)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad polynomial record {rec!r}: {exc}") from None
-            if not are_exponent_lists([exps], n):
+            if not is_exponent_list(exps, n):
                 raise ParseError(
                     f"bad polynomial record {rec!r}: exponents: expected {n} "
                     "nonnegative integers, one per variable"

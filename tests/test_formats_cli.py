@@ -681,9 +681,9 @@ def test_repeated_bad_coefficient_fails_at_its_first_record(tmp_path, capsys):
     )
 
 
-# Bad exponent lists for the h3 x sl2 germ (6 variables).  Each fails the
-# one-pass check of its polynomial or phi block; the record-by-record check
-# that follows must name the first bad one, with the message it always had.
+# Bad exponent lists for the h3 x sl2 germ (6 variables).  The reader must
+# name the first bad record of a polynomial or phi block, with the message
+# it always had, wherever the bad record sits.
 BAD_EXPONENTS = {
     "bool": [0, True, 1, 1, 0, 0],
     "float": [0, 1.5, 1, 1, 0, 0],
@@ -744,7 +744,7 @@ def test_bad_coefficient_before_bad_exponents_is_named(tmp_path, capsys, coeffic
 
 
 def test_integer_coefficients_read_as_their_texts(tmp_path, capsys):
-    # Valid records that the one-pass check leaves to the record-by-record one.
+    # Integer coefficients are valid records, read as their texts.
     germ_path, germ = _h3_germ(tmp_path, capsys)
     argv = ["mc-check", str(germ_path), "--point", "t1=1/2,t2=-1,t3=2/3,t4=1,t5=3,t6=-1/4", "--json"]
     code, expected, _ = run(capsys, *argv)

@@ -730,34 +730,37 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
             raise ParseError(f"{where}: degree: {r} repeats an earlier block")
         terms = blocks[r] = {}
         for t, term in enumerate(_field(block, "terms", list, where)):
-            tw = f"{where}.terms[{t}]"
-            exps = _field(term, "exponents", list, tw)
-            if not is_exponent_list(exps, len(variables)):
-                raise ParseError(
-                    f"{tw}: exponents: expected {len(variables)} "
-                    "nonnegative integers, one per variable"
-                )
-            exps = tuple(exps)
-            if sum(exps) != r:
-                raise ParseError(f"{tw}: exponents: total {sum(exps)} is not the degree {r}")
-            if exps in terms:
-                raise ParseError(f"{tw}: exponents: repeat an earlier term")
-            vec = terms[exps] = {}
-            for k, entry in enumerate(_field(term, "entries", list, tw)):
-                ew = f"{tw}.entries[{k}]"
-                mono_idx = _field(entry, "monomial_index", int, ew)
-                if not 0 <= mono_idx < dim1:
+            k = None  # the entry read; a message gets its location when raised
+            try:
+                exps = _field(term, "exponents", list, "")
+                if not is_exponent_list(exps, len(variables)):
                     raise ParseError(
-                        f"{ew}: monomial_index: {mono_idx} is not a degree-1 "
-                        f"monomial (0..{dim1 - 1})"
+                        f": exponents: expected {len(variables)} "
+                        "nonnegative integers, one per variable"
                     )
-                label = _field(entry, "target", str, ew)
-                if label not in label_index:
-                    raise ParseError(f"{ew}: target: unknown label {label!r}")
-                spot = tdgla.flat(mono_idx, label_index[label])
-                if spot in vec:
-                    raise ParseError(f"{ew}: repeats an earlier (monomial_index, target)")
-                vec[spot] = _coerce_scalar(entry.get("value"), f"{ew}: value", scalars)
+                exps = tuple(exps)
+                if sum(exps) != r:
+                    raise ParseError(f": exponents: total {sum(exps)} is not the degree {r}")
+                if exps in terms:
+                    raise ParseError(": exponents: repeat an earlier term")
+                vec = terms[exps] = {}
+                for k, entry in enumerate(_field(term, "entries", list, "")):
+                    mono_idx = _field(entry, "monomial_index", int, "")
+                    if not 0 <= mono_idx < dim1:
+                        raise ParseError(
+                            f": monomial_index: {mono_idx} is not a degree-1 "
+                            f"monomial (0..{dim1 - 1})"
+                        )
+                    label = _field(entry, "target", str, "")
+                    if label not in label_index:
+                        raise ParseError(f": target: unknown label {label!r}")
+                    spot = tdgla.flat(mono_idx, label_index[label])
+                    if spot in vec:
+                        raise ParseError(": repeats an earlier (monomial_index, target)")
+                    vec[spot] = _coerce_scalar(entry.get("value"), ": value", scalars)
+            except ParseError as exc:
+                at = f"{where}.terms[{t}]" + ("" if k is None else f".entries[{k}]")
+                raise ParseError(f"{at}{exc}") from None
     # Zero values are not stored, nor the terms and blocks they leave empty.
     slices: dict[int, dict] = {}
     for r, terms in blocks.items():

@@ -24,15 +24,18 @@ reduce, on one layout, ``IntMaps``: a (real part, imaginary part) pair of
 index-major maps {L^p index: {packed exponent: numerator}}, with one
 denominator held beside it.  *Pack* (``_int_slice``) brings a slice's
 numerators over one denominator and packs each exponent vector into an
-int, so one add multiplies two monomials.  *Sum* (``_sum_pairs``) adds
-factor * [a, b] over a list of packed pairs into one such pair over one
-shared denominator.  *Reduce* (``_reduce``) builds one Scalar per nonzero
-entry.  ``bracket_slices`` is the three in a row; ``TensorDgla.bracket11``
-is a one-pair call on a single term each.  Between sum and reduce,
-``_apply_columns`` applies (matrix tensor id) to the integer maps, with
-the matrix converted once per stage to Gaussian-integer numerators over
-one denominator (``_int_columns``); it looks up each index's column once
-and skips all of an index's terms when that column is empty.
+int (one ``struct`` field a variable), so one add multiplies two monomials.
+*Sum* (``_sum_pairs``) adds factor * [a, b] over a list of packed pairs
+into one such pair over one shared denominator, monomial by monomial; a
+pair with one packed map on both sides is a square, each unordered index
+pair formed once and doubled, as the bracket is symmetric on L^1.
+*Reduce* (``_reduce``) builds one Scalar per nonzero entry (``_entries``).
+``bracket_slices`` is the three in a row, packing a slice on both sides
+of a pair once; ``TensorDgla.bracket11`` is a one-pair call on a single
+term each, so [w, w] in ``mc_residual`` and the embedding check is a
+square.  Between sum and reduce, ``_apply_columns`` applies (matrix
+tensor id) to the integer maps, with the matrix converted once per stage
+to Gaussian-integer numerators over one denominator (``_int_columns``).
 
 Outside that kernel, elements are sparse Scalar vectors (``SparseVec``);
 (matrix tensor id) in ``apply_matrix`` and the Maurer-Cartan residual are
@@ -41,14 +44,14 @@ one ``linalg.apply`` call each, and ``PolyCochain.eval`` sums on integers
 forms eliminates only through ``linalg.echelon`` and builds no dense matrix.
 
 So the series and the gauge check stay on integers from the bracket to
-their result.  The series sums each [phi, phi]_r once and reads it twice:
-its harmonic coordinates are reduced once per obstruction coefficient, and
-while r is within the cap, -(1/2) delta_2 of it is reduced once per entry
-of phi_r, which is packed once, when it is produced.  ``obstruction_system``
-only wraps the series' obstruction terms as polynomials.  The gauge check
-brackets every ordered pair afresh, applies delta_1 and (1/2) delta_2 on
-integers and compares with the packed phi_r by cross-multiplying
-denominators, building no Scalar.
+their result.  The series sums each [phi, phi]_r once, s = r/2 as a
+square, and reads it twice: its harmonic coordinates are reduced index by
+index into the obstruction terms, and while r <= cap, -(1/2) delta_2 of it
+is reduced into phi_r and packed from the same integer maps (``_repack``),
+each monomial unpacked once for both and its degree checked to be r.  The
+gauge check brackets every ordered pair afresh, squaring none, applies
+delta_1 and (1/2) delta_2 on integers and compares with the packed phi_r
+by cross-multiplying denominators, building no Scalar.
 
 Each of those sums writes only the 2-monomials that its consumer's linear
 map reads.  (matrix tensor id) sends every entry on a 2-monomial whose
@@ -78,12 +81,12 @@ e_k + e_l, since the residual is quadratic and [e_k, e_k] = 0.
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from struct import Struct, calcsize
 from sys import byteorder
 
 from . import linalg
@@ -165,7 +168,8 @@ class TensorDgla:
 
     def bracket11(self, u: SparseVec, v: SparseVec) -> SparseVec:
         """[u, v] for degree-one u, v: ``bracket_slices`` on one term each."""
-        return bracket_slices(self, [(1, {(): u}, {(): v})]).get((), {})
+        a = {(): u}
+        return bracket_slices(self, [(1, a, a if v is u else {(): v})]).get((), {})
 
     def apply_matrix(self, matrix_cols: SparseColumns, u: SparseVec) -> SparseVec:
         """Apply (matrix tensor id) given sparse columns of the matrix."""
@@ -212,13 +216,14 @@ IntMaps = tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]
 IntColumns = tuple[list[tuple[list[list[tuple[int, int]]], int]], int]
 
 NO_TERMS: tuple[IntMaps, int] = (({}, {}), 1)
+Entry = tuple[int, int, ExponentVector, int, int]  # as ``_entries`` yields it
 
 
-def _array_code(degree: int) -> str:
-    """The smallest unsigned array type whose fields hold ``degree``, hence
+def _field_code(degree: int) -> str:
+    """The smallest unsigned struct code whose fields hold ``degree``, hence
     every exponent of a monomial of total degree <= ``degree``."""
     bits = degree.bit_length()
-    return next(c for c in "BHIQ" if bits <= 8 * array(c).itemsize)
+    return next(c for c in "BHIQ" if bits <= 8 * calcsize(c))
 
 
 def _int_columns(
@@ -238,17 +243,17 @@ def _int_columns(
     )
 
 
-def _int_slice(terms: Slice, code: str) -> tuple[IntMaps, int]:
+def _int_slice(terms: Slice, fmt: Struct) -> tuple[IntMaps, int]:
     """Pack: a slice as integer maps over one denominator D.
 
-    An exponent vector is packed as the bytes of an array of type ``code``,
-    one field a variable, so one int add multiplies two monomials.
+    An exponent vector is packed as the bytes of ``fmt``, one field a
+    variable, so one int add multiplies two monomials.
     """
     den = lcm(*(c._d for vec in terms.values() for c in vec.values()))
     maps: IntMaps = ({}, {})
     re, im = maps
     for exps, vec in terms.items():
-        packed = int.from_bytes(array(code, exps), byteorder)
+        packed = int.from_bytes(fmt.pack(*exps), byteorder)
         for i, c in vec.items():
             scale = den // c._d
             if c._a:
@@ -262,49 +267,58 @@ def _accumulate(
     acc: dict[int, dict[int, int]],
     sign: int,
     left: dict[int, dict[int, int]],
-    right: dict[int, dict[int, int]],
+    right: dict[int, dict[int, int]] | None,
     consts: list[list[tuple[int, int]]],
     wedge: WedgeTable,
     ta: int,
 ) -> None:
     """Add sign * [left, right] to the part ``acc``, with ``consts`` as the
-    bracket table.
+    bracket table; with ``right`` None, each unordered pair of ``left``'s
+    monomials once, the first-seen on the left (alpha wedge alpha = 0).
 
-    The wedge sign, the target monomial and the structure constants are
-    resolved once per index pair, and an output index's map once per index
-    pair and structure constant; each term pair then costs one int add, one
+    The wedge sign and target are resolved once per monomial pair, the
+    structure constants once per index pair, and an output index's map once
+    per index pair and constant; each term pair costs one int add, one
     multiply and one dict update.
     """
-    for iu, terms_u in left.items():
-        mu, au = divmod(iu, ta)
+    # Each side as [(monomial, [(target index, terms)])], in first-seen order.
+    sides = []
+    for part in (left,) if right is None else (left, right):
+        groups: dict[int, list[tuple[int, dict[int, int]]]] = {}
+        for index, terms in part.items():
+            groups.setdefault(index // ta, []).append((index % ta, terms))
+        sides.append(list(groups.items()))
+    lefts, rights = sides[0], sides[-1]
+    for n, (mu, us) in enumerate(lefts):
         wrow = wedge[mu]
-        cbase = au * ta
-        for iv, terms_v in right.items():
-            mv, av = divmod(iv, ta)
+        for mv, vs in rights[n + 1 :] if right is None else rights:
             merged = wrow[mv]
-            row = consts[cbase + av]
-            if merged is None or not row:
+            if merged is None:
                 continue
             wsign, target = merged
             base = target * ta
             factor = sign * wsign
-            for k, x in row:
-                out = acc.get(base + k)
-                if out is None:
-                    out = acc[base + k] = {}
-                get = out.get
-                x *= factor
-                for ea, xa in terms_u.items():
-                    xa *= x
-                    for eb, xb in terms_v.items():
-                        key = ea + eb
-                        out[key] = get(key, 0) + xa * xb
+            for au, terms_u in us:
+                cbase = au * ta
+                for av, terms_v in vs:
+                    for k, x in consts[cbase + av]:
+                        out = acc.get(base + k)
+                        if out is None:
+                            out = acc[base + k] = {}
+                        get = out.get
+                        x *= factor
+                        for ea, xa in terms_u.items():
+                            xa *= x
+                            for eb, xb in terms_v.items():
+                                key = ea + eb
+                                out[key] = get(key, 0) + xa * xb
 
 
 def _sum_pairs(
     tdgla: TensorDgla,
     wedge: WedgeTable,
     pairs: list[tuple[int, tuple[IntMaps, int], tuple[IntMaps, int]]],
+    squares: bool = True,
 ) -> tuple[IntMaps, int]:
     """Sum: factor * [a, b] over the (int factor, packed a, packed b) in
     ``pairs``, as integer maps over one denominator, on the 2-monomials
@@ -315,22 +329,27 @@ def _sum_pairs(
     L / (Da * Db).  Q(i) data splits into real and imaginary numerators,
     combined by bilinearity (each factor of i turns the product a quarter:
     re, im, -re, -im); an empty part, as every imaginary part of rational
-    data is, adds nothing.
+    data is, adds nothing.  With ``squares``, a pair with one packed map on
+    both sides is a square: [a, a] is symmetric, so ``_accumulate`` takes
+    each unordered index pair of a part once, [re, im] stands for [im, re]
+    too, and all count twice.
     """
     den = lcm(*(da * db for _, (_, da), (_, db) in pairs))
     parts_c, dc = tdgla._int_bracket
     ta = tdgla.target.dim
     acc: IntMaps = ({}, {})
     for factor, (maps_a, da), (maps_b, db) in pairs:
-        factor *= den // (da * db)
+        square = squares and maps_a is maps_b
+        factor *= (2 if square else 1) * den // (da * db)
         for ia, left in enumerate(maps_a):
             for ib, right in enumerate(maps_b):
-                if not (left and right):
+                if not (left and right) or square and ib < ia:
                     continue
+                other = None if square and ia == ib else right
                 for consts, ic in parts_c:
                     turns = ia + ib + ic
                     sign = -factor if turns & 2 else factor
-                    _accumulate(acc[turns & 1], sign, left, right, consts, wedge, ta)
+                    _accumulate(acc[turns & 1], sign, left, other, consts, wedge, ta)
     return acc, den * dc
 
 
@@ -361,45 +380,63 @@ def _apply_columns(columns: IntColumns, maps: IntMaps, ta: int) -> IntMaps:
     return out
 
 
-def _reduce(maps: IntMaps, den: int, code: str, nvars: int) -> Slice:
-    """Reduce: integer maps over ``den`` as a slice, one Scalar per nonzero
-    entry."""
+def _entries(maps: IntMaps, fmt: Struct, seen: dict, degree: int | None = None) -> Iterator[Entry]:
+    """(index, packed exponent, exponents, real and imaginary numerator) of
+    each nonzero entry of integer maps, index by index; each exponent is
+    unpacked by ``fmt`` once, into ``seen``, its total checked if ``degree``."""
     re, im = maps
-    nbytes = nvars * array(code).itemsize
-    out: Slice = {}
-    # Output vectors by packed exponent: each one is unpacked once.
-    rows: dict[int, SparseVec] = {}
     for index in re.keys() | im.keys():
         real, imag = re.get(index, {}), im.get(index, {})
         for packed in real.keys() | imag.keys():
             x, y = real.get(packed, 0), imag.get(packed, 0)
-            if not (x or y):
-                continue
-            vec = rows.get(packed)
-            if vec is None:
-                exps = tuple(array(code, packed.to_bytes(nbytes, byteorder)))
-                vec = rows[packed] = out[exps] = {}
-            vec[index] = from_ints(x, y, den)
+            if x or y:
+                exps = seen.get(packed)
+                if exps is None:
+                    exps = seen[packed] = fmt.unpack(packed.to_bytes(fmt.size, byteorder))
+                    if degree is not None and (d := sum(exps)) != degree:
+                        raise InternalCheckError(f"[phi, phi]_{degree} has a degree-{d} term")
+                yield index, packed, exps, x, y
+
+
+def _reduce(entries: Iterable[Entry], den: int) -> Slice:
+    """Reduce: ``_entries`` over ``den`` as a slice, one Scalar each."""
+    out: Slice = {}
+    # Output vectors by packed exponent, so each exponent is hashed once.
+    rows: dict[int, SparseVec] = {}
+    for index, packed, exps, x, y in entries:
+        vec = rows.get(packed)
+        if vec is None:
+            vec = rows[packed] = out[exps] = {}
+        vec[index] = from_ints(x, y, den)
     return out
+
+
+def _repack(maps: IntMaps, den: int) -> tuple[IntMaps, int]:
+    """``_int_slice`` of the slice that ``_reduce`` makes of ``maps``: its
+    denominators have lcm den / g, g = gcd(den, every numerator)."""
+    g = gcd(den, *(x for part in maps for t in part.values() for x in t.values()))
+    parts = [{i: {e: x // g for e, x in t.items() if x} for i, t in part.items()} for part in maps]
+    re, im = ({i: t for i, t in part.items() if t} for part in parts)
+    return (re, im), den // g
 
 
 def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> Slice:
     """Sum of factor * [a, b] over the (factor, a, b) in ``pairs``: int
     factors, homogeneous degree-one slices in one set of variables.
 
-    Pack, sum and reduce in a row, with the smallest array type that holds
-    the output's total degree.
+    Pack, sum and reduce in a row, with the smallest field type that holds
+    the output's total degree.  Each slice is packed once, so one on both
+    sides of a pair makes it a square.
     """
     pairs = [(f, a, b) for f, a, b in pairs if f and a and b]
     if not pairs:
         return {}
-    code = _array_code(max(max(map(sum, a)) + max(map(sum, b)) for _, a, b in pairs))
-    maps, den = _sum_pairs(
-        tdgla,
-        tdgla._wedge11,
-        [(f, _int_slice(a, code), _int_slice(b, code)) for f, a, b in pairs],
-    )
-    return _reduce(maps, den, code, len(next(iter(pairs[0][1]))))
+    code = _field_code(max(max(map(sum, a)) + max(map(sum, b)) for _, a, b in pairs))
+    fmt = Struct(f"{len(next(iter(pairs[0][1])))}{code}")
+    packs = {id(s): _int_slice(s, fmt) for _, a, b in pairs for s in (a, b)}
+    packed = [(f, packs[id(a)], packs[id(b)]) for f, a, b in pairs]
+    maps, den = _sum_pairs(tdgla, tdgla._wedge11, packed)
+    return _reduce(_entries(maps, fmt, {}), den)
 
 
 # -- the deformation series ----------------------------------------------------
@@ -426,8 +463,8 @@ def _square(
     tdgla: TensorDgla, wedge: WedgeTable, packed: dict[int, tuple[IntMaps, int]], r: int
 ) -> tuple[IntMaps, int]:
     """[phi, phi]_r as integer sums over the unordered pairs s + t = r (the
-    bracket of degree-one elements is symmetric, so s != t counts twice), on
-    the 2-monomials that ``wedge`` keeps."""
+    bracket of degree-one elements is symmetric, so s != t counts twice and
+    s = t is a square), on the 2-monomials that ``wedge`` keeps."""
     return _sum_pairs(
         tdgla,
         wedge,
@@ -446,10 +483,7 @@ def kuranishi_series(
     nonzero degree."""
     tdgla = TensorDgla(dec.dga, target)
     if cap is None:
-        if dec.grading is not None:
-            cap = 2 * dec.grading.depth
-        else:
-            cap = 2 * dec.dga.algebra.dim
+        cap = 2 * (dec.grading.depth if dec.grading is not None else dec.dga.algebra.dim)
     if cap < 2:
         raise PreconditionError("series cap must be at least 2")
     # Packed exponents reach degree 2 * rho <= 2 * cap, in fields of at most
@@ -459,34 +493,30 @@ def kuranishi_series(
 
     harm1 = dec.harmonic_basis(1)
     ta = target.dim
-    zeta: list[SparseVec] = []
-    zeta_info: list[tuple[int, int]] = []
-    for h, row in enumerate(harm1):
-        for a in range(ta):
-            vec = {tdgla.flat(i, a): c for i, c in row.items()}
-            zeta.append(vec)
-            zeta_info.append((h, a))
-    m = len(zeta)
+    zeta_info = [(h, a) for h in range(len(harm1)) for a in range(ta)]
+    m = len(zeta_info)
     variables = tuple(f"t{i + 1}" for i in range(m))
 
-    def unit_exp(i: int) -> ExponentVector:
-        return tuple(1 if k == i else 0 for k in range(m))
-
-    code = _array_code(2 * cap)
+    fmt = Struct(f"{m}{_field_code(2 * cap)}")
     slices: dict[int, Slice] = {}
     # Each phi_r packed once, when it is produced.
     packed: dict[int, tuple[IntMaps, int]] = {}
-    phi1: Slice = {unit_exp(i): dict(z) for i, z in enumerate(zeta) if z}
+    # phi_1 = sum_i t_i zeta_i, zeta_i = (harmonic 1-form h) tensor (basis vector a).
+    phi1: Slice = {
+        (0,) * i + (1,) + (0,) * (m - 1 - i): {tdgla.flat(j, a): c for j, c in harm1[h].items()}
+        for i, (h, a) in enumerate(zeta_info)
+        if harm1[h]
+    }
     if phi1:
         slices[1] = phi1
-        packed[1] = _int_slice(phi1, code)
+        packed[1] = _int_slice(phi1, fmt)
 
     # Each [phi, phi]_r is summed once, onto the 2-monomials that delta_2 or
     # the harmonic coordinates read.  Its harmonic coordinates are the
     # obstruction terms of degree r: (harmonic_coords(2) tensor id) sends a
     # degree-2 vector straight to the coordinates h * ta + a (none when the
-    # split stops below degree 2).  While r <= cap, -(1/2) delta_2 of it is
-    # phi_r, with -1/2 folded into the columns.
+    # split stops below degree 2), reduced index by index into them.  While
+    # r <= cap, -(1/2) delta_2 of it is phi_r, with -1/2 folded in.
     coords = dec.harmonic_coords(2) if len(dec.splits) > 2 else []
     coord_cols = _int_columns(coords)
     delta2 = _int_columns(dec.delta_cols(2), Fraction(-1, 2))
@@ -499,22 +529,15 @@ def kuranishi_series(
     rho, r = 1, 2
     while m and r <= 2 * rho:
         sums, den = _square(tdgla, wedge, packed, r)
-        projected = _apply_columns(coord_cols, sums, ta)
-        for exps, vec in _reduce(projected, den * coord_cols[1], code, m).items():
-            if sum(exps) < 2:
-                raise InternalCheckError(
-                    "obstruction polynomial has a constant or linear part"
-                )
-            for k, value in vec.items():
-                obstruction_terms[k][exps] = value
+        seen: dict[int, ExponentVector] = {}
+        scale = den * coord_cols[1]
+        for k, _, exps, x, y in _entries(_apply_columns(coord_cols, sums, ta), fmt, seen, r):
+            obstruction_terms[k][exps] = from_ints(x, y, scale)
         if r <= cap:
-            phi_r = _reduce(
-                _apply_columns(delta2, sums, ta), den * delta2[1], code, m
-            )
+            maps, scale = _apply_columns(delta2, sums, ta), den * delta2[1]
+            phi_r = _reduce(_entries(maps, fmt, seen, r), scale)
             if phi_r:
-                slices[r] = phi_r
-                packed[r] = _int_slice(phi_r, code)
-                rho = r
+                slices[r], packed[r], rho = phi_r, _repack(maps, scale), r
         r += 1
 
     return KuranishiSeries(
@@ -601,8 +624,10 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
     = 0 for every r >= 2.  [phi, phi] is bracketed afresh here from the
     series' phi slices alone, over every ordered pair s + t = r, onto the
     2-monomials that delta_2 reads; the series' own unordered sums are not
-    reused.  Both identities are checked on the kernel's integer maps; no
-    Scalar is built.
+    reused.  No pair is a square: [phi_s, phi_s] reads every ordered index
+    pair, so a wedge entry wrong in one orientation fails the check, even
+    one that the series' squares never read.  Both identities are checked
+    on the kernel's integer maps; no Scalar is built.
     """
     if not series.terminated:
         raise PreconditionError("gauge identities require a terminated series")
@@ -610,10 +635,10 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
     tdgla = series.tdgla
     ta = tdgla.target.dim
     top = 2 * max(series.slices, default=0)
-    code = _array_code(top)
+    fmt = Struct(f"{len(series.variables)}{_field_code(top)}")
     # Each phi_s packed once, for the kernel, the linear maps and the
     # comparison.
-    packed = {s: _int_slice(terms, code) for s, terms in series.slices.items()}
+    packed = {s: _int_slice(terms, fmt) for s, terms in series.slices.items()}
     delta1 = _int_columns(dec.delta_cols(1))
     for maps, _ in packed.values():
         image = _apply_columns(delta1, maps, ta)
@@ -626,6 +651,7 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
             tdgla,
             wedge,
             [(1, packed.get(s, NO_TERMS), packed.get(r - s, NO_TERMS)) for s in range(1, r)],
+            squares=False,
         )
         # phi_r = N / D and (1/2) delta [phi, phi]_r = M / D': the sum
         # vanishes when D' * N + D * M does, entry by entry.

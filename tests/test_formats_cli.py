@@ -792,6 +792,40 @@ def test_bad_phi_value_before_bad_exponents_is_named(tmp_path, capsys, value, me
     )
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda term: term.pop("entries"), "entries: missing or not a list"),
+        (lambda term: term.pop("exponents"), "exponents: missing or not a list"),
+        (lambda term: term["entries"].insert(1, 7), ".entries[1]: expected an object"),
+        (lambda term: term["entries"][1].pop("monomial_index"),
+         ".entries[1]: monomial_index: missing or not an integer"),
+        (lambda term: term["entries"][1].update(monomial_index=3),
+         ".entries[1]: monomial_index: 3 is not a degree-1 monomial (0..2)"),
+        (lambda term: term["entries"][1].update(target=None), ".entries[1]: target: missing or not a string"),
+        (lambda term: term["entries"][1].update(target="Q"), ".entries[1]: target: unknown label 'Q'"),
+        (lambda term: term["entries"].append(dict(term["entries"][0])),
+         ".entries[{last}]: repeats an earlier (monomial_index, target)"),
+    ],
+    ids=[
+        "no-entries", "no-exponents", "entry-not-an-object", "no-monomial-index",
+        "monomial-index-3", "no-target", "unknown-target", "repeated-entry",
+    ],
+)
+def test_phi_messages_name_the_term_and_entry(tmp_path, capsys, corrupt, message):
+    # The location comes first, then the field: the same text whether the
+    # term or one of its entries is at fault.
+    germ_path, germ = _h3_germ(tmp_path, capsys)
+    term = germ["phi"][1]["terms"][1]
+    term["entries"].append(dict(term["entries"][0], target="H"))
+    corrupt(term)
+    at = "" if message.startswith(".") else ": "
+    assert _mc_check_error(capsys, germ_path, germ) == (
+        f"parse error: {germ_path}: phi[1].terms[1]{at}"
+        + message.format(last=len(term.get("entries", [])) - 1) + "\n"
+    )
+
+
 def test_germ_read_parses_each_scalar_text_once_per_read(tmp_path, capsys, monkeypatch):
     from germkit import scalars
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import pathlib
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -512,7 +514,8 @@ def test_embedding_identity_matches_the_point_loop(case, target):
 
 def _flip_one_wedge_sign(monkeypatch, sub):
     """[m0, m1] changes sign in the wedge table of ``sub``'s TensorDgla
-    alone, so its [w, w] loses the m0 x m1 terms while d agrees."""
+    alone.  A square reads that orientation only, so its [w, w] has the
+    m0 x m1 terms negated while d agrees."""
     init = TensorDgla.__init__
 
     def corrupted(self, dga, target):
@@ -532,7 +535,7 @@ def test_embedding_identity_sees_a_corrupted_bracket(monkeypatch):
     result = linear_embedding_check(sub, ambient, fixtures.sl2())
     assert result == linear_embedding_check_reference(sub, ambient, fixtures.sl2())
     assert result == (5, (
-        "residuals disagree at T⊗H + Z⊗E: selection gives (-1)*X∧Y⊗E, "
+        "residuals disagree at T⊗H + Z⊗E: selection gives (-2)*T∧Z⊗E + (-1)*X∧Y⊗E, "
         "ambient gives (2)*T∧Z⊗E + (-1)*X∧Y⊗E"
     ))
 
@@ -750,7 +753,9 @@ _coefs = st.one_of(
 @st.composite
 def _bracket_pairs(draw):
     """One to three (factor, a, b): factors in {1, 2, -1}, a and b homogeneous
-    degree-one slices in one set of 0-4 variables, any of them maybe empty."""
+    degree-one slices in one set of 0-4 variables, any of them maybe empty,
+    and now and then b the same slice object as a, which ``bracket_slices``
+    sums as a square."""
     nvars = draw(st.integers(0, 4))
     dim1 = KERNEL_DGA.dim_at(1) * 3
 
@@ -768,8 +773,11 @@ def _bracket_pairs(draw):
             return {}
         return draw(st.dictionaries(counts, vecs, min_size=1, max_size=4))
 
-    count = draw(st.integers(1, 3))
-    return [(draw(st.sampled_from([1, 2, -1])), one_slice(), one_slice()) for _ in range(count)]
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        factor, a = draw(st.sampled_from([1, 2, -1])), one_slice()
+        pairs.append((factor, a, a if draw(st.booleans()) else one_slice()))
+    return pairs
 
 
 @settings(max_examples=150, deadline=None)
@@ -972,6 +980,21 @@ def test_gauge_check_catches_a_nonzero_delta_one():
     assert gauge_identity_check_reference(mutated) == message
 
 
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("base", ["h3", "h5", "filiform4"])
+def test_gauge_check_sees_a_wedge_sign_flipped_in_either_orientation(base, entry):
+    # The gauge check sums no square: [phi_s, phi_s] reads both orientations
+    # of every index pair, so one wedge sign flipped after the series was
+    # built fails it, in either orientation.
+    series = _setup(base, "sl2")
+    assert gauge_identity_check(series) is None
+    table = series.tdgla._wedge11
+    sign, mono = table[entry[0]][entry[1]]
+    table[entry[0]][entry[1]] = (-sign, mono)
+    differs = "phi + (1/2) delta[phi, phi] differs from the linear part"
+    assert gauge_identity_check(series) == differs
+
+
 # -- the pruned bracket kernel against the full wedge table ------------------------
 
 
@@ -1101,7 +1124,7 @@ def test_series_is_the_same_at_every_packed_exponent_width(base, target):
         kuranishi_series(dec, lie_target, cap)
         for cap in (None, 200, 40_000, 2**32, 2**63 - 1)
     ]
-    assert [kuranishi._array_code(2 * s.cap) for s in runs] == list("BHIQQ")
+    assert [kuranishi._field_code(2 * s.cap) for s in runs] == list("BHIQQ")
     first = runs[0]
     assert first.terminated and first.last_nonzero >= 2
     for series in runs:
@@ -1111,15 +1134,53 @@ def test_series_is_the_same_at_every_packed_exponent_width(base, target):
         assert gauge_identity_check(series) is None
 
 
+@pytest.mark.parametrize(
+    "base, target",
+    [("fixture:h5", "sl2_i"), ("generated:L6", "gl2"), ("seeded:solv_h5", "sl2_third")],
+)
+def test_series_packs_phi_as_the_packer_packs_its_slices(monkeypatch, base, target):
+    # Each phi_r is packed from the integer maps it is reduced from, with
+    # numerators and denominator divided by their gcd: the same maps and
+    # denominator as packing the reduced Scalar slice.
+    algebra = GAUGE_BASES[base]
+    dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
+    square, seen = kuranishi._square, []
+    monkeypatch.setattr(
+        kuranishi, "_square", lambda *args: seen.append(args[2]) or square(*args)
+    )
+    series = kuranishi_series(dec, KERNEL_TARGETS[target])
+    packed = seen[-1]
+    assert series.last_nonzero >= 2 and sorted(packed) == sorted(series.slices)
+    fmt = struct.Struct(f"{len(series.variables)}{kuranishi._field_code(2 * series.cap)}")
+    for r, terms in series.slices.items():
+        assert packed[r] == kuranishi._int_slice(terms, fmt), r
+
+
 def test_obstruction_system_rejects_a_linear_term(monkeypatch):
-    # The obstruction terms are reduced, and checked, while the series is
-    # built; the first reduction at r = 2 is the harmonic projection.
+    # The series checks the degree of each monomial it unpacks: a linear
+    # term in the integer maps of [phi, phi]_2, put into the harmonic
+    # projection (the first linear map applied) or into -(1/2) delta_2 of
+    # it (the second), stops it.
     g = fixtures.heisenberg3()
     dec = split_complex(Dga(g), "metric", inferred_grading(g))
-    linear = (1,) + (0,) * (dec.betti()[1] * 3 - 1)
-    monkeypatch.setattr(kuranishi, "_reduce", lambda *args: {linear: {0: ONE}})
-    with pytest.raises(InternalCheckError, match="constant or linear part"):
-        kuranishi_series(dec, fixtures.sl2())
+    m = dec.betti()[1] * 3
+    # The default cap 4 gives one byte per exponent.
+    linear = int.from_bytes(struct.pack(f"{m}B", 1, *[0] * (m - 1)), sys.byteorder)
+    apply = kuranishi._apply_columns
+    for corrupted in (1, 2):
+        calls = []
+
+        def with_linear_term(columns, maps, ta):
+            re, im = apply(columns, maps, ta)
+            calls.append(columns)
+            if len(calls) == corrupted:
+                re.setdefault(0, {})[linear] = 1
+            return re, im
+
+        monkeypatch.setattr(kuranishi, "_apply_columns", with_linear_term)
+        with pytest.raises(InternalCheckError, match=r"\[phi, phi\]_2 has a degree-1 term"):
+            kuranishi_series(dec, fixtures.sl2())
+        assert len(calls) == corrupted
 
 
 @pytest.mark.parametrize("cap", [None, 2, 3])

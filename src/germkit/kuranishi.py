@@ -47,8 +47,8 @@ So the series and the gauge check stay on integers from the bracket to
 their result.  The series sums each [phi, phi]_r once, s = r/2 as a
 square, and reads it twice: its harmonic coordinates are reduced index by
 index into the obstruction terms, and while r <= cap, -(1/2) delta_2 of it
-is reduced into phi_r and packed from the same integer maps (``_repack``),
-each monomial unpacked once for both and its degree checked to be r.  The
+is reduced into phi_r, which is packed once, when it is produced; each
+monomial is unpacked once for both and its degree checked to be r.  The
 gauge check brackets every ordered pair afresh, squaring none, applies
 delta_1 and (1/2) delta_2 on integers and compares with the packed phi_r
 by cross-multiplying denominators, building no Scalar.
@@ -85,7 +85,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from struct import Struct, calcsize
 from sys import byteorder
 
@@ -215,6 +215,10 @@ IntMaps = tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]
 # a part listing for each column its (row, numerator) pairs.
 IntColumns = tuple[list[tuple[list[list[tuple[int, int]]], int]], int]
 
+# A part of integer maps grouped by monomial, in first-seen order:
+# [(L^1 monomial, [(target index, numerators by packed exponent)])].
+Grouped = list[tuple[int, list[tuple[int, dict[int, int]]]]]
+
 NO_TERMS: tuple[IntMaps, int] = (({}, {}), 1)
 Entry = tuple[int, int, ExponentVector, int, int]  # as ``_entries`` yields it
 
@@ -266,8 +270,8 @@ def _int_slice(terms: Slice, fmt: Struct) -> tuple[IntMaps, int]:
 def _accumulate(
     acc: dict[int, dict[int, int]],
     sign: int,
-    left: dict[int, dict[int, int]],
-    right: dict[int, dict[int, int]] | None,
+    left: Grouped,
+    right: Grouped | None,
     consts: list[list[tuple[int, int]]],
     wedge: WedgeTable,
     ta: int,
@@ -281,17 +285,9 @@ def _accumulate(
     per index pair and constant; each term pair costs one int add, one
     multiply and one dict update.
     """
-    # Each side as [(monomial, [(target index, terms)])], in first-seen order.
-    sides = []
-    for part in (left,) if right is None else (left, right):
-        groups: dict[int, list[tuple[int, dict[int, int]]]] = {}
-        for index, terms in part.items():
-            groups.setdefault(index // ta, []).append((index % ta, terms))
-        sides.append(list(groups.items()))
-    lefts, rights = sides[0], sides[-1]
-    for n, (mu, us) in enumerate(lefts):
+    for n, (mu, us) in enumerate(left):
         wrow = wedge[mu]
-        for mv, vs in rights[n + 1 :] if right is None else rights:
+        for mv, vs in left[n + 1 :] if right is None else right:
             merged = wrow[mv]
             if merged is None:
                 continue
@@ -338,6 +334,15 @@ def _sum_pairs(
     parts_c, dc = tdgla._int_bracket
     ta = tdgla.target.dim
     acc: IntMaps = ({}, {})
+    # Each part grouped by monomial once, however many pairs it is in.
+    grouped: dict[int, Grouped] = {}
+    for _, (maps_a, _), (maps_b, _) in pairs:
+        for part in (*maps_a, *maps_b):
+            if id(part) not in grouped:
+                groups: dict[int, list[tuple[int, dict[int, int]]]] = {}
+                for index, terms in part.items():
+                    groups.setdefault(index // ta, []).append((index % ta, terms))
+                grouped[id(part)] = list(groups.items())
     for factor, (maps_a, da), (maps_b, db) in pairs:
         square = squares and maps_a is maps_b
         factor *= (2 if square else 1) * den // (da * db)
@@ -345,11 +350,12 @@ def _sum_pairs(
             for ib, right in enumerate(maps_b):
                 if not (left and right) or square and ib < ia:
                     continue
-                other = None if square and ia == ib else right
+                lefts = grouped[id(left)]
+                rights = None if square and ia == ib else grouped[id(right)]
                 for consts, ic in parts_c:
                     turns = ia + ib + ic
                     sign = -factor if turns & 2 else factor
-                    _accumulate(acc[turns & 1], sign, left, other, consts, wedge, ta)
+                    _accumulate(acc[turns & 1], sign, lefts, rights, consts, wedge, ta)
     return acc, den * dc
 
 
@@ -380,7 +386,9 @@ def _apply_columns(columns: IntColumns, maps: IntMaps, ta: int) -> IntMaps:
     return out
 
 
-def _entries(maps: IntMaps, fmt: Struct, seen: dict, degree: int | None = None) -> Iterator[Entry]:
+def _entries(
+    maps: IntMaps, fmt: Struct, seen: dict, degree: int | None = None
+) -> Iterator[Entry]:
     """(index, packed exponent, exponents, real and imaginary numerator) of
     each nonzero entry of integer maps, index by index; each exponent is
     unpacked by ``fmt`` once, into ``seen``, its total checked if ``degree``."""
@@ -409,15 +417,6 @@ def _reduce(entries: Iterable[Entry], den: int) -> Slice:
             vec = rows[packed] = out[exps] = {}
         vec[index] = from_ints(x, y, den)
     return out
-
-
-def _repack(maps: IntMaps, den: int) -> tuple[IntMaps, int]:
-    """``_int_slice`` of the slice that ``_reduce`` makes of ``maps``: its
-    denominators have lcm den / g, g = gcd(den, every numerator)."""
-    g = gcd(den, *(x for part in maps for t in part.values() for x in t.values()))
-    parts = [{i: {e: x // g for e, x in t.items() if x} for i, t in part.items()} for part in maps]
-    re, im = ({i: t for i, t in part.items() if t} for part in parts)
-    return (re, im), den // g
 
 
 def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> Slice:
@@ -483,7 +482,10 @@ def kuranishi_series(
     nonzero degree."""
     tdgla = TensorDgla(dec.dga, target)
     if cap is None:
-        cap = 2 * (dec.grading.depth if dec.grading is not None else dec.dga.algebra.dim)
+        if dec.grading is not None:
+            cap = 2 * dec.grading.depth
+        else:
+            cap = 2 * dec.dga.algebra.dim
     if cap < 2:
         raise PreconditionError("series cap must be at least 2")
     # Packed exponents reach degree 2 * rho <= 2 * cap, in fields of at most
@@ -493,20 +495,24 @@ def kuranishi_series(
 
     harm1 = dec.harmonic_basis(1)
     ta = target.dim
-    zeta_info = [(h, a) for h in range(len(harm1)) for a in range(ta)]
-    m = len(zeta_info)
+    zeta: list[SparseVec] = []
+    zeta_info: list[tuple[int, int]] = []
+    for h, row in enumerate(harm1):
+        for a in range(ta):
+            vec = {tdgla.flat(i, a): c for i, c in row.items()}
+            zeta.append(vec)
+            zeta_info.append((h, a))
+    m = len(zeta)
     variables = tuple(f"t{i + 1}" for i in range(m))
+
+    def unit_exp(i: int) -> ExponentVector:
+        return tuple(1 if k == i else 0 for k in range(m))
 
     fmt = Struct(f"{m}{_field_code(2 * cap)}")
     slices: dict[int, Slice] = {}
     # Each phi_r packed once, when it is produced.
     packed: dict[int, tuple[IntMaps, int]] = {}
-    # phi_1 = sum_i t_i zeta_i, zeta_i = (harmonic 1-form h) tensor (basis vector a).
-    phi1: Slice = {
-        (0,) * i + (1,) + (0,) * (m - 1 - i): {tdgla.flat(j, a): c for j, c in harm1[h].items()}
-        for i, (h, a) in enumerate(zeta_info)
-        if harm1[h]
-    }
+    phi1: Slice = {unit_exp(i): dict(z) for i, z in enumerate(zeta) if z}
     if phi1:
         slices[1] = phi1
         packed[1] = _int_slice(phi1, fmt)
@@ -534,10 +540,13 @@ def kuranishi_series(
         for k, _, exps, x, y in _entries(_apply_columns(coord_cols, sums, ta), fmt, seen, r):
             obstruction_terms[k][exps] = from_ints(x, y, scale)
         if r <= cap:
-            maps, scale = _apply_columns(delta2, sums, ta), den * delta2[1]
-            phi_r = _reduce(_entries(maps, fmt, seen, r), scale)
+            phi_r = _reduce(
+                _entries(_apply_columns(delta2, sums, ta), fmt, seen, r), den * delta2[1]
+            )
             if phi_r:
-                slices[r], packed[r], rho = phi_r, _repack(maps, scale), r
+                slices[r] = phi_r
+                packed[r] = _int_slice(phi_r, fmt)
+                rho = r
         r += 1
 
     return KuranishiSeries(

@@ -1032,11 +1032,13 @@ def is_unimodular_dense(algebra: LieAlgebra) -> bool:
 def square_slice(tdgla: TensorDgla, slices: dict[int, Slice], r: int) -> Slice:
     """[phi, phi]_r = sum over s + t = r of [phi_s, phi_t], in one kernel
     call (the bracket of degree-one elements is symmetric, so each unordered
-    pair counts twice)."""
+    pair counts twice).  phi_{r/2} is bracketed with a copy of itself, so
+    ``bracket_slices`` sums no square and reads both orientations of every
+    index pair, apart from the series' squares."""
     return bracket_slices(
         tdgla,
         [
-            (1 if 2 * s == r else 2, slices.get(s, {}), slices.get(r - s, {}))
+            (1 if 2 * s == r else 2, slices.get(s, {}), dict(slices.get(r - s, {})))
             for s in range(1, r // 2 + 1)
         ],
     )
@@ -1049,7 +1051,9 @@ def gauge_identity_check_reference(series: KuranishiSeries) -> str | None:
     series inverts the normal-form map:  phi + (1/2) delta [phi, phi]
     equals the linear part phi_1, that is phi_r + (1/2) delta [phi, phi]_r
     = 0 for every r >= 2.  [phi, phi] is bracketed afresh here, over every
-    ordered pair s + t = r, independent of the series' own bracket sums.
+    ordered pair s + t = r, independent of the series' own bracket sums; the
+    right-hand slice is a copy, so no pair is a square and every index pair
+    is read in both orientations, as ``gauge_identity_check`` reads them.
     """
     if not series.terminated:
         raise PreconditionError("gauge identities require a terminated series")
@@ -1063,7 +1067,7 @@ def gauge_identity_check_reference(series: KuranishiSeries) -> str | None:
     half_delta2 = [[(i, HALF * c) for i, c in col] for col in dec.delta_cols(2)]
     for r in range(2, 2 * max(slices, default=0) + 1):
         square = bracket_slices(
-            tdgla, [(1, slices.get(s, {}), slices.get(r - s, {})) for s in range(1, r)]
+            tdgla, [(1, slices.get(s, {}), dict(slices.get(r - s, {}))) for s in range(1, r)]
         )
         lhs = {e: dict(v) for e, v in slices.get(r, {}).items()}
         for e, v in square.items():

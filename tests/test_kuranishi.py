@@ -158,7 +158,9 @@ def test_recursion_identity():
             acc = {}
             for s_deg in range(1, r):
                 left = series.slices.get(s_deg, {})
-                right = series.slices.get(r - s_deg, {})
+                # A copy, so that [phi_s, phi_s] is no square: both
+                # orientations of each index pair are read.
+                right = dict(series.slices.get(r - s_deg, {}))
                 piece = bracket_slices(series.tdgla, [(1, left, right)])
                 for e, v in piece.items():
                     dst = acc.setdefault(e, {})
@@ -983,16 +985,18 @@ def test_gauge_check_catches_a_nonzero_delta_one():
 @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
 @pytest.mark.parametrize("base", ["h3", "h5", "filiform4"])
 def test_gauge_check_sees_a_wedge_sign_flipped_in_either_orientation(base, entry):
-    # The gauge check sums no square: [phi_s, phi_s] reads both orientations
-    # of every index pair, so one wedge sign flipped after the series was
-    # built fails it, in either orientation.
+    # The gauge check and its Scalar reference sum no square: [phi_s, phi_s]
+    # reads both orientations of every index pair, so one wedge sign flipped
+    # after the series was built fails both, in either orientation.
     series = _setup(base, "sl2")
     assert gauge_identity_check(series) is None
+    assert gauge_identity_check_reference(series) is None
     table = series.tdgla._wedge11
     sign, mono = table[entry[0]][entry[1]]
     table[entry[0]][entry[1]] = (-sign, mono)
     differs = "phi + (1/2) delta[phi, phi] differs from the linear part"
     assert gauge_identity_check(series) == differs
+    assert gauge_identity_check_reference(series) == differs
 
 
 # -- the pruned bracket kernel against the full wedge table ------------------------
@@ -1132,28 +1136,6 @@ def test_series_is_the_same_at_every_packed_exponent_width(base, target):
         assert series.obstruction_terms == first.obstruction_terms
         assert series.terminated and series.last_nonzero == first.last_nonzero
         assert gauge_identity_check(series) is None
-
-
-@pytest.mark.parametrize(
-    "base, target",
-    [("fixture:h5", "sl2_i"), ("generated:L6", "gl2"), ("seeded:solv_h5", "sl2_third")],
-)
-def test_series_packs_phi_as_the_packer_packs_its_slices(monkeypatch, base, target):
-    # Each phi_r is packed from the integer maps it is reduced from, with
-    # numerators and denominator divided by their gcd: the same maps and
-    # denominator as packing the reduced Scalar slice.
-    algebra = GAUGE_BASES[base]
-    dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
-    square, seen = kuranishi._square, []
-    monkeypatch.setattr(
-        kuranishi, "_square", lambda *args: seen.append(args[2]) or square(*args)
-    )
-    series = kuranishi_series(dec, KERNEL_TARGETS[target])
-    packed = seen[-1]
-    assert series.last_nonzero >= 2 and sorted(packed) == sorted(series.slices)
-    fmt = struct.Struct(f"{len(series.variables)}{kuranishi._field_code(2 * series.cap)}")
-    for r, terms in series.slices.items():
-        assert packed[r] == kuranishi._int_slice(terms, fmt), r
 
 
 def test_obstruction_system_rejects_a_linear_term(monkeypatch):

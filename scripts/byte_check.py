@@ -39,6 +39,16 @@ and once with the selection file the third line writes, passed through
 ``--characters``: the selection and its duality-type check.  It counts and
 hashes all runs, the first three lines' included.
 
+A fifth line extends the fourth line's matrix by two algebras over Q(i)
+(see ``gaussian``), written to a subdirectory of the generated inputs:
+h(5) with [X1, Y1] = i Z and [X2, Y2] = (1 - i/2) Z, and the rotation
+algebra [T, Zp] = i Zp, [T, Zm] = -i Zm with torsion characters of
+modulus 4.  Each runs through the same matrix as the inputs above: the
+germs, their read-backs, ``check`` and ``decompose``, and for the
+rotation algebra ``nilshadow``, ``subdga`` and ``kuranishi --subdga``.
+So Gaussian division and ``sparse_rank``'s realification run in the byte
+check.  It counts and hashes all runs, the first four lines' included.
+
 A change that must keep every output byte prints the same lines before and
 after; ``scripts/byte_check.expected`` holds them, and CI runs
 
@@ -106,6 +116,34 @@ def generated() -> dict[str, dict]:
     return out
 
 
+def gaussian() -> dict[str, dict]:
+    """File stem -> algebra dict for the two Q(i) inputs of the fifth line."""
+
+    def bracket(left, right, coef, result):
+        return {"left": left, "right": right, "result": [{"basis": result, "coef": coef}]}
+
+    h5_i = {
+        "name": "h5_i",
+        "basis": ["X1", "Y1", "X2", "Y2", "Z"],
+        "field": "Q(i)",
+        "brackets": [bracket("X1", "Y1", "i", "Z"), bracket("X2", "Y2", "1-1/2*i", "Z")],
+    }
+    rot4 = {
+        "name": "rot4",
+        "basis": ["T", "Zp", "Zm"],
+        "field": "Q(i)",
+        "brackets": [bracket("T", "Zp", "i", "Zp"), bracket("T", "Zm", "-i", "Zm")],
+        "nilradical": [["0", "1", "0"], ["0", "0", "1"]],
+        "complement": [["1", "0", "0"]],
+        "characters": {
+            "rank": 0,
+            "exponents": [[], [], []],
+            "torsion": [{"modulus": 4, "residues": [0, 1, -1]}],
+        },
+    }
+    return {"qi_h5_i": h5_i, "qi_rot4": rot4}
+
+
 def mc_points(variables: list[str]) -> list[str]:
     """The axis, generic rational and Gaussian ``--point`` of a germ: the
     last variable alone; every variable, with varied signs and
@@ -164,15 +202,23 @@ def main() -> None:
         germ_path = gen_dir / "germ" / "germ.json"
         selection_path = germ_path.with_name("selection.json")
         germ_path.parent.mkdir()
+        gaussian_dir = gen_dir / "gaussian"
+        gaussian_dir.mkdir()
+        for stem, data in gaussian().items():
+            (gaussian_dir / f"{stem}.json").write_text(json.dumps(data), encoding="utf-8")
         tokens = {str(gen_dir): "<generated>", str(FIXTURES): "<fixtures>"}
         files = sorted(FIXTURES.glob("*.json")) + sorted(gen_dir.glob("*.json"))
-        tallies = [Tally() for _ in range(4)]
+        # Each input with the first output line that counts its runs.
+        inputs = [(path, 0) for path in files]
+        inputs += [(path, 4) for path in sorted(gaussian_dir.glob("*.json"))]
+        tallies = [Tally() for _ in range(5)]
 
         def record(argv: list[str], line: int) -> tuple[int, str]:
-            """Run ``argv`` and count it on output line ``line`` (0-based)
-            and every later line, which extend its matrix."""
+            """Run ``argv`` and count it on output line ``line`` (0-based),
+            or on the current input's first line if that is later, and on
+            every later line, which extend its matrix."""
             code, digest, stdout = run(argv, tokens)
-            for tally in tallies[line:]:
+            for tally in tallies[max(line, first):]:
                 tally.add(code, digest)
             return code, stdout
 
@@ -185,7 +231,7 @@ def main() -> None:
                 pair = f"{variables[0]}=1,{variables[-1]}=1"
                 record(["mc-check", str(germ_path), "--point", pair, "--json"], 2)
 
-        for path in files:
+        for path, first in inputs:
             for command in COMMANDS:
                 for target in TARGETS:
                     for options in OPTIONS:

@@ -200,11 +200,11 @@ class PolyCochain:
     variables: tuple[str, ...]
     slices: dict[int, Slice] = field(default_factory=dict)
 
-    def eval(self, point: "list[Scalar] | PointPowers") -> SparseVec:
-        """Exact substitution at one Scalar per variable, or at a PointPowers
-        shared with the obstruction polynomials (``multipoly.evaluate``)."""
+    def eval(self, at: PointPowers) -> SparseVec:
+        """Exact substitution at a prepared point, shared with the
+        obstruction polynomials (``multipoly.evaluate``)."""
         terms = [(e, vec.items()) for part in self.slices.values() for e, vec in part.items()]
-        return evaluate(point, len(self.variables), terms)
+        return evaluate(at, len(self.variables), terms)
 
 
 # Integer maps: a (real part, imaginary part) pair, each part mapping an

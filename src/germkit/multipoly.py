@@ -5,7 +5,7 @@ ordered tuple of variable names (deformation parameters ``t1..tm``).  The
 canonical term order is graded lexicographic by variable index, which keeps
 every serialization and printed report deterministic.
 
-``MultiPoly`` holds, evaluates (on integers, in ``evaluate``), prints and
+``MultiPoly`` holds, evaluates (on integers, at a ``PointPowers``), prints and
 reads back the obstruction polynomials the deformation series produces.
 It has one constructor, which trusts its terms: the engine assembles them
 directly and ``from_records`` validates a file's records first.
@@ -60,8 +60,7 @@ class PointPowers:
 
     __slots__ = ("den", "zero", "_nums", "_powers")
 
-    def __init__(self, point: Sequence):
-        values = [scalar(p) for p in point]
+    def __init__(self, values: Sequence[Scalar]):
         self.den = den = lcm(*(v._d for v in values))
         self.zero = tuple(not v for v in values)
         self._nums = [(v._a * den // v._d, v._b * den // v._d) for v in values]
@@ -84,13 +83,13 @@ class PointPowers:
         return re, im, degree
 
 
-def evaluate(point: "Sequence | PointPowers", nvars: int, terms: list) -> dict:
+def evaluate(at: PointPowers, nvars: int, terms: list) -> dict:
     """The sums of c * x^exps by key over the (exps, [(key, c), ...]) pairs
-    in ``terms`` at ``point``, one Scalar per nonzero sum, run on integers
-    over L * den^top (L: lcm of the c's denominators, top: highest degree)."""
-    if len(point) != nvars:
-        raise ValueError(f"point has {len(point)} coordinates for {nvars} variables")
-    at = point if isinstance(point, PointPowers) else PointPowers(point)
+    in ``terms`` at the prepared point ``at``, one Scalar per nonzero sum,
+    run on integers over L * den^top (L: lcm of the c's denominators, top:
+    highest degree)."""
+    if len(at) != nvars:
+        raise ValueError(f"point has {len(at)} coordinates for {nvars} variables")
     lcd = lcm(*(c._d for _, entries in terms for _, c in entries))
     found = [(x, entries) for exps, entries in terms if (x := at.monomial(exps))]
     top, sums = max((x[2] for x, _ in found), default=0), {}
@@ -138,11 +137,11 @@ class MultiPoly:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval(self, point: "Sequence[Scalar] | PointPowers") -> Scalar:
-        """Exact substitution at one Scalar per variable, or at a
-        PointPowers shared with other polynomials (``evaluate``)."""
+    def eval(self, at: PointPowers) -> Scalar:
+        """Exact substitution at a prepared point, which other polynomials
+        may share (``evaluate``)."""
         terms = [(e, ((0, c),)) for e, c in self.terms.items()]
-        return evaluate(point, len(self.variables), terms).get(0, ZERO)
+        return evaluate(at, len(self.variables), terms).get(0, ZERO)
 
     # -- reading back ------------------------------------------------------------
 

@@ -8,7 +8,9 @@ hand out reduced ``fractions.Fraction`` parts at the API edge.  Purely
 rational data has ``b = 0`` and never acquires an imaginary part, so
 rational inputs stay rational through every pipeline and take the one-part
 branch of each operation.  All operations are exact; there is no floating
-point anywhere.
+point anywhere.  Arithmetic takes Scalars on both sides: an int or
+``Fraction`` comes in only through ``Scalar(...)``, ``scalar()`` or
+``from_ints``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ _new = object.__new__
 class Scalar:
     """An element of Q(i), immutable and hashable.
 
-    ``Scalar(re, im)`` takes ints or ``Fraction``s.  Internally the value is
+    ``Scalar(re, im)`` takes ints or ``Fraction``s; ``+ - * /`` take Scalars
+    only and return ``NotImplemented`` for anything else, so ``ONE + 1``
+    raises ``TypeError``.  Internally the value is
     ``(_a + _b*i) / _d`` in lowest terms with ``_d > 0``; the integer kernels
     (``kuranishi``'s bracket kernel, ``multipoly.evaluate``) read these three
     ints and return through ``from_ints``, and ``linalg.sparse_rank`` reads them.
@@ -84,34 +88,20 @@ class Scalar:
 
     def __add__(self, o):
         if o.__class__ is not Scalar:
-            o = _coerce(o)
-            if o is None:
-                return NotImplemented
+            return NotImplemented
         return _add(self._a, self._b, self._d, o._a, o._b, o._d)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
         return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, o):
         if o.__class__ is not Scalar:
-            o = _coerce(o)
-            if o is None:
-                return NotImplemented
-        return _add(self._a, self._b, self._d, -o._a, -o._b, o._d)
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
             return NotImplemented
-        return o - self
+        return _add(self._a, self._b, self._d, -o._a, -o._b, o._d)
 
     def __mul__(self, o):
         if o.__class__ is not Scalar:
-            o = _coerce(o)
-            if o is None:
-                return NotImplemented
+            return NotImplemented
         a1, b1, d1 = self._a, self._b, self._d
         a2, b2, d2 = o._a, o._b, o._d
         if not (b1 or b2):
@@ -126,13 +116,9 @@ class Scalar:
             return _make(a, b, 1)
         return from_ints(a, b, d1 * d2)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, o):
         if o.__class__ is not Scalar:
-            o = _coerce(o)
-            if o is None:
-                return NotImplemented
+            return NotImplemented
         a1, b1, d1 = self._a, self._b, self._d
         a2, b2, d2 = o._a, o._b, o._d
         if not (a2 or b2):
@@ -151,12 +137,6 @@ class Scalar:
             d2 * (b1 * a2 - a1 * b2),
             d1 * (a2 * a2 + b2 * b2),
         )
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def conjugate(self) -> "Scalar":
         return _make(self._a, -self._b, self._d)
@@ -207,13 +187,6 @@ def _add(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> Scalar:
         return _make(t // g2, 0, s * (d2 // g2))
     u = d2 // g
     return from_ints(a1 * u + a2 * s, b1 * u + b2 * s, s * d2)
-
-
-def _coerce(value) -> "Scalar | None":
-    """The Scalar for an int or Fraction operand, None for anything else."""
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Scalar(value)
-    return None
 
 
 ZERO = Scalar()

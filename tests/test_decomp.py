@@ -380,7 +380,7 @@ def _sparse(rows):
     return [sparse(row) for row in rows]
 
 
-ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(2), scalar("1/3"), I, -I + 1])
+ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(2), scalar("1/3"), I, ONE - I])
 
 
 def _rows(n, max_size):

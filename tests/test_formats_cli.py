@@ -21,6 +21,7 @@ from germkit.formats import (
     render_json,
 )
 from germkit.kuranishi import mc_residual
+from germkit.multipoly import PointPowers
 from germkit.scalars import scalar
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -248,6 +249,57 @@ def test_bare_character_object_selects_under_subdga_and_kuranishi(tmp_path, caps
     assert outputs[0] == outputs[1]
 
 
+def _rotation_algebra(modulus, residues):
+    """R x|_rot R^2 over Q(i), diagonalised: [T, Zp] = i Zp, [T, Zm] = -i Zm,
+    nilradical (Zp, Zm), complement T, with torsion characters."""
+    return {
+        "name": f"rot{modulus}",
+        "basis": ["T", "Zp", "Zm"],
+        "field": "Q(i)",
+        "brackets": [
+            {"left": "T", "right": "Zp", "result": [{"basis": "Zp", "coef": "i"}]},
+            {"left": "T", "right": "Zm", "result": [{"basis": "Zm", "coef": "-i"}]},
+        ],
+        "nilradical": [["0", "1", "0"], ["0", "0", "1"]],
+        "complement": [["1", "0", "0"]],
+        "characters": {
+            "rank": 0,
+            "exponents": [[], [], []],
+            "torsion": [{"modulus": modulus, "residues": list(residues)}],
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "modulus, residues, subgerm",
+    [
+        (2, (0, 1, -1), ([1, 1, 1, 1], 3, True)),
+        (4, (0, 1, -1), ([1, 1, 1, 1], 3, True)),
+        (2, (0, 0, 0), ([1, 3, 3, 1], 9, False)),
+    ],
+    ids=["order-2", "order-4", "trivial"],
+)
+def test_lattices_of_one_group_give_different_subgerms(tmp_path, capsys, modulus, residues, subgerm):
+    """Gamma_k = Z^2 x| Z, with the generator t rotating Z^2 by a rotation of
+    order k, is a lattice in G = R x|_rot R^2.  At t, Ad's semisimple part
+    has the eigenvalues zeta_k on Zp, zeta_k^-1 on Zm and 1 on T, with
+    zeta_k = exp(2 pi i / k): characters of finite order, so rank 0 and one
+    torsion component of modulus k with residues (0, 1, -1).  For k = 2
+    and k = 4 the monomials whose residues sum to 0 mod k are 1, T,
+    Zp^Zm and T^Zp^Zm: one per degree, a smooth 3-variable sub-germ.  For
+    k = 1 (Gamma = Z^3) every character is trivial, residues (0, 0, 0) at
+    any modulus, and the sub-germ is the 9-variable ambient germ."""
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps(_rotation_algebra(modulus, residues)))
+    code, out, err = run(capsys, "pipeline", str(path), "--target", "sl2", "--json")
+    assert code == 0, err
+    stages = {stage["stage"]: stage for stage in json.loads(out)["stages"]}
+    assert stages["germ"]["variables"] == 9
+    sub = stages["character_subdga"]
+    assert (sub["degree_counts"], sub["variables"], sub["smooth"]) == subgerm
+    assert sub["embedding_agree"]
+
+
 def test_closed_stdout_is_a_quiet_success():
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -465,7 +517,7 @@ def test_germ_file_reconstruction(tmp_path, capsys):
     )
     assert code == 0
     germ = germ_from_dict(json.loads(germ_path.read_text()))
-    point = [scalar(1), scalar(0), scalar(0), scalar(0), scalar(0), scalar("1/2")]
+    point = PointPowers([scalar(1), scalar(0), scalar(0), scalar(0), scalar(0), scalar("1/2")])
     omega = germ.phi.eval(point)
     residual = mc_residual(germ.tdgla, omega)
     values = [p.eval(point) for p in germ.polynomials]

@@ -548,7 +548,7 @@ def test_embedding_identity_sees_a_corrupted_differential():
     sub, ambient = EMBEDDING_CASES["solv_heisenberg"]()
     columns = [list(level) for level in sub.columns]
     (row, value), = columns[1][1]
-    columns[1][1] = [(row, 2 * value)]
+    columns[1][1] = [(row, value + value)]
     sub.columns = columns
     result = linear_embedding_check(sub, ambient, fixtures.sl2())
     assert result == linear_embedding_check_reference(sub, ambient, fixtures.sl2())
@@ -720,7 +720,7 @@ def _sl2_scaled(h, e):
     """sl2 on the basis (h*H, e*E, F): its structure constants carry h and e."""
     return LieAlgebra(
         ["H'", "E'", "F"],
-        {(0, 1): {1: 2 * h}, (0, 2): {2: -2 * h}, (1, 2): {0: e / h}},
+        {(0, 1): {1: h + h}, (0, 2): {2: -h - h}, (1, 2): {0: e / h}},
     )
 
 

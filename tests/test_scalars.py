@@ -130,19 +130,19 @@ oracle_scalars_st = st.one_of(
     st.builds(Scalar, wide_fractions_st, wide_fractions_st),
     st.builds(Scalar, wide_fractions_st),
 )
+# Wide and small integers and wide fractions, each as the rational Scalar
+# it builds: the operators take Scalars only.
 operands_st = st.one_of(
     oracle_scalars_st,
-    st.integers(-(10**6), 10**6),
-    st.integers(-12, 12),
-    any_fractions_st,
+    st.builds(Scalar, st.integers(-(10**6), 10**6)),
+    st.builds(Scalar, st.integers(-12, 12)),
+    st.builds(Scalar, any_fractions_st),
 )
 
 
 def _pair(x):
-    """(re, im) of an operand, as the Fraction-pair representation holds it."""
-    if isinstance(x, Scalar):
-        return x.re, x.im
-    return Fraction(x), Fraction(0)
+    """(re, im) of a Scalar, as the Fraction-pair representation holds it."""
+    return x.re, x.im
 
 
 def _oracle_mul(p, q):
@@ -207,7 +207,7 @@ def test_parts_round_trip(re, im):
 
 @given(oracle_scalars_st, st.integers(1, 10**6))
 def test_equal_values_have_equal_hashes(x, k):
-    y = (x * k) / k
+    y = (x * Scalar(k)) / Scalar(k)
     assert y == x and hash(y) == hash(x)
     # the hash of the (re, im) Fraction pair, which fixes set iteration order
     assert hash(x) == hash((x.re, x.im))
@@ -236,3 +236,44 @@ def test_constructor_rejects_other_types():
     for bad in (0.5, "1", None, 1j):
         with pytest.raises(TypeError):
             Scalar(bad)
+
+
+class _RightOperand:
+    """A foreign type that knows how to stand on the right of a Scalar."""
+
+    def __radd__(self, other):
+        return ("radd", other)
+
+    def __rmul__(self, other):
+        return ("rmul", other)
+
+
+@pytest.mark.parametrize(
+    "op, left, right",
+    [
+        (operator.add, ONE, 1),
+        (operator.add, 1, ONE),
+        (operator.sub, ONE, Fraction(1, 2)),
+        (operator.mul, 2, ONE),
+        (operator.truediv, ONE, 2),
+        (operator.mul, True, ONE),
+    ],
+    ids=["scalar+int", "int+scalar", "scalar-fraction", "int*scalar", "scalar/int", "bool*scalar"],
+)
+def test_operators_take_scalars_only(op, left, right):
+    with pytest.raises(TypeError):
+        op(left, right)
+
+
+def test_sum_needs_a_scalar_start():
+    with pytest.raises(TypeError):
+        sum([ONE, ONE])
+    assert sum([ONE, ONE], ZERO) == Scalar(2)
+
+
+def test_foreign_right_operand_gets_its_reflected_method():
+    # A non-Scalar operand makes the Scalar's method return NotImplemented,
+    # so Python asks the right operand: the tests' RingPoly relies on it.
+    right = _RightOperand()
+    assert ONE + right == ("radd", ONE)
+    assert ONE * right == ("rmul", ONE)

@@ -19,6 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from germkit import fixtures
 from germkit.cli import Run
 from germkit.formats import ParsedAlgebra, algebra_to_dict
+from germkit.kuranishi import TensorDgla
 
 BASES = {
     "abelian3": fixtures.abelian(3),
@@ -41,8 +42,9 @@ def main() -> None:
     print("-" * len(header))
     for base_name, base in BASES.items():
         # The base is built in code, so the run is handed its parse stage; it
-        # grades and splits the base once and solves the germ per target.
-        run = Run(argparse.Namespace(command="kuranishi", strategy="metric", cap=None))
+        # grades and splits the base once and solves the germ per target,
+        # handed as the run's target stage.
+        run = Run(argparse.Namespace(command="kuranishi", strategy="metric", cap=None, json=None))
         run.parsed = ParsedAlgebra(
             name=base_name, algebra=base, grading=None, nilradical=None,
             complement=None, characters=None, digest=None,
@@ -51,7 +53,8 @@ def main() -> None:
         assert grading is not None
         for target_name, target in TARGETS.items():
             start = time.time()
-            _, summary = run.solve(dec, (algebra_to_dict(target, target_name), target), None)
+            run.target = (algebra_to_dict(target, target_name), target)
+            _, summary = run.solve(dec, TensorDgla(dec.dga, target), None)
             nu, bound = grading.depth, summary["degree_bound"]
             ok = bound is not None and bound["satisfied"]
             print(

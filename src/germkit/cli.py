@@ -8,10 +8,11 @@ output path, 3 internal invariant violation or any other engine error
 
 Each handler builds one report dict from the stages of a ``Run`` (parse,
 target, lower central series, classify, nilshadow, grading, complex,
-duality type, split, cocycle weights, germ, selection, sub-DGA germ,
-embedding), read in the order their errors should surface.  A stage runs
-once, on first read, and calls its engine function from one place.  Text
-output prints the report's ``text`` lines; ``--json`` renders the dict.
+duality type, split, cocycle weights, tensor DGLA, germ, selection, its
+tensor DGLA, sub-DGA germ, embedding), read in the order their errors
+should surface.  A stage runs once, on first read, and calls its engine
+function from one place.  Text output prints the report's ``text`` lines;
+``--json`` renders the dict.
 
 The embedding stage is exact: it decides that the selection's and the
 ambient's Maurer-Cartan residuals agree at every point as one polynomial
@@ -60,6 +61,7 @@ from .formats import (
     subdga_to_monomial_lists,
 )
 from .kuranishi import (
+    TensorDgla,
     gauge_identity_check,
     kuranishi_series,
     linear_embedding_check,
@@ -400,17 +402,21 @@ class Run:
         return {"bound": grading.depth + 1, "satisfied": kc is None}
 
     @stage
+    def tensor(self) -> TensorDgla:
+        return TensorDgla(self.complex, self.target[1])
+
+    @stage
     def germ(self) -> tuple[dict, dict]:
-        return self.solve(self.split, self.target, None)
+        return self.solve(self.split, self.tensor, None)
 
     def solve(
         self,
         dec: Decomposition,
-        target: tuple[dict, LieAlgebra],
+        tdgla: TensorDgla,
         subdga_monomials: list[list[int]] | None,
     ) -> tuple[dict, dict]:
-        """Solve and check the series on ``dec`` with values in the target;
-        returns (germ file, summary)."""
+        """Solve and check the series on ``dec`` in ``tdgla``, C*(dec.dga)
+        tensor the target; returns (germ file, summary)."""
         grading = dec.grading
         betti = dec.dga.betti()
         if dec.betti() != betti[: len(dec.splits)]:
@@ -418,8 +424,7 @@ class Run:
                 f"split gives betti {dec.betti()} in degrees <= {GERM_TOP}, "
                 f"ranks of d give {betti}"
             )
-        target_dict, target_algebra = target
-        series = kuranishi_series(dec, target_algebra, self.args.cap)
+        series = kuranishi_series(dec, tdgla, self.args.cap)
         system = obstruction_system(series)
         if series.terminated:
             failure = gauge_identity_check(series)
@@ -431,15 +436,19 @@ class Run:
             degree_bound = {"bound": grading.depth + 1, "satisfied": witness is None}
             if witness is not None:
                 degree_bound["witness"] = str(witness)
+        # The germ's depth in the report; None if not rendered (text, pipeline's selection).
+        pipeline = self.args.command == "pipeline"
+        depth = None if self.args.json is None or pipeline and subdga_monomials else int(pipeline)
         germ = germ_to_dict(
             series,
             system,
             base=algebra_to_dict(dec.dga.algebra, self.parsed.name),
-            target=target_dict,
+            target=self.target[0],
             strategy=self.args.strategy,
             grading_labels=grading_rows(grading) if grading is not None else None,
             subdga_monomials=subdga_monomials,
             degree_bound=degree_bound,
+            depth=depth,
         )
         summary = {
             "variables": len(series.variables),
@@ -475,16 +484,19 @@ class Run:
         return ambient.restrict(spec)
 
     @stage
+    def sub_tensor(self) -> TensorDgla:
+        return TensorDgla(self.selection, self.target[1])
+
+    @stage
     def sub_germ(self) -> tuple[dict, dict]:
         """The selection's own germ, split without a grading."""
         sub = self.selection
-        return self.solve(self._split(sub, None), self.target, subdga_to_monomial_lists(sub))
+        return self.solve(self._split(sub, None), self.sub_tensor, subdga_to_monomial_lists(sub))
 
     @stage
     def embedding(self) -> dict:
         """The inclusion of the selection preserves flatness residuals."""
-        sub, target = self.selection, self.target[1]
-        compared, witness = linear_embedding_check(sub, self.complex, target)
+        compared, witness = linear_embedding_check(self.sub_tensor, self.tensor)
         if witness is not None:
             raise InternalCheckError(f"inclusion does not preserve residuals: {witness}")
         return {"samples": compared, "agree": True}

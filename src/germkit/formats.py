@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import compress, count
 from typing import Any, Callable, Iterable
 
 from . import linalg
@@ -32,7 +32,7 @@ from .kuranishi import (
     TensorDgla,
 )
 from .liealg import Grading, LieAlgebra, Subspace
-from .multipoly import ExponentVector, MultiPoly, is_exponent_list, show_terms
+from .multipoly import ExponentVector, MultiPoly, is_exponent_list, printed
 from .scalars import ParsedScalars, Scalar, ZERO, scalar
 
 SCHEMA_VERSION = 1
@@ -361,33 +361,17 @@ def parse_algebra_dict(
 
     algebra = LieAlgebra(labels, brackets)  # runs the Jacobi check
 
-    grading = (
-        _parse_grading(data["grading"], labels, f"{source}: grading", scalars)
-        if "grading" in data
-        else None
-    )
-    nilradical = (
-        _parse_subspace(data["nilradical"], labels, f"{source}: nilradical", scalars)
-        if "nilradical" in data
-        else None
-    )
-    complement = (
-        _parse_subspace(data["complement"], labels, f"{source}: complement", scalars)
-        if "complement" in data
-        else None
-    )
-    characters = (
-        parse_characters(data["characters"], len(labels), f"{source}: characters")
-        if "characters" in data
-        else None
-    )
+    def optional(key: str, parse: Callable, shape: Any, *rest: Any) -> Any:
+        """The file's entry ``key`` parsed, or None without one."""
+        return parse(data[key], shape, f"{source}: {key}", *rest) if key in data else None
+
     return ParsedAlgebra(
         name=name,
         algebra=algebra,
-        grading=grading,
-        nilradical=nilradical,
-        complement=complement,
-        characters=characters,
+        grading=optional("grading", _parse_grading, labels, scalars),
+        nilradical=optional("nilradical", _parse_subspace, labels, scalars),
+        complement=optional("complement", _parse_subspace, labels, scalars),
+        characters=optional("characters", parse_characters, len(labels)),
         digest=data.get("__digest__"),
     )
 
@@ -511,7 +495,7 @@ class _Exponents:
     ``newline``: a template of zeros, and each nonzero entry's text cut in
     at its zero's spot, so an entry of any number of digits is exact."""
 
-    __slots__ = ("zeros", "spots", "indices")
+    __slots__ = ("zeros", "spots")
 
     def __init__(self, length: int, newline: str):
         inner = newline + "  "
@@ -522,14 +506,13 @@ class _Exponents:
         )
         step = len(inner) + 2
         self.spots = range(len(inner) + 1, len(inner) + 1 + length * step, step)
-        self.indices = range(length)
 
-    def text(self, exps: ExponentVector) -> str:
-        """The text of ``exps``."""
+    def text(self, exps: ExponentVector, positions: Iterable[int]) -> str:
+        """The text of ``exps``, whose nonzero entries are at ``positions``."""
         zeros, spots = self.zeros, self.spots
         parts = []
         start = 0
-        for k in compress(self.indices, exps):
+        for k in positions:
             spot = spots[k]
             parts += (zeros[start:spot], str(exps[k]))
             start = spot + 1
@@ -563,28 +546,34 @@ def _phi_text(series: KuranishiSeries, newline: str) -> str:
             entries = ",".join(
                 [entry % (i // ta, labels[i % ta], _encode(str(vec[i]))) for i in sorted(vec)]
             )
-            text = term % ("[" + entries + n4 + "]" if vec else "[]", exponents.text(exps))
+            exps_text = exponents.text(exps, compress(count(), exps))
+            text = term % ("[" + entries + n4 + "]" if vec else "[]", exps_text)
             chunks.append("," + text if t else text)
         chunks.append(n2 + "]" + n1 + "}")
     chunks.append(newline + "]" if series.slices else "]")
     return "".join(chunks)
 
 
-def _records_text(
-    polynomials: list[list[tuple[ExponentVector, str]]], length: int, newline: str
-) -> str:
-    """The obstruction polynomials' records as json.dumps writes their list
-    after ``newline``, from each polynomial's (exponents, coefficient text)
-    pairs in grlex order; ``length`` is the number of variables."""
+def _obstructions_text(
+    polynomials: tuple[MultiPoly, ...], length: int, newline: str | None
+) -> tuple[str, list[str]]:
+    """(The polynomials' records as json.dumps writes their list after
+    ``newline``, their printed forms), from one walk over each polynomial's
+    terms (``multipoly.printed``); ``length`` is the number of variables.
+    With ``newline`` None, the printed forms alone."""
+    if newline is None:
+        return "", [printed(poly)[0] for poly in polynomials]
     n1, n2, n3 = (newline + "  " * k for k in range(1, 4))
     exponents = _Exponents(length, n3)
     record = n2 + "{" + n3 + '"coefficient": %s,' + n3 + '"exponents": %s' + n2 + "}"
-    chunks = ["["]
-    for k, terms in enumerate(polynomials):
-        records = ",".join([record % (_encode(text), exponents.text(exps)) for exps, text in terms])
+    chunks, pretty = ["["], []
+    for k, poly in enumerate(polynomials):
+        shown, terms = printed(poly)
+        pretty.append(shown)
+        records = ",".join([record % (_encode(c), exponents.text(e, nz)) for _, e, nz, c in terms])
         chunks.append(("," if k else "") + n1 + ("[" + records + n1 + "]" if terms else "[]"))
     chunks.append(newline + "]" if polynomials else "]")
-    return "".join(chunks)
+    return "".join(chunks), pretty
 
 
 def germ_to_dict(
@@ -597,13 +586,14 @@ def germ_to_dict(
     grading_labels: list[list[list[str]]] | None,
     subdga_monomials: list[list[int]] | None,
     degree_bound: dict | None,
+    depth: int | None = 0,
 ) -> dict:
-    """The germ file as a dict for ``render_json``.  ``phi`` and the
-    obstructions' ``polynomials``, the bulk of the file, are ``Fragment``s
-    that write their text straight from the series' slices and from each
-    polynomial's terms, with no dict per entry or term.  Each polynomial's
-    terms are sorted and their coefficients printed once, for both its
-    records and its ``pretty`` form."""
+    """The germ file as a dict for ``render_json``, ``depth`` levels below
+    a report's top level (1 under ``pipeline``'s "germ"), or None if it is
+    not to be rendered.  ``phi`` and the obstructions' ``polynomials``, the
+    bulk of the file, are ``Fragment``s with no dict per entry or term:
+    ``phi`` is written when rendered, the records here, in one walk with
+    ``pretty`` and for the germ's place (elsewhere they are walked again)."""
     tdgla = series.tdgla
     dec = series.decomposition
     # The split holds sparse rows; the file prints each form as a dense row.
@@ -613,7 +603,9 @@ def germ_to_dict(
         else []
         for p in (1, 2)
     )
-    terms = [poly.printed_terms() for poly in system.polynomials]
+    walk = partial(_obstructions_text, system.polynomials, len(series.variables))
+    at = None if depth is None else "\n" + "  " * (depth + 2)
+    records, pretty = walk(at)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "germ",
@@ -639,8 +631,8 @@ def germ_to_dict(
         "phi": Fragment(partial(_phi_text, series)),
         "obstructions": {
             "coordinates": list(system.coordinates),
-            "polynomials": Fragment(partial(_records_text, terms, len(series.variables))),
-            "pretty": [show_terms(series.variables, shown[::-1]) for shown in terms],
+            "polynomials": Fragment(lambda n: records if n == at else walk(n)[0]),
+            "pretty": pretty,
             "homogeneous_degrees": system.homogeneous_degrees(),
             "max_degree": system.max_degree,
             "nu": system.nu,

@@ -136,11 +136,8 @@ class TensorDgla:
     def flat(self, mono_idx: int, a_idx: int) -> int:
         return mono_idx * self.target.dim + a_idx
 
-    def unflat(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.target.dim)
-
     def basis_label(self, p: int, idx: int) -> str:
-        mono, a = self.unflat(idx)
+        mono, a = divmod(idx, self.target.dim)
         return (
             f"{self.dga.monomial_label(self.dga.monomials[p][mono])}"
             f"⊗{self.target.labels[a]}"
@@ -453,9 +450,10 @@ class KuranishiSeries:
     cap: int
     terminated: bool
     last_nonzero: int
-    # The harmonic coordinates of [phi, phi]: for each obstruction
-    # coordinate h * dim a + a, its terms by exponent vector.
+    # The harmonic coordinates of [phi, phi]: for each obstruction coordinate
+    # h * dim a + a, its terms by exponent vector and its degrees, ascending.
     obstruction_terms: list[dict[ExponentVector, Scalar]]
+    obstruction_degrees: list[list[int]]
 
 
 def _square(
@@ -475,12 +473,11 @@ def _square(
 
 
 def kuranishi_series(
-    dec: Decomposition, target: LieAlgebra, cap: int | None = None
+    dec: Decomposition, tdgla: TensorDgla, cap: int | None = None
 ) -> KuranishiSeries:
-    """Solve the recursion up to ``cap`` (default 2*nu, or 2*dim ungraded)
-    and project [phi, phi] onto the harmonic 2-forms up to twice the last
-    nonzero degree."""
-    tdgla = TensorDgla(dec.dga, target)
+    """Solve the recursion in ``tdgla``, C*(dec.dga) tensor the target, up
+    to ``cap`` (default 2*nu, or 2*dim ungraded) and project [phi, phi]
+    onto the harmonic 2-forms up to twice the last nonzero degree."""
     if cap is None:
         if dec.grading is not None:
             cap = 2 * dec.grading.depth
@@ -494,7 +491,7 @@ def kuranishi_series(
         raise PreconditionError(f"series cap must be below 2^63 = {1 << 63}")
 
     harm1 = dec.harmonic_basis(1)
-    ta = target.dim
+    ta = tdgla.target.dim
     zeta: list[SparseVec] = []
     zeta_info: list[tuple[int, int]] = []
     for h, row in enumerate(harm1):
@@ -529,6 +526,7 @@ def kuranishi_series(
     wedge = tdgla.wedge_onto(dec.delta_cols(2), coords)
     b2 = dec.betti()[2] if coords else 0
     obstruction_terms: list[dict[ExponentVector, Scalar]] = [{} for _ in range(b2 * ta)]
+    obstruction_degrees: list[list[int]] = [[] for _ in obstruction_terms]
 
     # The loop stops at r = 2 * rho; the series terminates if that is within
     # the cap.  An empty series has no degree to bracket.
@@ -537,8 +535,12 @@ def kuranishi_series(
         sums, den = _square(tdgla, wedge, packed, r)
         seen: dict[int, ExponentVector] = {}
         scale = den * coord_cols[1]
+        sizes = [*map(len, obstruction_terms)]
         for k, _, exps, x, y in _entries(_apply_columns(coord_cols, sums, ta), fmt, seen, r):
             obstruction_terms[k][exps] = from_ints(x, y, scale)
+        for terms, size, degrees in zip(obstruction_terms, sizes, obstruction_degrees):
+            if len(terms) > size:
+                degrees.append(r)
         if r <= cap:
             phi_r = _reduce(
                 _entries(_apply_columns(delta2, sums, ta), fmt, seen, r), den * delta2[1]
@@ -559,6 +561,7 @@ def kuranishi_series(
         terminated=2 * rho <= cap,
         last_nonzero=rho if m else 0,
         obstruction_terms=obstruction_terms,
+        obstruction_degrees=obstruction_degrees,
     )
 
 
@@ -567,7 +570,8 @@ def kuranishi_series(
 
 @dataclass(frozen=True)
 class ObstructionSystem:
-    """Polynomials presenting the flat germ on the harmonic slice."""
+    """Polynomials presenting the flat germ on the harmonic slice; their
+    homogeneous degrees as the series recorded them, else counted anew."""
 
     variables: tuple[str, ...]
     coordinates: tuple[str, ...]
@@ -575,10 +579,11 @@ class ObstructionSystem:
     nu: int | None
     cap: int
     terminated: bool
+    degrees: list[list[int]] | None = None
 
     @cached_property
     def max_degree(self) -> int:
-        return max((p.total_degree() for p in self.polynomials), default=0)
+        return max((d[-1] for d in self.homogeneous_degrees() if d), default=0)
 
     @cached_property
     def is_smooth(self) -> bool:
@@ -591,6 +596,8 @@ class ObstructionSystem:
 
     def homogeneous_degrees(self) -> list[list[int]]:
         """The degrees of each polynomial's homogeneous components, ascending."""
+        if self.degrees is not None:
+            return self.degrees
         return [sorted({*map(sum, p.terms)}) for p in self.polynomials]
 
 
@@ -614,6 +621,7 @@ def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
         nu=nu,
         cap=series.cap,
         terminated=series.terminated,
+        degrees=series.obstruction_degrees,
     )
 
 
@@ -677,16 +685,16 @@ def gauge_identity_check(series: KuranishiSeries) -> str | None:
 # -- sub-DGLA inclusion --------------------------------------------------------------
 
 
-def linear_embedding_check(
-    sub: Dga, ambient: Dga, target: LieAlgebra
-) -> tuple[int, str | None]:
+def linear_embedding_check(sub_dgla: TensorDgla, amb_dgla: TensorDgla) -> tuple[int, str | None]:
     """Whether the inclusion of ``sub`` into ``ambient`` commutes with the
     Maurer-Cartan residual R(w) = d w + (1/2)[w, w], decided exactly as one
     polynomial identity.
 
+    ``sub_dgla`` and ``amb_dgla`` are C*(sub) and C*(ambient) tensor one
+    target, built by the caller, which hands the same ones to the series.
     ``sub`` is a complex on monomials of ``ambient``, normally its
     restriction to a verified selection (``Dga.restrict``, as
-    ``subdga_from_characters`` returns); both are built by the caller.
+    ``subdga_from_characters`` returns).
     Let e_k run over the degree-one basis of the selection, one monomial
     tensor one target basis vector, N of them, and let w = sum_k t_k e_k be
     the generic degree-one element.  R(w) is a polynomial in t: its t_k
@@ -705,9 +713,8 @@ def linear_embedding_check(
     the residuals differ and names it by its basis labels, with both
     residuals.
     """
-    sub_dgla = TensorDgla(sub, target)
-    amb_dgla = TensorDgla(ambient, target)
-    ta = target.dim
+    sub, ambient = sub_dgla.dga, amb_dgla.dga
+    ta = sub_dgla.target.dim
     # The ambient index of each selection index, in degrees 1 and 2.
     lift = {
         p: [ambient.position[m][1] * ta + a for m in sub.monomials[p] for a in range(ta)]

@@ -9,11 +9,12 @@ every serialization and printed report deterministic.
 reads back the obstruction polynomials the deformation series produces.
 It has one constructor, which trusts its terms: the engine assembles them
 directly and ``from_records`` validates a file's records first.
-``formats`` writes the records: ``printed_terms`` sorts the terms and
-prints each coefficient once, for both the records and the printed form
-that ``show_terms`` makes.  It has no ring arithmetic; the ring operations
-the tests write their hand-expanded oracles in, and the checks on
-hand-written terms, live in ``tests/conftest.py``.
+``printed`` walks a polynomial's terms once: each term's nonzero positions
+are found and its coefficient printed once, for both its piece of the
+printed form and, in ``formats``, its record in a germ file.  It has no
+ring arithmetic; the ring operations the tests write their hand-expanded
+oracles in, and the checks on hand-written terms, live in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .errors import ParseError
 from .scalars import ParsedScalars, Scalar, ZERO, from_ints, scalar
 
 ExponentVector = tuple[int, ...]
-
-
-def grlex_key(exponents: ExponentVector) -> tuple[int, ExponentVector]:
-    return (sum(exponents), exponents)
 
 
 def is_exponent_list(value, n: int) -> bool:
@@ -123,11 +120,6 @@ class MultiPoly:
         """Largest term degree; 0 for the zero polynomial."""
         return max(map(sum, self.terms), default=0)
 
-    def printed_terms(self) -> list[tuple[ExponentVector, str]]:
-        """The terms in grlex order, each coefficient as its text."""
-        terms = self.terms
-        return [(exps, str(terms[exps])) for exps in sorted(terms, key=grlex_key)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -174,35 +166,32 @@ class MultiPoly:
         return cls(variables, {e: c for e, c in terms.items() if c})
 
     def __str__(self) -> str:
-        return show_terms(self.variables, self.printed_terms()[::-1])
+        return printed(self)[0]
 
     def __repr__(self) -> str:
         return f"MultiPoly({str(self)!r})"
 
 
-def show_terms(variables: tuple[str, ...], terms: list[tuple[ExponentVector, str]]) -> str:
-    """The printed form of a polynomial from its (exponents, coefficient
-    text) pairs, highest term first: ``t1^2 - 1/2*t2*t3 + (1+i)*t4``."""
-    if not terms:
-        return "0"
-    parts = []
-    for exps, c in terms:
-        factors = [
-            f"{name}^{e}" if e > 1 else name
-            for name, e in compress(zip(variables, exps), exps)
-        ]
-        body = "*".join(factors)
-        if not factors:
-            parts.append(c)
-        elif c == "1":
-            parts.append(body)
-        elif c == "-1":
-            parts.append(f"-{body}")
-        elif "+" in c[1:] or "-" in c[1:]:
-            parts.append(f"({c})*{body}")
-        else:
-            parts.append(f"{c}*{body}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+def printed(poly: MultiPoly) -> tuple[str, list[tuple[int, ExponentVector, tuple[int, ...], str]]]:
+    """The printed form of ``poly``, highest term first (``t1^2 -
+    1/2*t2*t3 + (1+i)*t4``), grown term by term, and its terms in grlex
+    order as (degree, exponents, nonzero positions, coefficient text): one
+    walk over the terms, whose degrees are summed over those positions
+    only."""
+    # Each entry holds ints and strs only, so the collector soon untracks it.
+    terms, indices = [], range(len(poly.variables))
+    for exps, c in poly.terms.items():
+        positions = tuple(compress(indices, exps))
+        terms.append((sum(map(exps.__getitem__, positions)), exps, positions, str(c)))
+    terms.sort()  # by (degree, exponents): no two terms share exponents
+    names, out = poly.variables, ""
+    for _, exps, positions, c in reversed(terms):
+        body = "*".join([f"{names[k]}^{exps[k]}" if exps[k] > 1 else names[k] for k in positions])
+        if not body:
+            piece = c
+        elif c in ("1", "-1"):
+            piece = c[:-1] + body
+        else:  # a coefficient with a sign inside goes in parentheses
+            piece = f"({c})*{body}" if "+" in c[1:] or "-" in c[1:] else f"{c}*{body}"
+        out += (f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}") if out else piece
+    return out or "0", terms

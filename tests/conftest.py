@@ -36,10 +36,11 @@ these live here because only the tests call them:
   ``show_reference``: the germ file as nested dicts, one per phi entry and
   per obstruction term, with each polynomial's records and printed form
   made apart; the reference of ``formats.germ_to_dict``'s text fragments
-  and of ``multipoly.show_terms``;
+  and of ``multipoly.printed``, with the degrees counted from the terms;
 - ``linear_embedding_check_reference``: the embedding check as two
   ``mc_residual`` calls at each of the N(N+1)/2 points e_k and e_k + e_l,
-  the reference of the polynomial identity in ``linear_embedding_check``;
+  the reference of the polynomial identity in ``linear_embedding_check``,
+  and ``embedding_check``, that check on tensor DGLAs built for the call;
 - ``is_unimodular_dense``: the traces of dense ad matrices, the reference
   of the sparse ``LieAlgebra.is_unimodular``;
 - the dense matrix kit, the references of the sparse rows and columns
@@ -98,6 +99,7 @@ from germkit.kuranishi import (
     SparseVec,
     TensorDgla,
     bracket_slices,
+    linear_embedding_check,
     mc_residual,
 )
 from germkit.liealg import (
@@ -111,10 +113,15 @@ from germkit.liealg import (
 )
 from germkit.nilshadow import SolvableInput
 from germkit.linalg import Row, SparseColumns
-from germkit.multipoly import ExponentVector, MultiPoly, grlex_key
+from germkit.multipoly import ExponentVector, MultiPoly
 from germkit.scalars import ONE, Scalar, ZERO, scalar
 
 I = Scalar(0, 1)
+
+
+def grlex_key(exponents: ExponentVector) -> tuple[int, ExponentVector]:
+    """The graded lexicographic order of exponent vectors, summed densely."""
+    return (sum(exponents), exponents)
 
 
 # -- independent rank computation (plain Fractions, no germkit.linalg) ----------
@@ -1077,6 +1084,11 @@ def gauge_identity_check_reference(series: KuranishiSeries) -> str | None:
     return None
 
 
+def embedding_check(sub: Dga, ambient: Dga, target: LieAlgebra) -> tuple[int, str | None]:
+    """``linear_embedding_check`` on C*(sub) and C*(ambient) tensor ``target``."""
+    return linear_embedding_check(TensorDgla(sub, target), TensorDgla(ambient, target))
+
+
 def linear_embedding_check_reference(
     sub: Dga, ambient: Dga, target: LieAlgebra
 ) -> tuple[int, str | None]:
@@ -1179,6 +1191,8 @@ def germ_to_dict_reference(series: KuranishiSeries, system, **fields) -> dict:
         else []
         for p in (1, 2)
     )
+    # Counted from the terms, not read from the series.
+    degrees = [sorted({sum(e) for e in poly.terms}) for poly in system.polynomials]
     pretty = []
     for poly in system.polynomials:
         grlex = sorted(poly.terms.items(), key=lambda kv: grlex_key(kv[0]))
@@ -1210,8 +1224,8 @@ def germ_to_dict_reference(series: KuranishiSeries, system, **fields) -> dict:
             "coordinates": list(system.coordinates),
             "polynomials": [polynomial_records(p) for p in system.polynomials],
             "pretty": pretty,
-            "homogeneous_degrees": system.homogeneous_degrees(),
-            "max_degree": system.max_degree,
+            "homogeneous_degrees": degrees,
+            "max_degree": max((d[-1] for d in degrees if d), default=0),
             "nu": system.nu,
             "terminated": system.terminated,
             "valid_modulo": system.valid_modulo,

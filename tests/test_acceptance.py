@@ -18,6 +18,7 @@ from conftest import (
     apply_d,
     conj_transpose,
     dense_mat_mul,
+    embedding_check,
     hermitian,
     homogeneous_components,
     identity,
@@ -36,9 +37,9 @@ from germkit.cedga import Dga, pd_type_check, subdga_from_characters
 from germkit.decomp import kernel_containment_check, split_complex
 from germkit.jordan import poly_derivative, poly_xgcd
 from germkit.kuranishi import (
+    TensorDgla,
     gauge_identity_check,
     kuranishi_series,
-    linear_embedding_check,
     obstruction_system,
     verify_degree_bound,
 )
@@ -63,7 +64,7 @@ def _graded_metric(algebra):
 
 def test_criterion_1_cubic_cone():
     dec, _ = _graded_metric(fixtures.heisenberg3())
-    series = kuranishi_series(dec, fixtures.sl2())
+    series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
     system = obstruction_system(series)
 
     ok = series.terminated and series.last_nonzero == 2
@@ -128,7 +129,7 @@ def test_criterion_2_degree_bound():
         dec, grading = _graded_metric(base)
         ok = ok and grading.depth == expected_nu
         for target_name, target in targets.items():
-            series = kuranishi_series(dec, target)
+            series = kuranishi_series(dec, TensorDgla(dec.dga, target))
             system = obstruction_system(series)
             good = (
                 series.terminated
@@ -216,13 +217,13 @@ def test_criterion_5_series_identities():
     ]
     for name, base, target in runs:
         dec, _ = _graded_metric(base)
-        series = kuranishi_series(dec, target)
+        series = kuranishi_series(dec, TensorDgla(dec.dga, target))
         ok = ok and series.terminated
         ok = ok and gauge_identity_check(series) is None
 
     # negative control: dropping the quadratic slice must fail the check
     dec, _ = _graded_metric(fixtures.heisenberg3())
-    series = kuranishi_series(dec, fixtures.sl2())
+    series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
     corrupted = dataclasses.replace(
         series,
         slices={r: s for r, s in series.slices.items() if r != 2},
@@ -262,7 +263,7 @@ def test_criterion_7_linear_embedding():
     shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
     dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
-    compared, witness = linear_embedding_check(sub, dga, fixtures.sl2())
+    compared, witness = embedding_check(sub, dga, fixtures.sl2())
     report(
         7,
         witness is None,

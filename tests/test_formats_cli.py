@@ -488,7 +488,7 @@ def test_invariant_violation_names_the_stage(monkeypatch, capsys):
 
 def test_embedding_witness_is_exit_3_naming_the_point(monkeypatch, capsys):
     witness = "residuals disagree at X⊗H + Z⊗H: selection gives 0, ambient gives 0"
-    monkeypatch.setattr(cli, "linear_embedding_check", lambda sub, ambient, target: (7, witness))
+    monkeypatch.setattr(cli, "linear_embedding_check", lambda sub, ambient: (7, witness))
     code, out, err = run(
         capsys, "pipeline", str(FIXTURES / "solv_heisenberg.json"), "--target", "sl2"
     )

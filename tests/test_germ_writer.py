@@ -6,7 +6,9 @@ series and the polynomials.  These tests hold that text to
 ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`` of
 ``conftest.germ_to_dict_reference``, at the two places a germ sits in a
 report: the top level of ``kuranishi``, and under ``"germ"`` in
-``pipeline``.
+``pipeline``.  The records are written for one of the two places (the
+``depth`` of ``germ_to_dict``), or only when rendered (``depth`` None), so
+each germ is made all three ways and rendered at both places.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from germkit.cedga import Dga
 from germkit.cli import main
 from germkit.decomp import split_complex
 from germkit.formats import Fragment, algebra_to_dict, germ_to_dict, render_json
-from germkit.kuranishi import kuranishi_series, obstruction_system
+from germkit.kuranishi import TensorDgla, kuranishi_series, obstruction_system
 from germkit.multipoly import MultiPoly
 from germkit.scalars import ONE, Scalar, scalar
 
@@ -36,7 +38,8 @@ def dumps(data) -> str:
 def _h3_germ():
     algebra = fixtures.heisenberg3()
     grading = inferred_grading(algebra)
-    series = kuranishi_series(split_complex(Dga(algebra), "metric", grading), fixtures.sl2())
+    dec = split_complex(Dga(algebra), "metric", grading)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
     fields = {
         "base": algebra_to_dict(algebra, "h3"),
         "target": algebra_to_dict(fixtures.sl2(), "sl2"),
@@ -83,27 +86,66 @@ POLYNOMIALS = st.lists(
 )
 
 
-def _germs(slices, polynomials):
-    series = dataclasses.replace(SERIES, slices=slices)
+def _germs(slices, polynomials, depth=0, variables=SERIES.variables):
+    series = dataclasses.replace(SERIES, slices=slices, variables=variables)
     system = dataclasses.replace(
         SYSTEM,
+        variables=variables,
         coordinates=tuple(f"h2[{k}]⊗H" for k in range(len(polynomials))),
         polynomials=tuple(polynomials),
+        degrees=None,  # counted from these terms, not the h3 series'
     )
     return (
-        germ_to_dict(series, system, **FIELDS),
+        germ_to_dict(series, system, **FIELDS, depth=depth),
         germ_to_dict_reference(series, system, **FIELDS),
     )
+
+
+def _check(slices, polynomials, variables=SERIES.variables):
+    for depth in (0, 1, None):
+        germ, reference = _germs(slices, polynomials, depth, variables)
+        assert germ["obstructions"]["pretty"] == reference["obstructions"]["pretty"]
+        # At the top level (kuranishi) and under "germ" (pipeline).
+        assert render_json(germ) == dumps(reference)
+        nested = {"germ": germ, "stages": []}
+        assert render_json(nested) == dumps({"germ": reference, "stages": []})
 
 
 @settings(max_examples=60, deadline=None)
 @given(SLICES, POLYNOMIALS)
 def test_germ_text_is_the_stdlib_dump_of_the_reference(slices, polynomials):
-    germ, reference = _germs(slices, polynomials)
-    assert germ["obstructions"]["pretty"] == reference["obstructions"]["pretty"]
-    # At the top level (kuranishi) and under "germ" (pipeline).
-    assert render_json(germ) == dumps(reference)
-    assert render_json({"germ": germ, "stages": []}) == dumps({"germ": reference, "stages": []})
+    _check(slices, polynomials)
+
+
+# A wide germ, as on a solvable algebra with gl3 values: 64 variables, each
+# term with one to three nonzero exponents, some of two digits.
+WIDE = tuple(f"t{i + 1}" for i in range(64))
+WIDE_EXPONENTS = st.dictionaries(
+    st.integers(0, len(WIDE) - 1), st.sampled_from([1, 2, 3, 10, 12, 37]), min_size=1, max_size=3
+).map(lambda spots: tuple(spots.get(k, 0) for k in range(len(WIDE))))
+WIDE_COEFFICIENTS = st.one_of(st.sampled_from([I, -I, ONE, -ONE]), COEFFICIENTS)
+WIDE_SLICES = st.dictionaries(
+    st.integers(1, 40),
+    st.dictionaries(
+        WIDE_EXPONENTS,
+        st.dictionaries(st.integers(0, FLAT - 1), WIDE_COEFFICIENTS, min_size=1, max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+    max_size=3,
+)
+WIDE_POLYNOMIALS = st.lists(
+    st.dictionaries(WIDE_EXPONENTS, WIDE_COEFFICIENTS, max_size=8).map(
+        lambda terms: MultiPoly(WIDE, terms)
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(WIDE_SLICES, WIDE_POLYNOMIALS)
+def test_wide_germ_text_is_the_stdlib_dump_of_the_reference(slices, polynomials):
+    _check(slices, polynomials, WIDE)
 
 
 def test_edge_germs_are_covered():
@@ -118,9 +160,8 @@ def test_edge_germs_are_covered():
         ),
     ]
     for slices, polynomials in cases:
-        germ, reference = _germs(slices, polynomials)
-        assert render_json(germ) == dumps(reference)
-        assert germ["obstructions"]["pretty"] == reference["obstructions"]["pretty"]
+        _check(slices, polynomials)
+    germ, _ = _germs(*cases[-1])
     assert "t1^10*t6^12" in germ["obstructions"]["pretty"][0]
 
 

@@ -16,12 +16,14 @@ from conftest import (
     I,
     RingPoly,
     dense_columns,
+    embedding_check,
     gauge_identity_check_reference,
     germbench_inputs,
     h5_i_scaled,
     homogeneous_components,
     inferred_grading,
     linear_embedding_check_reference,
+    show_reference,
     square_slice,
     tensor_bracket,
     vec_add_into,
@@ -37,7 +39,6 @@ from germkit.kuranishi import (
     bracket_slices,
     gauge_identity_check,
     kuranishi_series,
-    linear_embedding_check,
     mc_residual,
     obstruction_system,
     verify_degree_bound,
@@ -55,7 +56,7 @@ def _setup(base, target, grading=True, cap=None):
     t = BUILTIN_ALGEBRAS[target]() if isinstance(target, str) else target
     gr = inferred_grading(g) if grading else None
     dec = split_complex(Dga(g), "metric", gr)
-    series = kuranishi_series(dec, t, cap)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, t), cap)
     return series
 
 
@@ -183,7 +184,7 @@ def test_graded_weight_confinement():
         nu = grading.depth
         dga = Dga(algebra)
         dec = split_complex(dga, "metric", grading)
-        series = kuranishi_series(dec, fixtures.sl2())
+        series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
         assert series.terminated and series.last_nonzero <= nu, name
         ta = 3
         for r, terms in series.slices.items():
@@ -317,8 +318,10 @@ def test_pivot_strategy_gives_equivalent_series_shape():
     h3 = fixtures.heisenberg3()
     grading = inferred_grading(h3)
     sl2 = fixtures.sl2()
-    metric = kuranishi_series(split_complex(Dga(h3), "metric", grading), sl2)
-    pivot = kuranishi_series(split_complex(Dga(h3), "pivot", grading), sl2)
+    complex_ = Dga(h3)
+    tdgla = TensorDgla(complex_, sl2)
+    metric = kuranishi_series(split_complex(complex_, "metric", grading), tdgla)
+    pivot = kuranishi_series(split_complex(complex_, "pivot", grading), tdgla)
     assert metric.variables == pivot.variables
     assert metric.terminated and pivot.terminated
     sys_m = obstruction_system(metric)
@@ -425,13 +428,13 @@ def test_linear_embedding_of_character_subdga():
     dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
     # N = 2 one-forms * dim sl2 = 6 basis vectors: N(N+1)/2 points.
-    assert linear_embedding_check(sub, dga, fixtures.sl2()) == (21, None)
+    assert embedding_check(sub, dga, fixtures.sl2()) == (21, None)
 
 
 def test_full_complex_as_its_own_selection():
     h3 = fixtures.heisenberg3()
     dga = Dga(h3)
-    assert linear_embedding_check(dga.restrict(dga.monomials), dga, fixtures.sl2()) == (45, None)
+    assert embedding_check(dga.restrict(dga.monomials), dga, fixtures.sl2()) == (45, None)
 
 
 def test_linear_embedding_names_the_failing_point():
@@ -440,7 +443,7 @@ def test_linear_embedding_names_the_failing_point():
     h3 = fixtures.heisenberg3()
     doubled = LieAlgebra(["X", "Y", "Z"], {(0, 1): {2: scalar(2)}})
     sub = Dga(doubled)
-    assert linear_embedding_check(sub, Dga(h3), fixtures.sl2()) == (7, (
+    assert embedding_check(sub, Dga(h3), fixtures.sl2()) == (7, (
         "residuals disagree at X⊗H + Z⊗H: selection gives (-2)*X∧Y⊗H, "
         "ambient gives (-1)*X∧Y⊗H"
     ))
@@ -452,10 +455,10 @@ def test_linear_embedding_over_gaussian_rationals():
     target = _sl2_scaled(I, ONE)
     no_z = [[m for m in level if 4 not in m] for level in dga.monomials]
     for monomials, points in ((dga.monomials, 120), (no_z, 78)):
-        assert linear_embedding_check(dga.restrict(monomials), dga, target) == (points, None)
+        assert embedding_check(dga.restrict(monomials), dga, target) == (points, None)
     # The conjugate constants give the conjugate d Z.
     conjugate = LieAlgebra(h5i.labels, {(0, 1): {4: -I}, (2, 3): {4: ONE + I * scalar("1/2")}})
-    compared, witness = linear_embedding_check(Dga(conjugate), dga, target)
+    compared, witness = embedding_check(Dga(conjugate), dga, target)
     assert compared == 13 and witness.startswith("residuals disagree at X1⊗H' + Z⊗H': ")
 
 
@@ -509,7 +512,7 @@ def test_embedding_identity_matches_the_point_loop(case, target):
     sub, ambient = EMBEDDING_CASES[case]()
     t = EMBEDDING_TARGETS[target]()
     n = sub.dim_at(1) * t.dim
-    result = linear_embedding_check(sub, ambient, t)
+    result = embedding_check(sub, ambient, t)
     assert result == linear_embedding_check_reference(sub, ambient, t)
     assert result == (n * (n + 1) // 2, None)
 
@@ -532,9 +535,9 @@ def _flip_one_wedge_sign(monkeypatch, sub):
 def test_embedding_identity_sees_a_corrupted_bracket(monkeypatch):
     # Only the quadratic half of the identity differs.
     sub, ambient = EMBEDDING_CASES["solv_heisenberg"]()
-    assert linear_embedding_check(sub, ambient, fixtures.sl2()) == (21, None)
+    assert embedding_check(sub, ambient, fixtures.sl2()) == (21, None)
     _flip_one_wedge_sign(monkeypatch, sub)
-    result = linear_embedding_check(sub, ambient, fixtures.sl2())
+    result = embedding_check(sub, ambient, fixtures.sl2())
     assert result == linear_embedding_check_reference(sub, ambient, fixtures.sl2())
     assert result == (5, (
         "residuals disagree at T⊗H + Z⊗E: selection gives (-2)*T∧Z⊗E + (-1)*X∧Y⊗E, "
@@ -550,7 +553,7 @@ def test_embedding_identity_sees_a_corrupted_differential():
     (row, value), = columns[1][1]
     columns[1][1] = [(row, value + value)]
     sub.columns = columns
-    result = linear_embedding_check(sub, ambient, fixtures.sl2())
+    result = embedding_check(sub, ambient, fixtures.sl2())
     assert result == linear_embedding_check_reference(sub, ambient, fixtures.sl2())
     assert result == (4, (
         "residuals disagree at T⊗H + Z⊗H: selection gives (-2)*X∧Y⊗H, "
@@ -565,7 +568,7 @@ def test_embedding_identity_never_passes_a_failure_no_point_shows(monkeypatch):
     _flip_one_wedge_sign(monkeypatch, sub)
     monkeypatch.setattr(kuranishi, "mc_residual", lambda tdgla, omega: {})
     with pytest.raises(InternalCheckError, match="some \\[e_k, e_k\\] is nonzero"):
-        linear_embedding_check(sub, ambient, fixtures.sl2())
+        embedding_check(sub, ambient, fixtures.sl2())
 
 
 def test_character_subdga_germ_is_smooth():
@@ -573,7 +576,7 @@ def test_character_subdga_germ_is_smooth():
     dga = Dga(shadow)
     sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
     dec = split_complex(sub)
-    series = kuranishi_series(dec, fixtures.sl2())
+    series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
     system = obstruction_system(series)
     assert len(series.variables) == 3  # one harmonic one-form, dim sl2 = 3
     assert series.terminated
@@ -587,7 +590,7 @@ def test_character_subdga_germ_is_smooth():
 def test_semisimple_base_is_rigid():
     sl2 = fixtures.sl2()
     dec = split_complex(Dga(sl2))
-    series = kuranishi_series(dec, sl2, cap=2)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, sl2), cap=2)
     assert series.terminated and not series.variables
     system = obstruction_system(series)
     assert system.is_smooth and len(system.polynomials) == 0
@@ -595,7 +598,7 @@ def test_semisimple_base_is_rigid():
 
 def test_one_dimensional_base():
     dec = split_complex(Dga(fixtures.abelian(1)))
-    series = kuranishi_series(dec, fixtures.sl2(), cap=2)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()), cap=2)
     assert series.terminated
     system = obstruction_system(series)
     assert system.is_smooth
@@ -609,7 +612,7 @@ def test_selection_with_empty_middle_degree():
     for strategy in ("metric", "pivot"):
         dec = split_complex(rc, strategy)
         assert dec.betti() == [1, 0, 1]
-        series = kuranishi_series(dec, fixtures.sl2(), cap=2)
+        series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()), cap=2)
         system = obstruction_system(series)
         assert series.terminated and not series.variables
         assert system.is_smooth
@@ -656,7 +659,7 @@ def test_capped_obstructions_match_a_fresh_bracket(name, target, cap):
     """A capped series projects [phi, phi] past the cap, up to twice its last
     degree; the result must still be the projection of the whole bracket."""
     dec = split_complex(Dga(FIXTURE_ALGEBRAS[name]), "metric", top=GERM_TOP)
-    series = kuranishi_series(dec, BUILTIN_ALGEBRAS[target](), cap)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, BUILTIN_ALGEBRAS[target]()), cap)
     reference = [p.terms for p in _reference_obstructions(series)]
     system = obstruction_system(series)
     assert system.cap == cap
@@ -854,7 +857,7 @@ def test_square_slice_matches_scalar_reference_over_a_series(base, target):
     algebra, lie_target = base(), target()
     grading = inferred_grading(algebra)
     dec = split_complex(Dga(algebra), "metric", grading, top=GERM_TOP)
-    series = kuranishi_series(dec, lie_target)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, lie_target))
     assert series.terminated and series.last_nonzero >= 2
     top = 2 * series.last_nonzero
     assert {sum(e) for terms in series.obstruction_terms for e in terms} <= set(
@@ -939,7 +942,7 @@ def test_integer_gauge_check_matches_the_scalar_reference(base, target):
     algebra = GAUGE_BASES[base]
     grading = inferred_grading(algebra)
     dec = split_complex(Dga(algebra), "metric", grading, top=GERM_TOP)
-    series = kuranishi_series(dec, KERNEL_TARGETS[target])
+    series = kuranishi_series(dec, TensorDgla(dec.dga, KERNEL_TARGETS[target]))
     if not series.terminated:
         for check in (gauge_identity_check, gauge_identity_check_reference):
             with pytest.raises(PreconditionError):
@@ -1020,7 +1023,7 @@ def _germ_outputs(algebra, strategy, target, cap):
     """The phi slices, the obstruction polynomials and the gauge verdicts on
     the series and its mutations, of one run."""
     dec = split_complex(Dga(algebra), strategy, inferred_grading(algebra), top=GERM_TOP)
-    series = kuranishi_series(dec, target, cap)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, target), cap)
     polynomials = [p.terms for p in obstruction_system(series).polynomials]
     verdicts = []
     for slices in (series.slices, *_gauge_mutations(series)):
@@ -1125,7 +1128,7 @@ def test_series_is_the_same_at_every_packed_exponent_width(base, target):
     lie_target = fixtures.gl(2) if target == "gl2" else fixtures.sl2()
     dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
     runs = [
-        kuranishi_series(dec, lie_target, cap)
+        kuranishi_series(dec, TensorDgla(dec.dga, lie_target), cap)
         for cap in (None, 200, 40_000, 2**32, 2**63 - 1)
     ]
     assert [kuranishi._field_code(2 * s.cap) for s in runs] == list("BHIQQ")
@@ -1161,7 +1164,7 @@ def test_obstruction_system_rejects_a_linear_term(monkeypatch):
 
         monkeypatch.setattr(kuranishi, "_apply_columns", with_linear_term)
         with pytest.raises(InternalCheckError, match=r"\[phi, phi\]_2 has a degree-1 term"):
-            kuranishi_series(dec, fixtures.sl2())
+            kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
         assert len(calls) == corrupted
 
 
@@ -1170,7 +1173,7 @@ def test_obstruction_system_rejects_a_linear_term(monkeypatch):
 def test_obstruction_system_brackets_and_projects_nothing(monkeypatch, base, cap):
     algebra = GAUGE_BASES[base]
     dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
-    series = kuranishi_series(dec, fixtures.gl(2), cap)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.gl(2)), cap)
     expected = [dict(terms) for terms in series.obstruction_terms]
 
     def refuse(*args):
@@ -1181,3 +1184,87 @@ def test_obstruction_system_brackets_and_projects_nothing(monkeypatch, base, cap
     system = obstruction_system(series)
     assert [p.terms for p in system.polynomials] == expected
     assert series.obstruction_terms == expected
+
+
+DEGREE_ALGEBRAS = {
+    **{f"fixture:{name}": a for name, a in FIXTURE_ALGEBRAS.items()},
+    **{f"generated:{name}": a for name, a in GENERATED.items()},
+}
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("target", ["sl2", "gl:2", "gl:3"])
+@pytest.mark.parametrize("name", sorted(DEGREE_ALGEBRAS))
+def test_series_records_the_degrees_a_recount_finds(name, target, cap):
+    # The system reads each polynomial's homogeneous degrees from the
+    # series, which records them degree by degree; counted again here from
+    # the terms, densely, they agree, and so does the max degree.
+    algebra = DEGREE_ALGEBRAS[name]
+    dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, cli.resolve_target(target)[1]), cap)
+    system = obstruction_system(series)
+    recount = [sorted({sum(e) for e in p.terms}) for p in system.polynomials]
+    assert system.degrees is series.obstruction_degrees
+    assert system.homogeneous_degrees() == recount
+    assert system.max_degree == max((d[-1] for d in recount if d), default=0)
+    assert system.max_degree == max((p.total_degree() for p in system.polynomials), default=0)
+
+
+def test_a_polynomial_pushed_past_the_bound_is_its_witness(monkeypatch, tmp_path, capsys):
+    # h3 x sl2 (nu = 2) meets its bound nu + 1 = 3.  The last nonzero
+    # obstruction polynomial is pushed past it by a term of degree 4, which
+    # the series records as its own loop would: the degrees, the max degree
+    # and the bound follow, and the witness is that polynomial, printed as
+    # its "pretty" form and as the reference prints its records.
+    real, pushed = cli.kuranishi_series, []
+
+    def push(dec, tdgla, cap=None):
+        series = real(dec, tdgla, cap)
+        k = max(k for k, terms in enumerate(series.obstruction_terms) if terms)
+        exps = (0,) * (len(series.variables) - 1) + (4,)
+        series.obstruction_terms[k][exps] = scalar("-1/2")
+        series.obstruction_degrees[k].append(4)
+        pushed.append(k)
+        return series
+
+    monkeypatch.setattr(cli, "kuranishi_series", push)
+    out = tmp_path / "germ.json"
+    assert cli.main(["kuranishi", str(FIXTURES / "h3.json"), "--target", "sl2", "--json", str(out)]) == 0
+    capsys.readouterr()
+    germ = json.loads(out.read_text())["obstructions"]
+    (k,) = pushed
+    records = germ["polynomials"][k]
+    shown = show_reference(
+        tuple(json.loads(out.read_text())["variables"]),
+        [(tuple(r["exponents"]), r["coefficient"]) for r in records[::-1]],
+    )
+    assert "-1/2*t6^4" in shown
+    assert germ["degree_bound"] == {"bound": 3, "satisfied": False, "witness": shown}
+    assert germ["pretty"][k] == shown
+    assert germ["max_degree"] == 4
+    assert germ["homogeneous_degrees"][k] == [3, 4]
+    assert all(d == [3] for j, d in enumerate(germ["homogeneous_degrees"]) if j != k and d)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["pipeline", "solv_heisenberg.json", "--target", "sl2"], 2),
+    (["kuranishi", "q_plus_h3.json", "--target", "sl2",
+      "--subdga", "diag_weight_characters.json"], 2),
+    (["kuranishi", "h3.json", "--target", "gl:2"], 1),
+])
+def test_one_tensor_dgla_per_complex(monkeypatch, capsys, argv, built):
+    # The germ and the embedding check share C*(complex) tensor the target:
+    # a pipeline with characters builds one for the complex and one for the
+    # selection, and kuranishi --subdga builds the ambient one for the
+    # embedding check alone.
+    init, count = TensorDgla.__init__, []
+
+    def counted(self, *args):
+        count.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TensorDgla, "__init__", counted)
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(count) == built

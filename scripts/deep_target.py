@@ -9,17 +9,17 @@ the obstruction records.  The run is one child process, so the import is
 timed with it and the peak RSS is the child's alone (``ru_maxrss`` from
 ``os.wait4``).  The script prints two lines:
 
-    L8 x gl3: wall <seconds> s, peak <MB> MB
+    L8 x gl3: wall <seconds> s, cpu <seconds> s, peak <MB> MB
     L8 x gl3 sha256 <the germ file's sha256>
 
-The second line is the same on every supported Python and does not depend
-on the host; ``scripts/deep_target.expected`` holds it for n = 8, and CI
-runs
+The second line does not depend on the host; ``scripts/deep_target.expected``
+holds it for n = 8, and CI (Python 3.11) checks it as
 
     python scripts/deep_target.py 8 | tail -1 | diff - scripts/deep_target.expected
 
 The first line is a single run on whatever host runs it: compare such
-numbers only between alternating runs on one host.  Unix only (``os.wait4``).
+numbers only between alternating runs on one host.  cpu is the child's
+user plus system time.  Unix only (``os.wait4``).
 
     python3 scripts/deep_target.py [n]      (default n = 8)
 """
@@ -66,7 +66,8 @@ def main() -> None:
             sys.exit(f"kuranishi L{n} --target gl:3 exited with {child.returncode}")
         digest = hashlib.sha256(germ.read_bytes()).hexdigest()
     # ru_maxrss is in KiB on Linux.
-    print(f"L{n} x gl3: wall {wall:.2f} s, peak {usage.ru_maxrss / 1024:.1f} MB")
+    cpu = usage.ru_utime + usage.ru_stime
+    print(f"L{n} x gl3: wall {wall:.2f} s, cpu {cpu:.2f} s, peak {usage.ru_maxrss / 1024:.1f} MB")
     print(f"L{n} x gl3 sha256 {digest}")
 
 

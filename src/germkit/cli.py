@@ -25,6 +25,7 @@ N(N+1)/2 points e_k and e_k + e_l, which reports still count as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -136,22 +137,23 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-# A file is written in slices of this many characters.  The text layer
-# encodes each string it is given whole, into a buffer of 3 or 4 bytes per
-# character once the string holds a character past U+00FF: the few "⊗" of
-# the h7 x gl3 germ made one write of its 1 MB take a 3 MB buffer.
+# JSON is written in slices of this many characters, to a file or stdout.
+# The text layer encodes each string it is given whole, into a buffer of 3
+# or 4 bytes per character once the string holds a character past U+00FF:
+# the few "⊗" of the h7 x gl3 germ made one write of its 1 MB take a 3 MB
+# buffer.
 _WRITE_SLICE = 1 << 16
 
 
 def emit(report: dict, args) -> None:
     if args.json is not None:
         payload = render_json(report)
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                for start in range(0, len(payload), _WRITE_SLICE):
-                    handle.write(payload[start : start + _WRITE_SLICE])
+        to_file = args.json != "-"
+        with (open(args.json, "w", encoding="utf-8") if to_file
+              else contextlib.nullcontext(sys.stdout)) as handle:
+            for start in range(0, len(payload), _WRITE_SLICE):
+                handle.write(payload[start : start + _WRITE_SLICE])
+        if to_file:
             print(f"wrote {args.json}")
     else:
         for line in report["text"]:
@@ -314,7 +316,8 @@ def stage(method):
 
 class Run:
     """The stages of one invocation.  A caller may assign a stage before its
-    first read (the degree-bound survey assigns ``parsed``)."""
+    first read (the degree-bound survey assigns ``target`` for a target that
+    has neither a file nor a preset)."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args

@@ -380,20 +380,13 @@ def load_algebra_file(path: str) -> ParsedAlgebra:
     return parse_algebra_dict(load_json_file(path, digest=True), source=path)
 
 
-def algebra_to_dict(
-    algebra: LieAlgebra,
-    name: str = "unnamed",
-    *,
-    nilradical: Subspace | None = None,
-    complement: Subspace | None = None,
-    characters: CharacterData | None = None,
-) -> dict:
+def algebra_to_dict(algebra: LieAlgebra, name: str) -> dict:
     rational = all(
         c.is_rational()
         for _, _, comps in algebra.nonzero_brackets()
         for c in comps.values()
     )
-    data: dict[str, Any] = {
+    return {
         "name": name,
         "dim": algebra.dim,
         "basis": list(algebra.labels),
@@ -410,26 +403,6 @@ def algebra_to_dict(
             for i, j, comps in algebra.nonzero_brackets()
         ],
     }
-    if nilradical is not None:
-        data["nilradical"] = matrix_strings(nilradical.rows, algebra.dim)
-    if complement is not None:
-        data["complement"] = matrix_strings(complement.rows, algebra.dim)
-    if characters is not None:
-        data["characters"] = characters_to_dict(characters)
-    return data
-
-
-def characters_to_dict(characters: CharacterData) -> dict:
-    out: dict[str, Any] = {
-        "rank": characters.rank,
-        "exponents": [list(v) for v in characters.exponents],
-    }
-    if characters.torsion:
-        out["torsion"] = [
-            {"modulus": comp.modulus, "residues": list(comp.residues)}
-            for comp in characters.torsion
-        ]
-    return out
 
 
 # -- sub-DGA selection files ---------------------------------------------------------
@@ -633,7 +606,7 @@ def germ_to_dict(
             "coordinates": list(system.coordinates),
             "polynomials": Fragment(lambda n: records if n == at else walk(n)[0]),
             "pretty": pretty,
-            "homogeneous_degrees": system.homogeneous_degrees(),
+            "homogeneous_degrees": system.degrees,
             "max_degree": system.max_degree,
             "nu": system.nu,
             "terminated": system.terminated,

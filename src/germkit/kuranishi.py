@@ -570,8 +570,9 @@ def kuranishi_series(
 
 @dataclass(frozen=True)
 class ObstructionSystem:
-    """Polynomials presenting the flat germ on the harmonic slice; their
-    homogeneous degrees as the series recorded them, else counted anew."""
+    """Polynomials presenting the flat germ on the harmonic slice, with the
+    degrees of each one's homogeneous components, ascending, as the series
+    recorded them."""
 
     variables: tuple[str, ...]
     coordinates: tuple[str, ...]
@@ -579,11 +580,11 @@ class ObstructionSystem:
     nu: int | None
     cap: int
     terminated: bool
-    degrees: list[list[int]] | None = None
+    degrees: list[list[int]]
 
     @cached_property
     def max_degree(self) -> int:
-        return max((d[-1] for d in self.homogeneous_degrees() if d), default=0)
+        return max((d[-1] for d in self.degrees if d), default=0)
 
     @cached_property
     def is_smooth(self) -> bool:
@@ -593,12 +594,6 @@ class ObstructionSystem:
     def valid_modulo(self) -> int | None:
         """Degree beyond which the system is unreliable, None if exact."""
         return None if self.terminated else self.cap + 1
-
-    def homogeneous_degrees(self) -> list[list[int]]:
-        """The degrees of each polynomial's homogeneous components, ascending."""
-        if self.degrees is not None:
-            return self.degrees
-        return [sorted({*map(sum, p.terms)}) for p in self.polynomials]
 
 
 def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:

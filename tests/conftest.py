@@ -17,8 +17,15 @@ these live here because only the tests call them:
   for the failure paths of the complex and the Jacobi reference;
 - ``derived_subalgebra``: [g, g] from one bracket span, the reference of
   the second term of ``liealg.derived_series``;
-- ``I`` and ``BUILTIN_ALGEBRAS``: the imaginary unit, and the built-in
-  algebras by name;
+- ``I``: the imaginary unit;
+- the fixture registry: ``PARSED_FIXTURES``, each file under ``fixtures/``
+  parsed once (the only definition of the fixture algebras, with their
+  nilradical, complement and characters), and its views
+  ``FIXTURE_ALGEBRAS``, ``GRADED_NILPOTENT``, ``UNIMODULAR`` and
+  ``BUILTIN_ALGEBRAS`` (with ``abelian(n)``, for the abelian algebras
+  without a file); ``solvable_input``, a file's ``SolvableInput``; and
+  ``homogeneous_degrees``, the degrees an ``ObstructionSystem`` records,
+  counted from its polynomials' terms;
 - ``minimal_polynomial``: the squarefree check on Jordan-Chevalley parts;
 - ``hermitian``: the form that makes the monomial basis orthonormal, for
   the adjointness tests of the metric splitting;
@@ -73,17 +80,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import pathlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import pytest
 
-from germkit import fixtures
 from germkit.cedga import Dga, Monomial, wedge_monomials
 from germkit.cli import obtain_grading
 from germkit.decomp import _vector_weights
 from germkit.errors import InternalCheckError, PreconditionError
+from germkit.formats import ParsedAlgebra, load_algebra_file
 from germkit.jordan import (
     Poly,
     jordan_chevalley,
@@ -1192,7 +1200,7 @@ def germ_to_dict_reference(series: KuranishiSeries, system, **fields) -> dict:
         for p in (1, 2)
     )
     # Counted from the terms, not read from the series.
-    degrees = [sorted({sum(e) for e in poly.terms}) for poly in system.polynomials]
+    degrees = homogeneous_degrees(system.polynomials)
     pretty = []
     for poly in system.polynomials:
         grlex = sorted(poly.terms.items(), key=lambda kv: grlex_key(kv[0]))
@@ -1260,35 +1268,45 @@ def unchecked_algebra(labels, brackets) -> LieAlgebra:
 # -- fixture registry ------------------------------------------------------------
 
 
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+
+# Each algebra file under fixtures/, parsed once, by file stem: the only
+# definition of the fixture algebras, with their nilradical, complement and
+# characters where the file has them.
+PARSED_FIXTURES: dict[str, ParsedAlgebra] = {
+    path.stem: load_algebra_file(str(path))
+    for path in sorted(FIXTURE_DIR.glob("*.json"))
+    if path.stem != "diag_weight_characters"
+}
+FIXTURE_ALGEBRAS = {name: parsed.algebra for name, parsed in PARSED_FIXTURES.items()}
+
 GRADED_NILPOTENT = {
-    "abelian3": fixtures.abelian(3),
-    "h3": fixtures.heisenberg3(),
-    "h5": fixtures.heisenberg5(),
-    "filiform4": fixtures.filiform4(),
-    "q_plus_h3": fixtures.q_plus_heisenberg3(),
+    name: FIXTURE_ALGEBRAS[name] for name in ("abelian3", "h3", "h5", "filiform4", "q_plus_h3")
 }
 
 UNIMODULAR = {
     **GRADED_NILPOTENT,
-    "solv_heisenberg": fixtures.solvable_heisenberg(),
-    "sol3": fixtures.sol3(),
-    "sl2": fixtures.sl2(),
+    **{name: FIXTURE_ALGEBRAS[name] for name in ("solv_heisenberg", "sol3", "sl2")},
 }
 
-# The built-in algebras by name, each built afresh on call.
-BUILTIN_ALGEBRAS = {
-    "abelian1": lambda: fixtures.abelian(1),
-    "abelian2": lambda: fixtures.abelian(2),
-    "abelian3": lambda: fixtures.abelian(3),
-    "h3": fixtures.heisenberg3,
-    "h5": fixtures.heisenberg5,
-    "filiform4": fixtures.filiform4,
-    "q_plus_h3": fixtures.q_plus_heisenberg3,
-    "solv_heisenberg": fixtures.solvable_heisenberg,
-    "sol3": fixtures.sol3,
-    "sl2": fixtures.sl2,
-    "gl2": lambda: fixtures.gl(2),
-}
+
+def abelian(n: int) -> LieAlgebra:
+    """The abelian algebra Q^n on e1..en; only abelian3 has a file."""
+    return LieAlgebra([f"e{i + 1}" for i in range(n)], {})
+
+
+# The fixture algebras and the abelian ones of dimension 1 and 2, by name.
+BUILTIN_ALGEBRAS = {"abelian1": abelian(1), "abelian2": abelian(2), **FIXTURE_ALGEBRAS}
+
+
+def solvable_input(parsed: ParsedAlgebra) -> SolvableInput:
+    """The solvable data of an algebra file with a nilradical and complement."""
+    return SolvableInput(parsed.algebra, parsed.nilradical, parsed.complement)
+
+
+def homogeneous_degrees(polynomials: Sequence[MultiPoly]) -> list[list[int]]:
+    """Each polynomial's homogeneous degrees, ascending, counted from its terms."""
+    return [sorted({sum(e) for e in poly.terms}) for poly in polynomials]
 
 
 def non_unimodular2() -> LieAlgebra:
@@ -1331,7 +1349,6 @@ GENERATED = {
 def germbench_inputs():
     """germbench/inputs.py, imported from its file (it is not a package)."""
     import importlib.util
-    import pathlib
 
     path = pathlib.Path(__file__).resolve().parents[1] / "germbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("germbench_inputs", path)
@@ -1340,25 +1357,6 @@ def germbench_inputs():
     return module
 
 
-def algebra_fixture_files() -> dict[str, LieAlgebra]:
-    """The algebra files under fixtures/, by file stem."""
-    import pathlib
-
-    from germkit.formats import load_algebra_file
-
-    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    return {
-        path.stem: load_algebra_file(str(path)).algebra
-        for path in sorted(root.glob("*.json"))
-        if path.stem != "diag_weight_characters"
-    }
-
-
-FIXTURE_ALGEBRAS = algebra_fixture_files()
-
-
 @pytest.fixture(scope="session")
 def fixture_dir(tmp_path_factory):
-    import pathlib
-
-    return pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    return FIXTURE_DIR

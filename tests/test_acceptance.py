@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    FIXTURE_ALGEBRAS,
     GRADED_NILPOTENT,
+    PARSED_FIXTURES,
     UNIMODULAR,
     RingPoly,
     apply_d,
@@ -29,6 +31,7 @@ from conftest import (
     mat_vec,
     minimal_polynomial,
     non_unimodular2,
+    solvable_input,
     zeros,
 )
 
@@ -63,7 +66,7 @@ def _graded_metric(algebra):
 
 
 def test_criterion_1_cubic_cone():
-    dec, _ = _graded_metric(fixtures.heisenberg3())
+    dec, _ = _graded_metric(FIXTURE_ALGEBRAS["h3"])
     series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
     system = obstruction_system(series)
 
@@ -113,15 +116,15 @@ def test_criterion_1_cubic_cone():
 
 def test_criterion_2_degree_bound():
     bases = {
-        "abelian3": (fixtures.abelian(3), 1),
-        "h3": (fixtures.heisenberg3(), 2),
-        "h5": (fixtures.heisenberg5(), 2),
-        "filiform4": (fixtures.filiform4(), 3),
+        "abelian3": (FIXTURE_ALGEBRAS["abelian3"], 1),
+        "h3": (FIXTURE_ALGEBRAS["h3"], 2),
+        "h5": (FIXTURE_ALGEBRAS["h5"], 2),
+        "filiform4": (FIXTURE_ALGEBRAS["filiform4"], 3),
     }
     targets = {
         "sl2": fixtures.sl2(),
         "gl2": fixtures.gl(2),
-        "h3": fixtures.heisenberg3(),
+        "h3": FIXTURE_ALGEBRAS["h3"],
     }
     ok = True
     details = []
@@ -152,10 +155,10 @@ def test_criterion_2_degree_bound():
 
 
 def test_criterion_3_nilshadow():
-    shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, _ = nilshadow(solvable_input(PARSED_FIXTURES["solv_heisenberg"]))
     ok = shadow.labels == ("T", "X", "Y", "Z")
     ok = ok and shadow.nonzero_brackets() == [(1, 2, {3: ONE})]
-    split, _ = nilshadow(fixtures.sol3_input())
+    split, _ = nilshadow(solvable_input(PARSED_FIXTURES["sol3"]))
     ok = ok and split.nonzero_brackets() == []
     report(
         3,
@@ -193,7 +196,7 @@ def test_criterion_4_hodge_machinery():
                     ok = ok and lhs == rhs
         betti = dec.betti()
         ok = ok and betti == betti[::-1]  # duality on unimodular inputs
-    ok = ok and split_complex(Dga(fixtures.heisenberg3())).betti() == [1, 2, 2, 1]
+    ok = ok and split_complex(Dga(FIXTURE_ALGEBRAS["h3"])).betti() == [1, 2, 2, 1]
     report(
         4,
         ok,
@@ -209,11 +212,11 @@ def test_criterion_4_hodge_machinery():
 def test_criterion_5_series_identities():
     ok = True
     runs = [
-        ("abelian3", fixtures.abelian(3), fixtures.sl2()),
-        ("h3", fixtures.heisenberg3(), fixtures.sl2()),
-        ("h5", fixtures.heisenberg5(), fixtures.gl(2)),
-        ("filiform4", fixtures.filiform4(), fixtures.sl2()),
-        ("q_plus_h3", fixtures.q_plus_heisenberg3(), fixtures.sl2()),
+        ("abelian3", FIXTURE_ALGEBRAS["abelian3"], fixtures.sl2()),
+        ("h3", FIXTURE_ALGEBRAS["h3"], fixtures.sl2()),
+        ("h5", FIXTURE_ALGEBRAS["h5"], fixtures.gl(2)),
+        ("filiform4", FIXTURE_ALGEBRAS["filiform4"], fixtures.sl2()),
+        ("q_plus_h3", FIXTURE_ALGEBRAS["q_plus_h3"], fixtures.sl2()),
     ]
     for name, base, target in runs:
         dec, _ = _graded_metric(base)
@@ -222,7 +225,7 @@ def test_criterion_5_series_identities():
         ok = ok and gauge_identity_check(series) is None
 
     # negative control: dropping the quadratic slice must fail the check
-    dec, _ = _graded_metric(fixtures.heisenberg3())
+    dec, _ = _graded_metric(FIXTURE_ALGEBRAS["h3"])
     series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
     corrupted = dataclasses.replace(
         series,
@@ -260,9 +263,9 @@ def test_criterion_6_cocycle_weight_bound():
 
 
 def test_criterion_7_linear_embedding():
-    shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, _ = nilshadow(solvable_input(PARSED_FIXTURES["solv_heisenberg"]))
     dga = Dga(shadow)
-    sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
+    sub = subdga_from_characters(dga, PARSED_FIXTURES["solv_heisenberg"].characters)
     compared, witness = embedding_check(sub, dga, fixtures.sl2())
     report(
         7,
@@ -286,8 +289,8 @@ def test_criterion_8_pd_gate():
     ok = ok and pd_type_check(Dga(bad)) is not None
     # character selections with zero total exponent sum are closed under
     # complements and keep duality type
-    dga = Dga(fixtures.q_plus_heisenberg3())
-    chars = fixtures.solvable_heisenberg_characters()
+    dga = Dga(FIXTURE_ALGEBRAS["q_plus_h3"])
+    chars = PARSED_FIXTURES["solv_heisenberg"].characters
     total = [sum(v[c] for v in chars.exponents) for c in range(chars.rank)]
     ok = ok and all(t == 0 for t in total)
     sub = subdga_from_characters(dga, chars)

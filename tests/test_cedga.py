@@ -7,8 +7,10 @@ import pytest
 from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
+    PARSED_FIXTURES,
     UNIMODULAR,
     Cochain,
+    abelian,
     book3,
     dense_rref,
     germbench_inputs,
@@ -40,7 +42,7 @@ from germkit.scalars import ONE, ZERO, scalar
 
 
 def test_h3_differential():
-    dga = Dga(fixtures.heisenberg3())
+    dga = Dga(FIXTURE_ALGEBRAS["h3"])
     # dx = dy = 0, dz = -x^y
     assert [dga.d[1][r][0] for r in range(3)] == [ZERO, ZERO, ZERO]
     assert [dga.d[1][r][1] for r in range(3)] == [ZERO, ZERO, ZERO]
@@ -49,7 +51,7 @@ def test_h3_differential():
 
 
 def test_filiform_differential():
-    dga = Dga(fixtures.filiform4())
+    dga = Dga(FIXTURE_ALGEBRAS["filiform4"])
     # de3 = -e1^e2, de4 = -e1^e3
     col3 = [dga.d[1][r][2] for r in range(6)]
     col4 = [dga.d[1][r][3] for r in range(6)]
@@ -59,7 +61,7 @@ def test_filiform_differential():
 
 
 def test_abelian_differential_is_zero():
-    dga = Dga(fixtures.abelian(4))
+    dga = Dga(abelian(4))
     assert all(is_zero_matrix(m) for m in dga.d)
 
 
@@ -82,7 +84,7 @@ def test_dense_rows_are_built_only_for_the_degrees_read():
 def test_complex_is_freed_without_the_cyclic_collector():
     # Dga.d holds the columns, not the Dga: dropping a complex whose dense
     # rows were read leaves no cycle for the collector to find.
-    algebra = fixtures.heisenberg5()
+    algebra = FIXTURE_ALGEBRAS["h5"]
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -131,12 +133,12 @@ def test_seeded_complex_matches_oracle_in_every_degree(name):
 
 
 def test_dims_are_binomials():
-    dga = Dga(fixtures.heisenberg5())
+    dga = Dga(FIXTURE_ALGEBRAS["h5"])
     assert dga.dims() == [1, 5, 10, 10, 5, 1]
 
 
 def test_wedge_examples():
-    dga = Dga(fixtures.heisenberg3())
+    dga = Dga(FIXTURE_ALGEBRAS["h3"])
     x = Cochain.from_monomial(dga, (0,))
     y = Cochain.from_monomial(dga, (1,))
     z = Cochain.from_monomial(dga, (2,))
@@ -148,7 +150,7 @@ def test_wedge_examples():
 
 
 def test_graded_commutativity_and_leibniz_on_all_monomial_pairs():
-    for algebra in (fixtures.heisenberg3(), fixtures.filiform4()):
+    for algebra in (FIXTURE_ALGEBRAS["h3"], FIXTURE_ALGEBRAS["filiform4"]):
         dga = Dga(algebra)
         monos = [m for level in dga.monomials for m in level]
         for left in monos:
@@ -290,8 +292,8 @@ def test_betti_from_ranks_matches_oracle(name):
 
 
 def test_subdga_selection_from_characters():
-    dga = Dga(fixtures.q_plus_heisenberg3())
-    chars = fixtures.solvable_heisenberg_characters()
+    dga = Dga(FIXTURE_ALGEBRAS["q_plus_h3"])
+    chars = PARSED_FIXTURES["solv_heisenberg"].characters
     sub = subdga_from_characters(dga, chars)
     got = [tuple(i + 1 for i in m) for level in sub.monomials for m in level]
     assert got == [
@@ -309,14 +311,14 @@ def test_subdga_selection_from_characters():
 
 
 def test_all_zero_exponents_select_everything():
-    dga = Dga(fixtures.heisenberg3())
+    dga = Dga(FIXTURE_ALGEBRAS["h3"])
     chars = CharacterData(rank=1, exponents=((0,), (0,), (0,)))
     sub = subdga_from_characters(dga, chars)
     assert sub.dims() == [1, 3, 3, 1]
 
 
 def test_two_generator_zero_sum_selection():
-    dga = Dga(fixtures.abelian(2))
+    dga = Dga(abelian(2))
     chars = CharacterData(rank=1, exponents=((1,), (-1,)))
     sub = subdga_from_characters(dga, chars)
     got = [tuple(i + 1 for i in m) for level in sub.monomials for m in level]
@@ -324,7 +326,7 @@ def test_two_generator_zero_sum_selection():
 
 
 def test_torsion_components():
-    dga = Dga(fixtures.abelian(3))
+    dga = Dga(FIXTURE_ALGEBRAS["abelian3"])
     chars = CharacterData(
         rank=0,
         exponents=((), (), ()),
@@ -337,7 +339,7 @@ def test_torsion_components():
 
 def test_incompatible_characters_are_rejected():
     # weight data that is not additive along the bracket: dz escapes
-    dga = Dga(fixtures.heisenberg3())
+    dga = Dga(FIXTURE_ALGEBRAS["h3"])
     chars = CharacterData(rank=1, exponents=((1,), (2,), (0,)))
     with pytest.raises(PreconditionError):
         subdga_from_characters(dga, chars)
@@ -346,8 +348,8 @@ def test_incompatible_characters_are_rejected():
 def test_unimodular_duality_of_selections():
     # when the exponents of all generators sum to zero, selections are
     # closed under complements
-    dga = Dga(fixtures.q_plus_heisenberg3())
-    chars = fixtures.solvable_heisenberg_characters()
+    dga = Dga(FIXTURE_ALGEBRAS["q_plus_h3"])
+    chars = PARSED_FIXTURES["solv_heisenberg"].characters
     total = [sum(v[c] for v in chars.exponents) for c in range(chars.rank)]
     assert all(t == 0 for t in total)
     sub = subdga_from_characters(dga, chars)
@@ -359,7 +361,7 @@ def test_unimodular_duality_of_selections():
 
 
 def test_verify_subdga_violations():
-    dga = Dga(fixtures.heisenberg3())
+    dga = Dga(FIXTURE_ALGEBRAS["h3"])
     # closed: 1, x, y in degrees 0..1 and x^y in degree 2
     good = (((),), ((0,), (1,)), ((0, 1),), ())
     assert verify_subdga(dga, good) is None
@@ -395,7 +397,7 @@ def _h5i_selection(keep):
 # name -> () -> (algebra, a restriction of its full complex)
 RESTRICTIONS = {
     "fixture-characters": lambda: _character_selection(
-        fixtures.q_plus_heisenberg3(), fixtures.solvable_heisenberg_characters()
+        FIXTURE_ALGEBRAS["q_plus_h3"], PARSED_FIXTURES["solv_heisenberg"].characters
     ),
     "solv_h5": lambda: _nilshadow_selection(2),
     "solv_h7": lambda: _nilshadow_selection(3),

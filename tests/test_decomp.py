@@ -28,7 +28,6 @@ from conftest import (
 )
 
 import germkit.linalg as la
-from germkit import fixtures
 from germkit.cedga import Dga
 from germkit.decomp import (
     GERM_TOP,
@@ -52,7 +51,7 @@ def _metric(algebra, grading=None):
 
 
 def test_h3_harmonic_spaces_and_delta():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     dec = _metric(h3, inferred_grading(h3))
     assert dec.betti() == [1, 2, 2, 1]
     assert dec.harmonic_basis(1) == [{0: ONE}, {1: ONE}]
@@ -65,7 +64,7 @@ def test_h3_harmonic_spaces_and_delta():
 
 
 def test_abelian_split_is_trivial():
-    dec = _metric(fixtures.abelian(3))
+    dec = _metric(FIXTURE_ALGEBRAS["abelian3"])
     assert dec.betti() == [1, 3, 3, 1]
     for p, columns in enumerate(dec.delta):
         assert is_zero_matrix(dense_columns(columns, dec.dga.dim_at(p - 1)))
@@ -82,7 +81,7 @@ def test_betti_matches_independent_oracle(name, strategy):
 
 
 def test_kunneth_betti_of_q_plus_h3():
-    assert _metric(fixtures.q_plus_heisenberg3()).betti() == [1, 3, 4, 3, 1]
+    assert _metric(FIXTURE_ALGEBRAS["q_plus_h3"]).betti() == [1, 3, 4, 3, 1]
 
 
 @pytest.mark.parametrize("name", sorted(UNIMODULAR))
@@ -202,7 +201,7 @@ def test_cocycle_weights_from_the_split_match_the_dense_kernel(
 
 
 def test_h3_degree2_weights():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     grading = inferred_grading(h3)
     weights = basis_aligned_weights(grading)
     dga = Dga(h3)
@@ -215,7 +214,7 @@ def test_h3_degree2_weights():
 
 
 def test_non_weight_homogeneous_grading_is_rejected():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     fake = Grading(
         (
             Subspace.from_vectors(3, [h3.basis_vector(0)]),
@@ -227,7 +226,7 @@ def test_non_weight_homogeneous_grading_is_rejected():
 
 
 def test_non_aligned_grading_is_rejected():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     skew = {1: ONE, 2: ONE}
     grading = Grading(
         (
@@ -321,7 +320,7 @@ def _assert_matches_reference(dec, ref):
 def test_split_builds_no_dense_matrix(monkeypatch, name, strategy, top):
     # The split eliminates only on sparse rows: with the dense builders and
     # the dense rref patched to raise, it still splits, to the reference's data.
-    dga = Dga(fixtures.heisenberg5() if name == "h5" else h5_i_scaled())
+    dga = Dga(FIXTURE_ALGEBRAS["h5"] if name == "h5" else h5_i_scaled())
     ref = split_complex_dense(dga, strategy, top)
 
     def dense(*args, **kwargs):
@@ -335,7 +334,7 @@ def test_split_builds_no_dense_matrix(monkeypatch, name, strategy, top):
 
 
 def _h3_split():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     return split_complex(Dga(h3), "metric", inferred_grading(h3))
 
 

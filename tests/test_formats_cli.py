@@ -1,3 +1,4 @@
+import argparse
 import collections
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 
 import jsonschema
 import pytest
+from conftest import FIXTURE_ALGEBRAS, abelian
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -45,19 +47,9 @@ def run(capsys, *argv):
 # -- round trips -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "builder",
-    [
-        fixtures.heisenberg3,
-        fixtures.heisenberg5,
-        fixtures.filiform4,
-        fixtures.solvable_heisenberg,
-        fixtures.sl2,
-        lambda: fixtures.gl(2),
-    ],
-)
-def test_algebra_round_trip(builder):
-    algebra = builder()
+@pytest.mark.parametrize("name", sorted(FIXTURE_ALGEBRAS))
+def test_algebra_round_trip(name):
+    algebra = FIXTURE_ALGEBRAS[name]
     data = algebra_to_dict(algebra, "roundtrip")
     parsed = parse_algebra_dict(json.loads(render_json(data)))
     assert parsed.algebra.labels == algebra.labels
@@ -337,6 +329,28 @@ def test_a_file_written_in_slices_holds_the_stdout_bytes(tmp_path, capsys, monke
     code, out, _ = run(capsys, *argv, str(written))
     assert code == 0 and out == f"wrote {written}\n"
     assert written.read_bytes() == printed.encode("utf-8")
+
+
+def test_json_on_stdout_is_written_in_slices(monkeypatch):
+    # "--json -" goes out in the slices a file gets, so the text layer never
+    # encodes the whole document at once.
+    class Recorder:
+        def __init__(self):
+            self.pieces = []
+
+        def write(self, text):
+            self.pieces.append(text)
+
+        def flush(self):
+            pass
+
+    report = {"coordinates": [f"h2[{k}]⊗E{k % 9}" for k in range(20000)], "text": []}
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    cli.emit(report, argparse.Namespace(json="-"))
+    assert len(recorder.pieces) > 1
+    assert max(map(len, recorder.pieces)) <= cli._WRITE_SLICE
+    assert "".join(recorder.pieces) == render_json(report)
 
 
 def test_kuranishi_json_and_mc_check(tmp_path, capsys):
@@ -1130,7 +1144,7 @@ def test_pipeline_abelian_with_sl2(capsys):
 def test_smooth_germ_message(tmp_path, capsys):
     # an abelian target kills every bracket: the germ is smooth
     target = tmp_path / "ab2.json"
-    target.write_text(render_json(algebra_to_dict(fixtures.abelian(2), "ab2")))
+    target.write_text(render_json(algebra_to_dict(abelian(2), "ab2")))
     code, out, _ = run(
         capsys, "kuranishi", str(FIXTURES / "h3.json"), "--target", str(target)
     )
@@ -1202,21 +1216,12 @@ def test_input_errors_surface_before_a_bad_target(tmp_path, capsys, command):
 
 
 def test_fixture_files_match_builders():
-    import germkit.formats as formats
-
-    pairs = {
-        "h3.json": fixtures.heisenberg3,
-        "h5.json": fixtures.heisenberg5,
-        "filiform4.json": fixtures.filiform4,
-        "q_plus_h3.json": fixtures.q_plus_heisenberg3,
-        "solv_heisenberg.json": fixtures.solvable_heisenberg,
-        "sol3.json": fixtures.sol3,
-        "sl2.json": fixtures.sl2,
-        "gl2.json": lambda: fixtures.gl(2),
-        "abelian3.json": lambda: fixtures.abelian(3),
-    }
-    for name, builder in pairs.items():
-        parsed = formats.load_algebra_file(str(FIXTURES / name))
-        expected = builder()
-        assert parsed.algebra.labels == expected.labels, name
-        assert parsed.algebra.nonzero_brackets() == expected.nonzero_brackets(), name
+    # The target presets are the only algebras built in code; each has the
+    # labels and nonzero brackets of its fixture file, and so the same
+    # target entry in a germ file.
+    for spec, name in (("sl2", "sl2"), ("gl:2", "gl2")):
+        entry, preset = cli.resolve_target(spec)
+        expected = FIXTURE_ALGEBRAS[name]
+        assert preset.labels == expected.labels, spec
+        assert preset.nonzero_brackets() == expected.nonzero_brackets(), spec
+        assert entry == cli.resolve_target(str(FIXTURES / f"{name}.json"))[0], spec

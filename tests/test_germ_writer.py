@@ -17,7 +17,13 @@ import dataclasses
 import json
 from fractions import Fraction
 
-from conftest import I, germ_to_dict_reference, inferred_grading
+from conftest import (
+    FIXTURE_ALGEBRAS,
+    I,
+    germ_to_dict_reference,
+    homogeneous_degrees,
+    inferred_grading,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +42,7 @@ def dumps(data) -> str:
 
 
 def _h3_germ():
-    algebra = fixtures.heisenberg3()
+    algebra = FIXTURE_ALGEBRAS["h3"]
     grading = inferred_grading(algebra)
     dec = split_complex(Dga(algebra), "metric", grading)
     series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
@@ -93,7 +99,7 @@ def _germs(slices, polynomials, depth=0, variables=SERIES.variables):
         variables=variables,
         coordinates=tuple(f"h2[{k}]⊗H" for k in range(len(polynomials))),
         polynomials=tuple(polynomials),
-        degrees=None,  # counted from these terms, not the h3 series'
+        degrees=homogeneous_degrees(polynomials),  # these terms', not the h3 series'
     )
     return (
         germ_to_dict(series, system, **FIELDS, depth=depth),

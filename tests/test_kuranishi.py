@@ -14,16 +14,20 @@ from conftest import (
     GENERATED,
     GRADED_NILPOTENT,
     I,
+    PARSED_FIXTURES,
     RingPoly,
+    abelian,
     dense_columns,
     embedding_check,
     gauge_identity_check_reference,
     germbench_inputs,
     h5_i_scaled,
     homogeneous_components,
+    homogeneous_degrees,
     inferred_grading,
     linear_embedding_check_reference,
     show_reference,
+    solvable_input,
     square_slice,
     tensor_bracket,
     vec_add_into,
@@ -52,8 +56,8 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _setup(base, target, grading=True, cap=None):
-    g = BUILTIN_ALGEBRAS[base]() if isinstance(base, str) else base
-    t = BUILTIN_ALGEBRAS[target]() if isinstance(target, str) else target
+    g = BUILTIN_ALGEBRAS[base] if isinstance(base, str) else base
+    t = BUILTIN_ALGEBRAS[target] if isinstance(target, str) else target
     gr = inferred_grading(g) if grading else None
     dec = split_complex(Dga(g), "metric", gr)
     series = kuranishi_series(dec, TensorDgla(dec.dga, t), cap)
@@ -61,7 +65,7 @@ def _setup(base, target, grading=True, cap=None):
 
 
 def test_bracket_examples():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     sl2 = fixtures.sl2()
     tdgla = TensorDgla(Dga(h3), sl2)
     # [x (x) H, y (x) E] = (x^y) (x) [H, E] = 2 (x^y) (x) E
@@ -80,7 +84,7 @@ def test_bracket_examples():
 
 
 def test_bracket_graded_antisymmetry_and_jacobi():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     sl2 = fixtures.sl2()
     tdgla = TensorDgla(Dga(h3), sl2)
     elems = [
@@ -107,7 +111,7 @@ def test_bracket_graded_antisymmetry_and_jacobi():
 
 
 def test_leibniz_rule_for_d():
-    h3 = fixtures.q_plus_heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["q_plus_h3"]
     sl2 = fixtures.sl2()
     tdgla = TensorDgla(Dga(h3), sl2)
     a = {tdgla.flat(3, 0): ONE, tdgla.flat(1, 1): scalar(3)}  # degree 1
@@ -123,7 +127,7 @@ def test_leibniz_rule_for_d():
 
 
 def test_mc_residual_examples():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     sl2 = fixtures.sl2()
     tdgla = TensorDgla(Dga(h3), sl2)
     assert mc_residual(tdgla, {}) == {}
@@ -299,7 +303,7 @@ def test_abelian_base_gives_cup_product_system():
 
 
 def test_abelian_target_gives_zero_system():
-    series = _setup("h3", fixtures.abelian(2))
+    series = _setup("h3", abelian(2))
     system = obstruction_system(series)
     assert system.is_smooth
 
@@ -315,7 +319,7 @@ def test_h3_target_matches_hand_expansion():
 
 
 def test_pivot_strategy_gives_equivalent_series_shape():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     grading = inferred_grading(h3)
     sl2 = fixtures.sl2()
     complex_ = Dga(h3)
@@ -424,15 +428,15 @@ def test_mc_check_of_a_subdga_germ(tmp_path, capsys, selection, strategy):
 
 
 def test_linear_embedding_of_character_subdga():
-    shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, _ = nilshadow(solvable_input(PARSED_FIXTURES["solv_heisenberg"]))
     dga = Dga(shadow)
-    sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
+    sub = subdga_from_characters(dga, PARSED_FIXTURES["solv_heisenberg"].characters)
     # N = 2 one-forms * dim sl2 = 6 basis vectors: N(N+1)/2 points.
     assert embedding_check(sub, dga, fixtures.sl2()) == (21, None)
 
 
 def test_full_complex_as_its_own_selection():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     dga = Dga(h3)
     assert embedding_check(dga.restrict(dga.monomials), dga, fixtures.sl2()) == (45, None)
 
@@ -440,7 +444,7 @@ def test_full_complex_as_its_own_selection():
 def test_linear_embedding_names_the_failing_point():
     # The monomials of h3 on [X, Y] = 2Z: d Z differs from the ambient's, so
     # the first point carrying Z, in k-major order, fails.
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     doubled = LieAlgebra(["X", "Y", "Z"], {(0, 1): {2: scalar(2)}})
     sub = Dga(doubled)
     assert embedding_check(sub, Dga(h3), fixtures.sl2()) == (7, (
@@ -479,7 +483,7 @@ def _full_selection(algebra):
 
 def _zero_sum_selection():
     """Zero-sum characters on the abelian plane: no one-form is kept, N = 0."""
-    dga = Dga(fixtures.abelian(2))
+    dga = Dga(abelian(2))
     return subdga_from_characters(dga, CharacterData(rank=1, exponents=((1,), (-1,)))), dga
 
 
@@ -494,7 +498,7 @@ EMBEDDING_CASES = {
         str(FIXTURES / "diag_weight_characters.json"),
     ]),
     "Th5": lambda: _cli_complexes(["-"], germbench_inputs().solvable_heisenberg(2, None)),
-    "h3_full": lambda: _full_selection(fixtures.heisenberg3()),
+    "h3_full": lambda: _full_selection(FIXTURE_ALGEBRAS["h3"]),
     "h5i_full": lambda: _full_selection(h5_i_scaled()),
     "abelian2_zero_sum": _zero_sum_selection,
 }
@@ -572,9 +576,9 @@ def test_embedding_identity_never_passes_a_failure_no_point_shows(monkeypatch):
 
 
 def test_character_subdga_germ_is_smooth():
-    shadow, _ = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, _ = nilshadow(solvable_input(PARSED_FIXTURES["solv_heisenberg"]))
     dga = Dga(shadow)
-    sub = subdga_from_characters(dga, fixtures.solvable_heisenberg_characters())
+    sub = subdga_from_characters(dga, PARSED_FIXTURES["solv_heisenberg"].characters)
     dec = split_complex(sub)
     series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
     system = obstruction_system(series)
@@ -597,7 +601,7 @@ def test_semisimple_base_is_rigid():
 
 
 def test_one_dimensional_base():
-    dec = split_complex(Dga(fixtures.abelian(1)))
+    dec = split_complex(Dga(abelian(1)))
     series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()), cap=2)
     assert series.terminated
     system = obstruction_system(series)
@@ -659,7 +663,7 @@ def test_capped_obstructions_match_a_fresh_bracket(name, target, cap):
     """A capped series projects [phi, phi] past the cap, up to twice its last
     degree; the result must still be the projection of the whole bracket."""
     dec = split_complex(Dga(FIXTURE_ALGEBRAS[name]), "metric", top=GERM_TOP)
-    series = kuranishi_series(dec, TensorDgla(dec.dga, BUILTIN_ALGEBRAS[target]()), cap)
+    series = kuranishi_series(dec, TensorDgla(dec.dga, BUILTIN_ALGEBRAS[target]), cap)
     reference = [p.terms for p in _reference_obstructions(series)]
     system = obstruction_system(series)
     assert system.cap == cap
@@ -735,7 +739,7 @@ KERNEL_TARGETS = {
     # E' = E/3: a table with denominator 3.
     "sl2_third": _sl2_scaled(ONE, scalar("1/3")),
 }
-KERNEL_DGA = Dga(fixtures.heisenberg5())
+KERNEL_DGA = Dga(FIXTURE_ALGEBRAS["h5"])
 
 
 @pytest.mark.parametrize(
@@ -1146,7 +1150,7 @@ def test_obstruction_system_rejects_a_linear_term(monkeypatch):
     # term in the integer maps of [phi, phi]_2, put into the harmonic
     # projection (the first linear map applied) or into -(1/2) delta_2 of
     # it (the second), stops it.
-    g = fixtures.heisenberg3()
+    g = FIXTURE_ALGEBRAS["h3"]
     dec = split_complex(Dga(g), "metric", inferred_grading(g))
     m = dec.betti()[1] * 3
     # The default cap 4 gives one byte per exponent.
@@ -1203,9 +1207,9 @@ def test_series_records_the_degrees_a_recount_finds(name, target, cap):
     dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
     series = kuranishi_series(dec, TensorDgla(dec.dga, cli.resolve_target(target)[1]), cap)
     system = obstruction_system(series)
-    recount = [sorted({sum(e) for e in p.terms}) for p in system.polynomials]
+    recount = homogeneous_degrees(system.polynomials)
     assert system.degrees is series.obstruction_degrees
-    assert system.homogeneous_degrees() == recount
+    assert system.degrees == recount
     assert system.max_degree == max((d[-1] for d in recount if d), default=0)
     assert system.max_degree == max((p.total_degree() for p in system.polynomials), default=0)
 

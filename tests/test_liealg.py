@@ -7,6 +7,7 @@ from conftest import (
     GENERATED,
     GRADED_NILPOTENT,
     I,
+    abelian,
     book3,
     dense,
     dense_ad,
@@ -46,7 +47,7 @@ from germkit.scalars import ONE, ZERO, scalar
 
 
 def test_jacobi_pass_on_heisenberg():
-    assert fixtures.heisenberg3().jacobi_counterexample() is None
+    assert FIXTURE_ALGEBRAS["h3"].jacobi_counterexample() is None
 
 
 def test_jacobi_counterexample_is_reported():
@@ -70,10 +71,10 @@ def test_any_2dim_bracket_satisfies_jacobi():
 
 
 def test_lower_central_series_examples():
-    lcs = lower_central_series(fixtures.heisenberg3())
+    lcs = lower_central_series(FIXTURE_ALGEBRAS["h3"])
     assert lcs.dims() == [3, 1, 0] and lcs.nu == 2
-    assert lower_central_series(fixtures.abelian(3)).nu == 1
-    fil = lower_central_series(fixtures.filiform4())
+    assert lower_central_series(FIXTURE_ALGEBRAS["abelian3"]).nu == 1
+    fil = lower_central_series(FIXTURE_ALGEBRAS["filiform4"])
     assert fil.nu == 3 and fil.dims() == [4, 2, 1, 0]
     assert lower_central_series(fixtures.sl2()).nu is None
 
@@ -93,9 +94,9 @@ def test_lcs_chain_bracket_compatibility():
 
 
 def test_unimodularity():
-    assert fixtures.heisenberg3().is_unimodular()
+    assert FIXTURE_ALGEBRAS["h3"].is_unimodular()
     assert not non_unimodular2().is_unimodular()
-    assert fixtures.solvable_heisenberg().is_unimodular()
+    assert FIXTURE_ALGEBRAS["solv_heisenberg"].is_unimodular()
     assert fixtures.sl2().is_unimodular()
 
 
@@ -117,22 +118,22 @@ def test_sparse_unimodularity_matches_the_dense_traces(name):
 
 
 def test_solvability():
-    assert is_solvable(fixtures.solvable_heisenberg())
-    assert is_solvable(fixtures.heisenberg5())
+    assert is_solvable(FIXTURE_ALGEBRAS["solv_heisenberg"])
+    assert is_solvable(FIXTURE_ALGEBRAS["h5"])
     assert not is_solvable(fixtures.sl2())
 
 
 def test_derived_subalgebra():
-    derived = derived_subalgebra(fixtures.solvable_heisenberg())
+    derived = derived_subalgebra(FIXTURE_ALGEBRAS["solv_heisenberg"])
     assert derived.dim == 3
     for idx in (1, 2, 3):
-        assert derived.contains(fixtures.solvable_heisenberg().basis_vector(idx))
-    second = derived_series(fixtures.solvable_heisenberg())[1]
+        assert derived.contains(FIXTURE_ALGEBRAS["solv_heisenberg"].basis_vector(idx))
+    second = derived_series(FIXTURE_ALGEBRAS["solv_heisenberg"])[1]
     assert second.dim == 3 and second.contains_subspace(derived)
 
 
 def test_verify_natural_grading_standard_layers():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     grading = Grading(
         (
             Subspace.from_vectors(3, [h3.basis_vector(0), h3.basis_vector(1)]),
@@ -144,7 +145,7 @@ def test_verify_natural_grading_standard_layers():
 
 def test_verify_natural_grading_skew_layer():
     # first layer spanned by X and Y + Z still works: [X, Y+Z] = Z
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     skew = {1: scalar(1), 2: scalar(1)}
     grading = Grading(
         (
@@ -156,7 +157,7 @@ def test_verify_natural_grading_skew_layer():
 
 
 def test_verify_natural_grading_violations():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     bad = Grading(
         (
             Subspace.from_vectors(3, [h3.basis_vector(0), h3.basis_vector(2)]),
@@ -172,7 +173,7 @@ def test_verify_natural_grading_violations():
 
 
 def test_filiform_grading():
-    fil = fixtures.filiform4()
+    fil = FIXTURE_ALGEBRAS["filiform4"]
     lcs = lower_central_series(fil)
     grading = infer_grading_basis_aligned(fil, lcs)
     assert grading is not None
@@ -182,14 +183,14 @@ def test_filiform_grading():
 
 
 def test_infer_grading_examples():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     grading = infer_grading_basis_aligned(h3, lower_central_series(h3))
     assert grading is not None
     assert [layer.dim for layer in grading.layers] == [2, 1]
-    a4 = fixtures.abelian(4)
-    abelian = infer_grading_basis_aligned(a4, lower_central_series(a4))
-    assert abelian is not None and abelian.depth == 1
-    assert abelian.layers[0].dim == 4
+    a4 = abelian(4)
+    flat = infer_grading_basis_aligned(a4, lower_central_series(a4))
+    assert flat is not None and flat.depth == 1
+    assert flat.layers[0].dim == 4
 
 
 def test_infer_then_verify_on_all_graded_fixtures():

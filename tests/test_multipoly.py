@@ -9,7 +9,7 @@ from conftest import RingPoly, homogeneous_components, polynomial_records, show_
 
 from germkit import cli
 from germkit.formats import germ_from_dict, load_json_file
-from germkit.kuranishi import ObstructionSystem, PolyCochain
+from germkit.kuranishi import PolyCochain
 from germkit.multipoly import MultiPoly, PointPowers
 from germkit.scalars import ParsedScalars, Scalar, ZERO, scalar
 
@@ -106,21 +106,6 @@ def test_records_round_trip(p):
     assert MultiPoly.from_records(VARS, records, ParsedScalars()) == p
     grlex = [(tuple(r["exponents"]), r["coefficient"]) for r in records]
     assert str(p) == show_reference(VARS, grlex[::-1])
-
-
-@given(st.lists(polys_st, max_size=4))
-def test_homogeneous_degrees_are_the_component_degrees(polys):
-    system = ObstructionSystem(
-        variables=VARS,
-        coordinates=tuple(f"c{k}" for k in range(len(polys))),
-        polynomials=tuple(polys),
-        nu=None,
-        cap=4,
-        terminated=True,
-    )
-    assert system.homogeneous_degrees() == [
-        [degree for degree, _ in homogeneous_components(p)] for p in polys
-    ]
 
 
 def test_string_form_is_graded_lex():

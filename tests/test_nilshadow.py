@@ -3,25 +3,28 @@ import pathlib
 import pytest
 
 from conftest import (
+    FIXTURE_ALGEBRAS,
     GENERATED,
+    PARSED_FIXTURES,
     ad_s_matrices_dense,
     dense_columns,
     derived_subalgebra,
     germbench_inputs,
     h5_i_scaled,
     is_zero_matrix,
+    solvable_input,
 )
 
 from germkit import fixtures, linalg
 from germkit.errors import PreconditionError
 from germkit.formats import load_algebra_file, parse_algebra_dict
-from germkit.liealg import Subspace, lower_central_series
+from germkit.liealg import LieAlgebra, Subspace, lower_central_series
 from germkit.nilshadow import SolvableInput, ad_s_map, nilshadow, validate_solvable_input
-from germkit.scalars import scalar
+from germkit.scalars import ONE, scalar
 
 
 def test_ad_s_of_diagonal_derivation():
-    data = fixtures.solvable_heisenberg_input()
+    data = solvable_input(PARSED_FIXTURES["solv_heisenberg"])
     ads = ad_s_map(data)
     m0 = dense_columns(ads[0], 4)
     diag = [m0[d][d] for d in range(4)]
@@ -38,7 +41,7 @@ def test_ad_s_of_diagonal_derivation():
 
 
 def test_nilshadow_of_solvable_heisenberg():
-    shadow, lcs = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow, lcs = nilshadow(solvable_input(PARSED_FIXTURES["solv_heisenberg"]))
     assert shadow.labels == ("T", "X", "Y", "Z")
     assert shadow.nonzero_brackets() == [(1, 2, {3: scalar(1)})]
     assert lcs.nu == 2
@@ -47,7 +50,7 @@ def test_nilshadow_of_solvable_heisenberg():
 
 
 def test_nilshadow_of_split_diagonal_action_is_direct_sum():
-    shadow, _ = nilshadow(fixtures.sol3_input())
+    shadow, _ = nilshadow(solvable_input(PARSED_FIXTURES["sol3"]))
     assert shadow.nonzero_brackets() == []  # Q + Q^2, all brackets vanish
 
 
@@ -59,7 +62,7 @@ def test_nilshadow_with_rotation_action():
 
 
 def test_nilpotent_input_is_fixed():
-    h3 = fixtures.heisenberg3()
+    h3 = FIXTURE_ALGEBRAS["h3"]
     data = SolvableInput(
         algebra=h3,
         nilradical=Subspace.full(3),
@@ -72,7 +75,7 @@ def test_nilpotent_input_is_fixed():
 
 
 def test_abelian_any_declared_splitting_gives_zero_map():
-    g = fixtures.abelian(3)
+    g = FIXTURE_ALGEBRAS["abelian3"]
     data = SolvableInput(
         algebra=g,
         nilradical=Subspace.from_vectors(3, [g.basis_vector(0)]),
@@ -83,7 +86,7 @@ def test_abelian_any_declared_splitting_gives_zero_map():
 
 
 def test_bracket_unchanged_on_nilradical_and_derived_contained():
-    data = fixtures.solvable_heisenberg_input()
+    data = solvable_input(PARSED_FIXTURES["solv_heisenberg"])
     shadow, _ = nilshadow(data)
     g = data.algebra
     for u in data.nilradical.rows:
@@ -93,7 +96,7 @@ def test_bracket_unchanged_on_nilradical_and_derived_contained():
 
 
 def test_alternate_complement_gives_isomorphic_invariants():
-    shadow1, _ = nilshadow(fixtures.solvable_heisenberg_input())
+    shadow1, _ = nilshadow(solvable_input(PARSED_FIXTURES["solv_heisenberg"]))
     shadow2, _ = nilshadow(_shifted_complement_input())
     lcs1, lcs2 = lower_central_series(shadow1), lower_central_series(shadow2)
     assert lcs1.dims() == lcs2.dims() and lcs1.nu == lcs2.nu
@@ -103,7 +106,7 @@ def test_alternate_complement_gives_isomorphic_invariants():
 
 
 def test_bad_splitting_is_rejected():
-    g = fixtures.solvable_heisenberg()
+    g = FIXTURE_ALGEBRAS["solv_heisenberg"]
     # X is not a valid complement direction: (ad_X)_s(X) = 0 holds, but
     # V = <X> + nilradical <T, Y, Z> fails the ideal/derived checks
     data = SolvableInput(
@@ -130,7 +133,7 @@ def test_non_solvable_input_is_rejected():
 
 def _rotation_input():
     """[T, X] = Y, [T, Y] = -X: ad_T is semisimple with eigenvalues +-i."""
-    g = fixtures._alg(["T", "X", "Y"], {(0, 1): {2: 1}, (0, 2): {1: -1}})
+    g = LieAlgebra(("T", "X", "Y"), {(0, 1): {2: ONE}, (0, 2): {1: -ONE}})
     return SolvableInput(
         algebra=g,
         nilradical=Subspace.from_vectors(3, [g.basis_vector(1), g.basis_vector(2)]),
@@ -140,16 +143,12 @@ def _rotation_input():
 
 def _shifted_complement_input():
     """T x| h3 with the complement spanned by T + X, not a basis vector."""
-    data = fixtures.solvable_heisenberg_input()
+    data = solvable_input(PARSED_FIXTURES["solv_heisenberg"])
     return SolvableInput(
         algebra=data.algebra,
         nilradical=data.nilradical,
         complement=Subspace.from_vectors(4, [{0: scalar(1), 1: scalar(1)}]),
     )
-
-
-def _from_file(parsed):
-    return SolvableInput(parsed.algebra, parsed.nilradical, parsed.complement)
 
 
 def _nilpotent_input(algebra):
@@ -162,15 +161,15 @@ def _solvable_cases():
     inputs = germbench_inputs()
     seeded = parse_algebra_dict(inputs.solvable_heisenberg(2, inputs.rng_for(0, "solv_h5")))
     return {
-        "solv_heisenberg": fixtures.solvable_heisenberg_input(),
-        "sol3": fixtures.sol3_input(),
+        "solv_heisenberg": solvable_input(PARSED_FIXTURES["solv_heisenberg"]),
+        "sol3": solvable_input(PARSED_FIXTURES["sol3"]),
         **{
-            f"file:{name}": _from_file(load_algebra_file(str(root / f"{name}.json")))
+            f"file:{name}": solvable_input(load_algebra_file(str(root / f"{name}.json")))
             for name in ("solv_heisenberg", "sol3")
         },
         "rotation": _rotation_input(),
         "shifted_complement": _shifted_complement_input(),
-        "seeded:solv_h5": _from_file(seeded),
+        "seeded:solv_h5": solvable_input(seeded),
         "h5_i_scaled": _nilpotent_input(h5_i_scaled()),
         **{f"generated:{name}": _nilpotent_input(a) for name, a in GENERATED.items()},
     }
@@ -191,7 +190,7 @@ def test_ad_s_map_matches_the_dense_reference(name):
 def test_nilshadow_builds_no_dense_rows(monkeypatch):
     # The nilshadow's checks eliminate on sparse rows only: with the
     # dense-row ``rref`` patched to raise, the results are unchanged.
-    data = fixtures.solvable_heisenberg_input()
+    data = solvable_input(PARSED_FIXTURES["solv_heisenberg"])
 
     def results():
         shadow, lcs = nilshadow(data)

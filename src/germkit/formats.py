@@ -465,24 +465,27 @@ def subdga_to_monomial_lists(sub: Dga) -> list[list[int]]:
 
 class _Exponents:
     """Exponent vectors of one length as json.dumps writes them after
-    ``newline``: a template of zeros, and each nonzero entry's text cut in
-    at its zero's spot, so an entry of any number of digits is exact."""
+    ``newline``, from ``template``, a slot per entry.  On a germ of at most
+    ``NARROW`` variables each slot is ``%d``, and one ``%`` writes a vector
+    in C, at a cost per variable; on a wider one each is ``0``, and ``text``
+    cuts the nonzero entries in, at a cost per nonzero entry in Python.  The
+    two meet at about 16 variables (BENCH_32.json).  The rule reads only the
+    length, once per germ: a test per term would cost what it saves."""
 
-    __slots__ = ("zeros", "spots")
+    __slots__ = ("narrow", "template", "spots")
+    NARROW = 15
 
     def __init__(self, length: int, newline: str):
         inner = newline + "  "
-        self.zeros = (
-            "[" + inner + ("," + inner).join("0" * length) + newline + "]"
-            if length
-            else "[]"
-        )
+        self.narrow = length <= self.NARROW
+        slots = ["%d" if self.narrow else "0"] * length
+        self.template = "[" + inner + ("," + inner).join(slots) + newline + "]" if length else "[]"
         step = len(inner) + 2
         self.spots = range(len(inner) + 1, len(inner) + 1 + length * step, step)
 
     def text(self, exps: ExponentVector, positions: Iterable[int]) -> str:
-        """The text of ``exps``, whose nonzero entries are at ``positions``."""
-        zeros, spots = self.zeros, self.spots
+        """A wide germ's ``exps``, whose nonzero entries are at ``positions``."""
+        zeros, spots = self.template, self.spots
         parts = []
         start = 0
         for k in positions:
@@ -499,7 +502,9 @@ def _phi_text(series: KuranishiSeries, newline: str) -> str:
     nonzero (1-monomial, target) value, each in sorted order, written
     straight from ``series.slices``.  The pieces joined are whole terms:
     on a deep germ, a piece per entry or per exponent would hold more
-    memory in string headers than in text."""
+    memory in string headers than in text.  A term's exponents are one
+    ``%`` over ``_Exponents.template`` on a narrow germ, spliced on a wide
+    one: the variable count says which costs less (``_Exponents``)."""
     n1, n2, n3, n4, n5, n6 = (newline + "  " * k for k in range(1, 7))
     ta = series.tdgla.target.dim
     labels = [_encode(label) for label in series.tdgla.target.labels]
@@ -519,7 +524,10 @@ def _phi_text(series: KuranishiSeries, newline: str) -> str:
             entries = ",".join(
                 [entry % (i // ta, labels[i % ta], _encode(str(vec[i]))) for i in sorted(vec)]
             )
-            exps_text = exponents.text(exps, compress(count(), exps))
+            if exponents.narrow:
+                exps_text = exponents.template % exps
+            else:
+                exps_text = exponents.text(exps, compress(count(), exps))
             text = term % ("[" + entries + n4 + "]" if vec else "[]", exps_text)
             chunks.append("," + text if t else text)
         chunks.append(n2 + "]" + n1 + "}")
@@ -533,17 +541,26 @@ def _obstructions_text(
     """(The polynomials' records as json.dumps writes their list after
     ``newline``, their printed forms), from one walk over each polynomial's
     terms (``multipoly.printed``); ``length`` is the number of variables.
-    With ``newline`` None, the printed forms alone."""
+    With ``newline`` None, the printed forms alone.  On a germ of at most
+    ``_Exponents.NARROW`` variables a record is one ``%`` over a template
+    with the coefficient's slot and a ``%d`` per variable, all in C; on a
+    wider one the exponents are spliced in, at a cost per nonzero entry
+    rather than per variable (``_Exponents``)."""
     if newline is None:
         return "", [printed(poly)[0] for poly in polynomials]
     n1, n2, n3 = (newline + "  " * k for k in range(1, 4))
     exponents = _Exponents(length, n3)
-    record = n2 + "{" + n3 + '"coefficient": %s,' + n3 + '"exponents": %s' + n2 + "}"
+    slot = exponents.template if exponents.narrow else "%s"
+    record = n2 + "{" + n3 + '"coefficient": %s,' + n3 + '"exponents": ' + slot + n2 + "}"
     chunks, pretty = ["["], []
     for k, poly in enumerate(polynomials):
         shown, terms = printed(poly)
         pretty.append(shown)
-        records = ",".join([record % (_encode(c), exponents.text(e, nz)) for _, e, nz, c in terms])
+        if exponents.narrow:
+            records = ",".join([record % (_encode(c), *e) for _, e, _, c in terms])
+        else:
+            text = exponents.text
+            records = ",".join([record % (_encode(c), text(e, nz)) for _, e, nz, c in terms])
         chunks.append(("," if k else "") + n1 + ("[" + records + n1 + "]" if terms else "[]"))
     chunks.append(newline + "]" if polynomials else "]")
     return "".join(chunks), pretty

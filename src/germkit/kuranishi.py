@@ -502,14 +502,12 @@ def kuranishi_series(
     m = len(zeta)
     variables = tuple(f"t{i + 1}" for i in range(m))
 
-    def unit_exp(i: int) -> ExponentVector:
-        return tuple(1 if k == i else 0 for k in range(m))
-
     fmt = Struct(f"{m}{_field_code(2 * cap)}")
     slices: dict[int, Slice] = {}
     # Each phi_r packed once, when it is produced.
     packed: dict[int, tuple[IntMaps, int]] = {}
-    phi1: Slice = {unit_exp(i): dict(z) for i, z in enumerate(zeta) if z}
+    zeros = (0,) * m  # each degree-one exponent vector is cut from it
+    phi1: Slice = {zeros[:i] + (1,) + zeros[i + 1 :]: dict(z) for i, z in enumerate(zeta) if z}
     if phi1:
         slices[1] = phi1
         packed[1] = _int_slice(phi1, fmt)

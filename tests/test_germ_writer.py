@@ -31,7 +31,7 @@ from germkit import cli, fixtures
 from germkit.cedga import Dga
 from germkit.cli import main
 from germkit.decomp import split_complex
-from germkit.formats import Fragment, algebra_to_dict, germ_to_dict, render_json
+from germkit.formats import Fragment, _Exponents, algebra_to_dict, germ_to_dict, render_json
 from germkit.kuranishi import TensorDgla, kuranishi_series, obstruction_system
 from germkit.multipoly import MultiPoly
 from germkit.scalars import ONE, Scalar, scalar
@@ -93,7 +93,9 @@ POLYNOMIALS = st.lists(
 
 
 def _germs(slices, polynomials, depth=0, variables=SERIES.variables):
-    series = dataclasses.replace(SERIES, slices=slices, variables=variables)
+    # A germ of fewer variables than the h3 series keeps that many of its zeta.
+    zeta_info = SERIES.zeta_info[: len(variables)]
+    series = dataclasses.replace(SERIES, slices=slices, variables=variables, zeta_info=zeta_info)
     system = dataclasses.replace(
         SYSTEM,
         variables=variables,
@@ -123,35 +125,45 @@ def test_germ_text_is_the_stdlib_dump_of_the_reference(slices, polynomials):
     _check(slices, polynomials)
 
 
-# A wide germ, as on a solvable algebra with gl3 values: 64 variables, each
-# term with one to three nonzero exponents, some of two digits.
-WIDE = tuple(f"t{i + 1}" for i in range(64))
-WIDE_EXPONENTS = st.dictionaries(
-    st.integers(0, len(WIDE) - 1), st.sampled_from([1, 2, 3, 10, 12, 37]), min_size=1, max_size=3
-).map(lambda spots: tuple(spots.get(k, 0) for k in range(len(WIDE))))
+# Germs on both sides of the writer's rule (``formats._Exponents``): one
+# variable, the most that take the "%d" template, one more, and 64, as on a
+# solvable algebra with gl3 values.  Each term has one to three nonzero
+# exponents, some of two digits, and every germ has a term with a 10 and a
+# term with a 12, with coefficients i and -i, in phi and in an obstruction.
+WIDTHS = [1, _Exponents.NARROW, _Exponents.NARROW + 1, 64]
 WIDE_COEFFICIENTS = st.one_of(st.sampled_from([I, -I, ONE, -ONE]), COEFFICIENTS)
-WIDE_SLICES = st.dictionaries(
-    st.integers(1, 40),
-    st.dictionaries(
-        WIDE_EXPONENTS,
-        st.dictionaries(st.integers(0, FLAT - 1), WIDE_COEFFICIENTS, min_size=1, max_size=3),
-        min_size=1,
+
+
+def _germs_of_width(width):
+    variables = tuple(f"t{i + 1}" for i in range(width))
+    exponents = st.dictionaries(
+        st.integers(0, width - 1), st.sampled_from([1, 2, 3, 10, 12, 37]), min_size=1, max_size=3
+    ).map(lambda spots: tuple(spots.get(k, 0) for k in range(width)))
+    ten, twelve = (10,) + (0,) * (width - 1), (0,) * (width - 1) + (12,)
+    slices = st.dictionaries(
+        st.integers(1, 40),
+        st.dictionaries(
+            exponents,
+            st.dictionaries(st.integers(0, FLAT - 1), WIDE_COEFFICIENTS, min_size=1, max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        max_size=3,
+    ).map(lambda slices: {**slices, 41: {ten: {0: I}, twelve: {FLAT - 1: -I}}})
+    polynomials = st.lists(
+        st.dictionaries(exponents, WIDE_COEFFICIENTS, max_size=8).map(
+            lambda terms: MultiPoly(variables, terms)
+        ),
         max_size=4,
-    ),
-    max_size=3,
-)
-WIDE_POLYNOMIALS = st.lists(
-    st.dictionaries(WIDE_EXPONENTS, WIDE_COEFFICIENTS, max_size=8).map(
-        lambda terms: MultiPoly(WIDE, terms)
-    ),
-    max_size=4,
-)
+    ).map(lambda polys: [*polys, MultiPoly(variables, {ten: I, twelve: -I})])
+    return st.tuples(st.just(variables), slices, polynomials)
 
 
-@settings(max_examples=40, deadline=None)
-@given(WIDE_SLICES, WIDE_POLYNOMIALS)
-def test_wide_germ_text_is_the_stdlib_dump_of_the_reference(slices, polynomials):
-    _check(slices, polynomials, WIDE)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WIDTHS).flatmap(_germs_of_width))
+def test_wide_germ_text_is_the_stdlib_dump_of_the_reference(germ):
+    variables, slices, polynomials = germ
+    _check(slices, polynomials, variables)
 
 
 def test_edge_germs_are_covered():

@@ -1,4 +1,3 @@
-import pathlib
 
 import pytest
 
@@ -17,7 +16,7 @@ from conftest import (
 
 from germkit import fixtures, linalg
 from germkit.errors import PreconditionError
-from germkit.formats import load_algebra_file, parse_algebra_dict
+from germkit.formats import parse_algebra_dict
 from germkit.liealg import LieAlgebra, Subspace, lower_central_series
 from germkit.nilshadow import SolvableInput, ad_s_map, nilshadow, validate_solvable_input
 from germkit.scalars import ONE, scalar
@@ -157,16 +156,11 @@ def _nilpotent_input(algebra):
 
 
 def _solvable_cases():
-    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
     inputs = germbench_inputs()
     seeded = parse_algebra_dict(inputs.solvable_heisenberg(2, inputs.rng_for(0, "solv_h5")))
     return {
         "solv_heisenberg": solvable_input(PARSED_FIXTURES["solv_heisenberg"]),
         "sol3": solvable_input(PARSED_FIXTURES["sol3"]),
-        **{
-            f"file:{name}": solvable_input(load_algebra_file(str(root / f"{name}.json")))
-            for name in ("solv_heisenberg", "sol3")
-        },
         "rotation": _rotation_input(),
         "shifted_complement": _shifted_complement_input(),
         "seeded:solv_h5": solvable_input(seeded),

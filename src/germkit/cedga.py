@@ -19,9 +19,12 @@ of rest strictly between i and j), the parity of moving x_i and x_j into
 place.  Terms that land on one monomial are added and zeros dropped.  The
 d o d check (``linalg.apply`` of d_(p+1) to each column of d_p), the Betti
 ranks (``linalg.sparse_rank``), the split and ``verify_subdga`` work on
-these columns.  Dense rows of d_p (``Dga.d``) are built per degree when
-first read; the program never reads them, and they are kept for the
-benchmark's counters and its ``rref`` probe.
+these columns.  Dense rows of d (``Dga.d``) are built afresh on each read
+for the benchmark's counters, its ``rref`` probe and the tests' dense
+references; the program never reads them.  A complex keeps each degree's
+monomials once, as a sorted tuple, and no map from monomial to index: an
+index is the monomial's place in that tuple, found by ``Dga.index``'s
+bisection.
 
 A monomial sub-DGA is a per-degree selection of monomials that contains the
 unit and is closed under both d and wedge.  ``verify_subdga`` is the one
@@ -78,7 +81,6 @@ def wedge_monomials(left: Monomial, right: Monomial) -> tuple[int, Monomial] | N
     return sort_with_sign(left + right)
 
 
-Position = dict[Monomial, tuple[int, int]]
 Column = list[tuple[int, Scalar]]
 
 
@@ -91,7 +93,7 @@ class Dga:
     d_(p+1) d_p in row-major order, in the lowest failing degree.
     """
 
-    __slots__ = ("algebra", "monomials", "position", "columns", "d")
+    __slots__ = ("algebra", "monomials", "columns")
 
     def __init__(self, algebra: LieAlgebra):
         n = algebra.dim
@@ -131,12 +133,11 @@ class Dga:
         ``verify_subdga`` has passed: this complex's columns, re-indexed.
         Both bases are in lexicographic order, so each column stays sorted."""
         levels = [sorted(level) for level in selected]
-        index = {mono: idx for level in levels for idx, mono in enumerate(level)}
 
         def column(p: int, mono: Monomial) -> Column:
             return [
-                (index[self.monomials[p + 1][row]], value)
-                for row, value in self.columns[p][self.position[mono][1]]
+                (bisect_left(levels[p + 1], self.monomials[p + 1][row]), value)
+                for row, value in self.columns[p][self.index(mono)]
             ]
 
         columns = [[column(p, mono) for mono in level] for p, level in enumerate(levels)]
@@ -153,11 +154,7 @@ class Dga:
         """Lay out the basis with d as ``columns`` and check d o d = 0."""
         self.algebra = algebra
         self.monomials: tuple[tuple[Monomial, ...], ...] = tuple(map(tuple, monomials))
-        self.position: Position = {
-            mono: (p, idx) for p, level in enumerate(monomials) for idx, mono in enumerate(level)
-        }
         self.columns: list[SparseColumns] = columns
-        self.d = DenseDifferential(self.columns, self.dims())
         for p in range(len(columns) - 2):
             failures = [
                 (r, c, value)
@@ -189,6 +186,29 @@ class Dga:
     def dims(self) -> list[int]:
         return [len(level) for level in self.monomials]
 
+    def index(self, mono: Monomial) -> int:
+        """The place of ``mono`` in ``monomials[len(mono)]``; KeyError when
+        the complex does not hold it."""
+        level = self.monomials[len(mono)]
+        idx = bisect_left(level, mono)
+        if idx == len(level) or level[idx] != mono:
+            raise KeyError(mono)
+        return idx
+
+    @property
+    def d(self) -> list[list[list[Scalar]]]:
+        """Dense rows of each d_p (none for the top degree), built afresh on
+        every read.  The program reads only ``columns``; the benchmark's
+        counters and rref microbenchmark (germbench/spans.py,
+        germbench/probes.py) and the tests' dense references read this."""
+        dims = [*self.dims(), 0]
+        dense = [[[ZERO] * dims[p] for _ in range(dims[p + 1])] for p in range(len(dims) - 1)]
+        for matrix, columns in zip(dense, self.columns):
+            for col, column in enumerate(columns):
+                for row, value in column:
+                    matrix[row][col] = value
+        return dense
+
     def betti(self) -> list[int]:
         """b_p = dim_p - rank d_p - rank d_(p-1), in every degree."""
         dims = self.dims()
@@ -214,31 +234,6 @@ class Dga:
             else:
                 parts.append(f"({c})*{mono}")
         return " + ".join(parts) if parts else "0"
-
-
-class DenseDifferential(Sequence):
-    """Read-only dense rows of each d_p, built from the columns on first read.
-
-    It holds the columns and the per-degree dimensions, not the ``Dga``, so
-    a complex is freed without the cyclic collector.
-    """
-
-    def __init__(self, columns: list[SparseColumns], dims: list[int]):
-        # d of the top degree maps into degree top + 1, which is zero.
-        self._columns, self._dims, self._built = columns, [*dims, 0], {}
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __getitem__(self, p: int) -> list[list[Scalar]]:
-        p = range(len(self))[p]
-        if p not in self._built:
-            ncols, nrows = self._dims[p], self._dims[p + 1]
-            self._built[p] = matrix = [[ZERO] * ncols for _ in range(nrows)]
-            for col, column in enumerate(self._columns[p]):
-                for row, value in column:
-                    matrix[row][col] = value
-        return self._built[p]
 
 
 def pd_type_check(dga: Dga) -> str | None:
@@ -307,8 +302,8 @@ def verify_subdga(
     if () not in chosen:
         return "selection does not contain the degree-0 unit"
     for mono in sorted(chosen):
-        p, idx = parent.position[mono]
-        for row, _ in parent.columns[p][idx]:
+        p = len(mono)
+        for row, _ in parent.columns[p][parent.index(mono)]:
             target = parent.monomials[p + 1][row]
             if target not in chosen:
                 return (

@@ -37,7 +37,7 @@ square.  Between sum and reduce, ``_apply_columns`` applies (matrix
 tensor id) to the integer maps, with the matrix converted once per stage
 to Gaussian-integer numerators over one denominator (``_int_columns``).
 
-Outside that kernel, elements are sparse Scalar vectors (``SparseVec``);
+Outside that kernel, elements are sparse Scalar vectors (``linalg.Row``);
 (matrix tensor id) in ``apply_matrix`` and the Maurer-Cartan residual are
 one ``linalg.apply`` call each, and ``PolyCochain.eval`` sums on integers
 (``multipoly.evaluate``).  The split that supplies delta and the harmonic
@@ -94,11 +94,10 @@ from .cedga import Dga, wedge_monomials
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
 from .liealg import LieAlgebra
-from .linalg import SparseColumns
+from .linalg import Row, SparseColumns
 from .multipoly import ExponentVector, MultiPoly, PointPowers, evaluate
 from .scalars import ONE, Scalar, from_ints
 
-SparseVec = dict[int, Scalar]
 # For each pair of degree-one monomials, (wedge sign, 2-monomial index) of
 # their product, or None where it vanishes (or is left out).
 WedgeTable = list[list[tuple[int, int] | None]]
@@ -114,12 +113,12 @@ class TensorDgla:
     def __init__(self, dga: Dga, target: LieAlgebra):
         self.dga = dga
         self.target = target
-        ones, position = dga.monomials[1], dga.position
+        ones = dga.monomials[1]
         # Every product of two degree-one monomials, for the kernel calls
         # that need every coordinate; ``wedge_onto`` prunes it.
         self._wedge11: WedgeTable = [
             [
-                None if merged is None else (merged[0], position[merged[1]][1])
+                None if merged is None else (merged[0], dga.index(merged[1]))
                 for merged in (wedge_monomials(left, right) for right in ones)
             ]
             for left in ones
@@ -143,7 +142,7 @@ class TensorDgla:
             f"⊗{self.target.labels[a]}"
         )
 
-    def element_str(self, p: int, v: SparseVec) -> str:
+    def element_str(self, p: int, v: Row) -> str:
         parts = [
             f"({c})*{self.basis_label(p, i)}" for i, c in sorted(v.items())
         ]
@@ -163,17 +162,17 @@ class TensorDgla:
 
     # -- operations -----------------------------------------------------------
 
-    def bracket11(self, u: SparseVec, v: SparseVec) -> SparseVec:
+    def bracket11(self, u: Row, v: Row) -> Row:
         """[u, v] for degree-one u, v: ``bracket_slices`` on one term each."""
         a = {(): u}
         return bracket_slices(self, [(1, a, a if v is u else {(): v})]).get((), {})
 
-    def apply_matrix(self, matrix_cols: SparseColumns, u: SparseVec) -> SparseVec:
+    def apply_matrix(self, matrix_cols: SparseColumns, u: Row) -> Row:
         """Apply (matrix tensor id) given sparse columns of the matrix."""
         return linalg.apply(matrix_cols, u.items(), stride=self.target.dim)
 
 
-def mc_residual(tdgla: TensorDgla, omega: SparseVec) -> SparseVec:
+def mc_residual(tdgla: TensorDgla, omega: Row) -> Row:
     """d(omega) + (1/2)[omega, omega] for a degree-one element."""
     out = tdgla.apply_matrix(tdgla.dga.columns[1], omega)
     square = tdgla.bracket11(omega, omega)
@@ -183,7 +182,7 @@ def mc_residual(tdgla: TensorDgla, omega: SparseVec) -> SparseVec:
 # -- polynomial cochains ------------------------------------------------------
 
 
-Slice = dict[ExponentVector, SparseVec]
+Slice = dict[ExponentVector, Row]
 
 
 @dataclass
@@ -197,7 +196,7 @@ class PolyCochain:
     variables: tuple[str, ...]
     slices: dict[int, Slice] = field(default_factory=dict)
 
-    def eval(self, at: PointPowers) -> SparseVec:
+    def eval(self, at: PointPowers) -> Row:
         """Exact substitution at a prepared point, shared with the
         obstruction polynomials (``multipoly.evaluate``)."""
         terms = [(e, vec.items()) for part in self.slices.values() for e, vec in part.items()]
@@ -407,7 +406,7 @@ def _reduce(entries: Iterable[Entry], den: int) -> Slice:
     """Reduce: ``_entries`` over ``den`` as a slice, one Scalar each."""
     out: Slice = {}
     # Output vectors by packed exponent, so each exponent is hashed once.
-    rows: dict[int, SparseVec] = {}
+    rows: dict[int, Row] = {}
     for index, packed, exps, x, y in entries:
         vec = rows.get(packed)
         if vec is None:
@@ -492,7 +491,7 @@ def kuranishi_series(
 
     harm1 = dec.harmonic_basis(1)
     ta = tdgla.target.dim
-    zeta: list[SparseVec] = []
+    zeta: list[Row] = []
     zeta_info: list[tuple[int, int]] = []
     for h, row in enumerate(harm1):
         for a in range(ta):
@@ -710,7 +709,7 @@ def linear_embedding_check(sub_dgla: TensorDgla, amb_dgla: TensorDgla) -> tuple[
     ta = sub_dgla.target.dim
     # The ambient index of each selection index, in degrees 1 and 2.
     lift = {
-        p: [ambient.position[m][1] * ta + a for m in sub.monomials[p] for a in range(ta)]
+        p: [ambient.index(m) * ta + a for m in sub.monomials[p] for a in range(ta)]
         for p in (1, 2)
     }
     n = sub_dgla.dim(1)

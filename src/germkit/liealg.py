@@ -8,7 +8,7 @@ Jacobi and unimodularity.  The Jacobi identity is checked at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import PreconditionError
@@ -218,15 +218,21 @@ def lower_central_series(algebra: LieAlgebra) -> LowerCentralSeries:
     return restricted_lower_central_series(algebra, Subspace.full(algebra.dim))
 
 
-def derived_series(algebra: LieAlgebra) -> list[Subspace]:
-    chain = [Subspace.full(algebra.dim)]
+def _descend(start: Subspace, step: Callable[[Subspace], Subspace]) -> tuple[list[Subspace], bool]:
+    """The chain start >= step(start) >= ... up to its first zero term
+    (True) or to where the dimension stops falling (False)."""
+    chain = [start]
     while True:
-        nxt = span_of_brackets(algebra, chain[-1], chain[-1])
+        nxt = step(chain[-1])
         if nxt.dim == chain[-1].dim:
-            return chain
+            return chain, False
         chain.append(nxt)
         if nxt.is_zero():
-            return chain
+            return chain, True
+
+
+def derived_series(algebra: LieAlgebra) -> list[Subspace]:
+    return _descend(Subspace.full(algebra.dim), lambda s: span_of_brackets(algebra, s, s))[0]
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:
@@ -237,15 +243,8 @@ def restricted_lower_central_series(
     algebra: LieAlgebra, sub: Subspace
 ) -> LowerCentralSeries:
     """Lower central series of a subalgebra, bracketed inside the ambient."""
-    chain = [sub]
-    while True:
-        nxt = span_of_brackets(algebra, sub, chain[-1])
-        if nxt.dim == chain[-1].dim:
-            # stabilized without reaching zero (only possible when nonzero)
-            return LowerCentralSeries(tuple(chain), None)
-        chain.append(nxt)
-        if nxt.is_zero():
-            return LowerCentralSeries(tuple(chain), len(chain) - 1)
+    chain, nilpotent = _descend(sub, lambda s: span_of_brackets(algebra, sub, s))
+    return LowerCentralSeries(tuple(chain), len(chain) - 1 if nilpotent else None)
 
 
 # -- gradings --------------------------------------------------------------------

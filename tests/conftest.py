@@ -7,7 +7,8 @@ these live here because only the tests call them:
   differentials from plain Fractions and the multilinear formula;
 - ``wedge_vectors``, ``apply_d`` and ``Cochain``: dense cochains of a
   ``Dga``, the harness of the Leibniz and graded-commutativity tests on
-  ``Dga.columns``;
+  ``Dga.columns``, with ``level_index``, a degree's {monomial: index}
+  read off ``Dga.monomials`` so that no reference calls ``Dga.index``;
 - ``tensor_bracket``: the bracket of ``C* (x) a`` in any pair of degrees,
   the reference of the DGLA-axiom tests;
 - ``RingPoly``: ``MultiPoly`` with ring arithmetic and checked terms, in
@@ -104,7 +105,6 @@ from germkit.kuranishi import (
     HALF,
     KuranishiSeries,
     Slice,
-    SparseVec,
     TensorDgla,
     bracket_slices,
     linear_embedding_check,
@@ -339,7 +339,7 @@ def dense_in_row_space(rref_rows: Matrix, pivots: list[int], v: Sequence[Scalar]
     return all(not x for x in residual)
 
 
-def vec_add_into(dst: SparseVec, src: SparseVec, factor: Scalar = ONE) -> None:
+def vec_add_into(dst: Row, src: Row, factor: Scalar = ONE) -> None:
     """dst += factor * src, dropping the entries that cancel."""
     for idx, c in src.items():
         total = dst.get(idx, ZERO) + factor * c
@@ -441,9 +441,16 @@ def oracle_betti(
 # -- dense cochains of a Dga -----------------------------------------------------
 
 
+def level_index(dga: Dga, p: int) -> dict[Monomial, int]:
+    """{monomial: index} of degree p of ``dga``, read off ``dga.monomials``
+    so that the references do not call ``Dga.index``."""
+    level = dga.monomials[p] if 0 <= p < len(dga.monomials) else ()
+    return {mono: idx for idx, mono in enumerate(level)}
+
+
 def wedge_vectors(dga: Dga, p: int, u: Vector, q: int, v: Vector) -> Vector:
     """Wedge of coefficient vectors; result in degree p+q of ``dga``."""
-    out = [ZERO] * dga.dim_at(p + q)
+    out, index = [ZERO] * dga.dim_at(p + q), level_index(dga, p + q)
     for iu, cu in enumerate(u):
         if not cu:
             continue
@@ -455,13 +462,13 @@ def wedge_vectors(dga: Dga, p: int, u: Vector, q: int, v: Vector) -> Vector:
             if merged is None:
                 continue
             sign, target = merged
-            spot = dga.position.get(target)
-            if spot is None or spot[0] != p + q:
+            spot = index.get(target)
+            if spot is None:
                 raise PreconditionError(
                     f"wedge leaves the span: {dga.monomial_label(target)} "
                     "is not in the complex"
                 )
-            out[spot[1]] = out[spot[1]] + scalar(sign) * cu * cv
+            out[spot] = out[spot] + scalar(sign) * cu * cv
     return out
 
 
@@ -484,9 +491,9 @@ class Cochain:
 
     @classmethod
     def from_monomial(cls, dga: Dga, mono: Monomial) -> "Cochain":
-        p, idx = dga.position[mono]
+        p = len(mono)
         coeffs = [ZERO] * dga.dim_at(p)
-        coeffs[idx] = ONE
+        coeffs[level_index(dga, p)[mono]] = ONE
         return cls(dga, p, tuple(coeffs))
 
     def wedge(self, other: "Cochain") -> "Cochain":
@@ -531,14 +538,15 @@ def hermitian(u: Vector, v: Vector) -> Scalar:
 
 
 def tensor_bracket(
-    tdgla: TensorDgla, p: int, u: SparseVec, q: int, v: SparseVec
-) -> SparseVec:
+    tdgla: TensorDgla, p: int, u: Row, q: int, v: Row
+) -> Row:
     """[u, v] for arbitrary degrees, term by term; degree one takes the
     library's ``bracket11``."""
     if p == 1 and q == 1:
         return tdgla.bracket11(u, v)
     ta = tdgla.target.dim
-    out: SparseVec = {}
+    out: Row = {}
+    index = level_index(tdgla.dga, p + q)
     for iu, cu in u.items():
         mu, au = divmod(iu, ta)
         left = tdgla.dga.monomials[p][mu]
@@ -549,13 +557,13 @@ def tensor_bracket(
             if merged is None:
                 continue
             sign, target = merged
-            spot = tdgla.dga.position.get(target)
-            if spot is None or spot[0] != p + q:
+            spot = index.get(target)
+            if spot is None:
                 raise PreconditionError(
                     "bracket leaves the complex; selection not closed"
                 )
             coeff = scalar(sign) * cu * cv
-            base = spot[1] * ta
+            base = spot * ta
             for k, c in tdgla.target.bracket({au: ONE}, {av: ONE}).items():
                 vec_add_into(out, {base + k: c}, coeff)
     return out
@@ -925,22 +933,23 @@ def _mul(a: Matrix, b: Matrix, nrows: int, inner: int, ncols: int) -> Matrix:
     return dense_mat_mul(a, b)
 
 
-def dstar_matrices(dga: Dga) -> list[Matrix]:
-    """The adjoint of d in each degree p >= 1, for the metric split."""
+def dstar_matrices(dga: Dga, d: list[Matrix]) -> list[Matrix]:
+    """The adjoint of d (``dga.d``, read once by the caller) in each degree
+    p >= 1, for the metric split."""
     return [zeros(0, dga.dim_at(0))] + [
-        conj_transpose(dga.d[p - 1], dga.dim_at(p - 1))
+        conj_transpose(d[p - 1], dga.dim_at(p - 1))
         for p in range(1, len(dga.monomials))
     ]
 
 
-def dense_laplacian(dga: Dga, dstar: list[Matrix], p: int) -> Matrix:
+def dense_laplacian(dga: Dga, d: list[Matrix], dstar: list[Matrix], p: int) -> Matrix:
     """d d* + d* d in degree p, from dense products."""
     dims = dga.dims()
     top = len(dims) - 1
     above = dims[p + 1] if p < top else 0
     below = dims[p - 1] if p >= 1 else 0
-    up = _mul(dstar[p + 1] if p < top else [], dga.d[p], dims[p], above, dims[p])
-    down = _mul(dga.d[p - 1] if p >= 1 else [], dstar[p], dims[p], below, dims[p])
+    up = _mul(dstar[p + 1] if p < top else [], d[p], dims[p], above, dims[p])
+    down = _mul(d[p - 1] if p >= 1 else [], dstar[p], dims[p], below, dims[p])
     return mat_add(up, down)
 
 
@@ -982,20 +991,20 @@ def split_complex_dense(
 ) -> DenseDecomposition:
     """The splitting from dense d, d*, Laplacians and the exact projection,
     with delta solved for every column of that projection."""
-    dims = dga.dims()
+    dims, d = dga.dims(), dga.d
     n = len(dims) - 1
     last = n if top is None else min(top, n)
-    dstar = dstar_matrices(dga) if strategy == "metric" else None
+    dstar = dstar_matrices(dga, d) if strategy == "metric" else None
     splits = []
     for p in range(last + 1):
         dim_p = dims[p]
-        exact = image_basis(dga.d[p - 1], dims[p - 1]) if p >= 1 else []
+        exact = image_basis(d[p - 1], dims[p - 1]) if p >= 1 else []
         if strategy == "metric":
-            harmonic = dense_kernel_basis(dense_laplacian(dga, dstar, p), dim_p)
+            harmonic = dense_kernel_basis(dense_laplacian(dga, d, dstar, p), dim_p)
             complement = image_basis(dstar[p + 1], dims[p + 1]) if p + 1 <= n else []
         else:
-            kernel = dense_kernel_basis(dga.d[p], dim_p)
-            _, pivots = dense_rref(dga.d[p], dim_p)
+            kernel = dense_kernel_basis(d[p], dim_p)
+            _, pivots = dense_rref(d[p], dim_p)
             complement = [
                 [ONE if i == c else ZERO for i in range(dim_p)] for c in pivots
             ]
@@ -1020,7 +1029,7 @@ def split_complex_dense(
             delta.append(zeros(dims[p - 1], dims[p]))
             continue
         comp_cols = transpose(comp, dims[p - 1])
-        d_comp = _mul(dga.d[p - 1], comp_cols, dims[p], dims[p - 1], len(comp))
+        d_comp = _mul(d[p - 1], comp_cols, dims[p], dims[p - 1], len(comp))
         beta = splits[p].proj_exact
         rhs = [[beta[i][j] for i in range(dims[p])] for j in range(dims[p])]
         ys = dense_solve_many(d_comp, rhs, len(comp))
@@ -1105,8 +1114,9 @@ def linear_embedding_check_reference(
     with the same result and witness text as ``linear_embedding_check``."""
     sub_dgla, amb_dgla = TensorDgla(sub, target), TensorDgla(ambient, target)
     ta = target.dim
+    index = {p: level_index(ambient, p) for p in (1, 2)}
     lift = {
-        p: [ambient.position[m][1] * ta + a for m in sub.monomials[p] for a in range(ta)]
+        p: [index[p][m] * ta + a for m in sub.monomials[p] for a in range(ta)]
         for p in (1, 2)
     }
     n = sub_dgla.dim(1)

@@ -183,9 +183,10 @@ def test_criterion_4_hodge_machinery():
                 len(split.harmonic) + len(split.exact) + len(split.complement)
                 == dga.dim_at(p)
             )
+        d = dga.d
         for p in range(algebra.dim):
             dim_p, dim_q = dga.dim_at(p), dga.dim_at(p + 1)
-            dstar = conj_transpose(dga.d[p], dim_p)
+            dstar = conj_transpose(d[p], dim_p)
             for a_idx in range(dim_p):
                 alpha = [ONE if i == a_idx else ZERO for i in range(dim_p)]
                 d_alpha = apply_d(dga, p, alpha)

@@ -1,6 +1,8 @@
 import gc
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from conftest import (
     Cochain,
     abelian,
     book3,
+    dense_kernel_basis,
     dense_rref,
     germbench_inputs,
     h5_i_scaled,
@@ -43,18 +46,20 @@ from germkit.scalars import ONE, ZERO, scalar
 
 def test_h3_differential():
     dga = Dga(FIXTURE_ALGEBRAS["h3"])
+    d1 = dga.d[1]
     # dx = dy = 0, dz = -x^y
-    assert [dga.d[1][r][0] for r in range(3)] == [ZERO, ZERO, ZERO]
-    assert [dga.d[1][r][1] for r in range(3)] == [ZERO, ZERO, ZERO]
-    assert [str(dga.d[1][r][2]) for r in range(3)] == ["-1", "0", "0"]
+    assert [d1[r][0] for r in range(3)] == [ZERO, ZERO, ZERO]
+    assert [d1[r][1] for r in range(3)] == [ZERO, ZERO, ZERO]
+    assert [str(d1[r][2]) for r in range(3)] == ["-1", "0", "0"]
     assert dga.monomials[2][0] == (0, 1)
 
 
 def test_filiform_differential():
     dga = Dga(FIXTURE_ALGEBRAS["filiform4"])
     # de3 = -e1^e2, de4 = -e1^e3
-    col3 = [dga.d[1][r][2] for r in range(6)]
-    col4 = [dga.d[1][r][3] for r in range(6)]
+    d1 = dga.d[1]
+    col3 = [d1[r][2] for r in range(6)]
+    col4 = [d1[r][3] for r in range(6)]
     m2 = dga.monomials[2]
     assert col3[m2.index((0, 1))] == -ONE and sum(1 for c in col3 if c) == 1
     assert col4[m2.index((0, 2))] == -ONE and sum(1 for c in col4 if c) == 1
@@ -68,22 +73,20 @@ def test_abelian_differential_is_zero():
 @pytest.mark.parametrize("name", sorted(UNIMODULAR))
 def test_engine_matches_multilinear_oracle(name):
     algebra = UNIMODULAR[name]
-    dga = Dga(algebra)
-    assert len(dga.d) == algebra.dim + 1
+    d = Dga(algebra).d
+    assert len(d) == algebra.dim + 1
     for p in range(algebra.dim + 1):
-        assert dga.d[p] == oracle_d_matrix(algebra, p), (name, p)
+        assert d[p] == oracle_d_matrix(algebra, p), (name, p)
 
 
 def test_dense_rows_are_built_only_for_the_degrees_read():
     dga = Dga(GENERATED["h7"])
-    assert dga.d._built == {}
-    assert dga.d[2] is dga.d[-6] and list(dga.d._built) == [2]
     assert [len(m) for m in dga.d] == dga.dims()[1:] + [0]
 
 
 def test_complex_is_freed_without_the_cyclic_collector():
-    # Dga.d holds the columns, not the Dga: dropping a complex whose dense
-    # rows were read leaves no cycle for the collector to find.
+    # Dga.d keeps nothing: dropping a complex whose dense rows were read
+    # leaves no cycle for the collector to find.
     algebra = FIXTURE_ALGEBRAS["h5"]
     enabled = gc.isenabled()
     gc.disable()
@@ -123,8 +126,7 @@ def test_seeded_complex_matches_oracle_in_every_degree(name):
     matrices = [oracle_d_matrix(algebra, p) for p in range(algebra.dim + 1)]
     dga = Dga(algebra)
     assert any(c != ONE for _, _, comps in algebra.nonzero_brackets() for c in comps.values())
-    for p, matrix in enumerate(matrices):
-        assert dga.d[p] == matrix, (name, p)
+    assert dga.d == matrices, name
     # The dense Gauss-Jordan rank over Q(i) of each oracle matrix.
     ranks = [len(dense_rref(matrix, dga.dim_at(p))[0]) for p, matrix in enumerate(matrices)]
     assert dga.betti() == [
@@ -353,7 +355,7 @@ def test_unimodular_duality_of_selections():
     total = [sum(v[c] for v in chars.exponents) for c in range(chars.rank)]
     assert all(t == 0 for t in total)
     sub = subdga_from_characters(dga, chars)
-    chosen = set(sub.position)
+    chosen = {mono for level in sub.monomials for mono in level}
     everything = tuple(range(4))
     for mono in chosen:
         complement = tuple(i for i in everything if i not in mono)
@@ -411,9 +413,70 @@ def test_restriction_matches_the_oracle_on_the_selection(name):
     algebra, sub = RESTRICTIONS[name]()
     assert verify_subdga(Dga(algebra), sub.monomials) is None
     assert sub.columns == _oracle_columns(algebra, sub.monomials)
-    assert sub.position == {
-        m: (p, i) for p, level in enumerate(sub.monomials) for i, m in enumerate(level)
-    }
+
+
+def _closed_generators(algebra: LieAlgebra) -> tuple[LieAlgebra, Dga]:
+    """The explicit selection of the monomials on the generators x_k with
+    d x_k = 0: d, a derivation, vanishes on them, and wedge keeps them."""
+    full = Dga(algebra)
+    closed = {k for k, column in enumerate(full.columns[1]) if not column}
+    keep = [[m for m in level if closed.issuperset(m)] for level in full.monomials]
+    assert verify_subdga(full, keep) is None
+    return algebra, full.restrict(keep)
+
+
+def _additive_characters(algebra: LieAlgebra) -> tuple[LieAlgebra, Dga]:
+    """The selection of a rank-one character w with w_k = w_i + w_j wherever
+    c_ij^k != 0, so that d and wedge keep it: the kernel basis of those
+    conditions summed with weights -1, 2, -3, ..., denominators cleared."""
+    n = algebra.dim
+    rows = []
+    for i, j, comps in algebra.nonzero_brackets():
+        for k in comps:
+            row = [ZERO] * n
+            for q, c in ((k, ONE), (i, -ONE), (j, -ONE)):
+                row[q] = row[q] + c
+            rows.append(row)
+    kernel = dense_kernel_basis(rows, n)
+    weights = [
+        sum(((-1) ** t * t * v[q].re for t, v in enumerate(kernel, 1)), Fraction(0))
+        for q in range(n)
+    ]
+    scale = math.lcm(*(w.denominator for w in weights))
+    characters = CharacterData(rank=1, exponents=tuple((int(w * scale),) for w in weights))
+    return algebra, subdga_from_characters(Dga(algebra), characters)
+
+
+# name -> () -> (algebra, a complex of it): every fixture and generated
+# complex, in full and under an explicit and a character selection, and
+# the restrictions above.
+INDEXED = {
+    **{
+        f"{kind}:{source}:{name}": (lambda make=make, algebra=algebra: make(algebra))
+        for source, algebras in (("fixture", FIXTURE_ALGEBRAS), ("generated", GENERATED))
+        for name, algebra in algebras.items()
+        for kind, make in (
+            ("full", lambda a: (a, Dga(a))),
+            ("closed", _closed_generators),
+            ("characters", _additive_characters),
+        )
+    },
+    **{f"restriction:{name}": make for name, make in RESTRICTIONS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_index_is_the_place_in_the_degree(name):
+    algebra, dga = INDEXED[name]()
+    for level in dga.monomials:
+        assert [dga.index(mono) for mono in level] == list(range(len(level))), name
+    # Every monomial of the full complex that the selection leaves out.
+    held = {mono for level in dga.monomials for mono in level}
+    for level in Dga(algebra).monomials:
+        for mono in level:
+            if mono not in held:
+                with pytest.raises(KeyError):
+                    dga.index(mono)
 
 
 def test_wedge_monomial_signs():

@@ -21,6 +21,7 @@ from conftest import (
     inferred_grading,
     is_zero_matrix,
     kernel_containment_dense,
+    level_index,
     mat_vec,
     oracle_betti,
     sparse,
@@ -94,7 +95,7 @@ def test_poincare_duality_on_unimodular_fixtures(name):
 def test_adjointness_on_every_basis_pair(name):
     algebra = UNIMODULAR[name]
     dga = Dga(algebra)
-    dstar = dstar_matrices(dga)
+    dstar = dstar_matrices(dga, dga.d)
     n = algebra.dim
     for p in range(n):
         dim_p, dim_q = dga.dim_at(p), dga.dim_at(p + 1)
@@ -124,9 +125,10 @@ def test_metric_harmonics_are_two_sided_kernels():
     for name, algebra in UNIMODULAR.items():
         dga = Dga(algebra)
         dec = split_complex(dga)
-        dstar = dstar_matrices(dga)
+        d = dga.d
+        dstar = dstar_matrices(dga, d)
         for p in range(len(dec.splits)):
-            lap = dense_laplacian(dga, dstar, p)
+            lap = dense_laplacian(dga, d, dstar, p)
             harmonic = dense_rows(dec.harmonic_basis(p), dga.dim_at(p))
             for row in harmonic:
                 assert not any(mat_vec(lap, row)), (name, p)
@@ -146,10 +148,11 @@ def test_delta_respects_weights_in_degree_two():
         dec = split_complex(dga, "metric", grading)
         weights = dec.weights
         assert weights is not None
+        index = level_index(dga, 2)
         for k, monos in degree2_weight_table(dga, weights).items():
             for mono in monos:
                 vec = [ZERO] * dga.dim_at(2)
-                vec[dga.position[mono][1]] = ONE
+                vec[index[mono]] = ONE
                 out = mat_vec(dense_columns(dec.delta[2], dga.dim_at(1)), vec)
                 for i, c in enumerate(out):
                     if c:
@@ -365,9 +368,10 @@ def test_extend_basis_chooses_the_reference_rows(algebra):
     # inside the kernel of d; then the same with the kernel rows reversed,
     # so the exact part and the kept rows arrive in another order.
     dga = Dga(algebra)
+    d = dga.d
     for p, dim in enumerate(dga.dims()):
-        exact = image_basis(dga.d[p - 1], dga.dim_at(p - 1)) if p else []
-        kernel = dense_kernel_basis(dga.d[p], dim)
+        exact = image_basis(d[p - 1], dga.dim_at(p - 1)) if p else []
+        kernel = dense_kernel_basis(d[p], dim)
         for inside in (kernel, kernel[::-1], exact + kernel):
             chosen = _extend_basis(_sparse(exact), _sparse(inside))
             assert dense_rows(chosen, dim) == extend_basis_reference(exact, inside, dim), p

@@ -1024,8 +1024,8 @@ def test_pipeline_checks_each_structural_fact_once(
     # own, which its self-check computes and hands out (the nilradical's
     # series is not counted).  One
     # naturality check, and the degree-2 cocycles read off the split, not
-    # off a kernel of d_2.
-    from germkit import decomp, liealg, linalg
+    # off a kernel of the dense d_2.
+    from germkit import decomp, liealg
 
     calls = collections.Counter()
 
@@ -1047,29 +1047,29 @@ def test_pipeline_checks_each_structural_fact_once(
             monkeypatch.setattr(
                 module, "verify_natural_grading", counting("verify", verify)
             )
-    kernels, built = [], []
-    kernel_basis, init = linalg.kernel_basis, cli.Dga.__init__
-
-    def recording_kernel(matrix, ncols):
-        kernels.append(matrix)
-        return kernel_basis(matrix, ncols)
-
-    def recording_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "kernel_basis", recording_kernel)
-    monkeypatch.setattr(cli.Dga, "__init__", recording_init)
+    reads = _record_dense_reads(monkeypatch)
     code, _, _ = run(capsys, "pipeline", str(FIXTURES / fixture), "--target", "sl2")
     assert code == 0
     assert calls == {"series": series_runs, "verify": 1}
-    assert not any(m is dga.d[2] for dga in built for m in kernels)
+    assert reads == []
+
+
+def _record_dense_reads(monkeypatch) -> list:
+    """Patch ``Dga.d`` to record each complex whose dense rows are read."""
+    reads, dense = [], cli.Dga.d
+
+    def reading(self):
+        reads.append(self)
+        return dense.fget(self)
+
+    monkeypatch.setattr(cli.Dga, "d", property(reading))
+    return reads
 
 
 @pytest.mark.parametrize("strategy", ["metric", "pivot"])
 @pytest.mark.parametrize("command", ["pipeline", "decompose"])
 def test_split_builds_no_dense_differential(monkeypatch, capsys, command, strategy):
-    # The split reads only the sparse columns of d; Dga.d stays unbuilt.
+    # The split reads only the sparse columns of d; nothing reads Dga.d.
     built = []
     init = cli.Dga.__init__
 
@@ -1078,10 +1078,11 @@ def test_split_builds_no_dense_differential(monkeypatch, capsys, command, strate
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli.Dga, "__init__", recording)
+    reads = _record_dense_reads(monkeypatch)
     argv = [command, str(FIXTURES / "h5.json"), "--strategy", strategy]
     code, _, _ = run(capsys, *argv, *(["--target", "sl2"] if command == "pipeline" else []))
     assert code == 0 and built
-    assert all(dga.d._built == {} for dga in built)
+    assert reads == []
 
 
 def test_one_dimensional_algebra_has_no_degree_two(tmp_path, capsys):

@@ -129,6 +129,28 @@ def test_deep_target_digest(tmp_path):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_TARGET
 
 
+# sha256 of the scrubbed stdout of ``pipeline --target sl2 --json`` on
+# germbench's unit h15 and L14: complexes of 32,768 and 16,384 monomials,
+# the widest that any test reaches.
+WIDE = {
+    "h15": ("heisenberg", 7, "ac5b1e813b944f342b3a9d2de1a052215574006e53284b82200c1829c7aecc8a"),
+    "L14": ("filiform", 14, "bdfab055d654b8431e54324e30067220fca6a8e3d494755e9d16d6617eaf500c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_wide_complex_digest(tmp_path, name):
+    from conftest import germbench_inputs
+
+    family, size, expected = WIDE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(getattr(germbench_inputs(), family)(size, None)), encoding="utf-8")
+    code, out, err = _invoke(["pipeline", str(path), "--target", "sl2", "--json"])
+    assert (code, err) == (0, "")
+    out = out.replace(str(tmp_path), "<input>")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     if sys.argv[1:] != ["--write"]:

@@ -25,6 +25,7 @@ from conftest import (
     homogeneous_components,
     homogeneous_degrees,
     inferred_grading,
+    level_index,
     linear_embedding_check_reference,
     show_reference,
     solvable_input,
@@ -682,6 +683,7 @@ def _reference_bracket(dga, target, a, b):
     so it shares nothing with the kernel's tables.
     """
     ta = target.dim
+    index = level_index(dga, 2)
     table = {(i, j): comps for i, j, comps in target.nonzero_brackets()}
     for (i, j), comps in list(table.items()):
         table[(j, i)] = {k: -c for k, c in comps.items()}
@@ -697,8 +699,7 @@ def _reference_bracket(dga, target, a, b):
                     if merged is None:
                         continue
                     sign, mono = merged
-                    degree, spot = dga.position[mono]
-                    assert degree == 2
+                    spot = index[mono]
                     vec = out.setdefault(exps, {})
                     for k, c in table.get((au, av), {}).items():
                         key = spot * ta + k

@@ -43,13 +43,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "germkit"
 SCRIPTS = ROOT / "scripts"
 
-ALLOWED: dict[str, str] = {
-    "cedga.Dga.d": (
-        "dense rows of d, built on first read; the program reads only "
-        "Dga.columns, and the benchmark's counters and rref microbenchmark "
-        "(germbench/spans.py, germbench/probes.py) read Dga.d"
-    ),
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _references(node: ast.AST) -> Counter:

@@ -42,11 +42,10 @@ import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import PreconditionError
-from .liealg import LieAlgebra
+from .liealg import Frozen, LieAlgebra
 from .linalg import Row, SparseColumns
 from .scalars import ONE, Scalar, ZERO, scalar
 
@@ -210,9 +209,16 @@ class Dga:
         return dense
 
     def betti(self) -> list[int]:
-        """b_p = dim_p - rank d_p - rank d_(p-1), in every degree."""
-        dims = self.dims()
-        ranks = [linalg.sparse_rank(columns) for columns in self.columns]
+        """b_p = dim_p - rank d_p - rank d_(p-1), in every degree.  On a full
+        complex with d = 0 on degree n - 1 (a unimodular algebra), the wedge
+        pairing into degree n makes d_p the transpose of d_(n-1-p) up to sign,
+        so only the lower half is ranked: rank d_p = rank d_(n-1-p)."""
+        dims, n = self.dims(), self.algebra.dim
+        dual = sum(dims) == 1 << n and not any(self.columns[n - 1])
+        ranks: list[int] = []
+        for p, cols in enumerate(self.columns):
+            mirror = n - 1 - p
+            ranks.append(ranks[mirror] if dual and 0 <= mirror < p else linalg.sparse_rank(cols))
         return [
             dims[p] - ranks[p] - (ranks[p - 1] if p else 0)
             for p in range(len(dims))
@@ -323,39 +329,37 @@ def verify_subdga(
     return None
 
 
-@dataclass(frozen=True)
-class TorsionComponent:
-    modulus: int
-    residues: tuple[int, ...]
+class TorsionComponent(Frozen):
+    __slots__ = ("modulus", "residues")
 
-    def __post_init__(self):
-        if self.modulus < 2:
+    def __init__(self, modulus: int, residues: tuple[int, ...]):
+        if modulus < 2:
             raise ValueError("torsion modulus must be at least 2")
+        self._assign(modulus=modulus, residues=residues)
 
 
-@dataclass(frozen=True)
-class CharacterData:
+class CharacterData(Frozen):
     """Exponent vectors of basis characters on a f.g. abelian value group.
 
     A monomial x_I is invariant exactly when the exponents over I sum to
     zero in every free coordinate and to zero modulo each torsion modulus.
     """
 
-    rank: int
-    exponents: tuple[tuple[int, ...], ...]
-    torsion: tuple[TorsionComponent, ...] = field(default_factory=tuple)
+    __slots__ = ("rank", "exponents", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(
+        self, rank: int, exponents: tuple[tuple[int, ...], ...],
+        torsion: tuple[TorsionComponent, ...] = (),
+    ):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        for vec in self.exponents:
-            if len(vec) != self.rank:
-                raise ValueError(
-                    f"exponent vector {vec} does not have rank {self.rank}"
-                )
-        for comp in self.torsion:
-            if len(comp.residues) != len(self.exponents):
+        for vec in exponents:
+            if len(vec) != rank:
+                raise ValueError(f"exponent vector {vec} does not have rank {rank}")
+        for comp in torsion:
+            if len(comp.residues) != len(exponents):
                 raise ValueError("torsion residues must cover every basis index")
+        self._assign(rank=rank, exponents=exponents, torsion=torsion)
 
     def selects(self, mono: Monomial) -> bool:
         for coord in range(self.rank):

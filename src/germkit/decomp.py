@@ -50,8 +50,6 @@ contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .cedga import Dga, Monomial
 from .errors import InternalCheckError, PreconditionError
@@ -74,27 +72,34 @@ def monomial_weight(weights: list[int], mono: Monomial) -> int:
     return sum(weights[i] for i in mono)
 
 
-@dataclass
 class DegreeSplit:
-    """Bases for one degree of the complex, and coordinates in them."""
+    """Bases for one degree of the complex, and coordinates in them: rows
+    spanning the harmonic representatives, im(d) and the chosen complement
+    of ker(d), and for each j the coordinates of e_j in the harmonic and in
+    the exact basis."""
 
-    harmonic: list[Row]     # rows spanning the harmonic representatives
-    exact: list[Row]        # rows spanning im(d)
-    complement: list[Row]   # rows spanning the chosen complement of ker(d)
-    harmonic_coords: SparseColumns  # column j: e_j in the harmonic basis
-    exact_coords: SparseColumns     # column j: e_j in the exact basis
+    __slots__ = ("harmonic", "exact", "complement", "harmonic_coords", "exact_coords")
+
+    def __init__(
+        self, harmonic: list[Row], exact: list[Row], complement: list[Row],
+        harmonic_coords: SparseColumns, exact_coords: SparseColumns,
+    ):
+        self.harmonic, self.exact, self.complement = harmonic, exact, complement
+        self.harmonic_coords, self.exact_coords = harmonic_coords, exact_coords
 
 
-@dataclass
 class Decomposition:
     """Splitting of degrees 0..top plus the homotopy operator delta there:
     ``delta[p]`` holds delta: C^p -> C^(p-1) as sparse columns."""
 
-    dga: Dga
-    grading: Grading | None
-    weights: list[int] | None
-    splits: list[DegreeSplit]
-    delta: list[SparseColumns]
+    __slots__ = ("dga", "grading", "weights", "splits", "delta")
+
+    def __init__(
+        self, dga: Dga, grading: Grading | None, weights: list[int] | None,
+        splits: list[DegreeSplit], delta: list[SparseColumns],
+    ):
+        self.dga, self.grading, self.weights = dga, grading, weights
+        self.splits, self.delta = splits, delta
 
     def betti(self) -> list[int]:
         return [len(split.harmonic) for split in self.splits]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count
 from typing import Any, Callable, Iterable
@@ -178,15 +177,17 @@ def _coerce_scalar(value: Any, where: str, scalars: ParsedScalars) -> Scalar:
 # -- algebra files ---------------------------------------------------------------
 
 
-@dataclass
 class ParsedAlgebra:
-    name: str
-    algebra: LieAlgebra
-    grading: Grading | None
-    nilradical: Subspace | None
-    complement: Subspace | None
-    characters: CharacterData | None
-    digest: str | None
+    __slots__ = ("name", "algebra", "grading", "nilradical", "complement", "characters", "digest")
+
+    def __init__(
+        self, name: str, algebra: LieAlgebra, grading: Grading | None,
+        nilradical: Subspace | None, complement: Subspace | None,
+        characters: CharacterData | None, digest: str | None,
+    ):
+        self.name, self.algebra, self.grading = name, algebra, grading
+        self.nilradical, self.complement = nilradical, complement
+        self.characters, self.digest = characters, digest
 
 
 def _parse_vector(
@@ -634,17 +635,21 @@ def germ_to_dict(
     }
 
 
-@dataclass
 class GermData:
     """A germ file rebuilt far enough to evaluate points exactly."""
 
-    decomposition: Decomposition
-    tdgla: TensorDgla
-    variables: tuple[str, ...]
-    phi: PolyCochain
-    polynomials: tuple[MultiPoly, ...]
-    coordinates: tuple[str, ...]
-    terminated: bool
+    __slots__ = (
+        "decomposition", "tdgla", "variables", "phi", "polynomials", "coordinates", "terminated"
+    )
+
+    def __init__(
+        self, decomposition: Decomposition, tdgla: TensorDgla, variables: tuple[str, ...],
+        phi: PolyCochain, polynomials: tuple[MultiPoly, ...], coordinates: tuple[str, ...],
+        terminated: bool,
+    ):
+        self.decomposition, self.tdgla, self.variables = decomposition, tdgla, variables
+        self.phi, self.polynomials = phi, polynomials
+        self.coordinates, self.terminated = coordinates, terminated
 
 
 _KINDS = {

@@ -82,8 +82,6 @@ e_k + e_l, since the residual is quadratic and [e_k, e_k] = 0.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from struct import Struct, calcsize
@@ -93,7 +91,7 @@ from . import linalg
 from .cedga import Dga, wedge_monomials
 from .decomp import Decomposition
 from .errors import InternalCheckError, PreconditionError
-from .liealg import LieAlgebra
+from .liealg import Frozen, LieAlgebra
 from .linalg import Row, SparseColumns
 from .multipoly import ExponentVector, MultiPoly, PointPowers, evaluate
 from .scalars import ONE, Scalar, from_ints
@@ -185,7 +183,6 @@ def mc_residual(tdgla: TensorDgla, omega: Row) -> Row:
 Slice = dict[ExponentVector, Row]
 
 
-@dataclass
 class PolyCochain:
     """L^1-valued polynomial in the deformation parameters.
 
@@ -193,8 +190,10 @@ class PolyCochain:
     exponent vectors to sparse L^1 vectors.
     """
 
-    variables: tuple[str, ...]
-    slices: dict[int, Slice] = field(default_factory=dict)
+    __slots__ = ("variables", "slices")
+
+    def __init__(self, variables: tuple[str, ...], slices: dict[int, Slice]):
+        self.variables, self.slices = variables, slices
 
     def eval(self, at: PointPowers) -> Row:
         """Exact substitution at a prepared point, shared with the
@@ -437,22 +436,29 @@ def bracket_slices(tdgla: TensorDgla, pairs: list[tuple[int, Slice, Slice]]) -> 
 # -- the deformation series ----------------------------------------------------
 
 
-@dataclass
 class KuranishiSeries:
-    """The solved series with its context and termination certificate."""
+    """The solved series with its context and termination certificate.
+    ``zeta_info`` holds (harmonic 1-form index, target index) per variable;
+    ``obstruction_terms`` and ``obstruction_degrees`` are the harmonic
+    coordinates of [phi, phi]: for each obstruction coordinate h * dim a + a,
+    its terms by exponent vector and its degrees, ascending."""
 
-    tdgla: TensorDgla
-    decomposition: Decomposition
-    variables: tuple[str, ...]
-    zeta_info: list[tuple[int, int]]  # (harmonic 1-form index, target index)
-    slices: dict[int, Slice]
-    cap: int
-    terminated: bool
-    last_nonzero: int
-    # The harmonic coordinates of [phi, phi]: for each obstruction coordinate
-    # h * dim a + a, its terms by exponent vector and its degrees, ascending.
-    obstruction_terms: list[dict[ExponentVector, Scalar]]
-    obstruction_degrees: list[list[int]]
+    __slots__ = (
+        "tdgla", "decomposition", "variables", "zeta_info", "slices", "cap", "terminated",
+        "last_nonzero", "obstruction_terms", "obstruction_degrees",
+    )
+
+    def __init__(
+        self, tdgla: TensorDgla, decomposition: Decomposition, variables: tuple[str, ...],
+        zeta_info: list[tuple[int, int]], slices: dict[int, Slice], cap: int,
+        terminated: bool, last_nonzero: int,
+        obstruction_terms: list[dict[ExponentVector, Scalar]],
+        obstruction_degrees: list[list[int]],
+    ):
+        self.tdgla, self.decomposition, self.variables = tdgla, decomposition, variables
+        self.zeta_info, self.slices, self.cap = zeta_info, slices, cap
+        self.terminated, self.last_nonzero = terminated, last_nonzero
+        self.obstruction_terms, self.obstruction_degrees = obstruction_terms, obstruction_degrees
 
 
 def _square(
@@ -565,27 +571,27 @@ def kuranishi_series(
 # -- obstruction systems ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionSystem:
+class ObstructionSystem(Frozen):
     """Polynomials presenting the flat germ on the harmonic slice, with the
     degrees of each one's homogeneous components, ascending, as the series
     recorded them."""
 
-    variables: tuple[str, ...]
-    coordinates: tuple[str, ...]
-    polynomials: tuple[MultiPoly, ...]
-    nu: int | None
-    cap: int
-    terminated: bool
-    degrees: list[list[int]]
+    __slots__ = (
+        "variables", "coordinates", "polynomials", "nu", "cap", "terminated", "degrees",
+        "max_degree", "is_smooth",
+    )
 
-    @cached_property
-    def max_degree(self) -> int:
-        return max((d[-1] for d in self.degrees if d), default=0)
-
-    @cached_property
-    def is_smooth(self) -> bool:
-        return not any(self.polynomials)
+    def __init__(
+        self, variables: tuple[str, ...], coordinates: tuple[str, ...],
+        polynomials: tuple[MultiPoly, ...], nu: int | None, cap: int, terminated: bool,
+        degrees: list[list[int]],
+    ):
+        self._assign(
+            variables=variables, coordinates=coordinates, polynomials=polynomials, nu=nu,
+            cap=cap, terminated=terminated, degrees=degrees,
+            max_degree=max((d[-1] for d in degrees if d), default=0),
+            is_smooth=not any(polynomials),
+        )
 
     @property
     def valid_modulo(self) -> int | None:

@@ -7,7 +7,6 @@ Jacobi and unimodularity.  The Jacobi identity is checked at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -136,20 +135,45 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, labels={self.labels})"
 
 
+class Frozen:
+    """Base of the read-only records: ``__init__`` fills the ``__slots__``
+    through ``_assign``, and any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def _assign(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+def _equal_fields(self: Frozen, other: object) -> bool:
+    """``__eq__`` of the records that are compared: same class, equal fields."""
+    return type(other) is type(self) and all(
+        getattr(self, name) == getattr(other, name) for name in self.__slots__
+    )
+
+
 # -- subspaces ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Subspace of Q(i)^n held as the reduced echelon rows ``linalg.echelon``
     gives, with their pivot columns.
 
     Equality of subspaces is literal equality of the stored rows.
     """
 
-    ambient_dim: int
-    rows: tuple[Row, ...]
-    pivots: tuple[int, ...]
+    __slots__ = ("ambient_dim", "rows", "pivots")
+
+    def __init__(self, ambient_dim: int, rows: tuple[Row, ...], pivots: tuple[int, ...]):
+        self._assign(ambient_dim=ambient_dim, rows=rows, pivots=pivots)
+
+    __eq__ = _equal_fields
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Row]) -> "Subspace":
@@ -196,15 +220,18 @@ def span_of_brackets(
 # -- series ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowerCentralSeries:
+class LowerCentralSeries(Frozen):
     """Chain g = g^(1) >= g^(2) >= ... until stabilization.
 
     ``nu`` is the nilpotency class when the chain reaches zero, else None.
     """
 
-    chain: tuple[Subspace, ...]
-    nu: int | None
+    __slots__ = ("chain", "nu")
+
+    def __init__(self, chain: tuple[Subspace, ...], nu: int | None):
+        self._assign(chain=chain, nu=nu)
+
+    __eq__ = _equal_fields
 
     @property
     def is_nilpotent(self) -> bool:
@@ -250,11 +277,15 @@ def restricted_lower_central_series(
 # -- gradings --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Frozen):
     """Layers a^(1), ..., a^(nu) splitting the lower central series."""
 
-    layers: tuple[Subspace, ...]
+    __slots__ = ("layers",)
+
+    def __init__(self, layers: tuple[Subspace, ...]):
+        self._assign(layers=layers)
+
+    __eq__ = _equal_fields
 
     @property
     def depth(self) -> int:

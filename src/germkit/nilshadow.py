@@ -16,12 +16,11 @@ problem and all inputs of interest arrive pre-split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import PreconditionError
 from .jordan import jordan_chevalley
 from .liealg import (
+    Frozen,
     LieAlgebra,
     LowerCentralSeries,
     Subspace,
@@ -33,13 +32,13 @@ from .linalg import Row, SparseColumns
 from .scalars import ONE, Scalar
 
 
-@dataclass(frozen=True)
-class SolvableInput:
+class SolvableInput(Frozen):
     """A solvable algebra with a declared nilradical and complement."""
 
-    algebra: LieAlgebra
-    nilradical: Subspace
-    complement: Subspace
+    __slots__ = ("algebra", "nilradical", "complement")
+
+    def __init__(self, algebra: LieAlgebra, nilradical: Subspace, complement: Subspace):
+        self._assign(algebra=algebra, nilradical=nilradical, complement=complement)
 
 
 def _sum(*vectors: Row) -> Row:

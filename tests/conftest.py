@@ -19,6 +19,8 @@ these live here because only the tests call them:
 - ``derived_subalgebra``: [g, g] from one bracket span, the reference of
   the second term of ``liealg.derived_series``;
 - ``I``: the imaginary unit;
+- ``replaced``: a record rebuilt through its ``__init__`` with some
+  arguments changed, for the tests that corrupt a series or a system;
 - the fixture registry: ``PARSED_FIXTURES``, each file under ``fixtures/``
   parsed once (the only definition of the fixture algebras, with their
   nilradical, complement and characters), and its views
@@ -79,6 +81,7 @@ these live here because only the tests call them:
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import pathlib
@@ -125,6 +128,13 @@ from germkit.multipoly import ExponentVector, MultiPoly
 from germkit.scalars import ONE, Scalar, ZERO, scalar
 
 I = Scalar(0, 1)
+
+
+def replaced(record, **changes):
+    """A new record of ``record``'s class, its ``__init__`` arguments read
+    from ``record`` except those in ``changes``."""
+    params = inspect.signature(type(record)).parameters
+    return type(record)(**{**{name: getattr(record, name) for name in params}, **changes})
 
 
 def grlex_key(exponents: ExponentVector) -> tuple[int, ExponentVector]:

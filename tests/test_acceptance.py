@@ -5,7 +5,6 @@ them) and asserts exactly; there are no tolerances anywhere because the
 whole engine is exact.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ from conftest import (
     mat_vec,
     minimal_polynomial,
     non_unimodular2,
+    replaced,
     solvable_input,
     zeros,
 )
@@ -228,7 +228,7 @@ def test_criterion_5_series_identities():
     # negative control: dropping the quadratic slice must fail the check
     dec, _ = _graded_metric(FIXTURE_ALGEBRAS["h3"])
     series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
-    corrupted = dataclasses.replace(
+    corrupted = replaced(
         series,
         slices={r: s for r, s in series.slices.items() if r != 2},
         terminated=True,

@@ -25,7 +25,7 @@ from conftest import (
     unchecked_algebra,
 )
 
-from germkit import fixtures
+from germkit import fixtures, linalg
 from germkit.cedga import (
     CharacterData,
     Dga,
@@ -291,6 +291,41 @@ def test_pd_shortcut_matches_the_pairing_check(name):
 def test_betti_from_ranks_matches_oracle(name):
     algebra = PD_CASES[name]
     assert Dga(algebra).betti() == oracle_betti(algebra)
+
+
+def _betti_from_every_rank(dga):
+    dims = dga.dims()
+    ranks = [linalg.sparse_rank(cols) for cols in dga.columns]
+    return [dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(len(dims))]
+
+
+BETTI_CASES = {
+    **PD_CASES,
+    "subdga:solv_heisenberg": lambda: subdga_from_characters(
+        Dga(FIXTURE_ALGEBRAS["q_plus_h3"]), PARSED_FIXTURES["solv_heisenberg"].characters
+    ),
+    "subdga:h5_weight0": lambda: subdga_from_characters(
+        Dga(FIXTURE_ALGEBRAS["h5"]),
+        CharacterData(rank=1, exponents=((1,), (-1,), (1,), (-1,), (0,))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETTI_CASES))
+def test_betti_mirrors_ranks_only_on_a_unimodular_full_complex(monkeypatch, name):
+    # On a full complex of a unimodular algebra rank d_p = rank d_(n-1-p), so
+    # betti() ranks degrees p <= (n-1)/2 (and the empty d_n) and mirrors the
+    # rest; a non-unimodular algebra or a sub-DGA ranks every degree.
+    case = BETTI_CASES[name]
+    dga = case() if callable(case) else Dga(case)
+    full = _betti_from_every_rank(dga)
+    ranked = []
+    rank = linalg.sparse_rank
+    monkeypatch.setattr(linalg, "sparse_rank", lambda cols: ranked.append(cols) or rank(cols))
+    assert dga.betti() == full
+    n = dga.algebra.dim
+    dual = not name.startswith("subdga:") and dga.algebra.is_unimodular()
+    assert len(ranked) == ((n + 1) // 2 + 1 if dual else n + 1)
 
 
 def test_subdga_selection_from_characters():

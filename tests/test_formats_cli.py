@@ -309,6 +309,25 @@ def test_closed_stdout_is_a_quiet_success():
     assert err == ""
 
 
+def test_a_check_run_imports_no_code_generation():
+    # The records are plain __slots__ classes, so a fresh interpreter runs
+    # ``check`` without importing dataclasses or what it pulls in (inspect).
+    # -S keeps site-packages' .pth files from importing them first.
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import germkit.cli\n"
+        f"germkit.cli.main(['check', {str(FIXTURES / 'h3.json')!r}])\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_unwritable_json_path_is_reported(tmp_path, capsys):
     target = tmp_path / "missing" / "out.json"
     code, out, err = run(

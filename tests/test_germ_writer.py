@@ -13,7 +13,6 @@ each germ is made all three ways and rendered at both places.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from conftest import (
     germ_to_dict_reference,
     homogeneous_degrees,
     inferred_grading,
+    replaced,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,8 +95,8 @@ POLYNOMIALS = st.lists(
 def _germs(slices, polynomials, depth=0, variables=SERIES.variables):
     # A germ of fewer variables than the h3 series keeps that many of its zeta.
     zeta_info = SERIES.zeta_info[: len(variables)]
-    series = dataclasses.replace(SERIES, slices=slices, variables=variables, zeta_info=zeta_info)
-    system = dataclasses.replace(
+    series = replaced(SERIES, slices=slices, variables=variables, zeta_info=zeta_info)
+    system = replaced(
         SYSTEM,
         variables=variables,
         coordinates=tuple(f"h2[{k}]⊗H" for k in range(len(polynomials))),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 import struct
@@ -27,6 +26,7 @@ from conftest import (
     inferred_grading,
     level_index,
     linear_embedding_check_reference,
+    replaced,
     show_reference,
     solvable_input,
     square_slice,
@@ -210,7 +210,7 @@ def test_graded_weight_confinement():
 
 def _with_slices(series, slices):
     """``series`` with its phi replaced by ``slices``."""
-    return dataclasses.replace(series, slices=slices, last_nonzero=max(slices, default=0))
+    return replaced(series, slices=slices, last_nonzero=max(slices, default=0))
 
 
 def test_gauge_identities_and_mutation():
@@ -981,7 +981,7 @@ def test_gauge_check_catches_a_nonzero_delta_one():
     dec = series.decomposition
     assert dec.delta[1] == [[], [], []]
     delta = [dec.delta[0], [[(0, ONE)], [], []], *dec.delta[2:]]
-    mutated = dataclasses.replace(
+    mutated = replaced(
         series,
         decomposition=Decomposition(dec.dga, dec.grading, dec.weights, dec.splits, delta),
     )

@@ -29,8 +29,10 @@ from conftest import (
 )
 
 from germkit import fixtures, linalg
+from germkit.cedga import CharacterData, TorsionComponent
 from germkit.errors import PreconditionError
 from germkit.jordan import jordan_chevalley
+from germkit.kuranishi import ObstructionSystem
 from germkit.liealg import (
     Grading,
     LieAlgebra,
@@ -43,6 +45,7 @@ from germkit.liealg import (
     span_of_brackets,
     verify_natural_grading,
 )
+from germkit.nilshadow import SolvableInput
 from germkit.scalars import ONE, ZERO, scalar
 
 
@@ -370,3 +373,29 @@ def test_series_and_grading_build_no_dense_rows(monkeypatch, name):
     monkeypatch.undo()
     assert got == expected
     assert expected[2] is not None
+
+
+def test_the_read_only_records_refuse_assignment():
+    # The records that were frozen dataclasses (``liealg.Frozen`` now) raise
+    # on assigning or deleting a field, and hold no __dict__ for new ones.
+    h3 = FIXTURE_ALGEBRAS["h3"]
+    lcs = lower_central_series(h3)
+    records = [
+        Subspace.full(3),
+        lcs,
+        infer_grading_basis_aligned(h3, lcs),
+        TorsionComponent(2, (1, 0, 1)),
+        CharacterData(rank=1, exponents=((1,), (-1,), (0,))),
+        SolvableInput(h3, Subspace.full(3), Subspace.zero(3)),
+        ObstructionSystem(("t1",), (), (), 2, 3, True, []),
+    ]
+    for record in records:
+        field = record.__slots__[0]
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = value
+        assert getattr(record, field) is value

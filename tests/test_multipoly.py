@@ -10,7 +10,7 @@ from conftest import RingPoly, homogeneous_components, polynomial_records, show_
 from germkit import cli
 from germkit.formats import germ_from_dict, load_json_file
 from germkit.kuranishi import PolyCochain
-from germkit.multipoly import MultiPoly, PointPowers
+from germkit.multipoly import MultiPoly, PointPowers, printed
 from germkit.scalars import ParsedScalars, Scalar, ZERO, scalar
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -112,6 +112,36 @@ def test_string_form_is_graded_lex():
     t1, t2, t3 = (p_var(i) for i in range(3))
     poly = t3 + t1 * t1 + t1 * t2 + scalar(2) * t1
     assert str(poly) == "t1^2 + t1*t2 + 2*t1 + t3"
+
+
+VARS64 = tuple(f"t{k}" for k in range(1, 65))
+# A wide germ's terms: one to three nonzero exponents among 64 variables.
+wide_exps_st = st.dictionaries(st.integers(0, 63), st.integers(1, 3), max_size=3).map(
+    lambda entries: tuple(entries.get(k, 0) for k in range(64))
+)
+wide_polys_st = st.builds(
+    lambda terms: MultiPoly(VARS64, terms),
+    st.dictionaries(wide_exps_st, scalars_st.filter(bool), max_size=12),
+)
+
+
+def sparse_grlex_key(exps):
+    """The degree, then -position and value of each nonzero entry in
+    position order: grlex read from the nonzero entries alone."""
+    key = [sum(exps)]
+    for k, e in enumerate(exps):
+        if e:
+            key += [-k, e]
+    return key
+
+
+@given(wide_polys_st)
+def test_printed_orders_wide_terms_by_the_sparse_key(poly):
+    # printed() sorts on the dense exponent tuples; a key from the nonzero
+    # entries alone gives the same order, here on 64 variables.
+    order = [exps for _, exps, _, _ in printed(poly)[1]]
+    assert order == sorted(poly.terms, key=sparse_grlex_key)
+    assert order == sorted(poly.terms, key=lambda exps: (sum(exps), exps))
 
 
 def test_eval_length_mismatch():

@@ -74,7 +74,7 @@ from .liealg import (
     Grading,
     LieAlgebra,
     LowerCentralSeries,
-    basis_aligned_weights,
+    Subspace,
     infer_grading_basis_aligned,
     is_solvable,
     lower_central_series,
@@ -82,6 +82,7 @@ from .liealg import (
 )
 from .multipoly import PointPowers
 from .nilshadow import SolvableInput, nilshadow
+from .scalars import ONE
 
 def entrypoint() -> None:
     sys.exit(main())
@@ -249,24 +250,30 @@ def resolve_target(spec: str) -> tuple[dict, LieAlgebra]:
 
 
 def obtain_grading(
-    parsed_grading: Grading | None, algebra: LieAlgebra, lcs: LowerCentralSeries
+    layers: tuple[Subspace, ...] | None, algebra: LieAlgebra, lcs: LowerCentralSeries
 ) -> tuple[Grading | None, str]:
-    """The supplied grading, or else the inferred one, checked natural once
-    against the series ``lcs``; a failing inferred candidate is dropped."""
-    grading = parsed_grading or infer_grading_basis_aligned(algebra, lcs)
-    if grading is None:
-        return None, "none"
+    """The supplied layers, which must be spanned by basis vectors, or else
+    the inferred candidate, checked natural once against the series
+    ``lcs``; a failing inferred candidate is dropped."""
+    if layers is None:
+        grading = infer_grading_basis_aligned(algebra, lcs)
+        if grading is None or verify_natural_grading(algebra, lcs, grading):
+            return None, "none"
+        return grading, "inferred"
+    grading = Grading.from_layers(layers)
     violation = verify_natural_grading(algebra, lcs, grading)
-    if parsed_grading is None:
-        return (None, "none") if violation else (grading, "inferred")
     if violation is not None:
         raise PreconditionError(f"supplied grading is not natural: {violation}")
-    basis_aligned_weights(grading)  # raises unless the layers are basis vectors
     return grading, "supplied"
 
 
 def grading_rows(grading: Grading) -> list[list[list[str]]]:
-    return [matrix_strings(layer.rows, layer.ambient_dim) for layer in grading.layers]
+    """Each layer as the echelon rows of its basis vectors."""
+    n, weights = len(grading.weights), grading.weights
+    return [
+        matrix_strings(({k: ONE} for k in range(n) if weights[k] == w), n)
+        for w in range(1, grading.depth + 1)
+    ]
 
 
 def bracket_text(algebra: LieAlgebra) -> str:
@@ -585,7 +592,7 @@ def cmd_decompose(run: Run) -> dict:
     if grading is not None:
         rows = {
             str(w): [dga.monomial_label(m) for m in monos]
-            for w, monos in degree2_weight_table(dga, dec.weights).items()
+            for w, monos in degree2_weight_table(dga, grading.weights).items()
         }
         fields["degree2_weight_table"] = rows
         fields["degree2_cocycle_weight_bound"] = bound = run.cocycle_weights

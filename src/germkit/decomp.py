@@ -53,7 +53,7 @@ from __future__ import annotations
 from . import linalg
 from .cedga import Dga, Monomial
 from .errors import InternalCheckError, PreconditionError
-from .liealg import Grading, basis_aligned_weights
+from .liealg import Grading
 from .linalg import Entries, Row, SparseColumns
 from .scalars import ONE
 
@@ -68,7 +68,7 @@ GERM_TOP = 2
 READBACK_TOP = 1
 
 
-def monomial_weight(weights: list[int], mono: Monomial) -> int:
+def monomial_weight(weights: tuple[int, ...], mono: Monomial) -> int:
     return sum(weights[i] for i in mono)
 
 
@@ -92,14 +92,13 @@ class Decomposition:
     """Splitting of degrees 0..top plus the homotopy operator delta there:
     ``delta[p]`` holds delta: C^p -> C^(p-1) as sparse columns."""
 
-    __slots__ = ("dga", "grading", "weights", "splits", "delta")
+    __slots__ = ("dga", "grading", "splits", "delta")
 
     def __init__(
-        self, dga: Dga, grading: Grading | None, weights: list[int] | None,
+        self, dga: Dga, grading: Grading | None,
         splits: list[DegreeSplit], delta: list[SparseColumns],
     ):
-        self.dga, self.grading, self.weights = dga, grading, weights
-        self.splits, self.delta = splits, delta
+        self.dga, self.grading, self.splits, self.delta = dga, grading, splits, delta
 
     def betti(self) -> list[int]:
         return [len(split.harmonic) for split in self.splits]
@@ -145,7 +144,8 @@ def split_complex(
     n = len(dims) - 1
     last = n if top is None else min(top, n)
 
-    weights = None if grading is None else graded_weights(dga, grading, last)
+    if grading is not None:
+        check_weight_homogeneous(dga, grading.weights, last)
 
     splits: list[DegreeSplit] = []
     for p in range(last + 1):
@@ -168,7 +168,7 @@ def split_complex(
             )
         splits.append(_assemble_split(harmonic, exact, complement, dim_p))
 
-    dec = Decomposition(dga, grading, weights, splits, _build_delta(dga, splits))
+    dec = Decomposition(dga, grading, splits, _build_delta(dga, splits))
     _verify_decomposition(dec)
     return dec
 
@@ -228,15 +228,14 @@ def _build_delta(dga: Dga, splits: list[DegreeSplit]) -> list[SparseColumns]:
     return delta
 
 
-def graded_weights(dga: Dga, grading: Grading, last: int) -> list[int]:
-    """The basis weights of ``grading``, after checking that d preserves
-    them on degrees 0..last, the part a split of degrees <= last reads.
+def check_weight_homogeneous(dga: Dga, weights: tuple[int, ...], last: int) -> None:
+    """Raise unless d preserves the basis ``weights`` on degrees 0..last,
+    the part a split of degrees <= last reads.
 
     On a full complex d is the derivation extending its degree-one values,
     so a violation anywhere already shows in degree one; on a selection of
     monomials it may first show in a higher degree.
     """
-    weights = basis_aligned_weights(grading)
     for p in range(min(last + 1, len(dga.columns) - 1)):
         for mono, column in zip(dga.monomials[p], dga.columns[p]):
             w = monomial_weight(weights, mono)
@@ -251,10 +250,9 @@ def graded_weights(dga: Dga, grading: Grading, last: int) -> list[int]:
                         f"weight {tw}; the grading does not send each "
                         "dual layer into the matching degree-2 weight space"
                     )
-    return weights
 
 
-def _vector_weights(dga: Dga, weights: list[int], p: int, v: Row) -> set[int]:
+def _vector_weights(dga: Dga, weights: tuple[int, ...], p: int, v: Row) -> set[int]:
     return {monomial_weight(weights, dga.monomials[p][i]) for i in v}
 
 
@@ -283,10 +281,10 @@ def _verify_decomposition(dec: Decomposition) -> None:
         coords = dec.splits[p + 1].harmonic_coords
         if any(linalg.apply(coords, column) for column in dga.columns[p]):
             raise InternalCheckError(f"H o d != 0 in degree {p}")
-    if dec.weights is not None:
+    if dec.grading is not None:
         for p, split in enumerate(dec.splits):
             for row in split.harmonic + split.exact + split.complement:
-                if len(_vector_weights(dga, dec.weights, p, row)) > 1:
+                if len(_vector_weights(dga, dec.grading.weights, p, row)) > 1:
                     raise InternalCheckError(
                         f"splitting basis of degree {p} mixes weights"
                     )
@@ -307,13 +305,13 @@ def kernel_containment_check(dec: Decomposition) -> tuple[Row, int] | None:
     nu = dec.grading.depth
     split = dec.splits[2]
     for row in split.harmonic + split.exact:
-        (weight,) = _vector_weights(dec.dga, dec.weights, 2, row)
+        (weight,) = _vector_weights(dec.dga, dec.grading.weights, 2, row)
         if weight > nu + 1:
             return dict(row), weight
     return None
 
 
-def degree2_weight_table(dga: Dga, weights: list[int]) -> dict[int, list[Monomial]]:
+def degree2_weight_table(dga: Dga, weights: tuple[int, ...]) -> dict[int, list[Monomial]]:
     """Degree-2 monomials bucketed by weight (for reports and tests)."""
     table: dict[int, list[Monomial]] = {}
     for mono in dga.monomials[2] if dga.dim_at(2) else ():

@@ -20,7 +20,7 @@ from .decomp import (
     READBACK_TOP,
     STRATEGIES,
     Decomposition,
-    graded_weights,
+    check_weight_homogeneous,
     split_complex,
 )
 from .errors import ParseError
@@ -181,7 +181,7 @@ class ParsedAlgebra:
     __slots__ = ("name", "algebra", "grading", "nilradical", "complement", "characters", "digest")
 
     def __init__(
-        self, name: str, algebra: LieAlgebra, grading: Grading | None,
+        self, name: str, algebra: LieAlgebra, grading: tuple[Subspace, ...] | None,
         nilradical: Subspace | None, complement: Subspace | None,
         characters: CharacterData | None, digest: str | None,
     ):
@@ -226,14 +226,12 @@ def _parse_subspace(
 
 def _parse_grading(
     entries: Any, labels: tuple[str, ...], where: str, scalars: ParsedScalars
-) -> Grading:
+) -> tuple[Subspace, ...]:
     if not isinstance(entries, list):
         raise ParseError(f"{where}: expected a list of layers")
-    return Grading(
-        tuple(
-            _parse_subspace(layer, labels, f"{where}[{k}]", scalars)
-            for k, layer in enumerate(entries)
-        )
+    return tuple(
+        _parse_subspace(layer, labels, f"{where}[{k}]", scalars)
+        for k, layer in enumerate(entries)
     )
 
 
@@ -694,9 +692,9 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         if violation is not None:
             raise ParseError(f"{where}: {violation}")
         complex_ = complex_.restrict(selected)
-    grading = None
+    grading = layers = None
     if data.get("grading") is not None:
-        grading = _parse_grading(
+        layers = _parse_grading(
             data["grading"], base.algebra.labels, f"{source}: grading", scalars
         )
     tdgla = TensorDgla(complex_, target.algebra)
@@ -771,10 +769,11 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
     if len(coordinates) != len(polys):
         raise ParseError(f"{where}: coordinates: need one label per polynomial")
     terminated = _field(data, "terminated", bool, source)
-    if grading is not None:
+    if layers is not None:
         # The split below reads d only on degrees <= READBACK_TOP; the
         # grading is checked on every degree the germ was built from.
-        graded_weights(complex_, grading, GERM_TOP)
+        grading = Grading.from_layers(layers)
+        check_weight_homogeneous(complex_, grading.weights, GERM_TOP)
     return GermData(
         decomposition=split_complex(
             complex_, strategy=strategy, grading=grading, top=READBACK_TOP

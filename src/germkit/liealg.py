@@ -181,10 +181,6 @@ class Subspace(Frozen):
         return cls(ambient_dim, tuple(reduced), tuple(pivots))
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (), ())
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls.from_vectors(ambient_dim, ({i: ONE} for i in range(ambient_dim)))
 
@@ -278,18 +274,32 @@ def restricted_lower_central_series(
 
 
 class Grading(Frozen):
-    """Layers a^(1), ..., a^(nu) splitting the lower central series."""
+    """A grading by layers of basis vectors: ``weights[k]`` is the layer
+    of X_k, from 1 to ``depth``, the number of layers."""
 
-    __slots__ = ("layers",)
+    __slots__ = ("weights", "depth")
 
-    def __init__(self, layers: tuple[Subspace, ...]):
-        self._assign(layers=layers)
+    def __init__(self, weights: tuple[int, ...], depth: int):
+        self._assign(weights=weights, depth=depth)
 
     __eq__ = _equal_fields
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
+    @classmethod
+    def from_layers(cls, layers: Sequence[Subspace]) -> "Grading":
+        """The grading whose layer w is ``layers[w - 1]``; each basis vector
+        must be a row of exactly one layer, and no other rows."""
+        n = layers[0].ambient_dim if layers else 0
+        weights: dict[int, int] = {}
+        for w, layer in enumerate(layers, start=1):
+            for row, pivot in zip(layer.rows, layer.pivots):
+                if len(row) == 1:  # the echelon row {pivot: 1}
+                    weights[pivot] = w
+        if not n or len(weights) != n or sum(layer.dim for layer in layers) != n:
+            raise PreconditionError(
+                "grading layers must be spanned by input basis vectors to "
+                "drive the weight machinery"
+            )
+        return cls(tuple(weights[k] for k in range(n)), len(layers))
 
 
 def verify_natural_grading(
@@ -300,7 +310,8 @@ def verify_natural_grading(
     Checks, against the lower central series ``lcs``: the algebra is
     nilpotent of class nu = number of layers, layer i complements g^(i+1)
     inside g^(i), and every [layer_i, layer_j] lands in layer_{i+j} (the
-    zero space when i+j exceeds nu).
+    zero space when i+j exceeds nu): each component of [X_a, X_b] has
+    weight w_a + w_b.
     """
     if lcs.nu is None:
         return "algebra is not nilpotent"
@@ -309,70 +320,41 @@ def verify_natural_grading(
         raise PreconditionError(
             f"grading has {grading.depth} layers but the nilpotency class is {nu}"
         )
-    chain = list(lcs.chain) + [Subspace.zero(algebra.dim)]
-    for i, layer in enumerate(grading.layers, start=1):
-        step, nxt = chain[i - 1], chain[i]
+    n, weights = algebra.dim, grading.weights
+    for i, (step, nxt) in enumerate(zip(lcs.chain, lcs.chain[1:]), start=1):
+        layer = Subspace.from_vectors(n, ({k: ONE} for k in range(n) if weights[k] == i))
         if not step.contains_subspace(layer):
             return f"layer {i} is not contained in term {i} of the series"
         if layer.intersection_dim(nxt) != 0:
             return f"layer {i} meets term {i + 1} of the series nontrivially"
         if layer.dim + nxt.dim != step.dim:
             return f"layer {i} does not complement term {i + 1} (dimension)"
-    zero = Subspace.zero(algebra.dim)
-    for i, li in enumerate(grading.layers, start=1):
-        for j, lj in enumerate(grading.layers[i - 1 :], start=i):
-            target = grading.layers[i + j - 1] if i + j <= nu else zero
-            generated = span_of_brackets(algebra, li, lj)
-            if not target.contains_subspace(generated):
-                return (
-                    f"[layer {i}, layer {j}] is not contained in "
-                    f"layer {i + j}" + ("" if i + j <= nu else " (= 0)")
-                )
-    return None
+    failing = [
+        tuple(sorted((weights[a], weights[b])))
+        for a, b, comps in algebra.nonzero_brackets()
+        if any(weights[k] != weights[a] + weights[b] for k in comps)
+    ]
+    if not failing:
+        return None
+    i, j = min(failing)
+    return (
+        f"[layer {i}, layer {j}] is not contained in "
+        f"layer {i + j}" + ("" if i + j <= nu else " (= 0)")
+    )
 
 
 def infer_grading_basis_aligned(
     algebra: LieAlgebra, lcs: LowerCentralSeries
 ) -> Grading | None:
-    """Layers of input basis vectors complementing each step of the lower
-    central series ``lcs``, greedy, smallest basis indices first.
+    """The level grading: X_k has weight i when it lies in g^(i) but not in
+    g^(i+1), the number of terms of ``lcs`` that contain it.
 
-    A candidate only: ``verify_natural_grading`` checks the bracket.  None
-    does not prove that no natural grading exists.
+    A candidate only: ``verify_natural_grading`` checks it.  None, or a
+    failing candidate, does not prove that no natural grading exists.
     """
     if lcs.nu is None:
         return None
-    chain = list(lcs.chain) + [Subspace.zero(algebra.dim)]
-    layers = []
-    for i in range(1, lcs.nu + 1):
-        step, nxt = chain[i - 1], chain[i]
-        chosen: list[Row] = []
-        # The span of g^(i+1) and the vectors chosen, as echelon rows by pivot.
-        span = dict(zip(nxt.pivots, nxt.rows))
-        for k in range(algebra.dim):
-            if len(span) == step.dim:
-                break
-            e = algebra.basis_vector(k)
-            if step.contains(e) and linalg.insert(span, e):
-                chosen.append(e)
-        if len(span) != step.dim:
-            return None
-        layers.append(Subspace.from_vectors(algebra.dim, chosen))
-    return Grading(tuple(layers))
-
-
-def basis_aligned_weights(grading: Grading) -> list[int]:
-    """Per-basis-index weights; the weight machinery downstream needs each
-    basis vector to be a row of exactly one layer, and no other rows."""
-    n = grading.layers[0].ambient_dim if grading.layers else 0
-    weights: dict[int, int] = {}
-    for w, layer in enumerate(grading.layers, start=1):
-        for row, pivot in zip(layer.rows, layer.pivots):
-            if len(row) == 1:  # the echelon row {pivot: 1}
-                weights[pivot] = w
-    if not n or len(weights) != n or sum(g.dim for g in grading.layers) != n:
-        raise PreconditionError(
-            "grading layers must be spanned by input basis vectors to "
-            "drive the weight machinery"
-        )
-    return [weights[i] for i in range(n)]
+    weights = tuple(
+        sum(term.contains({k: ONE}) for term in lcs.chain) for k in range(algebra.dim)
+    )
+    return Grading(weights, lcs.nu)

@@ -38,6 +38,10 @@ these live here because only the tests call them:
   dense kernel of d_2, the reference of ``kernel_containment_check``,
   which reads the cocycles off the split;
 - ``inferred_grading``: the grading the CLI infers, for graded splits;
+- ``verify_natural_grading_reference``: the naturality check on layers
+  of any subspaces, bracketing layer against layer, the reference of
+  ``liealg.verify_natural_grading``, which reads one weight per basis
+  vector; with it ``weight_layers``, a grading's layers as subspaces;
 - ``square_slice`` and ``gauge_identity_check_reference``: [phi, phi]_r as
   one ``bracket_slices`` call over the unordered pairs, and the gauge check
   on Scalar slices, the references of the series' integer bracket sums and
@@ -116,8 +120,8 @@ from germkit.kuranishi import (
 from germkit.liealg import (
     Grading,
     LieAlgebra,
+    LowerCentralSeries,
     Subspace,
-    basis_aligned_weights,
     lower_central_series,
     span_of_brackets,
     verify_natural_grading,
@@ -915,11 +919,10 @@ def kernel_containment_dense(
     )
     if violation is not None:
         raise PreconditionError(f"grading is not natural: {violation}")
-    weights = basis_aligned_weights(grading)
     nu = grading.depth
     kernel = dense_kernel_basis(dga.d[2], dga.dim_at(2))
     for row in kernel:
-        for weight in sorted(_vector_weights(dga, weights, 2, sparse(row))):
+        for weight in sorted(_vector_weights(dga, grading.weights, 2, sparse(row))):
             if weight > nu + 1:
                 return list(row), weight
     return None
@@ -1266,6 +1269,55 @@ def germ_to_dict_reference(series: KuranishiSeries, system, **fields) -> dict:
 def inferred_grading(algebra: LieAlgebra) -> Grading | None:
     """The basis-aligned natural grading the CLI infers, or None."""
     return obtain_grading(None, algebra, lower_central_series(algebra))[0]
+
+
+def weight_layers(grading: Grading) -> tuple[Subspace, ...]:
+    """Layer w of ``grading`` as the subspace its weight-w basis vectors span."""
+    n = len(grading.weights)
+    return tuple(
+        Subspace.from_vectors(n, ({k: ONE} for k in range(n) if grading.weights[k] == w))
+        for w in range(1, grading.depth + 1)
+    )
+
+
+def verify_natural_grading_reference(
+    algebra: LieAlgebra, lcs: LowerCentralSeries, layers: Sequence[Subspace]
+) -> str | None:
+    """None if the layers form a natural grading, else a violation message.
+
+    Checks, against the lower central series ``lcs``: the algebra is
+    nilpotent of class nu = number of layers, layer i complements g^(i+1)
+    inside g^(i), and every [layer_i, layer_j] lands in layer_{i+j} (the
+    zero space when i+j exceeds nu), by the span of brackets of each pair
+    of layers i <= j.
+    """
+    if lcs.nu is None:
+        return "algebra is not nilpotent"
+    nu = lcs.nu
+    if len(layers) != nu:
+        raise PreconditionError(
+            f"grading has {len(layers)} layers but the nilpotency class is {nu}"
+        )
+    zero = Subspace(algebra.dim, (), ())
+    chain = list(lcs.chain) + [zero]
+    for i, layer in enumerate(layers, start=1):
+        step, nxt = chain[i - 1], chain[i]
+        if not step.contains_subspace(layer):
+            return f"layer {i} is not contained in term {i} of the series"
+        if layer.intersection_dim(nxt) != 0:
+            return f"layer {i} meets term {i + 1} of the series nontrivially"
+        if layer.dim + nxt.dim != step.dim:
+            return f"layer {i} does not complement term {i + 1} (dimension)"
+    for i, li in enumerate(layers, start=1):
+        for j, lj in enumerate(layers[i - 1 :], start=i):
+            target = layers[i + j - 1] if i + j <= nu else zero
+            generated = span_of_brackets(algebra, li, lj)
+            if not target.contains_subspace(generated):
+                return (
+                    f"[layer {i}, layer {j}] is not contained in "
+                    f"layer {i + j}" + ("" if i + j <= nu else " (= 0)")
+                )
+    return None
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> Subspace:

@@ -43,7 +43,7 @@ from germkit.decomp import (
     split_complex,
 )
 from germkit.errors import InternalCheckError, PreconditionError
-from germkit.liealg import Grading, Subspace, basis_aligned_weights
+from germkit.liealg import Grading, Subspace
 from germkit.scalars import ONE, ZERO, scalar
 
 
@@ -146,8 +146,7 @@ def test_delta_respects_weights_in_degree_two():
         grading = inferred_grading(algebra)
         dga = Dga(algebra)
         dec = split_complex(dga, "metric", grading)
-        weights = dec.weights
-        assert weights is not None
+        weights = dec.grading.weights
         index = level_index(dga, 2)
         for k, monos in degree2_weight_table(dga, weights).items():
             for mono in monos:
@@ -190,12 +189,12 @@ def test_cocycle_weights_from_the_split_match_the_dense_kernel(
     from_split = {
         w
         for row in split.harmonic + split.exact
-        for w in _vector_weights(dga, dec.weights, 2, row)
+        for w in _vector_weights(dga, grading.weights, 2, row)
     }
     from_kernel = {
         w
         for row in dense_kernel_basis(dga.d[2], dga.dim_at(2))
-        for w in _vector_weights(dga, dec.weights, 2, sparse(row))
+        for w in _vector_weights(dga, grading.weights, 2, sparse(row))
     }
     assert from_split == from_kernel
     assert max(from_split) <= grading.depth + 1
@@ -205,8 +204,7 @@ def test_cocycle_weights_from_the_split_match_the_dense_kernel(
 
 def test_h3_degree2_weights():
     h3 = FIXTURE_ALGEBRAS["h3"]
-    grading = inferred_grading(h3)
-    weights = basis_aligned_weights(grading)
+    weights = inferred_grading(h3).weights
     dga = Dga(h3)
     table = degree2_weight_table(dga, weights)
     assert {k: [dga.monomial_label(m) for m in v] for k, v in table.items()} == {
@@ -218,27 +216,21 @@ def test_h3_degree2_weights():
 
 def test_non_weight_homogeneous_grading_is_rejected():
     h3 = FIXTURE_ALGEBRAS["h3"]
-    fake = Grading(
-        (
-            Subspace.from_vectors(3, [h3.basis_vector(0)]),
-            Subspace.from_vectors(3, [h3.basis_vector(1), h3.basis_vector(2)]),
-        )
-    )
+    fake = Grading((1, 2, 2), 2)
     with pytest.raises(PreconditionError, match="weight-homogeneous"):
         split_complex(Dga(h3), "metric", fake)
 
 
 def test_non_aligned_grading_is_rejected():
+    # Layers not spanned by basis vectors give no weights to split by.
     h3 = FIXTURE_ALGEBRAS["h3"]
     skew = {1: ONE, 2: ONE}
-    grading = Grading(
-        (
-            Subspace.from_vectors(3, [h3.basis_vector(0), skew]),
-            Subspace.from_vectors(3, [h3.basis_vector(2)]),
-        )
+    layers = (
+        Subspace.from_vectors(3, [h3.basis_vector(0), skew]),
+        Subspace.from_vectors(3, [h3.basis_vector(2)]),
     )
     with pytest.raises(PreconditionError, match="basis vectors"):
-        split_complex(Dga(h3), "metric", grading)
+        split_complex(Dga(h3), "metric", Grading.from_layers(layers))
 
 
 def test_strategies_agree_on_betti_but_may_differ_elsewhere():

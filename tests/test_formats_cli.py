@@ -1143,6 +1143,88 @@ def test_unaligned_grading_is_rejected_with_one_message(tmp_path, capsys):
         ), argv
 
 
+ALIGNMENT = (
+    "grading layers must be spanned by input basis vectors to drive the "
+    "weight machinery"
+)
+
+# h3 (basis X, Y, Z) with a supplied grading: its layers, and the message
+# of the precondition failure (None: the grading is used).  A grading is
+# checked spanned by basis vectors before it is checked natural, so the
+# skew layers X + Y, Z and the empty grading get the alignment message
+# although they are not natural either.
+H3_GRADINGS = {
+    "standard": ([["X", "Y"], ["Z"]], None),
+    "skew": ([["X", ["0", "1", "1"]], ["Z"]], ALIGNMENT),
+    "not-natural": (
+        [["X", "Z"], ["Y"]],
+        "supplied grading is not natural: layer 1 meets term 2 of the series nontrivially",
+    ),
+    "one-layer": ([["X", "Y", "Z"]], "grading has 1 layers but the nilpotency class is 2"),
+    "empty-third-layer": (
+        [["X", "Y"], ["Z"], []], "grading has 3 layers but the nilpotency class is 2"
+    ),
+    "no-layers": ([], ALIGNMENT),
+    "skew-not-natural": ([[["1", "1", "0"], "Z"], ["Y"]], ALIGNMENT),
+}
+
+
+def _h3_with_grading(tmp_path, layers):
+    data = json.loads((FIXTURES / "h3.json").read_text())
+    data["grading"] = layers
+    path = tmp_path / "h3_graded.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["decompose", "pipeline"])
+@pytest.mark.parametrize("case", sorted(H3_GRADINGS))
+def test_a_supplied_grading_drives_the_run_or_stops_it(tmp_path, capsys, command, case):
+    layers, error = H3_GRADINGS[case]
+    code, out, err = run(capsys, command, _h3_with_grading(tmp_path, layers))
+    if error is not None:
+        assert (code, out, err) == (1, "", f"precondition failed: {error}\n")
+        return
+    assert (code, err) == (0, "")
+    assert ("grading=supplied" if command == "decompose" else "[grading] supplied, 2 layers") in out
+    code, out, _ = run(capsys, command, _h3_with_grading(tmp_path, layers), "--json")
+    report = json.loads(out)
+    if command == "decompose":
+        assert report["grading"] == "supplied"
+    else:
+        stages = {s["stage"]: s for s in report["stages"]}
+        assert stages["grading"]["how"] == "supplied"
+        assert stages["grading"]["layers"] == [
+            [["1", "0", "0"], ["0", "1", "0"]], [["0", "0", "1"]]
+        ]
+
+
+def test_check_and_a_target_file_accept_any_layers(tmp_path, capsys):
+    # Only a run that grades its base reads the grading.
+    path = _h3_with_grading(tmp_path, H3_GRADINGS["skew-not-natural"][0])
+    for argv in (
+        ["check", path],
+        ["pipeline", str(FIXTURES / "abelian3.json"), "--target", path],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
+def test_a_germ_with_a_skew_grading_layer_is_refused(tmp_path, capsys):
+    germ_path = tmp_path / "germ.json"
+    code, _, _ = run(
+        capsys, "kuranishi", str(FIXTURES / "h3.json"), "--target", "sl2",
+        "--json", str(germ_path),
+    )
+    assert code == 0
+    germ = json.loads(germ_path.read_text())
+    assert germ["grading"][0] == [["1", "0", "0"], ["0", "1", "0"]]
+    germ["grading"][0] = [["1", "0", "0"], ["0", "1", "1"]]
+    germ_path.write_text(json.dumps(germ))
+    code, out, err = run(capsys, "mc-check", str(germ_path), "--point", "t1=1")
+    assert (code, out, err) == (1, "", f"precondition failed: {ALIGNMENT}\n")
+
+
 def test_pipeline_text_output(capsys):
     code, out, _ = run(
         capsys, "pipeline", str(FIXTURES / "solv_heisenberg.json"), "--target", "sl2"

@@ -182,11 +182,8 @@ def test_recursion_identity():
 
 def test_graded_weight_confinement():
     for name, algebra in GRADED_NILPOTENT.items():
-        from germkit.liealg import basis_aligned_weights
-
         grading = inferred_grading(algebra)
-        weights = basis_aligned_weights(grading)
-        nu = grading.depth
+        weights, nu = grading.weights, grading.depth
         dga = Dga(algebra)
         dec = split_complex(dga, "metric", grading)
         series = kuranishi_series(dec, TensorDgla(dec.dga, fixtures.sl2()))
@@ -983,7 +980,7 @@ def test_gauge_check_catches_a_nonzero_delta_one():
     delta = [dec.delta[0], [[(0, ONE)], [], []], *dec.delta[2:]]
     mutated = replaced(
         series,
-        decomposition=Decomposition(dec.dga, dec.grading, dec.weights, dec.splits, delta),
+        decomposition=Decomposition(dec.dga, dec.grading, dec.splits, delta),
     )
     message = "delta(phi) is not identically zero"
     assert gauge_identity_check(mutated) == message

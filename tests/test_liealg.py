@@ -26,6 +26,8 @@ from conftest import (
     sparse,
     sparse_columns,
     unchecked_algebra,
+    verify_natural_grading_reference,
+    weight_layers,
 )
 
 from germkit import fixtures, linalg
@@ -36,8 +38,8 @@ from germkit.kuranishi import ObstructionSystem
 from germkit.liealg import (
     Grading,
     LieAlgebra,
+    LowerCentralSeries,
     Subspace,
-    basis_aligned_weights,
     derived_series,
     infer_grading_basis_aligned,
     is_solvable,
@@ -87,7 +89,7 @@ def test_lcs_chain_bracket_compatibility():
     for algebra in GRADED_NILPOTENT.values():
         lcs = lower_central_series(algebra)
         chain = list(lcs.chain)
-        zero = Subspace.zero(algebra.dim)
+        zero = Subspace(algebra.dim, (), ())
         while len(chain) < 2 * len(lcs.chain):
             chain.append(zero)
         for i, si in enumerate(lcs.chain, start=1):
@@ -135,65 +137,59 @@ def test_derived_subalgebra():
     assert second.dim == 3 and second.contains_subspace(derived)
 
 
+def _h3_layers(*layers):
+    """Subspaces of h3 (basis X, Y, Z), each spanned by sparse rows."""
+    return tuple(Subspace.from_vectors(3, rows) for rows in layers)
+
+
+X, Y, Z = ({k: ONE} for k in range(3))
+
+
 def test_verify_natural_grading_standard_layers():
     h3 = FIXTURE_ALGEBRAS["h3"]
-    grading = Grading(
-        (
-            Subspace.from_vectors(3, [h3.basis_vector(0), h3.basis_vector(1)]),
-            Subspace.from_vectors(3, [h3.basis_vector(2)]),
-        )
-    )
+    grading = Grading.from_layers(_h3_layers([X, Y], [Z]))
+    assert grading == Grading((1, 1, 2), 2)
     assert verify_natural_grading(h3, lower_central_series(h3), grading) is None
 
 
-def test_verify_natural_grading_skew_layer():
-    # first layer spanned by X and Y + Z still works: [X, Y+Z] = Z
-    h3 = FIXTURE_ALGEBRAS["h3"]
-    skew = {1: scalar(1), 2: scalar(1)}
-    grading = Grading(
-        (
-            Subspace.from_vectors(3, [h3.basis_vector(0), skew]),
-            Subspace.from_vectors(3, [h3.basis_vector(2)]),
-        )
-    )
-    assert verify_natural_grading(h3, lower_central_series(h3), grading) is None
+def test_from_layers_refuses_a_skew_layer():
+    # X and Y + Z span a natural first layer ([X, Y + Z] = Z), but Y + Z is
+    # no basis vector, so the layers give no weight per basis vector.
+    skew = {1: ONE, 2: ONE}
+    h3, lcs = FIXTURE_ALGEBRAS["h3"], lower_central_series(FIXTURE_ALGEBRAS["h3"])
+    layers = _h3_layers([X, skew], [Z])
+    assert verify_natural_grading_reference(h3, lcs, layers) is None
+    for bad in (layers, _h3_layers([X, skew], [Y]), _h3_layers([X, Y, Z], [Z]), ()):
+        with pytest.raises(PreconditionError, match="spanned by input basis vectors"):
+            Grading.from_layers(bad)
 
 
 def test_verify_natural_grading_violations():
     h3 = FIXTURE_ALGEBRAS["h3"]
-    bad = Grading(
-        (
-            Subspace.from_vectors(3, [h3.basis_vector(0), h3.basis_vector(2)]),
-            Subspace.from_vectors(3, [h3.basis_vector(1)]),
-        )
-    )
+    bad = Grading.from_layers(_h3_layers([X, Z], [Y]))
     lcs = lower_central_series(h3)
-    assert verify_natural_grading(h3, lcs, bad) is not None
-    with pytest.raises(PreconditionError):
-        verify_natural_grading(
-            h3, lcs, Grading((Subspace.full(3),))
-        )  # wrong layer count
+    assert verify_natural_grading(h3, lcs, bad) == (
+        "layer 1 meets term 2 of the series nontrivially"
+    )
+    with pytest.raises(PreconditionError, match="1 layers but the nilpotency class is 2"):
+        verify_natural_grading(h3, lcs, Grading.from_layers((Subspace.full(3),)))
 
 
 def test_filiform_grading():
     fil = FIXTURE_ALGEBRAS["filiform4"]
     lcs = lower_central_series(fil)
     grading = infer_grading_basis_aligned(fil, lcs)
-    assert grading is not None
-    assert [layer.dim for layer in grading.layers] == [2, 1, 1]
+    assert grading == Grading((1, 1, 2, 3), 3)
     assert verify_natural_grading(fil, lcs, grading) is None
-    assert basis_aligned_weights(grading) == [1, 1, 2, 3]
 
 
 def test_infer_grading_examples():
     h3 = FIXTURE_ALGEBRAS["h3"]
-    grading = infer_grading_basis_aligned(h3, lower_central_series(h3))
-    assert grading is not None
-    assert [layer.dim for layer in grading.layers] == [2, 1]
+    assert infer_grading_basis_aligned(h3, lower_central_series(h3)) == Grading((1, 1, 2), 2)
     a4 = abelian(4)
-    flat = infer_grading_basis_aligned(a4, lower_central_series(a4))
-    assert flat is not None and flat.depth == 1
-    assert flat.layers[0].dim == 4
+    assert infer_grading_basis_aligned(a4, lower_central_series(a4)) == Grading((1,) * 4, 1)
+    sl2 = fixtures.sl2()
+    assert infer_grading_basis_aligned(sl2, lower_central_series(sl2)) is None
 
 
 def test_infer_then_verify_on_all_graded_fixtures():
@@ -292,6 +288,21 @@ EQUIVALENCE_CASES = {
     "h5_i_scaled": h5_i_scaled(),
 }
 
+GRADING_CASES = {
+    **EQUIVALENCE_CASES,
+    # h3 on the basis (X, Y, X + Z): g^(2) holds no basis vector, so no
+    # grading by basis vectors exists and the greedy layers stop at layer 2.
+    "h3_sheared": LieAlgebra(
+        ("A", "B", "C"), {(0, 1): {0: -ONE, 2: ONE}, (1, 2): {0: ONE, 2: -ONE}}
+    ),
+    # L5 with [e1, f2] = e3 + e4: the levels complement the series, but the
+    # bracket breaks them.
+    "L5_twisted": LieAlgebra(
+        ("e1", "f2", "e3", "e4", "e5"),
+        {(0, 1): {2: ONE, 3: ONE}, (0, 2): {3: ONE}, (0, 3): {4: ONE}},
+    ),
+}
+
 ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(2), scalar("1/3"), I, ONE - I])
 
 
@@ -344,16 +355,21 @@ def test_algebra_side_matches_the_dense_references(case):
     assert (semi, nil) == (sparse_columns(ref_semi), sparse_columns(ref_nil))
 
 
-@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+@pytest.mark.parametrize("name", sorted(GRADING_CASES))
 def test_series_and_grading_match_the_dense_references(name):
-    algebra = EQUIVALENCE_CASES[name]
+    algebra = GRADING_CASES[name]
     lcs = lower_central_series(algebra)
     assert [_dense_subspace(s) for s in lcs.chain] == series_dense(algebra, derived=False)
     derived = [_dense_subspace(s) for s in derived_series(algebra)]
     assert derived == series_dense(algebra, derived=True)
+    # The level weights give the greedy layers wherever the greedy choice
+    # finds them, and fail the check wherever it finds none.
     grading = infer_grading_basis_aligned(algebra, lcs)
-    layers = None if grading is None else [_dense_subspace(s)[0] for s in grading.layers]
-    assert layers == infer_grading_dense(algebra)
+    reference = infer_grading_dense(algebra)
+    if reference is None:
+        assert grading is None or verify_natural_grading(algebra, lcs, grading) is not None
+    else:
+        assert [_dense_subspace(s)[0] for s in weight_layers(grading)] == reference
 
 
 @pytest.mark.parametrize("name", ["h5", "filiform4"])
@@ -375,6 +391,86 @@ def test_series_and_grading_build_no_dense_rows(monkeypatch, name):
     assert expected[2] is not None
 
 
+# -- the weight grading against the layer reference --------------------------
+
+
+def _verdicts(algebra, lcs, grading):
+    """``verify_natural_grading`` on ``grading`` and the reference on its
+    layers: each verdict, or the message of the PreconditionError raised."""
+    out = []
+    for verify, arg in (
+        (verify_natural_grading, grading),
+        (verify_natural_grading_reference, weight_layers(grading)),
+    ):
+        try:
+            out.append(verify(algebra, lcs, arg))
+        except PreconditionError as exc:
+            out.append(f"raised: {exc}")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GRADING_CASES))
+def test_verify_matches_the_layer_reference_near_the_level_weights(name):
+    # The level weights and every weight vector one entry away from them.
+    algebra = GRADING_CASES[name]
+    lcs = lower_central_series(algebra)
+    grading = infer_grading_basis_aligned(algebra, lcs)
+    if grading is None:
+        assert lcs.nu is None and infer_grading_dense(algebra) is None
+        grading = Grading((1,) * algebra.dim, 1)
+    w, depth = grading.weights, grading.depth
+    candidates = [w] + [
+        w[:k] + (v,) + w[k + 1 :]
+        for k in range(len(w))
+        for v in range(1, depth + 1)
+        if v != w[k]
+    ]
+    for weights in candidates:
+        new, reference = _verdicts(algebra, lcs, Grading(weights, depth))
+        assert new == reference, weights
+
+
+def test_the_level_weights_reach_every_verdict():
+    verdicts = set()
+    for algebra in GRADING_CASES.values():
+        lcs = lower_central_series(algebra)
+        grading = infer_grading_basis_aligned(algebra, lcs)
+        if grading is not None:
+            verdicts.add(verify_natural_grading(algebra, lcs, grading))
+    assert verdicts == {
+        None,
+        "layer 1 meets term 2 of the series nontrivially",
+        "[layer 1, layer 1] is not contained in layer 2",
+    }
+
+
+@st.composite
+def weighted_algebras(draw):
+    """An algebra of GRADING_CASES, weights 1..depth on its basis and a
+    series to check them against: the algebra's own, or the filtration by
+    weight >= i, which the layers complement, so that only the bracket
+    condition decides."""
+    algebra = GRADING_CASES[draw(st.sampled_from(sorted(GRADING_CASES)))]
+    n, lcs = algebra.dim, lower_central_series(algebra)
+    own = lcs.nu is not None and draw(st.booleans())
+    depth = lcs.nu if own else draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.integers(1, depth), min_size=n, max_size=n)))
+    if not own:
+        chain = tuple(
+            Subspace.from_vectors(n, ({k: ONE} for k in range(n) if weights[k] >= i))
+            for i in range(1, depth + 2)
+        )
+        lcs = LowerCentralSeries(chain, depth)
+    return algebra, lcs, Grading(weights, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_algebras())
+def test_verify_matches_the_layer_reference_on_random_weights(case):
+    new, reference = _verdicts(*case)
+    assert new == reference
+
+
 def test_the_read_only_records_refuse_assignment():
     # The records that were frozen dataclasses (``liealg.Frozen`` now) raise
     # on assigning or deleting a field, and hold no __dict__ for new ones.
@@ -386,7 +482,7 @@ def test_the_read_only_records_refuse_assignment():
         infer_grading_basis_aligned(h3, lcs),
         TorsionComponent(2, (1, 0, 1)),
         CharacterData(rank=1, exponents=((1,), (-1,), (0,))),
-        SolvableInput(h3, Subspace.full(3), Subspace.zero(3)),
+        SolvableInput(h3, Subspace.full(3), Subspace(3, (), ())),
         ObstructionSystem(("t1",), (), (), 2, 3, True, []),
     ]
     for record in records:

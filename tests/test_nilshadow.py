@@ -65,7 +65,7 @@ def test_nilpotent_input_is_fixed():
     data = SolvableInput(
         algebra=h3,
         nilradical=Subspace.full(3),
-        complement=Subspace.zero(3),
+        complement=Subspace(3, (), ()),
     )
     ads = ad_s_map(data)
     assert all(is_zero_matrix(dense_columns(m, 3)) for m in ads)
@@ -124,7 +124,7 @@ def test_non_solvable_input_is_rejected():
     data = SolvableInput(
         algebra=g,
         nilradical=Subspace.full(3),
-        complement=Subspace.zero(3),
+        complement=Subspace(3, (), ()),
     )
     with pytest.raises(PreconditionError):
         validate_solvable_input(data)
@@ -152,7 +152,7 @@ def _shifted_complement_input():
 
 def _nilpotent_input(algebra):
     n = algebra.dim
-    return SolvableInput(algebra, Subspace.full(n), Subspace.zero(n))
+    return SolvableInput(algebra, Subspace.full(n), Subspace(n, (), ()))
 
 
 def _solvable_cases():

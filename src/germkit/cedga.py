@@ -30,10 +30,11 @@ A monomial sub-DGA is a per-degree selection of monomials that contains the
 unit and is closed under both d and wedge.  ``verify_subdga`` is the one
 check of a selection against its parent; ``Dga.restrict`` then re-indexes
 the parent's columns onto it, so d is derived from the structure constants
-once, for the full complex.  Character data (exponent vectors
-on a finitely generated abelian group, with optional torsion) selects the
-monomials whose exponent sums vanish, which is how invariant sub-DGAs of
-diagonalizable actions enter the pipeline.
+once, for the full complex.  Character data is a weight table per
+coordinate of a finitely generated abelian group, the form of
+``Grading.weights``, with a modulus each (0 for a free coordinate); it
+selects the monomials whose weight vanishes in every coordinate, which is
+how invariant sub-DGAs of diagonalizable actions enter the pipeline.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ class Dga:
         active = [(1 << k, (1 << k) - 1, pairs) for k, pairs in enumerate(gen_diff) if pairs]
         monomials = [list(itertools.combinations(range(n), p)) for p in range(n + 1)]
         bits = [1 << i for i in range(n)]
-        masks = [list(map(sum, itertools.combinations(bits, p))) for p in range(n + 1)]
-        row = {mask: idx for level in masks for idx, mask in enumerate(level)}
+        # One degree of build state at a time: degree p's masks, and an
+        # index of degree p + 1's masks that ``column`` reads as ``row``.
+        masks = [0]
 
         def column(mask: int) -> Column:
             terms: dict[int, Scalar] = {}
@@ -124,7 +126,12 @@ class Dga:
                                 terms[target] = term
             return sorted([(row[target], value) for target, value in terms.items() if value])
 
-        columns = [list(map(column, level)) for level in masks]
+        columns = []
+        for p in range(n + 1):
+            upper = list(map(sum, itertools.combinations(bits, p + 1)))
+            row = {mask: idx for idx, mask in enumerate(upper)}
+            columns.append(list(map(column, masks)))
+            masks = upper
         self._set(algebra, monomials, columns)
 
     def restrict(self, selected: Sequence[Sequence[Monomial]]) -> Dga:
@@ -329,44 +336,28 @@ def verify_subdga(
     return None
 
 
-class TorsionComponent(Frozen):
-    __slots__ = ("modulus", "residues")
-
-    def __init__(self, modulus: int, residues: tuple[int, ...]):
-        if modulus < 2:
-            raise ValueError("torsion modulus must be at least 2")
-        self._assign(modulus=modulus, residues=residues)
+def monomial_weight(weights: tuple[int, ...], mono: Monomial) -> int:
+    return sum(weights[i] for i in mono)
 
 
 class CharacterData(Frozen):
-    """Exponent vectors of basis characters on a f.g. abelian value group.
+    """Basis characters on a f.g. abelian value group, one weight table per
+    coordinate: ``tables[c][k]`` is the weight of X_k in coordinate c, and
+    ``moduli[c]`` that coordinate's modulus, 0 for a free one (Z/0 = Z).
 
-    A monomial x_I is invariant exactly when the exponents over I sum to
-    zero in every free coordinate and to zero modulo each torsion modulus.
+    A monomial x_I is invariant exactly when its weight in every
+    coordinate vanishes modulo the coordinate's modulus.
     """
 
-    __slots__ = ("rank", "exponents", "torsion")
+    __slots__ = ("tables", "moduli")
 
-    def __init__(
-        self, rank: int, exponents: tuple[tuple[int, ...], ...],
-        torsion: tuple[TorsionComponent, ...] = (),
-    ):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        for vec in exponents:
-            if len(vec) != rank:
-                raise ValueError(f"exponent vector {vec} does not have rank {rank}")
-        for comp in torsion:
-            if len(comp.residues) != len(exponents):
-                raise ValueError("torsion residues must cover every basis index")
-        self._assign(rank=rank, exponents=exponents, torsion=torsion)
+    def __init__(self, tables: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]):
+        self._assign(tables=tables, moduli=moduli)
 
     def selects(self, mono: Monomial) -> bool:
-        for coord in range(self.rank):
-            if sum(self.exponents[i][coord] for i in mono) != 0:
-                return False
-        for comp in self.torsion:
-            if sum(comp.residues[i] for i in mono) % comp.modulus != 0:
+        for table, modulus in zip(self.tables, self.moduli):
+            weight = monomial_weight(table, mono)
+            if weight % modulus if modulus else weight:
                 return False
         return True
 
@@ -374,14 +365,9 @@ class CharacterData(Frozen):
 def subdga_from_characters(dga: Dga, characters: CharacterData) -> Dga:
     """The complex on the character-invariant monomials of ``dga``.
 
-    Raises PreconditionError when the exponent data is incompatible with the
-    differential or the product (the selection would not be a sub-DGA).
+    Raises PreconditionError when the character data is incompatible with
+    the differential or the product (the selection would not be a sub-DGA).
     """
-    if len(characters.exponents) != dga.algebra.dim:
-        raise PreconditionError(
-            f"need one exponent vector per basis index "
-            f"({dga.algebra.dim}), got {len(characters.exponents)}"
-        )
     selected = [
         [mono for mono in level if characters.selects(mono)]
         for level in dga.monomials

@@ -51,7 +51,7 @@ contract.
 from __future__ import annotations
 
 from . import linalg
-from .cedga import Dga, Monomial
+from .cedga import Dga, Monomial, monomial_weight
 from .errors import InternalCheckError, PreconditionError
 from .liealg import Grading
 from .linalg import Entries, Row, SparseColumns
@@ -66,10 +66,6 @@ GERM_TOP = 2
 # Highest degree a germ file read back is split to: mc-check reads only the
 # gauge condition delta(phi) = 0 on degree 1.
 READBACK_TOP = 1
-
-
-def monomial_weight(weights: tuple[int, ...], mono: Monomial) -> int:
-    return sum(weights[i] for i in mono)
 
 
 class DegreeSplit:

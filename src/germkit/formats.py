@@ -14,7 +14,7 @@ from itertools import compress, count
 from typing import Any, Callable, Iterable
 
 from . import linalg
-from .cedga import CharacterData, Dga, Monomial, TorsionComponent, verify_subdga
+from .cedga import CharacterData, Dga, Monomial, verify_subdga
 from .decomp import (
     GERM_TOP,
     READBACK_TOP,
@@ -242,7 +242,9 @@ def matrix_strings(rows: Iterable[linalg.Row], ncols: int) -> list[list[str]]:
 
 def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
     """Character data; every number must be a JSON integer (not a bool, and
-    not a float or string that ``int`` would truncate or coerce)."""
+    not a float or string that ``int`` would truncate or coerce).  The
+    file's exponent vectors (one per basis index) and torsion residues come
+    back as weight tables, the free coordinates first."""
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object")
     rank = data.get("rank")
@@ -253,7 +255,6 @@ def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
         raise ParseError(
             f"{where}.exponents: need one exponent vector per basis index ({dim})"
         )
-    exponents = []
     for k, vec in enumerate(raw_exps):
         if not isinstance(vec, list) or len(vec) != rank:
             raise ParseError(
@@ -261,11 +262,10 @@ def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
             )
         if not all(type(x) is int for x in vec):
             raise ParseError(f"{where}.exponents[{k}]: not integers")
-        exponents.append(tuple(vec))
+    tables, moduli = list(zip(*raw_exps)), [0] * rank
     raw_torsion = data.get("torsion", [])
     if not isinstance(raw_torsion, list):
         raise ParseError(f"{where}.torsion: expected a list")
-    torsion = []
     for k, comp in enumerate(raw_torsion):
         tw = f"{where}.torsion[{k}]"
         if not isinstance(comp, dict) or not {"modulus", "residues"} <= comp.keys():
@@ -279,8 +279,9 @@ def parse_characters(data: Any, dim: int, where: str) -> CharacterData:
             raise ParseError(f"{tw}.residues: need {dim} entries")
         if modulus < 2:
             raise ParseError(f"{tw}.modulus: must be >= 2")
-        torsion.append(TorsionComponent(modulus, tuple(residues)))
-    return CharacterData(rank=rank, exponents=tuple(exponents), torsion=tuple(torsion))
+        tables.append(tuple(residues))
+        moduli.append(modulus)
+    return CharacterData(tables=tuple(tables), moduli=tuple(moduli))
 
 
 def parse_algebra_dict(
@@ -622,11 +623,11 @@ def germ_to_dict(
             "coordinates": list(system.coordinates),
             "polynomials": Fragment(lambda n: records if n == at else walk(n)[0]),
             "pretty": pretty,
-            "homogeneous_degrees": system.degrees,
+            "homogeneous_degrees": series.obstruction_degrees,
             "max_degree": system.max_degree,
-            "nu": system.nu,
-            "terminated": system.terminated,
-            "valid_modulo": system.valid_modulo,
+            "nu": dec.grading.depth if dec.grading is not None else None,
+            "terminated": series.terminated,
+            "valid_modulo": None if series.terminated else series.cap + 1,
             "smooth": system.is_smooth,
             "degree_bound": degree_bound,
         },

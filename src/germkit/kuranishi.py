@@ -572,37 +572,25 @@ def kuranishi_series(
 
 
 class ObstructionSystem(Frozen):
-    """Polynomials presenting the flat germ on the harmonic slice, with the
-    degrees of each one's homogeneous components, ascending, as the series
-    recorded them."""
+    """Polynomials presenting the flat germ on the harmonic slice, one per
+    coordinate, with their largest degree.  The series they come from
+    holds the rest: the variables, the cap, termination and the degrees of
+    each polynomial's homogeneous components."""
 
-    __slots__ = (
-        "variables", "coordinates", "polynomials", "nu", "cap", "terminated", "degrees",
-        "max_degree", "is_smooth",
-    )
+    __slots__ = ("coordinates", "polynomials", "max_degree", "is_smooth")
 
     def __init__(
-        self, variables: tuple[str, ...], coordinates: tuple[str, ...],
-        polynomials: tuple[MultiPoly, ...], nu: int | None, cap: int, terminated: bool,
-        degrees: list[list[int]],
+        self, coordinates: tuple[str, ...], polynomials: tuple[MultiPoly, ...], max_degree: int
     ):
         self._assign(
-            variables=variables, coordinates=coordinates, polynomials=polynomials, nu=nu,
-            cap=cap, terminated=terminated, degrees=degrees,
-            max_degree=max((d[-1] for d in degrees if d), default=0),
+            coordinates=coordinates, polynomials=polynomials, max_degree=max_degree,
             is_smooth=not any(polynomials),
         )
-
-    @property
-    def valid_modulo(self) -> int | None:
-        """Degree beyond which the system is unreliable, None if exact."""
-        return None if self.terminated else self.cap + 1
 
 
 def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
     """The series' harmonic coordinates of [phi, phi] as exact polynomials,
     labelled by harmonic 2-form and target basis vector."""
-    dec = series.decomposition
     target = series.tdgla.target
     labels = tuple(
         f"h2[{k // target.dim}]⊗{target.labels[k % target.dim]}"
@@ -611,16 +599,8 @@ def obstruction_system(series: KuranishiSeries) -> ObstructionSystem:
     polynomials = tuple(
         MultiPoly(series.variables, terms) for terms in series.obstruction_terms
     )
-    nu = dec.grading.depth if dec.grading is not None else None
-    return ObstructionSystem(
-        variables=series.variables,
-        coordinates=labels,
-        polynomials=polynomials,
-        nu=nu,
-        cap=series.cap,
-        terminated=series.terminated,
-        degrees=series.obstruction_degrees,
-    )
+    degrees = series.obstruction_degrees
+    return ObstructionSystem(labels, polynomials, max((d[-1] for d in degrees if d), default=0))
 
 
 def verify_degree_bound(system: ObstructionSystem, nu: int) -> MultiPoly | None:

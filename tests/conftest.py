@@ -20,15 +20,15 @@ these live here because only the tests call them:
   the second term of ``liealg.derived_series``;
 - ``I``: the imaginary unit;
 - ``replaced``: a record rebuilt through its ``__init__`` with some
-  arguments changed, for the tests that corrupt a series or a system;
+  arguments changed, for the tests that corrupt or reshape a series;
 - the fixture registry: ``PARSED_FIXTURES``, each file under ``fixtures/``
   parsed once (the only definition of the fixture algebras, with their
   nilradical, complement and characters), and its views
   ``FIXTURE_ALGEBRAS``, ``GRADED_NILPOTENT``, ``UNIMODULAR`` and
   ``BUILTIN_ALGEBRAS`` (with ``abelian(n)``, for the abelian algebras
   without a file); ``solvable_input``, a file's ``SolvableInput``; and
-  ``homogeneous_degrees``, the degrees an ``ObstructionSystem`` records,
-  counted from its polynomials' terms;
+  ``homogeneous_degrees``, the degrees a ``KuranishiSeries`` records,
+  counted from the polynomials' terms;
 - ``minimal_polynomial``: the squarefree check on Jordan-Chevalley parts;
 - ``hermitian``: the form that makes the monomial basis orthonormal, for
   the adjointness tests of the metric splitting;
@@ -1257,9 +1257,9 @@ def germ_to_dict_reference(series: KuranishiSeries, system, **fields) -> dict:
             "pretty": pretty,
             "homogeneous_degrees": degrees,
             "max_degree": max((d[-1] for d in degrees if d), default=0),
-            "nu": system.nu,
-            "terminated": system.terminated,
-            "valid_modulo": system.valid_modulo,
+            "nu": dec.grading.depth if dec.grading is not None else None,
+            "terminated": series.terminated,
+            "valid_modulo": None if series.terminated else series.cap + 1,
             "smooth": system.is_smooth,
             "degree_bound": fields["degree_bound"],
         },

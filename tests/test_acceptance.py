@@ -71,7 +71,7 @@ def test_criterion_1_cubic_cone():
     system = obstruction_system(series)
 
     ok = series.terminated and series.last_nonzero == 2
-    ok = ok and len(system.variables) == 6
+    ok = ok and len(series.variables) == 6
     ok = ok and len(system.polynomials) == 6
     ok = ok and all(
         homogeneous_components(p) == [(3, p)] for p in system.polynomials
@@ -79,7 +79,7 @@ def test_criterion_1_cubic_cone():
 
     # independent brute-force oracle: [a,[a,b]] = 0, [b,[a,b]] = 0 expanded
     # by hand from the sl2 bracket, no harmonic machinery involved
-    variables = system.variables
+    variables = series.variables
 
     def var(i):
         return RingPoly.variable(variables, i)
@@ -292,8 +292,7 @@ def test_criterion_8_pd_gate():
     # complements and keep duality type
     dga = Dga(FIXTURE_ALGEBRAS["q_plus_h3"])
     chars = PARSED_FIXTURES["solv_heisenberg"].characters
-    total = [sum(v[c] for v in chars.exponents) for c in range(chars.rank)]
-    ok = ok and all(t == 0 for t in total)
+    ok = ok and all(sum(table) == 0 for table in chars.tables)
     sub = subdga_from_characters(dga, chars)
     ok = ok and pd_type_check(sub) is None
     report(

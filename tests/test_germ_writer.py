@@ -32,7 +32,7 @@ from germkit.cedga import Dga
 from germkit.cli import main
 from germkit.decomp import split_complex
 from germkit.formats import Fragment, _Exponents, algebra_to_dict, germ_to_dict, render_json
-from germkit.kuranishi import TensorDgla, kuranishi_series, obstruction_system
+from germkit.kuranishi import ObstructionSystem, TensorDgla, kuranishi_series
 from germkit.multipoly import MultiPoly
 from germkit.scalars import ONE, Scalar, scalar
 
@@ -54,10 +54,10 @@ def _h3_germ():
         "subdga_monomials": None,
         "degree_bound": {"bound": 3, "satisfied": True},
     }
-    return series, obstruction_system(series), fields
+    return series, fields
 
 
-SERIES, SYSTEM, FIELDS = _h3_germ()
+SERIES, FIELDS = _h3_germ()
 NVARS = len(SERIES.variables)
 FLAT = SERIES.tdgla.dim(1)
 
@@ -95,13 +95,15 @@ POLYNOMIALS = st.lists(
 def _germs(slices, polynomials, depth=0, variables=SERIES.variables):
     # A germ of fewer variables than the h3 series keeps that many of its zeta.
     zeta_info = SERIES.zeta_info[: len(variables)]
-    series = replaced(SERIES, slices=slices, variables=variables, zeta_info=zeta_info)
-    system = replaced(
-        SYSTEM,
-        variables=variables,
-        coordinates=tuple(f"h2[{k}]⊗H" for k in range(len(polynomials))),
-        polynomials=tuple(polynomials),
-        degrees=homogeneous_degrees(polynomials),  # these terms', not the h3 series'
+    degrees = homogeneous_degrees(polynomials)  # these terms', not the h3 series'
+    series = replaced(
+        SERIES, slices=slices, variables=variables, zeta_info=zeta_info,
+        obstruction_degrees=degrees,
+    )
+    system = ObstructionSystem(
+        tuple(f"h2[{k}]⊗H" for k in range(len(polynomials))),
+        tuple(polynomials),
+        max((d[-1] for d in degrees if d), default=0),
     )
     return (
         germ_to_dict(series, system, **FIELDS, depth=depth),

@@ -335,7 +335,7 @@ def test_pivot_strategy_gives_equivalent_series_shape():
 def test_degree_bound_checks():
     series = _setup("filiform4", "sl2")
     system = obstruction_system(series)
-    assert system.nu == 3
+    assert series.decomposition.grading.depth == 3
     assert verify_degree_bound(system, 3) is None
     assert verify_degree_bound(system, 2) is not None  # degree-4 terms exist
 
@@ -482,7 +482,7 @@ def _full_selection(algebra):
 def _zero_sum_selection():
     """Zero-sum characters on the abelian plane: no one-form is kept, N = 0."""
     dga = Dga(abelian(2))
-    return subdga_from_characters(dga, CharacterData(rank=1, exponents=((1,), (-1,)))), dga
+    return subdga_from_characters(dga, CharacterData(((1, -1),), (0,))), dga
 
 
 # Functions giving (selection, ambient): each input that carries
@@ -664,7 +664,7 @@ def test_capped_obstructions_match_a_fresh_bracket(name, target, cap):
     series = kuranishi_series(dec, TensorDgla(dec.dga, BUILTIN_ALGEBRAS[target]), cap)
     reference = [p.terms for p in _reference_obstructions(series)]
     system = obstruction_system(series)
-    assert system.cap == cap
+    assert series.cap == cap
     assert [p.terms for p in system.polynomials] == reference
     # The system only reads the series, so a second call gives it again.
     assert [p.terms for p in obstruction_system(series).polynomials] == reference
@@ -1198,16 +1198,15 @@ DEGREE_ALGEBRAS = {
 @pytest.mark.parametrize("target", ["sl2", "gl:2", "gl:3"])
 @pytest.mark.parametrize("name", sorted(DEGREE_ALGEBRAS))
 def test_series_records_the_degrees_a_recount_finds(name, target, cap):
-    # The system reads each polynomial's homogeneous degrees from the
-    # series, which records them degree by degree; counted again here from
-    # the terms, densely, they agree, and so does the max degree.
+    # The series records each polynomial's homogeneous degrees degree by
+    # degree; counted again here from the terms, densely, they agree, and
+    # so does the system's max degree.
     algebra = DEGREE_ALGEBRAS[name]
     dec = split_complex(Dga(algebra), "metric", inferred_grading(algebra), top=GERM_TOP)
     series = kuranishi_series(dec, TensorDgla(dec.dga, cli.resolve_target(target)[1]), cap)
     system = obstruction_system(series)
     recount = homogeneous_degrees(system.polynomials)
-    assert system.degrees is series.obstruction_degrees
-    assert system.degrees == recount
+    assert series.obstruction_degrees == recount
     assert system.max_degree == max((d[-1] for d in recount if d), default=0)
     assert system.max_degree == max((p.total_degree() for p in system.polynomials), default=0)
 

@@ -31,7 +31,7 @@ from conftest import (
 )
 
 from germkit import fixtures, linalg
-from germkit.cedga import CharacterData, TorsionComponent
+from germkit.cedga import CharacterData
 from germkit.errors import PreconditionError
 from germkit.jordan import jordan_chevalley
 from germkit.kuranishi import ObstructionSystem
@@ -480,10 +480,9 @@ def test_the_read_only_records_refuse_assignment():
         Subspace.full(3),
         lcs,
         infer_grading_basis_aligned(h3, lcs),
-        TorsionComponent(2, (1, 0, 1)),
-        CharacterData(rank=1, exponents=((1,), (-1,), (0,))),
+        CharacterData(((1, -1, 0), (1, 0, 1)), (0, 2)),
         SolvableInput(h3, Subspace.full(3), Subspace(3, (), ())),
-        ObstructionSystem(("t1",), (), (), 2, 3, True, []),
+        ObstructionSystem((), (), 0),
     ]
     for record in records:
         field = record.__slots__[0]

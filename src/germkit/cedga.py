@@ -27,14 +27,16 @@ index is the monomial's place in that tuple, found by ``Dga.index``'s
 bisection.
 
 A monomial sub-DGA is a per-degree selection of monomials that contains the
-unit and is closed under both d and wedge.  ``verify_subdga`` is the one
-check of a selection against its parent; ``Dga.restrict`` then re-indexes
-the parent's columns onto it, so d is derived from the structure constants
-once, for the full complex.  Character data is a weight table per
-coordinate of a finitely generated abelian group, the form of
-``Grading.weights``, with a modulus each (0 for a free coordinate); it
-selects the monomials whose weight vanishes in every coordinate, which is
-how invariant sub-DGAs of diagonalizable actions enter the pipeline.
+unit and is closed under both d and wedge.  Explicit selections are checked
+in full (``verify_subdga``), a character selection only for d-closure;
+``Dga.restrict`` then re-indexes the parent's columns onto it, so d is
+derived from the structure constants once, for the full complex.  Character
+data is a weight table per coordinate of a finitely generated abelian
+group, the form of ``Grading.weights``, with a modulus each (0 for a free
+coordinate); it selects the monomials whose weight vanishes in every
+coordinate, which is how invariant sub-DGAs of diagonalizable actions enter
+the pipeline.  Weights add over a wedge and the unit weighs 0, so such a
+selection holds the unit and is closed under wedge by construction.
 """
 
 from __future__ import annotations
@@ -135,9 +137,9 @@ class Dga:
         self._set(algebra, monomials, columns)
 
     def restrict(self, selected: Sequence[Sequence[Monomial]]) -> Dga:
-        """The complex on ``selected``, a per-degree selection that
-        ``verify_subdga`` has passed: this complex's columns, re-indexed.
-        Both bases are in lexicographic order, so each column stays sorted."""
+        """The complex on ``selected``, a per-degree selection closed under
+        d: this complex's columns, re-indexed.  Both bases are in
+        lexicographic order, so each column stays sorted."""
         levels = [sorted(level) for level in selected]
 
         def column(p: int, mono: Monomial) -> Column:
@@ -314,15 +316,8 @@ def verify_subdga(
     chosen = {mono for level in selected for mono in level}
     if () not in chosen:
         return "selection does not contain the degree-0 unit"
-    for mono in sorted(chosen):
-        p = len(mono)
-        for row, _ in parent.columns[p][parent.index(mono)]:
-            target = parent.monomials[p + 1][row]
-            if target not in chosen:
-                return (
-                    f"not closed under d: d({parent.monomial_label(mono)}) "
-                    f"has a component on {parent.monomial_label(target)}"
-                )
+    if (violation := _d_violation(parent, chosen)) is not None:
+        return violation
     # Wedge closure is symmetric, and a monomial wedged with itself is zero
     # or the unit, so unordered pairs suffice; the first violation in
     # lexicographic order has left < right.
@@ -333,6 +328,21 @@ def verify_subdga(
                 f"not closed under wedge: {parent.monomial_label(left)} "
                 f"wedge {parent.monomial_label(right)} leaves the selection"
             )
+    return None
+
+
+def _d_violation(parent: Dga, chosen: set[Monomial]) -> str | None:
+    """None if d of every chosen monomial stays in ``chosen``, else the
+    first violation in lexicographic order of the monomials."""
+    for mono in sorted(chosen):
+        p = len(mono)
+        for row, _ in parent.columns[p][parent.index(mono)]:
+            target = parent.monomials[p + 1][row]
+            if target not in chosen:
+                return (
+                    f"not closed under d: d({parent.monomial_label(mono)}) "
+                    f"has a component on {parent.monomial_label(target)}"
+                )
     return None
 
 
@@ -365,14 +375,14 @@ class CharacterData(Frozen):
 def subdga_from_characters(dga: Dga, characters: CharacterData) -> Dga:
     """The complex on the character-invariant monomials of ``dga``.
 
-    Raises PreconditionError when the character data is incompatible with
-    the differential or the product (the selection would not be a sub-DGA).
+    Only d can leave the selection (see the module docstring); raises
+    PreconditionError when it does.
     """
     selected = [
         [mono for mono in level if characters.selects(mono)]
         for level in dga.monomials
     ]
-    violation = verify_subdga(dga, selected)
+    violation = _d_violation(dga, {mono for level in selected for mono in level})
     if violation is not None:
         raise PreconditionError(
             f"character data does not define a sub-DGA: {violation}"

@@ -15,9 +15,10 @@ Two strategies produce the same shape of data:
 
 Both yield the homotopy ``delta = d^{-1} o beta`` (invert d from the chosen
 complement onto the exact part, after projecting), the only operator the
-deformation recursion consumes.  When a coordinate-aligned grading is
-supplied, the differential must preserve weights; the construction then
-produces weight-homogeneous bases automatically and verifies that it did.
+deformation recursion consumes.  The split trusts that d preserves the
+weights of a coordinate-aligned grading, which its caller has checked (the
+natural-grading check, or ``check_weight_homogeneous`` on a germ read
+back); it then produces weight-homogeneous bases and verifies that it did.
 
 The split reads d only through the sparse columns ``Dga.columns`` and
 works on sparse rows (``linalg.Row``) from there to the ``Decomposition``;
@@ -132,16 +133,12 @@ def split_complex(
     """Split degrees 0..top (every degree when None); see the module docstring.
 
     A truncated split reads d only up to degree top and builds delta only
-    up to degree top.
+    up to degree top.  The caller has checked that ``strategy`` is one of
+    STRATEGIES and that d preserves the weights of ``grading``.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     dims = dga.dims()
     n = len(dims) - 1
     last = n if top is None else min(top, n)
-
-    if grading is not None:
-        check_weight_homogeneous(dga, grading.weights, last)
 
     splits: list[DegreeSplit] = []
     for p in range(last + 1):
@@ -225,8 +222,8 @@ def _build_delta(dga: Dga, splits: list[DegreeSplit]) -> list[SparseColumns]:
 
 
 def check_weight_homogeneous(dga: Dga, weights: tuple[int, ...], last: int) -> None:
-    """Raise unless d preserves the basis ``weights`` on degrees 0..last,
-    the part a split of degrees <= last reads.
+    """Raise unless d preserves the basis ``weights`` on degrees 0..last:
+    the check of a grading that no natural-grading check has passed.
 
     On a full complex d is the derivation extending its degree-one values,
     so a violation anywhere already shows in degree one; on a selection of

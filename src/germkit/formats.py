@@ -771,8 +771,9 @@ def germ_from_dict(data: dict, source: str = "<germ>") -> GermData:
         raise ParseError(f"{where}: coordinates: need one label per polynomial")
     terminated = _field(data, "terminated", bool, source)
     if layers is not None:
-        # The split below reads d only on degrees <= READBACK_TOP; the
-        # grading is checked on every degree the germ was built from.
+        # The one check of the file's grading, on every degree the germ was
+        # built from; the split below trusts it and reads d only on
+        # degrees <= READBACK_TOP.
         grading = Grading.from_layers(layers)
         check_weight_homogeneous(complex_, grading.weights, GERM_TOP)
     return GermData(

@@ -1,8 +1,10 @@
 """Lie algebras presented by structure constants over Q(i), on sparse rows.
 
-The caller gives the brackets of pairs i < j; one antisymmetric table of
-every nonzero [X_i, X_j] serves the bracket, ad, the structure columns,
-Jacobi and unimodularity.  The Jacobi identity is checked at construction.
+The caller gives at least one distinct label and the brackets of index
+pairs i < j, on basis indices (``formats.parse_algebra_dict`` checks file
+input); one antisymmetric table of every nonzero [X_i, X_j] serves the
+bracket, ad, the structure columns, Jacobi and unimodularity.  The Jacobi
+identity is checked at construction.
 """
 
 from __future__ import annotations
@@ -26,21 +28,10 @@ class LieAlgebra:
         brackets: Mapping[tuple[int, int], Mapping[int, Scalar]],
     ):
         self.labels: tuple[str, ...] = tuple(labels)
-        n = len(self.labels)
-        if n == 0:
-            raise ValueError("a Lie algebra needs at least one basis vector")
-        if len(set(self.labels)) != n:
-            raise ValueError("duplicate basis labels")
         # (i, j) -> the nonzero entries (k, c) of [X_i, X_j], k ascending.
         table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
         for (i, j), comps in brackets.items():
-            if not (0 <= i < j < n):
-                raise ValueError(f"bracket key ({i}, {j}) out of range or not i<j")
-            entries = tuple(
-                (k, c) for k, c in sorted(comps.items()) if 0 <= k < n and c
-            )
-            if any(not (0 <= k < n) for k in comps):
-                raise ValueError(f"bracket ({i},{j}) targets an unknown index")
+            entries = tuple((k, c) for k, c in sorted(comps.items()) if c)
             if entries:
                 table[(i, j)] = entries
                 table[(j, i)] = tuple((k, -c) for k, c in entries)

@@ -33,7 +33,8 @@ from .scalars import ONE, Scalar
 
 
 class SolvableInput(Frozen):
-    """A solvable algebra with a declared nilradical and complement."""
+    """A solvable algebra with a declared nilradical and complement, both
+    subspaces of the algebra's own space."""
 
     __slots__ = ("algebra", "nilradical", "complement")
 
@@ -56,8 +57,6 @@ def validate_solvable_input(data: SolvableInput) -> list[SparseColumns]:
     g = data.algebra
     n = g.dim
     nil, comp = data.nilradical, data.complement
-    if nil.ambient_dim != n or comp.ambient_dim != n:
-        raise PreconditionError("nilradical/complement ambient dimension mismatch")
     if nil.intersection_dim(comp) != 0 or nil.dim + comp.dim != n:
         raise PreconditionError(
             "complement does not split the algebra: V + n is not a direct sum"
@@ -101,11 +100,9 @@ def ad_s_map(data: SolvableInput) -> list[SparseColumns]:
     n = g.dim
     nil, comp = data.nilradical, data.complement
 
-    # Row i: the coordinates of e_i in the (V rows | n rows) basis.
-    try:
-        coords = linalg.coordinates(comp.rows + nil.rows, n)
-    except ValueError:
-        raise PreconditionError("complement and nilradical do not span") from None
+    # Row i: the coordinates of e_i in the (V rows | n rows) basis, a basis
+    # since validation found V + n a direct sum of dimension n.
+    coords = linalg.coordinates(comp.rows + nil.rows, n)
     comp_columns = [row.items() for row in comp.rows]
     v_parts: list[Row] = []
     matrices = []

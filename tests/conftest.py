@@ -67,7 +67,9 @@ these live here because only the tests call them:
   ``infer_grading_dense`` (one dense rref per basis vector chosen),
   ``jordan_chevalley_dense`` and ``ad_s_matrices_dense``: the references of
   the sparse algebra side, ``jordan_chevalley_on_dense`` the library's
-  decomposition of a dense matrix, and ``h5_i_scaled`` a Q(i) input;
+  decomposition of a dense matrix, ``h5_i_scaled`` a Q(i) input, and
+  ``JORDAN_SOLV``, the file of a solvable input whose ad has a nilpotent
+  part;
 - ``dense_rref``, ``dense_kernel_basis``, ``dense_solve_many``,
   ``dense_inverse``, ``dense_in_row_space`` and ``transpose``: Gauss-Jordan
   elimination on dense rows, pivot column by pivot column, the references
@@ -1410,6 +1412,27 @@ def h5_i_scaled() -> LieAlgebra:
         ["X1", "Y1", "X2", "Y2", "Z"],
         {(0, 1): {4: I}, (2, 3): {4: ONE - I * scalar("1/2")}},
     )
+
+
+# T x| Q^4 with ad_T = J2(1) + J2(-1) on (X1, X2) and (Y1, Y2): ad_T has a
+# nilpotent part, which the nilshadow removes.  Kept out of fixtures/, whose
+# every file the byte check runs.
+JORDAN_SOLV = {
+    "name": "jordan_solv",
+    "field": "Q",
+    "basis": ["T", "X1", "X2", "Y1", "Y2"],
+    "brackets": [
+        {"left": "T", "right": "X1", "result": [{"coef": "1", "basis": "X1"}]},
+        {"left": "T", "right": "X2",
+         "result": [{"coef": "1", "basis": "X1"}, {"coef": "1", "basis": "X2"}]},
+        {"left": "T", "right": "Y1", "result": [{"coef": "-1", "basis": "Y1"}]},
+        {"left": "T", "right": "Y2",
+         "result": [{"coef": "1", "basis": "Y1"}, {"coef": "-1", "basis": "Y2"}]},
+    ],
+    "nilradical": ["X1", "X2", "Y1", "Y2"],
+    "complement": ["T"],
+    "characters": {"rank": 1, "exponents": [[0], [1], [1], [-1], [-1]]},
+}
 
 
 GENERATED = {

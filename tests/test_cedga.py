@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
+    JORDAN_SOLV,
     PARSED_FIXTURES,
     UNIMODULAR,
     Cochain,
@@ -27,6 +28,7 @@ from conftest import (
     non_unimodular2,
     oracle_betti,
     oracle_d_matrix,
+    solvable_input,
     unchecked_algebra,
 )
 
@@ -42,9 +44,9 @@ from germkit.cedga import (
     wedge_monomials,
 )
 from germkit.errors import PreconditionError
-from germkit.formats import parse_algebra_dict, parse_characters
+from germkit.formats import ParsedAlgebra, parse_algebra_dict, parse_characters
 from germkit.liealg import LieAlgebra
-from germkit.nilshadow import SolvableInput, nilshadow
+from germkit.nilshadow import nilshadow
 from germkit.scalars import ONE, ZERO, scalar
 
 
@@ -388,15 +390,40 @@ def test_torsion_components():
     assert got == [(), (3,), (1, 2), (1, 2, 3)]
 
 
+def _germbench_solvable(k: int) -> ParsedAlgebra:
+    """germbench's T x| h(2k+1) at seed SEED."""
+    inputs = germbench_inputs()
+    return parse_algebra_dict(inputs.solvable_heisenberg(k, inputs.rng_for(SEED, f"solv{k}")))
+
+
+def _shadow_and_characters(parsed: ParsedAlgebra) -> tuple[LieAlgebra, CharacterData]:
+    """The nilshadow of a solvable algebra file, with the file's characters."""
+    return nilshadow(solvable_input(parsed))[0], parsed.characters
+
+
+SHADOWS = {
+    "shadow:solv_h5": _shadow_and_characters(_germbench_solvable(2)),
+    "shadow:solv_h7": _shadow_and_characters(_germbench_solvable(3)),
+    "shadow:jordan_solv": _shadow_and_characters(parse_algebra_dict(JORDAN_SOLV)),
+}
+
 CHARACTER_ALGEBRAS = {
     **{f"fixture:{name}": algebra for name, algebra in FIXTURE_ALGEBRAS.items()},
     **{f"generated:{name}": algebra for name, algebra in GENERATED.items()},
+    **{name: shadow for name, (shadow, _) in SHADOWS.items()},
 }
 
 
 @functools.cache
 def _full_complex(name: str) -> Dga:
     return Dga(CHARACTER_ALGEBRAS[name])
+
+
+@functools.cache
+def _zero_differential(n: int) -> Dga:
+    """The complex of Q^n: d = 0, so ``verify_subdga`` over it checks only
+    the unit and wedge closure."""
+    return Dga(abelian(n))
 
 
 @st.composite
@@ -439,6 +466,28 @@ def test_weight_tables_select_what_the_raw_sums_select(name, data):
             assert characters.selects(mono) == invariant(mono), mono
 
 
+@pytest.mark.parametrize("name", sorted(CHARACTER_ALGEBRAS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_character_selections_need_only_the_d_check(name, data):
+    # A character selection holds the unit and is closed under wedge, so
+    # subdga_from_characters checks d-closure alone: it gives the complex
+    # that the full check and restrict give, or fails with their message.
+    dga = _full_complex(name)
+    n = dga.algebra.dim
+    characters = parse_characters(data.draw(character_files(n)), n, "characters")
+    selected = [[mono for mono in level if characters.selects(mono)] for level in dga.monomials]
+    assert verify_subdga(_zero_differential(n), selected) is None
+    violation = verify_subdga(dga, selected)
+    if violation is None:
+        sub, full = subdga_from_characters(dga, characters), dga.restrict(selected)
+        assert (sub.monomials, sub.columns) == (full.monomials, full.columns)
+    else:
+        with pytest.raises(PreconditionError) as error:
+            subdga_from_characters(dga, characters)
+        assert str(error.value) == f"character data does not define a sub-DGA: {violation}"
+
+
 def test_incompatible_characters_are_rejected():
     # weight data that is not additive along the bracket: dz escapes
     dga = Dga(FIXTURE_ALGEBRAS["h3"])
@@ -478,15 +527,6 @@ def _character_selection(algebra: LieAlgebra, characters: CharacterData):
     return algebra, subdga_from_characters(Dga(algebra), characters)
 
 
-def _nilshadow_selection(k: int):
-    """The character selection of the nilshadow of germbench's
-    T x| h(2k+1) at seed SEED."""
-    inputs = germbench_inputs()
-    parsed = parse_algebra_dict(
-        inputs.solvable_heisenberg(k, inputs.rng_for(SEED, f"solv{k}"))
-    )
-    shadow, _ = nilshadow(SolvableInput(parsed.algebra, parsed.nilradical, parsed.complement))
-    return _character_selection(shadow, parsed.characters)
 
 
 def _h5i_selection(keep):
@@ -500,8 +540,9 @@ RESTRICTIONS = {
     "fixture-characters": lambda: _character_selection(
         FIXTURE_ALGEBRAS["q_plus_h3"], PARSED_FIXTURES["solv_heisenberg"].characters
     ),
-    "solv_h5": lambda: _nilshadow_selection(2),
-    "solv_h7": lambda: _nilshadow_selection(3),
+    "solv_h5": lambda: _character_selection(*SHADOWS["shadow:solv_h5"]),
+    "solv_h7": lambda: _character_selection(*SHADOWS["shadow:solv_h7"]),
+    "jordan_solv": lambda: _character_selection(*SHADOWS["shadow:jordan_solv"]),
     "h5i-no-Z": lambda: _h5i_selection(lambda m: 4 not in m),
     "h5i-full": lambda: _h5i_selection(lambda m: True),
 }

@@ -37,6 +37,7 @@ from germkit.decomp import (
     _extend_basis,
     _vector_weights,
     _verify_decomposition,
+    check_weight_homogeneous,
     degree2_weight_table,
     kernel_containment_check,
     monomial_weight,
@@ -171,6 +172,16 @@ GRADED_CASES = [
 ] + [(f"generated:{name}", algebra) for name, algebra in GENERATED.items()]
 
 
+@pytest.mark.parametrize(
+    "algebra", [a for _, a in GRADED_CASES], ids=[n for n, _ in GRADED_CASES]
+)
+def test_a_natural_grading_makes_d_weight_homogeneous(algebra):
+    # What the split trusts of its grading: the natural-grading check that
+    # inferred_grading has passed decides that d preserves weights on every
+    # degree of the complex.
+    check_weight_homogeneous(Dga(algebra), inferred_grading(algebra).weights, algebra.dim)
+
+
 @pytest.mark.parametrize("top", [None, GERM_TOP], ids=["full", "germ-top"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize(
@@ -215,10 +226,11 @@ def test_h3_degree2_weights():
 
 
 def test_non_weight_homogeneous_grading_is_rejected():
+    # The split trusts its grading; the check its callers run rejects this.
     h3 = FIXTURE_ALGEBRAS["h3"]
     fake = Grading((1, 2, 2), 2)
     with pytest.raises(PreconditionError, match="weight-homogeneous"):
-        split_complex(Dga(h3), "metric", fake)
+        check_weight_homogeneous(Dga(h3), fake.weights, GERM_TOP)
 
 
 def test_non_aligned_grading_is_rejected():

@@ -1,9 +1,12 @@
 
 import pytest
 
+import json
+
 from conftest import (
     FIXTURE_ALGEBRAS,
     GENERATED,
+    JORDAN_SOLV,
     PARSED_FIXTURES,
     ad_s_matrices_dense,
     dense_columns,
@@ -11,11 +14,14 @@ from conftest import (
     germbench_inputs,
     h5_i_scaled,
     is_zero_matrix,
+    oracle_betti,
     solvable_input,
 )
 
 from germkit import fixtures, linalg
+from germkit.cli import main
 from germkit.errors import PreconditionError
+from germkit.jordan import jordan_chevalley
 from germkit.formats import parse_algebra_dict
 from germkit.liealg import LieAlgebra, Subspace, lower_central_series
 from germkit.nilshadow import SolvableInput, ad_s_map, nilshadow, validate_solvable_input
@@ -164,6 +170,7 @@ def _solvable_cases():
         "rotation": _rotation_input(),
         "shifted_complement": _shifted_complement_input(),
         "seeded:solv_h5": solvable_input(seeded),
+        "jordan_solv": solvable_input(parse_algebra_dict(JORDAN_SOLV)),
         "h5_i_scaled": _nilpotent_input(h5_i_scaled()),
         **{f"generated:{name}": _nilpotent_input(a) for name, a in GENERATED.items()},
     }
@@ -179,6 +186,35 @@ def test_ad_s_map_matches_the_dense_reference(name):
     matrices = ad_s_map(data)
     assert [dense_columns(m, n) for m in matrices] == ad_s_matrices_dense(data)
     assert any(map(any, matrices)) == (data.complement.dim > 0)
+
+
+def test_nilshadow_removes_the_nilpotent_part_of_ad():
+    # ad_T = J2(1) + J2(-1) is not semisimple, so its semisimple part comes
+    # from the Newton update (without one, S = M and N = 0).
+    data = SOLVABLE_CASES["jordan_solv"]
+    g = data.algebra
+    assert any(map(any, jordan_chevalley(g.ad({0: ONE}))[1]))
+    ad_t = dense_columns(ad_s_map(data)[0], 5)
+    assert ad_t == [[scalar(w) if r == c else scalar(0) for c in range(5)]
+                    for r, w in enumerate((0, 1, 1, -1, -1))]
+    shadow, lcs = nilshadow(data)
+    assert shadow.nonzero_brackets() == [(0, 2, {1: ONE}), (0, 4, {3: ONE})]
+    assert lcs.nu == 2
+
+
+def test_jordan_block_input_runs_end_to_end(tmp_path, capsys):
+    path = tmp_path / "jordan_solv.json"
+    path.write_text(json.dumps(JORDAN_SOLV))
+    assert main(["nilshadow", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "nonzero brackets: [T, X2] = 1*X1; [T, Y2] = 1*Y1\n" in out
+    assert "nilpotent with nu=2;" in out
+    assert main(["pipeline", str(path), "--target", "sl2"]) == 0
+    out = capsys.readouterr().out
+    assert "[bound] max degree 3 <= 3: PASS\n" in out
+    betti = oracle_betti(nilshadow(SOLVABLE_CASES["jordan_solv"])[0])
+    assert betti == [1, 3, 6, 6, 3, 1]
+    assert f"[decompose] betti {betti} (strategy metric)\n" in out
 
 
 def test_nilshadow_builds_no_dense_rows(monkeypatch):

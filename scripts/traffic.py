@@ -73,9 +73,8 @@ def _header(stmt: ast.stmt) -> range:
     start = min([stmt.lineno, *(d.lineno for d in getattr(stmt, "decorator_list", ()))])
     nested = [
         child.lineno
-        for field in ("body", "orelse", "handlers", "finalbody", "cases")
+        for field in ("body", "orelse", "finalbody")
         for child in getattr(stmt, field, ())
-        if isinstance(child, ast.stmt)
     ]
     return range(start, min(nested) if nested else stmt.end_lineno + 1)
 
